@@ -58,9 +58,10 @@ impl DomTree {
     /// routine-local execution order, where a call-and-return inside a
     /// loop body keeps the body connected.
     pub fn dominators_linked(cfg: &RoutineCfg) -> DomTree {
-        let (succs, preds) = linked_adjacency(cfg);
-        let succs: Vec<&[BlockId]> = succs.iter().map(|v| v.as_slice()).collect();
-        let preds: Vec<&[BlockId]> = preds.iter().map(|v| v.as_slice()).collect();
+        let arcs = cfg.flow_arcs();
+        let blocks = (0..arcs.len()).map(BlockId::from_index);
+        let succs: Vec<&[BlockId]> = blocks.clone().map(|b| arcs.succs(b)).collect();
+        let preds: Vec<&[BlockId]> = blocks.map(|b| arcs.preds(b)).collect();
         build(cfg.entries(), &succs, &preds)
     }
 
@@ -118,27 +119,6 @@ impl DomTree {
     pub fn frontier(&self, b: BlockId) -> &[BlockId] {
         &self.frontiers[b.index()]
     }
-}
-
-/// The routine-local execution adjacency: block successors plus a
-/// call→return-point arc for every returning call.
-pub(crate) fn linked_adjacency(cfg: &RoutineCfg) -> (Vec<Vec<BlockId>>, Vec<Vec<BlockId>>) {
-    let n = cfg.blocks().len();
-    let mut succs: Vec<Vec<BlockId>> = cfg.blocks().iter().map(|b| b.succs().to_vec()).collect();
-    for (bi, b) in cfg.blocks().iter().enumerate() {
-        if let crate::block::TermKind::Call { return_to: Some(rt), .. } = b.term() {
-            if !succs[bi].contains(rt) {
-                succs[bi].push(*rt);
-            }
-        }
-    }
-    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    for (bi, ss) in succs.iter().enumerate() {
-        for s in ss {
-            preds[s.index()].push(BlockId::from_index(bi));
-        }
-    }
-    (succs, preds)
 }
 
 /// The CHK core over an explicit adjacency, with a virtual root (index

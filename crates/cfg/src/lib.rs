@@ -18,8 +18,9 @@
 //! * [`ProgramCfg`] — all routine CFGs plus the whole-program supergraph
 //!   bookkeeping (call and return arcs) used by the full-CFG baseline
 //!   analysis and by the Table 5 size comparison,
-//! * graph helpers (postorder, reverse postorder) shared by the dataflow
-//!   solvers.
+//! * graph helpers (postorder, reverse postorder, and the [`FlowArcs`]
+//!   relation that adds the call → return-point arcs back) shared by the
+//!   dataflow solvers.
 //!
 //! # Example
 //!
@@ -44,6 +45,7 @@ mod block;
 mod blockset;
 mod build;
 mod dom;
+mod flow;
 mod loops;
 mod order;
 mod program_cfg;
@@ -53,6 +55,7 @@ pub use block::{BasicBlock, BlockId, CallTarget, TermKind};
 pub use blockset::BlockSet;
 pub use build::RoutineCfg;
 pub use dom::DomTree;
+pub use flow::FlowArcs;
 pub use loops::{LoopForest, NaturalLoop};
 pub use order::{postorder, reverse_postorder};
 pub use program_cfg::{ProgramCfg, SupergraphCounts};

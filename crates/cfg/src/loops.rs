@@ -20,7 +20,8 @@
 use crate::block::BlockId;
 use crate::blockset::BlockSet;
 use crate::build::RoutineCfg;
-use crate::dom::{linked_adjacency, DomTree};
+use crate::dom::DomTree;
+use crate::flow::FlowArcs;
 
 /// One natural loop of a routine.
 #[derive(Clone, Debug)]
@@ -61,7 +62,7 @@ impl LoopForest {
     /// ([`DomTree::dominators_linked`]).
     pub fn build(cfg: &RoutineCfg, dom: &DomTree) -> LoopForest {
         let n = cfg.blocks().len();
-        let (succs, preds) = linked_adjacency(cfg);
+        let arcs = cfg.flow_arcs();
 
         // Retreating edges via DFS from the entries: an edge to a block
         // still on the DFS stack closes a cycle. If the target dominates
@@ -79,8 +80,7 @@ impl LoopForest {
             stack.push((e.index() as u32, 0));
             while let Some(&mut (x, ref mut i)) = stack.last_mut() {
                 let xi = x as usize;
-                if *i < succs[xi].len() {
-                    let y = succs[xi][*i];
+                if let Some(&y) = arcs.succs(BlockId::from_index(xi)).get(*i) {
                     *i += 1;
                     match color[y.index()] {
                         0 => {
@@ -108,7 +108,7 @@ impl LoopForest {
         // an irreducible edge source.
         let mut demoted = vec![false; n];
         if !irreducible_edges.is_empty() {
-            let scc = sccs(&succs);
+            let scc = sccs(&arcs);
             let mut bad: Vec<usize> = Vec::new();
             for &(src, _) in &irreducible_edges {
                 let c = scc[src.index()];
@@ -142,7 +142,7 @@ impl LoopForest {
                 }
             }
             while let Some(x) = work.pop() {
-                for &p in &preds[x.index()] {
+                for &p in arcs.preds(x) {
                     if dom.is_reachable(p) && body.insert(p) {
                         work.push(p);
                     }
@@ -241,8 +241,8 @@ impl LoopForest {
 
 /// Tarjan strongly-connected components; returns the component index per
 /// node.
-fn sccs(succs: &[Vec<BlockId>]) -> Vec<usize> {
-    let n = succs.len();
+fn sccs(arcs: &FlowArcs) -> Vec<usize> {
+    let n = arcs.len();
     let mut index = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
     let mut comp = vec![usize::MAX; n];
@@ -264,8 +264,8 @@ fn sccs(succs: &[Vec<BlockId>]) -> Vec<usize> {
         on_stack[root] = true;
         while let Some(&mut (x, ref mut i)) = frames.last_mut() {
             let xi = x as usize;
-            if *i < succs[xi].len() {
-                let y = succs[xi][*i].index();
+            if let Some(y) = arcs.succs(BlockId::from_index(xi)).get(*i) {
+                let y = y.index();
                 *i += 1;
                 if index[y] == u32::MAX {
                     index[y] = next;

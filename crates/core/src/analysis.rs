@@ -186,6 +186,10 @@ pub struct AnalysisStats {
     pub stack_forward_visits: usize,
     /// Block evaluations of the backward MAY-live stack-slot solver.
     pub stack_backward_visits: usize,
+    /// Summary compositions of the stack layer's phase A: one per
+    /// routine it solved, plus the re-compositions call-graph cycles
+    /// forced.
+    pub stack_summary_evals: usize,
     /// The value representation the phases actually solved over
     /// ([`Representation::Dense`] under [`Scheduler::Fifo`]).
     pub representation: Representation,
@@ -439,6 +443,7 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
             phase2_visits,
             stack_forward_visits: stack_stats.forward_visits,
             stack_backward_visits: stack_stats.backward_visits,
+            stack_summary_evals: stack_stats.summary_evals,
             representation,
             front_end_workers: workers,
             phase_workers,

@@ -581,6 +581,7 @@ fn try_reanalyze(
             phase2_visits,
             stack_forward_visits: stack_stats.forward_visits,
             stack_backward_visits: stack_stats.backward_visits,
+            stack_summary_evals: stack_stats.summary_evals,
             representation,
             front_end_workers: workers,
             phase_workers,

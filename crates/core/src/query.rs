@@ -369,6 +369,7 @@ impl QueryEngine {
                 phase2_visits: self.phase2_visits,
                 stack_forward_visits: self.stack_stats.forward_visits,
                 stack_backward_visits: self.stack_stats.backward_visits,
+                stack_summary_evals: self.stack_stats.summary_evals,
                 // The demand engine iterates the dense per-node sets,
                 // whatever the options say (see DESIGN.md: demand cones
                 // re-solve components piecemeal, which the warm-start

@@ -330,6 +330,7 @@ impl Snap for AnalysisStats {
         self.phase2_visits.snap(w);
         self.stack_forward_visits.snap(w);
         self.stack_backward_visits.snap(w);
+        self.stack_summary_evals.snap(w);
         self.representation.snap(w);
         self.front_end_workers.snap(w);
         self.phase_workers.snap(w);
@@ -350,6 +351,7 @@ impl Snap for AnalysisStats {
             phase2_visits: Snap::unsnap(r)?,
             stack_forward_visits: Snap::unsnap(r)?,
             stack_backward_visits: Snap::unsnap(r)?,
+            stack_summary_evals: Snap::unsnap(r)?,
             representation: Snap::unsnap(r)?,
             front_end_workers: Snap::unsnap(r)?,
             phase_workers: Snap::unsnap(r)?,

@@ -47,16 +47,27 @@
 //! to a `Ret` with a nonzero displacement is **unbalanced**, and that is
 //! viral — callers of an unbalanced routine lose SP tracking too.
 //!
+//! # Solving
+//!
+//! Each routine's instructions are scanned once per solve into a
+//! `Digest` — SP-effect flags, per-block displacement deltas, the
+//! SP-relative accesses with block-relative offsets, the call sites and
+//! the flow arcs — and displacement propagation, slot discovery,
+//! summary composition and the block transfer masks all read the
+//! digest. Summary composition sweeps a call-graph component
+//! Gauss–Seidel style and re-composes only members one of whose
+//! callees' summaries changed (see `Solver::phase_a` for why nothing
+//! more aggressive is sound); the two slot dataflows are rank-ordered
+//! worklist fixpoints over [`SlotSet`]s, which own no heap memory for
+//! frames of up to 64 slots.
+//!
 //! The spike-lint stack checks and spike-opt's dead-stack-store
 //! elimination consume [`StackAnalysis::accesses`]; the soundness
 //! oracle is `spike_sim::run_shadow_slots`, which tracks the identical
 //! `[sp, entry_sp)` frame rule and per-address definedness at run time.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
-
 use spike_callgraph::CallGraph;
-use spike_cfg::{BlockId, CallTarget, ProgramCfg, TermKind};
+use spike_cfg::{BlockId, CallTarget, FlowArcs, ProgramCfg, RoutineCfg, TermKind};
 use spike_isa::{CloneExact, HeapSize, Instruction, MemWidth, Reg};
 use spike_program::{Program, Routine, RoutineId};
 
@@ -88,47 +99,84 @@ impl HeapSize for Slot {
 
 /// A dense bitset over a routine's slot universe (indices into
 /// [`FrameModel::slots`]).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// Universes of at most 64 slots — every frame the calibrated corpus
+/// produces — live in one inline word, so the per-block sets the solvers
+/// keep own no heap memory; larger universes fall back to a boxed word
+/// array. Two sets over the same universe always share a representation.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SlotSet {
-    bits: Vec<u64>,
+    repr: Repr,
+}
+
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Repr {
+    Inline(u64),
+    Heap(Box<[u64]>),
+}
+
+impl Default for SlotSet {
+    fn default() -> SlotSet {
+        SlotSet::empty(0)
+    }
 }
 
 impl SlotSet {
     /// The empty set over a universe of `n` slots.
     pub fn empty(n: usize) -> SlotSet {
-        SlotSet { bits: vec![0; n.div_ceil(64)] }
+        let repr =
+            if n <= 64 { Repr::Inline(0) } else { Repr::Heap(vec![0; n.div_ceil(64)].into()) };
+        SlotSet { repr }
     }
 
     /// The full set over a universe of `n` slots.
     pub fn full(n: usize) -> SlotSet {
-        let mut bits = vec![u64::MAX; n.div_ceil(64)];
-        if !n.is_multiple_of(64) {
-            if let Some(last) = bits.last_mut() {
-                *last = (1u64 << (n % 64)) - 1;
+        let mut set = SlotSet::empty(n);
+        let words = set.words_mut();
+        words.fill(u64::MAX);
+        // Mask the partial last word (the whole inline word when `n` is 0).
+        let tail = n % 64;
+        if tail != 0 || n == 0 {
+            if let Some(last) = words.last_mut() {
+                *last = (1u64 << tail) - 1;
             }
         }
-        SlotSet { bits }
+        set
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.repr {
+            Repr::Inline(w) => std::slice::from_ref(w),
+            Repr::Heap(v) => v,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.repr {
+            Repr::Inline(w) => std::slice::from_mut(w),
+            Repr::Heap(v) => v,
+        }
     }
 
     /// Inserts slot `i`.
     pub fn insert(&mut self, i: usize) {
-        self.bits[i / 64] |= 1 << (i % 64);
+        self.words_mut()[i / 64] |= 1 << (i % 64);
     }
 
     /// Removes slot `i`.
     pub fn remove(&mut self, i: usize) {
-        self.bits[i / 64] &= !(1 << (i % 64));
+        self.words_mut()[i / 64] &= !(1 << (i % 64));
     }
 
     /// Whether slot `i` is in the set.
     pub fn contains(&self, i: usize) -> bool {
-        (self.bits[i / 64] >> (i % 64)) & 1 != 0
+        (self.words()[i / 64] >> (i % 64)) & 1 != 0
     }
 
     /// Unions `other` in; returns whether `self` changed.
     pub fn union_with(&mut self, other: &SlotSet) -> bool {
         let mut changed = false;
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
+        for (a, &b) in self.words_mut().iter_mut().zip(other.words()) {
             let next = *a | b;
             changed |= next != *a;
             *a = next;
@@ -138,36 +186,36 @@ impl SlotSet {
 
     /// Intersects `other` in.
     pub fn intersect_with(&mut self, other: &SlotSet) {
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
+        for (a, &b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= b;
         }
     }
 
     /// Removes every slot in `other`.
     pub fn subtract(&mut self, other: &SlotSet) {
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
+        for (a, &b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= !b;
         }
     }
 
     /// Overwrites `self` with `other` (same universe).
     pub fn copy_from(&mut self, other: &SlotSet) {
-        self.bits.copy_from_slice(&other.bits);
+        self.words_mut().copy_from_slice(other.words());
     }
 
     /// Whether no slot is set.
     pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// Number of slots in the set.
     pub fn count(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The set slot indices, ascending.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().flat_map(|(wi, &w)| {
+        self.words().iter().enumerate().flat_map(|(wi, &w)| {
             (0..64).filter(move |b| (w >> b) & 1 != 0).map(move |b| wi * 64 + b)
         })
     }
@@ -175,22 +223,54 @@ impl SlotSet {
 
 impl HeapSize for SlotSet {
     fn heap_bytes(&self) -> usize {
-        self.bits.heap_bytes()
+        match &self.repr {
+            Repr::Inline(_) => 0,
+            Repr::Heap(v) => std::mem::size_of_val::<[u64]>(v),
+        }
     }
 }
 
 impl CloneExact for SlotSet {
     fn clone_exact(&self) -> Self {
-        SlotSet { bits: self.bits.clone_exact() }
+        self.clone()
     }
 }
 
 impl spike_isa::Snap for SlotSet {
     fn snap(&self, w: &mut spike_isa::SnapWriter) {
-        spike_isa::Snap::snap(&self.bits, w);
+        match &self.repr {
+            Repr::Inline(word) => {
+                w.put_u8(0);
+                w.put_u64(*word);
+            }
+            Repr::Heap(v) => {
+                w.put_u8(1);
+                w.put_usize(v.len());
+                for &word in v.iter() {
+                    w.put_u64(word);
+                }
+            }
+        }
     }
     fn unsnap(r: &mut spike_isa::SnapReader<'_>) -> Result<Self, spike_isa::SnapError> {
-        Ok(SlotSet { bits: spike_isa::Snap::unsnap(r)? })
+        let repr = match r.get_u8()? {
+            0 => Repr::Inline(r.get_u64()?),
+            1 => {
+                let len = r.get_usize()?;
+                // A heap set spans more than one word by construction,
+                // and every word costs eight payload bytes: bound the
+                // allocation by what is actually there.
+                if len < 2 {
+                    return Err(spike_isa::SnapError::Malformed("heap slot set under two words"));
+                }
+                if len > r.remaining() / 8 {
+                    return Err(spike_isa::SnapError::Truncated);
+                }
+                Repr::Heap((0..len).map(|_| r.get_u64()).collect::<Result<_, _>>()?)
+            }
+            _ => return Err(spike_isa::SnapError::Malformed("slot set tag")),
+        };
+        Ok(SlotSet { repr })
     }
 }
 
@@ -213,7 +293,7 @@ pub struct FrameModel {
 impl FrameModel {
     /// The index of the slot at `entry_off`, if modelled.
     pub fn slot_at(&self, entry_off: i64) -> Option<usize> {
-        self.slots.binary_search_by_key(&entry_off, |s| s.entry_off).ok()
+        slot_index(&self.slots, entry_off)
     }
 }
 
@@ -365,6 +445,9 @@ pub struct StackStats {
     pub forward_visits: usize,
     /// Block evaluations of the backward MAY-live solver.
     pub backward_visits: usize,
+    /// Summary compositions of phase A: one per routine, plus the
+    /// re-compositions call-graph cycles force.
+    pub summary_evals: usize,
 }
 
 /// Whether a [`StackAccess`] reads or writes its slot.
@@ -406,7 +489,7 @@ pub struct StackAccess {
 }
 
 // ---------------------------------------------------------------------
-// Local scan: SP tracking, frame discovery.
+// The routine digest: one instruction scan, read by everything below.
 // ---------------------------------------------------------------------
 
 /// How one instruction affects the symbolic `SP = entry_SP + disp`
@@ -448,78 +531,155 @@ fn sp_access(insn: &Instruction) -> Option<(AccessKind, MemWidth, i16)> {
     }
 }
 
-/// Everything the per-routine scan learns before the dataflows run.
-struct LocalScan {
-    tracked: bool,
-    escaped: bool,
-    balanced: bool,
-    has_unknown_call: bool,
-    frame_size: i64,
-    slots: Vec<Slot>,
-    sp_disp_in: Vec<Option<i64>>,
+/// One SP-relevant instruction of a block. Displacements are relative
+/// to SP at the block's first instruction, so an event is independent
+/// of how the block is reached; adding the block's entry displacement
+/// makes them entry-SP-relative.
+#[derive(Clone, Copy)]
+enum SpEvent {
+    /// An SP-relative load or store executing at displacement `rel` and
+    /// addressing offset `off` (`rel` plus the instruction's own
+    /// displacement).
+    Access { addr: u32, kind: AccessKind, width: MemWidth, rel: i64, off: i64 },
+    /// `lda sp, d(sp)` moving the displacement from `from` to `to`.
+    Adjust { from: i64, to: i64 },
 }
 
-fn local_scan(
-    program: &Program,
-    pcfg: &ProgramCfg,
-    rid: RoutineId,
-    summaries: &[StackSummary],
-) -> LocalScan {
-    let routine = program.routine(rid);
-    let cfg = pcfg.routine_cfg(rid);
-    let nb = cfg.blocks().len();
+/// What scanning one block's instructions found besides its events.
+#[derive(Default)]
+struct BlockScan {
+    /// Net SP movement across the block.
+    delta: i64,
+    /// Lowest displacement reached inside the block (at most 0).
+    min_rel: i64,
+    leaked: bool,
+    untracked: bool,
+}
 
-    // Pass 1: per-block SP delta, running minimum, and escape flags.
-    let mut delta = vec![0i64; nb];
-    let mut min_rel = vec![0i64; nb];
-    let mut leaked = false;
-    let mut tracked = true;
-    let mut has_unknown_call = false;
-    for (bi, block) in cfg.blocks().iter().enumerate() {
-        let mut rel = 0i64;
-        for addr in block.start()..block.end() {
-            let insn = routine.insn_at(addr).expect("address in routine");
-            match sp_effect(insn) {
-                SpEffect::Adjust(d) => {
-                    rel += d;
-                    min_rel[bi] = min_rel[bi].min(rel);
-                }
-                SpEffect::Untracked => tracked = false,
-                SpEffect::Leak => leaked = true,
-                SpEffect::Neutral => {}
-            }
+/// Appends `block`'s SP events to `events`, in address order.
+fn scan_block(
+    routine: &Routine,
+    block: &spike_cfg::BasicBlock,
+    events: &mut Vec<SpEvent>,
+) -> BlockScan {
+    let mut scan = BlockScan::default();
+    let mut rel = 0i64;
+    for addr in block.start()..block.end() {
+        let insn = routine.insn_at(addr).expect("address in routine");
+        if let Some((kind, width, disp)) = sp_access(insn) {
+            events.push(SpEvent::Access { addr, kind, width, rel, off: rel + disp as i64 });
+            continue;
         }
-        delta[bi] = rel;
-        if let TermKind::Call { target, .. } = block.term() {
-            // An unbalanced callee clobbers the caller's displacement:
-            // viral loss of tracking. Unknown-target calls are assumed
-            // balanced (the calling standard) but make us opaque.
-            match target {
-                CallTarget::Direct(c, _) => {
-                    if summaries[c.index()].unbalanced {
-                        tracked = false;
-                    }
-                }
-                CallTarget::IndirectKnown(list) => {
-                    for (c, _) in list {
-                        if summaries[c.index()].unbalanced {
-                            tracked = false;
-                        }
-                    }
-                }
-                CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {
-                    has_unknown_call = true;
-                }
+        match sp_effect(insn) {
+            SpEffect::Adjust(d) => {
+                events.push(SpEvent::Adjust { from: rel, to: rel + d });
+                rel += d;
+                scan.min_rel = scan.min_rel.min(rel);
             }
+            SpEffect::Untracked => scan.untracked = true,
+            SpEffect::Leak => scan.leaked = true,
+            SpEffect::Neutral => {}
         }
     }
+    scan.delta = rel;
+    scan
+}
 
-    // Pass 2: propagate entry-relative displacements over flow arcs
-    // (successors plus the call → return-point arc the CFG omits). A
-    // disagreement at a join loses tracking for the whole routine.
-    let mut sp_disp_in: Vec<Option<i64>> = vec![None; nb];
-    if tracked {
-        let mut conflict = false;
+/// Calls `f` with every routine a call may target. Returns `false`
+/// (calling nothing) for unknown-target calls.
+fn for_each_callee(target: &CallTarget, mut f: impl FnMut(RoutineId)) -> bool {
+    match target {
+        CallTarget::Direct(c, _) => f(*c),
+        CallTarget::IndirectKnown(list) => list.iter().for_each(|&(c, _)| f(c)),
+        CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => return false,
+    }
+    true
+}
+
+/// The index of the slot at `entry_off` in the offset-sorted `slots`.
+fn slot_index(slots: &[Slot], entry_off: i64) -> Option<usize> {
+    slots.binary_search_by_key(&entry_off, |s| s.entry_off).ok()
+}
+
+/// The indices of the slots whose offsets lie in `[lo, hi)`.
+fn slot_range(slots: &[Slot], lo: i64, hi: i64) -> std::ops::Range<usize> {
+    slots.partition_point(|s| s.entry_off < lo)..slots.partition_point(|s| s.entry_off < hi)
+}
+
+/// The frame a routine's own code describes while every callee is
+/// SP-balanced. Nothing in it depends on callee summaries.
+struct TrackedFrame {
+    sp_disp_in: Vec<Option<i64>>,
+    slots: Vec<Slot>,
+    width_conflict: bool,
+    frame_size: i64,
+    /// No tracked path reaches a `Ret` with a nonzero displacement.
+    balanced: bool,
+    /// Offsets at or above the entry SP the routine itself reads and
+    /// writes, ascending.
+    own_refs: Vec<i64>,
+    own_mods: Vec<i64>,
+}
+
+/// Everything the solvers need from a routine's instructions, scanned
+/// once per component solve.
+struct Digest {
+    arcs: FlowArcs,
+    /// `events[ev_off[b]..ev_off[b + 1]]` are block `b`'s SP events.
+    ev_off: Vec<u32>,
+    events: Vec<SpEvent>,
+    /// Net SP movement across each block.
+    delta: Vec<i64>,
+    /// The call-terminated blocks.
+    calls: Vec<BlockId>,
+    leaked: bool,
+    has_unknown_call: bool,
+    /// `None` when the routine's own code loses SP tracking: SP is
+    /// redefined untracked, or displacements disagree at a join.
+    frame: Option<TrackedFrame>,
+}
+
+impl Digest {
+    fn scan(program: &Program, cfg: &RoutineCfg) -> Digest {
+        let routine = program.routine(cfg.routine());
+        let nb = cfg.blocks().len();
+        let arcs = cfg.flow_arcs();
+        let mut ev_off = Vec::with_capacity(nb + 1);
+        let mut events = Vec::new();
+        let (mut delta, mut min_rel) = (Vec::with_capacity(nb), Vec::with_capacity(nb));
+        let mut calls = Vec::new();
+        let (mut leaked, mut untracked, mut has_unknown_call) = (false, false, false);
+        ev_off.push(0);
+        for (bi, block) in cfg.blocks().iter().enumerate() {
+            let scan = scan_block(routine, block, &mut events);
+            ev_off.push(events.len() as u32);
+            delta.push(scan.delta);
+            min_rel.push(scan.min_rel);
+            leaked |= scan.leaked;
+            untracked |= scan.untracked;
+            if let TermKind::Call { target, .. } = block.term() {
+                calls.push(BlockId::from_index(bi));
+                has_unknown_call |= !for_each_callee(target, |_| {});
+            }
+        }
+        let mut digest =
+            Digest { arcs, ev_off, events, delta, calls, leaked, has_unknown_call, frame: None };
+        if !untracked {
+            digest.frame = digest.track(cfg, &min_rel);
+        }
+        digest
+    }
+
+    fn events(&self, b: usize) -> &[SpEvent] {
+        &self.events[self.ev_off[b] as usize..self.ev_off[b + 1] as usize]
+    }
+
+    /// Propagates entry-relative displacements over the flow arcs and
+    /// reads the frame off the events. A disagreement at a join loses
+    /// tracking for the whole routine.
+    fn track(&self, cfg: &RoutineCfg, min_rel: &[i64]) -> Option<TrackedFrame> {
+        let nb = min_rel.len();
+        let mut sp_disp_in: Vec<Option<i64>> = vec![None; nb];
         let mut stack: Vec<BlockId> = Vec::new();
         for &e in cfg.entries() {
             if sp_disp_in[e.index()].is_none() {
@@ -528,157 +688,131 @@ fn local_scan(
             }
         }
         while let Some(b) = stack.pop() {
-            let bi = b.index();
-            let d_out = sp_disp_in[bi].expect("queued blocks have a displacement") + delta[bi];
-            let block = cfg.block(b);
-            let mut flow = |s: BlockId| match sp_disp_in[s.index()] {
-                None => {
-                    sp_disp_in[s.index()] = Some(d_out);
-                    stack.push(s);
+            let d_out = sp_disp_in[b.index()].expect("queued blocks have a displacement")
+                + self.delta[b.index()];
+            for &s in self.arcs.succs(b) {
+                match sp_disp_in[s.index()] {
+                    None => {
+                        sp_disp_in[s.index()] = Some(d_out);
+                        stack.push(s);
+                    }
+                    Some(v) if v == d_out => {}
+                    Some(_) => return None,
                 }
-                Some(v) if v == d_out => {}
-                Some(_) => conflict = true,
-            };
-            for &s in block.succs() {
-                flow(s);
-            }
-            if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
-                flow(*rt);
-            }
-            if conflict {
-                break;
             }
         }
-        if conflict {
-            tracked = false;
-            sp_disp_in.fill(None);
-        }
-    }
 
-    // Slot discovery, frame size, and exit balance over tracked blocks.
-    let mut width_conflict = false;
-    let mut slot_map: BTreeMap<i64, MemWidth> = BTreeMap::new();
-    let mut min_disp = 0i64;
-    // Balance defaults to the calling-standard assumption; only a
-    // tracked path into a `Ret` can refute it.
-    let mut balanced = true;
-    if tracked {
+        // Slot discovery (first width seen per offset wins; a second
+        // width is a conflict), own caller-frame traffic, frame size
+        // and exit balance, over tracked blocks.
+        let mut seen: Vec<(i64, MemWidth)> = Vec::new();
+        let (mut own_refs, mut own_mods) = (Vec::new(), Vec::new());
+        let mut min_disp = 0i64;
+        let mut balanced = true;
         for (bi, block) in cfg.blocks().iter().enumerate() {
             let Some(d0) = sp_disp_in[bi] else { continue };
             min_disp = min_disp.min(d0 + min_rel[bi]);
-            let mut rel = d0;
-            for addr in block.start()..block.end() {
-                let insn = routine.insn_at(addr).expect("address in routine");
-                if let Some((_, width, disp)) = sp_access(insn) {
-                    match slot_map.entry(rel + disp as i64) {
-                        Entry::Vacant(v) => {
-                            v.insert(width);
-                        }
-                        Entry::Occupied(o) => {
-                            if *o.get() != width {
-                                width_conflict = true;
-                            }
+            for ev in self.events(bi) {
+                if let SpEvent::Access { kind, width, off, .. } = *ev {
+                    let off = d0 + off;
+                    seen.push((off, width));
+                    if off >= 0 {
+                        match kind {
+                            AccessKind::Load => own_refs.push(off),
+                            AccessKind::Store => own_mods.push(off),
                         }
                     }
-                } else if let SpEffect::Adjust(d) = sp_effect(insn) {
-                    rel += d;
                 }
             }
-            if matches!(block.term(), TermKind::Ret) && rel != 0 {
+            if matches!(block.term(), TermKind::Ret) && d0 + self.delta[bi] != 0 {
                 balanced = false;
             }
         }
+        seen.sort_by_key(|&(off, _)| off);
+        let mut width_conflict = false;
+        let mut slots: Vec<Slot> = Vec::new();
+        for (entry_off, width) in seen {
+            match slots.last() {
+                Some(s) if s.entry_off == entry_off => width_conflict |= s.width != width,
+                _ => slots.push(Slot { entry_off, width }),
+            }
+        }
+        sort_dedup(&mut own_refs);
+        sort_dedup(&mut own_mods);
+        Some(TrackedFrame {
+            sp_disp_in,
+            slots,
+            width_conflict,
+            frame_size: (-min_disp).max(0),
+            balanced,
+            own_refs,
+            own_mods,
+        })
     }
 
-    let slots: Vec<Slot> =
-        slot_map.iter().map(|(&entry_off, &width)| Slot { entry_off, width }).collect();
-    LocalScan {
-        tracked,
-        escaped: leaked || !tracked || width_conflict,
-        balanced,
-        has_unknown_call,
-        frame_size: (-min_disp).max(0),
-        slots,
-        sp_disp_in,
+    /// The frame under the current callee summaries: an unbalanced
+    /// callee clobbers the caller's displacement — viral loss of
+    /// tracking. Unknown-target calls are assumed balanced (the calling
+    /// standard).
+    fn frame_under(&self, cfg: &RoutineCfg, summaries: &[StackSummary]) -> Option<&TrackedFrame> {
+        let frame = self.frame.as_ref()?;
+        let mut tracked = true;
+        for &b in &self.calls {
+            if let TermKind::Call { target, .. } = cfg.block(b).term() {
+                for_each_callee(target, |c| tracked &= !summaries[c.index()].unbalanced);
+            }
+        }
+        tracked.then_some(frame)
     }
+
+    /// Escaped frames report no accesses and are opaque to callers.
+    fn escaped(&self, frame: Option<&TrackedFrame>) -> bool {
+        self.leaked || frame.is_none_or(|f| f.width_conflict)
+    }
+}
+
+fn sort_dedup(v: &mut Vec<i64>) {
+    v.sort_unstable();
+    v.dedup();
 }
 
 // ---------------------------------------------------------------------
 // Summary composition (phase A).
 // ---------------------------------------------------------------------
 
-fn compose_summary(
-    program: &Program,
-    pcfg: &ProgramCfg,
-    rid: RoutineId,
-    local: &LocalScan,
-    summaries: &[StackSummary],
-) -> StackSummary {
-    let routine = program.routine(rid);
-    let cfg = pcfg.routine_cfg(rid);
-    let unbalanced = !local.balanced;
-    let mut opaque = local.escaped || unbalanced || local.has_unknown_call;
-    let mut refs: BTreeSet<i64> = BTreeSet::new();
-    let mut mods: BTreeSet<i64> = BTreeSet::new();
-    if local.tracked {
-        for (bi, block) in cfg.blocks().iter().enumerate() {
-            let Some(d0) = local.sp_disp_in[bi] else { continue };
-            let mut rel = d0;
-            for addr in block.start()..block.end() {
-                let insn = routine.insn_at(addr).expect("address in routine");
-                if let Some((kind, _, disp)) = sp_access(insn) {
-                    let off = rel + disp as i64;
-                    if off >= 0 {
-                        match kind {
-                            AccessKind::Load => refs.insert(off),
-                            AccessKind::Store => mods.insert(off),
-                        };
-                    }
-                } else if let SpEffect::Adjust(d) = sp_effect(insn) {
-                    rel += d;
+/// A routine's MOD/REF summary from its digest and its callees' current
+/// summaries; `kills_above` is filled in after phase B.
+fn compose_summary(cfg: &RoutineCfg, digest: &Digest, summaries: &[StackSummary]) -> StackSummary {
+    let frame = digest.frame_under(cfg, summaries);
+    let unbalanced = frame.is_some_and(|f| !f.balanced);
+    let mut opaque = digest.escaped(frame) || unbalanced || digest.has_unknown_call;
+    let (mut refs, mut mods) = (Vec::new(), Vec::new());
+    if let Some(frame) = frame {
+        refs.clone_from(&frame.own_refs);
+        mods.clone_from(&frame.own_mods);
+        for &b in &digest.calls {
+            let (Some(d0), TermKind::Call { target, .. }) =
+                (frame.sp_disp_in[b.index()], cfg.block(b).term())
+            else {
+                continue;
+            };
+            // Translate callee effects through the call-site
+            // displacement: callee entry SP = our entry SP + d_call.
+            let d_call = d0 + digest.delta[b.index()];
+            for_each_callee(target, |c| {
+                let s = &summaries[c.index()];
+                if s.opaque {
+                    opaque = true;
+                    return;
                 }
-            }
-            if let TermKind::Call { target, .. } = block.term() {
-                // Translate callee effects through the call-site
-                // displacement: callee entry SP = our entry SP + rel.
-                let mut add = |c: RoutineId| {
-                    let s = &summaries[c.index()];
-                    if s.opaque {
-                        opaque = true;
-                        return;
-                    }
-                    for &o in &s.refs_above {
-                        let t = o + rel;
-                        if t >= 0 {
-                            refs.insert(t);
-                        }
-                    }
-                    for &o in &s.mods_above {
-                        let t = o + rel;
-                        if t >= 0 {
-                            mods.insert(t);
-                        }
-                    }
-                };
-                match target {
-                    CallTarget::Direct(c, _) => add(*c),
-                    CallTarget::IndirectKnown(list) => {
-                        for &(c, _) in list {
-                            add(c);
-                        }
-                    }
-                    CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {}
-                }
-            }
+                refs.extend(s.refs_above.iter().map(|o| o + d_call).filter(|&t| t >= 0));
+                mods.extend(s.mods_above.iter().map(|o| o + d_call).filter(|&t| t >= 0));
+            });
         }
+        sort_dedup(&mut refs);
+        sort_dedup(&mut mods);
     }
-    StackSummary {
-        unbalanced,
-        opaque,
-        refs_above: refs.into_iter().collect(),
-        mods_above: mods.into_iter().collect(),
-        kills_above: Vec::new(),
-    }
+    StackSummary { unbalanced, opaque, refs_above: refs, mods_above: mods, kills_above: Vec::new() }
 }
 
 // ---------------------------------------------------------------------
@@ -699,35 +833,27 @@ struct CallMask {
 fn call_mask<'a>(
     target: &CallTarget,
     d_call: i64,
-    summary_of: impl Fn(usize) -> &'a StackSummary,
-    idx_of: &BTreeMap<i64, usize>,
-    n: usize,
+    summary_of: impl Fn(RoutineId) -> &'a StackSummary,
+    slots: &[Slot],
 ) -> CallMask {
-    let mut targets: Vec<usize> = Vec::new();
-    match target {
-        CallTarget::Direct(c, _) => targets.push(c.index()),
-        CallTarget::IndirectKnown(list) => targets.extend(list.iter().map(|(c, _)| c.index())),
-        CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {
-            return CallMask { kills: SlotSet::empty(n), refs: SlotSet::empty(n), refs_full: true };
-        }
-    }
+    let n = slots.len();
     let mut refs_full = false;
     let mut refs = SlotSet::empty(n);
     let mut kills: Option<SlotSet> = None;
-    for ci in targets {
-        let s = summary_of(ci);
+    let resolved = for_each_callee(target, |c| {
+        let s = summary_of(c);
         if s.opaque {
             refs_full = true;
         } else {
             for &o in &s.refs_above {
-                if let Some(&i) = idx_of.get(&(o + d_call)) {
+                if let Some(i) = slot_index(slots, o + d_call) {
                     refs.insert(i);
                 }
             }
         }
         let mut k = SlotSet::empty(n);
         for &o in &s.kills_above {
-            if let Some(&i) = idx_of.get(&(o + d_call)) {
+            if let Some(i) = slot_index(slots, o + d_call) {
                 k.insert(i);
             }
         }
@@ -735,23 +861,15 @@ fn call_mask<'a>(
             None => kills = Some(k),
             Some(acc) => acc.intersect_with(&k),
         }
+    });
+    CallMask {
+        kills: kills.unwrap_or_else(|| SlotSet::empty(n)),
+        refs,
+        refs_full: refs_full || !resolved,
     }
-    CallMask { kills: kills.unwrap_or_else(|| SlotSet::empty(n)), refs, refs_full }
-}
-
-/// One forward step through a block's slot effects.
-enum Step {
-    /// Load of a slot.
-    Use(usize),
-    /// Store to a slot.
-    Def(usize),
-    /// SP adjustment crossing the address region `[lo, hi)`: those
-    /// slots' contents cease to exist.
-    Wipe(i64, i64),
 }
 
 /// A block's composed slot transfer functions.
-#[derive(Default)]
 struct BlockMasks {
     /// Forward: slots certainly defined at exit regardless of entry.
     gen: SlotSet,
@@ -763,14 +881,18 @@ struct BlockMasks {
     def: SlotSet,
 }
 
-fn build_masks(
-    routine: &Routine,
-    block: &spike_cfg::BasicBlock,
+/// Composes `events` (one block's, entered at displacement `d0` and
+/// moving SP by `delta`) and the block's call terminator into its four
+/// masks; all-empty for a block without a tracked displacement.
+fn build_masks<'a>(
+    events: &[SpEvent],
+    term: &TermKind,
     d0: Option<i64>,
-    idx_of: &BTreeMap<i64, usize>,
-    n: usize,
-    summaries: &[StackSummary],
+    delta: i64,
+    slots: &[Slot],
+    summary_of: impl Fn(RoutineId) -> &'a StackSummary,
 ) -> BlockMasks {
+    let n = slots.len();
     let mut m = BlockMasks {
         gen: SlotSet::empty(n),
         clear: SlotSet::empty(n),
@@ -778,38 +900,26 @@ fn build_masks(
         def: SlotSet::empty(n),
     };
     let Some(d0) = d0 else { return m };
-    // Re-derive the step list with real slot indices.
-    let mut steps: Vec<Step> = Vec::new();
-    let mut rel = d0;
-    for addr in block.start()..block.end() {
-        let insn = routine.insn_at(addr).expect("address in routine");
-        if let Some((kind, _, disp)) = sp_access(insn) {
-            let idx = idx_of[&(rel + disp as i64)];
-            steps.push(match kind {
-                AccessKind::Load => Step::Use(idx),
-                AccessKind::Store => Step::Def(idx),
-            });
-        } else if let SpEffect::Adjust(d) = sp_effect(insn) {
-            let d1 = rel + d;
-            steps.push(Step::Wipe(rel.min(d1), rel.max(d1)));
-            rel = d1;
-        }
-    }
-    let call = match block.term() {
-        TermKind::Call { target, .. } => Some(call_mask(target, rel, |i| &summaries[i], idx_of, n)),
+    let slot_of = |off: i64| slot_index(slots, d0 + off).expect("every tracked access has a slot");
+    // An SP adjustment crossing an address region ends the existence of
+    // the slots inside it.
+    let wiped = |from: i64, to: i64| slot_range(slots, d0 + from.min(to), d0 + from.max(to));
+    let call = match term {
+        TermKind::Call { target, .. } => Some(call_mask(target, d0 + delta, summary_of, slots)),
         _ => None,
     };
 
     // Forward composition: out = (in − clear) ∪ gen.
-    for step in &steps {
-        match *step {
-            Step::Def(i) => {
+    for ev in events {
+        match *ev {
+            SpEvent::Access { kind: AccessKind::Store, off, .. } => {
+                let i = slot_of(off);
                 m.gen.insert(i);
                 m.clear.remove(i);
             }
-            Step::Use(_) => {}
-            Step::Wipe(lo, hi) => {
-                for (_, &i) in idx_of.range(lo..hi) {
+            SpEvent::Access { .. } => {}
+            SpEvent::Adjust { from, to } => {
+                for i in wiped(from, to) {
                     m.clear.insert(i);
                     m.gen.remove(i);
                 }
@@ -832,15 +942,16 @@ fn build_masks(
             m.def.copy_from(&cm.kills);
         }
     }
-    for step in steps.iter().rev() {
-        match *step {
-            Step::Use(i) => m.used.insert(i),
-            Step::Def(i) => {
+    for ev in events.iter().rev() {
+        match *ev {
+            SpEvent::Access { kind: AccessKind::Load, off, .. } => m.used.insert(slot_of(off)),
+            SpEvent::Access { off, .. } => {
+                let i = slot_of(off);
                 m.used.remove(i);
                 m.def.insert(i);
             }
-            Step::Wipe(lo, hi) => {
-                for (_, &i) in idx_of.range(lo..hi) {
+            SpEvent::Adjust { from, to } => {
+                for i in wiped(from, to) {
                     m.used.remove(i);
                     m.def.insert(i);
                 }
@@ -850,49 +961,6 @@ fn build_masks(
     m
 }
 
-/// Reverse-postorder ranks over `adj` from `roots`; unreached items get
-/// tail ranks in index order.
-fn rpo_ranks(adj: &[Vec<u32>], roots: &[usize]) -> Vec<u32> {
-    let nb = adj.len();
-    let mut rank = vec![u32::MAX; nb];
-    let mut seen = vec![false; nb];
-    let mut postorder: Vec<u32> = Vec::with_capacity(nb);
-    let mut dfs: Vec<(u32, u32)> = Vec::new();
-    for &b in roots {
-        if seen[b] {
-            continue;
-        }
-        seen[b] = true;
-        dfs.push((b as u32, 0));
-        while let Some(frame) = dfs.last_mut() {
-            let (x, k) = (frame.0 as usize, frame.1 as usize);
-            if k < adj[x].len() {
-                frame.1 += 1;
-                let y = adj[x][k] as usize;
-                if !seen[y] {
-                    seen[y] = true;
-                    dfs.push((y as u32, 0));
-                }
-            } else {
-                dfs.pop();
-                postorder.push(x as u32);
-            }
-        }
-    }
-    let mut next = 0u32;
-    for &x in postorder.iter().rev() {
-        rank[x as usize] = next;
-        next += 1;
-    }
-    for r in rank.iter_mut() {
-        if *r == u32::MAX {
-            *r = next;
-            next += 1;
-        }
-    }
-    rank
-}
-
 struct PhaseB {
     must_defined_in: Vec<SlotSet>,
     live_out: Vec<SlotSet>,
@@ -900,88 +968,61 @@ struct PhaseB {
 }
 
 fn phase_b(
-    program: &Program,
-    pcfg: &ProgramCfg,
-    rid: RoutineId,
-    local: &LocalScan,
+    cfg: &RoutineCfg,
+    digest: &Digest,
+    frame: &TrackedFrame,
     summaries: &[StackSummary],
     stats: &mut StackStats,
 ) -> PhaseB {
-    let cfg = pcfg.routine_cfg(rid);
     let nb = cfg.blocks().len();
-    let n = local.slots.len();
-    if local.escaped {
-        return PhaseB {
-            must_defined_in: vec![SlotSet::empty(n); nb],
-            live_out: vec![SlotSet::empty(n); nb],
-            masks: Vec::new(),
-        };
-    }
-    let routine = program.routine(rid);
-    let idx_of: BTreeMap<i64, usize> =
-        local.slots.iter().enumerate().map(|(i, s)| (s.entry_off, i)).collect();
-
-    // Flow arcs: successors plus call → return-point; `rev` is the
-    // exact reader (flow-predecessor) relation.
-    let mut fwd: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    for (i, outs) in fwd.iter_mut().enumerate() {
-        let block = cfg.block(BlockId::from_index(i));
-        if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
-            outs.push(rt.index() as u32);
-        }
-        outs.extend(block.succs().iter().map(|s| s.index() as u32));
-    }
-    let mut rev: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    for (i, outs) in fwd.iter().enumerate() {
-        for &s in outs {
-            rev[s as usize].push(i as u32);
-        }
-    }
+    let slots = &frame.slots[..];
+    let n = slots.len();
+    let arcs = &digest.arcs;
+    let empty = SlotSet::empty(n);
+    let full = SlotSet::full(n);
 
     let masks: Vec<BlockMasks> = cfg
         .blocks()
         .iter()
         .enumerate()
-        .map(|(bi, block)| build_masks(routine, block, local.sp_disp_in[bi], &idx_of, n, summaries))
+        .map(|(bi, block)| {
+            let d0 = frame.sp_disp_in[bi];
+            build_masks(digest.events(bi), block.term(), d0, digest.delta[bi], slots, |c| {
+                &summaries[c.index()]
+            })
+        })
         .collect();
-
-    let mut above = SlotSet::empty(n);
-    for (i, s) in local.slots.iter().enumerate() {
-        if s.entry_off >= 0 {
-            above.insert(i);
-        }
-    }
 
     // Forward MUST-defined: greatest fixpoint of
     //   in[b] = constraint[b] ∩ ⋂_{p ∈ flow-preds} (in[p] − clear[p]) ∪ gen[p]
     // with constraint ∅ at entrances (no slot exists before the
     // prologue allocates it) and ⊤ elsewhere.
-    let entry_roots: Vec<usize> = cfg.entries().iter().map(|b| b.index()).collect();
-    let frank = rpo_ranks(&fwd, &entry_roots);
+    let frank = arcs.rpo_ranks(cfg.entries());
     let mut is_entry = vec![false; nb];
     for &e in cfg.entries() {
         is_entry[e.index()] = true;
     }
-    let mut must_in: Vec<SlotSet> = vec![SlotSet::full(n); nb];
+    let mut must_in: Vec<SlotSet> = vec![full.clone(); nb];
     let mut wl = PriorityWorklist::new(nb);
     for (i, &r) in frank.iter().enumerate() {
         wl.push(i, r);
     }
-    let mut tmp = SlotSet::empty(n);
+    let mut acc = empty.clone();
+    let mut tmp = empty.clone();
     while let Some(i) = wl.pop() {
         stats.forward_visits += 1;
-        let mut acc = if is_entry[i] { SlotSet::empty(n) } else { SlotSet::full(n) };
-        for &p in &rev[i] {
-            let p = p as usize;
+        acc.copy_from(if is_entry[i] { &empty } else { &full });
+        for &p in arcs.preds(BlockId::from_index(i)) {
+            let p = p.index();
             tmp.copy_from(&must_in[p]);
             tmp.subtract(&masks[p].clear);
             tmp.union_with(&masks[p].gen);
             acc.intersect_with(&tmp);
         }
         if acc != must_in[i] {
-            must_in[i] = acc;
-            for &s in &fwd[i] {
-                wl.push(s as usize, frank[s as usize]);
+            must_in[i].copy_from(&acc);
+            for &s in arcs.succs(BlockId::from_index(i)) {
+                wl.push(s.index(), frank[s.index()]);
             }
         }
     }
@@ -991,40 +1032,38 @@ fn phase_b(
     //   in[b]  = used[b] ∪ (out[b] − def[b])
     // with boundary(Ret) = the above-entry slots (the caller may read
     // them), boundary(Halt) = ∅, boundary(UnknownJump) = ⊤.
-    let term_roots: Vec<usize> = (0..nb).filter(|&i| fwd[i].is_empty()).collect();
-    let brank = rpo_ranks(&rev, &term_roots);
-    let boundary: Vec<SlotSet> = (0..nb)
-        .map(|i| {
-            if !fwd[i].is_empty() {
-                SlotSet::empty(n)
-            } else {
-                match cfg.block(BlockId::from_index(i)).term() {
-                    TermKind::Ret => above.clone(),
-                    TermKind::UnknownJump => SlotSet::full(n),
-                    _ => SlotSet::empty(n),
-                }
-            }
-        })
-        .collect();
-    let mut live_in: Vec<SlotSet> = vec![SlotSet::empty(n); nb];
-    let mut live_out: Vec<SlotSet> = vec![SlotSet::empty(n); nb];
-    let mut wl = PriorityWorklist::new(nb);
+    let mut above = empty.clone();
+    for i in slot_range(slots, 0, i64::MAX) {
+        above.insert(i);
+    }
+    let ends: Vec<BlockId> =
+        (0..nb).map(BlockId::from_index).filter(|&b| arcs.succs(b).is_empty()).collect();
+    let brank = arcs.rpo_ranks_backward(&ends);
+    let mut live_in: Vec<SlotSet> = vec![empty.clone(); nb];
+    let mut live_out: Vec<SlotSet> = vec![empty.clone(); nb];
     for (i, &r) in brank.iter().enumerate() {
         wl.push(i, r);
     }
+    let out = &mut acc;
     while let Some(i) = wl.pop() {
         stats.backward_visits += 1;
-        let mut out = boundary[i].clone();
-        for &s in &fwd[i] {
-            out.union_with(&live_in[s as usize]);
+        let b = BlockId::from_index(i);
+        out.copy_from(match cfg.block(b).term() {
+            _ if !arcs.succs(b).is_empty() => &empty,
+            TermKind::Ret => &above,
+            TermKind::UnknownJump => &full,
+            _ => &empty,
+        });
+        for &s in arcs.succs(b) {
+            out.union_with(&live_in[s.index()]);
         }
-        live_out[i].copy_from(&out);
+        live_out[i].copy_from(out);
         out.subtract(&masks[i].def);
         out.union_with(&masks[i].used);
-        if out != live_in[i] {
-            live_in[i] = out;
-            for &p in &rev[i] {
-                wl.push(p as usize, brank[p as usize]);
+        if *out != live_in[i] {
+            live_in[i].copy_from(out);
+            for &p in arcs.preds(b) {
+                wl.push(p.index(), brank[p.index()]);
             }
         }
     }
@@ -1036,129 +1075,176 @@ fn phase_b(
 // Component driver.
 // ---------------------------------------------------------------------
 
-fn solve_component(
-    program: &Program,
-    pcfg: &ProgramCfg,
-    component: &[RoutineId],
-    cyclic: bool,
-    summaries: &mut [StackSummary],
-    routines: &mut [Option<RoutineStack>],
-    stats: &mut StackStats,
-) {
-    // Phase A: iterate locals + summaries to a fixpoint over the
-    // component (single pass for acyclic components). The summary
-    // lattice ascends from the optimistic default, so convergence is
-    // the common case; a pathological cycle that keeps translating
-    // offsets upward is cut off by forcing opacity.
-    for &rid in component {
-        summaries[rid.index()] = StackSummary::default();
-    }
-    let limit = 2 * component.len() + 8;
-    let mut locals: Vec<LocalScan> = Vec::with_capacity(component.len());
-    let mut round = 0usize;
-    loop {
-        locals.clear();
-        let mut changed = false;
-        for &rid in component {
-            let local = local_scan(program, pcfg, rid, summaries);
-            let s = compose_summary(program, pcfg, rid, &local, summaries);
-            if s != summaries[rid.index()] {
-                summaries[rid.index()] = s;
-                changed = true;
-            }
-            locals.push(local);
-        }
-        if !changed {
-            break;
-        }
-        round += 1;
-        if round > limit {
-            for &rid in component {
-                let unbalanced = summaries[rid.index()].unbalanced;
-                summaries[rid.index()] = StackSummary {
-                    unbalanced,
-                    opaque: true,
-                    refs_above: Vec::new(),
-                    mods_above: Vec::new(),
-                    kills_above: Vec::new(),
-                };
-            }
-            locals.clear();
-            for &rid in component {
-                locals.push(local_scan(program, pcfg, rid, summaries));
-            }
-            break;
+/// The bottom-up solve over the call-graph condensation: the summary
+/// table every component reads its callees from, and the results.
+struct Solver<'a> {
+    program: &'a Program,
+    pcfg: &'a ProgramCfg,
+    cg: &'a CallGraph,
+    summaries: Vec<StackSummary>,
+    routines: Vec<Option<RoutineStack>>,
+    /// Per routine: a callee's summary changed since its own was last
+    /// composed (phase A bookkeeping, meaningful for the component
+    /// being solved).
+    stale: Vec<bool>,
+    stats: StackStats,
+}
+
+impl<'a> Solver<'a> {
+    fn new(program: &'a Program, pcfg: &'a ProgramCfg, cg: &'a CallGraph) -> Solver<'a> {
+        let n = program.routines().len();
+        Solver {
+            program,
+            pcfg,
+            cg,
+            summaries: vec![StackSummary::default(); n],
+            routines: (0..n).map(|_| None).collect(),
+            stale: vec![false; n],
+            stats: StackStats::default(),
         }
     }
 
-    // Phase B per member, then extract KILL for non-cyclic routines:
-    // the must-defined slots above the entry SP at every reachable
-    // return, available to callers because components are processed
-    // bottom-up. Cyclic routines keep an empty KILL (sound
-    // under-approximation).
-    for (local, &rid) in locals.iter().zip(component) {
-        let pb = phase_b(program, pcfg, rid, local, summaries, stats);
-        if !cyclic && !local.escaped && !summaries[rid.index()].unbalanced {
-            let cfg = pcfg.routine_cfg(rid);
-            let mut kills: Option<SlotSet> = None;
-            for (bi, block) in cfg.blocks().iter().enumerate() {
-                if !matches!(block.term(), TermKind::Ret) || local.sp_disp_in[bi].is_none() {
+    fn finish(self) -> (StackAnalysis, StackStats) {
+        let routines =
+            self.routines.into_iter().map(|o| o.expect("every routine solved")).collect();
+        (StackAnalysis { routines }, self.stats)
+    }
+
+    fn is_cyclic(&self, component: &[RoutineId]) -> bool {
+        component.len() > 1 || component.iter().any(|&r| self.cg.callees(r).contains(&r))
+    }
+
+    fn solve_component(&mut self, component: &[RoutineId]) {
+        let digests = self.scan(component);
+        self.phase_a(component, &digests);
+        self.phase_b(component, &digests);
+    }
+
+    fn scan(&self, component: &[RoutineId]) -> Vec<Digest> {
+        component.iter().map(|&r| Digest::scan(self.program, self.pcfg.routine_cfg(r))).collect()
+    }
+
+    /// Phase A: composes the members' summaries to a fixpoint over the
+    /// component, in Gauss–Seidel sweeps from the optimistic default.
+    ///
+    /// The iteration is *not* monotone — a callee turning `unbalanced`
+    /// untracks its caller, which flips the caller's own `unbalanced`
+    /// back to false — so the sweep order is part of the result and is
+    /// kept. What a sweep may skip is a member none of whose callees'
+    /// summaries changed since it was last composed: composition is a
+    /// function of the digest and those summaries alone, so it would
+    /// return the summary the member already has. An acyclic member is
+    /// therefore composed exactly once. A pathological cycle that keeps
+    /// translating offsets upward is cut off by forcing opacity.
+    fn phase_a(&mut self, component: &[RoutineId], digests: &[Digest]) {
+        for &rid in component {
+            self.summaries[rid.index()] = StackSummary::default();
+            self.stale[rid.index()] = true;
+        }
+        let limit = 2 * component.len() + 8;
+        let mut round = 0usize;
+        loop {
+            let mut changed = false;
+            for (digest, &rid) in digests.iter().zip(component) {
+                if !std::mem::take(&mut self.stale[rid.index()]) {
                     continue;
                 }
-                let mut out = pb.must_defined_in[bi].clone();
-                out.subtract(&pb.masks[bi].clear);
-                out.union_with(&pb.masks[bi].gen);
-                match &mut kills {
-                    None => kills = Some(out),
-                    Some(acc) => acc.intersect_with(&out),
+                self.stats.summary_evals += 1;
+                let s = compose_summary(self.pcfg.routine_cfg(rid), digest, &self.summaries);
+                if s != self.summaries[rid.index()] {
+                    self.summaries[rid.index()] = s;
+                    changed = true;
+                    // Callers outside the component are solved later
+                    // and reset their own flag first.
+                    for &caller in self.cg.callers(rid) {
+                        self.stale[caller.index()] = true;
+                    }
                 }
             }
-            if let Some(k) = kills {
-                summaries[rid.index()].kills_above = local
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, s)| s.entry_off >= 0 && k.contains(i))
-                    .map(|(_, s)| s.entry_off)
-                    .collect();
+            if !changed {
+                break;
+            }
+            round += 1;
+            if round > limit {
+                for &rid in component {
+                    let unbalanced = self.summaries[rid.index()].unbalanced;
+                    self.summaries[rid.index()] =
+                        StackSummary { unbalanced, opaque: true, ..StackSummary::default() };
+                }
+                break;
             }
         }
-        routines[rid.index()] = Some(RoutineStack {
-            frame: FrameModel {
-                frame_size: local.frame_size,
-                slots: local.slots.clone(),
-                escaped: local.escaped,
-            },
-            summary: summaries[rid.index()].clone(),
-            sp_disp_in: local.sp_disp_in.clone(),
-            must_defined_in: pb.must_defined_in,
-            live_out: pb.live_out,
-            cyclic,
-        });
+    }
+
+    /// Phase B per member, then KILL for non-cyclic routines: the
+    /// must-defined slots above the entry SP at every reachable return,
+    /// available to callers because components are solved bottom-up.
+    /// Cyclic routines keep an empty KILL (sound under-approximation).
+    fn phase_b(&mut self, component: &[RoutineId], digests: &[Digest]) {
+        let cyclic = self.is_cyclic(component);
+        for (digest, &rid) in digests.iter().zip(component) {
+            let cfg = self.pcfg.routine_cfg(rid);
+            let nb = cfg.blocks().len();
+            let frame = digest.frame_under(cfg, &self.summaries);
+            let escaped = digest.escaped(frame);
+            let slots = frame.map_or(Vec::new(), |f| f.slots.clone());
+            let empty = SlotSet::empty(slots.len());
+            let (must_defined_in, live_out) = match frame {
+                Some(frame) if !escaped => {
+                    let pb = phase_b(cfg, digest, frame, &self.summaries, &mut self.stats);
+                    if !cyclic && !self.summaries[rid.index()].unbalanced {
+                        self.summaries[rid.index()].kills_above = kills_above(cfg, frame, &pb);
+                    }
+                    (pb.must_defined_in, pb.live_out)
+                }
+                _ => (vec![empty.clone(); nb], vec![empty; nb]),
+            };
+            self.routines[rid.index()] = Some(RoutineStack {
+                frame: FrameModel { frame_size: frame.map_or(0, |f| f.frame_size), slots, escaped },
+                summary: self.summaries[rid.index()].clone(),
+                sp_disp_in: frame.map_or_else(|| vec![None; nb], |f| f.sp_disp_in.clone()),
+                must_defined_in,
+                live_out,
+                cyclic,
+            });
+        }
     }
 }
 
-fn is_cyclic(cg: &CallGraph, component: &[RoutineId]) -> bool {
-    component.len() > 1 || component.iter().any(|&r| cg.callees(r).contains(&r))
+/// The offsets above the entry SP written on every path to a tracked
+/// return (empty when there is none).
+fn kills_above(cfg: &RoutineCfg, frame: &TrackedFrame, pb: &PhaseB) -> Vec<i64> {
+    let mut kills: Option<SlotSet> = None;
+    for (bi, block) in cfg.blocks().iter().enumerate() {
+        if !matches!(block.term(), TermKind::Ret) || frame.sp_disp_in[bi].is_none() {
+            continue;
+        }
+        let mut out = pb.must_defined_in[bi].clone();
+        out.subtract(&pb.masks[bi].clear);
+        out.union_with(&pb.masks[bi].gen);
+        match &mut kills {
+            None => kills = Some(out),
+            Some(acc) => acc.intersect_with(&out),
+        }
+    }
+    let Some(k) = kills else { return Vec::new() };
+    slot_range(&frame.slots, 0, i64::MAX)
+        .filter(|&i| k.contains(i))
+        .map(|i| frame.slots[i].entry_off)
+        .collect()
 }
 
 /// Runs the whole-program stack-slot analysis: frame models, MOD/REF/
 /// KILL summaries composed bottom-up over the call-graph condensation,
 /// and the two slot dataflows per routine.
 pub fn analyze_stack(program: &Program, cfg: &ProgramCfg) -> (StackAnalysis, StackStats) {
-    let n = program.routines().len();
     let cg = CallGraph::build(program, cfg);
     let sccs = cg.sccs();
-    let mut summaries = vec![StackSummary::default(); n];
-    let mut routines: Vec<Option<RoutineStack>> = (0..n).map(|_| None).collect();
-    let mut stats = StackStats::default();
+    let mut solver = Solver::new(program, cfg, &cg);
     for component in sccs.bottom_up() {
-        let cyclic = is_cyclic(&cg, component);
-        solve_component(program, cfg, component, cyclic, &mut summaries, &mut routines, &mut stats);
+        solver.solve_component(component);
     }
-    let routines: Vec<RoutineStack> =
-        routines.into_iter().map(|o| o.expect("every routine solved")).collect();
-    (StackAnalysis { routines }, stats)
+    solver.finish()
 }
 
 /// Incremental variant: rebuilds only the call-graph components that
@@ -1169,16 +1255,15 @@ pub fn analyze_stack(program: &Program, cfg: &ProgramCfg) -> (StackAnalysis, Sta
 /// heap capacities, so `memory_bytes` accounting is preserved): a
 /// reused component's inputs — member instruction text, external callee
 /// summaries, and its cyclic flag — are proven unchanged, and
-/// recomputation is deterministic. Reused routines contribute zero
-/// visits to the returned [`StackStats`].
+/// recomputation is deterministic. Reused routines contribute nothing
+/// to the returned [`StackStats`].
 pub fn reanalyze_stack(
     program: &Program,
     cfg: &ProgramCfg,
     prev: StackAnalysis,
     dirty: &[bool],
 ) -> (StackAnalysis, StackStats) {
-    let n = program.routines().len();
-    if prev.routines.len() != n {
+    if prev.routines.len() != program.routines().len() {
         return analyze_stack(program, cfg);
     }
     let cg = CallGraph::build(program, cfg);
@@ -1186,12 +1271,10 @@ pub fn reanalyze_stack(
     let prev_summaries: Vec<StackSummary> =
         prev.routines.iter().map(|r| r.summary.clone()).collect();
     let mut prev_slots: Vec<Option<RoutineStack>> = prev.routines.into_iter().map(Some).collect();
-    let mut summaries = vec![StackSummary::default(); n];
-    let mut routines: Vec<Option<RoutineStack>> = (0..n).map(|_| None).collect();
-    let mut stats = StackStats::default();
+    let mut solver = Solver::new(program, cfg, &cg);
     for component in sccs.bottom_up() {
         let comp = sccs.component_of(component[0]);
-        let cyclic = is_cyclic(&cg, component);
+        let cyclic = solver.is_cyclic(component);
         // Reuse is sound only when recomputing would read identical
         // inputs: clean members, equal summaries for every callee in a
         // lower component (intra-component callees are re-iterated
@@ -1203,30 +1286,20 @@ pub fn reanalyze_stack(
                 && prev_slots[r.index()].as_ref().is_some_and(|p| p.cyclic == cyclic)
                 && cg.callees(r).iter().all(|&c| {
                     sccs.component_of(c) == comp
-                        || summaries[c.index()] == prev_summaries[c.index()]
+                        || solver.summaries[c.index()] == prev_summaries[c.index()]
                 })
         });
         if clean {
             for &rid in component {
                 let rs = prev_slots[rid.index()].take().expect("prev routine present");
-                summaries[rid.index()] = rs.summary.clone();
-                routines[rid.index()] = Some(rs);
+                solver.summaries[rid.index()] = rs.summary.clone();
+                solver.routines[rid.index()] = Some(rs);
             }
         } else {
-            solve_component(
-                program,
-                cfg,
-                component,
-                cyclic,
-                &mut summaries,
-                &mut routines,
-                &mut stats,
-            );
+            solver.solve_component(component);
         }
     }
-    let routines: Vec<RoutineStack> =
-        routines.into_iter().map(|o| o.expect("every routine solved")).collect();
-    (StackAnalysis { routines }, stats)
+    solver.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -1269,50 +1342,42 @@ impl StackAnalysis {
         }
         let routine = program.routine(rid);
         let cfg = pcfg.routine_cfg(rid);
-        let n = rs.frame.slots.len();
-        let idx_of: BTreeMap<i64, usize> =
-            rs.frame.slots.iter().enumerate().map(|(i, s)| (s.entry_off, i)).collect();
+        let slots = &rs.frame.slots[..];
         let mut out: Vec<StackAccess> = Vec::new();
+        let mut events: Vec<SpEvent> = Vec::new();
         for (bi, block) in cfg.blocks().iter().enumerate() {
             let Some(d0) = rs.sp_disp_in[bi] else { continue };
+            events.clear();
+            let scan = scan_block(routine, block, &mut events);
+            let slot_of =
+                |off: i64| slot_index(slots, d0 + off).expect("every tracked access has a slot");
+            let wiped =
+                |from: i64, to: i64| slot_range(slots, d0 + from.min(to), d0 + from.max(to));
 
             // Forward replay: definedness before each access.
-            enum Replay {
-                Access(usize, usize),
-                Wipe(i64, i64),
-            }
-            let mut replay: Vec<Replay> = Vec::new();
-            let mut here: Vec<StackAccess> = Vec::new();
+            let first = out.len();
             let mut defined = rs.must_defined_in[bi].clone();
-            let mut disp = d0;
-            for addr in block.start()..block.end() {
-                let insn = routine.insn_at(addr).expect("address in routine");
-                if let Some((kind, width, d)) = sp_access(insn) {
-                    let off = disp + d as i64;
-                    let idx = idx_of[&off];
-                    replay.push(Replay::Access(here.len(), idx));
-                    here.push(StackAccess {
-                        addr,
-                        block: BlockId::from_index(bi),
-                        kind,
-                        width,
-                        entry_off: off,
-                        sp_disp: disp,
-                        in_frame: off < 0 && off >= disp,
-                        defined_before: defined.contains(idx),
-                        live_after: true,
-                    });
-                    if kind == AccessKind::Store {
-                        defined.insert(idx);
+            for ev in &events {
+                match *ev {
+                    SpEvent::Access { addr, kind, width, rel, off } => {
+                        let idx = slot_of(off);
+                        let (entry_off, sp_disp) = (d0 + off, d0 + rel);
+                        out.push(StackAccess {
+                            addr,
+                            block: BlockId::from_index(bi),
+                            kind,
+                            width,
+                            entry_off,
+                            sp_disp,
+                            in_frame: entry_off < 0 && entry_off >= sp_disp,
+                            defined_before: defined.contains(idx),
+                            live_after: true,
+                        });
+                        if kind == AccessKind::Store {
+                            defined.insert(idx);
+                        }
                     }
-                } else if let SpEffect::Adjust(a) = sp_effect(insn) {
-                    let d1 = disp + a;
-                    let (lo, hi) = (disp.min(d1), disp.max(d1));
-                    replay.push(Replay::Wipe(lo, hi));
-                    for (_, &i) in idx_of.range(lo..hi) {
-                        defined.remove(i);
-                    }
-                    disp = d1;
+                    SpEvent::Adjust { from, to } => wiped(from, to).for_each(|i| defined.remove(i)),
                 }
             }
 
@@ -1320,31 +1385,31 @@ impl StackAnalysis {
             // terminator applies first (it executes last).
             let mut live = rs.live_out[bi].clone();
             if let TermKind::Call { target, .. } = block.term() {
-                let cm = call_mask(target, disp, |i| &self.routines[i].summary, &idx_of, n);
+                let cm = call_mask(target, d0 + scan.delta, |c| &self.routine(c).summary, slots);
                 if cm.refs_full {
-                    live = SlotSet::full(n);
+                    live = SlotSet::full(slots.len());
                 } else {
                     live.subtract(&cm.kills);
                     live.union_with(&cm.refs);
                 }
             }
-            for step in replay.iter().rev() {
-                match *step {
-                    Replay::Access(ai, idx) => match here[ai].kind {
-                        AccessKind::Store => {
-                            here[ai].live_after = live.contains(idx);
-                            live.remove(idx);
-                        }
-                        AccessKind::Load => live.insert(idx),
-                    },
-                    Replay::Wipe(lo, hi) => {
-                        for (_, &i) in idx_of.range(lo..hi) {
-                            live.remove(i);
+            let mut here = out[first..].iter_mut().rev();
+            for ev in events.iter().rev() {
+                match *ev {
+                    SpEvent::Access { kind, off, .. } => {
+                        let access = here.next().expect("one access per access event");
+                        let idx = slot_of(off);
+                        match kind {
+                            AccessKind::Store => {
+                                access.live_after = live.contains(idx);
+                                live.remove(idx);
+                            }
+                            AccessKind::Load => live.insert(idx),
                         }
                     }
+                    SpEvent::Adjust { from, to } => wiped(from, to).for_each(|i| live.remove(i)),
                 }
             }
-            out.extend(here);
         }
         out
     }
@@ -1362,33 +1427,163 @@ impl StackAnalysis {
         b: BlockId,
     ) -> SlotSet {
         let rs = &self.routines[rid.index()];
-        let n = rs.frame.slots.len();
         if rs.frame.escaped {
-            return SlotSet::empty(n);
+            return SlotSet::empty(rs.frame.slots.len());
         }
-        let idx_of: BTreeMap<i64, usize> =
-            rs.frame.slots.iter().enumerate().map(|(i, s)| (s.entry_off, i)).collect();
-        let cfg = pcfg.routine_cfg(rid);
-        // Borrow the summaries as a slice for the shared mask builder.
-        let summaries: Vec<StackSummary> =
-            self.routines.iter().map(|r| r.summary.clone()).collect();
-        let m = build_masks(
-            program.routine(rid),
-            cfg.block(b),
-            rs.sp_disp_in[b.index()],
-            &idx_of,
-            n,
-            &summaries,
-        );
-        m.gen
+        let block = pcfg.routine_cfg(rid).block(b);
+        let mut events = Vec::new();
+        let scan = scan_block(program.routine(rid), block, &mut events);
+        let d0 = rs.sp_disp_in[b.index()];
+        let summary_of = |c| &self.routine(c).summary;
+        build_masks(&events, block.term(), d0, scan.delta, &rs.frame.slots, summary_of).gen
     }
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::analyze_stack_reference;
     use super::*;
+    use proptest::prelude::*;
     use spike_isa::AluOp;
     use spike_program::ProgramBuilder;
+
+    /// The production solver against the sweep-everything reference:
+    /// identical facts, footprint and slot-solver effort, never more
+    /// summary compositions.
+    fn assert_matches_reference(program: &Program) -> (StackAnalysis, StackStats) {
+        let cfg = ProgramCfg::build(program);
+        let (stack, stats) = analyze_stack(program, &cfg);
+        let (ref_stack, ref_stats) = analyze_stack_reference(program, &cfg);
+        assert_eq!(stack, ref_stack);
+        assert_eq!(stack.heap_bytes(), ref_stack.heap_bytes());
+        assert_eq!(stats.forward_visits, ref_stats.forward_visits);
+        assert_eq!(stats.backward_visits, ref_stats.backward_visits);
+        assert!(stats.summary_evals <= ref_stats.summary_evals);
+        assert!(stats.summary_evals >= program.routines().len());
+        (stack, stats)
+    }
+
+    #[test]
+    fn matches_reference_on_every_profile() {
+        for profile in spike_synth::profiles() {
+            for seed in 0..2u64 {
+                let scale = 40.0 / profile.routines as f64;
+                assert_matches_reference(&spike_synth::generate(&profile, scale, seed));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn matches_reference_on_random_executables(seed in any::<u64>(), size in 1usize..40) {
+            assert_matches_reference(&spike_synth::generate_executable(seed, size));
+        }
+    }
+
+    #[test]
+    fn offsets_climbing_round_a_cycle_hit_the_limit_cutoff() {
+        // Each trip round the recursion pops 8 bytes before calling, so
+        // the callee's reads land 8 higher in the caller's terms: the
+        // REF set {0, 8, 16, …} never closes and the sweep counter cuts
+        // it off by forcing opacity.
+        let mut b = ProgramBuilder::new();
+        b.routine("main").call("climb").halt();
+        b.routine("climb")
+            .load(Reg::T0, Reg::SP, 0)
+            .cond(spike_isa::BranchCond::Eq, Reg::T0, "done")
+            .lda(Reg::SP, Reg::SP, 8)
+            .call("climb")
+            .lda(Reg::SP, Reg::SP, -8)
+            .label("done")
+            .ret();
+        let program = b.build().expect("valid program");
+        let (stack, stats) = assert_matches_reference(&program);
+        let climb = stack.routine(rid(&program, "climb"));
+        assert!(climb.summary.opaque && !climb.summary.unbalanced);
+        assert!(climb.summary.refs_above.is_empty(), "the cutoff drops the partial set");
+        assert!(!climb.frame.escaped, "opacity is about callers; the frame itself is tracked");
+        // limit = 2·1 + 8 sweeps of the one member, plus main's single
+        // composition.
+        assert_eq!(stats.summary_evals, 11 + 1);
+    }
+
+    #[test]
+    fn unbalanced_member_of_a_cycle_keeps_the_sweep_order_result() {
+        // `ping` and `pong` each return 8 bytes low when tracked, and
+        // each loses tracking when the other is unbalanced: whichever
+        // the sweep composes first stays unbalanced and untracks the
+        // other. Not monotone, so only the reference's order is right.
+        let mut b = ProgramBuilder::new();
+        b.routine("main").call("ping").call("pong").halt();
+        b.routine("ping").lda(Reg::SP, Reg::SP, -8).call("pong").ret();
+        b.routine("pong").lda(Reg::SP, Reg::SP, -8).call("ping").ret();
+        let program = b.build().expect("valid program");
+        let (stack, _) = assert_matches_reference(&program);
+        let ping = stack.routine(rid(&program, "ping"));
+        let pong = stack.routine(rid(&program, "pong"));
+        assert_ne!(ping.summary.unbalanced, pong.summary.unbalanced);
+        let (lost, kept) = if ping.summary.unbalanced { (pong, ping) } else { (ping, pong) };
+        assert!(lost.frame.escaped && lost.summary.opaque);
+        assert!(!kept.frame.escaped && kept.summary.opaque);
+        assert!(stack.routine(rid(&program, "main")).frame.escaped, "unbalance is viral");
+    }
+
+    #[test]
+    fn acyclic_routines_are_composed_once() {
+        let mut b = ProgramBuilder::new();
+        b.routine("main").def(Reg::T0).lda(Reg::SP, Reg::SP, -16).call("init").halt();
+        b.routine("init").def(Reg::T1).store(Reg::T1, Reg::SP, 0).call("leaf").ret();
+        b.routine("leaf").ret();
+        let program = b.build().expect("valid program");
+        let (_, stats) = assert_matches_reference(&program);
+        assert_eq!(stats.summary_evals, 3);
+    }
+
+    #[test]
+    fn frames_over_64_slots_use_the_heap_and_survive_a_snapshot() {
+        use spike_isa::{Snap, SnapReader, SnapWriter};
+        const SLOTS: i16 = 70;
+        let mut b = ProgramBuilder::new();
+        {
+            let main = b.routine("main");
+            main.def(Reg::T0).lda(Reg::SP, Reg::SP, -8 * SLOTS);
+            for i in 0..SLOTS {
+                main.store(Reg::T0, Reg::SP, 8 * i);
+            }
+            main.load(Reg::T1, Reg::SP, 8 * (SLOTS - 1)).lda(Reg::SP, Reg::SP, 8 * SLOTS).halt();
+        }
+        let program = b.build().expect("valid program");
+        let (stack, _) = assert_matches_reference(&program);
+        let main = rid(&program, "main");
+        let rs = stack.routine(main);
+        assert_eq!(rs.frame.slots.len(), SLOTS as usize);
+        assert_eq!(rs.must_defined_in[0].heap_bytes(), 16, "two heap words");
+        assert_eq!(SlotSet::full(64).heap_bytes(), 0, "64 slots still fit the inline word");
+        let cfg = ProgramCfg::build(&program);
+        let acc = stack.accesses(&program, &cfg, main);
+        assert_eq!(acc.len(), SLOTS as usize + 1);
+        assert!(acc.last().expect("the load").defined_before);
+        assert_eq!(acc.iter().filter(|a| !a.live_after).count(), SLOTS as usize - 1);
+
+        let mut w = SnapWriter::new();
+        stack.snap(&mut w);
+        let bytes = w.into_bytes();
+        let back = StackAnalysis::unsnap(&mut SnapReader::new(&bytes)).expect("decodes");
+        assert_eq!(back, stack);
+        assert_eq!(back.heap_bytes(), stack.heap_bytes());
+        // A heap set must span at least two words; anything else is not
+        // something `snap` writes.
+        let mut w = SnapWriter::new();
+        w.put_u8(1);
+        w.put_usize(1);
+        w.put_u64(0);
+        assert!(SlotSet::unsnap(&mut SnapReader::new(&w.into_bytes())).is_err());
+    }
 
     fn analyze(b: &ProgramBuilder) -> (Program, ProgramCfg, StackAnalysis, StackStats) {
         let program = b.build().expect("valid program");

@@ -1,0 +1,326 @@
+//! The stack layer's phase A as it was before the routine digest and
+//! the change-driven sweep: every round re-scans every member's
+//! instructions and re-composes its summary, whether or not a callee
+//! changed. Kept as the oracle the tests compare the production solver
+//! against — it shares no code with [`super::Digest`] or
+//! [`super::compose_summary`].
+
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
+
+use super::*;
+
+/// Everything the per-routine scan learns before the dataflows run.
+struct LocalScan {
+    tracked: bool,
+    escaped: bool,
+    balanced: bool,
+    has_unknown_call: bool,
+    frame_size: i64,
+    slots: Vec<Slot>,
+    sp_disp_in: Vec<Option<i64>>,
+}
+
+fn local_scan(
+    program: &Program,
+    pcfg: &ProgramCfg,
+    rid: RoutineId,
+    summaries: &[StackSummary],
+) -> LocalScan {
+    let routine = program.routine(rid);
+    let cfg = pcfg.routine_cfg(rid);
+    let nb = cfg.blocks().len();
+
+    // Pass 1: per-block SP delta, running minimum, and escape flags.
+    let mut delta = vec![0i64; nb];
+    let mut min_rel = vec![0i64; nb];
+    let mut leaked = false;
+    let mut tracked = true;
+    let mut has_unknown_call = false;
+    for (bi, block) in cfg.blocks().iter().enumerate() {
+        let mut rel = 0i64;
+        for addr in block.start()..block.end() {
+            let insn = routine.insn_at(addr).expect("address in routine");
+            match sp_effect(insn) {
+                SpEffect::Adjust(d) => {
+                    rel += d;
+                    min_rel[bi] = min_rel[bi].min(rel);
+                }
+                SpEffect::Untracked => tracked = false,
+                SpEffect::Leak => leaked = true,
+                SpEffect::Neutral => {}
+            }
+        }
+        delta[bi] = rel;
+        if let TermKind::Call { target, .. } = block.term() {
+            // An unbalanced callee clobbers the caller's displacement:
+            // viral loss of tracking. Unknown-target calls are assumed
+            // balanced (the calling standard) but make us opaque.
+            match target {
+                CallTarget::Direct(c, _) => {
+                    if summaries[c.index()].unbalanced {
+                        tracked = false;
+                    }
+                }
+                CallTarget::IndirectKnown(list) => {
+                    for (c, _) in list {
+                        if summaries[c.index()].unbalanced {
+                            tracked = false;
+                        }
+                    }
+                }
+                CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {
+                    has_unknown_call = true;
+                }
+            }
+        }
+    }
+
+    // Pass 2: propagate entry-relative displacements over flow arcs
+    // (successors plus the call → return-point arc the CFG omits). A
+    // disagreement at a join loses tracking for the whole routine.
+    let mut sp_disp_in: Vec<Option<i64>> = vec![None; nb];
+    if tracked {
+        let mut conflict = false;
+        let mut stack: Vec<BlockId> = Vec::new();
+        for &e in cfg.entries() {
+            if sp_disp_in[e.index()].is_none() {
+                sp_disp_in[e.index()] = Some(0);
+                stack.push(e);
+            }
+        }
+        while let Some(b) = stack.pop() {
+            let bi = b.index();
+            let d_out = sp_disp_in[bi].expect("queued blocks have a displacement") + delta[bi];
+            let block = cfg.block(b);
+            let mut flow = |s: BlockId| match sp_disp_in[s.index()] {
+                None => {
+                    sp_disp_in[s.index()] = Some(d_out);
+                    stack.push(s);
+                }
+                Some(v) if v == d_out => {}
+                Some(_) => conflict = true,
+            };
+            for &s in block.succs() {
+                flow(s);
+            }
+            if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
+                flow(*rt);
+            }
+            if conflict {
+                break;
+            }
+        }
+        if conflict {
+            tracked = false;
+            sp_disp_in.fill(None);
+        }
+    }
+
+    // Slot discovery, frame size, and exit balance over tracked blocks.
+    let mut width_conflict = false;
+    let mut slot_map: BTreeMap<i64, MemWidth> = BTreeMap::new();
+    let mut min_disp = 0i64;
+    // Balance defaults to the calling-standard assumption; only a
+    // tracked path into a `Ret` can refute it.
+    let mut balanced = true;
+    if tracked {
+        for (bi, block) in cfg.blocks().iter().enumerate() {
+            let Some(d0) = sp_disp_in[bi] else { continue };
+            min_disp = min_disp.min(d0 + min_rel[bi]);
+            let mut rel = d0;
+            for addr in block.start()..block.end() {
+                let insn = routine.insn_at(addr).expect("address in routine");
+                if let Some((_, width, disp)) = sp_access(insn) {
+                    match slot_map.entry(rel + disp as i64) {
+                        Entry::Vacant(v) => {
+                            v.insert(width);
+                        }
+                        Entry::Occupied(o) => {
+                            if *o.get() != width {
+                                width_conflict = true;
+                            }
+                        }
+                    }
+                } else if let SpEffect::Adjust(d) = sp_effect(insn) {
+                    rel += d;
+                }
+            }
+            if matches!(block.term(), TermKind::Ret) && rel != 0 {
+                balanced = false;
+            }
+        }
+    }
+
+    let slots: Vec<Slot> =
+        slot_map.iter().map(|(&entry_off, &width)| Slot { entry_off, width }).collect();
+    LocalScan {
+        tracked,
+        escaped: leaked || !tracked || width_conflict,
+        balanced,
+        has_unknown_call,
+        frame_size: (-min_disp).max(0),
+        slots,
+        sp_disp_in,
+    }
+}
+
+fn compose_summary(
+    program: &Program,
+    pcfg: &ProgramCfg,
+    rid: RoutineId,
+    local: &LocalScan,
+    summaries: &[StackSummary],
+) -> StackSummary {
+    let routine = program.routine(rid);
+    let cfg = pcfg.routine_cfg(rid);
+    let unbalanced = !local.balanced;
+    let mut opaque = local.escaped || unbalanced || local.has_unknown_call;
+    let mut refs: BTreeSet<i64> = BTreeSet::new();
+    let mut mods: BTreeSet<i64> = BTreeSet::new();
+    if local.tracked {
+        for (bi, block) in cfg.blocks().iter().enumerate() {
+            let Some(d0) = local.sp_disp_in[bi] else { continue };
+            let mut rel = d0;
+            for addr in block.start()..block.end() {
+                let insn = routine.insn_at(addr).expect("address in routine");
+                if let Some((kind, _, disp)) = sp_access(insn) {
+                    let off = rel + disp as i64;
+                    if off >= 0 {
+                        match kind {
+                            AccessKind::Load => refs.insert(off),
+                            AccessKind::Store => mods.insert(off),
+                        };
+                    }
+                } else if let SpEffect::Adjust(d) = sp_effect(insn) {
+                    rel += d;
+                }
+            }
+            if let TermKind::Call { target, .. } = block.term() {
+                // Translate callee effects through the call-site
+                // displacement: callee entry SP = our entry SP + rel.
+                let mut add = |c: RoutineId| {
+                    let s = &summaries[c.index()];
+                    if s.opaque {
+                        opaque = true;
+                        return;
+                    }
+                    for &o in &s.refs_above {
+                        let t = o + rel;
+                        if t >= 0 {
+                            refs.insert(t);
+                        }
+                    }
+                    for &o in &s.mods_above {
+                        let t = o + rel;
+                        if t >= 0 {
+                            mods.insert(t);
+                        }
+                    }
+                };
+                match target {
+                    CallTarget::Direct(c, _) => add(*c),
+                    CallTarget::IndirectKnown(list) => {
+                        for &(c, _) in list {
+                            add(c);
+                        }
+                    }
+                    CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {}
+                }
+            }
+        }
+    }
+    StackSummary {
+        unbalanced,
+        opaque,
+        refs_above: refs.into_iter().collect(),
+        mods_above: mods.into_iter().collect(),
+        kills_above: Vec::new(),
+    }
+}
+
+/// The sweep-everything phase A over one component. Returns the
+/// members' scans under the converged summaries and the number of
+/// summary compositions.
+fn phase_a(
+    program: &Program,
+    pcfg: &ProgramCfg,
+    component: &[RoutineId],
+    summaries: &mut [StackSummary],
+) -> (Vec<LocalScan>, usize) {
+    for &rid in component {
+        summaries[rid.index()] = StackSummary::default();
+    }
+    let limit = 2 * component.len() + 8;
+    let mut locals: Vec<LocalScan> = Vec::with_capacity(component.len());
+    let mut round = 0usize;
+    let mut evals = 0usize;
+    loop {
+        locals.clear();
+        let mut changed = false;
+        for &rid in component {
+            evals += 1;
+            let local = local_scan(program, pcfg, rid, summaries);
+            let s = compose_summary(program, pcfg, rid, &local, summaries);
+            if s != summaries[rid.index()] {
+                summaries[rid.index()] = s;
+                changed = true;
+            }
+            locals.push(local);
+        }
+        if !changed {
+            break;
+        }
+        round += 1;
+        if round > limit {
+            for &rid in component {
+                let unbalanced = summaries[rid.index()].unbalanced;
+                summaries[rid.index()] = StackSummary {
+                    unbalanced,
+                    opaque: true,
+                    refs_above: Vec::new(),
+                    mods_above: Vec::new(),
+                    kills_above: Vec::new(),
+                };
+            }
+            locals.clear();
+            for &rid in component {
+                locals.push(local_scan(program, pcfg, rid, summaries));
+            }
+            break;
+        }
+    }
+    (locals, evals)
+}
+
+/// [`analyze_stack`] with the reference phase A in place of the
+/// production one. Also checks, member by member, that the frame the
+/// digest yields under the converged summaries is the one the
+/// instruction re-scan finds.
+pub(super) fn analyze_stack_reference(
+    program: &Program,
+    cfg: &ProgramCfg,
+) -> (StackAnalysis, StackStats) {
+    let cg = CallGraph::build(program, cfg);
+    let sccs = cg.sccs();
+    let mut solver = Solver::new(program, cfg, &cg);
+    for component in sccs.bottom_up() {
+        let digests = solver.scan(component);
+        let (locals, evals) = phase_a(program, cfg, component, &mut solver.summaries);
+        solver.stats.summary_evals += evals;
+        for ((local, digest), &rid) in locals.iter().zip(&digests).zip(component) {
+            let rcfg = cfg.routine_cfg(rid);
+            let frame = digest.frame_under(rcfg, &solver.summaries);
+            assert_eq!(local.tracked, frame.is_some());
+            assert_eq!(local.escaped, digest.escaped(frame));
+            assert_eq!(local.has_unknown_call, digest.has_unknown_call);
+            assert_eq!(local.balanced, frame.is_none_or(|f| f.balanced));
+            assert_eq!(local.frame_size, frame.map_or(0, |f| f.frame_size));
+            assert_eq!(local.slots, frame.map_or(Vec::new(), |f| f.slots.clone()));
+            let nb = rcfg.blocks().len();
+            assert_eq!(local.sp_disp_in, frame.map_or(vec![None; nb], |f| f.sp_disp_in.clone()));
+        }
+        solver.phase_b(component, &digests);
+    }
+    solver.finish()
+}

@@ -14,7 +14,6 @@ use spike_isa::RegSet;
 use spike_program::Program;
 
 use crate::diag::{Check, Diagnostic, LintReport, Severity};
-use crate::graph::{reachable_from_entrances, reaches_an_exit};
 
 #[allow(unused_imports)]
 use spike_isa::CallingStandard; // doc link
@@ -39,8 +38,10 @@ pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintRep
         // With an unknown-target jump the path structure is uncertain, so
         // reachability-based claims lose confidence.
         let demote = !cfg.unknown_jumps().is_empty();
-        let live = reachable_from_entrances(cfg);
-        let returns = reaches_an_exit(cfg);
+        // A call is assumed to return: both directions cross it.
+        let arcs = cfg.flow_arcs();
+        let live = arcs.reachable_from(cfg.entries());
+        let returns = arcs.reaching(cfg.exits());
         let mut flagged = RegSet::EMPTY;
         for (bi, block) in cfg.blocks().iter().enumerate() {
             if !live[bi] || !returns[bi] || block.def().is_disjoint(suspicious) {

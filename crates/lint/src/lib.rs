@@ -55,7 +55,6 @@ use spike_program::{Program, RoutineId};
 mod clobber;
 mod dead;
 mod diag;
-mod graph;
 mod json;
 mod reach;
 mod stack;

@@ -6,7 +6,6 @@ use spike_core::Analysis;
 use spike_program::{Program, RoutineId};
 
 use crate::diag::{Check, Diagnostic, LintReport};
-use crate::graph::reachable_from_entrances;
 
 /// Flags routines not reachable in the may-call graph from the program
 /// entry or any exported routine. Unknown-target indirect calls could in
@@ -59,7 +58,7 @@ pub(crate) fn check_blocks(program: &Program, analysis: &Analysis, report: &mut 
         if !cfg.unknown_jumps().is_empty() {
             continue;
         }
-        let live = reachable_from_entrances(cfg);
+        let live = cfg.flow_arcs().reachable_from(cfg.entries());
         for (bi, block) in cfg.blocks().iter().enumerate() {
             if !live[bi] {
                 let mut d = Diagnostic::new(

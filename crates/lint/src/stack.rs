@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use spike_cfg::{BlockId, TermKind};
+use spike_cfg::BlockId;
 use spike_core::{AccessKind, Analysis, StackAccess};
 use spike_program::{Program, RoutineId};
 
@@ -93,6 +93,7 @@ fn witness_path(
         return Vec::new();
     };
     let cfg = analysis.cfg.routine_cfg(rid);
+    let arcs = cfg.flow_arcs();
     let nb = cfg.blocks().len();
     let target = access.block;
     let mut parent: Vec<Option<BlockId>> = vec![None; nb];
@@ -115,19 +116,12 @@ fn witness_path(
         if analysis.stack.block_gen(program, &analysis.cfg, rid, b).contains(slot) {
             continue;
         }
-        let block = cfg.block(b);
-        let mut extend = |s: BlockId, parent: &mut Vec<Option<BlockId>>, q: &mut VecDeque<_>| {
+        for &s in arcs.succs(b) {
             if !visited[s.index()] {
                 visited[s.index()] = true;
                 parent[s.index()] = Some(b);
                 q.push_back(s);
             }
-        };
-        if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
-            extend(*rt, &mut parent, &mut q);
-        }
-        for &s in block.succs() {
-            extend(s, &mut parent, &mut q);
         }
     }
     if !found {

@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use spike_cfg::{BlockId, CallTarget, ProgramCfg, RoutineCfg, TermKind};
+use spike_cfg::{BlockId, CallTarget, FlowArcs, ProgramCfg, RoutineCfg, TermKind};
 use spike_core::worklist::PriorityWorklist;
 use spike_core::{Analysis, ProgramSummary};
 use spike_isa::{CallingStandard, Instruction, Reg, RegSet};
@@ -79,125 +79,113 @@ fn call_defined_per_block(
         .collect()
 }
 
-/// One intra-routine forward pass to a local fixpoint, given the current
-/// entrance values. Resets and refills `block_in[rid]`.
-///
-/// Driven by a [`PriorityWorklist`] in reverse postorder over the
-/// definedness arcs (fall-through/branch successors plus the
-/// call→return-point arc the CFG itself omits): most blocks see their
-/// final predecessor facts on the first evaluation, and a change only
-/// re-queues the blocks that actually read it. The fixpoint of the
-/// monotone meet system is unique, so the result is identical to the
-/// round-robin sweep this replaces.
-fn intra(
-    pcfg: &ProgramCfg,
-    summary: &ProgramSummary,
-    rid: RoutineId,
-    entry: &[Vec<RegSet>],
-    block_in: &mut [RegSet],
-) {
-    let cfg = pcfg.routine_cfg(rid);
-    let nb = cfg.blocks().len();
+/// One in-scope routine's share of the fixpoint system, built once: the
+/// structure every solve of the routine runs over, and what the last
+/// solve left behind.
+struct Plan {
+    /// Definedness arcs: successors plus the call → return-point arc the
+    /// CFG itself omits (definedness flows through the callee).
+    arcs: FlowArcs,
+    /// Reverse postorder over `arcs` from the entrances: most blocks see
+    /// their final predecessor facts on the first evaluation, and a
+    /// change only re-queues the blocks that actually read it.
+    rank: Vec<u32>,
+    /// Per block, what its flow successors see on top of its own
+    /// entry facts: `DEF`, plus `call-defined` for a call block.
+    gen: Vec<RegSet>,
+    /// Per block, the meet of the entrance values it was solved under:
+    /// ⊤ for blocks that are no entrance.
+    constraint: Vec<RegSet>,
+    /// The call blocks.
+    calls: Vec<BlockId>,
+    solved: bool,
+}
 
-    // The CFG has no call → return-point successor edges; definedness
-    // flows through the callee, entering as `block out ∪ call-defined`.
-    // `fwd` is the full reader relation, `call_ret` its call-arc inverse.
-    let mut call_ret: Vec<Vec<BlockId>> = vec![Vec::new(); nb];
-    let mut fwd: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    for (i, readers) in fwd.iter_mut().enumerate() {
-        let block = cfg.block(BlockId::from_index(i));
-        if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
-            call_ret[rt.index()].push(BlockId::from_index(i));
-            readers.push(rt.index() as u32);
-        }
-        readers.extend(block.succs().iter().map(|s| s.index() as u32));
-    }
-    let cs_defined = call_defined_per_block(pcfg, summary, rid);
-
-    let mut constraint = vec![RegSet::ALL; nb];
-    for (e, &b) in cfg.entries().iter().enumerate() {
-        constraint[b.index()] &= entry[rid.index()][e];
+impl Plan {
+    fn build(pcfg: &ProgramCfg, summary: &ProgramSummary, rid: RoutineId) -> Plan {
+        let cfg = pcfg.routine_cfg(rid);
+        let arcs = cfg.flow_arcs();
+        let rank = arcs.rpo_ranks(cfg.entries());
+        let cs_defined = call_defined_per_block(pcfg, summary, rid);
+        let gen = cfg.blocks().iter().zip(cs_defined).map(|(b, cs)| b.def() | cs).collect();
+        let calls = cfg.call_blocks().collect();
+        let constraint = vec![RegSet::ALL; rank.len()];
+        Plan { arcs, rank, gen, constraint, calls, solved: false }
     }
 
-    // Reverse postorder from the entrances; blocks unreachable along
-    // definedness arcs still get evaluated, ranked after the rest.
-    let mut rank = vec![u32::MAX; nb];
-    let mut next = 0u32;
-    let mut state = vec![0u8; nb];
-    let mut postorder: Vec<u32> = Vec::with_capacity(nb);
-    let mut dfs: Vec<(u32, u32)> = Vec::new();
-    for &b in cfg.entries() {
-        if state[b.index()] != 0 {
-            continue;
-        }
-        state[b.index()] = 1;
-        dfs.push((b.index() as u32, 0));
-        while let Some(frame) = dfs.last_mut() {
-            let (x, k) = (frame.0 as usize, frame.1 as usize);
-            if k < fwd[x].len() {
-                frame.1 += 1;
-                let y = fwd[x][k] as usize;
-                if state[y] == 0 {
-                    state[y] = 1;
-                    dfs.push((y as u32, 0));
-                }
-            } else {
-                dfs.pop();
-                postorder.push(x as u32);
+    /// Brings `block_in` to the routine's local fixpoint under the
+    /// current entrance values `entry`.
+    ///
+    /// The first solve starts every block at ⊤ and evaluates them all.
+    /// A later one seeds only the entrance blocks whose value shrank and
+    /// continues from the `block_in` the previous solve left: that
+    /// solution is a post-fixpoint of the shrunken system lying above
+    /// its greatest fixpoint, so descending from it reaches the same
+    /// fixpoint a restart from ⊤ would. Entrances only shrink, which is
+    /// also why accumulating the meet into `constraint` equals
+    /// recomputing it.
+    fn solve(
+        &mut self,
+        cfg: &RoutineCfg,
+        entry: &[RegSet],
+        block_in: &mut [RegSet],
+        wl: &mut PriorityWorklist,
+    ) {
+        for (&b, &at_entrance) in cfg.entries().iter().zip(entry) {
+            let met = self.constraint[b.index()] & at_entrance;
+            if met != self.constraint[b.index()] {
+                self.constraint[b.index()] = met;
+                wl.push(b.index(), self.rank[b.index()]);
             }
         }
-    }
-    for &x in postorder.iter().rev() {
-        rank[x as usize] = next;
-        next += 1;
-    }
-    for r in rank.iter_mut() {
-        if *r == u32::MAX {
-            *r = next;
-            next += 1;
+        if !std::mem::replace(&mut self.solved, true) {
+            for (i, &r) in self.rank.iter().enumerate() {
+                wl.push(i, r);
+            }
         }
-    }
-
-    block_in.fill(RegSet::ALL);
-    let mut wl = PriorityWorklist::new(nb);
-    for (i, &r) in rank.iter().enumerate() {
-        wl.push(i, r);
-    }
-    while let Some(i) = wl.pop() {
-        let block = cfg.block(BlockId::from_index(i));
-        let mut acc = constraint[i];
-        for &p in block.preds() {
-            acc &= block_in[p.index()] | cfg.block(p).def();
-        }
-        for &c in &call_ret[i] {
-            acc &= block_in[c.index()] | cfg.block(c).def() | cs_defined[c.index()];
-        }
-        if acc != block_in[i] {
-            block_in[i] = acc;
-            for &s in &fwd[i] {
-                wl.push(s as usize, rank[s as usize]);
+        while let Some(i) = wl.pop() {
+            let b = BlockId::from_index(i);
+            let mut acc = self.constraint[i];
+            for &p in self.arcs.preds(b) {
+                acc &= block_in[p.index()] | self.gen[p.index()];
+            }
+            if acc != block_in[i] {
+                block_in[i] = acc;
+                for &s in self.arcs.succs(b) {
+                    wl.push(s.index(), self.rank[s.index()]);
+                }
             }
         }
     }
 }
 
-/// Computes the must-defined solution: alternating intra-routine passes
-/// with a re-meet of every callee entrance over its resolved call sites,
-/// to a global fixpoint. Entrance sets start at their boundary
-/// assumptions and only shrink, so termination is immediate from
-/// monotonicity.
+/// Computes the must-defined solution: the greatest fixpoint of the
+/// system whose unknowns are every block's entry facts and every
+/// routine entrance, an entrance being the meet of its boundary
+/// assumption with what each resolved call site passes in.
+///
+/// The solve is change-driven at both levels. A routine-level worklist
+/// in callers-first order solves a routine ([`Plan::solve`]), then meets
+/// the definedness *at the moment the callee starts* — block-in plus
+/// the call block's own defs (including `ra` from the call itself),
+/// without the callee's effect — into the entrances of its callees, and
+/// queues exactly the callees whose entrance shrank. Unknown-target
+/// calls contribute no edge: their targets keep their boundary
+/// assumption. Every entrance starts at its boundary value and only
+/// shrinks, so the iteration descends from ⊤ and terminates at the
+/// greatest fixpoint whatever the evaluation order — the same solution
+/// as re-solving every routine from ⊤ until no entrance moves.
 ///
 /// With `scope = Some(r)` the fixpoint is restricted to `r`'s transitive
 /// *caller closure* — the only routines whose facts can flow into `r`'s
 /// entrances. The restriction is exact for every routine in the closure:
 /// the closure is caller-closed, so every call edge into a closure
 /// routine originates inside it and all of its entrance meets are
-/// applied; routines outside the closure simply keep their boundary
-/// assumption on both sides of the convergence compare. Equivalently,
-/// the restricted system is the projection of the full descending Kleene
-/// iteration onto the closure, whose coordinates never read the dropped
-/// ones. `block_in` outside the closure is meaningless (never computed)
-/// and must not be read.
+/// applied. Equivalently, the restricted system is the projection of
+/// the full descending iteration onto the closure, whose coordinates
+/// never read the dropped ones. Outside the closure `block_in` is never
+/// computed and an entrance has met only its in-closure callers:
+/// neither must be read.
 pub(crate) fn compute_scoped(
     program: &Program,
     cfg: &ProgramCfg,
@@ -205,7 +193,7 @@ pub(crate) fn compute_scoped(
     scope: Option<RoutineId>,
 ) -> MustDefined {
     let std = summary.calling_standard();
-    let boundary: Vec<Vec<RegSet>> = program
+    let mut entry: Vec<Vec<RegSet>> = program
         .iter()
         .map(|(rid, r)| {
             (0..r.entry_offsets().len())
@@ -222,19 +210,17 @@ pub(crate) fn compute_scoped(
                 .collect()
         })
         .collect();
-
-    let mut entry = boundary.clone();
     let mut block_in: Vec<Vec<RegSet>> =
         cfg.cfgs().iter().map(|c| vec![RegSet::ALL; c.blocks().len()]).collect();
 
-    // Callers-first order: entrance facts propagate down call chains in
-    // few global passes.
+    // Callers-first order: entrance facts propagate down call chains
+    // before the callee is first solved.
     let callgraph = spike_callgraph::CallGraph::build(program, cfg);
     let mut order: Vec<RoutineId> = callgraph.sccs().bottom_up().concat();
     order.reverse();
 
     // Restrict the iteration to the target's caller closure.
-    let in_scope: Option<Vec<bool>> = scope.map(|target| {
+    if let Some(target) = scope {
         let mut mask = vec![false; program.routines().len()];
         let mut stack = vec![target];
         mask[target.index()] = true;
@@ -246,48 +232,49 @@ pub(crate) fn compute_scoped(
                 }
             }
         }
-        mask
-    });
-    if let Some(mask) = &in_scope {
         order.retain(|r| mask[r.index()]);
     }
 
-    loop {
-        for &rid in &order {
-            intra(cfg, summary, rid, &entry, &mut block_in[rid.index()]);
-        }
+    // A routine's worklist item and rank are both its position in
+    // `order`; out-of-scope routines have none.
+    let mut position: Vec<Option<usize>> = vec![None; program.routines().len()];
+    for (i, &rid) in order.iter().enumerate() {
+        position[rid.index()] = Some(i);
+    }
+    let mut plans: Vec<Plan> = order.iter().map(|&rid| Plan::build(cfg, summary, rid)).collect();
+    let mut routines = PriorityWorklist::new(order.len());
+    for i in 0..order.len() {
+        routines.push(i, i as u32);
+    }
+    let widest = plans.iter().map(|p| p.rank.len()).max().unwrap_or(0);
+    let mut blocks = PriorityWorklist::new(widest);
 
-        // Re-meet every entrance over its call edges. The value flowing
-        // into the callee is the caller's definedness *at the moment the
-        // callee starts*: block-in plus the caller block's own defs
-        // (including `ra` from the call itself), without the callee's
-        // effect. Unknown-target calls contribute no edge — their targets
-        // keep their boundary assumption.
-        let mut next = boundary.clone();
-        for (rid, _) in program.iter() {
-            if in_scope.as_ref().is_some_and(|m| !m[rid.index()]) {
-                continue;
-            }
-            let rcfg = cfg.routine_cfg(rid);
-            for b in rcfg.call_blocks() {
-                let block = rcfg.block(b);
-                let TermKind::Call { target, .. } = block.term() else { continue };
-                let at_entry = block_in[rid.index()][b.index()] | block.def();
-                match target {
-                    CallTarget::Direct(callee, e) => next[callee.index()][*e] &= at_entry,
-                    CallTarget::IndirectKnown(list) => {
-                        for &(callee, e) in list {
-                            next[callee.index()][e] &= at_entry;
-                        }
+    while let Some(i) = routines.pop() {
+        let rid = order[i];
+        let rcfg = cfg.routine_cfg(rid);
+        let plan = &mut plans[i];
+        plan.solve(rcfg, &entry[rid.index()], &mut block_in[rid.index()], &mut blocks);
+
+        for &b in &plan.calls {
+            let block = rcfg.block(b);
+            let TermKind::Call { target, .. } = block.term() else { continue };
+            let at_entry = block_in[rid.index()][b.index()] | block.def();
+            let mut meet = |callee: RoutineId, e: usize| {
+                let slot = &mut entry[callee.index()][e];
+                let met = *slot & at_entry;
+                if met != *slot {
+                    *slot = met;
+                    if let Some(j) = position[callee.index()] {
+                        routines.push(j, j as u32);
                     }
-                    CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {}
                 }
+            };
+            match target {
+                CallTarget::Direct(callee, e) => meet(*callee, *e),
+                CallTarget::IndirectKnown(list) => list.iter().for_each(|&(c, e)| meet(c, e)),
+                CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {}
             }
         }
-        if next == entry {
-            break;
-        }
-        entry = next;
     }
     MustDefined { entry, block_in }
 }
@@ -462,4 +449,93 @@ pub(crate) fn check_routine(
 ) {
     let md = compute_scoped(program, cfg, summary, Some(rid));
     check_one(program, cfg, summary, &md, rid, report);
+}
+
+#[cfg(test)]
+mod reference;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use spike_program::ProgramBuilder;
+
+    /// The change-driven solver against the sweep-everything reference,
+    /// whole-program and scoped to each of `scopes`.
+    fn assert_matches_reference(program: &Program, scopes: &[RoutineId]) {
+        let analysis = spike_core::analyze(program);
+        let (cfg, summary) = (&analysis.cfg, &analysis.summary);
+        for scope in std::iter::once(None).chain(scopes.iter().copied().map(Some)) {
+            let new = compute_scoped(program, cfg, summary, scope);
+            let (old, _) = reference::compute_scoped(program, cfg, summary, scope);
+            assert_eq!(new.entry, old.entry, "entrances, scope {scope:?}");
+            assert_eq!(new.block_in, old.block_in, "block facts, scope {scope:?}");
+        }
+    }
+
+    fn spread(program: &Program) -> Vec<RoutineId> {
+        let n = program.routines().len();
+        let mut picks = vec![0, n / 3, n / 2, n - 1];
+        picks.dedup();
+        picks.into_iter().map(RoutineId::from_index).collect()
+    }
+
+    #[test]
+    fn matches_reference_on_every_profile() {
+        for profile in spike_synth::profiles() {
+            for seed in 0..2u64 {
+                let scale = 40.0 / profile.routines as f64;
+                let program = spike_synth::generate(&profile, scale, seed);
+                assert_matches_reference(&program, &spread(&program));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn matches_reference_on_random_executables(seed in any::<u64>(), size in 1usize..40) {
+            let program = spike_synth::generate_executable(seed, size);
+            assert_matches_reference(&program, &spread(&program));
+        }
+    }
+
+    #[test]
+    fn a_deficit_travels_round_a_recursive_cycle() {
+        // `main` enters the ring a → b → c → d → a twice: at `c` before
+        // t0 is written, at `a` after. The missing t0 has to travel
+        // c → d → a → b, one call edge per sweep of the reference, and
+        // every member is re-solved from the entrance that shrank.
+        let mut b = ProgramBuilder::new();
+        b.routine("main").call("c").def(Reg::T0).call("a").halt();
+        b.routine("a").call("b").ret();
+        b.routine("b").use_reg(Reg::T0).call("c").ret();
+        b.routine("c").call("d").ret();
+        b.routine("d").call("a").ret();
+        let program = b.build().expect("valid program");
+        let analysis = spike_core::analyze(&program);
+        let (cfg, summary) = (&analysis.cfg, &analysis.summary);
+        let (old, sweeps) = reference::compute_scoped(&program, cfg, summary, None);
+        assert!(sweeps >= 4, "entrances shrink over three rounds, then one confirms: {sweeps}");
+
+        let new = compute_scoped(&program, cfg, summary, None);
+        assert_eq!(new.entry, old.entry);
+        assert_eq!(new.block_in, old.block_in);
+        for name in ["a", "b", "c", "d"] {
+            let rid = program.routine_by_name(name).expect("routine exists");
+            assert!(
+                !new.entry[rid.index()][0].contains(Reg::T0),
+                "{name} can be entered without t0"
+            );
+            assert!(new.entry[rid.index()][0].contains(Reg::SP));
+        }
+        assert_matches_reference(&program, &spread(&program));
+
+        let mut report = LintReport::default();
+        check(&program, &analysis, &mut report);
+        let flagged: Vec<_> =
+            report.diagnostics().iter().map(|d| (d.routine.as_str(), d.reg)).collect();
+        assert_eq!(flagged, vec![("b", Some(Reg::T0))]);
+    }
 }

@@ -269,7 +269,8 @@ fn collect_edits(
 /// Optimizes `program` with explicit pass selection.
 ///
 /// A small pass manager threads one [`AnalysisCache`] through the enabled
-/// passes (spills → reallocation → dead code; see [`Pass`] for why that
+/// passes (loop-invariant code motion → spills → reallocation → dead
+/// stack stores → dead code; the private `Pass` enum documents why that
 /// order). Each pass reports the routines it edited, and by default only
 /// those — plus whatever their changes can influence — are re-analyzed
 /// before the next pass ([`OptOptions::incremental`]); a pass that finds

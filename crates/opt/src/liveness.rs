@@ -7,7 +7,8 @@
 //! computation, with the call-summary/exit values drawn from a completed
 //! [`spike_core::Analysis`].
 
-use spike_cfg::{BlockId, RoutineCfg, TermKind};
+use spike_cfg::{BlockId, TermKind};
+use spike_core::worklist::PriorityWorklist;
 use spike_core::{Analysis, CallSiteSummary};
 use spike_isa::{Instruction, RegSet};
 use spike_program::{Program, RoutineId};
@@ -31,38 +32,6 @@ impl RoutineLiveness {
     /// (after the callee's effects, for call blocks).
     pub fn live_end(&self, b: BlockId) -> RegSet {
         self.live_end[b.index()]
-    }
-}
-
-/// The liveness boundary at the end of `b`, before applying the block's
-/// own instructions.
-fn block_end_live(
-    program: &Program,
-    analysis: &Analysis,
-    rid: RoutineId,
-    cfg: &RoutineCfg,
-    b: BlockId,
-    live_in: &[RegSet],
-) -> RegSet {
-    let block = cfg.block(b);
-    match block.term() {
-        TermKind::Ret => {
-            let i = cfg.exits().iter().position(|&x| x == b).expect("exit block");
-            analysis.summary.routine(rid).live_at_exit[i]
-        }
-        TermKind::Halt => RegSet::EMPTY,
-        TermKind::UnknownJump => program.jump_hint(block.term_addr()).unwrap_or(RegSet::ALL),
-        TermKind::Call { return_to, .. } => match return_to {
-            Some(rt) => live_in[rt.index()],
-            None => RegSet::EMPTY,
-        },
-        _ => {
-            let mut acc = RegSet::EMPTY;
-            for &s in block.succs() {
-                acc |= live_in[s.index()];
-            }
-            acc
-        }
     }
 }
 
@@ -93,37 +62,59 @@ pub fn routine_liveness(
     let cfg = analysis.cfg.routine_cfg(rid);
     let routine = program.routine(rid);
     let n = cfg.blocks().len();
+
+    // One pass over the instructions (and one call-site lookup per call
+    // block) composes each block into `live_in = gen ∪ (live_end ∩ pass)`.
+    // Every step is a gen/kill function, so the composition is pinned by
+    // its values at ∅ and ⊤.
+    let mut gen = vec![RegSet::EMPTY; n];
+    let mut pass = vec![RegSet::ALL; n];
+    // What is live after a block that flow leaves the routine through.
+    let mut boundary = vec![RegSet::EMPTY; n];
+    for (bi, block) in cfg.blocks().iter().enumerate() {
+        let b = BlockId::from_index(bi);
+        for addr in (block.start()..block.end()).rev() {
+            if ignore(addr) {
+                continue;
+            }
+            let insn = routine.insn_at(addr).expect("address in routine");
+            let cs = if addr == block.term_addr() && insn.is_call() {
+                analysis.summary.call_site(&analysis.cfg, rid, b)
+            } else {
+                None
+            };
+            gen[bi] = step_back(gen[bi], insn, cs.as_ref());
+            pass[bi] = step_back(pass[bi], insn, cs.as_ref());
+        }
+        boundary[bi] = match block.term() {
+            TermKind::Ret => {
+                let i = cfg.exits().iter().position(|&x| x == b).expect("exit block");
+                analysis.summary.routine(rid).live_at_exit[i]
+            }
+            TermKind::UnknownJump => program.jump_hint(block.term_addr()).unwrap_or(RegSet::ALL),
+            _ => RegSet::EMPTY,
+        };
+    }
+
+    // Least fixpoint from ∅, successors before their readers: postorder
+    // of the flow graph (a call block reads its return point).
+    let arcs = cfg.flow_arcs();
+    let rank: Vec<u32> = arcs.rpo_ranks(cfg.entries()).iter().map(|&r| n as u32 - 1 - r).collect();
     let mut live_in = vec![RegSet::EMPTY; n];
     let mut live_end = vec![RegSet::EMPTY; n];
-
-    // Iterate to fixpoint; routine CFGs are small and reducible, so a few
-    // reverse sweeps suffice.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bi in (0..n).rev() {
-            let b = BlockId::from_index(bi);
-            let block = cfg.block(b);
-            let end = block_end_live(program, analysis, rid, cfg, b, &live_in);
-
-            let mut live = end;
-            for addr in (block.start()..block.end()).rev() {
-                if ignore(addr) {
-                    continue;
-                }
-                let insn = routine.insn_at(addr).expect("address in routine");
-                let cs = if addr == block.term_addr() && insn.is_call() {
-                    analysis.summary.call_site(&analysis.cfg, rid, b)
-                } else {
-                    None
-                };
-                live = step_back(live, insn, cs.as_ref());
-            }
-
-            if end != live_end[bi] || live != live_in[bi] {
-                live_end[bi] = end;
-                live_in[bi] = live;
-                changed = true;
+    let mut wl = PriorityWorklist::new(n);
+    for (bi, &r) in rank.iter().enumerate() {
+        wl.push(bi, r);
+    }
+    while let Some(bi) = wl.pop() {
+        let b = BlockId::from_index(bi);
+        let end = arcs.succs(b).iter().fold(boundary[bi], |acc, s| acc | live_in[s.index()]);
+        live_end[bi] = end;
+        let live = gen[bi] | (end & pass[bi]);
+        if live != live_in[bi] {
+            live_in[bi] = live;
+            for &p in arcs.preds(b) {
+                wl.push(p.index(), rank[p.index()]);
             }
         }
     }
@@ -134,9 +125,91 @@ pub fn routine_liveness(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spike_cfg::RoutineCfg;
     use spike_core::analyze;
     use spike_isa::Reg;
     use spike_program::ProgramBuilder;
+
+    /// The liveness boundary at the end of `b`, before applying the block's
+    /// own instructions.
+    fn block_end_live(
+        program: &Program,
+        analysis: &Analysis,
+        rid: RoutineId,
+        cfg: &RoutineCfg,
+        b: BlockId,
+        live_in: &[RegSet],
+    ) -> RegSet {
+        let block = cfg.block(b);
+        match block.term() {
+            TermKind::Ret => {
+                let i = cfg.exits().iter().position(|&x| x == b).expect("exit block");
+                analysis.summary.routine(rid).live_at_exit[i]
+            }
+            TermKind::Halt => RegSet::EMPTY,
+            TermKind::UnknownJump => program.jump_hint(block.term_addr()).unwrap_or(RegSet::ALL),
+            TermKind::Call { return_to, .. } => match return_to {
+                Some(rt) => live_in[rt.index()],
+                None => RegSet::EMPTY,
+            },
+            _ => {
+                let mut acc = RegSet::EMPTY;
+                for &s in block.succs() {
+                    acc |= live_in[s.index()];
+                }
+                acc
+            }
+        }
+    }
+
+    /// The reverse-index sweep to a fixpoint `routine_liveness` replaced,
+    /// re-walking every block's instructions on every sweep.
+    fn sweep_liveness(
+        program: &Program,
+        analysis: &Analysis,
+        rid: RoutineId,
+        ignore: &dyn Fn(u32) -> bool,
+    ) -> RoutineLiveness {
+        let cfg = analysis.cfg.routine_cfg(rid);
+        let routine = program.routine(rid);
+        let n = cfg.blocks().len();
+        let mut live_in = vec![RegSet::EMPTY; n];
+        let mut live_end = vec![RegSet::EMPTY; n];
+
+        // Iterate to fixpoint; routine CFGs are small and reducible, so a few
+        // reverse sweeps suffice.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for bi in (0..n).rev() {
+                let b = BlockId::from_index(bi);
+                let block = cfg.block(b);
+                let end = block_end_live(program, analysis, rid, cfg, b, &live_in);
+
+                let mut live = end;
+                for addr in (block.start()..block.end()).rev() {
+                    if ignore(addr) {
+                        continue;
+                    }
+                    let insn = routine.insn_at(addr).expect("address in routine");
+                    let cs = if addr == block.term_addr() && insn.is_call() {
+                        analysis.summary.call_site(&analysis.cfg, rid, b)
+                    } else {
+                        None
+                    };
+                    live = step_back(live, insn, cs.as_ref());
+                }
+
+                if end != live_end[bi] || live != live_in[bi] {
+                    live_end[bi] = end;
+                    live_in[bi] = live;
+                    changed = true;
+                }
+            }
+        }
+
+        RoutineLiveness { live_in, live_end }
+    }
 
     #[test]
     fn argument_live_before_call_result_live_after() {
@@ -187,5 +260,25 @@ mod tests {
         // t3 is used after returning to main, so it is live at f's exit
         // and at its entry.
         assert!(l.live_in(BlockId::from_index(0)).contains(Reg::T3));
+    }
+
+    #[test]
+    fn worklist_solution_equals_the_sweep_on_every_profile() {
+        for profile in spike_synth::profiles() {
+            let scale = 30.0 / profile.routines as f64;
+            let p = spike_synth::generate(&profile, scale, 11);
+            let a = analyze(&p);
+            for (rid, routine) in p.iter() {
+                // Every third instruction deleted exercises the ignore
+                // mask, call terminators included.
+                let thinned = |addr: u32| (addr - routine.addr()) % 3 == 1;
+                for ignore in [&(|_| false) as &dyn Fn(u32) -> bool, &thinned] {
+                    let new = routine_liveness(&p, &a, rid, ignore);
+                    let old = sweep_liveness(&p, &a, rid, ignore);
+                    assert_eq!(new.live_in, old.live_in, "{} {}", profile.name, routine.name());
+                    assert_eq!(new.live_end, old.live_end, "{} {}", profile.name, routine.name());
+                }
+            }
+        }
     }
 }

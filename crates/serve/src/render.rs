@@ -134,8 +134,8 @@ pub fn analyze_diag(stats: &AnalysisStats) -> String {
     );
     let _ = writeln!(
         out,
-        "stack slots: {} + {} block visits (must-defined + live)",
-        stats.stack_forward_visits, stats.stack_backward_visits
+        "stack slots: {} + {} block visits (must-defined + live), {} summary composition(s)",
+        stats.stack_forward_visits, stats.stack_backward_visits, stats.stack_summary_evals
     );
     out
 }

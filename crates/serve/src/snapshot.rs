@@ -13,7 +13,7 @@
 //! The header is a `spike_core::json` object:
 //!
 //! ```json
-//! {"tool": "spike-served", "format": 1, "entries": 3,
+//! {"tool": "spike-served", "format": 3, "entries": 3,
 //!  "payload_bytes": 123456, "checksum": "<32 hex>", "options_fp": "<16 hex>"}
 //! ```
 //!
@@ -53,7 +53,7 @@ use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 
 /// Payload encoding version. Bump on any change to the `Snap` layout of
 /// the analysis structures.
-pub const FORMAT_VERSION: i64 = 2;
+pub const FORMAT_VERSION: i64 = 3;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
