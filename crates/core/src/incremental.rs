@@ -7,18 +7,27 @@
 //! previous [`Analysis`] and [`AnalysisCache::reanalyze`] patches it in
 //! place:
 //!
-//! 1. **Front end** — only *dirty* routines (those whose instruction
-//!    words changed, as reported by `Rewriter::finish`) get their CFG,
-//!    `DEF`/`UBD` sets, §3.4 saved/restored scan, and PSG node/edge plans
-//!    rebuilt. Clean routines are shifted to their new base address with
-//!    [`RoutineCfg::rebase`]; their PSG structures are reused verbatim.
-//! 2. **Structural validation** — the optimizer's edits preserve each
-//!    routine's control-flow shape (terminators are never deleted,
+//! 1. **Front end** — only *dirty* routines (those that received an
+//!    edit, as reported by `Rewriter::finish`) get their CFG, `DEF`/`UBD`
+//!    sets, §3.4 saved/restored scan, and PSG node/edge plans rebuilt.
+//!    Clean routines are *content-identical modulo layout*: they may have
+//!    moved, and a `bsr` displacement or a relocated `lda` immediate in
+//!    them may have been relinked, but every cached structure names call
+//!    targets as `(routine, entry)` and blocks by address, so shifting
+//!    them to their new base with [`RoutineCfg::rebase`] is all they
+//!    need; their PSG structures are reused verbatim.
+//! 2. **Structural validation** — most of the optimizer's edits preserve
+//!    each routine's control-flow shape (terminators are never deleted,
 //!    replacements keep targets, call identities survive relinking), so a
 //!    dirty routine's fresh node/edge plan must match the cached PSG
 //!    node-for-node and edge-for-edge. Labels are overwritten from the
 //!    fresh plan; any structural mismatch falls back to a from-scratch
 //!    analysis, so incremental reuse is an optimization, never a gamble.
+//!    The edits that do change shape (a LICM preheader adds a block, a
+//!    deletion can empty one) are caught right after the CFG rebuild:
+//!    the node plan needs block structure only, so it is validated
+//!    before any `DEF`/`UBD` or edge planning work is spent on the
+//!    doomed attempt.
 //! 3. **Seeded fixpoint** — phases 1–2 rerun over a *reset subspace*
 //!    (dirty routines plus everything their changes can influence) while
 //!    clean nodes keep their converged values. The reset closures and the
@@ -261,13 +270,20 @@ impl AnalysisCache {
     /// routines in `dirty`, reusing the cached front-end structures and
     /// converged dataflow values of every clean routine.
     ///
-    /// `dirty` must contain every routine whose instruction words differ
-    /// from the program the cache last saw — exactly the set
-    /// `Rewriter::finish` returns. Routines that merely moved to a new
-    /// base address (because an earlier routine shrank) need not be
-    /// listed. If the cache is empty, or `dirty` names a routine whose
-    /// control-flow shape changed (which the optimizer's edits never do),
-    /// this transparently falls back to a from-scratch analysis.
+    /// `dirty` must contain every routine whose *content* differs from
+    /// the program the cache last saw — every routine that received an
+    /// edit, exactly the set `Rewriter::finish` returns. Layout is not
+    /// content: a routine that merely moved to a new base address, in
+    /// which a `bsr` displacement was recomputed across a shifted gap, or
+    /// in which a relocated `lda` immediate names the new address of
+    /// moved code need not be listed, as long as its calls still resolve
+    /// to the same `(routine, entry)` and its relocations to the same
+    /// instruction; such a routine is only rebased. If the cache is
+    /// empty, or `dirty` names a routine whose control-flow shape changed
+    /// (its summary points no longer match the cached PSG node for
+    /// node), this transparently falls back to a from-scratch analysis —
+    /// right after the dirty routines' CFGs are rebuilt, before any
+    /// further work.
     ///
     /// The result is bit-identical to [`analyze`](Self::analyze) on
     /// `program`: same summaries, same `memory_bytes`, same PSG. Only the
@@ -409,6 +425,20 @@ fn try_reanalyze(
         par_map(dirty.len(), workers, |i| RoutineCfg::build_structure(program, dirty[i]));
     let cfg_build = t.elapsed();
 
+    // Fail fast on a shape change. The node plan needs block structure
+    // only, so it is validated (and the cached node state patched) here,
+    // before any DEF/UBD or edge-plan work: an edit that moved a
+    // node-bearing block — a LICM preheader, a block a deletion emptied —
+    // gives up now instead of after every dirty routine was initialised
+    // and planned. What this accepts is exactly what it accepted when it
+    // ran after them (a vanished block behind the last call, branch and
+    // halt block renumbers nothing a node names).
+    let t = Instant::now();
+    for c in &rebuilt {
+        patch_routine_nodes(&mut psg, program, c, options)?;
+    }
+    let node_patch = t.elapsed();
+
     let t = Instant::now();
     par_for_each_mut(&mut rebuilt, workers, |c| c.init_def_ubd(program));
     let mut cfgs = cfg.into_cfgs();
@@ -416,8 +446,9 @@ fn try_reanalyze(
         let i = c.routine().index();
         cfgs[i] = c;
     }
-    // Clean routines kept their instruction words but may have shifted
-    // when an earlier routine shrank; follow the move.
+    // Clean routines kept their content (modulo relinked displacements
+    // and relocated immediates, which no cached structure holds) but may
+    // have shifted when an earlier routine shrank; follow the move.
     for (i, c) in cfgs.iter_mut().enumerate() {
         if !dirty_mask[i] {
             c.rebase(program.routines()[i].addr());
@@ -432,11 +463,8 @@ fn try_reanalyze(
         loop_stats[r.index()] = routine_loop_stats(cfg.routine_cfg(r));
     }
 
-    // --- Patch the PSG's dirty routines in place. ---
+    // --- Patch the PSG's dirty routines in place (nodes: done above). ---
     let t = Instant::now();
-    for &r in dirty {
-        patch_routine_nodes(&mut psg, program, cfg.routine_cfg(r), options)?;
-    }
     let edge_ranges = routine_edge_ranges(&psg, n_routines);
     let plans: Vec<RoutineEdgePlan> =
         par_map_with(dirty.len(), workers, FlowScratch::new, |scratch, i| {
@@ -446,7 +474,7 @@ fn try_reanalyze(
         let (lo, hi) = edge_ranges[r.index()];
         patch_routine_edges(&mut psg, r, plan, lo, hi)?;
     }
-    let psg_build = t.elapsed();
+    let psg_build = node_patch + t.elapsed();
 
     // --- Seeded fixpoint over the reset subspace. ---
     // Under the SCC-wave scheduler a seeded run schedules exactly the
@@ -896,6 +924,41 @@ mod tests {
         assert_eq!(a.stats.routines_reused, 0);
         let scratch = analyze_with(&q, &AnalysisOptions::default());
         assert_eq!(a.summary, scratch.summary);
+    }
+
+    #[test]
+    fn shape_change_falls_back_to_scratch() {
+        use spike_isa::{AluOp, BranchCond, Instruction};
+        let mut b = ProgramBuilder::new();
+        b.routine("main").def(Reg::A0).call("spin").put_int().halt();
+        b.routine("spin")
+            .label("top")
+            .op_imm(AluOp::Sub, Reg::A0, 1, Reg::A0)
+            .cond(BranchCond::Ne, Reg::A0, "top")
+            .call("leaf")
+            .ret();
+        b.routine("leaf").copy(Reg::A0, Reg::V0).ret();
+        let p = b.build().unwrap();
+        let mut cache = AnalysisCache::new(AnalysisOptions::default());
+        cache.analyze(&p);
+
+        // A preheader in front of the loop: the back edge bypasses it, so
+        // `spin` gains a block and the block its `Call`/`Return` nodes
+        // name is renumbered.
+        let spin = p.routine_by_name("spin").unwrap();
+        let top = p.routine(spin).addr();
+        let mut rw = Rewriter::new(&p);
+        rw.insert_before(top, vec![Instruction::Lda { rd: Reg::T0, base: Reg::ZERO, disp: 1 }]);
+        rw.bypass(top + 1);
+        let (q, dirty) = rw.finish().unwrap();
+        assert_eq!(dirty, vec![spin]);
+
+        let a = cache.reanalyze(&q, &dirty);
+        assert_eq!((a.stats.routines_reanalyzed, a.stats.routines_reused), (3, 0));
+        let scratch = analyze_with(&q, &AnalysisOptions::default());
+        assert_eq!(a.summary, scratch.summary);
+        assert_eq!(a.psg, scratch.psg);
+        assert_eq!(a.stats.memory_bytes, scratch.stats.memory_bytes);
     }
 
     #[test]

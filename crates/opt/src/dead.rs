@@ -8,13 +8,13 @@
 //! it (call-used, Figure 1(b)). A traditional compiler, seeing one module
 //! at a time, must assume both are live.
 
-use std::collections::BTreeSet;
-
+use spike_cfg::BlockId;
+use spike_core::worklist::PriorityWorklist;
 use spike_core::Analysis;
-use spike_isa::Instruction;
-use spike_program::Program;
+use spike_isa::{Instruction, RegSet};
+use spike_program::{Program, Routine, RoutineId};
 
-use crate::liveness::{routine_liveness, step_back};
+use crate::liveness::{call_at, step_back, LivenessFrame, RoutineLiveness};
 
 /// Whether deleting `insn` can never change observable behaviour when its
 /// results are dead: pure register computations and loads (our machine
@@ -32,12 +32,126 @@ fn is_pure(insn: &Instruction) -> bool {
 }
 
 /// Finds all dead instructions, cascading (a deleted def can make its
-/// operands' defs dead) until no more are found. Returns the set of dead
-/// instruction addresses; the caller applies them with a
-/// [`spike_program::Rewriter`].
-pub(crate) fn find_dead(program: &Program, analysis: &Analysis) -> BTreeSet<u32> {
-    let mut dead: BTreeSet<u32> = BTreeSet::new();
+/// operands' defs dead) until no more are found. Returns the dead
+/// instruction addresses in ascending order; the caller applies them with
+/// a [`spike_program::Rewriter`].
+///
+/// "Deletable given the dead set `D`" is monotone in `D` — deleting more
+/// only removes uses, which only shrinks liveness — so the closure the
+/// cascade computes is unique whatever order it finds its members in.
+/// That is what makes the change-driven rounds of [`routine_dead`] exact.
+pub(crate) fn find_dead(program: &Program, analysis: &Analysis) -> Vec<u32> {
+    let mut dead = Vec::new();
+    for (rid, routine) in program.iter() {
+        routine_dead(program, analysis, rid, routine, &mut dead);
+    }
+    dead
+}
 
+/// The cascade over one routine; appends its dead addresses to `out`.
+///
+/// Everything that does not depend on the dead set is built once: the
+/// [`LivenessFrame`], each instruction's backward step as a `gen`/`pass`
+/// pair, and the definitions whose deadness makes it deletable. A round
+/// then re-solves block liveness over that structure (from ∅ — see
+/// [`LivenessFrame::solve`]), re-scans only the blocks whose `live_end`
+/// differs from the one they were last scanned with, and recomposes
+/// `gen`/`pass` only for the blocks that gained a deletion. One backward
+/// scan takes a block to its local fixpoint for a given `live_end` (a
+/// deletion changes what is live *before* it, never after), so a block
+/// whose `live_end` did not move has nothing new to offer.
+fn routine_dead(
+    program: &Program,
+    analysis: &Analysis,
+    rid: RoutineId,
+    routine: &Routine,
+    out: &mut Vec<u32>,
+) {
+    let cfg = analysis.cfg.routine_cfg(rid);
+    let blocks = cfg.blocks();
+    let base = routine.addr();
+    let frame = LivenessFrame::new(program, analysis, rid);
+
+    // Per instruction: its step `x ↦ gen ∪ (x ∩ pass)` (a gen/kill
+    // function is pinned by its values at ∅ and ⊤), and `defs` if it is
+    // deletable once they are dead, ∅ if it never is.
+    let mut gen = Vec::with_capacity(routine.len());
+    let mut pass = Vec::with_capacity(routine.len());
+    let mut deletable = Vec::with_capacity(routine.len());
+    for (bi, block) in blocks.iter().enumerate() {
+        for addr in block.start()..block.end() {
+            let insn = &routine.insns()[(addr - base) as usize];
+            let cs = call_at(analysis, rid, bi, block, addr);
+            gen.push(step_back(RegSet::EMPTY, insn, cs.as_ref()));
+            pass.push(step_back(RegSet::ALL, insn, cs.as_ref()));
+            deletable.push(if is_pure(insn) { insn.defs() } else { RegSet::EMPTY });
+        }
+    }
+    debug_assert_eq!(gen.len(), routine.len(), "blocks partition the routine in address order");
+    for &addr in program.relocations().range(base..routine.end_addr()).map(|(a, _)| a) {
+        deletable[(addr - base) as usize] = RegSet::EMPTY;
+    }
+
+    let mut dead = vec![false; routine.len()];
+    let span = |bi: usize| {
+        let b = &blocks[bi];
+        (b.start() - base) as usize..(b.end() - base) as usize
+    };
+    // A block's composed step, skipping its dead instructions.
+    let compose = |bi: usize, dead: &[bool]| {
+        span(bi).rev().filter(|&i| !dead[i]).fold((RegSet::EMPTY, RegSet::ALL), |(g, p), i| {
+            (gen[i] | (g & pass[i]), gen[i] | (p & pass[i]))
+        })
+    };
+    let (mut block_gen, mut block_pass): (Vec<RegSet>, Vec<RegSet>) =
+        (0..blocks.len()).map(|bi| compose(bi, &dead)).unzip();
+
+    let mut live = RoutineLiveness::empty(blocks.len());
+    let mut wl = PriorityWorklist::new(blocks.len());
+    // The `live_end` each block was last scanned with.
+    let mut scanned: Vec<Option<RegSet>> = vec![None; blocks.len()];
+    loop {
+        frame.solve(&block_gen, &block_pass, &mut live, &mut wl);
+        let mut found = false;
+        for bi in 0..blocks.len() {
+            let end = live.live_end(BlockId::from_index(bi));
+            if scanned[bi].replace(end) == Some(end) {
+                continue;
+            }
+            let mut l = end;
+            let mut gained = false;
+            for i in span(bi).rev() {
+                if dead[i] {
+                    continue;
+                }
+                if !deletable[i].is_empty() && deletable[i].is_disjoint(l) {
+                    // Its uses no longer keep anything live.
+                    dead[i] = true;
+                    gained = true;
+                } else {
+                    l = gen[i] | (l & pass[i]);
+                }
+            }
+            if gained {
+                (block_gen[bi], block_pass[bi]) = compose(bi, &dead);
+                found = true;
+            }
+        }
+        if !found {
+            break;
+        }
+    }
+    out.extend(dead.iter().enumerate().filter(|(_, &d)| d).map(|(i, _)| base + i as u32));
+}
+
+/// The cascade `find_dead` replaced, kept as the oracle for it: every
+/// round re-derives the routine's liveness from nothing with the dead set
+/// as an ignore mask and re-scans every block.
+#[cfg(test)]
+fn find_dead_reference(program: &Program, analysis: &Analysis) -> std::collections::BTreeSet<u32> {
+    use crate::liveness::routine_liveness;
+
+    let mut dead = std::collections::BTreeSet::new();
     for (rid, routine) in program.iter() {
         let cfg = analysis.cfg.routine_cfg(rid);
         loop {
@@ -45,7 +159,7 @@ pub(crate) fn find_dead(program: &Program, analysis: &Analysis) -> BTreeSet<u32>
             let mut found = false;
 
             for (bi, block) in cfg.blocks().iter().enumerate() {
-                let b = spike_cfg::BlockId::from_index(bi);
+                let b = BlockId::from_index(bi);
                 let mut l = live.live_end(b);
                 for addr in (block.start()..block.end()).rev() {
                     if dead.contains(&addr) {
@@ -116,7 +230,7 @@ mod tests {
         let p = b.build().unwrap();
         let dead = find_dead(&p, &analyze(&p));
         let base = p.routines()[0].addr();
-        assert_eq!(dead, [base + 1].into_iter().collect());
+        assert_eq!(dead, [base + 1]);
     }
 
     /// Values that feed observable output stay: the argument is call-used
@@ -161,5 +275,31 @@ mod tests {
             .halt();
         let p = b.build().unwrap();
         assert_eq!(dead_count(&p), 0);
+    }
+
+    #[test]
+    fn change_driven_cascade_equals_the_reference() {
+        let check = |p: &Program, what: &str| {
+            let a = analyze(p);
+            let new = find_dead(p, &a);
+            let reference: Vec<u32> = find_dead_reference(p, &a).into_iter().collect();
+            assert!(!reference.is_empty(), "{what}: nothing dead, nothing compared");
+            assert!(
+                new == reference,
+                "{what}: {} dead against the reference's {}, first difference {:?}",
+                new.len(),
+                reference.len(),
+                new.iter().zip(&reference).find(|(a, b)| a != b)
+            );
+        };
+        for profile in spike_synth::profiles() {
+            for seed in [3, 17] {
+                let p = spike_synth::generate(&profile, 25.0 / profile.routines as f64, seed);
+                check(&p, &format!("{} seed {seed}", profile.name));
+            }
+        }
+        for seed in 0..24 {
+            check(&spike_synth::generate_executable(seed, 12), &format!("executable seed {seed}"));
+        }
     }
 }

@@ -260,7 +260,7 @@ fn collect_edits(
         Pass::Dead => {
             let dead = dead::find_dead(program, analysis);
             report.dead_deleted += dead.len();
-            edits.deletes.extend(dead.iter().copied());
+            edits.deletes = dead;
         }
     }
     edits
@@ -319,6 +319,14 @@ pub fn optimize_with(
     // the cached analysis is still exact and is reused wholesale.
     let mut pending: Vec<RoutineId> = Vec::new();
     let mut edited = false;
+    // Profile counts are keyed by address, so they only apply to the
+    // image that was profiled: the fingerprint is checked once, against
+    // the input, and the profile is dropped at the first landed edit,
+    // after which LICM and spill weighting use their static rules.
+    let mut profile = options
+        .profile
+        .as_ref()
+        .filter(|p| (options.licm || options.spills) && p.matches(&program.to_image()));
 
     let max_rounds = if options.iterate { MAX_ROUNDS } else { 1 };
     for _ in 0..max_rounds {
@@ -333,14 +341,8 @@ pub fn optimize_with(
                 };
                 report.routines_reanalyzed += analysis.stats.routines_reanalyzed;
                 report.routines_reused += analysis.stats.routines_reused;
-                // Profile counts are keyed by address, so they only apply
-                // while the program is still byte-identical to the image
-                // that was profiled; once any pass edits, LICM and spill
-                // weighting fall back to their static rules.
                 let profile = match pass {
-                    Pass::Licm | Pass::Spills => {
-                        options.profile.as_ref().filter(|p| p.matches(&current.to_image()))
-                    }
+                    Pass::Licm | Pass::Spills => profile,
                     _ => None,
                 };
                 collect_edits(pass, &current, analysis, profile, &mut report)
@@ -364,6 +366,7 @@ pub fn optimize_with(
             let (next, changed) = rw.finish()?;
             current = Cow::Owned(next);
             pending = changed;
+            profile = None;
             edited = true;
             round_edited = true;
         }

@@ -7,7 +7,7 @@
 //! computation, with the call-summary/exit values drawn from a completed
 //! [`spike_core::Analysis`].
 
-use spike_cfg::{BlockId, TermKind};
+use spike_cfg::{BasicBlock, BlockId, FlowArcs, TermKind};
 use spike_core::worklist::PriorityWorklist;
 use spike_core::{Analysis, CallSiteSummary};
 use spike_isa::{Instruction, RegSet};
@@ -23,6 +23,14 @@ pub struct RoutineLiveness {
 }
 
 impl RoutineLiveness {
+    /// Nothing live anywhere, over `blocks` blocks.
+    pub(crate) fn empty(blocks: usize) -> RoutineLiveness {
+        RoutineLiveness {
+            live_in: vec![RegSet::EMPTY; blocks],
+            live_end: vec![RegSet::EMPTY; blocks],
+        }
+    }
+
     /// Registers live at the entry of `b`.
     pub fn live_in(&self, b: BlockId) -> RegSet {
         self.live_in[b.index()]
@@ -50,9 +58,105 @@ pub fn step_back(live_after: RegSet, insn: &Instruction, call: Option<&CallSiteS
     }
 }
 
+/// The instruction-independent half of one routine's liveness problem,
+/// built once per routine: flow arcs, the postorder ranks the worklist
+/// pops by, and what is live after each block that flow leaves the
+/// routine through. Every [`LivenessFrame::solve`] is then a walk over
+/// it — which is what lets the dead-code cascade re-solve once per round
+/// without rebuilding any of this.
+pub(crate) struct LivenessFrame {
+    // Field order is drop order, and it is measured, not incidental:
+    // `spike-lint` calls `routine_liveness` once per routine and pushes
+    // long-lived diagnostics right after each call, which glibc carves
+    // out of the chunks freed here. Freeing `arcs` before `rank` raised
+    // the peak RSS of the `analyze-mid` benchmark from ≈ 153 to ≈ 180 MB
+    // (EXPERIMENTS.md, PR 18); this order is the one the locals of the
+    // old monolithic function were dropped in.
+    /// Successors before their readers (a call block reads its return
+    /// point).
+    rank: Vec<u32>,
+    arcs: FlowArcs,
+    boundary: Vec<RegSet>,
+}
+
+impl LivenessFrame {
+    pub(crate) fn new(program: &Program, analysis: &Analysis, rid: RoutineId) -> LivenessFrame {
+        let cfg = analysis.cfg.routine_cfg(rid);
+        let n = cfg.blocks().len();
+        let mut boundary = vec![RegSet::EMPTY; n];
+        for (bi, block) in cfg.blocks().iter().enumerate() {
+            let b = BlockId::from_index(bi);
+            boundary[bi] = match block.term() {
+                TermKind::Ret => {
+                    let i = cfg.exits().iter().position(|&x| x == b).expect("exit block");
+                    analysis.summary.routine(rid).live_at_exit[i]
+                }
+                TermKind::UnknownJump => {
+                    program.jump_hint(block.term_addr()).unwrap_or(RegSet::ALL)
+                }
+                _ => RegSet::EMPTY,
+            };
+        }
+        let arcs = cfg.flow_arcs();
+        let rank = arcs.rpo_ranks(cfg.entries()).iter().map(|&r| n as u32 - 1 - r).collect();
+        LivenessFrame { arcs, rank, boundary }
+    }
+
+    /// Solves `live_in = gen ∪ (live_end ∩ pass)` for the per-block
+    /// `gen`/`pass` into `live`, as the **least** fixpoint from ∅. It
+    /// always restarts from ∅: liveness round a loop sustains itself, so
+    /// continuing downward from an earlier, larger solution after `gen`
+    /// shrank would keep registers live that nothing reads any more.
+    pub(crate) fn solve(
+        &self,
+        gen: &[RegSet],
+        pass: &[RegSet],
+        live: &mut RoutineLiveness,
+        wl: &mut PriorityWorklist,
+    ) {
+        live.live_in.fill(RegSet::EMPTY);
+        live.live_end.fill(RegSet::EMPTY);
+        for (bi, &r) in self.rank.iter().enumerate() {
+            wl.push(bi, r);
+        }
+        while let Some(bi) = wl.pop() {
+            let b = BlockId::from_index(bi);
+            let end = self
+                .arcs
+                .succs(b)
+                .iter()
+                .fold(self.boundary[bi], |acc, s| acc | live.live_in[s.index()]);
+            live.live_end[bi] = end;
+            let live_in = gen[bi] | (end & pass[bi]);
+            if live_in != live.live_in[bi] {
+                live.live_in[bi] = live_in;
+                for &p in self.arcs.preds(b) {
+                    wl.push(p.index(), self.rank[p.index()]);
+                }
+            }
+        }
+    }
+}
+
+/// The summary to step the instruction at `addr` of block `bi` back
+/// with: the block's call-site summary at its call terminator, nothing
+/// anywhere else.
+pub(crate) fn call_at(
+    analysis: &Analysis,
+    rid: RoutineId,
+    bi: usize,
+    block: &BasicBlock,
+    addr: u32,
+) -> Option<CallSiteSummary> {
+    if addr == block.term_addr() {
+        analysis.summary.call_site(&analysis.cfg, rid, BlockId::from_index(bi))
+    } else {
+        None
+    }
+}
+
 /// Computes per-block liveness for routine `rid`, optionally treating the
-/// addresses in `ignore` as deleted (their uses and defs are skipped) —
-/// used by the dead-code pass to cascade without rebuilding the program.
+/// addresses in `ignore` as deleted (their uses and defs are skipped).
 pub fn routine_liveness(
     program: &Program,
     analysis: &Analysis,
@@ -69,57 +173,22 @@ pub fn routine_liveness(
     // its values at ∅ and ⊤.
     let mut gen = vec![RegSet::EMPTY; n];
     let mut pass = vec![RegSet::ALL; n];
-    // What is live after a block that flow leaves the routine through.
-    let mut boundary = vec![RegSet::EMPTY; n];
     for (bi, block) in cfg.blocks().iter().enumerate() {
-        let b = BlockId::from_index(bi);
         for addr in (block.start()..block.end()).rev() {
             if ignore(addr) {
                 continue;
             }
             let insn = routine.insn_at(addr).expect("address in routine");
-            let cs = if addr == block.term_addr() && insn.is_call() {
-                analysis.summary.call_site(&analysis.cfg, rid, b)
-            } else {
-                None
-            };
+            let cs = call_at(analysis, rid, bi, block, addr);
             gen[bi] = step_back(gen[bi], insn, cs.as_ref());
             pass[bi] = step_back(pass[bi], insn, cs.as_ref());
         }
-        boundary[bi] = match block.term() {
-            TermKind::Ret => {
-                let i = cfg.exits().iter().position(|&x| x == b).expect("exit block");
-                analysis.summary.routine(rid).live_at_exit[i]
-            }
-            TermKind::UnknownJump => program.jump_hint(block.term_addr()).unwrap_or(RegSet::ALL),
-            _ => RegSet::EMPTY,
-        };
     }
 
-    // Least fixpoint from ∅, successors before their readers: postorder
-    // of the flow graph (a call block reads its return point).
-    let arcs = cfg.flow_arcs();
-    let rank: Vec<u32> = arcs.rpo_ranks(cfg.entries()).iter().map(|&r| n as u32 - 1 - r).collect();
-    let mut live_in = vec![RegSet::EMPTY; n];
-    let mut live_end = vec![RegSet::EMPTY; n];
-    let mut wl = PriorityWorklist::new(n);
-    for (bi, &r) in rank.iter().enumerate() {
-        wl.push(bi, r);
-    }
-    while let Some(bi) = wl.pop() {
-        let b = BlockId::from_index(bi);
-        let end = arcs.succs(b).iter().fold(boundary[bi], |acc, s| acc | live_in[s.index()]);
-        live_end[bi] = end;
-        let live = gen[bi] | (end & pass[bi]);
-        if live != live_in[bi] {
-            live_in[bi] = live;
-            for &p in arcs.preds(b) {
-                wl.push(p.index(), rank[p.index()]);
-            }
-        }
-    }
-
-    RoutineLiveness { live_in, live_end }
+    let frame = LivenessFrame::new(program, analysis, rid);
+    let mut live = RoutineLiveness::empty(n);
+    frame.solve(&gen, &pass, &mut live, &mut PriorityWorklist::new(n));
+    live
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -169,15 +170,22 @@ impl<'a> Rewriter<'a> {
 
     /// Compacts and relinks the program.
     ///
-    /// Returns the rewritten program together with the set of routines
-    /// whose instruction words actually changed, in routine-id order:
-    /// routines with deletions or replacements, plus any routine an
-    /// instruction of which was relinked (a branch or call displacement
-    /// recomputed across a shifted gap, or a relocated `lda` immediate
-    /// pointing at moved code). Routines whose instructions are
-    /// bit-identical — even if their base address shifted — are not
-    /// reported; address shifts alone change no analysis-relevant
-    /// content.
+    /// Returns the rewritten program together with the routines that
+    /// *received an edit* — a deletion, replacement, insertion or bypass
+    /// — in routine-id order. That is the set whose analysis-relevant
+    /// content may differ; it is what
+    /// `spike_core::AnalysisCache::reanalyze` wants as its dirty set.
+    ///
+    /// A routine outside the set is **content-identical modulo layout**:
+    /// it may have moved to a new base address, the displacement of a
+    /// `bsr` in it may have been recomputed across a shifted gap, and the
+    /// immediate of a relocated `lda` may name the new address of moved
+    /// code, but every call still resolves to the same `(routine, entry)`
+    /// ([`Program::direct_call_target`]), every relocation still denotes
+    /// the same instruction, and no other word differs. None of that
+    /// feeds a dataflow fact (a relocated `lda` has base `zero` by
+    /// [`Program::new`]'s validation, so its value is a bare constant),
+    /// so such a routine is not reported.
     ///
     /// # Errors
     ///
@@ -185,24 +193,39 @@ impl<'a> Rewriter<'a> {
     /// instruction, terminator, relocated constant), a routine would
     /// become empty, a relocation overflows, or the relinked program
     /// fails validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a relocation record of the input program names an
+    /// address that holds no instruction (no builder or optimizer pass
+    /// produces one; [`Program::new`] does not check it).
     pub fn finish(&self) -> Result<(Program, Vec<RoutineId>), RewriteError> {
         let p = self.program;
+        let slots = Slots::new(p);
+        // One flag byte per instruction slot; everything below tests
+        // these instead of searching the edit sets.
+        let mut flags = vec![0u8; slots.len()];
+        for &addr in p.relocations().keys() {
+            let (i, _) = slots.locate(addr).expect("validated relocation lies in a routine");
+            flags[i] |= RELOCATED;
+        }
 
         // Validate deletions.
         for &addr in &self.deleted {
-            let Some(insn) = p.insn_at(addr) else {
+            let Some((i, insn)) = slots.locate(addr) else {
                 return Err(RewriteError::NoSuchInstruction(addr));
             };
-            if insn.is_terminator() || p.relocations().contains_key(&addr) {
+            if insn.is_terminator() || flags[i] & RELOCATED != 0 {
                 return Err(RewriteError::NotDeletable(addr));
             }
+            flags[i] |= DELETED;
         }
         // Validate replacements: control flow must be untouched.
         for (&addr, new) in &self.replaced {
-            let Some(old) = p.insn_at(addr) else {
+            let Some((i, old)) = slots.locate(addr) else {
                 return Err(RewriteError::NoSuchInstruction(addr));
             };
-            if self.deleted.contains(&addr) {
+            if flags[i] & DELETED != 0 {
                 return Err(RewriteError::NotDeletable(addr));
             }
             let same_flow = match (old, new) {
@@ -217,129 +240,144 @@ impl<'a> Rewriter<'a> {
                 | (Instruction::Ret { .. }, Instruction::Ret { .. }) => true,
                 (a, b) => !a.is_terminator() && !b.is_terminator(),
             };
-            if !same_flow || p.relocations().contains_key(&addr) {
+            if !same_flow || flags[i] & RELOCATED != 0 {
                 return Err(RewriteError::NotDeletable(addr));
             }
+            flags[i] |= REPLACED;
         }
         // Validate insertions and bypasses.
         for (&addr, ins) in &self.inserted {
-            if p.insn_at(addr).is_none() {
+            let Some((i, _)) = slots.locate(addr) else {
                 return Err(RewriteError::NoSuchInstruction(addr));
-            }
+            };
             if ins.iter().any(|i| i.is_terminator()) {
                 return Err(RewriteError::NotInsertable(addr));
             }
+            flags[i] |= INSERTED;
         }
         for &addr in &self.bypassed {
-            match p.insn_at(addr) {
+            match slots.locate(addr) {
                 None => return Err(RewriteError::NoSuchInstruction(addr)),
-                Some(Instruction::Br { .. } | Instruction::CondBranch { .. }) => {}
+                Some((i, Instruction::Br { .. } | Instruction::CondBranch { .. })) => {
+                    flags[i] |= BYPASSED;
+                }
                 Some(_) => return Err(RewriteError::NotInsertable(addr)),
             }
         }
 
-        // Pass 1: assign new addresses. `fwd` maps every old address to
-        // the new address of the first emitted instruction at or after
-        // it (within its routine) — branch targets forward past deleted
-        // instructions and *into* code inserted before the target.
-        // `skip` maps each insertion address to the new address of the
-        // original instruction (or its surviving successor), which is
-        // where bypassing branches land.
-        let mut fwd: BTreeMap<u32, u32> = BTreeMap::new();
-        let mut skip: BTreeMap<u32, u32> = BTreeMap::new();
-        let mut new_bases = Vec::with_capacity(p.routines().len());
+        // Pass 1: assign new addresses. `fwd[i]` is the new address of
+        // the first emitted instruction at or after slot `i` (within its
+        // routine) — branch targets forward past deleted instructions
+        // and *into* code inserted before the target. `skip[i]`, read
+        // only at insertion points, is the new address of the original
+        // instruction (or its surviving successor), which is where
+        // bypassing branches land. The payloads of the edit maps are in
+        // address order, which is slot order, so each pass draws them
+        // from an iterator as it meets the flagged slots.
+        let mut fwd = vec![0u32; slots.len()];
+        let mut skip = vec![0u32; slots.len()];
+        let mut insertions = self.inserted.values();
         let mut next = BASE_ADDR;
-        for r in p.routines() {
-            new_bases.push(next);
-            let mut pending: Vec<u32> = Vec::new();
-            let mut pending_skip: Vec<u32> = Vec::new();
-            for old in r.addr()..r.end_addr() {
-                let inserted = self.inserted.get(&old);
-                if inserted.is_some() || !self.deleted.contains(&old) {
-                    for d in pending.drain(..) {
-                        fwd.insert(d, next);
-                    }
-                    for s in pending_skip.drain(..) {
-                        skip.insert(s, next);
-                    }
+        for (ri, r) in p.routines().iter().enumerate() {
+            let new_base = next;
+            let (lo, hi) = (slots.prefix[ri], slots.prefix[ri + 1]);
+            // Deleted slots from `unresolved` on forward to whatever is
+            // emitted next; so does the bypass target of an insertion
+            // point whose own instruction was deleted.
+            let mut unresolved = lo;
+            let mut unresolved_skip = None;
+            for i in lo..hi {
+                let (inserted, deleted) = (flags[i] & INSERTED != 0, flags[i] & DELETED != 0);
+                if deleted && !inserted {
+                    continue;
                 }
-                if let Some(ins) = inserted {
-                    fwd.insert(old, next);
+                fwd[unresolved..=i].fill(next);
+                if let Some(s) = unresolved_skip.take() {
+                    skip[s] = next;
+                }
+                unresolved = i + 1;
+                if inserted {
+                    let ins = insertions.next().expect("one payload per insertion point");
                     next += ins.len() as u32;
-                    if self.deleted.contains(&old) {
-                        // The original was deleted too: bypasses forward
-                        // to whatever is emitted next.
-                        pending_skip.push(old);
-                    } else {
-                        skip.insert(old, next);
-                        next += 1;
+                    if deleted {
+                        unresolved_skip = Some(i);
+                        continue;
                     }
-                } else if self.deleted.contains(&old) {
-                    pending.push(old);
-                } else {
-                    fwd.insert(old, next);
-                    next += 1;
+                    skip[i] = next;
                 }
+                next += 1;
             }
-            if !pending.is_empty() || !pending_skip.is_empty() {
+            if unresolved != hi || unresolved_skip.is_some() {
                 // Trailing deletions are impossible: terminators survive.
                 unreachable!("routine cannot end with deleted instructions");
             }
-            if next == new_bases[new_bases.len() - 1] {
+            if next == new_base {
                 return Err(RewriteError::EmptyRoutine(r.name().to_string()));
             }
         }
-        let map = |old: u32| -> u32 { fwd[&old] };
+        // Cross-routine targets — calls, relocations, known indirect-call
+        // lists — find their slot through the routine table.
+        let map = |old: u32| -> u32 {
+            fwd[slots.locate(old).expect("validated target is an instruction address").0]
+        };
 
         // Pass 2: rebuild routines with recomputed displacements.
         let mut routines = Vec::with_capacity(p.routines().len());
         let mut relocations = BTreeMap::new();
         let mut changed = Vec::new();
-        // Branches marked `bypass` resolve their target through `skip`,
-        // landing past any insertions at the target.
-        let map_branch = |branch: u32, target: u32| -> u32 {
-            if self.bypassed.contains(&branch) {
-                if let Some(&s) = skip.get(&target) {
-                    return s;
-                }
-            }
-            fwd[&target]
-        };
+        let mut insertions = self.inserted.values();
+        let mut replacements = self.replaced.values();
+        let mut relocated = p.relocations().values();
         for (ri, r) in p.routines().iter().enumerate() {
-            let mut insns = Vec::with_capacity(r.len());
-            for old in r.addr()..r.end_addr() {
-                if let Some(ins) = self.inserted.get(&old) {
-                    insns.extend(ins.iter().copied());
+            let lo = slots.prefix[ri];
+            // Branch targets stay inside the routine (a validation
+            // invariant). Branches marked `bypass` land past any
+            // insertion at the target.
+            let map_branch = |i: usize, target: u32| -> u32 {
+                let t = lo + target.wrapping_sub(r.addr()) as usize;
+                if flags[i] & BYPASSED != 0 && flags[t] & INSERTED != 0 {
+                    skip[t]
+                } else {
+                    fwd[t]
                 }
-                if self.deleted.contains(&old) {
+            };
+            let mut insns = Vec::with_capacity(r.len());
+            let mut edits = 0u8;
+            for (off, original) in r.insns().iter().enumerate() {
+                let i = lo + off;
+                let old = r.addr() + off as u32;
+                edits |= flags[i];
+                if flags[i] & INSERTED != 0 {
+                    insns.extend_from_slice(
+                        insertions.next().expect("one payload per insertion point"),
+                    );
+                }
+                if flags[i] & DELETED != 0 {
                     continue;
                 }
                 // With an insertion here, `fwd` points at the inserted
                 // code; the original instruction itself sits after it.
-                let new_addr = skip.get(&old).copied().unwrap_or_else(|| map(old));
-                let insn = self
-                    .replaced
-                    .get(&old)
-                    .copied()
-                    .unwrap_or_else(|| *r.insn_at(old).expect("address in routine"));
+                let new_addr = if flags[i] & INSERTED != 0 { skip[i] } else { fwd[i] };
+                let insn = if flags[i] & REPLACED != 0 {
+                    *replacements.next().expect("one payload per replacement")
+                } else {
+                    *original
+                };
+                let target_of = |disp: i32| old.wrapping_add(1).wrapping_add(disp as u32);
                 let relinked = match insn {
                     Instruction::Br { disp } => {
-                        let t = map_branch(old, old.wrapping_add(1).wrapping_add(disp as u32));
-                        Instruction::Br { disp: t as i64 as i32 - (new_addr as i32 + 1) }
+                        Instruction::Br { disp: relink(map_branch(i, target_of(disp)), new_addr) }
                     }
                     Instruction::Bsr { disp } => {
-                        Instruction::Bsr { disp: relink(old, disp, new_addr, &map) }
+                        Instruction::Bsr { disp: relink(map(target_of(disp)), new_addr) }
                     }
-                    Instruction::CondBranch { cond, ra, disp } => {
-                        let t = map_branch(old, old.wrapping_add(1).wrapping_add(disp as u32));
-                        Instruction::CondBranch {
-                            cond,
-                            ra,
-                            disp: t as i64 as i32 - (new_addr as i32 + 1),
-                        }
-                    }
-                    Instruction::Lda { rd, base, .. } if p.relocations().contains_key(&old) => {
-                        let target = map(p.relocations()[&old]);
+                    Instruction::CondBranch { cond, ra, disp } => Instruction::CondBranch {
+                        cond,
+                        ra,
+                        disp: relink(map_branch(i, target_of(disp)), new_addr),
+                    },
+                    Instruction::Lda { rd, base, .. } if flags[i] & RELOCATED != 0 => {
+                        let target = map(*relocated.next().expect("one record per relocated slot"));
                         relocations.insert(new_addr, target);
                         Instruction::Lda {
                             rd,
@@ -352,17 +390,13 @@ impl<'a> Rewriter<'a> {
                 };
                 insns.push(relinked);
             }
-            if insns.len() != r.len() || insns.iter().ne(r.insns().iter()) {
+            if edits & EDITED != 0 {
                 changed.push(RoutineId::from_index(ri));
             }
-            let entry_offsets: Vec<u32> = r.entry_addrs().map(|a| map(a) - map(r.addr())).collect();
-            routines.push(Routine::new(
-                r.name(),
-                map(r.addr()),
-                insns,
-                entry_offsets,
-                r.exported(),
-            ));
+            let new_base = fwd[lo];
+            let entry_offsets: Vec<u32> =
+                r.entry_offsets().iter().map(|&o| fwd[lo + o as usize] - new_base).collect();
+            routines.push(Routine::new(r.name(), new_base, insns, entry_offsets, r.exported()));
         }
 
         // Pass 3: remap auxiliary info.
@@ -400,11 +434,67 @@ impl<'a> Rewriter<'a> {
     }
 }
 
-/// Recomputes a branch displacement: resolve the old target, forward it
-/// through the address map, and re-express it relative to the new pc.
-fn relink(old_addr: u32, disp: i32, new_addr: u32, map: &impl Fn(u32) -> u32) -> i32 {
-    let old_target = old_addr.wrapping_add(1).wrapping_add(disp as u32);
-    let new_target = map(old_target);
+/// The slot's instruction is marked for deletion.
+const DELETED: u8 = 1 << 0;
+/// The slot's instruction is replaced.
+const REPLACED: u8 = 1 << 1;
+/// Code is inserted before the slot.
+const INSERTED: u8 = 1 << 2;
+/// The slot's branch bypasses insertions at its target.
+const BYPASSED: u8 = 1 << 3;
+/// The slot holds a relocated `lda` of the input program (not an edit).
+const RELOCATED: u8 = 1 << 4;
+/// The flags that make a routine *changed*.
+const EDITED: u8 = DELETED | REPLACED | INSERTED | BYPASSED;
+
+/// The relinker's instruction numbering: one *slot* per instruction in
+/// layout order, routine `r`'s instruction at offset `o` being slot
+/// `prefix[r] + o`. Tables indexed by slot are exactly as long as the
+/// program has instructions, however far apart its routines lie.
+struct Slots<'a> {
+    program: &'a Program,
+    /// `prefix[r]` = instructions in routines before `r`; one extra entry
+    /// holds the total.
+    prefix: Vec<usize>,
+    /// The routine the last lookup hit. Edit sets arrive in address order
+    /// and most targets are near their source, so checking it first
+    /// makes the common lookup constant-time; everything else falls back
+    /// to [`Program::routine_containing`]'s binary search.
+    last: Cell<usize>,
+}
+
+impl<'a> Slots<'a> {
+    fn new(program: &'a Program) -> Slots<'a> {
+        let mut prefix = Vec::with_capacity(program.routines().len() + 1);
+        let mut total = 0;
+        for r in program.routines() {
+            prefix.push(total);
+            total += r.len();
+        }
+        prefix.push(total);
+        Slots { program, prefix, last: Cell::new(0) }
+    }
+
+    /// Number of slots (instructions in the program).
+    fn len(&self) -> usize {
+        *self.prefix.last().expect("prefix always holds the total")
+    }
+
+    /// The slot and instruction at word address `addr`.
+    fn locate(&self, addr: u32) -> Option<(usize, &'a Instruction)> {
+        let routines = self.program.routines();
+        let mut ri = self.last.get();
+        if !routines[ri].contains_addr(addr) {
+            ri = self.program.routine_containing(addr)?.index();
+            self.last.set(ri);
+        }
+        let off = (addr - routines[ri].addr()) as usize;
+        Some((self.prefix[ri] + off, &routines[ri].insns()[off]))
+    }
+}
+
+/// Re-expresses a (new) branch target relative to the new pc.
+fn relink(new_target: u32, new_addr: u32) -> i32 {
     new_target as i64 as i32 - (new_addr as i32 + 1)
 }
 

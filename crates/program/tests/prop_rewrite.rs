@@ -2,6 +2,7 @@
 //! deletable instructions must yield a valid, correctly-relinked program.
 
 use proptest::prelude::*;
+use spike_isa::Instruction;
 use spike_program::{Program, Rewriter};
 
 fn deletable_addrs(p: &Program) -> Vec<u32> {
@@ -47,16 +48,34 @@ proptest! {
             q.total_instructions(),
             program.total_instructions() - deleted
         );
-        // Every routine with a deletion is reported changed (relinking may
-        // legitimately change further routines), in routine-id order.
-        for id in &edited {
-            prop_assert!(changed.contains(id), "routine {id:?} had deletions");
-        }
-        prop_assert!(changed.windows(2).all(|w| w[0] < w[1]), "changed set is sorted");
-        // A routine outside the changed set kept its instruction words.
+        // Exactly the routines with a deletion are reported changed, in
+        // routine-id order.
+        prop_assert_eq!(&changed, &edited.iter().copied().collect::<Vec<_>>());
+        // A routine outside the changed set kept its instruction words
+        // modulo relinked call displacements and relocated immediates,
+        // and every direct call in it resolves to the same
+        // `(routine, entry)`.
         for (id, r) in program.iter() {
-            if !changed.contains(&id) {
-                prop_assert_eq!(r.insns(), q.routine(id).insns());
+            if changed.contains(&id) {
+                continue;
+            }
+            let nr = q.routine(id);
+            prop_assert_eq!(r.len(), nr.len());
+            for (i, (old, new)) in r.insns().iter().zip(nr.insns()).enumerate() {
+                let (oa, na) = (r.addr() + i as u32, nr.addr() + i as u32);
+                match (old, new) {
+                    (Instruction::Bsr { .. }, Instruction::Bsr { .. }) => {
+                        prop_assert_eq!(program.direct_call_target(oa), q.direct_call_target(na));
+                    }
+                    (
+                        Instruction::Lda { rd: ord, base: ob, .. },
+                        Instruction::Lda { rd: nrd, base: nb, .. },
+                    ) if program.relocations().contains_key(&oa) => {
+                        prop_assert_eq!((ord, ob), (nrd, nb));
+                        prop_assert!(q.relocations().contains_key(&na));
+                    }
+                    _ => prop_assert_eq!(old, new),
+                }
             }
         }
         for ((_, a), (_, b)) in program.iter().zip(q.iter()) {

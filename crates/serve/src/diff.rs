@@ -10,6 +10,13 @@
 //! about a routine marks it changed, and any doubt about the program
 //! shape (routine count, names, entry routine) gives up entirely and
 //! reports the pair as incomparable.
+//!
+//! Identity is *content modulo layout*, the rule `Rewriter::finish` and
+//! `AnalysisCache::reanalyze` share: a `bsr` is its resolved
+//! `(routine, entry)`, not its displacement, and a relocated `lda` is the
+//! `(routine, offset)` its record denotes, not its immediate. An edit
+//! that shifts code therefore dirties the routine it landed in, not every
+//! caller across the shift.
 
 use std::collections::BTreeMap;
 
@@ -30,11 +37,10 @@ struct RoutineAux {
     indirect: Vec<(u32, NormalizedTargets)>,
     /// Live-register hints on unknown-target jumps: jump offset → set.
     jump_hints: Vec<(u32, spike_isa::RegSet)>,
-    /// Address-materialization records: instruction offset → encoded
-    /// word address. The encoded value equals the `lda` displacement (a
-    /// validation invariant), so for byte-identical routine bodies these
-    /// only differ if the record set itself changed.
-    relocations: Vec<(u32, u32)>,
+    /// Address-materialization records: instruction offset → the
+    /// instruction the record denotes, as `(routine index, offset)` (or
+    /// the raw address under `None` when it lies in no routine).
+    relocations: Vec<(u32, (Option<usize>, u32))>,
 }
 
 /// [`IndirectTargets`] with `Known` entry addresses made layout-free.
@@ -88,18 +94,46 @@ fn aux_by_routine(p: &Program) -> BTreeMap<usize, RoutineAux> {
     }
     for (&addr, &target) in p.relocations() {
         let (ri, off) = owner(addr);
-        out.entry(ri).or_default().relocations.push((off, target));
+        let denotes = match p.routine_containing(target) {
+            Some(rid) => (Some(rid.index()), target - p.routine(rid).addr()),
+            None => (None, target),
+        };
+        out.entry(ri).or_default().relocations.push((off, denotes));
     }
     out
 }
 
-/// Whether the direct calls in two byte-identical routine bodies resolve
-/// to the same callees. Equal instructions do not guarantee this: a `bsr`
-/// displacement is layout-relative, so when surrounding routines grow or
-/// shrink, an unchanged caller body can land on a different routine (or a
-/// different entrance of the same routine).
+/// Whether two routine bodies hold the same instructions modulo layout:
+/// word for word, except that a `bsr` may differ in its displacement and
+/// an `lda` that `aux` (the side tables of both routines, already found
+/// equal) records as relocated in its immediate. What those denote is
+/// compared elsewhere — calls by [`calls_resolve_identically`],
+/// relocations through that [`RoutineAux`] equality.
+fn same_body_modulo_layout(or: &Routine, nr: &Routine, aux: &RoutineAux) -> bool {
+    or.len() == nr.len()
+        && or.insns().iter().zip(nr.insns()).enumerate().all(|(i, (a, b))| {
+            a == b
+                || match (a, b) {
+                    (Instruction::Bsr { .. }, Instruction::Bsr { .. }) => true,
+                    (
+                        Instruction::Lda { rd: ard, base: abase, .. },
+                        Instruction::Lda { rd: brd, base: bbase, .. },
+                    ) => {
+                        (ard, abase) == (brd, bbase)
+                            && aux.relocations.binary_search_by_key(&i, |r| r.0 as usize).is_ok()
+                    }
+                    _ => false,
+                }
+        })
+}
+
+/// Whether the direct calls in two routine bodies that are equal modulo
+/// layout resolve to the same callees. Neither equal nor different
+/// displacements decide this: a `bsr` displacement is layout-relative, so
+/// when surrounding routines grow or shrink, an unchanged word can land
+/// on a different routine (or a different entrance of the same routine)
+/// and a relinked one on the same.
 fn calls_resolve_identically(old: &Program, new: &Program, or: &Routine, nr: &Routine) -> bool {
-    debug_assert_eq!(or.insns(), nr.insns());
     for (i, insn) in or.insns().iter().enumerate() {
         if let Instruction::Bsr { .. } = insn {
             // A routine based near the top of the address space can make
@@ -131,6 +165,16 @@ fn calls_resolve_identically(old: &Program, new: &Program, or: &Routine, nr: &Ro
 /// returns the dirty-routine ids (possibly empty, for a byte-level change
 /// that turned out to be dataflow-neutral, e.g. a pure layout shift); the
 /// set may be a superset of the truly changed routines, never a subset.
+///
+/// A routine is clean when its content is the same *modulo layout* — the
+/// contract of `AnalysisCache::reanalyze`'s dirty set: same entrance
+/// offsets, same side tables with every address made routine-relative,
+/// and the same instruction words except that a `bsr` may carry another
+/// displacement as long as it resolves to the same `(routine, entry)`,
+/// and a relocated `lda` another immediate as long as its record denotes
+/// the same `(routine, offset)`. Equal words are not enough either way:
+/// a call or relocation whose bytes are unchanged but which now denotes
+/// something else is dirty.
 pub fn diff_for_reanalysis(old: &Program, new: &Program) -> Option<Vec<RoutineId>> {
     if old.routines().len() != new.routines().len() || old.entry().index() != new.entry().index() {
         return None;
@@ -147,9 +191,11 @@ pub fn diff_for_reanalysis(old: &Program, new: &Program) -> Option<Vec<RoutineId
 
     let mut dirty = Vec::new();
     for (i, (or, nr)) in old.routines().iter().zip(new.routines()).enumerate() {
-        let body_equal = or.insns() == nr.insns() && or.entry_offsets() == nr.entry_offsets();
-        let aux_equal = old_aux.get(&i).unwrap_or(&empty) == new_aux.get(&i).unwrap_or(&empty);
-        let clean = body_equal && aux_equal && calls_resolve_identically(old, new, or, nr);
+        let (oa, na) = (old_aux.get(&i).unwrap_or(&empty), new_aux.get(&i).unwrap_or(&empty));
+        let clean = or.entry_offsets() == nr.entry_offsets()
+            && oa == na
+            && same_body_modulo_layout(or, nr, oa)
+            && calls_resolve_identically(old, new, or, nr);
         if !clean {
             dirty.push(RoutineId::from_index(i));
         }
@@ -229,21 +275,81 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_body_with_retargeted_call_is_dirty() {
-        // `helper` shrinks by one instruction, which shifts `leaf` down.
-        // `main`'s second call keeps its encoding semantics (the rewriter
-        // fixes displacements), so main's body changes; but the key
-        // property is that the diff never reports a caller clean while
-        // its resolved callee set changed.
-        let p = base_program();
-        let helper = p.routine_by_name("helper").unwrap();
-        let (q, _) = Rewriter::new(&p).delete(p.routine(helper).addr()).finish().unwrap();
-        let dirty = diff_for_reanalysis(&p, &q).unwrap();
-        for (rid, or) in p.iter() {
-            let nr = q.routine(rid);
-            if or.insns() == nr.insns() && !dirty.contains(&rid) {
-                assert!(calls_resolve_identically(&p, &q, or, nr));
-            }
-        }
+    fn shifting_delete_dirties_only_the_edited_routine() {
+        // `helper` shrinks by one instruction, which shifts `leaf` down:
+        // `main`'s call to `leaf` gets a new displacement and its
+        // relocated `lda` of `leaf`'s address a new immediate, but both
+        // denote what they did, so `main` is clean — the same answer the
+        // rewriter gives.
+        let mut b = ProgramBuilder::new();
+        b.routine("main").lda_routine(Reg::T0, "leaf").call("helper").call("leaf").halt();
+        b.routine("helper").def(Reg::T0).def(Reg::V0).ret();
+        b.routine("leaf").def(Reg::V0).ret();
+        let p = b.build().unwrap();
+        let (main, helper) = (p.routine_by_name("main").unwrap(), RoutineId::from_index(1));
+        let (q, changed) = Rewriter::new(&p).delete(p.routine(helper).addr()).finish().unwrap();
+        assert_ne!(p.routine(main).insns(), q.routine(main).insns(), "main was relinked");
+        assert_eq!(diff_for_reanalysis(&p, &q), Some(vec![helper]));
+        assert_eq!(changed, vec![helper]);
+    }
+
+    /// `main; r1; r2` with hand-chosen tails. `main` is `first`, `second`,
+    /// `halt` — the same words whatever follows it — where `first` is
+    /// either the relocated `lda t0, <main_end + 1>(zero)` or a plain
+    /// constant load with no record.
+    fn with_tail(
+        relocated: bool,
+        second: Instruction,
+        r1: Vec<Instruction>,
+        r1_entries: Vec<u32>,
+        r2: Vec<Instruction>,
+    ) -> Program {
+        let base = spike_program::BASE_ADDR;
+        let target = base + 4;
+        let first = Instruction::Lda { rd: Reg::T0, base: Reg::ZERO, disp: target as i16 };
+        let r2_addr = base + 3 + r1.len() as u32;
+        Program::new(
+            vec![
+                Routine::new("main", base, vec![first, second, Instruction::Halt], vec![0], true),
+                Routine::new("r1", base + 3, r1, r1_entries, false),
+                Routine::new("r2", r2_addr, r2, vec![0], false),
+            ],
+            BTreeMap::new(),
+            BTreeMap::new(),
+            BTreeMap::new(),
+            relocated.then_some((base, target)).into_iter().collect(),
+            RoutineId::from_index(0),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn same_words_denoting_something_else_are_dirty() {
+        let ret = Instruction::Ret { base: Reg::RA };
+        let def = Instruction::Lda { rd: Reg::V0, base: Reg::ZERO, disp: 1 };
+        let main = RoutineId::from_index(0);
+        let words = |p: &Program| p.routine(main).insns().to_vec();
+
+        // A retargeted call (and no relocation). Old: `main_end + 1` is
+        // `r2`. New: `r1` grew an instruction and an entrance there, so
+        // the unchanged `bsr` resolves to `(r1, 1)` instead of `(r2, 0)`.
+        let call = Instruction::Bsr { disp: 2 };
+        let old = with_tail(false, call, vec![ret], vec![0], vec![def, ret]);
+        let new = with_tail(false, call, vec![def, ret], vec![0, 1], vec![def, ret]);
+        assert_eq!(words(&old), words(&new));
+        assert!(diff_for_reanalysis(&old, &new).unwrap().contains(&main));
+
+        // A relocation whose `(routine, offset)` moved (and no call): the
+        // unchanged immediate denoted `(r2, 0)` and now denotes `(r1, 1)`.
+        let old = with_tail(true, def, vec![ret], vec![0], vec![def, ret]);
+        let new = with_tail(true, def, vec![def, ret], vec![0], vec![def, ret]);
+        assert_eq!(words(&old), words(&new));
+        assert!(diff_for_reanalysis(&old, &new).unwrap().contains(&main));
+
+        // The control: the same growth of `r1` with neither a call nor a
+        // record in `main` leaves `main` clean.
+        let old = with_tail(false, def, vec![ret], vec![0], vec![def, ret]);
+        let new = with_tail(false, def, vec![def, ret], vec![0], vec![def, ret]);
+        assert!(!diff_for_reanalysis(&old, &new).unwrap().contains(&main));
     }
 }

@@ -153,4 +153,47 @@ proptest! {
             edited.routines().len()
         );
     }
+
+    /// Dirty is *edited*, not *relinked*: deleting one instruction in the
+    /// first routine shifts every other routine and relinks every call
+    /// and relocation across the shift, yet the rewriter reports only
+    /// that routine, and re-analysing only that routine (everything else
+    /// is rebased) still equals a from-scratch run. The equalities are
+    /// spelled out — not left to `reanalyze`'s debug-build self-check —
+    /// so a release test run checks them too.
+    #[test]
+    fn shifting_delete_dirties_only_its_routine(program in arb_program()) {
+        let options = AnalysisOptions::default();
+        let mut cache = AnalysisCache::new(options.clone());
+        cache.analyze(&program);
+
+        let (first, routine) = program.iter().next().expect("programs are non-empty");
+        let victim = (routine.addr()..routine.end_addr()).find(|addr| {
+            let insn = routine.insn_at(*addr).expect("address in routine");
+            !insn.is_terminator()
+                && !program.relocations().contains_key(addr)
+                && !routine.entry_addrs().any(|e| e == *addr)
+        });
+        let Some(victim) = victim else {
+            return Ok(()); // a first routine with nothing deletable
+        };
+        let (edited, changed) = Rewriter::new(&program)
+            .delete(victim)
+            .finish()
+            .expect("delete relinks");
+        prop_assert_eq!(&changed, &vec![first]);
+        let relinked = program
+            .iter()
+            .skip(1)
+            .filter(|(rid, r)| r.insns() != edited.routine(*rid).insns())
+            .count();
+
+        let incremental = cache.reanalyze(&edited, &changed);
+        prop_assert_eq!(incremental.stats.routines_reanalyzed, 1, "{} relinked", relinked);
+        let scratch = analyze_with(&edited, &options);
+        prop_assert_eq!(&incremental.summary, &scratch.summary);
+        prop_assert_eq!(&incremental.psg, &scratch.psg);
+        prop_assert_eq!(&incremental.stack, &scratch.stack);
+        prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
+    }
 }
