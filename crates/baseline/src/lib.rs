@@ -39,6 +39,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 

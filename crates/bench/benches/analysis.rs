@@ -10,10 +10,6 @@
 //! * `incremental/<bench>/{scratch,incremental}` — the optimizer's pass
 //!   manager with from-scratch analysis per pass vs one cached
 //!   [`spike_core::AnalysisCache`] re-analyzing only dirty routines;
-//! * `phases/<bench>/{fifo,scc-wave,sparse}` — the chaotic FIFO fixpoint
-//!   engine vs the SCC-wave priority schedule for phases 1–2, solving
-//!   dense per-node sets, and vs the same schedule solving contracted
-//!   sparse def-use chains (the default);
 //! * `serve/{warm-analyze,warm-lint,stats}` — steady-state round-trips
 //!   against an in-process `spike-served` daemon: a warm cache hit pays
 //!   hashing, rendering and framing but no analysis, so this isolates
@@ -163,30 +159,6 @@ fn bench_opt(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_phases(c: &mut Criterion) {
-    let mut g = c.benchmark_group("phases");
-    g.sample_size(10);
-    for name in ["gcc", "sqlservr"] {
-        let p = profile(name).expect("known benchmark");
-        let program = generate(&p, SCALE, SEED);
-        // The fifo and scc-wave configurations pin the dense per-node
-        // representation so their series stay comparable across runs;
-        // `sparse` is the SCC-wave schedule solving over contracted
-        // def-use chains (the default).
-        for (label, scheduler, representation) in [
-            ("fifo", spike_core::Scheduler::Fifo, spike_core::Representation::Dense),
-            ("scc-wave", spike_core::Scheduler::SccWave, spike_core::Representation::Dense),
-            ("sparse", spike_core::Scheduler::SccWave, spike_core::Representation::Sparse),
-        ] {
-            let opts = AnalysisOptions { scheduler, representation, ..AnalysisOptions::default() };
-            g.bench_with_input(BenchmarkId::new(name, label), &program, |b, prog| {
-                b.iter(|| black_box(analyze_with(prog, &opts)))
-            });
-        }
-    }
-    g.finish();
-}
-
 fn bench_incremental(c: &mut Criterion) {
     let mut g = c.benchmark_group("incremental");
     g.sample_size(10);
@@ -285,7 +257,6 @@ criterion_group!(
     bench_stages,
     bench_parallel,
     bench_opt,
-    bench_phases,
     bench_incremental,
     bench_serve,
     bench_query

@@ -16,12 +16,6 @@
 //! The `incremental` section (not part of `all`) runs the optimizer with
 //! incremental re-analysis off and on, cross-checks bit-identical output
 //! programs, and writes the measurements to `BENCH_incremental.json`.
-//! The `phases` section (not part of `all`) compares the chaotic FIFO
-//! reference, the SCC-wave engine over dense per-node sets, and the
-//! default SCC-wave engine over sparse def-use chains on the two largest
-//! benchmarks, cross-checks bit-identical results at 1 and N workers for
-//! both representations, and writes the measurements to
-//! `BENCH_phases.json`.
 //! The `serve` section (not part of `all`) starts an in-process
 //! `spike-served` daemon, measures cold vs warm vs incremental-warm
 //! request throughput at 1/4/8 concurrent clients, cross-checks that
@@ -30,7 +24,7 @@
 //! The `queries` section (not part of `all`) measures the demand-driven
 //! query engine against the whole-program solve on gcc: per-routine cone
 //! solve time over a deterministic routine sample, cross-checked
-//! bit-identical to the dense solution slice, written to
+//! bit-identical to the whole-program solution slice, written to
 //! `BENCH_query.json`.
 //! The `pgo` section (not part of `all`) profiles all 16 benchmarks
 //! under the simulator, re-optimizes each with its profile, and counts
@@ -38,6 +32,8 @@
 //! output prefix; written to `BENCH_pgo.json`. It uses a fixed
 //! calibrated shape (scale 20/routines, seed 1) rather than `--scale`,
 //! matching the workspace PGO property tests.
+
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeSet;
 
@@ -78,7 +74,7 @@ fn main() {
                 println!(
                     "report [--scale S] [--seed N] [--baseline] [--threads N] \
                      [table1|table2|table3|table4|table5|fig13|fig14|fig15|opts|parallel|\
-                     incremental|phases|serve|serve_cluster|queries|pgo|all]"
+                     incremental|serve|serve_cluster|queries|pgo|all]"
                 );
                 return;
             }
@@ -95,7 +91,6 @@ fn main() {
                 "ablate",
                 "parallel",
                 "incremental",
-                "phases",
                 "serve",
                 "serve_cluster",
                 "queries",
@@ -124,7 +119,6 @@ fn main() {
                 | "ablate"
                 | "parallel"
                 | "incremental"
-                | "phases"
                 | "serve"
                 | "serve_cluster"
                 | "queries"
@@ -183,9 +177,6 @@ fn main() {
     }
     if sections.contains("incremental") {
         incremental_report(scale, seed, threads);
-    }
-    if sections.contains("phases") {
-        phases_report(scale, seed, threads);
     }
     if sections.contains("serve") {
         serve_report(scale, seed);
@@ -619,161 +610,11 @@ fn incremental_report(scale: f64, seed: u64, threads: usize) {
     }
 }
 
-/// Compares the chaotic FIFO reference, the SCC-wave schedule solving
-/// dense per-node sets, and the SCC-wave schedule solving contracted
-/// sparse def-use chains (the default). Cross-checks that all three
-/// engines — and both SCC-wave representations at 1 and N wave workers —
-/// produce bit-identical results, and records the visit reductions in
-/// `BENCH_phases.json`.
-fn phases_report(scale: f64, seed: u64, threads: usize) {
-    use spike_core::{analyze_with, AnalysisOptions, Representation, Scheduler};
-
-    let requested = spike_core::parallel::resolve_threads(threads);
-    println!("## Fixpoint scheduling: FIFO vs SCC-wave, dense vs sparse chains\n");
-    println!(
-        "{:<10} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8}",
-        "benchmark",
-        "routines",
-        "fifo p1",
-        "fifo p2",
-        "dense p1",
-        "dense p2",
-        "sparse p1",
-        "sparse p2",
-        "sched-x",
-        "sparse-x"
-    );
-
-    let mut rows = Vec::new();
-    for name in ["gcc", "sqlservr"] {
-        let p = spike_synth::profile(name).expect("known benchmark");
-        eprintln!("measuring {name} ...");
-        let program = spike_synth::generate(&p, scale, seed);
-
-        let run = |scheduler: Scheduler, representation: Representation, t: usize| {
-            analyze_with(
-                &program,
-                &AnalysisOptions {
-                    scheduler,
-                    representation,
-                    threads: t,
-                    ..AnalysisOptions::default()
-                },
-            )
-        };
-        let fifo = run(Scheduler::Fifo, Representation::Dense, 1);
-        let serial = run(Scheduler::SccWave, Representation::Dense, 1);
-        let wide = run(Scheduler::SccWave, Representation::Dense, requested);
-        let sparse = run(Scheduler::SccWave, Representation::Sparse, 1);
-        let sparse_wide = run(Scheduler::SccWave, Representation::Sparse, requested);
-
-        // The determinism contract, checked on real workloads: scheduler
-        // and representation are pure strategy, so summaries, the PSG
-        // solution and the deterministic memory accounting must be
-        // bit-identical whichever engine ran and however many workers
-        // solved the waves.
-        for (rid, r) in program.iter() {
-            assert_eq!(
-                fifo.summary.routine(rid),
-                serial.summary.routine(rid),
-                "fifo vs scheduled summary mismatch for {}",
-                r.name()
-            );
-            assert_eq!(
-                serial.summary.routine(rid),
-                wide.summary.routine(rid),
-                "threads=1 vs threads={requested} summary mismatch for {}",
-                r.name()
-            );
-            assert_eq!(
-                serial.summary.routine(rid),
-                sparse.summary.routine(rid),
-                "dense vs sparse summary mismatch for {}",
-                r.name()
-            );
-        }
-        assert_eq!(fifo.psg, serial.psg);
-        assert_eq!(serial.psg, wide.psg);
-        assert_eq!(serial.psg, sparse.psg, "dense vs sparse PSG mismatch");
-        assert_eq!(serial.psg, sparse_wide.psg, "dense vs wide sparse PSG mismatch");
-        assert_eq!(fifo.stats.memory_bytes, serial.stats.memory_bytes);
-        assert_eq!(serial.stats.memory_bytes, wide.stats.memory_bytes);
-        assert_eq!(serial.stats.memory_bytes, sparse.stats.memory_bytes);
-        // Wave workers partition the schedule rather than race for it,
-        // so the effort is also deterministic across worker counts, for
-        // both representations.
-        assert_eq!(serial.stats.phase1_visits, wide.stats.phase1_visits);
-        assert_eq!(serial.stats.phase2_visits, wide.stats.phase2_visits);
-        assert_eq!(serial.stats.waves, wide.stats.waves);
-        assert_eq!(sparse.stats.phase1_visits, sparse_wide.stats.phase1_visits);
-        assert_eq!(sparse.stats.phase2_visits, sparse_wide.stats.phase2_visits);
-        // The stack-slot dataflows ride the same schedule and are pure
-        // strategy-independent facts: identical results and effort
-        // whichever register engine ran alongside them.
-        assert_eq!(fifo.stack, serial.stack, "fifo vs scheduled stack mismatch");
-        assert_eq!(serial.stack, sparse.stack, "dense vs sparse stack mismatch");
-        assert_eq!(serial.stack, wide.stack, "serial vs wide stack mismatch");
-        assert_eq!(serial.stats.stack_forward_visits, wide.stats.stack_forward_visits);
-        assert_eq!(serial.stats.stack_backward_visits, wide.stats.stack_backward_visits);
-
-        let fifo_total = fifo.stats.phase1_visits + fifo.stats.phase2_visits;
-        let sched_total = serial.stats.phase1_visits + serial.stats.phase2_visits;
-        let sparse_total = sparse.stats.phase1_visits + sparse.stats.phase2_visits;
-        let reduction = fifo_total as f64 / sched_total.max(1) as f64;
-        let sparse_reduction = sched_total as f64 / sparse_total.max(1) as f64;
-        println!(
-            "{:<10} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>7.2}x {:>7.2}x",
-            name,
-            program.routines().len(),
-            fifo.stats.phase1_visits,
-            fifo.stats.phase2_visits,
-            serial.stats.phase1_visits,
-            serial.stats.phase2_visits,
-            sparse.stats.phase1_visits,
-            sparse.stats.phase2_visits,
-            reduction,
-            sparse_reduction,
-        );
-        rows.push(format!(
-            "    {{\"benchmark\": \"{name}\", \"routines\": {}, \"scale\": {scale}, \
-             \"fifo_phase1_visits\": {}, \"fifo_phase2_visits\": {}, \
-             \"sched_phase1_visits\": {}, \"sched_phase2_visits\": {}, \
-             \"sparse_phase1_visits\": {}, \"sparse_phase2_visits\": {}, \
-             \"slot_forward_visits\": {}, \"slot_backward_visits\": {}, \
-             \"visit_reduction\": {reduction:.3}, \
-             \"sparse_reduction\": {sparse_reduction:.3}, \"waves\": {}, \
-             \"phase_workers\": {}, \"results_identical\": true}}",
-            program.routines().len(),
-            fifo.stats.phase1_visits,
-            fifo.stats.phase2_visits,
-            serial.stats.phase1_visits,
-            serial.stats.phase2_visits,
-            sparse.stats.phase1_visits,
-            sparse.stats.phase2_visits,
-            serial.stats.stack_forward_visits,
-            serial.stats.stack_backward_visits,
-            wide.stats.waves,
-            wide.stats.phase_workers,
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"requested_threads\": {requested},\n  \
-         \"available_parallelism\": {},\n  \"seed\": {seed},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        spike_core::parallel::resolve_threads(0),
-        rows.join(",\n"),
-    );
-    match std::fs::write("BENCH_phases.json", &json) {
-        Ok(()) => println!("\n  wrote BENCH_phases.json\n"),
-        Err(e) => eprintln!("cannot write BENCH_phases.json: {e}"),
-    }
-}
-
 /// Measures the demand-driven query engine on gcc: the one-time engine
 /// build, then the marginal cone solve for `live-at-entry` on each of a
 /// deterministic sample of routines, each cross-checked bit-identical to
 /// the corresponding slice of a whole-program solve. Writes the
-/// per-query latencies and the median speedup over the dense solve to
+/// per-query latencies and the median speedup over the whole-program solve to
 /// `BENCH_query.json`.
 fn queries_report(scale: f64, seed: u64, threads: usize) {
     use spike_core::{analyze_with, AnalysisOptions, Query, QueryAnswer, QueryEngine};
@@ -849,7 +690,7 @@ fn queries_report(scale: f64, seed: u64, threads: usize) {
         let query_secs = t.elapsed().as_secs_f64();
 
         // The exactness contract, checked on the measured workload: the
-        // demand answer is the bit-identical slice of the dense solve.
+        // demand answer is the bit-identical slice of the whole-program solve.
         let s = full.summary.routine(rid);
         let QueryAnswer::LiveAtEntry { live_at_entry, live_at_exit } = answer else {
             panic!("liveness query must return a liveness answer");

@@ -34,6 +34,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use spike_cfg::{CallTarget, ProgramCfg, TermKind};
@@ -232,24 +234,18 @@ impl Sccs {
         &self.comps
     }
 
-    /// Condenses the call graph into its SCC DAG and computes wave
-    /// levels for scheduled fixpoint evaluation.
+    /// Condenses the call graph into its SCC DAG.
     pub fn condense(&self, graph: &CallGraph) -> Condensation {
         Condensation::build(graph, self)
     }
 }
 
 /// The call graph's condensation: one vertex per strongly-connected
-/// component, plus the *wave levels* a scheduled fixpoint engine solves
-/// the components in.
-///
-/// A component's **bottom-up level** is the length of the longest callee
-/// chain below it (0 for leaves); its **top-down level** is the longest
-/// caller chain above it (0 for roots). Components that share a level
-/// have no call edges between them — an edge always separates levels —
-/// so every level is a *wave* of mutually independent components:
-/// phase 1 solves the bottom-up waves in order, phase 2 the top-down
-/// waves, and the components inside one wave can be solved in parallel.
+/// component, with the component-level call edges in both directions.
+/// Tarjan emits components callees-first, so a component's callees have
+/// smaller indices and its callers larger ones. The demand-driven engine
+/// (`spike_core::QueryEngine`) walks it to collect the caller and callee
+/// cones of a query target.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Condensation {
     sccs: Sccs,
@@ -258,15 +254,6 @@ pub struct Condensation {
     callee_comps: Vec<Vec<usize>>,
     /// Per component: the components that call it.
     caller_comps: Vec<Vec<usize>>,
-    /// Per component: its bottom-up wave level.
-    level_bottom_up: Vec<usize>,
-    /// Per component: its top-down wave level.
-    level_top_down: Vec<usize>,
-    /// Component indices grouped by bottom-up level (ascending inside a
-    /// wave).
-    waves_bottom_up: Vec<Vec<usize>>,
-    /// Component indices grouped by top-down level.
-    waves_top_down: Vec<Vec<usize>>,
 }
 
 impl Condensation {
@@ -284,6 +271,7 @@ impl Condensation {
             callees.sort_unstable();
             callees.dedup();
             for &d in &callees {
+                debug_assert!(d < c, "callee components precede their callers");
                 caller_comps[d].push(c);
             }
             callee_comps[c] = callees;
@@ -291,44 +279,7 @@ impl Condensation {
         for callers in &mut caller_comps {
             callers.sort_unstable();
         }
-
-        // Tarjan emits components callees-first, so both level relaxations
-        // are single passes: a component's callees have smaller indices
-        // and its callers larger ones.
-        let mut level_bottom_up = vec![0usize; nc];
-        for c in 0..nc {
-            for &d in &callee_comps[c] {
-                debug_assert!(d < c, "callee components precede their callers");
-                level_bottom_up[c] = level_bottom_up[c].max(level_bottom_up[d] + 1);
-            }
-        }
-        let mut level_top_down = vec![0usize; nc];
-        for c in (0..nc).rev() {
-            for &d in &caller_comps[c] {
-                debug_assert!(d > c, "caller components follow their callees");
-                level_top_down[c] = level_top_down[c].max(level_top_down[d] + 1);
-            }
-        }
-
-        let group = |levels: &[usize]| {
-            let waves = levels.iter().max().map_or(0, |&m| m + 1);
-            let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); waves];
-            for (c, &l) in levels.iter().enumerate() {
-                grouped[l].push(c);
-            }
-            grouped
-        };
-        let waves_bottom_up = group(&level_bottom_up);
-        let waves_top_down = group(&level_top_down);
-        Condensation {
-            sccs: sccs.clone(),
-            callee_comps,
-            caller_comps,
-            level_bottom_up,
-            level_top_down,
-            waves_bottom_up,
-            waves_top_down,
-        }
+        Condensation { sccs: sccs.clone(), callee_comps, caller_comps }
     }
 
     /// The underlying components.
@@ -344,40 +295,6 @@ impl Condensation {
     /// The components that call into component `c`.
     pub fn caller_components(&self, c: usize) -> &[usize] {
         &self.caller_comps[c]
-    }
-
-    /// Component `c`'s bottom-up wave level.
-    pub fn level_bottom_up(&self, c: usize) -> usize {
-        self.level_bottom_up[c]
-    }
-
-    /// Component `c`'s top-down wave level.
-    pub fn level_top_down(&self, c: usize) -> usize {
-        self.level_top_down[c]
-    }
-
-    /// Number of waves (identical for both directions: each equals one
-    /// plus the longest path in the condensation DAG).
-    pub fn waves(&self) -> usize {
-        self.waves_bottom_up.len()
-    }
-
-    /// The widest wave (most mutually independent components in one
-    /// wave) — the available cross-component parallelism.
-    pub fn max_wave_width(&self) -> usize {
-        self.waves_bottom_up.iter().chain(&self.waves_top_down).map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Waves in callees-before-callers order: solving them in sequence
-    /// guarantees every callee component converges before any caller
-    /// component starts (phase 1).
-    pub fn waves_bottom_up(&self) -> &[Vec<usize>] {
-        &self.waves_bottom_up
-    }
-
-    /// Waves in callers-before-callees order (phase 2).
-    pub fn waves_top_down(&self) -> &[Vec<usize>] {
-        &self.waves_top_down
     }
 }
 
@@ -556,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn condensation_levels_separate_call_edges() {
+    fn condensation_edges_point_from_callers_to_callees() {
         let mut b = ProgramBuilder::new();
         b.routine("main").call("even").call("lib").halt();
         b.routine("even").call("odd").call("lib").ret();
@@ -570,30 +487,22 @@ mod tests {
         let comp = |n: &str| sccs.component_of(id(&p, n));
         // even/odd form one component; lib and island are leaves.
         assert_eq!(comp("even"), comp("odd"));
-        assert_eq!(cond.level_bottom_up(comp("lib")), 0);
-        assert_eq!(cond.level_bottom_up(comp("island")), 0);
-        assert_eq!(cond.level_bottom_up(comp("even")), 1);
-        assert_eq!(cond.level_bottom_up(comp("main")), 2);
-        assert_eq!(cond.level_top_down(comp("main")), 0);
-        assert_eq!(cond.level_top_down(comp("island")), 0);
-        assert_eq!(cond.level_top_down(comp("even")), 1);
-        assert_eq!(cond.level_top_down(comp("lib")), 2);
-        assert_eq!(cond.waves(), 3);
-        assert_eq!(cond.max_wave_width(), 2);
+        assert!(cond.callee_components(comp("lib")).is_empty());
+        assert!(cond.callee_components(comp("island")).is_empty());
+        assert!(cond.caller_components(comp("island")).is_empty());
+        assert_eq!(cond.callee_components(comp("even")), &[comp("lib")]);
+        let mut callers_of_lib = vec![comp("even"), comp("main")];
+        callers_of_lib.sort_unstable();
+        assert_eq!(cond.caller_components(comp("lib")), callers_of_lib);
 
-        // Every call edge separates wave levels in both directions.
+        // Callees are numbered before their callers, and the two edge
+        // directions mirror each other.
         for c in 0..sccs.components().len() {
             for &d in cond.callee_components(c) {
-                assert!(cond.level_bottom_up(c) > cond.level_bottom_up(d));
-                assert!(cond.level_top_down(c) < cond.level_top_down(d));
+                assert!(d < c);
                 assert!(cond.caller_components(d).contains(&c));
             }
         }
-        // Waves partition the components.
-        let total: usize = cond.waves_bottom_up().iter().map(Vec::len).sum();
-        assert_eq!(total, sccs.components().len());
-        let total: usize = cond.waves_top_down().iter().map(Vec::len).sum();
-        assert_eq!(total, sccs.components().len());
     }
 
     #[test]
@@ -609,28 +518,6 @@ mod tests {
         assert!(cond.callee_components(rec).is_empty());
         assert_eq!(cond.callee_components(main), &[rec]);
         assert_eq!(cond.caller_components(rec), &[main]);
-        assert_eq!(cond.waves(), 2);
-    }
-
-    #[test]
-    fn deep_chain_condensation_has_one_scc_per_wave() {
-        let n = 2_000;
-        let mut b = ProgramBuilder::new();
-        for i in 0..n {
-            let r = b.routine(&format!("r{i}"));
-            if i + 1 < n {
-                r.call(&format!("r{}", i + 1));
-            }
-            if i == 0 {
-                r.halt();
-            } else {
-                r.ret();
-            }
-        }
-        let (_, cg) = graph_of(&b);
-        let cond = cg.sccs().condense(&cg);
-        assert_eq!(cond.waves(), n);
-        assert_eq!(cond.max_wave_width(), 1);
     }
 
     #[test]

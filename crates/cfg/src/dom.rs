@@ -1,22 +1,15 @@
-//! Dominance over [`RoutineCfg`]: dominator trees, dominance frontiers
-//! and postdominators.
-//!
-//! The sparse dataflow representation (`spike-core`) contracts chains of
-//! PSG nodes whose values are closed-form functions of a downstream
-//! anchor; the soundness of a contraction is a *postdominance* fact (every
-//! terminating path from the node reaches the anchor's block), so this
-//! module provides the forward and backward dominator machinery over a
-//! routine's basic blocks — and it is the foundation the planned
-//! loop-aware optimizations (natural-loop detection, LICM) build on.
+//! Dominance over [`RoutineCfg`]: dominator trees and dominance
+//! frontiers — the foundation of the loop-aware optimizations
+//! (natural-loop detection in [`crate::loops`], LICM and spill placement
+//! in `spike-opt`).
 //!
 //! The construction is the Cooper–Harvey–Kennedy iterative algorithm
 //! ("A Simple, Fast Dominance Algorithm"): immediate dominators by
 //! intersection walks over postorder numbers, dominance frontiers from
 //! the join points' predecessor runs. Routines may have multiple
-//! entrances (alternate entry points, §2 of the paper) and multiple
-//! exit-like blocks (`ret`, `halt`, unrecovered indirect jumps), so both
-//! directions run from a *virtual root* fanning out to the root set; a
-//! root's immediate dominator is `None`.
+//! entrances (alternate entry points, §2 of the paper), so the build runs
+//! from a *virtual root* fanning out to the root set; a root's immediate
+//! dominator is `None`.
 //!
 //! A naive iterative reference (`dom[b] = {b} ∪ ⋂ dom[preds(b)]` to a
 //! fixpoint over full bit-matrices) lives in the test module and pins the
@@ -26,8 +19,8 @@
 use crate::block::BlockId;
 use crate::build::RoutineCfg;
 
-/// A dominator (or postdominator) tree plus dominance frontiers for one
-/// routine, built by [`DomTree::dominators`] / [`DomTree::postdominators`].
+/// A dominator tree plus dominance frontiers for one routine, built by
+/// [`DomTree::dominators`] / [`DomTree::dominators_linked`].
 #[derive(Clone, Debug)]
 pub struct DomTree {
     /// Immediate dominator per block; `None` for roots (their parent is
@@ -63,23 +56,6 @@ impl DomTree {
         let succs: Vec<&[BlockId]> = blocks.clone().map(|b| arcs.succs(b)).collect();
         let preds: Vec<&[BlockId]> = blocks.map(|b| arcs.preds(b)).collect();
         build(cfg.entries(), &succs, &preds)
-    }
-
-    /// Builds the postdominator tree and (post)dominance frontiers of
-    /// `cfg`: dominators of the reversed graph, rooted at every block
-    /// without successors — `ret` exits, `halt`s, unrecovered indirect
-    /// jumps, and non-returning calls. "a postdominates b" means every
-    /// path from `b` to the end of the routine passes through `a`;
-    /// blocks that reach no exit-like block (infinite loops) are
-    /// unreachable here.
-    pub fn postdominators(cfg: &RoutineCfg) -> DomTree {
-        let succs: Vec<&[BlockId]> = cfg.blocks().iter().map(|b| b.preds()).collect();
-        let preds: Vec<&[BlockId]> = cfg.blocks().iter().map(|b| b.succs()).collect();
-        let roots: Vec<BlockId> = (0..cfg.blocks().len())
-            .map(BlockId::from_index)
-            .filter(|&b| cfg.block(b).succs().is_empty())
-            .collect();
-        build(&roots, &succs, &preds)
     }
 
     /// The immediate dominator of `b`, or `None` when `b` is a root or
@@ -123,8 +99,7 @@ impl DomTree {
 
 /// The CHK core over an explicit adjacency, with a virtual root (index
 /// `n`) fanning out to `roots` so multi-entrance routines need no
-/// special cases. `succs`/`preds` follow the build direction (swapped
-/// for postdominators).
+/// special cases.
 fn build(roots: &[BlockId], succs: &[&[BlockId]], preds: &[&[BlockId]]) -> DomTree {
     let n = succs.len();
     let vroot = n as u32;
@@ -346,45 +321,26 @@ mod tests {
     }
 
     /// Compares CHK against the naive reference on every block pair of
-    /// one routine, both directions.
+    /// one routine.
     fn check_routine(cfg: &RoutineCfg) {
         let n = cfg.blocks().len();
         let succs: Vec<&[BlockId]> = cfg.blocks().iter().map(|b| b.succs()).collect();
         let preds: Vec<&[BlockId]> = cfg.blocks().iter().map(|b| b.preds()).collect();
-        let exit_roots: Vec<BlockId> =
-            (0..n).map(BlockId::from_index).filter(|&b| cfg.block(b).succs().is_empty()).collect();
-        for (tree, naive, roots, preds_dir) in [
-            (
-                DomTree::dominators(cfg),
-                NaiveDoms::build(cfg.entries(), &succs, &preds),
-                cfg.entries().to_vec(),
-                &preds,
-            ),
-            (
-                DomTree::postdominators(cfg),
-                NaiveDoms::build(&exit_roots, &preds, &succs),
-                exit_roots.clone(),
-                &succs,
-            ),
-        ] {
-            for a in 0..n {
-                let aid = BlockId::from_index(a);
-                assert_eq!(tree.is_reachable(aid), naive.reachable[a], "reachability of {aid:?}");
-                for b in 0..n {
-                    let bid = BlockId::from_index(b);
-                    assert_eq!(
-                        tree.dominates(aid, bid),
-                        naive.dominates(aid, bid),
-                        "dominates({aid:?}, {bid:?}) with roots {roots:?}"
-                    );
-                }
-                if tree.is_reachable(aid) {
-                    assert_eq!(
-                        tree.frontier(aid),
-                        naive.frontier(aid, preds_dir),
-                        "frontier({aid:?}) with roots {roots:?}"
-                    );
-                }
+        let tree = DomTree::dominators(cfg);
+        let naive = NaiveDoms::build(cfg.entries(), &succs, &preds);
+        for a in 0..n {
+            let aid = BlockId::from_index(a);
+            assert_eq!(tree.is_reachable(aid), naive.reachable[a], "reachability of {aid:?}");
+            for b in 0..n {
+                let bid = BlockId::from_index(b);
+                assert_eq!(
+                    tree.dominates(aid, bid),
+                    naive.dominates(aid, bid),
+                    "dominates({aid:?}, {bid:?})"
+                );
+            }
+            if tree.is_reachable(aid) {
+                assert_eq!(tree.frontier(aid), naive.frontier(aid, &preds), "frontier({aid:?})");
             }
         }
     }
@@ -530,32 +486,6 @@ mod tests {
             assert!(!dom.dominates(e, tail), "{e:?} must not dominate the shared tail");
         }
         assert_eq!(dom.idom(tail), None);
-    }
-
-    #[test]
-    fn postdominators_multi_exit() {
-        // Exit-like blocks (ret + halt paths) both act as roots of the
-        // reverse graph; a block ahead of the split postdominates
-        // nothing past it.
-        let mut b = ProgramBuilder::new();
-        b.routine("main")
-            .def(Reg::A0)
-            .cond(BranchCond::Eq, Reg::A0, "stop")
-            .def(Reg::V0)
-            .ret()
-            .label("stop")
-            .halt();
-        let program = b.build().unwrap();
-        let cfg = routine_cfg(&program, "main");
-        check_routine(&cfg);
-
-        let pdom = DomTree::postdominators(&cfg);
-        let entry = cfg.entries()[0];
-        for x in (0..cfg.blocks().len()).map(BlockId::from_index) {
-            if x != entry {
-                assert!(!pdom.dominates(entry, x), "entry postdominates only itself");
-            }
-        }
     }
 
     #[test]

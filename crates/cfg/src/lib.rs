@@ -41,6 +41,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod block;
 mod blockset;
 mod build;

@@ -18,6 +18,8 @@
 //! relays the daemon's exit code (so `client lint` still exits 1 on
 //! findings) and exits 2 on connect or protocol failures.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 mod commands;

@@ -104,6 +104,35 @@ fn lint_reports_malformed_images_as_findings() {
     assert!(stdout(&o).contains("\"check\":\"malformed-image\""));
 }
 
+#[test]
+fn optimize_rejects_a_relocation_to_a_non_instruction_address() {
+    use spike_isa::{Instruction, Reg};
+
+    let dir = tempdir("badreloc");
+    let img = assemble(&dir, "reloc", ".routine main\n    lda t0, &t\nt:\n    halt\n");
+    let mut bytes = std::fs::read(&img).unwrap();
+
+    // The image ends with its one relocation record, `(addr, target)`.
+    // Point both the record and the `lda` immediate it describes far past
+    // the program's two instructions.
+    let tail = bytes.len() - 4;
+    let target = u32::from_le_bytes(bytes[tail..].try_into().unwrap());
+    let bad = target + 100;
+    let lda = |disp: u32| {
+        Instruction::Lda { rd: Reg::T0, base: Reg::ZERO, disp: disp as i16 }.encode().to_le_bytes()
+    };
+    let at = bytes.windows(4).position(|w| w == lda(target)).expect("the lda word");
+    bytes[at..at + 4].copy_from_slice(&lda(bad));
+    bytes[tail..].copy_from_slice(&bad.to_le_bytes());
+    std::fs::write(&img, &bytes).unwrap();
+
+    let out = dir.path.join("out.img");
+    let o = spike(&["optimize", &img, "-o", out.to_str().unwrap()]);
+    assert_eq!(code(&o), 2, "{}", stderr(&o));
+    assert!(stderr(&o).contains("holds no instruction"), "{}", stderr(&o));
+    assert!(!stderr(&o).contains("panicked"), "{}", stderr(&o));
+}
+
 /// Kills the daemon child on test failure; the happy path takes it out
 /// with [`ServeGuard::into_inner`] to assert a graceful exit instead.
 struct ServeGuard {

@@ -11,56 +11,8 @@ use crate::build::build_psg;
 use crate::dataflow::{run_phase1, run_phase2};
 use crate::parallel::{par_for_each_mut, par_map, resolve_threads};
 use crate::psg::{NodeId, Psg};
-use crate::schedule::{run_phase1_scheduled, run_phase2_scheduled, SccSchedule};
-use crate::sparse::{run_phase1_sparse, run_phase2_sparse, SparseProgram};
 use crate::stack::{analyze_stack, StackAnalysis};
 use crate::summary::ProgramSummary;
-
-/// How the two dataflow phases schedule their node evaluations. Both
-/// schedulers converge to the *same* least fixpoint — summaries, PSG
-/// and `memory_bytes` are bit-identical — they differ only in effort
-/// (`phase1_visits`/`phase2_visits`) and wall-clock time.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Scheduler {
-    /// The two-level engine (default): condense the call graph into
-    /// SCCs, solve phase 1 bottom-up and phase 2 top-down in waves,
-    /// each component under a dependency-ordered priority worklist,
-    /// independent components of a wave in parallel. Converged
-    /// components are never revisited.
-    #[default]
-    SccWave,
-    /// Flat chaotic FIFO iteration over the whole PSG — the reference
-    /// implementation the scheduled engine is measured against.
-    Fifo,
-}
-
-/// Which value representation the SCC-wave engine's intra-routine solving
-/// iterates over. Both converge to the same least fixpoint — summaries,
-/// PSG, liveness and `memory_bytes` are bit-identical — they differ only
-/// in effort (`phase1_visits`/`phase2_visits` count chain evaluations
-/// under [`Representation::Sparse`]) and time.
-///
-/// The FIFO scheduler always solves dense, whatever this option says.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Representation {
-    /// Contract pass-through def-use chains and iterate only the join
-    /// anchors (the default): see [`crate::sparse`].
-    #[default]
-    Sparse,
-    /// Iterate every PSG node's dense register sets — the oracle the
-    /// sparse engine is checked against.
-    Dense,
-}
-
-impl Representation {
-    /// The lowercase flag/report spelling (`"sparse"` / `"dense"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Representation::Sparse => "sparse",
-            Representation::Dense => "dense",
-        }
-    }
-}
 
 /// Tuning knobs for the analysis, mirroring the paper's design choices.
 #[derive(Clone, Debug)]
@@ -84,13 +36,6 @@ pub struct AnalysisOptions {
     /// PSG node/edge order, and [`AnalysisStats::memory_bytes`] — are
     /// bit-identical at every setting.
     pub threads: usize,
-    /// How the dataflow phases schedule node evaluations; see
-    /// [`Scheduler`]. Results are bit-identical either way.
-    pub scheduler: Scheduler,
-    /// Whether the SCC-wave engine solves over sparse def-use chains or
-    /// dense per-node sets; see [`Representation`]. Results are
-    /// bit-identical either way.
-    pub representation: Representation,
 }
 
 impl Default for AnalysisOptions {
@@ -107,8 +52,6 @@ impl Default for AnalysisOptions {
             calling_standard,
             exported_live_at_exit,
             threads: 0,
-            scheduler: Scheduler::default(),
-            representation: Representation::default(),
         }
     }
 }
@@ -176,11 +119,9 @@ pub struct AnalysisStats {
     /// Time for the interprocedural stack-slot analysis (frame models,
     /// MOD/REF/KILL summaries, and both slot dataflows).
     pub stack_build: Duration,
-    /// Node evaluations performed by phase 1 (chain evaluations under
-    /// [`Representation::Sparse`]).
+    /// Node evaluations performed by phase 1.
     pub phase1_visits: usize,
-    /// Node evaluations performed by phase 2 (chain evaluations under
-    /// [`Representation::Sparse`]).
+    /// Node evaluations performed by phase 2.
     pub phase2_visits: usize,
     /// Block evaluations of the forward MUST-defined stack-slot solver.
     pub stack_forward_visits: usize,
@@ -190,17 +131,13 @@ pub struct AnalysisStats {
     /// routine it solved, plus the re-compositions call-graph cycles
     /// forced.
     pub stack_summary_evals: usize,
-    /// The value representation the phases actually solved over
-    /// ([`Representation::Dense`] under [`Scheduler::Fifo`]).
-    pub representation: Representation,
     /// Worker threads the per-routine front-end stages (CFG build,
     /// `DEF`/`UBD` initialization, PSG build) ran with.
     pub front_end_workers: usize,
-    /// Worker threads the scheduled dataflow phases ran with (clamped to
-    /// the widest condensation wave; `1` under [`Scheduler::Fifo`]).
-    pub phase_workers: usize,
-    /// Condensation waves of the SCC-wave schedule — the sequential
-    /// depth of the two-level solver (`0` under [`Scheduler::Fifo`]).
+    /// Always `0`: the one phase solver is a flat FIFO worklist with no
+    /// condensation waves. The field stays because the standalone
+    /// benchmark package reads it (`core.waves` in
+    /// `benchmark/src/oracle.rs`).
     pub waves: usize,
     /// Routines whose front-end structures (CFG, `DEF`/`UBD`, PSG plan)
     /// were rebuilt by this run. A from-scratch analysis rebuilds every
@@ -330,75 +267,14 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
     let psg_build = t.elapsed();
 
     let t = Instant::now();
-    let representation = match options.scheduler {
-        Scheduler::SccWave => options.representation,
-        Scheduler::Fifo => Representation::Dense,
-    };
-    let (phase1_visits, phase2_visits, waves, phase_workers, phase1, phase2) = match options
-        .scheduler
-    {
-        Scheduler::SccWave => {
-            // Schedule construction (call graph, condensation,
-            // partition, ranks) is charged to phase 1, mirroring the
-            // FIFO path's seed-order construction — and so is sparse
-            // chain construction when it is selected.
-            let schedule = SccSchedule::build(program, &cfg, &psg);
-            let phase_workers =
-                resolve_threads(options.threads).clamp(1, schedule.max_wave_width().max(1));
-            match representation {
-                Representation::Sparse => {
-                    let sparse = SparseProgram::build(&psg, &schedule, &cfg);
-                    let phase1_visits =
-                        run_phase1_sparse(&mut psg, &schedule, &sparse, None, phase_workers);
-                    let phase1 = t.elapsed();
-                    let t = Instant::now();
-                    let exit_seeds = exported_exit_seeds(program, &psg, options);
-                    let phase2_visits = run_phase2_sparse(
-                        &mut psg,
-                        &schedule,
-                        &sparse,
-                        &exit_seeds,
-                        None,
-                        phase_workers,
-                    );
-                    (
-                        phase1_visits,
-                        phase2_visits,
-                        schedule.waves(),
-                        phase_workers,
-                        phase1,
-                        t.elapsed(),
-                    )
-                }
-                Representation::Dense => {
-                    let phase1_visits =
-                        run_phase1_scheduled(&mut psg, &schedule, None, phase_workers);
-                    let phase1 = t.elapsed();
-                    let t = Instant::now();
-                    let exit_seeds = exported_exit_seeds(program, &psg, options);
-                    let phase2_visits =
-                        run_phase2_scheduled(&mut psg, &schedule, &exit_seeds, None, phase_workers);
-                    (
-                        phase1_visits,
-                        phase2_visits,
-                        schedule.waves(),
-                        phase_workers,
-                        phase1,
-                        t.elapsed(),
-                    )
-                }
-            }
-        }
-        Scheduler::Fifo => {
-            let seed_order = phase1_seed_order(program, &cfg, &psg);
-            let phase1_visits = run_phase1(&mut psg, &seed_order);
-            let phase1 = t.elapsed();
-            let t = Instant::now();
-            let exit_seeds = exported_exit_seeds(program, &psg, options);
-            let phase2_visits = run_phase2(&mut psg, &exit_seeds);
-            (phase1_visits, phase2_visits, 0, 1, phase1, t.elapsed())
-        }
-    };
+    let seed_order = phase1_seed_order(program, &cfg, &psg);
+    let phase1_visits = run_phase1(&mut psg, &seed_order);
+    let phase1 = t.elapsed();
+
+    let t = Instant::now();
+    let exit_seeds = exported_exit_seeds(program, &psg, options);
+    let phase2_visits = run_phase2(&mut psg, &exit_seeds);
+    let phase2 = t.elapsed();
 
     let summary = ProgramSummary::from_psg(&psg, options.calling_standard);
 
@@ -408,23 +284,6 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
 
     let memory_bytes =
         cfg.heap_bytes() + psg.heap_bytes() + summary.heap_bytes() + stack.heap_bytes();
-
-    // Debug builds cross-check every sparse solve against the dense
-    // oracle: the converged PSG, the summaries and the deterministic
-    // memory footprint must be bit-identical.
-    #[cfg(debug_assertions)]
-    if representation == Representation::Sparse {
-        let dense = analyze_with(
-            program,
-            &AnalysisOptions { representation: Representation::Dense, ..options.clone() },
-        );
-        debug_assert!(psg == dense.psg, "sparse PSG diverged from the dense oracle");
-        debug_assert!(summary == dense.summary, "sparse summaries diverged from the dense oracle");
-        debug_assert_eq!(
-            memory_bytes, dense.stats.memory_bytes,
-            "sparse memory footprint diverged from the dense oracle"
-        );
-    }
 
     Analysis {
         psg,
@@ -444,10 +303,8 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
             stack_forward_visits: stack_stats.forward_visits,
             stack_backward_visits: stack_stats.backward_visits,
             stack_summary_evals: stack_stats.summary_evals,
-            representation,
             front_end_workers: workers,
-            phase_workers,
-            waves,
+            waves: 0,
             routines_reanalyzed: n_routines,
             routines_reused: 0,
             memory_bytes,

@@ -74,50 +74,60 @@ pub(crate) fn run_phase1(psg: &mut Psg, seed_order: &[NodeId]) -> usize {
     run_phase1_seeded(psg, seed_order, None)
 }
 
-/// Phase 1 with an optional *reset mask* for incremental re-analysis.
+/// Phase 1 restricted to a *scope*: the one solver behind the
+/// from-scratch run (`scope: None`, every node), incremental re-analysis
+/// (the reset subspace of `crate::incremental`) and demand queries (the
+/// unsolved part of a cone, `crate::query`).
 ///
-/// With `reset: None` this is a from-scratch run: every node is
-/// (re)initialized and `seed_order` must cover every node. With a mask,
-/// only nodes with `reset[i]` are reinitialized — together with the
-/// call-return edges fed by reset entry nodes — while every other node
-/// keeps its previously converged value, and `seed_order` contains only
-/// the reset nodes. The caller (`crate::incremental`) guarantees the mask
-/// is closed so that iteration never needs to re-evaluate a clean node;
-/// see DESIGN.md "Incremental re-analysis" for the exactness argument.
+/// `seed_order` lists exactly the in-scope nodes. They are reinitialized
+/// and solved; every other node keeps its value, which the caller
+/// guarantees is final wherever the scope reads it. Two rules keep a
+/// scoped run inside its scope and still exact:
+///
+/// * **Pull.** Before iterating, every known-target call-return edge
+///   whose *call node* is in scope is recomputed from its source entries,
+///   so a label is a function of its sources' current values however it
+///   was left: sources outside the scope contribute their final values,
+///   sources inside it their fresh initial ones.
+/// * **Scope guard.** A changed entry rebroadcasts only onto call-return
+///   edges whose call node is in scope. An out-of-scope caller is either
+///   unaffected (the incremental masks are caller-closed, so there is
+///   none) or not solved yet (a demand cone), and pulls when it is.
+///
+/// See DESIGN.md "Phase solver: one FIFO worklist".
 pub(crate) fn run_phase1_seeded(
     psg: &mut Psg,
     seed_order: &[NodeId],
-    reset: Option<&[bool]>,
+    scope: Option<&[bool]>,
 ) -> usize {
     let n = psg.nodes.len();
     debug_assert!(
-        reset.map_or(seed_order.len() == n, |m| m.len() == n),
-        "seed order (or reset mask) must cover every node"
+        scope.map_or(seed_order.len() == n, |m| m.len() == n
+            && seed_order.len() == m.iter().filter(|&&b| b).count()),
+        "the seed order must cover exactly the scope"
     );
-    let is_reset = |i: usize| reset.is_none_or(|m| m[i]);
+    let in_scope = |i: usize| scope.is_none_or(|m| m[i]);
 
     // Initialization; see `phase1_init_value` for the boundary rationale.
-    for i in 0..n {
-        if !is_reset(i) {
-            continue;
-        }
+    for &node in seed_order {
+        let i = node.index();
+        debug_assert!(in_scope(i), "seeded node outside the scope");
         let (may_use, may_def, must_def) = phase1_init_value(psg.nodes[i], psg.uj_live[i]);
         psg.may_use[i] = may_use;
         psg.may_def[i] = may_def;
         psg.must_def[i] = must_def;
-        // A reset entry's call-return edges go back to their build-time
-        // labels: the phase-1 broadcast that filled them is being redone.
-        // (The reset mask is caller-closed, so every source entry of each
-        // such edge is also reset — a partial reset could not reproduce
-        // the from-scratch labels.)
-        if reset.is_some() && matches!(psg.nodes[i], NodeKind::Entry { .. }) {
-            for k in 0..psg.entry_cr_edges[i].len() {
-                let e = psg.entry_cr_edges[i][k];
-                let edge = &mut psg.edges[e.index()];
-                debug_assert_eq!(edge.kind(), EdgeKind::CallReturn);
-                edge.may_use = RegSet::EMPTY;
-                edge.may_def = RegSet::EMPTY;
-                edge.must_def = RegSet::ALL;
+    }
+    // The pull. Only call nodes own call-return edges, and only
+    // known-target ones have sources.
+    for &node in seed_order {
+        if !matches!(psg.nodes[node.index()], NodeKind::Call { .. }) {
+            continue;
+        }
+        for k in 0..psg.out_edges[node.index()].len() {
+            let e = psg.out_edges[node.index()][k];
+            if !psg.cr_sources[e.index()].is_empty() {
+                recompute_cr_defs(psg, e);
+                recompute_cr_uses(psg, e);
             }
         }
     }
@@ -171,8 +181,9 @@ pub(crate) fn run_phase1_seeded(
         if matches!(psg.nodes[xi], NodeKind::Entry { .. }) {
             for k in 0..psg.entry_cr_edges[xi].len() {
                 let e = psg.entry_cr_edges[xi][k];
-                if recompute_cr_defs(psg, e) {
-                    wl.push(psg.edges[e.index()].from().index());
+                let call = psg.edges[e.index()].from().index();
+                if in_scope(call) && recompute_cr_defs(psg, e) {
+                    wl.push(call);
                 }
             }
         }
@@ -210,8 +221,9 @@ pub(crate) fn run_phase1_seeded(
         if matches!(psg.nodes[xi], NodeKind::Entry { .. }) {
             for k in 0..psg.entry_cr_edges[xi].len() {
                 let e = psg.entry_cr_edges[xi][k];
-                if recompute_cr_uses(psg, e) {
-                    wl.push(psg.edges[e.index()].from().index());
+                let call = psg.edges[e.index()].from().index();
+                if in_scope(call) && recompute_cr_uses(psg, e) {
+                    wl.push(call);
                 }
             }
         }
@@ -273,41 +285,45 @@ pub(crate) fn run_phase2(psg: &mut Psg, exit_seeds: &[(NodeId, RegSet)]) -> usiz
     run_phase2_seeded(psg, exit_seeds, None)
 }
 
-/// Phase 2 with an optional *reset mask* for incremental re-analysis.
+/// Phase 2 restricted to a *scope*, the liveness twin of
+/// [`run_phase1_seeded`]: `None` is the from-scratch run; a mask
+/// reinitializes and solves only its nodes while every other node keeps
+/// its value. The caller guarantees that every return node broadcasting
+/// into an in-scope exit is either in scope itself or final (the
+/// incremental phase-2 mask is callee-closed; a demand cone is
+/// caller-closed over solved components), and that the call-return
+/// labels of in-scope call nodes are final.
 ///
-/// With `reset: None` this is a from-scratch run. With a mask, only nodes
-/// with `reset[i]` are reinitialized and seeded; clean nodes keep their
-/// converged liveness. The mask is callee-closed (a reset return node's
-/// broadcast only ever reaches reset exits), and the return→exit
-/// broadcasts from *clean* callers are replayed once at initialization so
-/// reset callees' exits recover the caller liveness they would have
-/// accumulated from scratch — exit values are pure unions, so replaying
-/// converged values is exact. See DESIGN.md "Incremental re-analysis".
+/// The return→exit broadcasts of *out-of-scope* callers are replayed once
+/// at initialization, so in-scope exits recover the caller liveness they
+/// would have accumulated from scratch — exit values are pure unions, so
+/// replaying converged values is exact. During iteration a return node
+/// broadcasts only into in-scope exits (the scope guard); exit seeds
+/// likewise land only in scope.
 pub(crate) fn run_phase2_seeded(
     psg: &mut Psg,
     exit_seeds: &[(NodeId, RegSet)],
-    reset: Option<&[bool]>,
+    scope: Option<&[bool]>,
 ) -> usize {
     let n = psg.nodes.len();
-    debug_assert!(reset.is_none_or(|m| m.len() == n), "reset mask must cover every node");
-    let is_reset = |i: usize| reset.is_none_or(|m| m[i]);
+    debug_assert!(scope.is_none_or(|m| m.len() == n), "scope mask must cover every node");
+    let in_scope = |i: usize| scope.is_none_or(|m| m[i]);
 
     for i in 0..n {
-        if !is_reset(i) {
-            continue;
+        if in_scope(i) {
+            psg.live[i] = phase2_init_value(psg.nodes[i], psg.uj_live[i]);
         }
-        psg.live[i] = phase2_init_value(psg.nodes[i], psg.uj_live[i]);
     }
-    // Seeds on clean exits are no-ops: their converged liveness already
-    // contains the seed.
     for &(node, set) in exit_seeds {
-        psg.live[node.index()] |= set;
+        if in_scope(node.index()) {
+            psg.live[node.index()] |= set;
+        }
     }
-    if reset.is_some() {
-        // Replay every return→exit broadcast into the reset subspace.
-        // Clean callers contribute their converged (final) liveness, which
-        // the rerun would otherwise never see because clean nodes are not
-        // re-evaluated; reset callers contribute their freshly
+    if scope.is_some() {
+        // Replay every return→exit broadcast into the scope. Out-of-scope
+        // callers contribute their converged (final) liveness, which the
+        // run would otherwise never see because they are not
+        // re-evaluated; in-scope callers contribute their freshly
         // reinitialized ∅, which is harmless under union and is superseded
         // as the worklist converges.
         for i in 0..n {
@@ -317,7 +333,7 @@ pub(crate) fn run_phase2_seeded(
             let live = psg.live[i];
             for k in 0..psg.return_exit_targets[i].len() {
                 let t = psg.return_exit_targets[i][k];
-                if is_reset(t.index()) {
+                if in_scope(t.index()) {
                     psg.live[t.index()] |= live;
                 }
             }
@@ -326,7 +342,7 @@ pub(crate) fn run_phase2_seeded(
 
     let mut wl = FifoWorklist::new(n);
     for i in (0..n).rev() {
-        if is_reset(i) {
+        if in_scope(i) {
             wl.push(i);
         }
     }
@@ -362,7 +378,7 @@ pub(crate) fn run_phase2_seeded(
         for k in 0..psg.return_exit_targets[xi].len() {
             let ti = psg.return_exit_targets[xi][k].index();
             let merged = psg.live[ti] | live;
-            if merged != psg.live[ti] {
+            if in_scope(ti) && merged != psg.live[ti] {
                 psg.live[ti] = merged;
                 for &e in &psg.in_edges[ti] {
                     wl.push(psg.edges[e.index()].from().index());

@@ -44,7 +44,7 @@ use spike_program::{Program, RoutineId};
 
 use crate::analysis::{
     analyze_with, exported_exit_seeds, phase1_seed_order, routine_loop_stats, Analysis,
-    AnalysisOptions, AnalysisStats, Representation, Scheduler,
+    AnalysisOptions, AnalysisStats,
 };
 use crate::build::{plan_routine_edges, plan_routine_nodes, RoutineEdgePlan};
 use crate::callee_saved::saved_restored_registers;
@@ -53,8 +53,6 @@ use crate::flow::FlowScratch;
 use crate::parallel::{par_for_each_mut, par_map, par_map_with, resolve_threads};
 use crate::psg::{EdgeKind, NodeId, Psg};
 use crate::query::{Query, QueryAnswer, QueryEngine, QueryStats};
-use crate::schedule::{run_phase1_scheduled, run_phase2_scheduled, SccSchedule};
-use crate::sparse::{run_phase1_sparse, run_phase2_sparse, SparseProgram};
 use crate::stack::reanalyze_stack;
 use crate::summary::ProgramSummary;
 
@@ -91,22 +89,13 @@ pub struct AnalysisCache {
     /// and `query` is `Some` — a full analysis answers queries directly,
     /// and [`Self::reanalyze`] promotes a live engine into `state`.
     query: Option<QueryEngine>,
-    /// Warm sparse def-use chains from the last
-    /// [`Representation::Sparse`] run over `state`'s PSG. Chains are
-    /// strictly intra-routine, so [`Self::reanalyze`] rebuilds only the
-    /// dirty routines' chains and reuses the rest — the chain-level twin
-    /// of the CFG/PSG plan reuse. Never part of `state` itself: the
-    /// analysis result (and its `memory_bytes`) stays bit-identical
-    /// whether or not warm chains exist; they are charged separately via
-    /// [`Self::heap_bytes`].
-    sparse: Option<SparseProgram>,
 }
 
 impl AnalysisCache {
     /// Creates an empty cache; the first [`analyze`](Self::analyze) or
     /// [`reanalyze`](Self::reanalyze) fills it with a from-scratch run.
     pub fn new(options: AnalysisOptions) -> AnalysisCache {
-        AnalysisCache { options, state: None, query: None, sparse: None }
+        AnalysisCache { options, state: None, query: None }
     }
 
     /// Creates a cache already warmed with a converged `analysis` of some
@@ -121,7 +110,7 @@ impl AnalysisCache {
     /// `memory_bytes` guarantee counts Vec *capacities*, which a plain
     /// `Clone` compacts.
     pub fn from_analysis(options: AnalysisOptions, analysis: Analysis) -> AnalysisCache {
-        AnalysisCache { options, state: Some(analysis), query: None, sparse: None }
+        AnalysisCache { options, state: Some(analysis), query: None }
     }
 
     /// Consumes the cache, returning the converged analysis if any run
@@ -136,15 +125,11 @@ impl AnalysisCache {
     /// (its CFGs, PSG and summaries, via [`HeapSize`] accounting), for
     /// byte-budgeted eviction decisions in caches of caches. An empty
     /// cache is free.
-    /// Warm sparse chains, when present, are charged on top of the
-    /// analysis bytes (they are cache acceleration state, not part of
-    /// the bit-identical analysis result).
     pub fn heap_bytes(&self) -> usize {
-        let chains = self.sparse.heap_bytes();
         match (&self.state, &self.query) {
-            (Some(a), _) => a.stats.memory_bytes + chains,
-            (None, Some(engine)) => engine.heap_bytes() + chains,
-            (None, None) => chains,
+            (Some(a), _) => a.stats.memory_bytes,
+            (None, Some(engine)) => engine.heap_bytes(),
+            (None, None) => 0,
         }
     }
 
@@ -163,14 +148,12 @@ impl AnalysisCache {
     pub fn invalidate(&mut self) {
         self.state = None;
         self.query = None;
-        self.sparse = None;
     }
 
     /// Analyzes `program` from scratch and caches the result.
     pub fn analyze(&mut self, program: &Program) -> &Analysis {
         self.state = Some(analyze_with(program, &self.options));
         self.query = None;
-        self.sparse = None;
         self.state.as_ref().expect("state was just filled")
     }
 
@@ -321,7 +304,6 @@ impl AnalysisCache {
             let a = self.state.as_mut().expect("cache is non-empty");
             a.stats = AnalysisStats {
                 front_end_workers: a.stats.front_end_workers,
-                representation: a.stats.representation,
                 routines_reused: n_routines,
                 memory_bytes: a.stats.memory_bytes,
                 ..AnalysisStats::default()
@@ -330,18 +312,13 @@ impl AnalysisCache {
         }
 
         let cached = self.state.take().expect("cache is non-empty");
-        match try_reanalyze(cached, program, &self.options, &dirty, &mut self.sparse) {
+        match try_reanalyze(cached, program, &self.options, &dirty) {
             Ok(analysis) => {
                 #[cfg(debug_assertions)]
                 assert_matches_scratch(&analysis, program, &self.options);
                 self.state = Some(analysis);
             }
-            Err(()) => {
-                // The chains (if any) describe the cached PSG that just
-                // failed structural validation; drop them with it.
-                self.sparse = None;
-                self.state = Some(analyze_with(program, &self.options));
-            }
+            Err(()) => self.state = Some(analyze_with(program, &self.options)),
         }
         self.state.as_ref().expect("state was just filled")
     }
@@ -407,7 +384,6 @@ fn try_reanalyze(
     program: &Program,
     options: &AnalysisOptions,
     dirty: &[RoutineId],
-    sparse_cache: &mut Option<SparseProgram>,
 ) -> Result<Analysis, ()> {
     let n_routines = program.routines().len();
     let Analysis { mut psg, summary: _, stack: prev_stack, cfg, loops: mut loop_stats, stats: _ } =
@@ -477,108 +453,17 @@ fn try_reanalyze(
     let psg_build = node_patch + t.elapsed();
 
     // --- Seeded fixpoint over the reset subspace. ---
-    // Under the SCC-wave scheduler a seeded run schedules exactly the
-    // components containing reset nodes (the reset closures are
-    // SCC-saturated); every clean component keeps its wave slot empty.
     let t = Instant::now();
     let (reset1, reset2) = reset_masks(&psg, &dirty_mask);
-    let representation = match options.scheduler {
-        Scheduler::SccWave => options.representation,
-        Scheduler::Fifo => Representation::Dense,
-    };
-    let (phase1_visits, phase2_visits, waves, phase_workers, phase1, phase2) =
-        match options.scheduler {
-            Scheduler::SccWave => {
-                let schedule = SccSchedule::build(program, &cfg, &psg);
-                let phase_workers =
-                    resolve_threads(options.threads).clamp(1, schedule.max_wave_width().max(1));
-                match representation {
-                    Representation::Sparse => {
-                        // Reuse the cached chains, rebuilding only the
-                        // dirty routines': clean routines keep their PSG
-                        // structure, flow labels and feedback-arc node
-                        // ranks, so their chains are unchanged. A cache
-                        // that no longer covers the PSG (or none at all)
-                        // is rebuilt from scratch; construction is
-                        // charged to phase 1 either way.
-                        let chains = match sparse_cache.take() {
-                            Some(mut sp) if sp.covers(&psg) => {
-                                sp.rebuild_routines(&psg, &schedule, dirty);
-                                sp
-                            }
-                            _ => SparseProgram::build(&psg, &schedule, &cfg),
-                        };
-                        debug_assert!(
-                            chains == SparseProgram::build(&psg, &schedule, &cfg),
-                            "dirty-routine chain rebuild must equal a from-scratch build"
-                        );
-                        let phase1_visits = run_phase1_sparse(
-                            &mut psg,
-                            &schedule,
-                            &chains,
-                            Some(&reset1),
-                            phase_workers,
-                        );
-                        let phase1 = t.elapsed();
-                        let t = Instant::now();
-                        let exit_seeds = exported_exit_seeds(program, &psg, options);
-                        let phase2_visits = run_phase2_sparse(
-                            &mut psg,
-                            &schedule,
-                            &chains,
-                            &exit_seeds,
-                            Some(&reset2),
-                            phase_workers,
-                        );
-                        *sparse_cache = Some(chains);
-                        (
-                            phase1_visits,
-                            phase2_visits,
-                            schedule.waves(),
-                            phase_workers,
-                            phase1,
-                            t.elapsed(),
-                        )
-                    }
-                    Representation::Dense => {
-                        *sparse_cache = None;
-                        let phase1_visits =
-                            run_phase1_scheduled(&mut psg, &schedule, Some(&reset1), phase_workers);
-                        let phase1 = t.elapsed();
-                        let t = Instant::now();
-                        let exit_seeds = exported_exit_seeds(program, &psg, options);
-                        let phase2_visits = run_phase2_scheduled(
-                            &mut psg,
-                            &schedule,
-                            &exit_seeds,
-                            Some(&reset2),
-                            phase_workers,
-                        );
-                        (
-                            phase1_visits,
-                            phase2_visits,
-                            schedule.waves(),
-                            phase_workers,
-                            phase1,
-                            t.elapsed(),
-                        )
-                    }
-                }
-            }
-            Scheduler::Fifo => {
-                *sparse_cache = None;
-                let seed: Vec<NodeId> = phase1_seed_order(program, &cfg, &psg)
-                    .into_iter()
-                    .filter(|n| reset1[n.index()])
-                    .collect();
-                let phase1_visits = run_phase1_seeded(&mut psg, &seed, Some(&reset1));
-                let phase1 = t.elapsed();
-                let t = Instant::now();
-                let exit_seeds = exported_exit_seeds(program, &psg, options);
-                let phase2_visits = run_phase2_seeded(&mut psg, &exit_seeds, Some(&reset2));
-                (phase1_visits, phase2_visits, 0, 1, phase1, t.elapsed())
-            }
-        };
+    let seed: Vec<NodeId> =
+        phase1_seed_order(program, &cfg, &psg).into_iter().filter(|n| reset1[n.index()]).collect();
+    let phase1_visits = run_phase1_seeded(&mut psg, &seed, Some(&reset1));
+    let phase1 = t.elapsed();
+
+    let t = Instant::now();
+    let exit_seeds = exported_exit_seeds(program, &psg, options);
+    let phase2_visits = run_phase2_seeded(&mut psg, &exit_seeds, Some(&reset2));
+    let phase2 = t.elapsed();
 
     let summary = ProgramSummary::from_psg(&psg, options.calling_standard);
 
@@ -610,10 +495,8 @@ fn try_reanalyze(
             stack_forward_visits: stack_stats.forward_visits,
             stack_backward_visits: stack_stats.backward_visits,
             stack_summary_evals: stack_stats.summary_evals,
-            representation,
             front_end_workers: workers,
-            phase_workers,
-            waves,
+            waves: 0,
             routines_reanalyzed: dirty.len(),
             routines_reused: n_routines - dirty.len(),
             memory_bytes,
@@ -673,7 +556,7 @@ fn patch_routine_nodes(
 /// static labels of unknown/hinted call-return edges. Known-target
 /// call-return labels are left alone: for clean callees the cached
 /// (converged) label is already final, and for reset callees the seeded
-/// phase 1 reinitializes and refills it.
+/// phase 1 pulls it afresh from the reinitialized source entries.
 fn patch_routine_edges(
     psg: &mut Psg,
     rid: RoutineId,

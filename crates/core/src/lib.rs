@@ -44,6 +44,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod analysis;
 mod build;
 mod callee_saved;
@@ -55,17 +57,12 @@ pub mod json;
 pub mod parallel;
 mod psg;
 mod query;
-mod schedule;
 mod snap;
-mod sparse;
 mod stack;
 mod summary;
 pub mod worklist;
 
-pub use analysis::{
-    analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, LoopStats, Representation,
-    Scheduler,
-};
+pub use analysis::{analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, LoopStats};
 pub use callee_saved::saved_restored_registers;
 pub use incremental::{reanalyze, AnalysisCache};
 pub use psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, PsgStats, RoutineNodes};

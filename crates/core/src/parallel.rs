@@ -12,7 +12,6 @@
 //! No external thread-pool dependency is used; workers live only for the
 //! duration of one stage.
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a user-facing thread-count option: `0` means one worker per
@@ -88,57 +87,6 @@ where
     slots.into_iter().map(|s| s.expect("every index was claimed by exactly one worker")).collect()
 }
 
-/// [`par_map_with`] with *caller-owned* worker state: each thread takes
-/// one element of `pool` as its scratch, so the allocations inside
-/// survive the call and are reused by the next one. The wave scheduler
-/// threads its component-solver pool (worklists, dedup buffers) through
-/// every wave this way instead of reallocating them per wave.
-///
-/// Spawns one thread per pool element (capped at `count`); with a
-/// single-element pool (or at most one item) `f` runs inline on
-/// `pool[0]`, the serial fast path.
-pub(crate) fn par_map_with_pool<S, T, F>(pool: &mut [S], count: usize, f: F) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    assert!(!pool.is_empty(), "worker pool must hold at least one state");
-    let workers = pool.len().min(count.max(1));
-    if workers == 1 {
-        let state = &mut pool[0];
-        return (0..count).map(|i| f(state, i)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
-    slots.resize_with(count, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pool[..workers]
-            .iter_mut()
-            .map(|state| {
-                scope.spawn(|| {
-                    let mut done: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        done.push((i, f(state, i)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, value) in handle.join().expect("analysis worker panicked") {
-                slots[i] = Some(value);
-            }
-        }
-    });
-    slots.into_iter().map(|s| s.expect("every index was claimed by exactly one worker")).collect()
-}
-
 /// Runs `f` on every item of `items` in place, splitting the slice into
 /// one contiguous chunk per worker. Items must be mutually independent.
 pub fn par_for_each_mut<T, F>(items: &mut [T], workers: usize, f: F)
@@ -163,59 +111,6 @@ where
             });
         }
     });
-}
-
-/// A raw shared view of a mutable slice for the wave-parallel fixpoint
-/// solver (`crate::schedule`).
-///
-/// Workers solving one wave write disjoint index sets — each call-graph
-/// component touches only its own nodes' values and its own routines'
-/// edge labels — so handing every worker the whole slice is sound as
-/// long as that partition is respected. The type erases the exclusive
-/// borrow into a raw pointer; the *caller* re-establishes the aliasing
-/// discipline through the component partition.
-///
-/// Every accessor is `unsafe`: the caller must guarantee that no two
-/// threads access the same index concurrently with at least one of them
-/// writing. Bounds are always checked.
-pub(crate) struct SharedMut<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: `SharedMut` is just a length-tagged pointer; sending or
-// sharing it across threads is safe because every dereference is an
-// unsafe operation whose aliasing contract the caller upholds.
-unsafe impl<T: Send> Send for SharedMut<'_, T> {}
-unsafe impl<T: Send> Sync for SharedMut<'_, T> {}
-
-impl<'a, T> SharedMut<'a, T> {
-    /// Wraps an exclusively borrowed slice.
-    pub(crate) fn new(slice: &'a mut [T]) -> SharedMut<'a, T> {
-        SharedMut { ptr: slice.as_mut_ptr(), len: slice.len(), _marker: PhantomData }
-    }
-
-    /// Reads element `i`.
-    ///
-    /// # Safety
-    /// No thread may be concurrently writing index `i`.
-    pub(crate) unsafe fn get(&self, i: usize) -> &T {
-        assert!(i < self.len, "SharedMut index {i} out of bounds ({})", self.len);
-        &*self.ptr.add(i)
-    }
-
-    /// Mutably borrows element `i`.
-    ///
-    /// # Safety
-    /// The caller must have exclusive access to index `i`: no other
-    /// thread — and no other outstanding borrow on this thread — may
-    /// touch it while the returned reference lives.
-    #[allow(clippy::mut_from_ref)] // the partition discipline is the caller's contract
-    pub(crate) unsafe fn get_mut(&self, i: usize) -> &mut T {
-        assert!(i < self.len, "SharedMut index {i} out of bounds ({})", self.len);
-        &mut *self.ptr.add(i)
-    }
 }
 
 #[cfg(test)]
@@ -260,25 +155,6 @@ mod tests {
         );
         assert_eq!(got, (0..50).map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(processed.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn par_map_with_pool_reuses_and_preserves_state() {
-        // The pool's state survives the call: counts accumulate across
-        // two invocations, and results stay in index order.
-        let mut pool = vec![0usize; 4];
-        let got = par_map_with_pool(&mut pool, 50, |state, i| {
-            *state += 1;
-            i * 2
-        });
-        assert_eq!(got, (0..50).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(pool.iter().sum::<usize>(), 50);
-        par_map_with_pool(&mut pool, 30, |state, _| *state += 1);
-        assert_eq!(pool.iter().sum::<usize>(), 80);
-
-        // Single-element pool takes the serial fast path.
-        let mut one = vec![0usize];
-        assert_eq!(par_map_with_pool(&mut one, 3, |_, i| i), vec![0, 1, 2]);
     }
 
     #[test]

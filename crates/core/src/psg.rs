@@ -399,24 +399,17 @@ impl Psg {
     }
 
     /// Partitions the nodes by the call-graph component of their owning
-    /// routine. Returns `(per-component node lists, per-node component)`;
-    /// each component's list is ascending in node id. The partition is
-    /// scratch for the scheduled solver — it is *not* stored on the PSG,
-    /// so [`HeapSize`] accounting (and with it `memory_bytes`) is
-    /// unaffected by which scheduler ran.
-    pub(crate) fn partition_by_component(
-        &self,
-        sccs: &spike_callgraph::Sccs,
-    ) -> (Vec<Vec<NodeId>>, Vec<u32>) {
-        let n_comps = sccs.components().len();
-        let mut comp_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); n_comps];
-        let mut comp_of = Vec::with_capacity(self.nodes.len());
+    /// routine. Returns the per-component node lists, each ascending in
+    /// node id. The partition is the demand engine's (`crate::query`)
+    /// map from cone components to node scopes — it is *not* stored on
+    /// the PSG, so [`HeapSize`] accounting (and with it `memory_bytes`)
+    /// is unaffected by it.
+    pub(crate) fn partition_by_component(&self, sccs: &spike_callgraph::Sccs) -> Vec<Vec<NodeId>> {
+        let mut comp_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); sccs.components().len()];
         for (i, kind) in self.nodes.iter().enumerate() {
-            let c = sccs.component_of(kind.routine());
-            comp_of.push(c as u32);
-            comp_nodes[c].push(NodeId::from_index(i));
+            comp_nodes[sccs.component_of(kind.routine())].push(NodeId::from_index(i));
         }
-        (comp_nodes, comp_of)
+        comp_nodes
     }
 
     /// Aggregate size statistics (Tables 3–5).

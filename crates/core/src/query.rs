@@ -17,25 +17,26 @@
 //!   the callee closure of that caller closure.
 //!
 //! [`QueryEngine`] therefore builds the front end once (CFGs, PSG,
-//! [`SccSchedule`]), runs the cheap intra-routine phase-1 prologue, and
-//! then solves per-component fixpoints *on demand*: a query walks the
-//! condensation to collect its cone, solves only the components of the
-//! cone that no earlier query has solved (bottom-up for phase 1,
-//! top-down for phase 2, using the same component solvers as the full
-//! scheduled engine), and memoizes the result per component.
+//! call-graph [`Condensation`] and the PSG's node partition by
+//! component) and then solves *on demand*: a query walks the
+//! condensation to collect its cone, runs the one phase solver
+//! ([`crate::dataflow`]) scoped to the components of the cone that no
+//! earlier query has solved, and memoizes the result per component.
 //!
-//! **Exactness.** Per component, the demand solve is the full engine's
-//! solve: when a component is scheduled, every component it reads
-//! across the boundary (callee components in phase 1, caller
-//! components in phase 2) lies in the cone and has already converged,
-//! and the component solvers write only their own component's values.
-//! By induction along the cone order, every solved component holds
-//! exactly the values the whole-program fixpoint assigns it — the
-//! least fixpoint of a monotone system is unique — so query answers
-//! are bit-identical to the corresponding slice of
-//! [`crate::analyze_with`]'s solution (property-tested against the
-//! dense engine in `tests/prop_query.rs`). For the same reason a fully
-//! drained engine promotes into a whole-program [`Analysis`] via
+//! **Exactness.** A scoped run writes only the values of in-scope nodes
+//! and the labels of call-return edges whose call node is in scope.
+//! Everything it reads across the scope boundary is final: a phase-1
+//! scope is callee-closed over solved components, so the source entries
+//! its call-return labels are pulled from are in scope or converged; a
+//! phase-2 scope is caller-closed over solved components, so the return
+//! nodes replayed into its exits are too. The scoped system is therefore
+//! the whole-program system restricted to the scope with its inputs at
+//! their final values, and — the least fixpoint of a monotone system
+//! being unique — every solved component holds exactly the values the
+//! whole-program fixpoint assigns it. Query answers are bit-identical to
+//! the corresponding slice of [`crate::analyze_with`]'s solution
+//! (property-tested in `tests/prop_query.rs`). For the same reason a
+//! fully drained engine promotes into a whole-program [`Analysis`] via
 //! [`QueryEngine::into_analysis`], which is how
 //! [`AnalysisCache::reanalyze`](crate::AnalysisCache::reanalyze)
 //! reuses memoized components instead of re-solving from scratch.
@@ -43,21 +44,16 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use spike_callgraph::CallGraph;
+use spike_callgraph::{CallGraph, Condensation};
 use spike_cfg::{ProgramCfg, RoutineCfg};
 use spike_isa::{CallingStandard, CloneExact, HeapSize, RegSet};
 use spike_program::{Program, RoutineId};
 
-use crate::analysis::{
-    exported_exit_seeds, Analysis, AnalysisOptions, AnalysisStats, Representation,
-};
+use crate::analysis::{exported_exit_seeds, Analysis, AnalysisOptions, AnalysisStats};
 use crate::build::build_psg;
+use crate::dataflow::{run_phase1_seeded, run_phase2_seeded};
 use crate::parallel::{par_for_each_mut, par_map, resolve_threads};
 use crate::psg::{NodeId, Psg};
-use crate::schedule::{
-    init_phase1_values, init_phase2_component, solve_phase1_components, solve_phase2_components,
-    CompSolver, SccSchedule,
-};
 use crate::summary::ProgramSummary;
 
 /// One demand-driven question about the analyzed program.
@@ -140,14 +136,16 @@ pub struct QueryStats {
 /// memoized fixpoints.
 ///
 /// Construction pays the front end (CFG build, `DEF`/`UBD`
-/// initialization, PSG build, schedule) and the intra-routine phase-1
-/// prologue; each [`query`](Self::query) then solves only the unsolved
-/// part of its cone. All values live in the one shared [`Psg`], so
-/// memoization is free: a solved component's values simply stay put.
+/// initialization, PSG build, condensation); each
+/// [`query`](Self::query) then solves only the unsolved part of its
+/// cone. All values live in the one shared [`Psg`], so memoization is
+/// free: a solved component's values simply stay put.
 pub struct QueryEngine {
     cfg: ProgramCfg,
     psg: Psg,
-    schedule: SccSchedule,
+    cond: Condensation,
+    /// Per component: the PSG nodes its routines own, ascending.
+    comp_nodes: Vec<Vec<NodeId>>,
     /// Precomputed at construction (needs only PSG structure), so
     /// phase-2 component initialization and promotion are
     /// program-free.
@@ -162,7 +160,6 @@ pub struct QueryEngine {
     /// initialized). Invariant: solved implies every caller component
     /// solved.
     p2_solved: Vec<bool>,
-    solver: CompSolver,
     calling_standard: CallingStandard,
     /// The stack-slot layer, computed eagerly at construction (the
     /// engine keeps no program reference, and the layer is front-end
@@ -184,9 +181,8 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// Builds the engine: the same front end as
-    /// [`crate::analyze_with`] (bit-identical CFGs and PSG), the SCC
-    /// schedule, and the phase-1 init/warm-seed prologue — but no
-    /// fixpoint solving at all.
+    /// [`crate::analyze_with`] (bit-identical CFGs and PSG) and the
+    /// call-graph condensation — but no fixpoint solving at all.
     pub fn new(program: &Program, options: &AnalysisOptions) -> QueryEngine {
         let n_routines = program.routines().len();
         let workers = resolve_threads(options.threads).clamp(1, n_routines.max(1));
@@ -203,14 +199,14 @@ impl QueryEngine {
         let cfg = ProgramCfg::from_cfgs(cfgs);
 
         let t = Instant::now();
-        let mut psg = build_psg(program, &cfg, options, workers);
+        let psg = build_psg(program, &cfg, options, workers);
         let psg_build = t.elapsed();
 
         let t = Instant::now();
-        let schedule = SccSchedule::build(program, &cfg, &psg);
-        init_phase1_values(&mut psg, &schedule, None);
-        let exit_seeds = exported_exit_seeds(program, &psg, options);
         let graph = CallGraph::build(program, &cfg);
+        let cond = graph.sccs().condense(&graph);
+        let comp_nodes = psg.partition_by_component(cond.sccs());
+        let exit_seeds = exported_exit_seeds(program, &psg, options);
         let self_call: Vec<bool> = (0..n_routines)
             .map(|i| {
                 let r = RoutineId::from_index(i);
@@ -223,17 +219,16 @@ impl QueryEngine {
         let (stack, stack_stats) = crate::stack::analyze_stack(program, &cfg);
         let stack_build = t.elapsed();
 
-        let components = schedule.components();
-        let solver = CompSolver::new(n_routines, psg.nodes().len());
+        let components = comp_nodes.len();
         QueryEngine {
             cfg,
             psg,
-            schedule,
+            cond,
+            comp_nodes,
             exit_seeds,
             self_call,
             p1_solved: vec![false; components],
             p2_solved: vec![false; components],
-            solver,
             calling_standard: options.calling_standard,
             stack,
             stack_stats,
@@ -271,7 +266,7 @@ impl QueryEngine {
         let mut stats = QueryStats::default();
         let answer = match *query {
             Query::Summary(r) => {
-                let c = self.schedule.component_of_routine(r);
+                let c = self.cond.sccs().component_of(r);
                 self.ensure_phase1(&[c], &mut stats);
                 let rn = self.psg.routine_nodes(r);
                 let csr = rn.saved_restored();
@@ -284,7 +279,7 @@ impl QueryEngine {
                 }
             }
             Query::LiveAtEntry(r) => {
-                let c = self.schedule.component_of_routine(r);
+                let c = self.cond.sccs().component_of(r);
                 self.ensure_phase2(c, &mut stats);
                 let rn = self.psg.routine_nodes(r);
                 QueryAnswer::LiveAtEntry {
@@ -304,7 +299,7 @@ impl QueryEngine {
     /// facts it pulls exact.
     pub fn ensure_uninit(&mut self, routine: RoutineId) -> QueryStats {
         let mut stats = QueryStats::default();
-        let callers = self.caller_closure(self.schedule.component_of_routine(routine));
+        let callers = self.caller_closure(self.cond.sccs().component_of(routine));
         stats.phase2_cone_components = callers.len();
         self.ensure_phase1(&callers, &mut stats);
         stats
@@ -324,21 +319,11 @@ impl QueryEngine {
     /// as its stats.
     pub fn into_analysis(mut self) -> Analysis {
         let n_routines = self.routines();
-        let components = self.schedule.components();
+        let components = self.comp_nodes.len();
         let rest1: Vec<usize> = (0..components).filter(|&c| !self.p1_solved[c]).collect();
-        let t = Instant::now();
-        self.phase1_visits +=
-            solve_phase1_components(&mut self.psg, &self.schedule, &rest1, &mut self.solver);
-        self.phase1_time += t.elapsed();
-
-        let rest2: Vec<usize> = (0..components).rev().filter(|&c| !self.p2_solved[c]).collect();
-        let t = Instant::now();
-        for &c in &rest2 {
-            init_phase2_component(&mut self.psg, &self.schedule, c, &self.exit_seeds);
-        }
-        self.phase2_visits +=
-            solve_phase2_components(&mut self.psg, &self.schedule, &rest2, &mut self.solver);
-        self.phase2_time += t.elapsed();
+        self.solve_phase1(&rest1);
+        let rest2: Vec<usize> = (0..components).filter(|&c| !self.p2_solved[c]).collect();
+        self.solve_phase2(&rest2);
 
         let summary = ProgramSummary::from_psg(&self.psg, self.calling_standard);
         let memory_bytes = self.cfg.heap_bytes()
@@ -370,14 +355,8 @@ impl QueryEngine {
                 stack_forward_visits: self.stack_stats.forward_visits,
                 stack_backward_visits: self.stack_stats.backward_visits,
                 stack_summary_evals: self.stack_stats.summary_evals,
-                // The demand engine iterates the dense per-node sets,
-                // whatever the options say (see DESIGN.md: demand cones
-                // re-solve components piecemeal, which the warm-start
-                // contract of the chain solvers does not cover).
-                representation: Representation::Dense,
                 front_end_workers: self.front_end_workers,
-                phase_workers: 1,
-                waves: self.schedule.waves(),
+                waves: 0,
                 routines_reanalyzed: n_routines,
                 routines_reused: 0,
                 memory_bytes,
@@ -386,14 +365,11 @@ impl QueryEngine {
     }
 
     /// Walks the full phase-1 cone (callee closure) of `targets`,
-    /// counts it into `stats`, and solves its unsolved components
-    /// bottom-up. The condensation numbers callees before callers, so
-    /// ascending component index is bottom-up order; the solved-implies-
-    /// callees-solved invariant holds because every callee of a newly
-    /// solved component is either freshly solved (it sorts earlier) or
-    /// was already solved.
+    /// counts it into `stats`, and solves its unsolved components. The
+    /// solved-implies-callees-solved invariant holds because the whole
+    /// unsolved part of the callee closure is solved together.
     fn ensure_phase1(&mut self, targets: &[usize], stats: &mut QueryStats) {
-        let mut seen = vec![false; self.schedule.components()];
+        let mut seen = vec![false; self.comp_nodes.len()];
         let mut stack: Vec<usize> = targets.to_vec();
         let mut need: Vec<usize> = Vec::new();
         while let Some(c) = stack.pop() {
@@ -402,56 +378,85 @@ impl QueryEngine {
             }
             seen[c] = true;
             stats.phase1_cone_components += 1;
-            stats.cone_routines += self.schedule.condensation().sccs().components()[c].len();
+            stats.cone_routines += self.cond.sccs().components()[c].len();
             if !self.p1_solved[c] {
                 need.push(c);
             }
-            stack.extend_from_slice(self.schedule.condensation().callee_components(c));
+            stack.extend_from_slice(self.cond.callee_components(c));
         }
+        // The condensation numbers callees before callers, so ascending
+        // component index seeds the worklist bottom-up.
         need.sort_unstable();
-        let t = Instant::now();
-        let visits =
-            solve_phase1_components(&mut self.psg, &self.schedule, &need, &mut self.solver);
-        self.phase1_time += t.elapsed();
-        self.phase1_visits += visits;
-        stats.visits += visits;
+        stats.visits += self.solve_phase1(&need);
         stats.phase1_components_solved += need.len();
-        for &c in &need {
-            self.p1_solved[c] = true;
-        }
     }
 
-    /// Solves phase 2 over the caller closure of `target` (top-down,
-    /// after ensuring the phase-1 prerequisite over the closure's
-    /// callee closure), initializing each component's liveness lazily
-    /// at its first solve — valid because `MAY-USE` is final by then
-    /// and nothing outside the closure ever reads the component.
+    /// Solves phase 2 over the unsolved part of the caller closure of
+    /// `target`, after ensuring the phase-1 prerequisite over the
+    /// closure's callee closure (the call-return labels phase 2 reads).
     fn ensure_phase2(&mut self, target: usize, stats: &mut QueryStats) {
         let callers = self.caller_closure(target);
         stats.phase2_cone_components = callers.len();
         self.ensure_phase1(&callers, stats);
 
-        let mut need: Vec<usize> =
-            callers.iter().copied().filter(|&c| !self.p2_solved[c]).collect();
-        need.sort_unstable_by(|a, b| b.cmp(a));
-        let t = Instant::now();
-        for &c in &need {
-            init_phase2_component(&mut self.psg, &self.schedule, c, &self.exit_seeds);
-        }
-        let visits =
-            solve_phase2_components(&mut self.psg, &self.schedule, &need, &mut self.solver);
-        self.phase2_time += t.elapsed();
-        self.phase2_visits += visits;
-        stats.visits += visits;
+        let need: Vec<usize> = callers.into_iter().filter(|&c| !self.p2_solved[c]).collect();
+        stats.visits += self.solve_phase2(&need);
         stats.phase2_components_solved += need.len();
-        for &c in &need {
+    }
+
+    /// The node mask of the listed components.
+    fn scope_of(&self, comps: &[usize]) -> Vec<bool> {
+        let mut scope = vec![false; self.psg.nodes().len()];
+        for &c in comps {
+            for &x in &self.comp_nodes[c] {
+                scope[x.index()] = true;
+            }
+        }
+        scope
+    }
+
+    /// Runs phase 1 scoped to `comps` (ascending, callee-closed over the
+    /// solved components) and marks them solved. Returns the visits.
+    fn solve_phase1(&mut self, comps: &[usize]) -> usize {
+        if comps.is_empty() {
+            return 0;
+        }
+        let t = Instant::now();
+        let scope = self.scope_of(comps);
+        // Within a component sinks first, as in the whole-program seed
+        // order: backward flow settles most nodes on their first visit.
+        let seed: Vec<NodeId> =
+            comps.iter().flat_map(|&c| self.comp_nodes[c].iter().rev().copied()).collect();
+        let visits = run_phase1_seeded(&mut self.psg, &seed, Some(&scope));
+        for &c in comps {
+            self.p1_solved[c] = true;
+        }
+        self.phase1_time += t.elapsed();
+        self.phase1_visits += visits;
+        visits
+    }
+
+    /// Runs phase 2 scoped to `comps` (caller-closed over the solved
+    /// components, phase 1 converged over their callee closure) and
+    /// marks them solved. Returns the visits.
+    fn solve_phase2(&mut self, comps: &[usize]) -> usize {
+        if comps.is_empty() {
+            return 0;
+        }
+        let t = Instant::now();
+        let scope = self.scope_of(comps);
+        let visits = run_phase2_seeded(&mut self.psg, &self.exit_seeds, Some(&scope));
+        for &c in comps {
             self.p2_solved[c] = true;
         }
+        self.phase2_time += t.elapsed();
+        self.phase2_visits += visits;
+        visits
     }
 
     /// The caller closure of component `target`, including itself.
     fn caller_closure(&self, target: usize) -> Vec<usize> {
-        let mut seen = vec![false; self.schedule.components()];
+        let mut seen = vec![false; self.comp_nodes.len()];
         let mut stack = vec![target];
         let mut closure = Vec::new();
         while let Some(c) = stack.pop() {
@@ -460,7 +465,7 @@ impl QueryEngine {
             }
             seen[c] = true;
             closure.push(c);
-            stack.extend_from_slice(self.schedule.condensation().caller_components(c));
+            stack.extend_from_slice(self.cond.caller_components(c));
         }
         closure
     }
@@ -468,15 +473,15 @@ impl QueryEngine {
     /// Whether a call path of at least one edge leads from `caller` to
     /// `callee`.
     fn reaches(&self, caller: RoutineId, callee: RoutineId) -> bool {
-        let cond = self.schedule.condensation();
-        let from = self.schedule.component_of_routine(caller);
-        let to = self.schedule.component_of_routine(callee);
+        let cond = &self.cond;
+        let from = cond.sccs().component_of(caller);
+        let to = cond.sccs().component_of(callee);
         if from == to {
             // Inside one SCC every member calls (transitively) every
             // other; only a singleton needs the dropped self-loop.
             return cond.sccs().components()[from].len() > 1 || self.self_call[caller.index()];
         }
-        let mut seen = vec![false; self.schedule.components()];
+        let mut seen = vec![false; self.comp_nodes.len()];
         let mut stack = vec![from];
         seen[from] = true;
         while let Some(c) = stack.pop() {
@@ -497,18 +502,17 @@ impl QueryEngine {
 impl Clone for QueryEngine {
     /// Clones the engine's values exactly ([`CloneExact`] on the PSG
     /// and CFGs, so a later [`Self::into_analysis`] still reports
-    /// scratch-identical `memory_bytes`); the solver scratch is
-    /// rebuilt fresh.
+    /// scratch-identical `memory_bytes`).
     fn clone(&self) -> QueryEngine {
         QueryEngine {
             cfg: self.cfg.clone_exact(),
             psg: self.psg.clone_exact(),
-            schedule: self.schedule.clone(),
+            cond: self.cond.clone(),
+            comp_nodes: self.comp_nodes.clone(),
             exit_seeds: self.exit_seeds.clone(),
             self_call: self.self_call.clone(),
             p1_solved: self.p1_solved.clone(),
             p2_solved: self.p2_solved.clone(),
-            solver: CompSolver::new(self.routines(), self.psg.nodes().len()),
             calling_standard: self.calling_standard,
             stack: self.stack.clone_exact(),
             stack_stats: self.stack_stats,
@@ -529,7 +533,7 @@ impl fmt::Debug for QueryEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QueryEngine")
             .field("routines", &self.routines())
-            .field("components", &self.schedule.components())
+            .field("components", &self.comp_nodes.len())
             .field("phase1_solved", &self.p1_solved.iter().filter(|&&s| s).count())
             .field("phase2_solved", &self.p2_solved.iter().filter(|&&s| s).count())
             .field("phase1_visits", &self.phase1_visits)
@@ -554,10 +558,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn assert_summary_matches(program: &Program, engine: &mut QueryEngine, dense: &Analysis) {
+    fn assert_summary_matches(program: &Program, engine: &mut QueryEngine, full: &Analysis) {
         for (rid, r) in program.iter() {
             let (answer, _) = engine.query(&Query::Summary(rid));
-            let s = dense.summary.routine(rid);
+            let s = full.summary.routine(rid);
             let QueryAnswer::Summary { call_used, call_defined, call_killed, saved_restored } =
                 answer
             else {
@@ -571,15 +575,15 @@ mod tests {
     }
 
     #[test]
-    fn queries_match_the_dense_slice() {
+    fn queries_match_the_whole_program_slice() {
         let p = sample();
         let options = AnalysisOptions::default();
-        let dense = analyze_with(&p, &options);
+        let full = analyze_with(&p, &options);
         let mut engine = QueryEngine::new(&p, &options);
-        assert_summary_matches(&p, &mut engine, &dense);
+        assert_summary_matches(&p, &mut engine, &full);
         for (rid, r) in p.iter() {
             let (answer, _) = engine.query(&Query::LiveAtEntry(rid));
-            let s = dense.summary.routine(rid);
+            let s = full.summary.routine(rid);
             assert_eq!(
                 answer,
                 QueryAnswer::LiveAtEntry {
@@ -598,11 +602,11 @@ mod tests {
         // phase-2 path), then summaries on the memoized engine.
         let p = sample();
         let options = AnalysisOptions::default();
-        let dense = analyze_with(&p, &options);
+        let full = analyze_with(&p, &options);
         let mut engine = QueryEngine::new(&p, &options);
         let main = p.routine_by_name("main").unwrap();
         engine.query(&Query::LiveAtEntry(main));
-        assert_summary_matches(&p, &mut engine, &dense);
+        assert_summary_matches(&p, &mut engine, &full);
     }
 
     #[test]
@@ -691,6 +695,31 @@ mod tests {
         assert_eq!(cold.summary, scratch.summary);
         assert_eq!(cold.psg, scratch.psg);
         assert_eq!(cold.stats.memory_bytes, scratch.stats.memory_bytes);
+    }
+
+    #[test]
+    fn co_sources_solved_by_separate_queries_promote_to_the_scratch_analysis() {
+        // `main`'s call-return label meets over both targets. Each target
+        // is solved by its own query, so when `main` is finally solved
+        // neither entry changes again and no broadcast reaches the label:
+        // the cone solve has to pull it from the (final) source entries.
+        let mut b = ProgramBuilder::new();
+        b.routine("main").def(Reg::A0).jsr_known(Reg::PV, &["a", "b"]).put_int().halt();
+        b.routine("a").copy(Reg::A0, Reg::V0).def(Reg::T0).ret();
+        b.routine("b").copy(Reg::A1, Reg::V0).def(Reg::T1).ret();
+        let p = b.build().unwrap();
+        let options = AnalysisOptions::default();
+        let scratch = analyze_with(&p, &options);
+
+        let mut engine = QueryEngine::new(&p, &options);
+        for name in ["a", "b"] {
+            let (_, stats) = engine.query(&Query::Summary(p.routine_by_name(name).unwrap()));
+            assert_eq!(stats.phase1_components_solved, 1, "{name} is its own cone");
+        }
+        let promoted = engine.into_analysis();
+        assert_eq!(promoted.psg, scratch.psg);
+        assert_eq!(promoted.summary, scratch.summary);
+        assert_eq!(promoted.stats.memory_bytes, scratch.stats.memory_bytes);
     }
 
     #[test]

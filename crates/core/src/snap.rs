@@ -17,7 +17,7 @@
 
 use spike_isa::{Snap, SnapError, SnapReader, SnapWriter};
 
-use crate::analysis::{Analysis, AnalysisOptions, AnalysisStats, Representation, Scheduler};
+use crate::analysis::{Analysis, AnalysisOptions, AnalysisStats};
 use crate::psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, RoutineNodes};
 use crate::stack::{FrameModel, RoutineStack, Slot, StackSummary};
 use crate::summary::RoutineSummary;
@@ -286,38 +286,6 @@ impl Snap for RoutineStack {
     }
 }
 
-impl Snap for Scheduler {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Scheduler::SccWave => 0,
-            Scheduler::Fifo => 1,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(Scheduler::SccWave),
-            1 => Ok(Scheduler::Fifo),
-            _ => Err(SnapError::Malformed("scheduler tag")),
-        }
-    }
-}
-
-impl Snap for Representation {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Representation::Sparse => 0,
-            Representation::Dense => 1,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(Representation::Sparse),
-            1 => Ok(Representation::Dense),
-            _ => Err(SnapError::Malformed("representation tag")),
-        }
-    }
-}
-
 impl Snap for AnalysisStats {
     fn snap(&self, w: &mut SnapWriter) {
         self.cfg_build.snap(w);
@@ -331,9 +299,7 @@ impl Snap for AnalysisStats {
         self.stack_forward_visits.snap(w);
         self.stack_backward_visits.snap(w);
         self.stack_summary_evals.snap(w);
-        self.representation.snap(w);
         self.front_end_workers.snap(w);
-        self.phase_workers.snap(w);
         self.waves.snap(w);
         self.routines_reanalyzed.snap(w);
         self.routines_reused.snap(w);
@@ -352,9 +318,7 @@ impl Snap for AnalysisStats {
             stack_forward_visits: Snap::unsnap(r)?,
             stack_backward_visits: Snap::unsnap(r)?,
             stack_summary_evals: Snap::unsnap(r)?,
-            representation: Snap::unsnap(r)?,
             front_end_workers: Snap::unsnap(r)?,
-            phase_workers: Snap::unsnap(r)?,
             waves: Snap::unsnap(r)?,
             routines_reanalyzed: Snap::unsnap(r)?,
             routines_reused: Snap::unsnap(r)?,
@@ -408,8 +372,6 @@ impl Snap for AnalysisOptions {
         self.calling_standard.snap(w);
         self.exported_live_at_exit.snap(w);
         self.threads.snap(w);
-        self.scheduler.snap(w);
-        self.representation.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(AnalysisOptions {
@@ -418,8 +380,6 @@ impl Snap for AnalysisOptions {
             calling_standard: Snap::unsnap(r)?,
             exported_live_at_exit: Snap::unsnap(r)?,
             threads: Snap::unsnap(r)?,
-            scheduler: Snap::unsnap(r)?,
-            representation: Snap::unsnap(r)?,
         })
     }
 }
@@ -433,9 +393,7 @@ impl Snap for AnalysisOptions {
 /// `threads` is deliberately excluded: results (including
 /// `memory_bytes`) are bit-identical at every worker count, so a
 /// snapshot from a 4-worker daemon is valid donor state for an
-/// 8-worker one. `scheduler`/`representation` are *included* because
-/// the effort counters inside the cached `AnalysisStats` depend on
-/// them, and stats flow into diag output.
+/// 8-worker one.
 pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     let mut w = SnapWriter::new();
     AnalysisOptions { threads: 0, ..options.clone() }.snap(&mut w);
@@ -538,12 +496,8 @@ mod tests {
             fp,
             options_fingerprint(&AnalysisOptions {
                 exported_live_at_exit: RegSet::of(&[Reg::S0]),
-                ..base.clone()
+                ..base
             })
-        );
-        assert_ne!(
-            fp,
-            options_fingerprint(&AnalysisOptions { representation: Representation::Dense, ..base })
         );
     }
 }

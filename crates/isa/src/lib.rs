@@ -42,6 +42,8 @@
 //! assert_eq!(Instruction::decode(word).unwrap(), insn);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod callstd;
 mod insn;
 mod mem;

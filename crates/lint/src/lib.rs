@@ -48,6 +48,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 use spike_cfg::ProgramCfg;
 use spike_core::{Analysis, ProgramSummary};
 use spike_program::{Program, RoutineId};

@@ -43,6 +43,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod dead;
 mod licm;
 mod liveness;

@@ -43,6 +43,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod image;
 mod program;

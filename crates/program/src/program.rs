@@ -60,6 +60,9 @@ pub enum ProgramError {
     /// A jump table or indirect-target record points at an address holding
     /// no instruction of the right kind.
     MisplacedAuxInfo { addr: u32 },
+    /// A relocation record's target is not an instruction address, so the
+    /// relinker could not say where the named code moved to.
+    BadRelocationTarget { addr: u32, target: u32 },
     /// A routine's last instruction can fall through past the routine end.
     FallsThroughEnd { routine: String },
     /// An SP-relative `Load`/`Store` displacement is not a multiple of its
@@ -96,6 +99,10 @@ impl fmt::Display for ProgramError {
                 f,
                 "auxiliary control-flow info at {addr:#x} does not match an instruction"
             ),
+            ProgramError::BadRelocationTarget { addr, target } => write!(
+                f,
+                "relocation at {addr:#x} targets {target:#x} which holds no instruction"
+            ),
             ProgramError::FallsThroughEnd { routine } => {
                 write!(f, "routine {routine} can fall through past its last instruction")
             }
@@ -123,6 +130,8 @@ impl std::error::Error for ProgramError {}
 /// * every jump table is attached to a `jmp` instruction and its targets
 ///   lie inside that routine; every known indirect-target list is attached
 ///   to a `jsr` and lists routine entrances;
+/// * every relocation record sits on the `lda zero`-based immediate it
+///   describes and targets an instruction address;
 /// * no routine falls through past its end: every routine's last
 ///   instruction transfers control unconditionally (`br`, `jmp`, `ret`,
 ///   or `halt`).
@@ -310,6 +319,9 @@ impl Program {
             if !ok {
                 return Err(ProgramError::MisplacedAuxInfo { addr });
             }
+            if self.insn_at(target).is_none() {
+                return Err(ProgramError::BadRelocationTarget { addr, target });
+            }
         }
         Ok(())
     }
@@ -492,6 +504,34 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ProgramError::BadLayout { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn relocation_to_a_non_instruction_address_is_rejected() {
+        // The record sits on a matching `lda`, but names the word just
+        // past the routine's end: nothing the relinker could follow.
+        let base = 0x100;
+        let target = base + 2;
+        let r = Routine::new(
+            "main",
+            base,
+            vec![
+                Instruction::Lda { rd: Reg::T0, base: Reg::ZERO, disp: target as i16 },
+                Instruction::Halt,
+            ],
+            vec![0],
+            false,
+        );
+        let err = Program::new(
+            vec![r],
+            BTreeMap::new(),
+            BTreeMap::new(),
+            BTreeMap::new(),
+            BTreeMap::from([(base, target)]),
+            RoutineId::from_index(0),
+        )
+        .unwrap_err();
+        assert_eq!(err, ProgramError::BadRelocationTarget { addr: base, target });
     }
 
     #[test]

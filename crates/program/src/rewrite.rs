@@ -193,12 +193,6 @@ impl<'a> Rewriter<'a> {
     /// instruction, terminator, relocated constant), a routine would
     /// become empty, a relocation overflows, or the relinked program
     /// fails validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a relocation record of the input program names an
-    /// address that holds no instruction (no builder or optimizer pass
-    /// produces one; [`Program::new`] does not check it).
     pub fn finish(&self) -> Result<(Program, Vec<RoutineId>), RewriteError> {
         let p = self.program;
         let slots = Slots::new(p);

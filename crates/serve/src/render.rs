@@ -102,7 +102,7 @@ pub fn analyze_report(
 }
 
 /// The non-deterministic half of the analyze report: wall-clock phase
-/// timings and scheduler effort.
+/// timings and solver effort.
 pub fn analyze_diag(stats: &AnalysisStats) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -118,19 +118,10 @@ pub fn analyze_diag(stats: &AnalysisStats) -> String {
         stats.stack_build,
         stats.front_end_workers,
     );
-    let visits = match stats.representation {
-        spike_core::Representation::Sparse => "chain visits",
-        spike_core::Representation::Dense => "node visits",
-    };
     let _ = writeln!(
         out,
-        "schedule: {} representation, {} + {} {} (phase 1 + 2), {} wave(s), {} wave worker(s)",
-        stats.representation.name(),
-        stats.phase1_visits,
-        stats.phase2_visits,
-        visits,
-        stats.waves,
-        stats.phase_workers
+        "phases: {} + {} node visits (phase 1 + 2)",
+        stats.phase1_visits, stats.phase2_visits
     );
     let _ = writeln!(
         out,

@@ -61,9 +61,6 @@ pub struct ServeOptions {
     pub default_deadline_ms: u64,
     /// `threads` knob passed into every analysis.
     pub analysis_threads: usize,
-    /// Value representation passed into every analysis (`--sparse` /
-    /// `--dense` on the CLI).
-    pub analysis_representation: spike_core::Representation,
     /// Warm-cache snapshot file. When set, the daemon restores the cache
     /// from it at startup (falling back to cold on any mismatch or
     /// corruption) and writes a final snapshot after draining, so a
@@ -98,7 +95,6 @@ impl Default for ServeOptions {
             max_frame_bytes: 64 << 20,
             default_deadline_ms: 300_000,
             analysis_threads: 0,
-            analysis_representation: spike_core::Representation::default(),
             snapshot: None,
             snapshot_interval_ms: None,
             event_driven: cfg!(target_os = "linux"),
@@ -376,11 +372,8 @@ impl Server {
                 "serve needs --listen and/or --unix",
             ));
         }
-        let analysis = AnalysisOptions {
-            threads: options.analysis_threads,
-            representation: options.analysis_representation,
-            ..AnalysisOptions::default()
-        };
+        let analysis =
+            AnalysisOptions { threads: options.analysis_threads, ..AnalysisOptions::default() };
         let cluster = if options.cluster.is_empty() {
             None
         } else {

@@ -53,7 +53,7 @@ use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 
 /// Payload encoding version. Bump on any change to the `Snap` layout of
 /// the analysis structures.
-pub const FORMAT_VERSION: i64 = 3;
+pub const FORMAT_VERSION: i64 = 4;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
@@ -402,22 +402,30 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.snap");
 
-        // A future format version is refused up front. Splice a bumped
-        // format field into the JSON header and fix up the length field.
+        // Any other format version is refused up front: a future one, and
+        // version 3, whose `AnalysisOptions`/`AnalysisStats` layouts still
+        // carried the solver-selection fields. Splice the format field in
+        // the JSON header and fix up the length field.
         let header_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
         let header = std::str::from_utf8(&good[12..12 + header_len]).unwrap();
-        let bumped_header =
-            header.replacen(&format!("\"format\":{FORMAT_VERSION}"), "\"format\":999", 1);
-        assert_ne!(bumped_header, header, "header must contain the format field");
-        let mut bumped = good[..8].to_vec();
-        bumped.extend_from_slice(&(bumped_header.len() as u32).to_le_bytes());
-        bumped.extend_from_slice(bumped_header.as_bytes());
-        bumped.extend_from_slice(&good[12 + header_len..]);
-        std::fs::write(&path, &bumped).unwrap();
-        let fresh = ProgramStore::new(options.clone(), usize::MAX);
-        match restore(&path, &fresh, &options) {
-            Err(SnapshotError::Incompatible(_)) => {}
-            other => panic!("format bump must be Incompatible, got {other:?}"),
+        for other in [999, 3] {
+            let spliced_header = header.replacen(
+                &format!("\"format\":{FORMAT_VERSION}"),
+                &format!("\"format\":{other}"),
+                1,
+            );
+            assert_ne!(spliced_header, header, "header must contain the format field");
+            let mut spliced = good[..8].to_vec();
+            spliced.extend_from_slice(&(spliced_header.len() as u32).to_le_bytes());
+            spliced.extend_from_slice(spliced_header.as_bytes());
+            spliced.extend_from_slice(&good[12 + header_len..]);
+            std::fs::write(&path, &spliced).unwrap();
+            let fresh = ProgramStore::new(options.clone(), usize::MAX);
+            match restore(&path, &fresh, &options) {
+                Err(SnapshotError::Incompatible(_)) => {}
+                got => panic!("format {other} must be Incompatible, got {got:?}"),
+            }
+            assert_eq!(fresh.snapshot().entries, 0, "format {other}: store must stay cold");
         }
 
         // A snapshot from a daemon with different analysis options is

@@ -333,6 +333,20 @@ fn drain_snapshot_makes_a_plain_restart_start_warm() {
     assert!(r.diag.contains("cache: miss"), "cold fallback: {}", r.diag);
     assert_eq!(r.stdout, first[0], "cold answers still match");
     stop(server, &endpoint);
+
+    // So does a pristine snapshot of the previous format version (that
+    // drain just rewrote the file): the header is refused before any
+    // payload byte is decoded.
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let current = format!("\"format\":{}", spike_serve::snapshot::FORMAT_VERSION);
+    let at = bytes.windows(current.len()).position(|w| w == current.as_bytes()).unwrap();
+    bytes[at..at + current.len()].copy_from_slice(b"\"format\":3");
+    std::fs::write(&snap, &bytes).unwrap();
+    let (server, endpoint) = start(|o| o.snapshot = Some(snap.clone()));
+    assert!(server.restored().is_none(), "a format-3 snapshot must be refused");
+    let r = send(&endpoint, &req(analyze(), "img0"), &images[0]);
+    assert!(r.diag.contains("cache: miss"), "cold start: {}", r.diag);
+    stop(server, &endpoint);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -28,6 +28,8 @@
 //! assert!(program.routines().len() >= 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod exec;
 mod gen;
 mod profiles;

@@ -49,6 +49,8 @@
 //! example from the paper, the Figure 1 optimizations, image round-trips,
 //! and the PSG-vs-CFG comparison.
 
+#![forbid(unsafe_code)]
+
 pub use spike_asm as asm;
 pub use spike_baseline as baseline;
 pub use spike_callgraph as callgraph;
