@@ -2,8 +2,9 @@
 //!
 //! Measurement harness for reproducing the paper's evaluation (§4):
 //! Tables 1–5 and Figures 13–15, plus an optimization-impact report for
-//! the Figure 1 motivation. The `report` binary prints each table;
-//! the Criterion benches under `benches/` time the same workloads.
+//! the Figure 1 motivation. The `report` binary prints each table.
+//! (End-to-end and per-layer timing is `benchmark/`'s job, not this
+//! crate's.)
 //!
 //! All workloads come from `spike-synth`'s paper-calibrated profiles; a
 //! `scale` factor shrinks every benchmark proportionally so the full
@@ -18,7 +19,7 @@ use spike_core::{analyze_with, Analysis, AnalysisOptions};
 use spike_program::Program;
 use spike_synth::{generate, Profile};
 
-/// Default generator seed used by the report and benches.
+/// Default generator seed used by the report.
 pub const DEFAULT_SEED: u64 = 0x5B1CE;
 
 /// Everything measured for one benchmark.

@@ -180,28 +180,7 @@ impl AnalysisCache {
             self.state = None;
         }
         if let Some(a) = &self.state {
-            let answer = match *query {
-                Query::Summary(r) => {
-                    let s = a.summary.routine(r);
-                    QueryAnswer::Summary {
-                        call_used: s.call_used.clone(),
-                        call_defined: s.call_defined.clone(),
-                        call_killed: s.call_killed.clone(),
-                        saved_restored: s.saved_restored,
-                    }
-                }
-                Query::LiveAtEntry(r) => {
-                    let s = a.summary.routine(r);
-                    QueryAnswer::LiveAtEntry {
-                        live_at_entry: s.live_at_entry.clone(),
-                        live_at_exit: s.live_at_exit.clone(),
-                    }
-                }
-                Query::Reaches { caller, callee } => {
-                    QueryAnswer::Reaches(reaches_in_callgraph(program, &a.cfg, caller, callee))
-                }
-            };
-            return (answer, QueryStats { answered_from_full: true, ..QueryStats::default() });
+            return query_analysis(a, program, query);
         }
         self.demand_engine(program).query(query)
     }
@@ -229,8 +208,7 @@ impl AnalysisCache {
             self.state = None;
         }
         if let Some(a) = &self.state {
-            let stats = QueryStats { answered_from_full: true, ..QueryStats::default() };
-            return (f(&a.cfg, &a.summary), stats);
+            return uninit_facts_of(a, f);
         }
         let engine = self.demand_engine(program);
         let stats = engine.ensure_uninit(routine);
@@ -322,6 +300,55 @@ impl AnalysisCache {
         }
         self.state.as_ref().expect("state was just filled")
     }
+}
+
+/// Answers `query` by slicing `analysis`, the converged whole-program
+/// analysis of `program`: a pure read, which is what
+/// [`AnalysisCache::query`] does once it holds full state. A holder of a
+/// shared `&Analysis` (the daemon's full-analysis cache entries) calls
+/// this directly instead of copying the analysis into a cache.
+///
+/// # Panics
+///
+/// Panics if the query names a routine outside `program`.
+pub fn query_analysis(
+    analysis: &Analysis,
+    program: &Program,
+    query: &Query,
+) -> (QueryAnswer, QueryStats) {
+    let answer = match *query {
+        Query::Summary(r) => {
+            let s = analysis.summary.routine(r);
+            QueryAnswer::Summary {
+                call_used: s.call_used.clone(),
+                call_defined: s.call_defined.clone(),
+                call_killed: s.call_killed.clone(),
+                saved_restored: s.saved_restored,
+            }
+        }
+        Query::LiveAtEntry(r) => {
+            let s = analysis.summary.routine(r);
+            QueryAnswer::LiveAtEntry {
+                live_at_entry: s.live_at_entry.clone(),
+                live_at_exit: s.live_at_exit.clone(),
+            }
+        }
+        Query::Reaches { caller, callee } => {
+            QueryAnswer::Reaches(reaches_in_callgraph(program, &analysis.cfg, caller, callee))
+        }
+    };
+    (answer, QueryStats { answered_from_full: true, ..QueryStats::default() })
+}
+
+/// The full-state branch of [`AnalysisCache::with_uninit_facts`]: runs
+/// `f` on `analysis`'s own control-flow graphs and summaries, which are
+/// converged everywhere.
+pub fn uninit_facts_of<R>(
+    analysis: &Analysis,
+    f: impl FnOnce(&ProgramCfg, &ProgramSummary) -> R,
+) -> (R, QueryStats) {
+    let stats = QueryStats { answered_from_full: true, ..QueryStats::default() };
+    (f(&analysis.cfg, &analysis.summary), stats)
 }
 
 /// Whether a call path of at least one edge leads from `caller` to

@@ -64,7 +64,7 @@ pub mod worklist;
 
 pub use analysis::{analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, LoopStats};
 pub use callee_saved::saved_restored_registers;
-pub use incremental::{reanalyze, AnalysisCache};
+pub use incremental::{query_analysis, reanalyze, uninit_facts_of, AnalysisCache};
 pub use psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, PsgStats, RoutineNodes};
 pub use query::{Query, QueryAnswer, QueryEngine, QueryStats};
 pub use snap::options_fingerprint;

@@ -15,7 +15,7 @@
 //! `Program::from_image` is deterministic — snapshot containers store
 //! the image and re-parse.
 
-use spike_isa::{Snap, SnapError, SnapReader, SnapWriter};
+use spike_isa::{fnv64, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::analysis::{Analysis, AnalysisOptions, AnalysisStats};
 use crate::psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, RoutineNodes};
@@ -397,12 +397,7 @@ impl Snap for AnalysisOptions {
 pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     let mut w = SnapWriter::new();
     AnalysisOptions { threads: 0, ..options.clone() }.snap(&mut w);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in w.into_bytes().iter() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
+    fnv64(&w.into_bytes())
 }
 
 #[cfg(test)]

@@ -56,4 +56,4 @@ pub use insn::{AluOp, BranchCond, DecodeError, FpOp, Instruction, MemWidth};
 pub use mem::{CloneExact, HeapSize};
 pub use reg::{Reg, NUM_REGS};
 pub use regset::RegSet;
-pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
+pub use snap::{fnv128, fnv64, Snap, SnapError, SnapReader, SnapWriter};

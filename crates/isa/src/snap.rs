@@ -14,7 +14,7 @@
 //! Everything else is deliberately plain: little-endian fixed-width
 //! integers, `u8` enum tags, no self-description. Integrity is the
 //! *container's* job — snapshot files carry a checksum over the whole
-//! payload and a format version, and decoding only runs after both
+//! payload ([`fnv128`], defined here) and a format version, and decoding only runs after both
 //! check out. The decoder still never panics on malformed input
 //! (every read is bounds-checked and every tag validated), so a bad
 //! file costs an error, not the daemon.
@@ -372,10 +372,45 @@ impl Snap for crate::MemWidth {
     }
 }
 
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// 64-bit FNV-1a of `bytes`. Not cryptographic: it guards against
+/// accidental collisions between benign inputs.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET_BASIS, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// Two independent FNV-1a 64 lanes over `bytes`, 128 bits total: the
+/// first is [`fnv64`], the second starts from a different offset basis
+/// and salts every byte. Image content addressing (the daemon's cache
+/// key, a profile's binding to its image) and the snapshot and profile
+/// containers' payload checksums all use this one function, so they
+/// agree about what "the same bytes" means; 2⁻¹²⁸ is beyond accidental.
+pub fn fnv128(bytes: &[u8]) -> [u64; 2] {
+    let mut a = FNV_OFFSET_BASIS;
+    let mut b: u64 = 0x6C62_272E_07BB_0142;
+    for &byte in bytes {
+        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        b = (b ^ u64::from(byte ^ 0xA5)).wrapping_mul(FNV_PRIME);
+    }
+    [a, b]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{CloneExact, HeapSize, MemWidth, Reg, RegSet};
+
+    #[test]
+    fn fnv_matches_the_published_vectors() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        let [a, b] = fnv128(b"foobar");
+        assert_eq!(a, fnv64(b"foobar"));
+        assert_ne!(a, b);
+    }
 
     fn roundtrip<T: Snap>(v: &T) -> T {
         let mut w = SnapWriter::new();

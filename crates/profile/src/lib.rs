@@ -45,6 +45,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write as _;
 use std::path::Path;
 
 use spike_program::Program;
@@ -110,19 +111,11 @@ impl From<std::io::Error> for ProfileError {
     }
 }
 
-/// Content hash of an image: two independent FNV-1a 64 lanes (second
-/// lane salted), 128 bits total — byte-for-byte the daemon cache-key
-/// function, so a profile's binding and the serving layer's content
-/// addressing agree about what "the same image" means.
+/// Content hash of an image: [`spike_isa::fnv128`], the function the
+/// daemon's cache key is, so a profile's binding and the serving layer's
+/// content addressing agree about what "the same image" means.
 pub fn fingerprint(bytes: &[u8]) -> [u64; 2] {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut a: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut b: u64 = 0x6C62_272E_07BB_0142;
-    for &byte in bytes {
-        a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
-        b = (b ^ u64::from(byte ^ 0xA5)).wrapping_mul(PRIME);
-    }
-    [a, b]
+    spike_isa::fnv128(bytes)
 }
 
 /// An execution profile bound to the program image it measured.
@@ -362,19 +355,42 @@ impl Profile {
         })
     }
 
-    /// Writes the profile to `path` atomically (tmp file + rename), so
-    /// readers never observe a half-written profile.
+    /// Writes the profile to `path` through [`write_atomic`], so readers
+    /// never observe a half-written profile.
     pub fn save(&self, path: &Path) -> Result<(), ProfileError> {
-        let tmp = path.with_extension("prof.tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        Ok(write_atomic(path, &self.to_bytes())?)
     }
 
     /// Reads a profile from `path`.
     pub fn load(path: &Path) -> Result<Profile, ProfileError> {
         Profile::from_bytes(&std::fs::read(path)?)
     }
+}
+
+/// Replaces the file at `path` with `bytes` atomically: the bytes go to
+/// a sibling `<file name>.tmp`, are synced to disk, and the temp file
+/// is renamed over `path`. A crash mid-write leaves the previous file
+/// intact, a reader never observes a half-written one, and no failure
+/// leaves the temp file behind.
+///
+/// # Errors
+///
+/// Propagates the filesystem error; the previous file at `path`, if
+/// any, survives every failure mode.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let staged = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if staged.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    staged
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -500,6 +516,26 @@ mod tests {
         let path = dir.join("a.prof");
         profile.save(&path).unwrap();
         assert_eq!(Profile::load(&path).unwrap(), profile);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn saves_to_sibling_names_do_not_share_a_temp_file() {
+        let (_, profile) = sample();
+        let dir = std::env::temp_dir().join(format!("spike-prof-sib-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        profile.save(&dir.join("x.a")).unwrap();
+        profile.save(&dir.join("x.b")).unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["x.a", "x.b"]);
+        // A failed rename (the target is a directory) removes its temp file.
+        std::fs::create_dir(dir.join("x.c")).unwrap();
+        assert!(profile.save(&dir.join("x.c")).is_err());
+        assert!(!dir.join("x.c.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

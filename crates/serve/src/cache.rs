@@ -32,24 +32,14 @@ use spike_program::Program;
 
 use crate::diff::diff_for_reanalysis;
 
-/// Content hash of an image: two independent FNV-1a 64 lanes (different
-/// offset bases, second lane salted), 128 bits total. Not cryptographic —
-/// this guards against accidental collisions between benign inputs, and
-/// 2⁻¹²⁸ is beyond accidental.
+/// Content hash of an image: [`spike_isa::fnv128`] of its bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheKey([u64; 2]);
 
 impl CacheKey {
     /// Hashes image bytes to a cache key.
     pub fn of(bytes: &[u8]) -> CacheKey {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut a: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut b: u64 = 0x6C62_272E_07BB_0142;
-        for &byte in bytes {
-            a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
-            b = (b ^ u64::from(byte ^ 0xA5)).wrapping_mul(PRIME);
-        }
-        CacheKey([a, b])
+        CacheKey(spike_isa::fnv128(bytes))
     }
 
     /// The two 64-bit lanes, for serialization and for the cluster's
@@ -108,16 +98,17 @@ pub struct AnalyzedProgram {
     pub image: Vec<u8>,
 }
 
-/// A cached program served by the demand-driven query engine. Unlike
-/// [`AnalyzedProgram`] the analysis state is mutable — each query may
-/// grow the memoized cone — so it sits behind a mutex and the store
-/// re-charges its heap footprint after every query.
+/// A cached program served by the demand-driven query engine, for an
+/// image no request has fully analyzed. Unlike [`AnalyzedProgram`] the
+/// analysis state is mutable — each query may grow the memoized cone —
+/// so it sits behind a mutex and the store re-charges its heap footprint
+/// after every query.
 pub struct QueriedProgram {
     /// Content hash of the image this was built from.
     pub key: CacheKey,
     /// The validated program.
     pub program: Program,
-    /// Query-capable analysis state (demand engine or full analysis).
+    /// The demand engine's state.
     pub cache: Mutex<AnalysisCache>,
 }
 
@@ -126,6 +117,26 @@ impl QueriedProgram {
     /// leaves the engine in a consistent converged-prefix state.
     pub fn lock(&self) -> MutexGuard<'_, AnalysisCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// What [`ProgramStore::get_or_query`] resolved an image to.
+pub enum QuerySource {
+    /// `get_or_analyze` already converged this image: queries slice the
+    /// shared entry in place ([`spike_core::query_analysis`]).
+    Full(Arc<AnalyzedProgram>),
+    /// Never fully analyzed: queries solve their cone in this entry's
+    /// demand engine.
+    Demand(Arc<QueriedProgram>),
+}
+
+impl QuerySource {
+    /// The validated program behind either kind of entry.
+    pub fn program(&self) -> &Program {
+        match self {
+            QuerySource::Full(entry) => &entry.program,
+            QuerySource::Demand(entry) => &entry.program,
+        }
     }
 }
 
@@ -175,9 +186,9 @@ pub struct CacheSnapshot {
 
 struct Inner {
     entries: HashMap<CacheKey, Entry>,
-    /// Demand-query entries, keyed like `entries` but disjoint from it:
-    /// a key lives in at most one map (queries reuse a full entry by
-    /// seeding from it rather than sharing it).
+    /// Demand-query entries, keyed like `entries`. A key in both maps
+    /// was queried before it was analyzed; queries then prefer the full
+    /// entry and the demand one ages out.
     query_entries: HashMap<CacheKey, QueryEntry>,
     /// Keys currently being analyzed by some thread.
     in_flight: HashSet<CacheKey>,
@@ -401,12 +412,12 @@ impl ProgramStore {
 
     /// Resolves image bytes to a query-capable cached program.
     ///
-    /// A warm query entry is a hit. Otherwise the image is parsed and a
-    /// fresh [`AnalysisCache`] is installed — seeded from the full
-    /// analysis when `get_or_analyze` already converged this image (so
-    /// queries answer from the whole-program solution), empty otherwise
-    /// (so the first query builds the demand engine and solves only its
-    /// cone). No single-flight: creating a cold entry costs one image
+    /// An image `get_or_analyze` already converged is a hit on that
+    /// entry, shared as it is: queries read the whole-program solution
+    /// in place. Otherwise a warm demand entry is a hit, and failing
+    /// that the image is parsed and an empty [`AnalysisCache`] installed,
+    /// so the first query builds the demand engine and solves only its
+    /// cone. No single-flight: creating a cold entry costs one image
     /// parse, not an analysis; the actual solving happens under the
     /// entry's own mutex, serialized per image.
     ///
@@ -414,73 +425,55 @@ impl ProgramStore {
     ///
     /// Returns the image loader's error message when `image` does not
     /// decode to a valid [`Program`]. Parse failures are not cached.
-    pub fn get_or_query(
-        &self,
-        image: &[u8],
-    ) -> Result<(Arc<QueriedProgram>, CacheOutcome), String> {
+    pub fn get_or_query(&self, image: &[u8]) -> Result<(QuerySource, CacheOutcome), String> {
         let key = CacheKey::of(image);
-        let seed: Option<Arc<AnalyzedProgram>> = {
+        {
             let mut inner = self.lock();
-            if inner.query_entries.contains_key(&key) {
-                inner.tick += 1;
-                inner.counters.hits += 1;
-                let tick = inner.tick;
-                let e = inner.query_entries.get_mut(&key).expect("entry just seen");
+            inner.tick += 1;
+            let tick = inner.tick;
+            let warm = if let Some(e) = inner.entries.get_mut(&key) {
                 e.last_used = tick;
-                return Ok((Arc::clone(&e.shared), CacheOutcome::Hit));
+                Some(QuerySource::Full(Arc::clone(&e.shared)))
+            } else if let Some(e) = inner.query_entries.get_mut(&key) {
+                e.last_used = tick;
+                Some(QuerySource::Demand(Arc::clone(&e.shared)))
+            } else {
+                None
+            };
+            if let Some(source) = warm {
+                inner.counters.hits += 1;
+                return Ok((source, CacheOutcome::Hit));
             }
-            inner.entries.get(&key).map(|e| Arc::clone(&e.shared))
-        };
+        }
 
-        let (program, cache, outcome) = match seed {
-            // `clone_exact` for the same reason as the incremental seed:
-            // a query answered from this state must be bit-identical to
-            // one answered from the original full analysis.
-            Some(donor) => (
-                donor.program.clone(),
-                AnalysisCache::from_analysis(self.options.clone(), donor.analysis.clone_exact()),
-                CacheOutcome::Hit,
-            ),
-            None => (
-                Program::from_image(image).map_err(|e| e.to_string())?,
-                AnalysisCache::new(self.options.clone()),
-                CacheOutcome::MissCold,
-            ),
-        };
-
+        let program = Program::from_image(image).map_err(|e| e.to_string())?;
+        let cache = AnalysisCache::new(self.options.clone());
         let bytes = image.len() + cache.heap_bytes();
         let shared = Arc::new(QueriedProgram { key, program, cache: Mutex::new(cache) });
 
         let mut inner = self.lock();
-        match outcome {
-            CacheOutcome::Hit => inner.counters.hits += 1,
-            _ => inner.counters.misses_cold += 1,
-        }
-        // Lost race: another thread installed the same key while we were
-        // parsing. Use theirs; the work above is wasted but consistent.
-        if inner.query_entries.contains_key(&key) {
-            inner.tick += 1;
-            let tick = inner.tick;
-            let e = inner.query_entries.get_mut(&key).expect("entry just seen");
-            e.last_used = tick;
-            return Ok((Arc::clone(&e.shared), outcome));
-        }
+        inner.counters.misses_cold += 1;
         inner.tick += 1;
         let tick = inner.tick;
+        // Lost race: another thread installed the same key while we were
+        // parsing. Use theirs; the work above is wasted but consistent.
+        if let Some(e) = inner.query_entries.get_mut(&key) {
+            e.last_used = tick;
+            return Ok((QuerySource::Demand(Arc::clone(&e.shared)), CacheOutcome::MissCold));
+        }
         inner.total_bytes += bytes;
         inner
             .query_entries
             .insert(key, QueryEntry { shared: Arc::clone(&shared), bytes, last_used: tick });
         inner.evict_to_budget(self.budget_bytes, key);
-        Ok((shared, outcome))
+        Ok((QuerySource::Demand(shared), CacheOutcome::MissCold))
     }
 
     /// The full-analysis entries in LRU order (least recently used
     /// first), for snapshotting. Writing them oldest-first means a
     /// restore that replays insertion order reproduces the eviction
-    /// order too. Query entries are *not* exported: their state is
-    /// derived (seeded from full entries or rebuilt on demand) and a
-    /// partially-memoized demand engine is cheap to regrow.
+    /// order too. Query entries are *not* exported: a partially-memoized
+    /// demand engine is cheap to regrow.
     pub fn export_entries(&self) -> Vec<Arc<AnalyzedProgram>> {
         let inner = self.lock();
         let mut entries: Vec<(u64, Arc<AnalyzedProgram>)> =
@@ -602,29 +595,44 @@ mod tests {
     fn keys_differ_across_images() {
         assert_ne!(CacheKey::of(&image(0)), CacheKey::of(&image(1)));
         assert_eq!(CacheKey::of(&image(1)), CacheKey::of(&image(1)));
+        // A profile binds to its image by the same hash, and the first
+        // lane is plain FNV-1a 64 (the ring positions keys by it).
+        assert_eq!(CacheKey::of(&image(1)).lanes(), spike_profile::fingerprint(&image(1)));
+        assert_eq!(CacheKey::of(b"a").lanes()[0], 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]
     fn query_entries_cache_and_seed_from_full_analyses() {
         let s = store(usize::MAX);
         let img = image(0);
+        let demand = |source: QuerySource| match source {
+            QuerySource::Demand(e) => e,
+            QuerySource::Full(_) => panic!("nothing analyzed this image"),
+        };
         let (e1, o1) = s.get_or_query(&img).unwrap();
         assert_eq!(o1, CacheOutcome::MissCold);
         let (e2, o2) = s.get_or_query(&img).unwrap();
         assert_eq!(o2, CacheOutcome::Hit);
-        assert!(Arc::ptr_eq(&e1, &e2));
+        assert!(Arc::ptr_eq(&demand(e1), &demand(e2)));
         assert_eq!(s.snapshot().entries, 1);
 
-        // A converged full analysis seeds the query entry, so queries
-        // answer from the whole-program solution.
+        // A converged full analysis is shared as it is: queries answer
+        // from the whole-program solution, with no copy and no second
+        // entry charged against the budget.
         let s = store(usize::MAX);
-        s.get_or_analyze(&img).unwrap();
-        let (entry, outcome) = s.get_or_query(&img).unwrap();
+        let (full, _) = s.get_or_analyze(&img).unwrap();
+        let bytes = s.snapshot().bytes;
+        let (source, outcome) = s.get_or_query(&img).unwrap();
         assert_eq!(outcome, CacheOutcome::Hit);
+        let QuerySource::Full(entry) = source else { panic!("the full entry must serve queries") };
+        assert!(Arc::ptr_eq(&entry, &full));
         let rid = entry.program.routine_by_name("main").unwrap();
-        let (_, stats) = entry.lock().query(&entry.program, &spike_core::Query::Summary(rid));
+        let query = spike_core::Query::Summary(rid);
+        let (_, stats) = spike_core::query_analysis(&entry.analysis, &entry.program, &query);
         assert!(stats.answered_from_full);
-        assert_eq!(s.snapshot().entries, 2, "full and query entries are distinct");
+        assert_eq!(s.snapshot().entries, 1);
+        assert_eq!(s.snapshot().bytes, bytes);
+        assert_eq!(s.snapshot().counters.hits, 1);
     }
 
     #[test]
@@ -632,7 +640,9 @@ mod tests {
         let s = store(10_000);
         let img_a = image(0);
         let img_b = image(1);
-        let (ea, _) = s.get_or_query(&img_a).unwrap();
+        let (QuerySource::Demand(ea), _) = s.get_or_query(&img_a).unwrap() else {
+            panic!("nothing analyzed this image")
+        };
         s.get_or_query(&img_b).unwrap();
         assert_eq!(s.snapshot().entries, 2);
         // Pretend entry A's engine grew past the whole budget: B (the

@@ -50,15 +50,6 @@ use crate::proto::{read_frame, write_frame, ErrorKind, FrameRead, Request, Respo
 /// few percent of uniform without weighting.
 pub const VNODES: usize = 64;
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Murmur3's 64-bit finalizer. FNV-1a mixes new bytes into the *low*
 /// bits, so hashes of short, similar strings (vnode labels differ in a
 /// few characters) cluster in their high bits — exactly the bits that
@@ -89,7 +80,10 @@ impl Ring {
         let mut points = Vec::with_capacity(shards.len() * VNODES);
         for (index, addr) in shards.iter().enumerate() {
             for i in 0..VNODES {
-                points.push((mix64(fnv64(format!("{addr}#{i}").as_bytes())), index as u32));
+                points.push((
+                    mix64(spike_isa::fnv64(format!("{addr}#{i}").as_bytes())),
+                    index as u32,
+                ));
             }
         }
         points.sort_unstable();

@@ -7,10 +7,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spike_core::AnalysisOptions;
+use spike_cfg::ProgramCfg;
+use spike_core::{AnalysisOptions, ProgramSummary};
 use spike_program::Program;
 
-use crate::cache::ProgramStore;
+use crate::cache::{ProgramStore, QuerySource};
 use crate::metrics::Metrics;
 use crate::proto::{Command, ErrorKind, QueryKind, Request, Response};
 use crate::render;
@@ -223,11 +224,11 @@ impl Handler {
         routine: &str,
         callee: Option<&str>,
     ) -> Response {
-        let (entry, outcome) = match self.store.get_or_query(image) {
+        let (source, outcome) = match self.store.get_or_query(image) {
             Ok(x) => x,
             Err(msg) => return Response::error(ErrorKind::BadImage, msg),
         };
-        let program = &entry.program;
+        let program = source.program();
         let Some(rid) = program.routine_by_name(routine) else {
             return Response::error(ErrorKind::BadRequest, format!("no routine named `{routine}`"));
         };
@@ -252,30 +253,44 @@ impl Handler {
             }
         };
 
-        let mut cache = entry.lock();
-        let (mut response, stats) = match query {
-            Some(q) => {
-                let (answer, stats) = cache.query(program, &q);
-                let stdout = render::query_report(routine, callee, &answer);
-                (Response::ok(stdout, String::new()), stats)
-            }
-            None => {
-                // `uninit` is a lint-shaped query: exit 1 with findings,
-                // rendered exactly like `spike lint`'s human format.
-                let (report, stats) = cache.with_uninit_facts(program, rid, |cfg, summary| {
-                    spike_lint::uninit_routine(program, cfg, summary, rid)
-                });
-                let stdout =
-                    render::lint_report(&req.image_name, &report, crate::proto::LintFormat::Human);
-                let exit = if report.errors() > 0 { 1 } else { 0 };
-                (Response { exit, stdout, diag: String::new(), error: None }, stats)
+        let answered = |answer: &spike_core::QueryAnswer| {
+            Response::ok(render::query_report(routine, callee, answer), String::new())
+        };
+        // `uninit` is a lint-shaped query: exit 1 with findings, rendered
+        // exactly like `spike lint`'s human format.
+        let uninit = |cfg: &ProgramCfg, summary: &ProgramSummary| {
+            let report = spike_lint::uninit_routine(program, cfg, summary, rid);
+            let stdout =
+                render::lint_report(&req.image_name, &report, crate::proto::LintFormat::Human);
+            let exit = if report.errors() > 0 { 1 } else { 0 };
+            Response { exit, stdout, diag: String::new(), error: None }
+        };
+        let (mut response, stats) = match &source {
+            // A converged entry is read in place: no copy, no lock.
+            QuerySource::Full(entry) => match &query {
+                Some(q) => {
+                    let (answer, stats) = spike_core::query_analysis(&entry.analysis, program, q);
+                    (answered(&answer), stats)
+                }
+                None => spike_core::uninit_facts_of(&entry.analysis, uninit),
+            },
+            QuerySource::Demand(entry) => {
+                let mut cache = entry.lock();
+                let out = match &query {
+                    Some(q) => {
+                        let (answer, stats) = cache.query(program, q);
+                        (answered(&answer), stats)
+                    }
+                    None => cache.with_uninit_facts(program, rid, uninit),
+                };
+                // The engine may have grown while solving this query's
+                // cone; re-charge the entry so the LRU budget stays honest.
+                let bytes = image.len() + cache.heap_bytes();
+                drop(cache);
+                self.store.recharge_query(entry.key, bytes);
+                out
             }
         };
-        // The engine may have grown while solving this query's cone;
-        // re-charge the entry so the LRU budget stays honest.
-        let bytes = image.len() + cache.heap_bytes();
-        drop(cache);
-        self.store.recharge_query(entry.key, bytes);
 
         let mut diag = render::query_diag(&stats);
         let _ = writeln!(diag, "cache: {}", outcome.name());

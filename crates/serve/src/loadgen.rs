@@ -71,7 +71,7 @@ pub struct LoadgenReport {
 }
 
 impl LoadgenReport {
-    /// The report as JSON, the shape committed in `BENCH_serve.json`.
+    /// The report as JSON, the shape `spike loadgen` prints.
     pub fn to_json(&self) -> Json {
         Json::Obj(
             [

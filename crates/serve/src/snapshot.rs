@@ -13,15 +13,15 @@
 //! The header is a `spike_core::json` object:
 //!
 //! ```json
-//! {"tool": "spike-served", "format": 3, "entries": 3,
+//! {"tool": "spike-served", "format": 5, "entries": 3,
 //!  "payload_bytes": 123456, "checksum": "<32 hex>", "options_fp": "<16 hex>"}
 //! ```
 //!
 //! * `format` — bumped whenever the payload encoding changes; a
 //!   mismatch rejects the file (old daemons never misread new payloads
 //!   and vice versa).
-//! * `checksum` — the dual-lane FNV-1a 128 of the payload bytes (the
-//!   same [`CacheKey`] hash that content-addresses images), verified
+//! * `checksum` — [`spike_isa::fnv128`] of the payload bytes (the same
+//!   [`CacheKey`] hash that content-addresses images), verified
 //!   **before** any payload decoding runs.
 //! * `options_fp` — fingerprint of the analysis options the entries
 //!   were computed under (see [`spike_core::options_fingerprint`]); a
@@ -40,8 +40,7 @@
 //! mid-write leaves the previous snapshot intact and a reader never
 //! observes a half-written file.
 
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,8 +51,8 @@ use spike_isa::{Snap, SnapReader, SnapWriter};
 use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 
 /// Payload encoding version. Bump on any change to the `Snap` layout of
-/// the analysis structures.
-pub const FORMAT_VERSION: i64 = 4;
+/// the analysis structures or to how a header field is computed.
+pub const FORMAT_VERSION: i64 = 5;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
@@ -164,23 +163,8 @@ pub fn write(
 ) -> Result<(usize, usize), SnapshotError> {
     let entries = store.export_entries();
     let bytes = encode(&entries, options);
-    let tmp: PathBuf = {
-        let mut name = path.as_os_str().to_owned();
-        name.push(".tmp");
-        PathBuf::from(name)
-    };
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok((entries.len(), bytes.len())),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e.into())
-        }
-    }
+    spike_profile::write_atomic(path, &bytes)?;
+    Ok((entries.len(), bytes.len()))
 }
 
 /// Decoded snapshot entries, not yet installed anywhere.
@@ -402,13 +386,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.snap");
 
-        // Any other format version is refused up front: a future one, and
+        // Any other format version is refused up front: a future one,
         // version 3, whose `AnalysisOptions`/`AnalysisStats` layouts still
-        // carried the solver-selection fields. Splice the format field in
-        // the JSON header and fix up the length field.
+        // carried the solver-selection fields, and version 4, whose
+        // `options_fp` was computed with a non-FNV multiplier. Splice the
+        // format field in the JSON header and fix up the length field.
         let header_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
         let header = std::str::from_utf8(&good[12..12 + header_len]).unwrap();
-        for other in [999, 3] {
+        for other in [999, 3, 4] {
             let spliced_header = header.replacen(
                 &format!("\"format\":{FORMAT_VERSION}"),
                 &format!("\"format\":{other}"),
