@@ -3,7 +3,8 @@
 
 use std::time::{Duration, Instant};
 
-use spike_cfg::{DomTree, LoopForest, ProgramCfg, RoutineCfg};
+use spike_callgraph::{CallGraph, Sccs};
+use spike_cfg::{ProgramCfg, RoutineCfg};
 use spike_isa::{CallingStandard, CloneExact, HeapSize, Reg, RegSet};
 use spike_program::{Program, RoutineId};
 
@@ -11,7 +12,7 @@ use crate::build::build_psg;
 use crate::dataflow::{run_phase1, run_phase2};
 use crate::parallel::{par_for_each_mut, par_map, resolve_threads};
 use crate::psg::{NodeId, Psg};
-use crate::stack::{analyze_stack, StackAnalysis};
+use crate::stack::{reanalyze_stack_over, StackAnalysis};
 use crate::summary::ProgramSummary;
 
 /// Tuning knobs for the analysis, mirroring the paper's design choices.
@@ -56,52 +57,6 @@ impl Default for AnalysisOptions {
     }
 }
 
-/// Loop-structure counts for one routine (or, aggregated with
-/// [`Analysis::loop_stats`], a whole program): what the natural-loop
-/// forest over the execution-graph dominator tree
-/// ([`spike_cfg::LoopForest`]) found. These are the static weights the
-/// profile-guided layer falls back to when no execution profile is
-/// supplied — loop depth stands in for execution count.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct LoopStats {
-    /// Natural loops detected (back edges with a dominating header,
-    /// merged per header).
-    pub loops: usize,
-    /// Loops overlapping an irreducible region; loop optimizations skip
-    /// these.
-    pub irreducible_loops: usize,
-    /// Deepest loop nesting (0 = no loops).
-    pub max_depth: u32,
-    /// Basic blocks inside at least one loop.
-    pub blocks_in_loops: usize,
-}
-
-impl LoopStats {
-    /// Folds another routine's counts into an aggregate: counts add,
-    /// depths max.
-    pub fn absorb(&mut self, other: LoopStats) {
-        self.loops += other.loops;
-        self.irreducible_loops += other.irreducible_loops;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.blocks_in_loops += other.blocks_in_loops;
-    }
-}
-
-/// Loop counts of one routine, from its execution-graph loop forest.
-pub(crate) fn routine_loop_stats(cfg: &RoutineCfg) -> LoopStats {
-    let dom = DomTree::dominators_linked(cfg);
-    let forest = LoopForest::build(cfg, &dom);
-    let blocks_in_loops = (0..cfg.blocks().len())
-        .filter(|&b| forest.depth_of(spike_cfg::BlockId::from_index(b)) > 0)
-        .count();
-    LoopStats {
-        loops: forest.loops().len(),
-        irreducible_loops: forest.loops().iter().filter(|l| l.irreducible).count(),
-        max_depth: forest.max_depth(),
-        blocks_in_loops,
-    }
-}
-
 /// Wall-clock time and effort per pipeline stage (Figure 13 of the paper)
 /// plus the deterministic memory footprint (Table 2 / Figure 15).
 #[derive(Clone, Copy, Debug, Default)]
@@ -139,12 +94,13 @@ pub struct AnalysisStats {
     /// benchmark package reads it (`core.waves` in
     /// `benchmark/src/oracle.rs`).
     pub waves: usize,
-    /// Routines whose front-end structures (CFG, `DEF`/`UBD`, PSG plan)
-    /// were rebuilt by this run. A from-scratch analysis rebuilds every
-    /// routine; an incremental re-analysis rebuilds only the dirty ones.
+    /// Routines whose CFG and `DEF`/`UBD` sets were rebuilt by this run.
+    /// A from-scratch analysis rebuilds every routine; an incremental
+    /// re-analysis rebuilds only the dirty ones, even when one of them
+    /// changed shape and the PSG had to be built anew over them.
     pub routines_reanalyzed: usize,
-    /// Routines whose cached front-end structures were reused unchanged
-    /// (always `0` for a from-scratch analysis).
+    /// Routines whose cached CFG was reused, at most rebased (always `0`
+    /// for a from-scratch analysis).
     pub routines_reused: usize,
     /// Bytes of analysis structures (CFGs + PSG + summaries), counted
     /// deterministically via [`HeapSize`].
@@ -182,22 +138,53 @@ pub struct Analysis {
     pub stack: StackAnalysis,
     /// The control-flow graphs the analysis was computed over.
     pub cfg: ProgramCfg,
-    /// Per-routine loop-structure counts (indexed by routine id), from
-    /// the execution-graph loop forest each routine's CFG induces.
-    pub loops: Vec<LoopStats>,
     /// Stage timings, effort counters and memory footprint.
     pub stats: AnalysisStats,
 }
 
 impl Analysis {
-    /// Whole-program aggregate of the per-routine loop counts.
-    pub fn loop_stats(&self) -> LoopStats {
-        let mut total = LoopStats::default();
-        for &l in &self.loops {
-            total.absorb(l);
-        }
-        total
+    /// The register layers alone — what phases 1–2 computed, without the
+    /// stack layer. This is all the register-only consumers (spill
+    /// elimination, reallocation, dead code, liveness) read, and the
+    /// type [`AnalysisCache::reanalyze_registers`](crate::AnalysisCache::reanalyze_registers)
+    /// answers with, so that a pass handed it cannot reach a stack layer
+    /// that was not brought up to date for it.
+    pub fn registers(&self) -> RegisterFacts<'_> {
+        RegisterFacts { summary: &self.summary, cfg: &self.cfg, stats: &self.stats }
     }
+
+    /// Brings a stack layer that is unsolved or behind up to `program`,
+    /// the program the register layers describe: `behind` marks the
+    /// routines edited since the layer was solved, and `calls` is the
+    /// call graph of `(program, self.cfg)`. Books the solve's effort and
+    /// adds the layer's share of `memory_bytes`, which a lagging layer
+    /// is left out of.
+    pub(crate) fn catch_up_stack(&mut self, program: &Program, calls: &Calls, behind: &[bool]) {
+        let t = Instant::now();
+        let prev = std::mem::replace(&mut self.stack, StackAnalysis::unsolved());
+        let (stack, stats) = reanalyze_stack_over(program, &self.cfg, calls, prev, behind);
+        self.stats.stack_build = t.elapsed();
+        self.stats.stack_forward_visits = stats.forward_visits;
+        self.stats.stack_backward_visits = stats.backward_visits;
+        self.stats.stack_summary_evals = stats.summary_evals;
+        self.stats.memory_bytes += stack.heap_bytes();
+        self.stack = stack;
+    }
+}
+
+/// A borrowed view of an analysis's register layers: the summaries and
+/// the control-flow graphs they were computed over. See
+/// [`Analysis::registers`].
+#[derive(Clone, Copy, Debug)]
+pub struct RegisterFacts<'a> {
+    /// Per-routine summaries and call-site resolution.
+    pub summary: &'a ProgramSummary,
+    /// The control-flow graphs the summaries were computed over.
+    pub cfg: &'a ProgramCfg,
+    /// Effort of the run that produced them. After a register-only run
+    /// the stack counters are zero and `memory_bytes` leaves the stack
+    /// layer out.
+    pub stats: &'a AnalysisStats,
 }
 
 impl CloneExact for Analysis {
@@ -207,7 +194,6 @@ impl CloneExact for Analysis {
             summary: self.summary.clone_exact(),
             stack: self.stack.clone_exact(),
             cfg: self.cfg.clone_exact(),
-            loops: self.loops.clone(),
             stats: self.stats,
         }
     }
@@ -245,29 +231,93 @@ pub fn analyze(program: &Program) -> Analysis {
 
 /// Analyzes `program` with explicit [`AnalysisOptions`].
 pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
+    let (mut analysis, calls) = analyze_registers(program, options);
+    analysis.catch_up_stack(program, &calls, &[]);
+    analysis
+}
+
+/// [`analyze_with`] short of the stack layer, which is left unsolved
+/// (see [`solve_registers`]), with the call graph the run built.
+pub(crate) fn analyze_registers(program: &Program, options: &AnalysisOptions) -> (Analysis, Calls) {
+    let front = FrontEnd::build(program, options);
+    let calls = Calls::of(program, &front.cfg);
+    (solve_registers(program, front, options, &calls.sccs), calls)
+}
+
+/// The call graph of one `(program, cfg)` and its condensation, built
+/// once per analysis run: the phase-1 seed order and the stack layer's
+/// bottom-up solve both read it.
+pub(crate) struct Calls {
+    pub graph: CallGraph,
+    pub sccs: Sccs,
+}
+
+impl Calls {
+    pub fn of(program: &Program, cfg: &ProgramCfg) -> Calls {
+        let graph = CallGraph::build(program, cfg);
+        let sccs = graph.sccs();
+        Calls { graph, sccs }
+    }
+}
+
+/// What a run's front end produced: the CFGs with their `DEF`/`UBD`
+/// sets, and what building them cost.
+pub(crate) struct FrontEnd {
+    pub cfg: ProgramCfg,
+    pub cfg_build: Duration,
+    pub init: Duration,
+    /// Routines whose CFG this run built; an incremental run hands the
+    /// rest over from its cache.
+    pub rebuilt: usize,
+}
+
+impl FrontEnd {
+    /// Builds every routine's CFG and `DEF`/`UBD` sets.
+    fn build(program: &Program, options: &AnalysisOptions) -> FrontEnd {
+        let n_routines = program.routines().len();
+        let workers = front_end_workers(options, n_routines);
+
+        let t = Instant::now();
+        let mut cfgs: Vec<RoutineCfg> = par_map(n_routines, workers, |i| {
+            RoutineCfg::build_structure(program, RoutineId::from_index(i))
+        });
+        let cfg_build = t.elapsed();
+
+        let t = Instant::now();
+        par_for_each_mut(&mut cfgs, workers, |c| c.init_def_ubd(program));
+        let init = t.elapsed();
+        FrontEnd { cfg: ProgramCfg::from_cfgs(cfgs), cfg_build, init, rebuilt: n_routines }
+    }
+}
+
+/// Worker threads for per-routine front-end work over `items` routines.
+pub(crate) fn front_end_workers(options: &AnalysisOptions, items: usize) -> usize {
+    resolve_threads(options.threads).clamp(1, items.max(1))
+}
+
+/// The register layers over a finished front end: PSG build, both
+/// phases from their initial values, summary extraction. The one tail
+/// of every solve that starts from an empty PSG — [`analyze_with`], and
+/// an incremental run whose edit changed a routine's shape.
+///
+/// The stack layer of the result is unsolved and left out of
+/// `memory_bytes`; see [`Analysis::catch_up_stack`].
+pub(crate) fn solve_registers(
+    program: &Program,
+    front: FrontEnd,
+    options: &AnalysisOptions,
+    sccs: &Sccs,
+) -> Analysis {
+    let FrontEnd { cfg, cfg_build, init, rebuilt } = front;
     let n_routines = program.routines().len();
-    let workers = resolve_threads(options.threads).clamp(1, n_routines.max(1));
-
-    let t = Instant::now();
-    let mut cfgs: Vec<RoutineCfg> = par_map(n_routines, workers, |i| {
-        RoutineCfg::build_structure(program, RoutineId::from_index(i))
-    });
-    let cfg_build = t.elapsed();
-
-    let t = Instant::now();
-    par_for_each_mut(&mut cfgs, workers, |c| c.init_def_ubd(program));
-    let init = t.elapsed();
-    let cfg = ProgramCfg::from_cfgs(cfgs);
-    let loops: Vec<LoopStats> = par_map(n_routines, workers, |i| {
-        routine_loop_stats(cfg.routine_cfg(RoutineId::from_index(i)))
-    });
+    let workers = front_end_workers(options, n_routines);
 
     let t = Instant::now();
     let mut psg = build_psg(program, &cfg, options, workers);
     let psg_build = t.elapsed();
 
     let t = Instant::now();
-    let seed_order = phase1_seed_order(program, &cfg, &psg);
+    let seed_order = phase1_seed_order(sccs, &psg);
     let phase1_visits = run_phase1(&mut psg, &seed_order);
     let phase1 = t.elapsed();
 
@@ -277,37 +327,26 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
     let phase2 = t.elapsed();
 
     let summary = ProgramSummary::from_psg(&psg, options.calling_standard);
-
-    let t = Instant::now();
-    let (stack, stack_stats) = analyze_stack(program, &cfg);
-    let stack_build = t.elapsed();
-
-    let memory_bytes =
-        cfg.heap_bytes() + psg.heap_bytes() + summary.heap_bytes() + stack.heap_bytes();
+    let memory_bytes = cfg.heap_bytes() + psg.heap_bytes() + summary.heap_bytes();
 
     Analysis {
         psg,
         summary,
-        stack,
+        stack: StackAnalysis::unsolved(),
         cfg,
-        loops,
         stats: AnalysisStats {
             cfg_build,
             init,
             psg_build,
             phase1,
             phase2,
-            stack_build,
             phase1_visits,
             phase2_visits,
-            stack_forward_visits: stack_stats.forward_visits,
-            stack_backward_visits: stack_stats.backward_visits,
-            stack_summary_evals: stack_stats.summary_evals,
             front_end_workers: workers,
-            waves: 0,
-            routines_reanalyzed: n_routines,
-            routines_reused: 0,
+            routines_reanalyzed: rebuilt,
+            routines_reused: n_routines - rebuilt,
             memory_bytes,
+            ..AnalysisStats::default()
         },
     }
 }
@@ -317,9 +356,7 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
 /// reverse creation order (sinks before the entry). Most call-return
 /// edges then carry their final callee summary the first time their call
 /// node is evaluated.
-pub(crate) fn phase1_seed_order(program: &Program, cfg: &ProgramCfg, psg: &Psg) -> Vec<NodeId> {
-    let callgraph = spike_callgraph::CallGraph::build(program, cfg);
-    let sccs = callgraph.sccs();
+pub(crate) fn phase1_seed_order(sccs: &Sccs, psg: &Psg) -> Vec<NodeId> {
     let mut order = Vec::with_capacity(psg.nodes().len());
     for component in sccs.bottom_up() {
         for &rid in component {

@@ -18,23 +18,32 @@
 //!    need; their PSG structures are reused verbatim.
 //! 2. **Structural validation** — most of the optimizer's edits preserve
 //!    each routine's control-flow shape (terminators are never deleted,
-//!    replacements keep targets, call identities survive relinking), so a
-//!    dirty routine's fresh node/edge plan must match the cached PSG
-//!    node-for-node and edge-for-edge. Labels are overwritten from the
-//!    fresh plan; any structural mismatch falls back to a from-scratch
-//!    analysis, so incremental reuse is an optimization, never a gamble.
-//!    The edits that do change shape (a LICM preheader adds a block, a
-//!    deletion can empty one) are caught right after the CFG rebuild:
-//!    the node plan needs block structure only, so it is validated
-//!    before any `DEF`/`UBD` or edge planning work is spent on the
-//!    doomed attempt.
-//! 3. **Seeded fixpoint** — phases 1–2 rerun over a *reset subspace*
-//!    (dirty routines plus everything their changes can influence) while
-//!    clean nodes keep their converged values. The reset closures and the
-//!    argument that this reproduces the from-scratch solution exactly —
-//!    bit-identical summaries, `memory_bytes`, and PSG — are documented
-//!    in DESIGN.md ("Incremental re-analysis"); debug builds assert the
-//!    equality against an actual from-scratch run.
+//!    replacements keep targets, call identities survive relinking), so
+//!    a dirty routine's fresh node/edge plan usually matches the cached
+//!    PSG node-for-node and edge-for-edge, and only its labels are
+//!    overwritten from the fresh plan. An edit that does change shape (a
+//!    LICM preheader adds a block, a deletion can empty one) is caught
+//!    right after the CFG rebuild — the node plan needs block structure
+//!    only. The cached PSG is then dropped, but the front end is not:
+//!    the rebuilt dirty CFGs and the rebased clean ones go through the
+//!    PSG build and both phases from their initial values, the same tail
+//!    a from-scratch analysis runs.
+//! 3. **Seeded fixpoint** — with the PSG kept, phases 1–2 rerun over a
+//!    *reset subspace* (dirty routines plus everything their changes can
+//!    influence) while clean nodes keep their converged values. The
+//!    reset closures and the argument that this reproduces the
+//!    from-scratch solution exactly — bit-identical summaries,
+//!    `memory_bytes`, and PSG — are documented in DESIGN.md
+//!    ("Incremental re-analysis"); debug builds assert the equality
+//!    against an actual from-scratch run.
+//! 4. **Stack layer, on demand** — only LICM, dead-stack-store
+//!    elimination, the lint and the daemon read it.
+//!    [`AnalysisCache::reanalyze_registers`] answers with the register
+//!    layers alone and lets the stack layer fall behind, remembering
+//!    which routines were edited since it was solved;
+//!    [`AnalysisCache::reanalyze`] (all layers) catches it up with one
+//!    [`reanalyze_stack`](crate::reanalyze_stack) over that accumulated
+//!    set.
 
 use std::time::Instant;
 
@@ -43,17 +52,16 @@ use spike_isa::{HeapSize, RegSet};
 use spike_program::{Program, RoutineId};
 
 use crate::analysis::{
-    analyze_with, exported_exit_seeds, phase1_seed_order, routine_loop_stats, Analysis,
-    AnalysisOptions, AnalysisStats,
+    analyze_registers, exported_exit_seeds, front_end_workers, phase1_seed_order, solve_registers,
+    Analysis, AnalysisOptions, AnalysisStats, Calls, FrontEnd, RegisterFacts,
 };
 use crate::build::{plan_routine_edges, plan_routine_nodes, RoutineEdgePlan};
 use crate::callee_saved::saved_restored_registers;
 use crate::dataflow::{run_phase1_seeded, run_phase2_seeded};
 use crate::flow::FlowScratch;
-use crate::parallel::{par_for_each_mut, par_map, par_map_with, resolve_threads};
+use crate::parallel::{par_for_each_mut, par_map, par_map_with};
 use crate::psg::{EdgeKind, NodeId, Psg};
 use crate::query::{Query, QueryAnswer, QueryEngine, QueryStats};
-use crate::stack::reanalyze_stack;
 use crate::summary::ProgramSummary;
 
 /// A reusable analysis: the converged [`Analysis`] of the last program
@@ -83,7 +91,20 @@ use crate::summary::ProgramSummary;
 #[derive(Clone, Debug)]
 pub struct AnalysisCache {
     options: AnalysisOptions,
+    /// The analysis of the last program seen. Its register layers (PSG,
+    /// summaries, CFGs) are always that program's; its stack layer is
+    /// only as current as `stack_behind` says, so a reference to it
+    /// leaves this module only while `stack_behind` is `None`.
     state: Option<Analysis>,
+    /// `Some` while `state`'s stack layer lags its register layers: the
+    /// routines edited since the layer was solved (all of them over the
+    /// never-solved layer of a cold register-only run), and
+    /// `state.stats.memory_bytes` leaves the layer out. `None`: every
+    /// layer is current.
+    stack_behind: Option<Vec<bool>>,
+    /// Times the stack layer was solved or caught up, over the cache's
+    /// lifetime.
+    stack_solves: usize,
     /// Demand-driven engine serving [`Self::query`] while no converged
     /// whole-program analysis exists. Invariant: at most one of `state`
     /// and `query` is `Some` — a full analysis answers queries directly,
@@ -95,7 +116,7 @@ impl AnalysisCache {
     /// Creates an empty cache; the first [`analyze`](Self::analyze) or
     /// [`reanalyze`](Self::reanalyze) fills it with a from-scratch run.
     pub fn new(options: AnalysisOptions) -> AnalysisCache {
-        AnalysisCache { options, state: None, query: None }
+        AnalysisCache { options, state: None, stack_behind: None, stack_solves: 0, query: None }
     }
 
     /// Creates a cache already warmed with a converged `analysis` of some
@@ -110,23 +131,33 @@ impl AnalysisCache {
     /// `memory_bytes` guarantee counts Vec *capacities*, which a plain
     /// `Clone` compacts.
     pub fn from_analysis(options: AnalysisOptions, analysis: Analysis) -> AnalysisCache {
-        AnalysisCache { options, state: Some(analysis), query: None }
+        AnalysisCache { state: Some(analysis), ..AnalysisCache::new(options) }
     }
 
-    /// Consumes the cache, returning the converged analysis if any run
-    /// has completed. A cache holding only a demand-driven query engine
-    /// drains the engine (solving whatever its queries left unsolved)
-    /// into the equivalent whole-program analysis.
+    /// Consumes the cache, returning the converged analysis if a run
+    /// over all layers has completed. A cache holding only a
+    /// demand-driven query engine drains the engine (solving whatever
+    /// its queries left unsolved) into the equivalent whole-program
+    /// analysis. `None` for an empty cache and for one whose last run
+    /// was [`reanalyze_registers`](Self::reanalyze_registers): catching
+    /// the stack layer up needs the program, so ask
+    /// [`reanalyze`](Self::reanalyze) first.
     pub fn into_analysis(self) -> Option<Analysis> {
+        if self.stack_behind.is_some() {
+            return None;
+        }
         self.state.or_else(|| self.query.map(QueryEngine::into_analysis))
     }
 
     /// A deterministic estimate of the heap the cached analysis retains
-    /// (its CFGs, PSG and summaries, via [`HeapSize`] accounting), for
-    /// byte-budgeted eviction decisions in caches of caches. An empty
-    /// cache is free.
+    /// (its CFGs, PSG, summaries and stack layer, via [`HeapSize`]
+    /// accounting), for byte-budgeted eviction decisions in caches of
+    /// caches. An empty cache is free.
     pub fn heap_bytes(&self) -> usize {
         match (&self.state, &self.query) {
+            (Some(a), _) if self.stack_behind.is_some() => {
+                a.stats.memory_bytes + a.stack.heap_bytes()
+            }
             (Some(a), _) => a.stats.memory_bytes,
             (None, Some(engine)) => engine.heap_bytes(),
             (None, None) => 0,
@@ -138,23 +169,34 @@ impl AnalysisCache {
         &self.options
     }
 
-    /// The cached analysis, if any run has completed.
+    /// The cached analysis, if a run over all layers has completed and
+    /// no register-only run has left the stack layer behind since.
     pub fn analysis(&self) -> Option<&Analysis> {
-        self.state.as_ref()
+        self.state.as_ref().filter(|_| self.stack_behind.is_none())
+    }
+
+    /// How many times this cache solved the stack layer — from scratch
+    /// or by catching it up — since it was created. Register-only runs
+    /// ([`reanalyze_registers`](Self::reanalyze_registers)) do not count,
+    /// nor does a [`reanalyze`](Self::reanalyze) that found the layer
+    /// current.
+    pub fn stack_solves(&self) -> usize {
+        self.stack_solves
     }
 
     /// Drops the cached analysis (and any demand-driven query engine);
     /// the next call re-analyzes from scratch.
     pub fn invalidate(&mut self) {
         self.state = None;
+        self.stack_behind = None;
         self.query = None;
     }
 
-    /// Analyzes `program` from scratch and caches the result.
+    /// Analyzes `program` from scratch, all layers, and caches the
+    /// result.
     pub fn analyze(&mut self, program: &Program) -> &Analysis {
-        self.state = Some(analyze_with(program, &self.options));
-        self.query = None;
-        self.state.as_ref().expect("state was just filled")
+        self.invalidate();
+        self.reanalyze(program, &[])
     }
 
     /// Answers one demand-driven [`Query`] about `program`.
@@ -229,7 +271,10 @@ impl AnalysisCache {
 
     /// Re-analyzes `program` after an edit that changed (at most) the
     /// routines in `dirty`, reusing the cached front-end structures and
-    /// converged dataflow values of every clean routine.
+    /// converged dataflow values of every clean routine. All layers: the
+    /// stack layer is caught up too, over `dirty` plus whatever earlier
+    /// [`reanalyze_registers`](Self::reanalyze_registers) runs left it
+    /// behind by.
     ///
     /// `dirty` must contain every routine whose *content* differs from
     /// the program the cache last saw — every routine that received an
@@ -239,18 +284,47 @@ impl AnalysisCache {
     /// in which a relocated `lda` immediate names the new address of
     /// moved code need not be listed, as long as its calls still resolve
     /// to the same `(routine, entry)` and its relocations to the same
-    /// instruction; such a routine is only rebased. If the cache is
-    /// empty, or `dirty` names a routine whose control-flow shape changed
-    /// (its summary points no longer match the cached PSG node for
-    /// node), this transparently falls back to a from-scratch analysis —
-    /// right after the dirty routines' CFGs are rebuilt, before any
-    /// further work.
+    /// instruction; such a routine is only rebased. An empty cache, or
+    /// one for a program of another routine count, is filled by a
+    /// from-scratch analysis. A `dirty` routine whose control-flow shape
+    /// changed (its summary points no longer match the cached PSG node
+    /// for node) costs a PSG rebuild and full phases, but still only its
+    /// own CFG.
     ///
     /// The result is bit-identical to [`analyze`](Self::analyze) on
-    /// `program`: same summaries, same `memory_bytes`, same PSG. Only the
-    /// timing/effort counters and the `routines_reanalyzed` /
-    /// `routines_reused` pair differ. Debug builds assert the equality.
+    /// `program`: same summaries, same `memory_bytes`, same PSG, same
+    /// stack layer. Only the timing/effort counters and the
+    /// `routines_reanalyzed` / `routines_reused` pair differ. Debug
+    /// builds assert the equality.
     pub fn reanalyze(&mut self, program: &Program, dirty: &[RoutineId]) -> &Analysis {
+        let calls = self.advance_registers(program, dirty);
+        if let Some(behind) = self.stack_behind.take() {
+            let a = self.state.as_mut().expect("advance_registers fills the cache");
+            let calls = calls.unwrap_or_else(|| Calls::of(program, &a.cfg));
+            a.catch_up_stack(program, &calls, &behind);
+            self.stack_solves += 1;
+        }
+        self.state.as_ref().expect("advance_registers fills the cache")
+    }
+
+    /// [`reanalyze`](Self::reanalyze) for a consumer that reads register
+    /// facts only: brings the PSG, the summaries and the CFGs up to date
+    /// and leaves the stack layer for the next `reanalyze` to catch up,
+    /// in one solve over everything edited in between. Same contract for
+    /// `dirty`, same bit-identity for what the view exposes.
+    pub fn reanalyze_registers(
+        &mut self,
+        program: &Program,
+        dirty: &[RoutineId],
+    ) -> RegisterFacts<'_> {
+        self.advance_registers(program, dirty);
+        self.state.as_ref().expect("advance_registers fills the cache").registers()
+    }
+
+    /// Brings `state`'s register layers up to `program` and records in
+    /// `stack_behind` what that leaves the stack layer behind by.
+    /// Returns the call graph of the new state when it had to build one.
+    fn advance_registers(&mut self, program: &Program, dirty: &[RoutineId]) -> Option<Calls> {
         let n_routines = program.routines().len();
         // A live demand engine stands in for the cached analysis it was
         // promoted from: draining it solves only the components its
@@ -264,41 +338,72 @@ impl AnalysisCache {
                 }
             }
         }
-        let cached_routines =
-            self.state.as_ref().map(|a| a.psg.all_routine_nodes().len()).unwrap_or(usize::MAX);
-        if self.state.is_none() || cached_routines != n_routines {
-            return self.analyze(program);
-        }
-
         let mut dirty: Vec<RoutineId> = dirty.to_vec();
         dirty.sort_unstable();
         dirty.dedup();
-        if dirty.iter().any(|r| r.index() >= n_routines) {
-            return self.analyze(program);
-        }
+        let cached = self
+            .state
+            .take()
+            .filter(|a| a.psg.all_routine_nodes().len() == n_routines)
+            .filter(|_| dirty.last().is_none_or(|r| r.index() < n_routines));
+        let Some(mut cached) = cached else {
+            self.invalidate();
+            let (analysis, calls) = analyze_registers(program, &self.options);
+            self.state = Some(analysis);
+            self.stack_behind = Some(vec![true; n_routines]);
+            return Some(calls);
+        };
         if dirty.is_empty() {
             // Nothing changed: the cached solution is the solution. Reset
             // the effort counters so callers see this run did no work.
-            let a = self.state.as_mut().expect("cache is non-empty");
-            a.stats = AnalysisStats {
-                front_end_workers: a.stats.front_end_workers,
+            cached.stats = AnalysisStats {
+                front_end_workers: cached.stats.front_end_workers,
                 routines_reused: n_routines,
-                memory_bytes: a.stats.memory_bytes,
+                memory_bytes: cached.stats.memory_bytes,
                 ..AnalysisStats::default()
             };
-            return self.state.as_ref().expect("cache is non-empty");
+            self.state = Some(cached);
+            return None;
         }
 
-        let cached = self.state.take().expect("cache is non-empty");
-        match try_reanalyze(cached, program, &self.options, &dirty) {
-            Ok(analysis) => {
-                #[cfg(debug_assertions)]
-                assert_matches_scratch(&analysis, program, &self.options);
-                self.state = Some(analysis);
-            }
-            Err(()) => self.state = Some(analyze_with(program, &self.options)),
+        let behind = self.stack_behind.get_or_insert_with(|| vec![false; n_routines]);
+        for &r in &dirty {
+            behind[r.index()] = true;
         }
-        self.state.as_ref().expect("state was just filled")
+        let (analysis, calls) = advance_register_layers(cached, program, &self.options, &dirty);
+        self.state = Some(analysis);
+        #[cfg(debug_assertions)]
+        self.assert_matches_scratch(program);
+        Some(calls)
+    }
+
+    /// The debug cross-check of an incremental run: every layer equals a
+    /// from-scratch run. The stack layer is behind at this point, so it
+    /// is caught up on a copy — the check sees exactly what the next
+    /// demand will compute from this state, and the cache itself does
+    /// the work a release build does.
+    #[cfg(debug_assertions)]
+    fn assert_matches_scratch(&self, program: &Program) {
+        use spike_isa::CloneExact;
+        let incremental = self.state.as_ref().expect("checked after a run");
+        let scratch = crate::analyze_with(program, &self.options);
+        assert_eq!(
+            scratch.summary, incremental.summary,
+            "incremental summaries must equal a from-scratch run"
+        );
+        assert_eq!(scratch.psg, incremental.psg, "incremental PSG must equal a from-scratch run");
+        let behind = self.stack_behind.as_ref().expect("an incremental run leaves it behind");
+        let prev = incremental.stack.clone_exact();
+        let (stack, _) = crate::reanalyze_stack(program, &incremental.cfg, prev, behind);
+        assert_eq!(
+            scratch.stack, stack,
+            "incremental stack-slot analysis must equal a from-scratch run"
+        );
+        assert_eq!(
+            scratch.stats.memory_bytes,
+            incremental.stats.memory_bytes + stack.heap_bytes(),
+            "incremental memory accounting must equal a from-scratch run"
+        );
     }
 }
 
@@ -385,42 +490,25 @@ pub fn reanalyze<'c>(
     cache.reanalyze(program, dirty)
 }
 
-#[cfg(debug_assertions)]
-fn assert_matches_scratch(incremental: &Analysis, program: &Program, options: &AnalysisOptions) {
-    let scratch = analyze_with(program, options);
-    assert_eq!(
-        scratch.summary, incremental.summary,
-        "incremental summaries must equal a from-scratch run"
-    );
-    assert_eq!(
-        scratch.stats.memory_bytes, incremental.stats.memory_bytes,
-        "incremental memory accounting must equal a from-scratch run"
-    );
-    assert_eq!(scratch.psg, incremental.psg, "incremental PSG must equal a from-scratch run");
-    assert_eq!(
-        scratch.stack, incremental.stack,
-        "incremental stack-slot analysis must equal a from-scratch run"
-    );
-}
-
-/// The incremental pipeline. Consumes the cached analysis (its PSG is
-/// patched in place); `Err(())` means a structural assumption did not
-/// hold and the caller must re-analyze from scratch.
-fn try_reanalyze(
+/// The incremental pipeline over the register layers. Consumes the
+/// cached analysis — its PSG is patched in place, or dropped when an
+/// edit changed a routine's shape — and hands its stack layer through
+/// unsolved-for-this-program, for the caller to catch up. Also returns
+/// the call graph it built for the seed order.
+fn advance_register_layers(
     cached: Analysis,
     program: &Program,
     options: &AnalysisOptions,
     dirty: &[RoutineId],
-) -> Result<Analysis, ()> {
+) -> (Analysis, Calls) {
     let n_routines = program.routines().len();
-    let Analysis { mut psg, summary: _, stack: prev_stack, cfg, loops: mut loop_stats, stats: _ } =
-        cached;
+    let Analysis { mut psg, summary: _, stack, cfg, stats: _ } = cached;
 
     let mut dirty_mask = vec![false; n_routines];
     for &r in dirty {
         dirty_mask[r.index()] = true;
     }
-    let workers = resolve_threads(options.threads).clamp(1, dirty.len().max(1));
+    let workers = front_end_workers(options, dirty.len());
 
     // --- Front end, dirty routines only. ---
     let t = Instant::now();
@@ -428,18 +516,15 @@ fn try_reanalyze(
         par_map(dirty.len(), workers, |i| RoutineCfg::build_structure(program, dirty[i]));
     let cfg_build = t.elapsed();
 
-    // Fail fast on a shape change. The node plan needs block structure
-    // only, so it is validated (and the cached node state patched) here,
-    // before any DEF/UBD or edge-plan work: an edit that moved a
-    // node-bearing block — a LICM preheader, a block a deletion emptied —
-    // gives up now instead of after every dirty routine was initialised
-    // and planned. What this accepts is exactly what it accepted when it
-    // ran after them (a vanished block behind the last call, branch and
-    // halt block renumbers nothing a node names).
+    // Detect a shape change early. The node plan needs block structure
+    // only, so it is validated (and the cached node state patched) here:
+    // an edit that moved a node-bearing block — a LICM preheader, a block
+    // a deletion emptied — is known before any edge of the cached PSG is
+    // planned against. A vanished block behind the last call, branch and
+    // halt block renumbers nothing a node names and passes.
     let t = Instant::now();
-    for c in &rebuilt {
-        patch_routine_nodes(&mut psg, program, c, options)?;
-    }
+    let mut same_shape =
+        rebuilt.iter().all(|c| patch_routine_nodes(&mut psg, program, c, options).is_ok());
     let node_patch = t.elapsed();
 
     let t = Instant::now();
@@ -459,23 +544,32 @@ fn try_reanalyze(
     }
     let init = t.elapsed();
     let cfg = ProgramCfg::from_cfgs(cfgs);
-    // Loop structure derives purely from block structure: clean routines
-    // keep their counts (rebasing moves addresses, not shape), dirty
-    // routines are redetected.
-    for &r in dirty {
-        loop_stats[r.index()] = routine_loop_stats(cfg.routine_cfg(r));
-    }
+    let calls = Calls::of(program, &cfg);
 
     // --- Patch the PSG's dirty routines in place (nodes: done above). ---
     let t = Instant::now();
-    let edge_ranges = routine_edge_ranges(&psg, n_routines);
-    let plans: Vec<RoutineEdgePlan> =
-        par_map_with(dirty.len(), workers, FlowScratch::new, |scratch, i| {
-            plan_routine_edges(&psg, cfg.routine_cfg(dirty[i]), options, scratch)
+    if same_shape {
+        let edge_ranges = routine_edge_ranges(&psg, n_routines);
+        let plans: Vec<RoutineEdgePlan> =
+            par_map_with(dirty.len(), workers, FlowScratch::new, |scratch, i| {
+                plan_routine_edges(&psg, cfg.routine_cfg(dirty[i]), options, scratch)
+            });
+        same_shape = dirty.iter().zip(&plans).all(|(&r, plan)| {
+            let (lo, hi) = edge_ranges[r.index()];
+            patch_routine_edges(&mut psg, r, plan, lo, hi).is_ok()
         });
-    for (&r, plan) in dirty.iter().zip(&plans) {
-        let (lo, hi) = edge_ranges[r.index()];
-        patch_routine_edges(&mut psg, r, plan, lo, hi)?;
+    }
+    if !same_shape {
+        // The cached PSG no longer fits, the front end still does: the
+        // dirty CFGs are built and the clean ones rebased, so only the
+        // PSG and the phases start over.
+        drop(psg);
+        let failed_patch = node_patch + t.elapsed();
+        let front = FrontEnd { cfg, cfg_build, init, rebuilt: dirty.len() };
+        let mut analysis = solve_registers(program, front, options, &calls.sccs);
+        analysis.stats.psg_build += failed_patch;
+        analysis.stack = stack;
+        return (analysis, calls);
     }
     let psg_build = node_patch + t.elapsed();
 
@@ -483,7 +577,7 @@ fn try_reanalyze(
     let t = Instant::now();
     let (reset1, reset2) = reset_masks(&psg, &dirty_mask);
     let seed: Vec<NodeId> =
-        phase1_seed_order(program, &cfg, &psg).into_iter().filter(|n| reset1[n.index()]).collect();
+        phase1_seed_order(&calls.sccs, &psg).into_iter().filter(|n| reset1[n.index()]).collect();
     let phase1_visits = run_phase1_seeded(&mut psg, &seed, Some(&reset1));
     let phase1 = t.elapsed();
 
@@ -493,42 +587,29 @@ fn try_reanalyze(
     let phase2 = t.elapsed();
 
     let summary = ProgramSummary::from_psg(&psg, options.calling_standard);
+    let memory_bytes = cfg.heap_bytes() + psg.heap_bytes() + summary.heap_bytes();
 
-    // The stack-slot layer has its own component-grained incremental
-    // path: clean components with unchanged external callee summaries
-    // move their facts over untouched.
-    let t = Instant::now();
-    let (stack, stack_stats) = reanalyze_stack(program, &cfg, prev_stack, &dirty_mask);
-    let stack_build = t.elapsed();
-
-    let memory_bytes =
-        cfg.heap_bytes() + psg.heap_bytes() + summary.heap_bytes() + stack.heap_bytes();
-
-    Ok(Analysis {
+    let analysis = Analysis {
         psg,
         summary,
         stack,
         cfg,
-        loops: loop_stats,
         stats: AnalysisStats {
             cfg_build,
             init,
             psg_build,
             phase1,
             phase2,
-            stack_build,
             phase1_visits,
             phase2_visits,
-            stack_forward_visits: stack_stats.forward_visits,
-            stack_backward_visits: stack_stats.backward_visits,
-            stack_summary_evals: stack_stats.summary_evals,
             front_end_workers: workers,
-            waves: 0,
             routines_reanalyzed: dirty.len(),
             routines_reused: n_routines - dirty.len(),
             memory_bytes,
+            ..AnalysisStats::default()
         },
-    })
+    };
+    (analysis, calls)
 }
 
 /// Re-plans one dirty routine's pass-1 nodes against its rebuilt CFG and
@@ -752,6 +833,7 @@ fn reset_masks(psg: &Psg, dirty_mask: &[bool]) -> (Vec<bool>, Vec<bool>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze_with;
     use spike_isa::Reg;
     use spike_program::{ProgramBuilder, Rewriter};
 
@@ -837,7 +919,7 @@ mod tests {
     }
 
     #[test]
-    fn shape_change_falls_back_to_scratch() {
+    fn shape_change_keeps_the_front_end() {
         use spike_isa::{AluOp, BranchCond, Instruction};
         let mut b = ProgramBuilder::new();
         b.routine("main").def(Reg::A0).call("spin").put_int().halt();
@@ -863,12 +945,65 @@ mod tests {
         let (q, dirty) = rw.finish().unwrap();
         assert_eq!(dirty, vec![spin]);
 
+        // Only `spin`'s CFG is rebuilt; the PSG and the phases start over.
         let a = cache.reanalyze(&q, &dirty);
-        assert_eq!((a.stats.routines_reanalyzed, a.stats.routines_reused), (3, 0));
+        assert_eq!((a.stats.routines_reanalyzed, a.stats.routines_reused), (1, 2));
         let scratch = analyze_with(&q, &AnalysisOptions::default());
         assert_eq!(a.summary, scratch.summary);
         assert_eq!(a.psg, scratch.psg);
+        assert_eq!(a.stack, scratch.stack);
         assert_eq!(a.stats.memory_bytes, scratch.stats.memory_bytes);
+        assert_eq!(a.stats.phase1_visits, scratch.stats.phase1_visits, "full phases");
+    }
+
+    #[test]
+    fn register_only_runs_leave_the_stack_layer_for_the_next_demand() {
+        let mut b = ProgramBuilder::new();
+        b.routine("main").def(Reg::T0).def(Reg::A0).call("keep").call("leaf").put_int().halt();
+        b.routine("keep")
+            .def(Reg::T1)
+            .lda(Reg::SP, Reg::SP, -16)
+            .store(Reg::A0, Reg::SP, 0)
+            .call("leaf")
+            .load(Reg::A0, Reg::SP, 0)
+            .lda(Reg::SP, Reg::SP, 16)
+            .ret();
+        b.routine("leaf").copy(Reg::A0, Reg::V0).ret();
+        let p = b.build().unwrap();
+        let options = AnalysisOptions::default();
+
+        // Cold and register-only: no stack solve at all.
+        let mut cache = AnalysisCache::new(options.clone());
+        let scratch = analyze_with(&p, &options);
+        assert_eq!(cache.reanalyze_registers(&p, &[]).summary, &scratch.summary);
+        assert_eq!(cache.stack_solves(), 0);
+        assert!(cache.analysis().is_none());
+
+        // Two edits, both register-only: delete the dead `def t0` in
+        // `main` (shifting everything behind it), then the dead `def t1`
+        // in `keep`.
+        let (q, dirty) = Rewriter::new(&p).delete(p.routines()[0].addr()).finish().unwrap();
+        cache.reanalyze_registers(&q, &dirty);
+        let keep = q.routine_by_name("keep").unwrap();
+        let (r, dirty) = Rewriter::new(&q).delete(q.routine(keep).addr()).finish().unwrap();
+        assert_eq!(dirty, vec![keep]);
+        let facts = cache.reanalyze_registers(&r, &dirty);
+        assert_eq!((facts.stats.routines_reanalyzed, facts.stats.routines_reused), (1, 2));
+        assert_eq!(cache.stack_solves(), 0);
+        assert!(cache.clone().into_analysis().is_none(), "the stack layer is behind");
+
+        // The demand: one solve covers everything edited since.
+        let scratch = analyze_with(&r, &options);
+        let a = cache.reanalyze(&r, &[]);
+        assert_eq!(a.stack, scratch.stack);
+        assert_eq!(a.summary, scratch.summary);
+        assert_eq!(a.stats.memory_bytes, scratch.stats.memory_bytes);
+        assert_eq!(cache.stack_solves(), 1);
+        assert_eq!(cache.heap_bytes(), scratch.stats.memory_bytes);
+        // Current now: asking again solves nothing.
+        cache.reanalyze(&r, &[]);
+        assert_eq!(cache.stack_solves(), 1);
+        assert!(cache.into_analysis().is_some());
     }
 
     #[test]

@@ -62,7 +62,9 @@ mod stack;
 mod summary;
 pub mod worklist;
 
-pub use analysis::{analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, LoopStats};
+pub use analysis::{
+    analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, RegisterFacts,
+};
 pub use callee_saved::saved_restored_registers;
 pub use incremental::{query_analysis, reanalyze, uninit_facts_of, AnalysisCache};
 pub use psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, PsgStats, RoutineNodes};

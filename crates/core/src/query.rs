@@ -44,12 +44,12 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use spike_callgraph::{CallGraph, Condensation};
+use spike_callgraph::Condensation;
 use spike_cfg::{ProgramCfg, RoutineCfg};
 use spike_isa::{CallingStandard, CloneExact, HeapSize, RegSet};
 use spike_program::{Program, RoutineId};
 
-use crate::analysis::{exported_exit_seeds, Analysis, AnalysisOptions, AnalysisStats};
+use crate::analysis::{exported_exit_seeds, Analysis, AnalysisOptions, AnalysisStats, Calls};
 use crate::build::build_psg;
 use crate::dataflow::{run_phase1_seeded, run_phase2_seeded};
 use crate::parallel::{par_for_each_mut, par_map, resolve_threads};
@@ -203,8 +203,9 @@ impl QueryEngine {
         let psg_build = t.elapsed();
 
         let t = Instant::now();
-        let graph = CallGraph::build(program, &cfg);
-        let cond = graph.sccs().condense(&graph);
+        let calls = Calls::of(program, &cfg);
+        let graph = &calls.graph;
+        let cond = calls.sccs.condense(graph);
         let comp_nodes = psg.partition_by_component(cond.sccs());
         let exit_seeds = exported_exit_seeds(program, &psg, options);
         let self_call: Vec<bool> = (0..n_routines)
@@ -216,7 +217,7 @@ impl QueryEngine {
         let phase1_time = t.elapsed();
 
         let t = Instant::now();
-        let (stack, stack_stats) = crate::stack::analyze_stack(program, &cfg);
+        let (stack, stack_stats) = crate::stack::analyze_stack_over(program, &cfg, &calls);
         let stack_build = t.elapsed();
 
         let components = comp_nodes.len();
@@ -330,19 +331,11 @@ impl QueryEngine {
             + self.psg.heap_bytes()
             + summary.heap_bytes()
             + self.stack.heap_bytes();
-        let loops = (0..n_routines)
-            .map(|i| {
-                crate::analysis::routine_loop_stats(
-                    self.cfg.routine_cfg(spike_program::RoutineId::from_index(i)),
-                )
-            })
-            .collect();
         Analysis {
             psg: self.psg,
             summary,
             stack: self.stack,
             cfg: self.cfg,
-            loops,
             stats: AnalysisStats {
                 cfg_build: self.cfg_build,
                 init: self.init,

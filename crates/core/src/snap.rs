@@ -327,30 +327,12 @@ impl Snap for AnalysisStats {
     }
 }
 
-impl Snap for crate::LoopStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.loops.snap(w);
-        self.irreducible_loops.snap(w);
-        self.max_depth.snap(w);
-        self.blocks_in_loops.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::LoopStats {
-            loops: Snap::unsnap(r)?,
-            irreducible_loops: Snap::unsnap(r)?,
-            max_depth: Snap::unsnap(r)?,
-            blocks_in_loops: Snap::unsnap(r)?,
-        })
-    }
-}
-
 impl Snap for Analysis {
     fn snap(&self, w: &mut SnapWriter) {
         self.psg.snap(w);
         self.summary.snap(w);
         self.stack.snap(w);
         self.cfg.snap(w);
-        self.loops.snap(w);
         self.stats.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -359,7 +341,6 @@ impl Snap for Analysis {
             summary: Snap::unsnap(r)?,
             stack: Snap::unsnap(r)?,
             cfg: Snap::unsnap(r)?,
-            loops: Snap::unsnap(r)?,
             stats: Snap::unsnap(r)?,
         })
     }

@@ -71,6 +71,7 @@ use spike_cfg::{BlockId, CallTarget, FlowArcs, ProgramCfg, RoutineCfg, TermKind}
 use spike_isa::{CloneExact, HeapSize, Instruction, MemWidth, Reg};
 use spike_program::{Program, Routine, RoutineId};
 
+use crate::analysis::Calls;
 use crate::worklist::PriorityWorklist;
 
 /// One stack slot of a routine's frame model: an access site class keyed
@@ -1114,10 +1115,25 @@ impl<'a> Solver<'a> {
         component.len() > 1 || component.iter().any(|&r| self.cg.callees(r).contains(&r))
     }
 
-    fn solve_component(&mut self, component: &[RoutineId]) {
+    /// Solves one component. `reuse` is asked, once phase A has settled
+    /// the component's summaries (and told whether it was cut off), for
+    /// each member's facts from an earlier solve; a member it answers
+    /// for skips phase B.
+    fn solve_component(
+        &mut self,
+        component: &[RoutineId],
+        mut reuse: impl FnMut(&Solver<'_>, RoutineId, bool) -> Option<RoutineStack>,
+    ) {
         let digests = self.scan(component);
-        self.phase_a(component, &digests);
-        self.phase_b(component, &digests);
+        let cut_off = self.phase_a(component, &digests);
+        let cyclic = self.is_cyclic(component);
+        for (digest, &rid) in digests.iter().zip(component) {
+            let solved = match reuse(self, rid, cut_off) {
+                Some(rs) => rs,
+                None => self.phase_b(rid, digest, cyclic),
+            };
+            self.routines[rid.index()] = Some(solved);
+        }
     }
 
     fn scan(&self, component: &[RoutineId]) -> Vec<Digest> {
@@ -1135,8 +1151,9 @@ impl<'a> Solver<'a> {
     /// function of the digest and those summaries alone, so it would
     /// return the summary the member already has. An acyclic member is
     /// therefore composed exactly once. A pathological cycle that keeps
-    /// translating offsets upward is cut off by forcing opacity.
-    fn phase_a(&mut self, component: &[RoutineId], digests: &[Digest]) {
+    /// translating offsets upward is cut off by forcing opacity; returns
+    /// whether that happened.
+    fn phase_a(&mut self, component: &[RoutineId], digests: &[Digest]) -> bool {
         for &rid in component {
             self.summaries[rid.index()] = StackSummary::default();
             self.stale[rid.index()] = true;
@@ -1162,7 +1179,7 @@ impl<'a> Solver<'a> {
                 }
             }
             if !changed {
-                break;
+                return false;
             }
             round += 1;
             if round > limit {
@@ -1171,42 +1188,45 @@ impl<'a> Solver<'a> {
                     self.summaries[rid.index()] =
                         StackSummary { unbalanced, opaque: true, ..StackSummary::default() };
                 }
-                break;
+                return true;
             }
         }
     }
 
-    /// Phase B per member, then KILL for non-cyclic routines: the
+    /// Phase B of one member, then KILL if it is not on a cycle: the
     /// must-defined slots above the entry SP at every reachable return,
     /// available to callers because components are solved bottom-up.
     /// Cyclic routines keep an empty KILL (sound under-approximation).
-    fn phase_b(&mut self, component: &[RoutineId], digests: &[Digest]) {
-        let cyclic = self.is_cyclic(component);
-        for (digest, &rid) in digests.iter().zip(component) {
-            let cfg = self.pcfg.routine_cfg(rid);
-            let nb = cfg.blocks().len();
-            let frame = digest.frame_under(cfg, &self.summaries);
-            let escaped = digest.escaped(frame);
-            let slots = frame.map_or(Vec::new(), |f| f.slots.clone());
-            let empty = SlotSet::empty(slots.len());
-            let (must_defined_in, live_out) = match frame {
-                Some(frame) if !escaped => {
-                    let pb = phase_b(cfg, digest, frame, &self.summaries, &mut self.stats);
-                    if !cyclic && !self.summaries[rid.index()].unbalanced {
-                        self.summaries[rid.index()].kills_above = kills_above(cfg, frame, &pb);
-                    }
-                    (pb.must_defined_in, pb.live_out)
+    ///
+    /// The result is a function of the member's own text (`digest`),
+    /// `cyclic`, its own composed summary and its callees' summaries as
+    /// the table holds them now — which for every callee is its final
+    /// one: a lower component's is complete, and a fellow member's gains
+    /// no KILL. [`reanalyze_stack`] rests on that.
+    fn phase_b(&mut self, rid: RoutineId, digest: &Digest, cyclic: bool) -> RoutineStack {
+        let cfg = self.pcfg.routine_cfg(rid);
+        let nb = cfg.blocks().len();
+        let frame = digest.frame_under(cfg, &self.summaries);
+        let escaped = digest.escaped(frame);
+        let slots = frame.map_or(Vec::new(), |f| f.slots.clone());
+        let empty = SlotSet::empty(slots.len());
+        let (must_defined_in, live_out) = match frame {
+            Some(frame) if !escaped => {
+                let pb = phase_b(cfg, digest, frame, &self.summaries, &mut self.stats);
+                if !cyclic && !self.summaries[rid.index()].unbalanced {
+                    self.summaries[rid.index()].kills_above = kills_above(cfg, frame, &pb);
                 }
-                _ => (vec![empty.clone(); nb], vec![empty; nb]),
-            };
-            self.routines[rid.index()] = Some(RoutineStack {
-                frame: FrameModel { frame_size: frame.map_or(0, |f| f.frame_size), slots, escaped },
-                summary: self.summaries[rid.index()].clone(),
-                sp_disp_in: frame.map_or_else(|| vec![None; nb], |f| f.sp_disp_in.clone()),
-                must_defined_in,
-                live_out,
-                cyclic,
-            });
+                (pb.must_defined_in, pb.live_out)
+            }
+            _ => (vec![empty.clone(); nb], vec![empty; nb]),
+        };
+        RoutineStack {
+            frame: FrameModel { frame_size: frame.map_or(0, |f| f.frame_size), slots, escaped },
+            summary: self.summaries[rid.index()].clone(),
+            sp_disp_in: frame.map_or_else(|| vec![None; nb], |f| f.sp_disp_in.clone()),
+            must_defined_in,
+            live_out,
+            cyclic,
         }
     }
 }
@@ -1238,56 +1258,89 @@ fn kills_above(cfg: &RoutineCfg, frame: &TrackedFrame, pb: &PhaseB) -> Vec<i64> 
 /// KILL summaries composed bottom-up over the call-graph condensation,
 /// and the two slot dataflows per routine.
 pub fn analyze_stack(program: &Program, cfg: &ProgramCfg) -> (StackAnalysis, StackStats) {
-    let cg = CallGraph::build(program, cfg);
-    let sccs = cg.sccs();
-    let mut solver = Solver::new(program, cfg, &cg);
-    for component in sccs.bottom_up() {
-        solver.solve_component(component);
+    analyze_stack_over(program, cfg, &Calls::of(program, cfg))
+}
+
+/// [`analyze_stack`] over the caller's call graph of `(program, cfg)`.
+pub(crate) fn analyze_stack_over(
+    program: &Program,
+    cfg: &ProgramCfg,
+    calls: &Calls,
+) -> (StackAnalysis, StackStats) {
+    let mut solver = Solver::new(program, cfg, &calls.graph);
+    for component in calls.sccs.bottom_up() {
+        solver.solve_component(component, |_, _, _| None);
     }
     solver.finish()
 }
 
-/// Incremental variant: rebuilds only the call-graph components that
-/// contain a dirty routine or whose external callee summaries changed,
-/// moving every other routine's facts out of `prev` untouched.
+/// Incremental variant: `prev` is the analysis of an earlier version of
+/// the program and `dirty` marks every routine edited since. Re-solves
+/// only what those edits can reach, moving every other routine's facts
+/// out of `prev` untouched:
+///
+/// * a call-graph component with no dirty member, an unchanged cyclic
+///   flag and unchanged summaries for every callee in a lower component
+///   is reused whole, unscanned;
+/// * any other component is re-scanned and its summaries re-composed
+///   from the optimistic default exactly as [`analyze_stack`] does (the
+///   sweep order is part of the result), but the slot dataflows run only
+///   for members that are dirty, whose cyclic flag flipped, or whose own
+///   or any callee's summary came out different from `prev`'s. If the
+///   composition was cut off, every member is re-solved.
 ///
 /// Bit-identical to [`analyze_stack`] on the same program (including
-/// heap capacities, so `memory_bytes` accounting is preserved): a
-/// reused component's inputs — member instruction text, external callee
-/// summaries, and its cyclic flag — are proven unchanged, and
-/// recomputation is deterministic. Reused routines contribute nothing
-/// to the returned [`StackStats`].
+/// heap capacities, so `memory_bytes` accounting is preserved): the
+/// slot dataflows of a routine are a deterministic function of its
+/// instruction text, its cyclic flag, its composed summary and its
+/// callees' final summaries (`Solver::phase_b`), and a reused member
+/// has all four proven unchanged. Reused routines contribute nothing to
+/// the returned [`StackStats`]. A `prev` of another routine count — the
+/// never-solved layer of a register-only analysis in particular — is
+/// solved from scratch.
 pub fn reanalyze_stack(
     program: &Program,
     cfg: &ProgramCfg,
     prev: StackAnalysis,
     dirty: &[bool],
 ) -> (StackAnalysis, StackStats) {
+    reanalyze_stack_over(program, cfg, &Calls::of(program, cfg), prev, dirty)
+}
+
+/// [`reanalyze_stack`] over the caller's call graph of `(program, cfg)`.
+pub(crate) fn reanalyze_stack_over(
+    program: &Program,
+    cfg: &ProgramCfg,
+    calls: &Calls,
+    prev: StackAnalysis,
+    dirty: &[bool],
+) -> (StackAnalysis, StackStats) {
     if prev.routines.len() != program.routines().len() {
-        return analyze_stack(program, cfg);
+        return analyze_stack_over(program, cfg, calls);
     }
-    let cg = CallGraph::build(program, cfg);
-    let sccs = cg.sccs();
+    let Calls { graph: cg, sccs } = calls;
     let prev_summaries: Vec<StackSummary> =
         prev.routines.iter().map(|r| r.summary.clone()).collect();
     let mut prev_slots: Vec<Option<RoutineStack>> = prev.routines.into_iter().map(Some).collect();
-    let mut solver = Solver::new(program, cfg, &cg);
+    let mut solver = Solver::new(program, cfg, cg);
     for component in sccs.bottom_up() {
         let comp = sccs.component_of(component[0]);
         let cyclic = solver.is_cyclic(component);
-        // Reuse is sound only when recomputing would read identical
-        // inputs: clean members, equal summaries for every callee in a
-        // lower component (intra-component callees are re-iterated
-        // either way), and an unchanged cyclic flag (a condensation
-        // change elsewhere can flip it without touching this routine's
-        // text, and KILL extraction depends on it).
+        // An unchanged cyclic flag is part of every reuse: a
+        // condensation change elsewhere can flip it without touching
+        // the routine's text, and KILL extraction depends on it.
+        let kept_shape = |prev_slots: &[Option<RoutineStack>], r: RoutineId| {
+            !dirty[r.index()] && prev_slots[r.index()].as_ref().is_some_and(|p| p.cyclic == cyclic)
+        };
+        let unchanged = |solver: &Solver<'_>, r: RoutineId| {
+            solver.summaries[r.index()] == prev_summaries[r.index()]
+        };
         let clean = component.iter().all(|&r| {
-            !dirty[r.index()]
-                && prev_slots[r.index()].as_ref().is_some_and(|p| p.cyclic == cyclic)
-                && cg.callees(r).iter().all(|&c| {
-                    sccs.component_of(c) == comp
-                        || solver.summaries[c.index()] == prev_summaries[c.index()]
-                })
+            kept_shape(&prev_slots, r)
+                && cg
+                    .callees(r)
+                    .iter()
+                    .all(|&c| sccs.component_of(c) == comp || unchanged(&solver, c))
         });
         if clean {
             for &rid in component {
@@ -1296,7 +1349,17 @@ pub fn reanalyze_stack(
                 solver.routines[rid.index()] = Some(rs);
             }
         } else {
-            solver.solve_component(component);
+            solver.solve_component(component, |solver, r, cut_off| {
+                let reusable = !cut_off
+                    && kept_shape(&prev_slots, r)
+                    && unchanged(solver, r)
+                    && cg.callees(r).iter().all(|&c| unchanged(solver, c));
+                if reusable {
+                    prev_slots[r.index()].take()
+                } else {
+                    None
+                }
+            });
         }
     }
     solver.finish()
@@ -1307,6 +1370,13 @@ pub fn reanalyze_stack(
 // ---------------------------------------------------------------------
 
 impl StackAnalysis {
+    /// The layer before any solve: no routine has facts. What a
+    /// register-only analysis carries until the layer is first asked
+    /// for; [`reanalyze_stack`] solves it from scratch.
+    pub(crate) fn unsolved() -> StackAnalysis {
+        StackAnalysis { routines: Vec::new() }
+    }
+
     /// The per-routine facts.
     pub fn routine(&self, rid: RoutineId) -> &RoutineStack {
         &self.routines[rid.index()]
@@ -1899,6 +1969,136 @@ mod tests {
         let (re, _) = reanalyze_stack(&program, &cfg, scratch.clone_exact(), &dirty);
         assert_eq!(re, scratch);
         assert_eq!(re.heap_bytes(), scratch.heap_bytes());
+    }
+
+    /// `prev` is the solve of `before`; `after` differs from it in the
+    /// routines named `dirty`. Checks the incremental result against a
+    /// from-scratch solve of `after` and returns both, with their effort.
+    fn reanalyze_edit(
+        before: &ProgramBuilder,
+        after: &ProgramBuilder,
+        dirty: &[&str],
+    ) -> (Program, StackAnalysis, (StackAnalysis, StackStats), (StackAnalysis, StackStats)) {
+        let (_, _, prev, _) = analyze(before);
+        let (program, cfg, scratch, scratch_stats) = analyze(after);
+        let mut mask = vec![false; program.routines().len()];
+        for name in dirty {
+            mask[rid(&program, name).index()] = true;
+        }
+        let (re, re_stats) = reanalyze_stack(&program, &cfg, prev.clone_exact(), &mask);
+        assert_eq!(re, scratch);
+        assert_eq!(re.heap_bytes(), scratch.heap_bytes(), "capacity-exact reuse");
+        (program, prev, (re, re_stats), (scratch, scratch_stats))
+    }
+
+    #[test]
+    fn clean_member_is_resolved_when_only_its_callees_summary_changed() {
+        // `a` and `b` are mutually recursive. The edit makes `b` read the
+        // word at its entry SP — `a`'s slot at -16. Translated into `a`'s
+        // terms that offset is below `a`'s entry SP, so `a`'s own summary
+        // does not move; the slot's liveness across `a`'s first block
+        // does, and only the callee clause of the reuse rule sees it.
+        let build = |b_reads: bool| {
+            let mut p = ProgramBuilder::new();
+            p.routine("main").call("a").halt();
+            p.routine("a")
+                .def(Reg::T0)
+                .lda(Reg::SP, Reg::SP, -16)
+                .store(Reg::T0, Reg::SP, 0)
+                .call("leaf")
+                .call("b")
+                .lda(Reg::SP, Reg::SP, 16)
+                .ret();
+            p.routine("leaf").ret();
+            let b = p.routine("b");
+            if b_reads {
+                b.load(Reg::T1, Reg::SP, 0);
+            }
+            b.def(Reg::T2).cond(spike_isa::BranchCond::Eq, Reg::T2, "done").call("a");
+            b.label("done").ret();
+            p
+        };
+        let (program, prev, (re, _), _) = reanalyze_edit(&build(false), &build(true), &["b"]);
+        let a = rid(&program, "a");
+        assert!(re.routine(a).cyclic);
+        assert_eq!(re.routine(a).summary, prev.routine(a).summary);
+        assert_ne!(re.routine(a).live_out, prev.routine(a).live_out);
+        assert_ne!(
+            re.routine(rid(&program, "b")).summary,
+            prev.routine(rid(&program, "b")).summary
+        );
+    }
+
+    /// A three-routine call cycle under `main`; `c` optionally spills
+    /// one more word into its own frame, which no summary shows.
+    fn ring(c_spills_twice: bool) -> ProgramBuilder {
+        let mut p = ProgramBuilder::new();
+        p.routine("main").call("a").halt();
+        for (name, callee) in [("a", "b"), ("b", "c"), ("c", "a")] {
+            let r = p.routine(name);
+            r.def(Reg::T0).lda(Reg::SP, Reg::SP, -16).store(Reg::T0, Reg::SP, 0);
+            if name == "c" && c_spills_twice {
+                r.store(Reg::T0, Reg::SP, 8);
+            }
+            r.cond(spike_isa::BranchCond::Eq, Reg::T0, "out").call(callee);
+            r.label("out").load(Reg::T1, Reg::SP, 0).lda(Reg::SP, Reg::SP, 16).ret();
+        }
+        p
+    }
+
+    #[test]
+    fn clean_members_with_unchanged_inputs_cost_no_slot_dataflow() {
+        // Editing `c` re-solves `c` alone; handing the result back with
+        // everything but `c` marked re-solves the complement. Each
+        // routine's dataflow is deterministic, so if — and only if — the
+        // reused members contribute nothing, the two efforts add up to
+        // one from-scratch solve.
+        let (_, _, (_, only_c), (_, scratch)) = reanalyze_edit(&ring(false), &ring(true), &["c"]);
+        let (_, _, (_, all_but_c), _) =
+            reanalyze_edit(&ring(true), &ring(true), &["main", "a", "b"]);
+        assert!(only_c.forward_visits > 0 && all_but_c.forward_visits > 0);
+        assert_eq!(only_c.forward_visits + all_but_c.forward_visits, scratch.forward_visits);
+        assert_eq!(only_c.backward_visits + all_but_c.backward_visits, scratch.backward_visits);
+        // Phase A is not member-local: the sweep order is part of the
+        // result, so a touched component re-composes every member.
+        assert_eq!(only_c.summary_evals, scratch.summary_evals - 1, "all but main's");
+    }
+
+    #[test]
+    fn a_component_cut_off_at_the_round_limit_reuses_nothing() {
+        // `climb`'s reads land 8 bytes higher each trip round its
+        // recursion, so the component's composition never closes and is
+        // forced opaque — before and after the edit alike, which would
+        // make the clean `helper` and `climb` look reusable.
+        let build = |other_spills: bool| {
+            let mut p = ProgramBuilder::new();
+            p.routine("main").call("climb").halt();
+            p.routine("climb")
+                .load(Reg::T0, Reg::SP, 0)
+                .cond(spike_isa::BranchCond::Eq, Reg::T0, "done")
+                .lda(Reg::SP, Reg::SP, 8)
+                .call("climb")
+                .call("helper")
+                .lda(Reg::SP, Reg::SP, -8)
+                .label("done")
+                .ret();
+            p.routine("helper").call("other").ret();
+            let other = p.routine("other");
+            other.def(Reg::T0).lda(Reg::SP, Reg::SP, -16);
+            if other_spills {
+                other.store(Reg::T0, Reg::SP, 0);
+            }
+            other.call("climb").lda(Reg::SP, Reg::SP, 16).ret();
+            p
+        };
+        let (program, prev, (re, re_stats), (_, scratch_stats)) =
+            reanalyze_edit(&build(false), &build(true), &["main", "other"]);
+        for name in ["climb", "helper"] {
+            let r = rid(&program, name);
+            assert!(re.routine(r).summary.opaque);
+            assert_eq!(re.routine(r), prev.routine(r), "reusable but for the cut-off");
+        }
+        assert_eq!(re_stats, scratch_stats);
     }
 
     #[test]

@@ -320,7 +320,10 @@ pub(super) fn analyze_stack_reference(
             let nb = rcfg.blocks().len();
             assert_eq!(local.sp_disp_in, frame.map_or(vec![None; nb], |f| f.sp_disp_in.clone()));
         }
-        solver.phase_b(component, &digests);
+        let cyclic = solver.is_cyclic(component);
+        for (digest, &rid) in digests.iter().zip(component) {
+            solver.routines[rid.index()] = Some(solver.phase_b(rid, digest, cyclic));
+        }
     }
     solver.finish()
 }

@@ -32,7 +32,7 @@ pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintRep
     let arg_regs = analysis.summary.calling_standard().argument();
     for (rid, routine) in program.iter() {
         let cfg = analysis.cfg.routine_cfg(rid);
-        let live = routine_liveness(program, analysis, rid, &|_| false);
+        let live = routine_liveness(program, analysis.registers(), rid, &|_| false);
         for (bi, block) in cfg.blocks().iter().enumerate() {
             let b = BlockId::from_index(bi);
             let mut l = live.live_end(b);

@@ -10,7 +10,7 @@
 
 use spike_cfg::BlockId;
 use spike_core::worklist::PriorityWorklist;
-use spike_core::Analysis;
+use spike_core::RegisterFacts;
 use spike_isa::{Instruction, RegSet};
 use spike_program::{Program, Routine, RoutineId};
 
@@ -40,10 +40,10 @@ fn is_pure(insn: &Instruction) -> bool {
 /// only removes uses, which only shrinks liveness — so the closure the
 /// cascade computes is unique whatever order it finds its members in.
 /// That is what makes the change-driven rounds of [`routine_dead`] exact.
-pub(crate) fn find_dead(program: &Program, analysis: &Analysis) -> Vec<u32> {
+pub(crate) fn find_dead(program: &Program, facts: RegisterFacts<'_>) -> Vec<u32> {
     let mut dead = Vec::new();
     for (rid, routine) in program.iter() {
-        routine_dead(program, analysis, rid, routine, &mut dead);
+        routine_dead(program, facts, rid, routine, &mut dead);
     }
     dead
 }
@@ -62,15 +62,15 @@ pub(crate) fn find_dead(program: &Program, analysis: &Analysis) -> Vec<u32> {
 /// whose `live_end` did not move has nothing new to offer.
 fn routine_dead(
     program: &Program,
-    analysis: &Analysis,
+    facts: RegisterFacts<'_>,
     rid: RoutineId,
     routine: &Routine,
     out: &mut Vec<u32>,
 ) {
-    let cfg = analysis.cfg.routine_cfg(rid);
+    let cfg = facts.cfg.routine_cfg(rid);
     let blocks = cfg.blocks();
     let base = routine.addr();
-    let frame = LivenessFrame::new(program, analysis, rid);
+    let frame = LivenessFrame::new(program, facts, rid);
 
     // Per instruction: its step `x ↦ gen ∪ (x ∩ pass)` (a gen/kill
     // function is pinned by its values at ∅ and ⊤), and `defs` if it is
@@ -81,7 +81,7 @@ fn routine_dead(
     for (bi, block) in blocks.iter().enumerate() {
         for addr in block.start()..block.end() {
             let insn = &routine.insns()[(addr - base) as usize];
-            let cs = call_at(analysis, rid, bi, block, addr);
+            let cs = call_at(facts, rid, bi, block, addr);
             gen.push(step_back(RegSet::EMPTY, insn, cs.as_ref()));
             pass.push(step_back(RegSet::ALL, insn, cs.as_ref()));
             deletable.push(if is_pure(insn) { insn.defs() } else { RegSet::EMPTY });
@@ -148,14 +148,17 @@ fn routine_dead(
 /// round re-derives the routine's liveness from nothing with the dead set
 /// as an ignore mask and re-scans every block.
 #[cfg(test)]
-fn find_dead_reference(program: &Program, analysis: &Analysis) -> std::collections::BTreeSet<u32> {
+fn find_dead_reference(
+    program: &Program,
+    facts: RegisterFacts<'_>,
+) -> std::collections::BTreeSet<u32> {
     use crate::liveness::routine_liveness;
 
     let mut dead = std::collections::BTreeSet::new();
     for (rid, routine) in program.iter() {
-        let cfg = analysis.cfg.routine_cfg(rid);
+        let cfg = facts.cfg.routine_cfg(rid);
         loop {
-            let live = routine_liveness(program, analysis, rid, &|a| dead.contains(&a));
+            let live = routine_liveness(program, facts, rid, &|a| dead.contains(&a));
             let mut found = false;
 
             for (bi, block) in cfg.blocks().iter().enumerate() {
@@ -177,7 +180,7 @@ fn find_dead_reference(program: &Program, analysis: &Analysis) -> std::collectio
                         continue; // its uses no longer keep anything live
                     }
                     let cs = if addr == block.term_addr() && insn.is_call() {
-                        analysis.summary.call_site(&analysis.cfg, rid, b)
+                        facts.summary.call_site(facts.cfg, rid, b)
                     } else {
                         None
                     };
@@ -201,7 +204,7 @@ mod tests {
     use spike_program::ProgramBuilder;
 
     fn dead_count(p: &Program) -> usize {
-        find_dead(p, &analyze(p)).len()
+        find_dead(p, analyze(p).registers()).len()
     }
 
     /// Figure 1(a): a value defined for the caller but never used on any
@@ -228,7 +231,7 @@ mod tests {
             .halt();
         b.routine("f").use_reg(Reg::A0).ret();
         let p = b.build().unwrap();
-        let dead = find_dead(&p, &analyze(&p));
+        let dead = find_dead(&p, analyze(&p).registers());
         let base = p.routines()[0].addr();
         assert_eq!(dead, [base + 1]);
     }
@@ -281,8 +284,8 @@ mod tests {
     fn change_driven_cascade_equals_the_reference() {
         let check = |p: &Program, what: &str| {
             let a = analyze(p);
-            let new = find_dead(p, &a);
-            let reference: Vec<u32> = find_dead_reference(p, &a).into_iter().collect();
+            let new = find_dead(p, a.registers());
+            let reference: Vec<u32> = find_dead_reference(p, a.registers()).into_iter().collect();
             assert!(!reference.is_empty(), "{what}: nothing dead, nothing compared");
             assert!(
                 new == reference,

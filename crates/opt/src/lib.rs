@@ -54,7 +54,7 @@ mod stack_dse;
 
 use std::borrow::Cow;
 
-use spike_core::{Analysis, AnalysisCache, AnalysisOptions};
+use spike_core::{Analysis, AnalysisCache, AnalysisOptions, AnalysisStats, RegisterFacts};
 use spike_isa::Instruction;
 use spike_program::{Program, RewriteError, Rewriter, RoutineId};
 
@@ -155,6 +155,10 @@ pub struct OptReport {
     /// Routines reused from the analysis cache, summed over every
     /// analysis run (always `0` with `incremental` disabled).
     pub routines_reused: usize,
+    /// Times the stack layer of the analysis was solved or caught up:
+    /// only loop-invariant code motion and dead-stack-store elimination
+    /// read it, so at most once per round for each of the two.
+    pub stack_solves: usize,
 }
 
 impl OptReport {
@@ -183,17 +187,35 @@ pub fn optimize(program: &Program) -> Result<(Program, OptReport), RewriteError>
 /// because a deleted stack store often strands the definition that
 /// produced the stored value; dead-code elimination last cleans up
 /// whatever the earlier passes expose.
+///
+/// A pass is typed by the analysis layers it reads, and is handed
+/// exactly those: the stack layer is brought up to date only in front of
+/// an [`AllLayersPass`], and a [`RegisterPass`] cannot reach it.
 #[derive(Clone, Copy, Debug)]
 enum Pass {
+    AllLayers(AllLayersPass),
+    Registers(RegisterPass),
+}
+
+/// Passes that read the stack layer next to the register summaries.
+#[derive(Clone, Copy, Debug)]
+enum AllLayersPass {
     Licm,
+    StackDse,
+}
+
+/// Passes justified by the register summaries alone.
+#[derive(Clone, Copy, Debug)]
+enum RegisterPass {
     Spills,
     Realloc,
-    StackDse,
     Dead,
 }
 
-/// The edits one pass wants applied, plus the report counters it already
-/// claimed. Collected against a borrowed analysis, applied afterwards.
+/// The edits one pass wants applied. Collected against a borrowed
+/// analysis, applied afterwards; the report counters are claimed while
+/// collecting.
+#[derive(Default)]
 struct PassEdits {
     deletes: Vec<u32>,
     replaces: Vec<(u32, Instruction)>,
@@ -207,21 +229,25 @@ impl PassEdits {
     }
 }
 
-fn collect_edits(
-    pass: Pass,
+impl OptReport {
+    /// Books one analysis run of the pass manager.
+    fn count_run(&mut self, stats: &AnalysisStats) {
+        self.routines_reanalyzed += stats.routines_reanalyzed;
+        self.routines_reused += stats.routines_reused;
+    }
+}
+
+fn all_layers_edits(
+    pass: AllLayersPass,
     program: &Program,
     analysis: &Analysis,
     profile: Option<&spike_profile::Profile>,
     report: &mut OptReport,
 ) -> PassEdits {
-    let mut edits = PassEdits {
-        deletes: Vec::new(),
-        replaces: Vec::new(),
-        inserts: Vec::new(),
-        bypasses: Vec::new(),
-    };
+    report.count_run(&analysis.stats);
+    let mut edits = PassEdits::default();
     match pass {
-        Pass::Licm => {
+        AllLayersPass::Licm => {
             let hoists = licm::find_hoists(program, analysis, profile);
             report.loads_hoisted += hoists.loads;
             report.ops_hoisted += hoists.ops;
@@ -235,8 +261,29 @@ fn collect_edits(
                 edits.bypasses.extend_from_slice(&lh.bypasses);
             }
         }
-        Pass::Spills => {
-            let pairs = spill::find_spills(program, analysis, profile);
+        AllLayersPass::StackDse => {
+            let se = stack_dse::find(program, analysis);
+            report.stack_stores_deleted += se.stores_deleted;
+            report.frame_bytes_shrunk += se.frame_bytes_shrunk;
+            edits.deletes.extend_from_slice(&se.deletes);
+            edits.replaces.extend_from_slice(&se.replaces);
+        }
+    }
+    edits
+}
+
+fn register_edits(
+    pass: RegisterPass,
+    program: &Program,
+    facts: RegisterFacts<'_>,
+    profile: Option<&spike_profile::Profile>,
+    report: &mut OptReport,
+) -> PassEdits {
+    report.count_run(facts.stats);
+    let mut edits = PassEdits::default();
+    match pass {
+        RegisterPass::Spills => {
+            let pairs = spill::find_spills(program, facts, profile);
             report.spill_pairs_removed += pairs.len();
             for p in &pairs {
                 report.spill_dynamic_saved += p.weight;
@@ -244,23 +291,16 @@ fn collect_edits(
                 edits.deletes.push(p.load_addr);
             }
         }
-        Pass::Realloc => {
-            for r in &save_restore::find_reallocs(program, analysis) {
+        RegisterPass::Realloc => {
+            for r in &save_restore::find_reallocs(program, facts) {
                 report.registers_reallocated += 1;
                 report.save_restores_deleted += r.delete.len();
                 edits.deletes.extend_from_slice(&r.delete);
                 edits.replaces.extend_from_slice(&r.rename);
             }
         }
-        Pass::StackDse => {
-            let se = stack_dse::find(program, analysis);
-            report.stack_stores_deleted += se.stores_deleted;
-            report.frame_bytes_shrunk += se.frame_bytes_shrunk;
-            edits.deletes.extend_from_slice(&se.deletes);
-            edits.replaces.extend_from_slice(&se.replaces);
-        }
-        Pass::Dead => {
-            let dead = dead::find_dead(program, analysis);
+        RegisterPass::Dead => {
+            let dead = dead::find_dead(program, facts);
             report.dead_deleted += dead.len();
             edits.deletes = dead;
         }
@@ -276,9 +316,11 @@ fn collect_edits(
 /// order). Each pass reports the routines it edited, and by default only
 /// those — plus whatever their changes can influence — are re-analyzed
 /// before the next pass ([`OptOptions::incremental`]); a pass that finds
-/// nothing leaves the cached analysis untouched for its successor. With
-/// [`OptOptions::iterate`] the whole sequence loops until a round finds
-/// nothing to edit.
+/// nothing leaves the cached analysis untouched for its successor. The
+/// stack layer of the analysis is solved only in front of the two passes
+/// that read it, over everything edited since it was last solved
+/// ([`OptReport::stack_solves`]). With [`OptOptions::iterate`] the whole
+/// sequence loops until a round finds nothing to edit.
 ///
 /// The input program is not cloned until an edit actually lands: a run
 /// where every pass is disabled or finds nothing only pays for the final
@@ -295,22 +337,16 @@ pub fn optimize_with(
         OptReport { instructions_before: program.total_instructions(), ..OptReport::default() };
     report.instructions_after = report.instructions_before;
 
-    let mut passes = Vec::new();
-    if options.licm {
-        passes.push(Pass::Licm);
-    }
-    if options.spills {
-        passes.push(Pass::Spills);
-    }
-    if options.realloc {
-        passes.push(Pass::Realloc);
-    }
-    if options.stack {
-        passes.push(Pass::StackDse);
-    }
-    if options.dead_code {
-        passes.push(Pass::Dead);
-    }
+    let passes: Vec<Pass> = [
+        (options.licm, Pass::AllLayers(AllLayersPass::Licm)),
+        (options.spills, Pass::Registers(RegisterPass::Spills)),
+        (options.realloc, Pass::Registers(RegisterPass::Realloc)),
+        (options.stack, Pass::AllLayers(AllLayersPass::StackDse)),
+        (options.dead_code, Pass::Registers(RegisterPass::Dead)),
+    ]
+    .into_iter()
+    .filter_map(|(enabled, pass)| enabled.then_some(pass))
+    .collect();
     if passes.is_empty() {
         return Ok((program.clone(), report));
     }
@@ -335,19 +371,19 @@ pub fn optimize_with(
         report.rounds += 1;
         let mut round_edited = false;
         for &pass in &passes {
-            let edits = {
-                let analysis = if !options.incremental || cache.analysis().is_none() {
-                    cache.analyze(&current)
-                } else {
-                    cache.reanalyze(&current, &std::mem::take(&mut pending))
-                };
-                report.routines_reanalyzed += analysis.stats.routines_reanalyzed;
-                report.routines_reused += analysis.stats.routines_reused;
-                let profile = match pass {
-                    Pass::Licm | Pass::Spills => profile,
-                    _ => None,
-                };
-                collect_edits(pass, &current, analysis, profile, &mut report)
+            if !options.incremental {
+                cache.invalidate();
+            }
+            let dirty = std::mem::take(&mut pending);
+            let edits = match pass {
+                Pass::AllLayers(pass) => {
+                    let analysis = cache.reanalyze(&current, &dirty);
+                    all_layers_edits(pass, &current, analysis, profile, &mut report)
+                }
+                Pass::Registers(pass) => {
+                    let facts = cache.reanalyze_registers(&current, &dirty);
+                    register_edits(pass, &current, facts, profile, &mut report)
+                }
             };
             if edits.is_empty() {
                 continue;
@@ -380,6 +416,7 @@ pub fn optimize_with(
     if edited {
         report.instructions_after = current.total_instructions();
     }
+    report.stack_solves = cache.stack_solves();
     Ok((current.into_owned(), report))
 }
 

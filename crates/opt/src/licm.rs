@@ -246,7 +246,7 @@ pub(crate) fn find_hoists(
         if forest.loops().is_empty() {
             continue;
         }
-        let live = routine_liveness(program, analysis, rid, &|_| false);
+        let live = routine_liveness(program, analysis.registers(), rid, &|_| false);
         let must_regs = must_defined_in(program, analysis, rid, cfg);
         let rs = analysis.stack.routine(rid);
         // Per-address stack facts: entry offset of every store, and

@@ -9,7 +9,7 @@
 
 use spike_cfg::{BasicBlock, BlockId, FlowArcs, TermKind};
 use spike_core::worklist::PriorityWorklist;
-use spike_core::{Analysis, CallSiteSummary};
+use spike_core::{CallSiteSummary, RegisterFacts};
 use spike_isa::{Instruction, RegSet};
 use spike_program::{Program, RoutineId};
 
@@ -80,8 +80,12 @@ pub(crate) struct LivenessFrame {
 }
 
 impl LivenessFrame {
-    pub(crate) fn new(program: &Program, analysis: &Analysis, rid: RoutineId) -> LivenessFrame {
-        let cfg = analysis.cfg.routine_cfg(rid);
+    pub(crate) fn new(
+        program: &Program,
+        facts: RegisterFacts<'_>,
+        rid: RoutineId,
+    ) -> LivenessFrame {
+        let cfg = facts.cfg.routine_cfg(rid);
         let n = cfg.blocks().len();
         let mut boundary = vec![RegSet::EMPTY; n];
         for (bi, block) in cfg.blocks().iter().enumerate() {
@@ -89,7 +93,7 @@ impl LivenessFrame {
             boundary[bi] = match block.term() {
                 TermKind::Ret => {
                     let i = cfg.exits().iter().position(|&x| x == b).expect("exit block");
-                    analysis.summary.routine(rid).live_at_exit[i]
+                    facts.summary.routine(rid).live_at_exit[i]
                 }
                 TermKind::UnknownJump => {
                     program.jump_hint(block.term_addr()).unwrap_or(RegSet::ALL)
@@ -142,14 +146,14 @@ impl LivenessFrame {
 /// with: the block's call-site summary at its call terminator, nothing
 /// anywhere else.
 pub(crate) fn call_at(
-    analysis: &Analysis,
+    facts: RegisterFacts<'_>,
     rid: RoutineId,
     bi: usize,
     block: &BasicBlock,
     addr: u32,
 ) -> Option<CallSiteSummary> {
     if addr == block.term_addr() {
-        analysis.summary.call_site(&analysis.cfg, rid, BlockId::from_index(bi))
+        facts.summary.call_site(facts.cfg, rid, BlockId::from_index(bi))
     } else {
         None
     }
@@ -159,11 +163,11 @@ pub(crate) fn call_at(
 /// addresses in `ignore` as deleted (their uses and defs are skipped).
 pub fn routine_liveness(
     program: &Program,
-    analysis: &Analysis,
+    facts: RegisterFacts<'_>,
     rid: RoutineId,
     ignore: &dyn Fn(u32) -> bool,
 ) -> RoutineLiveness {
-    let cfg = analysis.cfg.routine_cfg(rid);
+    let cfg = facts.cfg.routine_cfg(rid);
     let routine = program.routine(rid);
     let n = cfg.blocks().len();
 
@@ -179,13 +183,13 @@ pub fn routine_liveness(
                 continue;
             }
             let insn = routine.insn_at(addr).expect("address in routine");
-            let cs = call_at(analysis, rid, bi, block, addr);
+            let cs = call_at(facts, rid, bi, block, addr);
             gen[bi] = step_back(gen[bi], insn, cs.as_ref());
             pass[bi] = step_back(pass[bi], insn, cs.as_ref());
         }
     }
 
-    let frame = LivenessFrame::new(program, analysis, rid);
+    let frame = LivenessFrame::new(program, facts, rid);
     let mut live = RoutineLiveness::empty(n);
     frame.solve(&gen, &pass, &mut live, &mut PriorityWorklist::new(n));
     live
@@ -203,7 +207,7 @@ mod tests {
     /// own instructions.
     fn block_end_live(
         program: &Program,
-        analysis: &Analysis,
+        facts: RegisterFacts<'_>,
         rid: RoutineId,
         cfg: &RoutineCfg,
         b: BlockId,
@@ -213,7 +217,7 @@ mod tests {
         match block.term() {
             TermKind::Ret => {
                 let i = cfg.exits().iter().position(|&x| x == b).expect("exit block");
-                analysis.summary.routine(rid).live_at_exit[i]
+                facts.summary.routine(rid).live_at_exit[i]
             }
             TermKind::Halt => RegSet::EMPTY,
             TermKind::UnknownJump => program.jump_hint(block.term_addr()).unwrap_or(RegSet::ALL),
@@ -235,11 +239,11 @@ mod tests {
     /// re-walking every block's instructions on every sweep.
     fn sweep_liveness(
         program: &Program,
-        analysis: &Analysis,
+        facts: RegisterFacts<'_>,
         rid: RoutineId,
         ignore: &dyn Fn(u32) -> bool,
     ) -> RoutineLiveness {
-        let cfg = analysis.cfg.routine_cfg(rid);
+        let cfg = facts.cfg.routine_cfg(rid);
         let routine = program.routine(rid);
         let n = cfg.blocks().len();
         let mut live_in = vec![RegSet::EMPTY; n];
@@ -253,7 +257,7 @@ mod tests {
             for bi in (0..n).rev() {
                 let b = BlockId::from_index(bi);
                 let block = cfg.block(b);
-                let end = block_end_live(program, analysis, rid, cfg, b, &live_in);
+                let end = block_end_live(program, facts, rid, cfg, b, &live_in);
 
                 let mut live = end;
                 for addr in (block.start()..block.end()).rev() {
@@ -262,7 +266,7 @@ mod tests {
                     }
                     let insn = routine.insn_at(addr).expect("address in routine");
                     let cs = if addr == block.term_addr() && insn.is_call() {
-                        analysis.summary.call_site(&analysis.cfg, rid, b)
+                        facts.summary.call_site(facts.cfg, rid, b)
                     } else {
                         None
                     };
@@ -288,7 +292,7 @@ mod tests {
         let p = b.build().unwrap();
         let a = analyze(&p);
         let main = p.routine_by_name("main").unwrap();
-        let l = routine_liveness(&p, &a, main, &|_| false);
+        let l = routine_liveness(&p, a.registers(), main, &|_| false);
 
         // After the call (block 1 entry) v0 is live; a0 is not.
         let b1 = BlockId::from_index(1);
@@ -308,12 +312,12 @@ mod tests {
         let main = p.routine_by_name("main").unwrap();
         let base = p.routine(main).addr();
 
-        let l = routine_liveness(&p, &a, main, &|_| false);
+        let l = routine_liveness(&p, a.registers(), main, &|_| false);
         // t0 is not live at entry (defined first).
         assert!(!l.live_in(BlockId::from_index(0)).contains(Reg::T0));
 
         // Ignoring the def exposes the use: t0 becomes live at entry.
-        let l = routine_liveness(&p, &a, main, &|addr| addr == base);
+        let l = routine_liveness(&p, a.registers(), main, &|addr| addr == base);
         assert!(l.live_in(BlockId::from_index(0)).contains(Reg::T0));
     }
 
@@ -325,7 +329,7 @@ mod tests {
         let p = b.build().unwrap();
         let a = analyze(&p);
         let f = p.routine_by_name("f").unwrap();
-        let l = routine_liveness(&p, &a, f, &|_| false);
+        let l = routine_liveness(&p, a.registers(), f, &|_| false);
         // t3 is used after returning to main, so it is live at f's exit
         // and at its entry.
         assert!(l.live_in(BlockId::from_index(0)).contains(Reg::T3));
@@ -342,8 +346,8 @@ mod tests {
                 // mask, call terminators included.
                 let thinned = |addr: u32| (addr - routine.addr()) % 3 == 1;
                 for ignore in [&(|_| false) as &dyn Fn(u32) -> bool, &thinned] {
-                    let new = routine_liveness(&p, &a, rid, ignore);
-                    let old = sweep_liveness(&p, &a, rid, ignore);
+                    let new = routine_liveness(&p, a.registers(), rid, ignore);
+                    let old = sweep_liveness(&p, a.registers(), rid, ignore);
                     assert_eq!(new.live_in, old.live_in, "{} {}", profile.name, routine.name());
                     assert_eq!(new.live_end, old.live_end, "{} {}", profile.name, routine.name());
                 }

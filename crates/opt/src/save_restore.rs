@@ -8,7 +8,7 @@
 //! delete the save and restores. As a degenerate case, a save/restore of a
 //! register the body never touches is deleted outright.
 
-use spike_core::Analysis;
+use spike_core::RegisterFacts;
 use spike_isa::{Instruction, Reg, RegSet};
 use spike_program::{Program, RoutineId};
 
@@ -68,11 +68,11 @@ fn rename_insn(insn: &Instruction, from: Reg, to: Reg) -> Instruction {
 /// the §3.4 detector uses.
 fn save_restore_sites(
     program: &Program,
-    analysis: &Analysis,
+    facts: RegisterFacts<'_>,
     rid: RoutineId,
     reg: Reg,
 ) -> Option<Vec<u32>> {
-    let cfg = analysis.cfg.routine_cfg(rid);
+    let cfg = facts.cfg.routine_cfg(rid);
     let routine = program.routine(rid);
     let mut sites = Vec::new();
 
@@ -120,12 +120,12 @@ fn save_restore_sites(
 /// ignored). Such a use reads the caller's value.
 fn body_reads_before_write(
     program: &Program,
-    analysis: &Analysis,
+    facts: RegisterFacts<'_>,
     rid: RoutineId,
     reg: Reg,
     sites: &[u32],
 ) -> bool {
-    let cfg = analysis.cfg.routine_cfg(rid);
+    let cfg = facts.cfg.routine_cfg(rid);
     let routine = program.routine(rid);
     let n = cfg.blocks().len();
     let mut seen = vec![false; n];
@@ -162,8 +162,8 @@ fn body_reads_before_write(
     false
 }
 
-pub(crate) fn find_reallocs(program: &Program, analysis: &Analysis) -> Vec<Realloc> {
-    let std = analysis.summary.calling_standard();
+pub(crate) fn find_reallocs(program: &Program, facts: RegisterFacts<'_>) -> Vec<Realloc> {
+    let std = facts.summary.calling_standard();
     let mut out = Vec::new();
 
     // Replacement registers are claimed *program-wide*: every rename adds
@@ -173,7 +173,7 @@ pub(crate) fn find_reallocs(program: &Program, analysis: &Analysis) -> Vec<Reall
     let mut claimed = RegSet::EMPTY;
 
     for (rid, routine) in program.iter() {
-        let summary = analysis.summary.routine(rid);
+        let summary = facts.summary.routine(rid);
         if summary.saved_restored.is_empty() {
             continue;
         }
@@ -183,14 +183,14 @@ pub(crate) fn find_reallocs(program: &Program, analysis: &Analysis) -> Vec<Reall
         // result instead of the original instruction.
         let mut pending: std::collections::BTreeMap<u32, Instruction> =
             std::collections::BTreeMap::new();
-        let cfg = analysis.cfg.routine_cfg(rid);
+        let cfg = facts.cfg.routine_cfg(rid);
 
         // Union of call-killed and call-used over every call the routine
         // makes, and of every register the body references.
         let mut killed_by_calls = RegSet::EMPTY;
         let mut used_by_calls = RegSet::EMPTY;
         for b in cfg.call_blocks() {
-            if let Some(cs) = analysis.summary.call_site(&analysis.cfg, rid, b) {
+            if let Some(cs) = facts.summary.call_site(facts.cfg, rid, b) {
                 killed_by_calls |= cs.killed;
                 used_by_calls |= cs.used;
             }
@@ -203,7 +203,7 @@ pub(crate) fn find_reallocs(program: &Program, analysis: &Analysis) -> Vec<Reall
         let live_out_all = summary.live_at_exit.iter().fold(RegSet::EMPTY, |a, &s| a | s);
 
         for s in summary.saved_restored.iter() {
-            let Some(sites) = save_restore_sites(program, analysis, rid, s) else {
+            let Some(sites) = save_restore_sites(program, facts, rid, s) else {
                 continue;
             };
             if sites.iter().any(|a| program.relocations().contains_key(a)) {
@@ -237,8 +237,7 @@ pub(crate) fn find_reallocs(program: &Program, analysis: &Analysis) -> Vec<Reall
             // value read is the caller's and cannot move to another
             // register. Likewise, a callee that genuinely reads s from its
             // caller would stop seeing this routine's writes.
-            if body_reads_before_write(program, analysis, rid, s, &sites)
-                || used_by_calls.contains(s)
+            if body_reads_before_write(program, facts, rid, s, &sites) || used_by_calls.contains(s)
             {
                 continue;
             }
@@ -307,7 +306,7 @@ mod tests {
             .ret();
         b.routine("quiet").def(Reg::V0).ret(); // kills only v0 (+ra at the call)
         let p = b.build().unwrap();
-        let r = find_reallocs(&p, &analyze(&p));
+        let r = find_reallocs(&p, analyze(&p).registers());
         assert_eq!(r.len(), 1);
         let f = p.routine_by_name("f").unwrap();
         assert_eq!(r[0].routine, f);
@@ -336,7 +335,7 @@ mod tests {
             .lda(Reg::SP, Reg::SP, 16)
             .ret();
         let p = b.build().unwrap();
-        let r = find_reallocs(&p, &analyze(&p));
+        let r = find_reallocs(&p, analyze(&p).registers());
         assert!(r.is_empty(), "{r:?}");
     }
 
@@ -353,7 +352,7 @@ mod tests {
             .lda(Reg::SP, Reg::SP, 16)
             .ret();
         let p = b.build().unwrap();
-        let r = find_reallocs(&p, &analyze(&p));
+        let r = find_reallocs(&p, analyze(&p).registers());
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].replacement, None);
         assert_eq!(r[0].delete.len(), 2);

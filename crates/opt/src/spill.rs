@@ -30,7 +30,7 @@
 //! tables.
 
 use spike_cfg::{DomTree, LoopForest, TermKind};
-use spike_core::Analysis;
+use spike_core::RegisterFacts;
 use spike_isa::{Instruction, Reg, RegSet};
 use spike_profile::Profile;
 use spike_program::Program;
@@ -62,13 +62,13 @@ fn slot_accesses(program: &Program, rid: spike_program::RoutineId, disp: i16) ->
 
 pub(crate) fn find_spills(
     program: &Program,
-    analysis: &Analysis,
+    facts: RegisterFacts<'_>,
     profile: Option<&Profile>,
 ) -> Vec<SpillPair> {
     let mut pairs = Vec::new();
 
     for (rid, routine) in program.iter() {
-        let cfg = analysis.cfg.routine_cfg(rid);
+        let cfg = facts.cfg.routine_cfg(rid);
         // Loop depth prices the pairs when no profile is available; the
         // forest is only needed then.
         let forest = if profile.is_none() {
@@ -82,7 +82,7 @@ pub(crate) fn find_spills(
             let TermKind::Call { return_to: Some(rt), .. } = block.term() else {
                 continue;
             };
-            let Some(cs) = analysis.summary.call_site(&analysis.cfg, rid, b) else {
+            let Some(cs) = facts.summary.call_site(facts.cfg, rid, b) else {
                 continue;
             };
             let ret_block = cfg.block(*rt);
@@ -157,7 +157,7 @@ mod tests {
     use spike_program::ProgramBuilder;
 
     fn pairs_of(p: &Program) -> Vec<SpillPair> {
-        find_spills(p, &analyze(p), None)
+        find_spills(p, analyze(p).registers(), None)
     }
 
     /// Figure 1(c): the callee does not kill t0, so the spill around the
@@ -211,7 +211,7 @@ mod tests {
 
         let (_, exec) = spike_sim::run_profiled(&p, 10_000);
         let prof = Profile::collect(&p, &exec);
-        let weighed = find_spills(&p, &analyze(&p), Some(&prof));
+        let weighed = find_spills(&p, analyze(&p).registers(), Some(&prof));
         assert_eq!(weighed.len(), 1);
         // Three iterations execute the store and the load three times
         // each: six measured dynamic instructions saved.

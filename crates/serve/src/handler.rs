@@ -1,6 +1,6 @@
 //! Per-request dispatch: turns a decoded [`Request`] plus its image blob
 //! into a [`Response`], routing images through the warm
-//! [`ProgramStore`](crate::cache::ProgramStore).
+//! [`ProgramStore`].
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};

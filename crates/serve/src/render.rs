@@ -168,10 +168,12 @@ pub fn optimize_report(
     );
     let _ = writeln!(
         out,
-        "{} round(s); analysis re-ran {} routine(s), reused {} from cache{}",
+        "{} round(s); analysis re-ran {} routine(s), reused {} from cache, solved the stack \
+         layer {} time(s){}",
         report.rounds,
         report.routines_reanalyzed,
         report.routines_reused,
+        report.stack_solves,
         if incremental { "" } else { " (incremental re-analysis disabled)" }
     );
     out

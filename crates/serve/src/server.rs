@@ -9,7 +9,7 @@
 //!    never an unbounded backlog.
 //! 2. A worker pops the connection, reads the request frame (size-capped,
 //!    socket read/write timeouts armed), dispatches through
-//!    [`Handler`](crate::handler::Handler) under `catch_unwind`, and
+//!    [`Handler`] under `catch_unwind`, and
 //!    writes the response frame. A panicking handler costs that request
 //!    a `panic` error reply, not the daemon.
 //! 3. `shutdown` (the command, [`Server::shutdown`], or SIGTERM in the

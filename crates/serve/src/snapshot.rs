@@ -13,7 +13,7 @@
 //! The header is a `spike_core::json` object:
 //!
 //! ```json
-//! {"tool": "spike-served", "format": 5, "entries": 3,
+//! {"tool": "spike-served", "format": 6, "entries": 3,
 //!  "payload_bytes": 123456, "checksum": "<32 hex>", "options_fp": "<16 hex>"}
 //! ```
 //!
@@ -52,7 +52,7 @@ use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 
 /// Payload encoding version. Bump on any change to the `Snap` layout of
 /// the analysis structures or to how a header field is computed.
-pub const FORMAT_VERSION: i64 = 5;
+pub const FORMAT_VERSION: i64 = 6;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
@@ -388,12 +388,14 @@ mod tests {
 
         // Any other format version is refused up front: a future one,
         // version 3, whose `AnalysisOptions`/`AnalysisStats` layouts still
-        // carried the solver-selection fields, and version 4, whose
-        // `options_fp` was computed with a non-FNV multiplier. Splice the
-        // format field in the JSON header and fix up the length field.
+        // carried the solver-selection fields, version 4, whose
+        // `options_fp` was computed with a non-FNV multiplier, and
+        // version 5, whose `Analysis` payload still carried per-routine
+        // loop statistics. Splice the format field in the JSON header and
+        // fix up the length field.
         let header_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
         let header = std::str::from_utf8(&good[12..12 + header_len]).unwrap();
-        for other in [999, 3, 4] {
+        for other in [999, 3, 4, 5] {
             let spliced_header = header.replacen(
                 &format!("\"format\":{FORMAT_VERSION}"),
                 &format!("\"format\":{other}"),

@@ -37,6 +37,7 @@ fn line(name: &str, program: &Program) -> String {
         rounds,
         routines_reanalyzed: _,
         routines_reused: _,
+        stack_solves: _,
     } = r;
     format!(
         "{name} image={:016x} dead={dead_deleted} spills={spill_pairs_removed} \

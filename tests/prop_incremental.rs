@@ -10,9 +10,10 @@
 
 use proptest::prelude::*;
 
-use spike::core::{analyze_with, AnalysisCache, AnalysisOptions};
+use spike::core::{analyze_stack, analyze_with, AnalysisCache, AnalysisOptions};
+use spike::isa::{Instruction, Reg};
 use spike::opt::{optimize_with, OptOptions};
-use spike::program::{Program, Rewriter};
+use spike::program::{Program, Rewriter, RoutineId};
 use spike::sim::Outcome;
 
 fn arb_program() -> impl Strategy<Value = Program> {
@@ -25,6 +26,71 @@ fn arb_program() -> impl Strategy<Value = Program> {
 
 fn with_incremental(incremental: bool) -> OptOptions {
     OptOptions { incremental, ..OptOptions::default() }
+}
+
+/// The addresses of `program` an edit may name, with their instructions.
+fn sites(program: &Program) -> impl Iterator<Item = (u32, &Instruction)> {
+    program
+        .iter()
+        .flat_map(|(_, r)| r.insns().iter().enumerate().map(|(i, x)| (r.addr() + i as u32, x)))
+}
+
+/// Deletes the `pick`-th deletable instruction that has code behind it,
+/// so every later address shifts.
+fn shifting_delete(program: &Program, pick: usize) -> Option<(Program, Vec<RoutineId>)> {
+    let last = program.routines().last().expect("programs are non-empty").addr();
+    let victims: Vec<u32> = sites(program)
+        .filter(|(addr, insn)| {
+            *addr < last
+                && !insn.is_terminator()
+                && !program.relocations().contains_key(addr)
+                && !program.iter().any(|(_, r)| r.entry_addrs().any(|e| e == *addr))
+        })
+        .map(|(addr, _)| addr)
+        .collect();
+    let victim = *victims.get(pick % victims.len().max(1))?;
+    Rewriter::new(program).delete(victim).finish().ok()
+}
+
+/// Puts an instruction in front of the target of the `pick`-th
+/// intra-routine branch and lets that branch bypass it — the shape of a
+/// LICM preheader. Targets are restricted to block leaders that nothing
+/// falls into mid-block and that have a call or a halt behind them, so
+/// the insertion is a block of its own and renumbers a block some PSG
+/// node names.
+fn preheader(program: &Program, pick: usize) -> Option<(Program, Vec<RoutineId>)> {
+    let branches: Vec<(u32, u32)> = sites(program)
+        .filter_map(|(addr, insn)| match *insn {
+            Instruction::Br { disp } | Instruction::CondBranch { disp, .. } => {
+                Some((addr, addr.wrapping_add(1).wrapping_add(disp as u32)))
+            }
+            _ => None,
+        })
+        .filter(|&(addr, target)| {
+            program.iter().any(|(_, r)| {
+                let inside = |a: u32| (r.addr()..r.end_addr()).contains(&a);
+                inside(addr)
+                    && inside(target)
+                    && !matches!(
+                        r.insn_at(target),
+                        Some(Instruction::Jmp { .. } | Instruction::Jsr { .. })
+                    )
+                    && (target == r.addr()
+                        || r.insn_at(target - 1).is_some_and(Instruction::is_terminator))
+                    && (target..r.end_addr()).filter_map(|a| r.insn_at(a)).any(|x| {
+                        matches!(
+                            x,
+                            Instruction::Bsr { .. } | Instruction::Jsr { .. } | Instruction::Halt
+                        )
+                    })
+            })
+        })
+        .collect();
+    let &(branch, target) = branches.get(pick % branches.len().max(1))?;
+    let mut rw = Rewriter::new(program);
+    rw.insert_before(target, vec![Instruction::Lda { rd: Reg::T0, base: Reg::ZERO, disp: 1 }]);
+    rw.bypass(branch);
+    rw.finish().ok()
 }
 
 proptest! {
@@ -195,5 +261,77 @@ proptest! {
         prop_assert_eq!(&incremental.psg, &scratch.psg);
         prop_assert_eq!(&incremental.stack, &scratch.stack);
         prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
+    }
+
+    /// The stack layer on demand: a chain of edits goes through one
+    /// cache — the first shifts every later address, the second changes
+    /// a routine's shape, the rest are either — and the stack layer is
+    /// asked for after a random subset of them only (and after the
+    /// last). The register layers equal scratch after every step; at
+    /// every demand so do the stack layer, caught up over everything
+    /// edited since it was last solved, and `memory_bytes`. Spelled out
+    /// rather than left to the debug-build self-check, so a release run
+    /// exercises the deferred, member-local catch-up on its own.
+    #[test]
+    fn deferred_stack_layer_matches_scratch_over_an_edit_chain(
+        original in arb_program(),
+        picks in proptest::collection::vec(any::<u16>(), 3..7),
+        demands in any::<u8>(),
+    ) {
+        let mut program = original;
+        let options = AnalysisOptions::default();
+        let mut cache = AnalysisCache::new(options.clone());
+        cache.analyze(&program);
+        let mut solves = cache.stack_solves();
+
+        for (step, &pick) in picks.iter().enumerate() {
+            let shape = step == 1 || (step > 1 && pick % 2 == 1);
+            let edit = if shape {
+                preheader(&program, pick as usize / 2)
+            } else {
+                shifting_delete(&program, pick as usize / 2)
+            };
+            let Some((edited, changed)) = edit else { continue };
+            program = edited;
+
+            let scratch = analyze_with(&program, &options);
+            if demands >> step & 1 == 1 || step + 1 == picks.len() {
+                let a = cache.reanalyze(&program, &changed);
+                prop_assert_eq!(&a.summary, &scratch.summary);
+                prop_assert_eq!(&a.psg, &scratch.psg);
+                prop_assert_eq!(&a.stack, &analyze_stack(&program, &a.cfg).0);
+                prop_assert_eq!(a.stats.memory_bytes, scratch.stats.memory_bytes);
+                solves += 1;
+            } else {
+                let facts = cache.reanalyze_registers(&program, &changed);
+                prop_assert_eq!(facts.summary, &scratch.summary);
+                prop_assert_eq!(facts.cfg, &scratch.cfg);
+                prop_assert!(cache.analysis().is_none(), "the stack layer is behind");
+            }
+            prop_assert_eq!(cache.stack_solves(), solves);
+        }
+    }
+}
+
+/// The seven images of the benchmark's `optimize-exec` workload (five
+/// paper profiles at scale 1 and two deep-condensation executables, at
+/// its corpus seed): a default `optimize_with` brings the stack layer up
+/// to date at most twice — in front of LICM and in front of dead-stack-
+/// store elimination — and a run without those two passes never does.
+#[test]
+fn stack_layer_is_solved_only_for_the_passes_that_read_it() {
+    const CORPUS_SEED: u64 = 4;
+    let profiles = ["compress", "m88ksim", "go", "perl", "vortex"].map(|name| {
+        let p = spike::synth::profile(name).expect("known benchmark");
+        spike::synth::generate(&p, 1.0, CORPUS_SEED)
+    });
+    let execs = [0, 1].map(|e| spike::synth::generate_executable(CORPUS_SEED + e, 1000));
+    let register_only = OptOptions { licm: false, stack: false, ..OptOptions::default() };
+    for program in profiles.iter().chain(&execs) {
+        let (_, report) =
+            optimize_with(program, &OptOptions::default()).expect("optimization succeeds");
+        assert!((1..=2).contains(&report.stack_solves), "{report:?}");
+        let (_, report) = optimize_with(program, &register_only).expect("optimization succeeds");
+        assert_eq!(report.stack_solves, 0, "{report:?}");
     }
 }
