@@ -233,69 +233,6 @@ impl Sccs {
     pub fn bottom_up(&self) -> &[Vec<RoutineId>] {
         &self.comps
     }
-
-    /// Condenses the call graph into its SCC DAG.
-    pub fn condense(&self, graph: &CallGraph) -> Condensation {
-        Condensation::build(graph, self)
-    }
-}
-
-/// The call graph's condensation: one vertex per strongly-connected
-/// component, with the component-level call edges in both directions.
-/// Tarjan emits components callees-first, so a component's callees have
-/// smaller indices and its callers larger ones. The demand-driven engine
-/// (`spike_core::QueryEngine`) walks it to collect the caller and callee
-/// cones of a query target.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Condensation {
-    sccs: Sccs,
-    /// Per component: the components it calls into (deduplicated,
-    /// ascending, self-edges dropped).
-    callee_comps: Vec<Vec<usize>>,
-    /// Per component: the components that call it.
-    caller_comps: Vec<Vec<usize>>,
-}
-
-impl Condensation {
-    fn build(graph: &CallGraph, sccs: &Sccs) -> Condensation {
-        let nc = sccs.components().len();
-        let mut callee_comps: Vec<Vec<usize>> = vec![Vec::new(); nc];
-        let mut caller_comps: Vec<Vec<usize>> = vec![Vec::new(); nc];
-        for (c, comp) in sccs.components().iter().enumerate() {
-            let mut callees: Vec<usize> = comp
-                .iter()
-                .flat_map(|&r| graph.callees(r))
-                .map(|&callee| sccs.component_of(callee))
-                .filter(|&d| d != c)
-                .collect();
-            callees.sort_unstable();
-            callees.dedup();
-            for &d in &callees {
-                debug_assert!(d < c, "callee components precede their callers");
-                caller_comps[d].push(c);
-            }
-            callee_comps[c] = callees;
-        }
-        for callers in &mut caller_comps {
-            callers.sort_unstable();
-        }
-        Condensation { sccs: sccs.clone(), callee_comps, caller_comps }
-    }
-
-    /// The underlying components.
-    pub fn sccs(&self) -> &Sccs {
-        &self.sccs
-    }
-
-    /// The components component `c` calls into (no self-edges).
-    pub fn callee_components(&self, c: usize) -> &[usize] {
-        &self.callee_comps[c]
-    }
-
-    /// The components that call into component `c`.
-    pub fn caller_components(&self, c: usize) -> &[usize] {
-        &self.caller_comps[c]
-    }
 }
 
 struct TarjanState<'a> {
@@ -470,54 +407,6 @@ mod tests {
         // Bottom-up: the leaf (r{n-1}) first, the entry last.
         assert_eq!(sccs.bottom_up()[0][0], id(&p, &format!("r{}", n - 1)));
         assert_eq!(sccs.bottom_up()[n - 1][0], id(&p, "r0"));
-    }
-
-    #[test]
-    fn condensation_edges_point_from_callers_to_callees() {
-        let mut b = ProgramBuilder::new();
-        b.routine("main").call("even").call("lib").halt();
-        b.routine("even").call("odd").call("lib").ret();
-        b.routine("odd").call("even").ret();
-        b.routine("lib").ret();
-        b.routine("island").ret();
-        let (p, cg) = graph_of(&b);
-        let sccs = cg.sccs();
-        let cond = sccs.condense(&cg);
-
-        let comp = |n: &str| sccs.component_of(id(&p, n));
-        // even/odd form one component; lib and island are leaves.
-        assert_eq!(comp("even"), comp("odd"));
-        assert!(cond.callee_components(comp("lib")).is_empty());
-        assert!(cond.callee_components(comp("island")).is_empty());
-        assert!(cond.caller_components(comp("island")).is_empty());
-        assert_eq!(cond.callee_components(comp("even")), &[comp("lib")]);
-        let mut callers_of_lib = vec![comp("even"), comp("main")];
-        callers_of_lib.sort_unstable();
-        assert_eq!(cond.caller_components(comp("lib")), callers_of_lib);
-
-        // Callees are numbered before their callers, and the two edge
-        // directions mirror each other.
-        for c in 0..sccs.components().len() {
-            for &d in cond.callee_components(c) {
-                assert!(d < c);
-                assert!(cond.caller_components(d).contains(&c));
-            }
-        }
-    }
-
-    #[test]
-    fn condensation_drops_self_edges_and_dedups() {
-        let mut b = ProgramBuilder::new();
-        b.routine("main").call("rec").call("rec").halt();
-        b.routine("rec").call("rec").ret();
-        let (p, cg) = graph_of(&b);
-        let sccs = cg.sccs();
-        let cond = sccs.condense(&cg);
-        let rec = sccs.component_of(id(&p, "rec"));
-        let main = sccs.component_of(id(&p, "main"));
-        assert!(cond.callee_components(rec).is_empty());
-        assert_eq!(cond.callee_components(main), &[rec]);
-        assert_eq!(cond.caller_components(rec), &[main]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ commands:
                                                     counters and write (or merge into)
                                                     an execution profile
   lint <img> [--format human|json]                  interprocedural static checks
-  query <kind> <routine> [<callee>] <img>           demand-driven analysis query
+  query <kind> <routine> [<callee>] <img>           one question about one routine
                                                     (summary, live-at-entry, uninit,
                                                     reaches <caller> <callee>)
   compare <img> [--threads N]                       PSG vs whole-CFG comparison
@@ -42,7 +42,7 @@ commands:
   profiles                                          list generator benchmarks
   serve [--listen HOST:PORT] [--unix PATH] [--workers N] [--cache-bytes N]
         [--queue N] [--max-frame-bytes N] [--deadline-ms N] [--threads N]
-        [--snapshot PATH] [--snapshot-interval-ms N] [--no-reactor]
+        [--snapshot PATH] [--snapshot-interval-ms N]
         [--cluster A,B,C --shard-index I]
                                                     run the analysis daemon
   route --listen HOST:PORT --cluster A,B,C [--workers N] [--max-frame-bytes N]
@@ -126,7 +126,6 @@ struct Opts<'a> {
     deadline_ms: Option<u64>,
     snapshot: Option<&'a str>,
     snapshot_interval_ms: Option<u64>,
-    no_reactor: bool,
     cluster: Vec<String>,
     shard_index: Option<usize>,
     connections: usize,
@@ -160,7 +159,6 @@ fn parse(args: &[String]) -> Result<Opts<'_>> {
         deadline_ms: None,
         snapshot: None,
         snapshot_interval_ms: None,
-        no_reactor: false,
         cluster: Vec::new(),
         shard_index: None,
         connections: 10_000,
@@ -199,7 +197,6 @@ fn parse(args: &[String]) -> Result<Opts<'_>> {
             "--snapshot-interval-ms" => {
                 o.snapshot_interval_ms = Some(want("--snapshot-interval-ms")?.parse()?)
             }
-            "--no-reactor" => o.no_reactor = true,
             "--cluster" => {
                 o.cluster = want("--cluster")?.split(',').map(|s| s.trim().to_string()).collect();
             }
@@ -460,15 +457,14 @@ fn cmd_query(args: &[String]) -> Result<ExitCode> {
     let rid =
         program.routine_by_name(routine).ok_or_else(|| format!("no routine named `{routine}`"))?;
     let options = AnalysisOptions { threads: o.threads, ..AnalysisOptions::default() };
-    // The cache starts cold, so the engine solves exactly the query's
-    // cone — the same demand path the daemon uses for a fresh image.
+    // The cache starts cold: the register-only solve, then a read.
     let mut cache = AnalysisCache::new(options);
     let (stdout, stats, exit) = match kind {
         QueryKind::Uninit => {
             // Lint-shaped: findings are the report, exit 1 when any are
             // error severity — exactly like `spike lint`, sliced to one
             // routine.
-            let (report, stats) = cache.with_uninit_facts(&program, rid, |cfg, summary| {
+            let (report, stats) = cache.with_uninit_facts(&program, |cfg, summary| {
                 spike_lint::uninit_routine(&program, cfg, summary, rid)
             });
             let exit = if report.errors() > 0 { ExitCode::from(1) } else { ExitCode::SUCCESS };
@@ -551,9 +547,6 @@ fn serve(args: &[String]) -> Result<()> {
     }
     options.snapshot = o.snapshot.map(PathBuf::from);
     options.snapshot_interval_ms = o.snapshot_interval_ms;
-    if o.no_reactor {
-        options.event_driven = false;
-    }
     options.cluster = o.cluster.clone();
     options.shard_index = o.shard_index;
     #[cfg(unix)]

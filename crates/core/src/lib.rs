@@ -66,9 +66,9 @@ pub use analysis::{
     analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, RegisterFacts,
 };
 pub use callee_saved::saved_restored_registers;
-pub use incremental::{query_analysis, reanalyze, uninit_facts_of, AnalysisCache};
+pub use incremental::{query_analysis, reanalyze, AnalysisCache};
 pub use psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, PsgStats, RoutineNodes};
-pub use query::{Query, QueryAnswer, QueryEngine, QueryStats};
+pub use query::{Query, QueryAnswer, QueryStats};
 pub use snap::options_fingerprint;
 pub use stack::{
     analyze_stack, reanalyze_stack, AccessKind, FrameModel, RoutineStack, Slot, SlotSet,

@@ -398,20 +398,6 @@ impl Psg {
         self.live[n.index()]
     }
 
-    /// Partitions the nodes by the call-graph component of their owning
-    /// routine. Returns the per-component node lists, each ascending in
-    /// node id. The partition is the demand engine's (`crate::query`)
-    /// map from cone components to node scopes — it is *not* stored on
-    /// the PSG, so [`HeapSize`] accounting (and with it `memory_bytes`)
-    /// is unaffected by it.
-    pub(crate) fn partition_by_component(&self, sccs: &spike_callgraph::Sccs) -> Vec<Vec<NodeId>> {
-        let mut comp_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); sccs.components().len()];
-        for (i, kind) in self.nodes.iter().enumerate() {
-            comp_nodes[sccs.component_of(kind.routine())].push(NodeId::from_index(i));
-        }
-        comp_nodes
-    }
-
     /// Aggregate size statistics (Tables 3–5).
     pub fn stats(&self) -> PsgStats {
         let mut s =

@@ -305,14 +305,17 @@ impl<T: Snap> Snap for Vec<T> {
         // Every element encoding is at least one byte, so `len` is
         // bounded by the remaining payload; capacity can legitimately
         // exceed `len` (retained growth), but a corrupt header must
-        // cost an error, not an allocation abort — bound it.
+        // cost an error, not an allocation abort — bound it, and ask
+        // for the memory fallibly: a long vector passes the bound with
+        // a capacity no allocator can serve.
         if len > r.remaining() {
             return Err(SnapError::Truncated);
         }
         if cap > (len.max(1)) << 16 {
             return Err(SnapError::Malformed("vec capacity implausible"));
         }
-        let mut v = Vec::with_capacity(cap);
+        let mut v = Vec::new();
+        v.try_reserve_exact(cap).map_err(|_| SnapError::Malformed("vec capacity"))?;
         for _ in 0..len {
             v.push(T::unsnap(r)?);
         }
@@ -492,5 +495,25 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(Vec::<u64>::unsnap(&mut r).is_err());
+    }
+
+    /// A 1 MiB vector whose capacity field claims `1 << 36` elements is
+    /// inside the plausibility bound; the allocation has to fail as an
+    /// error, not as `handle_alloc_error`'s abort.
+    #[test]
+    fn a_capacity_no_allocator_can_serve_is_malformed_not_an_abort() {
+        fn crafted<T: Snap + Default + Clone>() -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            vec![T::default(); 1 << 20].snap(&mut w);
+            let mut bytes = w.into_bytes();
+            bytes[..8].copy_from_slice(&(1_u64 << 36).to_le_bytes());
+            bytes
+        }
+        let bytes = crafted::<u8>();
+        let got = Vec::<u8>::unsnap(&mut SnapReader::new(&bytes));
+        assert_eq!(got, Err(SnapError::Malformed("vec capacity")));
+        let bytes = crafted::<u64>();
+        let got = Vec::<u64>::unsnap(&mut SnapReader::new(&bytes));
+        assert_eq!(got, Err(SnapError::Malformed("vec capacity")));
     }
 }

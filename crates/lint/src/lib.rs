@@ -128,15 +128,14 @@ pub fn lint_with(program: &Program, analysis: &Analysis, options: &LintOptions) 
     report
 }
 
-/// Runs the uninitialized-read check for a single routine on demand.
+/// Runs the uninitialized-read check for a single routine.
 ///
 /// The must-defined fixpoint converges over `routine`'s transitive
 /// caller closure only, and only `routine`'s reads are flagged — the
 /// findings are exactly the whole-program [`lint_with`] uninit findings
-/// for that routine. `summary` must hold converged `call-defined` facts
-/// for every call site in the closure; the natural producer is
-/// [`spike_core::AnalysisCache::with_uninit_facts`], which ensures
-/// precisely that cone:
+/// for that routine. `summary` and `cfg` are the program's analysis;
+/// [`spike_core::AnalysisCache::with_uninit_facts`] hands them over
+/// after solving the register layers only:
 ///
 /// ```
 /// use spike_isa::Reg;
@@ -149,7 +148,7 @@ pub fn lint_with(program: &Program, analysis: &Analysis, options: &LintOptions) 
 /// let main = program.routine_by_name("main").unwrap();
 ///
 /// let mut cache = spike_core::AnalysisCache::new(spike_core::AnalysisOptions::default());
-/// let (report, _) = cache.with_uninit_facts(&program, main, |cfg, summary| {
+/// let (report, _) = cache.with_uninit_facts(&program, |cfg, summary| {
 ///     spike_lint::uninit_routine(&program, cfg, summary, main)
 /// });
 /// assert_eq!(report.errors(), 1);

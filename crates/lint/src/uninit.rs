@@ -434,7 +434,7 @@ pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintRep
     }
 }
 
-/// Single-routine variant for demand-driven linting: converges the
+/// Single-routine variant, for `query uninit`: converges the
 /// must-defined fixpoint over `rid`'s caller closure only and flags only
 /// `rid`'s reads. The findings equal the whole-program [`check`]'s
 /// findings for `rid` exactly (see [`compute_scoped`]); `summary` only

@@ -48,6 +48,7 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 
+use spike_isa::{SnapError, SnapReader, SnapWriter};
 use spike_program::Program;
 use spike_sim::ExecutionProfile;
 
@@ -102,6 +103,15 @@ impl std::error::Error for ProfileError {
             ProfileError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<SnapError> for ProfileError {
+    fn from(e: SnapError) -> ProfileError {
+        ProfileError::Corrupt(match e {
+            SnapError::Truncated => "unexpected end of profile",
+            SnapError::Malformed(what) => what,
+        })
     }
 }
 
@@ -240,41 +250,42 @@ impl Profile {
     /// checksum (dual-lane FNV of the payload bytes), payload length,
     /// then the little-endian counter payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, self.runs);
-        put_u64(&mut payload, self.calls);
-        put_u64(&mut payload, self.call_overhead_steps);
-        put_u64(&mut payload, self.total_steps);
-        put_u32(&mut payload, self.code_base);
-        put_u32(&mut payload, self.steps_per_routine.len() as u32);
+        let mut payload = SnapWriter::new();
+        payload.put_u64(self.runs);
+        payload.put_u64(self.calls);
+        payload.put_u64(self.call_overhead_steps);
+        payload.put_u64(self.total_steps);
+        payload.put_u32(self.code_base);
+        payload.put_u32(self.steps_per_routine.len() as u32);
         for &n in &self.steps_per_routine {
-            put_u64(&mut payload, n);
+            payload.put_u64(n);
         }
         for &n in &self.entries_per_routine {
-            put_u64(&mut payload, n);
+            payload.put_u64(n);
         }
-        put_u32(&mut payload, self.insn_counts.len() as u32);
+        payload.put_u32(self.insn_counts.len() as u32);
         for &n in &self.insn_counts {
-            put_u64(&mut payload, n);
+            payload.put_u64(n);
         }
-        put_u32(&mut payload, self.edges.len() as u32);
+        payload.put_u32(self.edges.len() as u32);
         for (&(src, dst), &n) in &self.edges {
-            put_u32(&mut payload, src);
-            put_u32(&mut payload, dst);
-            put_u64(&mut payload, n);
+            payload.put_u32(src);
+            payload.put_u32(dst);
+            payload.put_u64(n);
         }
+        let payload = payload.into_bytes();
 
         let checksum = fingerprint(&payload);
-        let mut out = Vec::with_capacity(MAGIC.len() + 44 + payload.len());
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, FORMAT_VERSION);
-        put_u64(&mut out, self.fingerprint[0]);
-        put_u64(&mut out, self.fingerprint[1]);
-        put_u64(&mut out, checksum[0]);
-        put_u64(&mut out, checksum[1]);
-        put_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(&payload);
-        out
+        let mut out = SnapWriter::new();
+        out.put_bytes(MAGIC);
+        out.put_u32(FORMAT_VERSION);
+        out.put_u64(self.fingerprint[0]);
+        out.put_u64(self.fingerprint[1]);
+        out.put_u64(checksum[0]);
+        out.put_u64(checksum[1]);
+        out.put_u32(payload.len() as u32);
+        out.put_bytes(&payload);
+        out.into_bytes()
     }
 
     /// Decodes a serialized profile. Never panics: foreign bytes are
@@ -282,32 +293,32 @@ impl Profile {
     /// [`ProfileError::Incompatible`], and anything truncated or
     /// checksum-damaged is [`ProfileError::Corrupt`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Profile, ProfileError> {
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(MAGIC.len()).ok().map(|m| m != MAGIC.as_slice()).unwrap_or(true) {
+        let mut r = SnapReader::new(bytes);
+        if r.get_bytes(MAGIC.len()).ok().map(|m| m != MAGIC.as_slice()).unwrap_or(true) {
             return Err(ProfileError::NotAProfile);
         }
-        let version = r.u32().map_err(|_| ProfileError::NotAProfile)?;
+        let version = r.get_u32().map_err(|_| ProfileError::NotAProfile)?;
         if version != FORMAT_VERSION {
             return Err(ProfileError::Incompatible { found: version });
         }
-        let fp = [r.u64()?, r.u64()?];
-        let checksum = [r.u64()?, r.u64()?];
-        let payload_len = r.u32()? as usize;
-        let payload = r.take(payload_len)?;
-        if r.pos != bytes.len() {
+        let fp = [r.get_u64()?, r.get_u64()?];
+        let checksum = [r.get_u64()?, r.get_u64()?];
+        let payload_len = r.get_u32()? as usize;
+        let payload = r.get_bytes(payload_len)?;
+        if !r.is_exhausted() {
             return Err(ProfileError::Corrupt("trailing bytes after payload"));
         }
         if fingerprint(payload) != checksum {
             return Err(ProfileError::Corrupt("payload checksum mismatch"));
         }
 
-        let mut p = Reader { bytes: payload, pos: 0 };
-        let runs = p.u64()?;
-        let calls = p.u64()?;
-        let call_overhead_steps = p.u64()?;
-        let total_steps = p.u64()?;
-        let code_base = p.u32()?;
-        let routines = p.u32()? as usize;
+        let mut p = SnapReader::new(payload);
+        let runs = p.get_u64()?;
+        let calls = p.get_u64()?;
+        let call_overhead_steps = p.get_u64()?;
+        let total_steps = p.get_u64()?;
+        let code_base = p.get_u32()?;
+        let routines = p.get_u32()? as usize;
         // An image holds at most 2^32 instruction words; counter tables
         // beyond that can't come from a real program and would make the
         // preallocations below attacker-sized.
@@ -316,29 +327,29 @@ impl Profile {
         }
         let mut steps_per_routine = Vec::with_capacity(routines);
         for _ in 0..routines {
-            steps_per_routine.push(p.u64()?);
+            steps_per_routine.push(p.get_u64()?);
         }
         let mut entries_per_routine = Vec::with_capacity(routines);
         for _ in 0..routines {
-            entries_per_routine.push(p.u64()?);
+            entries_per_routine.push(p.get_u64()?);
         }
-        let insns = p.u32()? as usize;
+        let insns = p.get_u32()? as usize;
         if insns > payload_len {
             return Err(ProfileError::Corrupt("instruction table longer than payload"));
         }
         let mut insn_counts = Vec::with_capacity(insns);
         for _ in 0..insns {
-            insn_counts.push(p.u64()?);
+            insn_counts.push(p.get_u64()?);
         }
-        let edge_count = p.u32()? as usize;
+        let edge_count = p.get_u32()? as usize;
         let mut edges = BTreeMap::new();
         for _ in 0..edge_count {
-            let src = p.u32()?;
-            let dst = p.u32()?;
-            let n = p.u64()?;
+            let src = p.get_u32()?;
+            let dst = p.get_u32()?;
+            let n = p.get_u64()?;
             edges.insert((src, dst), n);
         }
-        if p.pos != payload.len() {
+        if !p.is_exhausted() {
             return Err(ProfileError::Corrupt("payload length disagrees with contents"));
         }
         Ok(Profile {
@@ -393,40 +404,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     staged
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProfileError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(ProfileError::Corrupt("unexpected end of profile"))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, ProfileError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProfileError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,6 +428,48 @@ mod tests {
         assert!(back.matches(&program.to_image()));
         assert!(back.total_steps > 0);
         assert!(!back.edges.is_empty());
+    }
+
+    /// The `spikprof` layout, byte for byte: a change of codec must not
+    /// orphan the files already written.
+    #[test]
+    fn layout_is_pinned() {
+        let profile = Profile {
+            fingerprint: [0x0102_0304_0506_0708, 0x1112_1314_1516_1718],
+            runs: 1,
+            steps_per_routine: vec![5],
+            entries_per_routine: vec![6],
+            calls: 2,
+            call_overhead_steps: 3,
+            total_steps: 4,
+            code_base: 0x1000,
+            insn_counts: vec![7, 8],
+            edges: BTreeMap::from([((0x1000, 0x1001), 9)]),
+        };
+        const PINNED: [&str; 14] = [
+            "7370696b70726f66",                         // magic
+            "01000000",                                 // format version
+            "08070605040302011817161514131211",         // image fingerprint, two lanes
+            "b7e3fc45fac0f8e158e1eb4a8c60928b",         // payload checksum, two lanes
+            "60000000",                                 // payload length
+            "0100000000000000",                         // runs
+            "0200000000000000",                         // calls
+            "0300000000000000",                         // call_overhead_steps
+            "0400000000000000",                         // total_steps
+            "00100000",                                 // code_base
+            "010000000500000000000000",                 // routines, steps_per_routine
+            "0600000000000000",                         // entries_per_routine
+            "0200000007000000000000000800000000000000", // insns, insn_counts
+            "0100000000100000011000000900000000000000", // edges, (src, dst, n)
+        ];
+        let pinned: Vec<u8> = PINNED
+            .concat()
+            .as_bytes()
+            .chunks(2)
+            .map(|h| u8::from_str_radix(std::str::from_utf8(h).unwrap(), 16).unwrap())
+            .collect();
+        assert_eq!(profile.to_bytes(), pinned);
+        assert_eq!(Profile::from_bytes(&pinned).unwrap(), profile);
     }
 
     #[test]

@@ -11,7 +11,7 @@ const USAGE: &str = "\
 usage: spike-served [--listen HOST:PORT] [--unix PATH] [--workers N]
                     [--cache-bytes N] [--queue N] [--max-frame-bytes N]
                     [--deadline-ms N] [--threads N] [--snapshot PATH]
-                    [--snapshot-interval-ms N] [--no-reactor]
+                    [--snapshot-interval-ms N]
                     [--cluster A,B,C --shard-index I]
 
 At least one of --listen / --unix is required. Runs until SIGTERM or a
@@ -54,7 +54,6 @@ fn parse(args: &[String]) -> Result<ServeOptions, String> {
                 o.snapshot_interval_ms =
                     Some(num("--snapshot-interval-ms", want("--snapshot-interval-ms")?)?)
             }
-            "--no-reactor" => o.event_driven = false,
             "--cluster" => {
                 o.cluster = want("--cluster")?.split(',').map(|s| s.trim().to_string()).collect()
             }

@@ -98,57 +98,8 @@ pub struct AnalyzedProgram {
     pub image: Vec<u8>,
 }
 
-/// A cached program served by the demand-driven query engine, for an
-/// image no request has fully analyzed. Unlike [`AnalyzedProgram`] the
-/// analysis state is mutable — each query may grow the memoized cone —
-/// so it sits behind a mutex and the store re-charges its heap footprint
-/// after every query.
-pub struct QueriedProgram {
-    /// Content hash of the image this was built from.
-    pub key: CacheKey,
-    /// The validated program.
-    pub program: Program,
-    /// The demand engine's state.
-    pub cache: Mutex<AnalysisCache>,
-}
-
-impl QueriedProgram {
-    /// Locks the analysis state, shrugging off poison: a panicking query
-    /// leaves the engine in a consistent converged-prefix state.
-    pub fn lock(&self) -> MutexGuard<'_, AnalysisCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// What [`ProgramStore::get_or_query`] resolved an image to.
-pub enum QuerySource {
-    /// `get_or_analyze` already converged this image: queries slice the
-    /// shared entry in place ([`spike_core::query_analysis`]).
-    Full(Arc<AnalyzedProgram>),
-    /// Never fully analyzed: queries solve their cone in this entry's
-    /// demand engine.
-    Demand(Arc<QueriedProgram>),
-}
-
-impl QuerySource {
-    /// The validated program behind either kind of entry.
-    pub fn program(&self) -> &Program {
-        match self {
-            QuerySource::Full(entry) => &entry.program,
-            QuerySource::Demand(entry) => &entry.program,
-        }
-    }
-}
-
 struct Entry {
     shared: Arc<AnalyzedProgram>,
-    /// LRU + heap charge for this entry.
-    bytes: usize,
-    last_used: u64,
-}
-
-struct QueryEntry {
-    shared: Arc<QueriedProgram>,
     /// LRU + heap charge for this entry.
     bytes: usize,
     last_used: u64,
@@ -186,10 +137,6 @@ pub struct CacheSnapshot {
 
 struct Inner {
     entries: HashMap<CacheKey, Entry>,
-    /// Demand-query entries, keyed like `entries`. A key in both maps
-    /// was queried before it was analyzed; queries then prefer the full
-    /// entry and the demand one ages out.
-    query_entries: HashMap<CacheKey, QueryEntry>,
     /// Keys currently being analyzed by some thread.
     in_flight: HashSet<CacheKey>,
     /// LRU clock.
@@ -199,42 +146,18 @@ struct Inner {
 }
 
 impl Inner {
-    /// Evicts least-recently-used entries (from either map) until the
-    /// budget holds, never evicting `keep` so a single oversized program
-    /// still caches.
+    /// Evicts least-recently-used entries until the budget holds, never
+    /// evicting `keep` so a single oversized program still caches.
     fn evict_to_budget(&mut self, budget_bytes: usize, keep: CacheKey) {
-        while self.total_bytes > budget_bytes && self.entries.len() + self.query_entries.len() > 1 {
-            let full_victim = self
+        while self.total_bytes > budget_bytes && self.entries.len() > 1 {
+            let victim = self
                 .entries
                 .iter()
                 .filter(|(k, _)| **k != keep)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, e)| (*k, e.last_used));
-            let query_victim = self
-                .query_entries
-                .iter()
-                .filter(|(k, _)| **k != keep)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, e)| (*k, e.last_used));
-            let victim = match (full_victim, query_victim) {
-                (Some(f), Some(q)) => {
-                    if f.1 <= q.1 {
-                        Some((f.0, true))
-                    } else {
-                        Some((q.0, false))
-                    }
-                }
-                (Some(f), None) => Some((f.0, true)),
-                (None, Some(q)) => Some((q.0, false)),
-                (None, None) => None,
-            };
-            let Some((key, is_full)) = victim else { break };
-            let bytes = if is_full {
-                self.entries.remove(&key).expect("victim exists").bytes
-            } else {
-                self.query_entries.remove(&key).expect("victim exists").bytes
-            };
-            self.total_bytes -= bytes;
+                .map(|(k, _)| *k);
+            let Some(key) = victim else { break };
+            self.total_bytes -= self.entries.remove(&key).expect("victim exists").bytes;
             self.counters.evictions += 1;
         }
     }
@@ -271,7 +194,6 @@ impl ProgramStore {
         ProgramStore {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
-                query_entries: HashMap::new(),
                 in_flight: HashSet::new(),
                 tick: 0,
                 total_bytes: 0,
@@ -299,7 +221,7 @@ impl ProgramStore {
     pub fn snapshot(&self) -> CacheSnapshot {
         let inner = self.lock();
         CacheSnapshot {
-            entries: inner.entries.len() + inner.query_entries.len(),
+            entries: inner.entries.len(),
             bytes: inner.total_bytes,
             budget_bytes: self.budget_bytes,
             counters: inner.counters,
@@ -410,70 +332,9 @@ impl ProgramStore {
         Ok((shared, outcome))
     }
 
-    /// Resolves image bytes to a query-capable cached program.
-    ///
-    /// An image `get_or_analyze` already converged is a hit on that
-    /// entry, shared as it is: queries read the whole-program solution
-    /// in place. Otherwise a warm demand entry is a hit, and failing
-    /// that the image is parsed and an empty [`AnalysisCache`] installed,
-    /// so the first query builds the demand engine and solves only its
-    /// cone. No single-flight: creating a cold entry costs one image
-    /// parse, not an analysis; the actual solving happens under the
-    /// entry's own mutex, serialized per image.
-    ///
-    /// # Errors
-    ///
-    /// Returns the image loader's error message when `image` does not
-    /// decode to a valid [`Program`]. Parse failures are not cached.
-    pub fn get_or_query(&self, image: &[u8]) -> Result<(QuerySource, CacheOutcome), String> {
-        let key = CacheKey::of(image);
-        {
-            let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let warm = if let Some(e) = inner.entries.get_mut(&key) {
-                e.last_used = tick;
-                Some(QuerySource::Full(Arc::clone(&e.shared)))
-            } else if let Some(e) = inner.query_entries.get_mut(&key) {
-                e.last_used = tick;
-                Some(QuerySource::Demand(Arc::clone(&e.shared)))
-            } else {
-                None
-            };
-            if let Some(source) = warm {
-                inner.counters.hits += 1;
-                return Ok((source, CacheOutcome::Hit));
-            }
-        }
-
-        let program = Program::from_image(image).map_err(|e| e.to_string())?;
-        let cache = AnalysisCache::new(self.options.clone());
-        let bytes = image.len() + cache.heap_bytes();
-        let shared = Arc::new(QueriedProgram { key, program, cache: Mutex::new(cache) });
-
-        let mut inner = self.lock();
-        inner.counters.misses_cold += 1;
-        inner.tick += 1;
-        let tick = inner.tick;
-        // Lost race: another thread installed the same key while we were
-        // parsing. Use theirs; the work above is wasted but consistent.
-        if let Some(e) = inner.query_entries.get_mut(&key) {
-            e.last_used = tick;
-            return Ok((QuerySource::Demand(Arc::clone(&e.shared)), CacheOutcome::MissCold));
-        }
-        inner.total_bytes += bytes;
-        inner
-            .query_entries
-            .insert(key, QueryEntry { shared: Arc::clone(&shared), bytes, last_used: tick });
-        inner.evict_to_budget(self.budget_bytes, key);
-        Ok((QuerySource::Demand(shared), CacheOutcome::MissCold))
-    }
-
-    /// The full-analysis entries in LRU order (least recently used
-    /// first), for snapshotting. Writing them oldest-first means a
-    /// restore that replays insertion order reproduces the eviction
-    /// order too. Query entries are *not* exported: a partially-memoized
-    /// demand engine is cheap to regrow.
+    /// The entries in LRU order (least recently used first), for
+    /// snapshotting. Writing them oldest-first means a restore that
+    /// replays insertion order reproduces the eviction order too.
     pub fn export_entries(&self) -> Vec<Arc<AnalyzedProgram>> {
         let inner = self.lock();
         let mut entries: Vec<(u64, Arc<AnalyzedProgram>)> =
@@ -518,18 +379,6 @@ impl ProgramStore {
         inner.counters.restored += 1;
         inner.evict_to_budget(self.budget_bytes, key);
         Ok(())
-    }
-
-    /// Re-charges a query entry after a query may have grown its engine,
-    /// and re-runs eviction against the new total. No-op if the entry
-    /// was evicted in the meantime.
-    pub fn recharge_query(&self, key: CacheKey, bytes: usize) {
-        let mut inner = self.lock();
-        let Some(e) = inner.query_entries.get_mut(&key) else { return };
-        let old = e.bytes;
-        e.bytes = bytes;
-        inner.total_bytes = inner.total_bytes - old + bytes;
-        inner.evict_to_budget(self.budget_bytes, key);
     }
 }
 
@@ -599,61 +448,6 @@ mod tests {
         // lane is plain FNV-1a 64 (the ring positions keys by it).
         assert_eq!(CacheKey::of(&image(1)).lanes(), spike_profile::fingerprint(&image(1)));
         assert_eq!(CacheKey::of(b"a").lanes()[0], 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn query_entries_cache_and_seed_from_full_analyses() {
-        let s = store(usize::MAX);
-        let img = image(0);
-        let demand = |source: QuerySource| match source {
-            QuerySource::Demand(e) => e,
-            QuerySource::Full(_) => panic!("nothing analyzed this image"),
-        };
-        let (e1, o1) = s.get_or_query(&img).unwrap();
-        assert_eq!(o1, CacheOutcome::MissCold);
-        let (e2, o2) = s.get_or_query(&img).unwrap();
-        assert_eq!(o2, CacheOutcome::Hit);
-        assert!(Arc::ptr_eq(&demand(e1), &demand(e2)));
-        assert_eq!(s.snapshot().entries, 1);
-
-        // A converged full analysis is shared as it is: queries answer
-        // from the whole-program solution, with no copy and no second
-        // entry charged against the budget.
-        let s = store(usize::MAX);
-        let (full, _) = s.get_or_analyze(&img).unwrap();
-        let bytes = s.snapshot().bytes;
-        let (source, outcome) = s.get_or_query(&img).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit);
-        let QuerySource::Full(entry) = source else { panic!("the full entry must serve queries") };
-        assert!(Arc::ptr_eq(&entry, &full));
-        let rid = entry.program.routine_by_name("main").unwrap();
-        let query = spike_core::Query::Summary(rid);
-        let (_, stats) = spike_core::query_analysis(&entry.analysis, &entry.program, &query);
-        assert!(stats.answered_from_full);
-        assert_eq!(s.snapshot().entries, 1);
-        assert_eq!(s.snapshot().bytes, bytes);
-        assert_eq!(s.snapshot().counters.hits, 1);
-    }
-
-    #[test]
-    fn recharge_evicts_when_a_grown_engine_busts_the_budget() {
-        let s = store(10_000);
-        let img_a = image(0);
-        let img_b = image(1);
-        let (QuerySource::Demand(ea), _) = s.get_or_query(&img_a).unwrap() else {
-            panic!("nothing analyzed this image")
-        };
-        s.get_or_query(&img_b).unwrap();
-        assert_eq!(s.snapshot().entries, 2);
-        // Pretend entry A's engine grew past the whole budget: B (the
-        // older untouched entry is A... A was just recharged, so the
-        // LRU victim is B).
-        s.recharge_query(ea.key, 1_000_000);
-        let snap = s.snapshot();
-        assert_eq!(snap.entries, 1, "over-budget recharge evicts the other entry");
-        assert_eq!(snap.counters.evictions, 1);
-        let (_, o) = s.get_or_query(&img_a).unwrap();
-        assert_eq!(o, CacheOutcome::Hit, "the recharged entry itself survives");
     }
 
     #[test]

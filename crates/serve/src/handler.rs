@@ -7,11 +7,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spike_cfg::ProgramCfg;
-use spike_core::{AnalysisOptions, ProgramSummary};
+use spike_core::{AnalysisOptions, QueryStats};
 use spike_program::Program;
 
-use crate::cache::{ProgramStore, QuerySource};
+use crate::cache::{CacheOutcome, ProgramStore};
 use crate::metrics::Metrics;
 use crate::proto::{Command, ErrorKind, QueryKind, Request, Response};
 use crate::render;
@@ -224,11 +223,13 @@ impl Handler {
         routine: &str,
         callee: Option<&str>,
     ) -> Response {
-        let (source, outcome) = match self.store.get_or_query(image) {
+        // The same shared entry `analyze` and `lint` resolve: a query on a
+        // never-seen image analyzes it once, for every later command.
+        let (entry, outcome) = match self.store.get_or_analyze(image) {
             Ok(x) => x,
             Err(msg) => return Response::error(ErrorKind::BadImage, msg),
         };
-        let program = source.program();
+        let program = &entry.program;
         let Some(rid) = program.routine_by_name(routine) else {
             return Response::error(ErrorKind::BadRequest, format!("no routine named `{routine}`"));
         };
@@ -253,45 +254,31 @@ impl Handler {
             }
         };
 
-        let answered = |answer: &spike_core::QueryAnswer| {
-            Response::ok(render::query_report(routine, callee, answer), String::new())
-        };
-        // `uninit` is a lint-shaped query: exit 1 with findings, rendered
-        // exactly like `spike lint`'s human format.
-        let uninit = |cfg: &ProgramCfg, summary: &ProgramSummary| {
-            let report = spike_lint::uninit_routine(program, cfg, summary, rid);
-            let stdout =
-                render::lint_report(&req.image_name, &report, crate::proto::LintFormat::Human);
-            let exit = if report.errors() > 0 { 1 } else { 0 };
-            Response { exit, stdout, diag: String::new(), error: None }
-        };
-        let (mut response, stats) = match &source {
-            // A converged entry is read in place: no copy, no lock.
-            QuerySource::Full(entry) => match &query {
-                Some(q) => {
-                    let (answer, stats) = spike_core::query_analysis(&entry.analysis, program, q);
-                    (answered(&answer), stats)
-                }
-                None => spike_core::uninit_facts_of(&entry.analysis, uninit),
-            },
-            QuerySource::Demand(entry) => {
-                let mut cache = entry.lock();
-                let out = match &query {
-                    Some(q) => {
-                        let (answer, stats) = cache.query(program, q);
-                        (answered(&answer), stats)
-                    }
-                    None => cache.with_uninit_facts(program, rid, uninit),
-                };
-                // The engine may have grown while solving this query's
-                // cone; re-charge the entry so the LRU budget stays honest.
-                let bytes = image.len() + cache.heap_bytes();
-                drop(cache);
-                self.store.recharge_query(entry.key, bytes);
-                out
+        let analysis = &entry.analysis;
+        let mut response = match &query {
+            Some(q) => {
+                let answer = spike_core::query_analysis(analysis, program, q);
+                Response::ok(render::query_report(routine, callee, &answer), String::new())
+            }
+            // `uninit` is a lint-shaped query: exit 1 with findings,
+            // rendered exactly like `spike lint`'s human format.
+            None => {
+                let report =
+                    spike_lint::uninit_routine(program, &analysis.cfg, &analysis.summary, rid);
+                let stdout =
+                    render::lint_report(&req.image_name, &report, crate::proto::LintFormat::Human);
+                let exit = if report.errors() > 0 { 1 } else { 0 };
+                Response { exit, stdout, diag: String::new(), error: None }
             }
         };
 
+        // A miss paid for the entry's analysis; anything else read it.
+        let stats = match outcome {
+            CacheOutcome::MissCold | CacheOutcome::MissIncremental => {
+                QueryStats::of_run(&analysis.stats)
+            }
+            CacheOutcome::Hit | CacheOutcome::CoalescedHit => QueryStats::default(),
+        };
         let mut diag = render::query_diag(&stats);
         let _ = writeln!(diag, "cache: {}", outcome.name());
         response.diag = diag;
@@ -546,11 +533,11 @@ mod tests {
         let (resp, blob) = h.handle(&q, &img, &far_deadline());
         assert_eq!(resp.exit, 0, "{:?}", resp.error);
         assert!(blob.is_empty());
-        assert!(resp.diag.contains("query: cone"));
+        assert!(resp.diag.contains("query: analyzed 2 routine(s)"), "{}", resp.diag);
         assert!(resp.diag.contains("cache: miss"));
 
-        // Every line of the demand-driven answer appears verbatim in the
-        // whole-program analyze slice for the same routine.
+        // Every line of the answer appears verbatim in the whole-program
+        // analyze slice for the same routine.
         let program = Program::from_image(&img).unwrap();
         let analysis = spike_core::analyze(&program);
         let slice =
@@ -559,10 +546,10 @@ mod tests {
             assert!(slice.contains(line), "query line {line:?} missing from analyze slice");
         }
 
-        // A repeat hits the warm entry and re-solves nothing.
+        // A repeat hits the warm entry and analyzes nothing.
         let (resp2, _) = h.handle(&q, &img, &far_deadline());
         assert_eq!(resp2.stdout, resp.stdout);
-        assert!(resp2.diag.contains("solved 0 + 0, 0 visit(s)"), "{}", resp2.diag);
+        assert!(resp2.diag.contains("query: analyzed 0 routine(s), 0 visit(s)"), "{}", resp2.diag);
         assert!(resp2.diag.contains("cache: hit"));
     }
 
@@ -578,7 +565,50 @@ mod tests {
         });
         let (resp, _) = h.handle(&q, &img, &far_deadline());
         assert_eq!(resp.exit, 0, "{:?}", resp.error);
-        assert!(resp.diag.contains("query: answered from the full analysis"), "{}", resp.diag);
+        assert!(resp.diag.contains("query: analyzed 0 routine(s), 0 visit(s)"), "{}", resp.diag);
+        assert!(resp.diag.contains("cache: hit"), "{}", resp.diag);
+        assert_eq!(h.store.snapshot().entries, 1);
+    }
+
+    #[test]
+    fn a_query_warms_the_entry_every_later_command_hits() {
+        let h = handler();
+        let img = image();
+        let q =
+            req(Command::Query { kind: QueryKind::Uninit, routine: "main".into(), callee: None });
+        let (resp, _) = h.handle(&q, &img, &far_deadline());
+        assert!(resp.diag.contains("cache: miss"), "{}", resp.diag);
+        let snap = h.store.snapshot();
+        assert_eq!((snap.entries, snap.counters.misses_cold), (1, 1));
+        assert_eq!(h.store.export_entries().len(), 1, "and a snapshot would carry it");
+
+        let a = req(Command::Analyze { summaries: false, routine: None });
+        let (resp, _) = h.handle(&a, &img, &far_deadline());
+        assert!(resp.diag.contains("cache: hit"), "{}", resp.diag);
+        let snap = h.store.snapshot();
+        assert_eq!((snap.entries, snap.counters.misses_cold, snap.counters.hits), (1, 1, 1));
+    }
+
+    #[test]
+    fn concurrent_queries_on_a_new_image_coalesce() {
+        let h = handler();
+        let img = spike_synth::generate_executable(5, 40).to_image();
+        let q = |kind| req(Command::Query { kind, routine: "main".into(), callee: None });
+        let (qa, qb) = (q(QueryKind::Summary), q(QueryKind::LiveAtEntry));
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for q in [&qa, &qb] {
+                s.spawn(|| {
+                    gate.wait();
+                    let (resp, _) = h.handle(q, &img, &far_deadline());
+                    assert_eq!(resp.exit, 0, "{:?}", resp.error);
+                });
+            }
+        });
+        let snap = h.store.snapshot();
+        assert_eq!(snap.entries, 1);
+        assert_eq!(snap.counters.misses_cold, 1, "one of the two analyzed: {:?}", snap.counters);
+        assert_eq!(snap.counters.hits + snap.counters.coalesced, 1);
     }
 
     #[test]

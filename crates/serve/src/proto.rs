@@ -170,7 +170,7 @@ impl LintFormat {
     }
 }
 
-/// Which demand-driven question a `query` request asks, mirroring
+/// Which question a `query` request asks, mirroring
 /// `spike query <kind>`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QueryKind {
@@ -243,8 +243,9 @@ pub enum Command {
         /// Run loop-invariant code motion (off under `--no-licm`).
         licm: bool,
     },
-    /// A demand-driven query answered from the daemon's warm per-image
-    /// engine; the report of `spike query`.
+    /// One question about one routine, read from the image's cache
+    /// entry (the one `analyze` and `lint` share); the report of
+    /// `spike query`.
     Query {
         /// Which question to ask.
         kind: QueryKind,

@@ -236,8 +236,8 @@ pub fn profile_report(program: &Program, profile: &spike_profile::Profile) -> St
 /// reaches queries (`uninit` renders through [`lint_report`] instead).
 ///
 /// The per-routine lines are byte-identical to the corresponding lines of
-/// `analyze_report`'s routine slice, so a demand-driven answer can be
-/// diffed directly against the whole-program report.
+/// `analyze_report`'s routine slice, so an answer can be diffed directly
+/// against the whole-program report.
 pub fn query_report(routine: &str, callee: Option<&str>, answer: &QueryAnswer) -> String {
     let mut out = String::new();
     match answer {
@@ -272,22 +272,10 @@ pub fn query_report(routine: &str, callee: Option<&str>, answer: &QueryAnswer) -
     out
 }
 
-/// The non-deterministic half of the query report: how much of the
-/// program the demand engine actually solved.
+/// The non-deterministic half of the query report: what had to be
+/// analyzed before the answer could be read (nothing, on a warm cache).
 pub fn query_diag(stats: &QueryStats) -> String {
-    if stats.answered_from_full {
-        "query: answered from the full analysis\n".into()
-    } else {
-        format!(
-            "query: cone {} + {} component(s) ({} routine(s)), solved {} + {}, {} visit(s)\n",
-            stats.phase1_cone_components,
-            stats.phase2_cone_components,
-            stats.cone_routines,
-            stats.phase1_components_solved,
-            stats.phase2_components_solved,
-            stats.visits,
-        )
-    }
+    format!("query: analyzed {} routine(s), {} visit(s)\n", stats.routines_analyzed, stats.visits)
 }
 
 /// The `spike lint` report in either format. Fully deterministic.

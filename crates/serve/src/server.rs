@@ -70,11 +70,6 @@ pub struct ServeOptions {
     /// serving, so a crash loses at most one interval of warmth.
     /// Ignored without [`snapshot`](Self::snapshot).
     pub snapshot_interval_ms: Option<u64>,
-    /// Drive connections through the event-driven reactor (epoll) rather
-    /// than thread-per-connection acceptors, so thousands of idle
-    /// clients cost one thread plus a few bytes each. Only effective on
-    /// Linux; elsewhere the threaded acceptors are always used.
-    pub event_driven: bool,
     /// All shard addresses of the cluster this instance belongs to, in
     /// shard-index order. Empty means standalone (no ownership checks,
     /// no forwarding).
@@ -97,7 +92,6 @@ impl Default for ServeOptions {
             analysis_threads: 0,
             snapshot: None,
             snapshot_interval_ms: None,
-            event_driven: cfg!(target_os = "linux"),
             cluster: Vec::new(),
             shard_index: None,
         }
@@ -430,7 +424,6 @@ impl Server {
             None => None,
         };
 
-        let event_driven = options.event_driven && cfg!(target_os = "linux");
         let tcp_listener = match &options.tcp {
             Some(addr) => Some(bind_reuseaddr(addr)?),
             None => None,
@@ -461,9 +454,10 @@ impl Server {
             None
         };
 
-        if event_driven {
-            // `event_driven` is false off-Linux, so this arm only
-            // compiles (and only runs) where epoll exists.
+        // On Linux the event-driven reactor (epoll) holds the connections,
+        // so thousands of idle clients cost one thread plus a few bytes
+        // each; elsewhere thread-per-connection acceptors do.
+        if cfg!(target_os = "linux") {
             #[cfg(target_os = "linux")]
             {
                 let mut listeners = Vec::new();

@@ -126,13 +126,18 @@ pub fn encode(entries: &[Arc<AnalyzedProgram>], options: &AnalysisOptions) -> Ve
         e.image.snap(&mut payload);
         e.analysis.snap(&mut payload);
     }
-    let payload = payload.into_bytes();
-    let checksum = CacheKey::of(&payload).lanes();
+    seal(&payload.into_bytes(), entries.len(), options)
+}
+
+/// Puts the magic and a header carrying `payload`'s checksum in front of
+/// it.
+fn seal(payload: &[u8], entries: usize, options: &AnalysisOptions) -> Vec<u8> {
+    let checksum = CacheKey::of(payload).lanes();
 
     let header = Json::Obj(vec![
         ("tool".into(), Json::Str("spike-served".into())),
         ("format".into(), Json::Int(FORMAT_VERSION)),
-        ("entries".into(), Json::Int(entries.len() as i64)),
+        ("entries".into(), Json::Int(entries as i64)),
         ("payload_bytes".into(), Json::Int(payload.len() as i64)),
         ("checksum".into(), Json::Str(hex32(checksum))),
         ("options_fp".into(), Json::Str(format!("{:016x}", options_fingerprint(options)))),
@@ -144,7 +149,7 @@ pub fn encode(entries: &[Arc<AnalyzedProgram>], options: &AnalysisOptions) -> Ve
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(header_text.len() as u32).to_le_bytes());
     out.extend_from_slice(header_text.as_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(payload);
     out
 }
 
@@ -374,6 +379,36 @@ mod tests {
             assert!(err.is_err(), "{what}: must be rejected");
             assert_eq!(fresh.snapshot().entries, 0, "{what}: store must stay cold");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A file anyone who can write the snapshot can produce: valid header,
+    /// valid checksum, and an entry image whose capacity field passes the
+    /// plausibility bound but cannot be allocated.
+    #[test]
+    fn an_unservable_capacity_under_a_valid_checksum_is_corrupt() {
+        let mut payload = SnapWriter::new();
+        payload.put_usize(1);
+        payload.put_u64(0);
+        payload.put_u64(0);
+        payload.put_usize(1 << 36);
+        payload.put_usize(1 << 20);
+        payload.put_bytes(&vec![0; 1 << 20]);
+        let options = AnalysisOptions::default();
+        let bytes = seal(&payload.into_bytes(), 1, &options);
+
+        let dir = std::env::temp_dir().join(format!("spike-snap-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.snap");
+        std::fs::write(&path, &bytes).unwrap();
+        match read(&path, &options) {
+            Err(SnapshotError::Corrupt(what)) => assert!(what.contains("vec capacity"), "{what}"),
+            Err(other) => panic!("must be Corrupt, got {other:?}"),
+            Ok(_) => panic!("must be Corrupt, got a decoded snapshot"),
+        }
+        let fresh = ProgramStore::new(options.clone(), usize::MAX);
+        assert!(restore(&path, &fresh, &options).is_err());
+        assert_eq!(fresh.snapshot().entries, 0, "store must stay cold");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

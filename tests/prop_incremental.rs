@@ -10,7 +10,9 @@
 
 use proptest::prelude::*;
 
-use spike::core::{analyze_stack, analyze_with, AnalysisCache, AnalysisOptions};
+use spike::core::{
+    analyze_stack, analyze_with, query_analysis, AnalysisCache, AnalysisOptions, Query,
+};
 use spike::isa::{Instruction, Reg};
 use spike::opt::{optimize_with, OptOptions};
 use spike::program::{Program, Rewriter, RoutineId};
@@ -218,6 +220,44 @@ proptest! {
             incremental.stats.routines_reanalyzed + incremental.stats.routines_reused,
             edited.routines().len()
         );
+    }
+
+    /// A cache warmed by queries alone: a cold `query` answers with the
+    /// slice of the whole-program analysis while solving the register
+    /// layers only, and the `reanalyze` after an edit patches that state
+    /// forward and solves the stack layer once, over everything — the
+    /// result equals a from-scratch run of the edited program in every
+    /// layer.
+    #[test]
+    fn cold_query_then_reanalyze_matches_scratch(program in arb_program(), pick in any::<u16>()) {
+        let options = AnalysisOptions::default();
+        let full = analyze_with(&program, &options);
+        let mut cache = AnalysisCache::new(options.clone());
+        let n = program.routines().len();
+        let (a, b) = (RoutineId::from_index(pick as usize % n), program.entry());
+        for query in [
+            Query::Summary(a),
+            Query::LiveAtEntry(a),
+            Query::Reaches { caller: b, callee: a },
+            Query::Reaches { caller: a, callee: b },
+        ] {
+            let (answer, _) = cache.query(&program, &query);
+            prop_assert_eq!(answer, query_analysis(&full, &program, &query));
+        }
+        prop_assert!(cache.analysis().is_none(), "no query reads the stack layer");
+        prop_assert_eq!(cache.stack_solves(), 0);
+
+        let Some((edited, dirty)) = shifting_delete(&program, pick as usize) else {
+            return Ok(());
+        };
+        let scratch = analyze_with(&edited, &options);
+        let incremental = cache.reanalyze(&edited, &dirty);
+        prop_assert_eq!(incremental.stats.routines_reanalyzed, dirty.len());
+        prop_assert_eq!(&incremental.summary, &scratch.summary);
+        prop_assert_eq!(&incremental.psg, &scratch.psg);
+        prop_assert_eq!(&incremental.stack, &scratch.stack);
+        prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
+        prop_assert_eq!(cache.stack_solves(), 1);
     }
 
     /// Dirty is *edited*, not *relinked*: deleting one instruction in the

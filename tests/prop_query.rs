@@ -1,19 +1,20 @@
-//! Equivalence of demand-driven queries with the whole-program fixpoint.
+//! Equivalence of query answers with the whole-program fixpoint.
 //!
-//! The query engine ([`spike::core::AnalysisCache::query`]) solves only
-//! the SCC cone a question depends on. These properties pin down its
-//! contract: every answer is the bit-identical slice of the dense
-//! whole-program solution, on every paper profile; memoized components
-//! are never re-solved; the contract survives an incremental
-//! `reanalyze`; and the scoped `uninit` check agrees with the full lint
-//! pass routine by routine.
+//! A query ([`spike::core::AnalysisCache::query`]) is a read of the
+//! analysis; a cold cache solves the register layers first. These
+//! properties pin down the contract: every answer is the bit-identical
+//! slice of the whole-program solution, on every paper profile; only the
+//! first question on a cache analyzes anything; `reaches` is call-graph
+//! reachability; and the single-routine `uninit` check agrees with the
+//! full lint pass routine by routine. (What a later `reanalyze` makes of
+//! a cache a query warmed is in `tests/prop_incremental.rs`.)
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use spike::core::{analyze_with, AnalysisCache, AnalysisOptions, Query, QueryAnswer};
-use spike::program::{Program, Rewriter, RoutineId};
+use spike::core::{analyze_with, AnalysisCache, AnalysisOptions, Query, QueryAnswer, QueryStats};
+use spike::program::{Program, RoutineId};
 
 /// All sixteen Table-2 profiles, scaled to ~20 routines so that 16 cases
 /// sweep every profile shape without analysis dominating the suite.
@@ -39,7 +40,7 @@ fn sample_routines(program: &Program) -> Vec<RoutineId> {
 }
 
 /// Routine-level call-graph reachability (≥ 1 call edge), the ground
-/// truth for `Query::Reaches`, computed independently of the engine.
+/// truth for `Query::Reaches`, computed independently of the cache.
 fn reaches_by_dfs(
     program: &Program,
     cfg: &spike::cfg::ProgramCfg,
@@ -59,17 +60,19 @@ fn reaches_by_dfs(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Every query answer equals the corresponding slice of the dense
-    /// whole-program solution, bit for bit, and repeating a query never
-    /// re-solves a memoized component.
+    /// Every query answer equals the corresponding slice of the
+    /// whole-program solution, bit for bit, and only the first question
+    /// on a cold cache analyzes anything.
     #[test]
     fn queries_match_the_whole_program_slice(program in arb_program()) {
         let options = AnalysisOptions::default();
         let scratch = analyze_with(&program, &options);
         let mut cache = AnalysisCache::new(options);
-        for rid in sample_routines(&program) {
+        for (i, rid) in sample_routines(&program).into_iter().enumerate() {
             let s = scratch.summary.routine(rid);
-            let (answer, _) = cache.query(&program, &Query::Summary(rid));
+            let (answer, stats) = cache.query(&program, &Query::Summary(rid));
+            let analyzed = if i == 0 { program.routines().len() } else { 0 };
+            prop_assert_eq!(stats.routines_analyzed, analyzed);
             let QueryAnswer::Summary { call_used, call_defined, call_killed, saved_restored } =
                 answer
             else {
@@ -87,11 +90,9 @@ proptest! {
             prop_assert_eq!(&live_at_entry, &s.live_at_entry);
             prop_assert_eq!(&live_at_exit, &s.live_at_exit);
 
-            // Asking again re-solves nothing: the cone is memoized.
+            // Asking again analyzes nothing.
             let (_, stats) = cache.query(&program, &Query::LiveAtEntry(rid));
-            prop_assert_eq!(stats.phase1_components_solved, 0);
-            prop_assert_eq!(stats.phase2_components_solved, 0);
-            prop_assert_eq!(stats.visits, 0);
+            prop_assert_eq!(stats, QueryStats::default());
         }
     }
 
@@ -118,64 +119,10 @@ proptest! {
         }
     }
 
-    /// A cache that has served queries survives an incremental
-    /// `reanalyze` — the demand engine is promoted and patched to exactly
-    /// the from-scratch solution of the edited program — and later
-    /// queries slice that full state.
-    #[test]
-    fn queries_then_reanalyze_matches_scratch(seed in any::<u64>()) {
-        let program = spike::synth::generate_executable(seed, 8);
-        let options = AnalysisOptions::default();
-        let mut cache = AnalysisCache::new(options.clone());
-        let entry = program.entry();
-        let (_, warm) = cache.query(&program, &Query::LiveAtEntry(entry));
-        prop_assert!(!warm.answered_from_full, "a cold cache must answer by demand");
-
-        // Delete the last deletable instruction (not a terminator, not a
-        // relocated constant); the rewriter reports the dirty routines.
-        let victim = program
-            .iter()
-            .flat_map(|(_, r)| {
-                (0..r.len() as u32).map(move |i| (r.addr() + i, &r.insns()[i as usize]))
-            })
-            .filter(|(addr, insn)| {
-                !insn.is_terminator() && !program.relocations().contains_key(addr)
-            })
-            .last()
-            .map(|(addr, _)| addr);
-        prop_assert!(victim.is_some(), "generated executables have deletable instructions");
-        let (edited, changed) = Rewriter::new(&program)
-            .delete(victim.unwrap())
-            .finish()
-            .expect("delete relinks");
-
-        let scratch = analyze_with(&edited, &options);
-        {
-            let incremental = cache.reanalyze(&edited, &changed);
-            for (rid, r) in edited.iter() {
-                prop_assert_eq!(
-                    incremental.summary.routine(rid),
-                    scratch.summary.routine(rid),
-                    "summary mismatch for {}",
-                    r.name()
-                );
-            }
-            prop_assert_eq!(&incremental.psg, &scratch.psg);
-            prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
-        }
-
-        let (answer, stats) = cache.query(&edited, &Query::Summary(entry));
-        prop_assert!(stats.answered_from_full, "after reanalyze the cache holds full state");
-        let QueryAnswer::Summary { call_used, .. } = answer else {
-            panic!("summary query must return a summary answer");
-        };
-        prop_assert_eq!(&call_used, &scratch.summary.routine(entry).call_used);
-    }
-
-    /// The scoped `uninit` query finds exactly the full lint pass's
-    /// uninit findings for the queried routine — on programs with a
-    /// planted defect, so the equality is about real findings, not just
-    /// mutual emptiness.
+    /// The single-routine `uninit` query on a cold cache finds exactly
+    /// the full lint pass's uninit findings for that routine — on
+    /// programs with a planted defect, so the equality is about real
+    /// findings, not just mutual emptiness.
     #[test]
     fn uninit_query_matches_the_full_check(seed in any::<u64>()) {
         let (program, _) = spike::synth::generate_executable_with_defect(
@@ -198,7 +145,7 @@ proptest! {
         );
         for (rid, r) in program.iter() {
             let mut cache = AnalysisCache::new(options.clone());
-            let (solo, _) = cache.with_uninit_facts(&program, rid, |cfg, summary| {
+            let (solo, _) = cache.with_uninit_facts(&program, |cfg, summary| {
                 spike::lint::uninit_routine(&program, cfg, summary, rid)
             });
             let expected: Vec<_> =
