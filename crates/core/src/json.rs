@@ -16,22 +16,34 @@ use std::fmt;
 
 /// Appends `s` to `out` as a quoted JSON string, escaping quotes,
 /// backslashes, and control characters.
+///
+/// Runs of bytes that need no escape are copied wholesale — a string with
+/// none (every routine name, message and path in practice) is one
+/// `push_str`. The bytes that do are ASCII, so splitting there keeps UTF-8
+/// boundaries.
 pub fn escape_into(s: &str, out: &mut String) {
     use fmt::Write as _;
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -503,6 +515,55 @@ mod tests {
         let text = v.to_string();
         assert_eq!(text, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    /// The escaper as it was before the run-copying fast path: one `char`
+    /// at a time.
+    fn escape_reference(s: &str) -> String {
+        use fmt::Write as _;
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn escape_into_matches_the_char_by_char_reference() {
+        let mut cases: Vec<String> = vec![
+            String::new(),
+            "plain routine_name.42".to_string(),
+            "\"".to_string(),
+            "\\".to_string(),
+            "a\"b\\c\"\"\\\\".to_string(),
+            "\u{7f}del".to_string(),
+            "é — 😀 ünïcödé \u{7f}\u{80}\u{10ffff}".to_string(),
+            "x\u{1}é\"😀\\\n".to_string(),
+        ];
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        cases.push(controls.clone());
+        cases.push(format!("lead{controls}trail"));
+        for b in 0u8..0x20 {
+            cases.push(char::from(b).to_string());
+            cases.push(format!("é{}😀", char::from(b)));
+        }
+        for s in &cases {
+            let mut out = "prefix".to_string();
+            escape_into(s, &mut out);
+            assert_eq!(out, format!("prefix{}", escape_reference(s)), "{s:?}");
+            assert_eq!(Json::parse(&out["prefix".len()..]).unwrap(), Json::Str(s.clone()));
+        }
     }
 
     #[test]

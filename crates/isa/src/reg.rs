@@ -128,30 +128,28 @@ impl Reg {
     pub fn all() -> impl Iterator<Item = Reg> {
         (0..NUM_REGS as u8).map(Reg)
     }
+
+    /// The register's assembly name: the Alpha/NT software name for the
+    /// integer bank (`v0`, `t0`, `s0`, `a0`, `ra`, `sp`, ...), `fN` for the
+    /// floating-point bank.
+    #[inline]
+    pub const fn name(self) -> &'static str {
+        NAMES[self.0 as usize]
+    }
 }
+
+/// [`Reg::name`] by dense index.
+const NAMES: [&str; NUM_REGS] = [
+    "v0", "t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "s0", "s1", "s2", "s3", "s4", "s5", "fp",
+    "a0", "a1", "a2", "a3", "a4", "a5", "t8", "t9", "t10", "t11", "ra", "pv", "at", "gp", "sp",
+    "zero", "f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11", "f12", "f13",
+    "f14", "f15", "f16", "f17", "f18", "f19", "f20", "f21", "f22", "f23", "f24", "f25", "f26",
+    "f27", "f28", "f29", "f30", "f31",
+];
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_fp() {
-            return write!(f, "f{}", self.number());
-        }
-        // Alpha/NT software names for the integer bank.
-        let name: &str = match self.0 {
-            0 => "v0",
-            1..=8 => return write!(f, "t{}", self.0 - 1),
-            9..=14 => return write!(f, "s{}", self.0 - 9),
-            15 => "fp",
-            16..=21 => return write!(f, "a{}", self.0 - 16),
-            22..=25 => return write!(f, "t{}", self.0 - 22 + 8),
-            26 => "ra",
-            27 => "pv",
-            28 => "at",
-            29 => "gp",
-            30 => "sp",
-            31 => "zero",
-            _ => unreachable!(),
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 
@@ -188,6 +186,29 @@ mod tests {
         assert_eq!(Reg::int(27).to_string(), "pv");
         assert_eq!(Reg::int(31).to_string(), "zero");
         assert_eq!(Reg::fp(7).to_string(), "f7");
+    }
+
+    #[test]
+    fn name_table_follows_the_bank_layout() {
+        for r in Reg::all() {
+            let n = r.number();
+            let expected = match r.index() {
+                0 => "v0".to_string(),
+                1..=8 => format!("t{}", n - 1),
+                9..=14 => format!("s{}", n - 9),
+                15 => "fp".to_string(),
+                16..=21 => format!("a{}", n - 16),
+                22..=25 => format!("t{}", n - 14),
+                26 => "ra".to_string(),
+                27 => "pv".to_string(),
+                28 => "at".to_string(),
+                29 => "gp".to_string(),
+                30 => "sp".to_string(),
+                31 => "zero".to_string(),
+                _ => format!("f{n}"),
+            };
+            assert_eq!(r.name(), expected, "{}", r.index());
+        }
     }
 
     #[test]

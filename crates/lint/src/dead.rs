@@ -8,7 +8,7 @@
 
 use spike_cfg::BlockId;
 use spike_core::Analysis;
-use spike_isa::Instruction;
+use spike_isa::{Instruction, NUM_REGS};
 use spike_opt::{routine_liveness, step_back};
 use spike_program::Program;
 
@@ -30,6 +30,10 @@ fn is_pure(insn: &Instruction) -> bool {
 
 pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintReport) {
     let arg_regs = analysis.summary.calling_standard().argument();
+    // One message per register and check, built on first use: at most
+    // 2 × 64 of them against up to ~100 k findings.
+    let mut dead_argument: [Option<String>; NUM_REGS] = [const { None }; NUM_REGS];
+    let mut dead_store: [Option<String>; NUM_REGS] = [const { None }; NUM_REGS];
     for (rid, routine) in program.iter() {
         let cfg = analysis.cfg.routine_cfg(rid);
         let live = routine_liveness(program, analysis.registers(), rid, &|_| false);
@@ -50,20 +54,18 @@ pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintRep
                 {
                     let reg = defs.iter().next().expect("non-empty def set");
                     let mut d = if block.is_call_block() && !(defs & arg_regs).is_empty() {
-                        Diagnostic::new(
-                            Check::DeadArgument,
-                            routine.name(),
+                        let message = dead_argument[reg.index()].get_or_insert_with(|| {
                             format!(
-                                "argument register {reg} is set, but the call ending \
-                                 this block does not read it"
-                            ),
-                        )
+                                "argument register {reg} is set, but the call ending this block \
+                                 does not read it"
+                            )
+                        });
+                        Diagnostic::new(Check::DeadArgument, routine.name(), message.clone())
                     } else {
-                        Diagnostic::new(
-                            Check::DeadStore,
-                            routine.name(),
-                            format!("the value written to {reg} is never read on any valid path"),
-                        )
+                        let message = dead_store[reg.index()].get_or_insert_with(|| {
+                            format!("the value written to {reg} is never read on any valid path")
+                        });
+                        Diagnostic::new(Check::DeadStore, routine.name(), message.clone())
                     };
                     d.addr = Some(addr);
                     d.reg = Some(reg);

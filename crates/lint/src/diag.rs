@@ -104,6 +104,26 @@ impl Check {
             | Check::DeadStackStore => Severity::Warning,
         }
     }
+
+    /// This check's position among all checks sorted by [`Check::name`] —
+    /// the finding order's last key as an integer. A new check must be
+    /// slotted in by name (a unit test compares every pair).
+    fn name_rank(self) -> u8 {
+        match self {
+            Check::CalleeSavedClobber => 0,
+            Check::DeadArgument => 1,
+            Check::DeadStackStore => 2,
+            Check::DeadStore => 3,
+            Check::DuplicateJumpTargets => 4,
+            Check::EmptyJumpTable => 5,
+            Check::MalformedImage => 6,
+            Check::OutOfFrameAccess => 7,
+            Check::UninitRead => 8,
+            Check::UninitStackRead => 9,
+            Check::UnreachableBlock => 10,
+            Check::UnreachableRoutine => 11,
+        }
+    }
 }
 
 impl fmt::Display for Check {
@@ -160,17 +180,25 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]", self.severity, self.check)?;
+        f.write_str(self.severity.name())?;
+        f.write_str("[")?;
+        f.write_str(self.check.name())?;
+        f.write_str("]")?;
         if !self.routine.is_empty() {
-            write!(f, " {}", self.routine)?;
+            f.write_str(" ")?;
+            f.write_str(&self.routine)?;
         }
         if let Some(addr) = self.addr {
             write!(f, "+{addr:#x}")?;
         }
-        write!(f, ": {}", self.message)?;
-        if !self.witness.is_empty() {
-            let path: Vec<String> = self.witness.iter().map(|a| format!("{a:#x}")).collect();
-            write!(f, " (path: {})", path.join(" -> "))?;
+        f.write_str(": ")?;
+        f.write_str(&self.message)?;
+        if let Some((first, rest)) = self.witness.split_first() {
+            write!(f, " (path: {first:#x}")?;
+            for a in rest {
+                write!(f, " -> {a:#x}")?;
+            }
+            f.write_str(")")?;
         }
         if let Some(note) = &self.note {
             write!(f, "; note: {note}")?;
@@ -190,9 +218,71 @@ impl LintReport {
         self.diagnostics.push(d);
     }
 
-    /// Sorts findings errors-first, then by routine and address, so output
-    /// is deterministic and the serious findings lead.
+    /// Sorts findings errors-first, then by routine, address (none first)
+    /// and check name, ties kept in push order — so output is
+    /// deterministic and the serious findings lead.
+    ///
+    /// Each finding gets one integer key of those five fields with the
+    /// routine name replaced by its rank among the distinct names, so the
+    /// sort compares no strings; then every finding moves into place once.
     pub(crate) fn finish(&mut self) {
+        let diagnostics = &mut self.diagnostics;
+        // Checks push a routine's findings together, so one name per run
+        // of equal names collects every distinct name.
+        let mut names: Vec<&str> = Vec::new();
+        for d in diagnostics.iter() {
+            if names.last() != Some(&d.routine.as_str()) {
+                names.push(&d.routine);
+            }
+        }
+        names.sort_unstable();
+        names.dedup();
+
+        let mut keys: Vec<u128> = Vec::with_capacity(diagnostics.len());
+        let mut run: Option<(&str, u128)> = None;
+        for (i, d) in diagnostics.iter().enumerate() {
+            let name_rank = match run {
+                Some((name, rank)) if name == d.routine => rank,
+                _ => {
+                    let rank = names.binary_search(&d.routine.as_str()).expect("name ranked");
+                    run = Some((&d.routine, rank as u128));
+                    rank as u128
+                }
+            };
+            let severity = u128::from(d.severity == Severity::Warning);
+            let addr = d.addr.map_or(0, |a| u128::from(a) + 1);
+            let index = u32::try_from(i).expect("fewer than 2^32 findings");
+            keys.push(
+                severity << 105
+                    | name_rank << 73
+                    | addr << 40
+                    | u128::from(d.check.name_rank()) << 32
+                    | u128::from(index),
+            );
+        }
+        keys.sort_unstable();
+
+        // Slot `i` takes the finding that was at `order[i]`: follow each
+        // cycle of the permutation, marking slots done as they fill.
+        let mut order: Vec<u32> = keys.into_iter().map(|k| k as u32).collect();
+        for start in 0..order.len() {
+            let mut i = start;
+            loop {
+                let from = order[i] as usize;
+                order[i] = i as u32;
+                if from == start {
+                    break;
+                }
+                diagnostics.swap(i, from);
+                i = from;
+            }
+        }
+    }
+
+    /// The comparator [`LintReport::finish`] replaced: a stable sort on
+    /// the same keys, comparing routine and check names as strings.
+    #[cfg(test)]
+    fn finish_reference(&mut self) {
         self.diagnostics.sort_by(|a, b| {
             let rank = |d: &Diagnostic| (d.severity == Severity::Warning) as u8;
             rank(a)
@@ -231,5 +321,101 @@ impl fmt::Display for LintReport {
             writeln!(f, "{d}")?;
         }
         write!(f, "{} error(s), {} warning(s)", self.errors(), self.warnings())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Every check. The match stops compiling when a variant is added, so
+    /// a new check cannot miss the rank test below.
+    const ALL: [Check; 12] = [
+        Check::UninitRead,
+        Check::CalleeSavedClobber,
+        Check::DeadStore,
+        Check::DeadArgument,
+        Check::UnreachableRoutine,
+        Check::UnreachableBlock,
+        Check::EmptyJumpTable,
+        Check::DuplicateJumpTargets,
+        Check::MalformedImage,
+        Check::UninitStackRead,
+        Check::OutOfFrameAccess,
+        Check::DeadStackStore,
+    ];
+
+    fn listed(c: Check) -> bool {
+        match c {
+            Check::UninitRead
+            | Check::CalleeSavedClobber
+            | Check::DeadStore
+            | Check::DeadArgument
+            | Check::UnreachableRoutine
+            | Check::UnreachableBlock
+            | Check::EmptyJumpTable
+            | Check::DuplicateJumpTargets
+            | Check::MalformedImage
+            | Check::UninitStackRead
+            | Check::OutOfFrameAccess
+            | Check::DeadStackStore => ALL.contains(&c),
+        }
+    }
+
+    #[test]
+    fn check_name_rank_follows_name_order() {
+        for a in ALL {
+            assert!(listed(a));
+            assert!(usize::from(a.name_rank()) < ALL.len(), "{a}: rank out of range");
+            for b in ALL {
+                assert_eq!(
+                    a.name_rank().cmp(&b.name_rank()),
+                    a.name().cmp(b.name()),
+                    "{a} vs {b}: name rank disagrees with name order"
+                );
+            }
+        }
+    }
+
+    /// Routine names with shared prefixes, the empty whole-image name and
+    /// multi-byte UTF-8, so byte order is what decides.
+    const ROUTINES: [&str; 6] = ["", "a", "ab", "b", "B", "é"];
+
+    fn report(raw: &[(bool, usize, u32, usize)]) -> LintReport {
+        let mut r = LintReport::default();
+        for (i, &(warning, routine, addr, check)) in raw.iter().enumerate() {
+            // The message carries the push index, so stability shows.
+            let mut d = Diagnostic::new(ALL[check], ROUTINES[routine], format!("#{i}"));
+            d.severity = if warning { Severity::Warning } else { Severity::Error };
+            d.addr = addr.checked_sub(1);
+            r.push(d);
+        }
+        r
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn finish_matches_the_string_comparator(
+            raw in proptest::collection::vec(
+                (any::<bool>(), 0usize..ROUTINES.len(), 0u32..4, 0usize..ALL.len()),
+                0..200,
+            ),
+            grouped in any::<bool>(),
+        ) {
+            // Duplicate keys are common at this length. `grouped` gives the
+            // long runs of one routine that the checks push.
+            let mut raw = raw;
+            if grouped {
+                raw.sort_by_key(|&(_, routine, _, _)| routine);
+            }
+            let mut fast = report(&raw);
+            fast.finish();
+            let mut reference = report(&raw);
+            reference.finish_reference();
+            prop_assert_eq!(fast.diagnostics(), reference.diagnostics());
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Hand-rolled JSON emission for [`LintReport`] (the build is offline, so
 //! no serialization dependency is available — the format is small enough
-//! to write directly and is pinned by a golden test). String escaping is
+//! to write directly and is pinned by a golden test, `tests/lint_golden.rs`
+//! at the workspace root). String escaping is
 //! the shared [`spike_core::json`] writer, so the whole workspace has one
 //! escaping bug surface.
 
@@ -26,7 +27,7 @@ fn finding(d: &Diagnostic, out: &mut String) {
     }
     out.push_str(",\"reg\":");
     match d.reg {
-        Some(r) => escape(&r.to_string(), out),
+        Some(r) => escape(r.name(), out),
         None => out.push_str("null"),
     }
     out.push_str(",\"slot\":");
@@ -53,6 +54,16 @@ fn finding(d: &Diagnostic, out: &mut String) {
     out.push('}');
 }
 
+/// An upper estimate of the bytes [`finding`] writes for `d` when nothing
+/// needs escaping: the keys, punctuation and widest scalars are under 160
+/// bytes, a witness hop under 11.
+fn finding_len(d: &Diagnostic) -> usize {
+    160 + d.routine.len()
+        + d.message.len()
+        + d.note.as_ref().map_or(0, String::len)
+        + 11 * d.witness.len()
+}
+
 impl LintReport {
     /// Renders the report as a single JSON object. `image` is the path the
     /// program was loaded from, when one exists.
@@ -62,7 +73,10 @@ impl LintReport {
     /// findings: [{check, severity, routine, addr, reg, slot, message,
     /// witness, note}]}`.
     pub fn to_json(&self, image: Option<&str>) -> String {
-        let mut out = String::new();
+        // Reserved up front so a large report is written without regrowth
+        // copies (and a trailing newline still fits, see `lint_report`).
+        let findings: usize = self.diagnostics().iter().map(finding_len).sum();
+        let mut out = String::with_capacity(160 + image.map_or(0, str::len) + findings);
         out.push_str("{\"tool\":\"spike-lint\",\"version\":");
         escape(env!("CARGO_PKG_VERSION"), &mut out);
         out.push_str(",\"image\":");

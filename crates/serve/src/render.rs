@@ -280,12 +280,15 @@ pub fn query_diag(stats: &QueryStats) -> String {
 
 /// The `spike lint` report in either format. Fully deterministic.
 pub fn lint_report(image_name: &str, report: &LintReport, format: LintFormat) -> String {
-    let mut out = String::new();
     match format {
         LintFormat::Json => {
-            let _ = writeln!(out, "{}", report.to_json(Some(image_name)));
+            // The report is the output: append the newline, do not copy it.
+            let mut out = report.to_json(Some(image_name));
+            out.push('\n');
+            out
         }
         LintFormat::Human => {
+            let mut out = String::new();
             for d in report.diagnostics() {
                 let _ = writeln!(out, "{d}");
             }
@@ -295,9 +298,9 @@ pub fn lint_report(image_name: &str, report: &LintReport, format: LintFormat) ->
                 report.errors(),
                 report.warnings()
             );
+            out
         }
     }
-    out
 }
 
 /// The deterministic `spike compare` report: summary identity plus the
