@@ -140,18 +140,20 @@ impl CloneExact for TermKind {
     }
 }
 
-/// A basic block: a maximal single-entry straight-line instruction
-/// sequence, additionally ended at call instructions (the paper's block
-/// convention).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BasicBlock {
-    pub(crate) start: u32,
-    pub(crate) len: u32,
-    pub(crate) succs: Vec<BlockId>,
-    pub(crate) preds: Vec<BlockId>,
-    pub(crate) def: RegSet,
-    pub(crate) ubd: RegSet,
-    pub(crate) term: TermKind,
+spike_isa::analysis_struct! {
+    /// A basic block: a maximal single-entry straight-line instruction
+    /// sequence, additionally ended at call instructions (the paper's block
+    /// convention).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct BasicBlock {
+        pub(crate) start: u32,
+        pub(crate) len: u32,
+        pub(crate) succs: Vec<BlockId>,
+        pub(crate) preds: Vec<BlockId>,
+        pub(crate) def: RegSet,
+        pub(crate) ubd: RegSet,
+        pub(crate) term: TermKind,
+    }
 }
 
 impl BasicBlock {
@@ -222,32 +224,6 @@ impl BasicBlock {
     #[inline]
     pub fn is_call_block(&self) -> bool {
         matches!(self.term, TermKind::Call { .. })
-    }
-
-    /// Whether the block is a routine exit (`ret`).
-    #[inline]
-    pub fn is_exit(&self) -> bool {
-        matches!(self.term, TermKind::Ret)
-    }
-}
-
-impl HeapSize for BasicBlock {
-    fn heap_bytes(&self) -> usize {
-        self.succs.heap_bytes() + self.preds.heap_bytes() + self.term.heap_bytes()
-    }
-}
-
-impl CloneExact for BasicBlock {
-    fn clone_exact(&self) -> BasicBlock {
-        BasicBlock {
-            start: self.start,
-            len: self.len,
-            succs: self.succs.clone_exact(),
-            preds: self.preds.clone_exact(),
-            def: self.def,
-            ubd: self.ubd,
-            term: self.term.clone_exact(),
-        }
     }
 }
 

@@ -3,26 +3,28 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use spike_isa::{CloneExact, HeapSize, Instruction, RegSet};
+use spike_isa::{Instruction, RegSet};
 use spike_program::{IndirectTargets, Program, RoutineId};
 
 use crate::block::{BasicBlock, BlockId, CallTarget, TermKind};
 
-/// The control-flow graph of one routine.
-///
-/// Built by [`RoutineCfg::build`]. Blocks are stored in address order;
-/// block 0 starts at the routine's first instruction. Every block carries
-/// its `DEF` and `UBD` register sets, so the *Initialization* stage of the
-/// paper's pipeline is folded into construction.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RoutineCfg {
-    routine: RoutineId,
-    base: u32,
-    blocks: Vec<BasicBlock>,
-    entries: Vec<BlockId>,
-    exits: Vec<BlockId>,
-    unknown_jumps: Vec<BlockId>,
-    halts: Vec<BlockId>,
+spike_isa::analysis_struct! {
+    /// The control-flow graph of one routine.
+    ///
+    /// Built by [`RoutineCfg::build`]. Blocks are stored in address order;
+    /// block 0 starts at the routine's first instruction. Every block carries
+    /// its `DEF` and `UBD` register sets, so the *Initialization* stage of the
+    /// paper's pipeline is folded into construction.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct RoutineCfg {
+        routine: RoutineId,
+        base: u32,
+        blocks: Vec<BasicBlock>,
+        entries: Vec<BlockId>,
+        exits: Vec<BlockId>,
+        unknown_jumps: Vec<BlockId>,
+        halts: Vec<BlockId>,
+    }
 }
 
 impl RoutineCfg {
@@ -365,54 +367,6 @@ impl RoutineCfg {
     /// Number of intraprocedural arcs (sum of successor-list lengths).
     pub fn arc_count(&self) -> usize {
         self.blocks.iter().map(|b| b.succs.len()).sum()
-    }
-}
-
-impl HeapSize for RoutineCfg {
-    fn heap_bytes(&self) -> usize {
-        self.blocks.heap_bytes()
-            + self.entries.heap_bytes()
-            + self.exits.heap_bytes()
-            + self.unknown_jumps.heap_bytes()
-            + self.halts.heap_bytes()
-    }
-}
-
-impl CloneExact for RoutineCfg {
-    fn clone_exact(&self) -> RoutineCfg {
-        RoutineCfg {
-            routine: self.routine,
-            base: self.base,
-            blocks: self.blocks.clone_exact(),
-            entries: self.entries.clone_exact(),
-            exits: self.exits.clone_exact(),
-            unknown_jumps: self.unknown_jumps.clone_exact(),
-            halts: self.halts.clone_exact(),
-        }
-    }
-}
-
-impl spike_isa::Snap for RoutineCfg {
-    fn snap(&self, w: &mut spike_isa::SnapWriter) {
-        self.routine.snap(w);
-        w.put_u32(self.base);
-        self.blocks.snap(w);
-        self.entries.snap(w);
-        self.exits.snap(w);
-        self.unknown_jumps.snap(w);
-        self.halts.snap(w);
-    }
-    fn unsnap(r: &mut spike_isa::SnapReader<'_>) -> Result<Self, spike_isa::SnapError> {
-        use spike_isa::Snap;
-        Ok(RoutineCfg {
-            routine: Snap::unsnap(r)?,
-            base: r.get_u32()?,
-            blocks: Snap::unsnap(r)?,
-            entries: Snap::unsnap(r)?,
-            exits: Snap::unsnap(r)?,
-            unknown_jumps: Snap::unsnap(r)?,
-            halts: Snap::unsnap(r)?,
-        })
     }
 }
 

@@ -18,9 +18,9 @@
 //! * [`ProgramCfg`] — all routine CFGs plus the whole-program supergraph
 //!   bookkeeping (call and return arcs) used by the full-CFG baseline
 //!   analysis and by the Table 5 size comparison,
-//! * graph helpers (postorder, reverse postorder, and the [`FlowArcs`]
-//!   relation that adds the call → return-point arcs back) shared by the
-//!   dataflow solvers.
+//! * the [`FlowArcs`] relation that adds the call → return-point arcs
+//!   back, with its reverse-postorder ranks, shared by the dataflow
+//!   solvers.
 //!
 //! # Example
 //!
@@ -49,7 +49,6 @@ mod build;
 mod dom;
 mod flow;
 mod loops;
-mod order;
 mod program_cfg;
 mod snap;
 
@@ -59,5 +58,4 @@ pub use build::RoutineCfg;
 pub use dom::DomTree;
 pub use flow::FlowArcs;
 pub use loops::{LoopForest, NaturalLoop};
-pub use order::{postorder, reverse_postorder};
 pub use program_cfg::{ProgramCfg, SupergraphCounts};

@@ -1,6 +1,5 @@
 //! The whole-program control-flow graph (supergraph).
 
-use spike_isa::HeapSize;
 use spike_program::{Program, RoutineId};
 
 use crate::block::{CallTarget, TermKind};
@@ -31,15 +30,17 @@ impl SupergraphCounts {
     }
 }
 
-/// The control-flow graphs of every routine in a program, plus the
-/// interprocedural (call/return) arc bookkeeping of the supergraph.
-///
-/// The full-CFG baseline analysis (`spike-baseline`) runs over this
-/// structure; Spike itself only uses it transiently while building the
-/// much smaller program summary graph.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ProgramCfg {
-    cfgs: Vec<RoutineCfg>,
+spike_isa::analysis_struct! {
+    /// The control-flow graphs of every routine in a program, plus the
+    /// interprocedural (call/return) arc bookkeeping of the supergraph.
+    ///
+    /// The full-CFG baseline analysis (`spike-baseline`) runs over this
+    /// structure; Spike itself only uses it transiently while building the
+    /// much smaller program summary graph.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct ProgramCfg {
+        cfgs: Vec<RoutineCfg>,
+    }
 }
 
 impl ProgramCfg {
@@ -127,27 +128,6 @@ impl ProgramCfg {
     /// Total basic blocks (convenience for Table 2's "Basic Blocks").
     pub fn total_blocks(&self) -> usize {
         self.cfgs.iter().map(|c| c.blocks().len()).sum()
-    }
-}
-
-impl HeapSize for ProgramCfg {
-    fn heap_bytes(&self) -> usize {
-        self.cfgs.heap_bytes()
-    }
-}
-
-impl spike_isa::CloneExact for ProgramCfg {
-    fn clone_exact(&self) -> ProgramCfg {
-        ProgramCfg { cfgs: spike_isa::CloneExact::clone_exact(&self.cfgs) }
-    }
-}
-
-impl spike_isa::Snap for ProgramCfg {
-    fn snap(&self, w: &mut spike_isa::SnapWriter) {
-        spike_isa::Snap::snap(&self.cfgs, w);
-    }
-    fn unsnap(r: &mut spike_isa::SnapReader<'_>) -> Result<Self, spike_isa::SnapError> {
-        Ok(ProgramCfg { cfgs: spike_isa::Snap::unsnap(r)? })
     }
 }
 

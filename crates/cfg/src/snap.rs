@@ -3,10 +3,14 @@
 //! through the `Snap` impl for `Vec`, which round-trips capacities so
 //! a restored CFG carries the exact same `HeapSize` charge as the live
 //! one (the daemon's memory accounting is asserted bit-identical).
+//!
+//! The block and CFG structs derive theirs from their field lists
+//! through [`spike_isa::analysis_struct!`]; this module holds the
+//! block-id width and the tag numbers of the two terminator enums.
 
 use spike_isa::{Snap, SnapError, SnapReader, SnapWriter};
 
-use crate::block::{BasicBlock, BlockId, CallTarget, TermKind};
+use crate::block::{BlockId, CallTarget, TermKind};
 
 impl Snap for BlockId {
     fn snap(&self, w: &mut SnapWriter) {
@@ -82,29 +86,6 @@ impl Snap for TermKind {
             7 => Ok(TermKind::Halt),
             _ => Err(SnapError::Malformed("terminator tag")),
         }
-    }
-}
-
-impl Snap for BasicBlock {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.start);
-        w.put_u32(self.len);
-        self.succs.snap(w);
-        self.preds.snap(w);
-        self.def.snap(w);
-        self.ubd.snap(w);
-        self.term.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(BasicBlock {
-            start: r.get_u32()?,
-            len: r.get_u32()?,
-            succs: Snap::unsnap(r)?,
-            preds: Snap::unsnap(r)?,
-            def: Snap::unsnap(r)?,
-            ubd: Snap::unsnap(r)?,
-            term: Snap::unsnap(r)?,
-        })
     }
 }
 

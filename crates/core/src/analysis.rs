@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use spike_callgraph::{CallGraph, Sccs};
 use spike_cfg::{ProgramCfg, RoutineCfg};
-use spike_isa::{CallingStandard, CloneExact, HeapSize, Reg, RegSet};
+use spike_isa::{CallingStandard, HeapSize, Reg, RegSet};
 use spike_program::{Program, RoutineId};
 
 use crate::build::build_psg;
@@ -15,28 +15,30 @@ use crate::psg::{NodeId, Psg};
 use crate::stack::{reanalyze_stack_over, StackAnalysis};
 use crate::summary::ProgramSummary;
 
-/// Tuning knobs for the analysis, mirroring the paper's design choices.
-#[derive(Clone, Debug)]
-pub struct AnalysisOptions {
-    /// Insert branch nodes at multiway branches (§3.6). Disabling this is
-    /// the Table 4 ablation: the PSG grows up to 80% more edges.
-    pub branch_nodes: bool,
-    /// Filter saved-and-restored callee-saved registers out of routine
-    /// summaries (§3.4).
-    pub callee_saved_filter: bool,
-    /// Register roles used for callee-saved filtering and unknown-target
-    /// assumptions (§3.5).
-    pub calling_standard: CallingStandard,
-    /// Registers assumed live at the exits of externally callable routines
-    /// (exported routines and the program entry), whose callers are
-    /// outside the program.
-    pub exported_live_at_exit: RegSet,
-    /// Worker threads for the per-routine front-end stages (CFG build,
-    /// `DEF`/`UBD` initialization, PSG build). `0` uses one worker per
-    /// available hardware thread; `1` runs serially. Results — summaries,
-    /// PSG node/edge order, and [`AnalysisStats::memory_bytes`] — are
-    /// bit-identical at every setting.
-    pub threads: usize,
+spike_isa::analysis_struct! {
+    /// Tuning knobs for the analysis, mirroring the paper's design choices.
+    #[derive(Clone, Debug)]
+    pub struct AnalysisOptions {
+        /// Insert branch nodes at multiway branches (§3.6). Disabling this is
+        /// the Table 4 ablation: the PSG grows up to 80% more edges.
+        pub branch_nodes: bool,
+        /// Filter saved-and-restored callee-saved registers out of routine
+        /// summaries (§3.4).
+        pub callee_saved_filter: bool,
+        /// Register roles used for callee-saved filtering and unknown-target
+        /// assumptions (§3.5).
+        pub calling_standard: CallingStandard,
+        /// Registers assumed live at the exits of externally callable routines
+        /// (exported routines and the program entry), whose callers are
+        /// outside the program.
+        pub exported_live_at_exit: RegSet,
+        /// Worker threads for the per-routine front-end stages (CFG build,
+        /// `DEF`/`UBD` initialization, PSG build). `0` uses one worker per
+        /// available hardware thread; `1` runs serially. Results — summaries,
+        /// PSG node/edge order, and [`AnalysisStats::memory_bytes`] — are
+        /// bit-identical at every setting.
+        pub threads: usize,
+    }
 }
 
 impl Default for AnalysisOptions {
@@ -57,54 +59,56 @@ impl Default for AnalysisOptions {
     }
 }
 
-/// Wall-clock time and effort per pipeline stage (Figure 13 of the paper)
-/// plus the deterministic memory footprint (Table 2 / Figure 15).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AnalysisStats {
-    /// Time building block structure for every routine (*CFG Build*).
-    pub cfg_build: Duration,
-    /// Time computing per-block `DEF`/`UBD` sets (*Initialization*).
-    pub init: Duration,
-    /// Time creating PSG nodes and labeling edges (*PSG Build*).
-    pub psg_build: Duration,
-    /// Time for the first dataflow phase.
-    pub phase1: Duration,
-    /// Time for the second dataflow phase.
-    pub phase2: Duration,
-    /// Time for the interprocedural stack-slot analysis (frame models,
-    /// MOD/REF/KILL summaries, and both slot dataflows).
-    pub stack_build: Duration,
-    /// Node evaluations performed by phase 1.
-    pub phase1_visits: usize,
-    /// Node evaluations performed by phase 2.
-    pub phase2_visits: usize,
-    /// Block evaluations of the forward MUST-defined stack-slot solver.
-    pub stack_forward_visits: usize,
-    /// Block evaluations of the backward MAY-live stack-slot solver.
-    pub stack_backward_visits: usize,
-    /// Summary compositions of the stack layer's phase A: one per
-    /// routine it solved, plus the re-compositions call-graph cycles
-    /// forced.
-    pub stack_summary_evals: usize,
-    /// Worker threads the per-routine front-end stages (CFG build,
-    /// `DEF`/`UBD` initialization, PSG build) ran with.
-    pub front_end_workers: usize,
-    /// Always `0`: the one phase solver is a flat FIFO worklist with no
-    /// condensation waves. The field stays because the standalone
-    /// benchmark package reads it (`core.waves` in
-    /// `benchmark/src/oracle.rs`).
-    pub waves: usize,
-    /// Routines whose CFG and `DEF`/`UBD` sets were rebuilt by this run.
-    /// A from-scratch analysis rebuilds every routine; an incremental
-    /// re-analysis rebuilds only the dirty ones, even when one of them
-    /// changed shape and the PSG had to be built anew over them.
-    pub routines_reanalyzed: usize,
-    /// Routines whose cached CFG was reused, at most rebased (always `0`
-    /// for a from-scratch analysis).
-    pub routines_reused: usize,
-    /// Bytes of analysis structures (CFGs + PSG + summaries), counted
-    /// deterministically via [`HeapSize`].
-    pub memory_bytes: usize,
+spike_isa::analysis_struct! {
+    /// Wall-clock time and effort per pipeline stage (Figure 13 of the paper)
+    /// plus the deterministic memory footprint (Table 2 / Figure 15).
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct AnalysisStats {
+        /// Time building block structure for every routine (*CFG Build*).
+        pub cfg_build: Duration,
+        /// Time computing per-block `DEF`/`UBD` sets (*Initialization*).
+        pub init: Duration,
+        /// Time creating PSG nodes and labeling edges (*PSG Build*).
+        pub psg_build: Duration,
+        /// Time for the first dataflow phase.
+        pub phase1: Duration,
+        /// Time for the second dataflow phase.
+        pub phase2: Duration,
+        /// Time for the interprocedural stack-slot analysis (frame models,
+        /// MOD/REF/KILL summaries, and both slot dataflows).
+        pub stack_build: Duration,
+        /// Node evaluations performed by phase 1.
+        pub phase1_visits: usize,
+        /// Node evaluations performed by phase 2.
+        pub phase2_visits: usize,
+        /// Block evaluations of the forward MUST-defined stack-slot solver.
+        pub stack_forward_visits: usize,
+        /// Block evaluations of the backward MAY-live stack-slot solver.
+        pub stack_backward_visits: usize,
+        /// Summary compositions of the stack layer's phase A: one per
+        /// routine it solved, plus the re-compositions call-graph cycles
+        /// forced.
+        pub stack_summary_evals: usize,
+        /// Worker threads the per-routine front-end stages (CFG build,
+        /// `DEF`/`UBD` initialization, PSG build) ran with.
+        pub front_end_workers: usize,
+        /// Always `0`: the one phase solver is a flat FIFO worklist with no
+        /// condensation waves. The field stays because the standalone
+        /// benchmark package reads it (`core.waves` in
+        /// `benchmark/src/oracle.rs`).
+        pub waves: usize,
+        /// Routines whose CFG and `DEF`/`UBD` sets were rebuilt by this run.
+        /// A from-scratch analysis rebuilds every routine; an incremental
+        /// re-analysis rebuilds only the dirty ones, even when one of them
+        /// changed shape and the PSG had to be built anew over them.
+        pub routines_reanalyzed: usize,
+        /// Routines whose cached CFG was reused, at most rebased (always `0`
+        /// for a from-scratch analysis).
+        pub routines_reused: usize,
+        /// Bytes of analysis structures (CFGs + PSG + summaries), counted
+        /// deterministically via [`HeapSize`].
+        pub memory_bytes: usize,
+    }
 }
 
 impl AnalysisStats {
@@ -114,32 +118,34 @@ impl AnalysisStats {
     }
 }
 
-/// The result of analyzing a program: the converged PSG, the extracted
-/// summaries, the per-routine CFGs (retained for the optimizer), and the
-/// stage statistics.
-///
-/// An `Analysis` is plain owned data — `Send + Sync` (checked below) and
-/// `Clone` — so a long-running service can hold converged analyses in a
-/// shared cache, hand them to worker threads, and fork one as the warm
-/// starting point of an incremental re-analysis. Forks that feed
-/// [`AnalysisCache::from_analysis`](crate::AnalysisCache::from_analysis)
-/// must use [`CloneExact`] rather than `Clone`: a plain clone compacts
-/// every Vec to its length, which silently changes
-/// [`AnalysisStats::memory_bytes`] (a capacity count) and would break the
-/// bit-identical-to-scratch contract of the incremental path.
-#[derive(Clone, Debug)]
-pub struct Analysis {
-    /// The converged Program Summary Graph.
-    pub psg: Psg,
-    /// Per-routine summaries and call-site resolution.
-    pub summary: ProgramSummary,
-    /// The interprocedural stack-slot analysis (frame models, slot
-    /// dataflows, and MOD/REF/KILL summaries).
-    pub stack: StackAnalysis,
-    /// The control-flow graphs the analysis was computed over.
-    pub cfg: ProgramCfg,
-    /// Stage timings, effort counters and memory footprint.
-    pub stats: AnalysisStats,
+spike_isa::analysis_struct! {
+    /// The result of analyzing a program: the converged PSG, the extracted
+    /// summaries, the per-routine CFGs (retained for the optimizer), and the
+    /// stage statistics.
+    ///
+    /// An `Analysis` is plain owned data — `Send + Sync` (checked below) and
+    /// `Clone` — so a long-running service can hold converged analyses in a
+    /// shared cache, hand them to worker threads, and fork one as the warm
+    /// starting point of an incremental re-analysis. Forks that feed
+    /// [`AnalysisCache::from_analysis`](crate::AnalysisCache::from_analysis)
+    /// must use [`CloneExact`] rather than `Clone`: a plain clone compacts
+    /// every Vec to its length, which silently changes
+    /// [`AnalysisStats::memory_bytes`] (a capacity count) and would break the
+    /// bit-identical-to-scratch contract of the incremental path.
+    #[derive(Clone, Debug)]
+    pub struct Analysis {
+        /// The converged Program Summary Graph.
+        pub psg: Psg,
+        /// Per-routine summaries and call-site resolution.
+        pub summary: ProgramSummary,
+        /// The interprocedural stack-slot analysis (frame models, slot
+        /// dataflows, and MOD/REF/KILL summaries).
+        pub stack: StackAnalysis,
+        /// The control-flow graphs the analysis was computed over.
+        pub cfg: ProgramCfg,
+        /// Stage timings, effort counters and memory footprint.
+        pub stats: AnalysisStats,
+    }
 }
 
 impl Analysis {
@@ -185,18 +191,6 @@ pub struct RegisterFacts<'a> {
     /// the stack counters are zero and `memory_bytes` leaves the stack
     /// layer out.
     pub stats: &'a AnalysisStats,
-}
-
-impl CloneExact for Analysis {
-    fn clone_exact(&self) -> Analysis {
-        Analysis {
-            psg: self.psg.clone_exact(),
-            summary: self.summary.clone_exact(),
-            stack: self.stack.clone_exact(),
-            cfg: self.cfg.clone_exact(),
-            stats: self.stats,
-        }
-    }
 }
 
 // The cross-request cache in `spike-serve` shares analyses across worker

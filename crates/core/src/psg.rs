@@ -3,7 +3,7 @@
 use std::fmt;
 
 use spike_cfg::BlockId;
-use spike_isa::{CloneExact, HeapSize, RegSet};
+use spike_isa::{HeapSize, RegSet};
 use spike_program::RoutineId;
 
 /// Identifies a PSG node.
@@ -135,15 +135,23 @@ pub enum EdgeKind {
     CallReturn,
 }
 
-/// A PSG edge with its register-summary labels.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Edge {
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
-    pub(crate) kind: EdgeKind,
-    pub(crate) may_use: RegSet,
-    pub(crate) may_def: RegSet,
-    pub(crate) must_def: RegSet,
+impl HeapSize for EdgeKind {
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
+spike_isa::analysis_struct! {
+    /// A PSG edge with its register-summary labels.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct Edge {
+        pub(crate) from: NodeId,
+        pub(crate) to: NodeId,
+        pub(crate) kind: EdgeKind,
+        pub(crate) may_use: RegSet,
+        pub(crate) may_def: RegSet,
+        pub(crate) must_def: RegSet,
+    }
 }
 
 impl Edge {
@@ -184,32 +192,28 @@ impl Edge {
     }
 }
 
-impl HeapSize for Edge {
-    fn heap_bytes(&self) -> usize {
-        0
+spike_isa::analysis_struct! {
+    /// Per-routine node directory.
+    #[derive(Clone, PartialEq, Eq, Debug, Default)]
+    pub struct RoutineNodes {
+        /// Entry node per entrance.
+        pub(crate) entries: Vec<NodeId>,
+        /// Exit node per `ret` block, in address order.
+        pub(crate) exits: Vec<NodeId>,
+        /// `(call block, call node, return node)` per call site, address order.
+        pub(crate) calls: Vec<(BlockId, NodeId, NodeId)>,
+        /// `(multiway block, branch node)` per branch node inserted.
+        pub(crate) branches: Vec<(BlockId, NodeId)>,
+        /// Halt sink nodes.
+        pub(crate) halts: Vec<NodeId>,
+        /// Unknown-jump sink nodes.
+        pub(crate) unknown_jumps: Vec<NodeId>,
+        /// Sink for regions that reach no summary point, if the routine has
+        /// any.
+        pub(crate) diverge: Option<NodeId>,
+        /// Callee-saved registers this routine saves and restores (§3.4).
+        pub(crate) saved_restored: RegSet,
     }
-}
-
-/// Per-routine node directory.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct RoutineNodes {
-    /// Entry node per entrance.
-    pub(crate) entries: Vec<NodeId>,
-    /// Exit node per `ret` block, in address order.
-    pub(crate) exits: Vec<NodeId>,
-    /// `(call block, call node, return node)` per call site, address order.
-    pub(crate) calls: Vec<(BlockId, NodeId, NodeId)>,
-    /// `(multiway block, branch node)` per branch node inserted.
-    pub(crate) branches: Vec<(BlockId, NodeId)>,
-    /// Halt sink nodes.
-    pub(crate) halts: Vec<NodeId>,
-    /// Unknown-jump sink nodes.
-    pub(crate) unknown_jumps: Vec<NodeId>,
-    /// Sink for regions that reach no summary point, if the routine has
-    /// any.
-    pub(crate) diverge: Option<NodeId>,
-    /// Callee-saved registers this routine saves and restores (§3.4).
-    pub(crate) saved_restored: RegSet,
 }
 
 impl RoutineNodes {
@@ -239,32 +243,6 @@ impl RoutineNodes {
     }
 }
 
-impl HeapSize for RoutineNodes {
-    fn heap_bytes(&self) -> usize {
-        self.entries.heap_bytes()
-            + self.exits.heap_bytes()
-            + self.calls.capacity() * std::mem::size_of::<(BlockId, NodeId, NodeId)>()
-            + self.branches.capacity() * std::mem::size_of::<(BlockId, NodeId)>()
-            + self.halts.heap_bytes()
-            + self.unknown_jumps.heap_bytes()
-    }
-}
-
-impl CloneExact for RoutineNodes {
-    fn clone_exact(&self) -> RoutineNodes {
-        RoutineNodes {
-            entries: self.entries.clone_exact(),
-            exits: self.exits.clone_exact(),
-            calls: self.calls.clone_exact(),
-            branches: self.branches.clone_exact(),
-            halts: self.halts.clone_exact(),
-            unknown_jumps: self.unknown_jumps.clone_exact(),
-            diverge: self.diverge,
-            saved_restored: self.saved_restored,
-        }
-    }
-}
-
 /// Aggregate PSG size statistics (Tables 3–5 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PsgStats {
@@ -286,40 +264,42 @@ pub struct PsgStats {
     pub branch_nodes: usize,
 }
 
-/// The Program Summary Graph: a compact representation of a program's
-/// intraprocedural and interprocedural control flow (§3.1).
-///
-/// Nodes mark the program locations dataflow is collected for; each node
-/// carries `MAY-USE`/`MAY-DEF`/`MUST-DEF` sets (filled by phase 1) and a
-/// phase-2 liveness set. Edges summarize the register definitions and uses
-/// occurring on the control-flow paths they represent.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Psg {
-    pub(crate) nodes: Vec<NodeKind>,
-    pub(crate) edges: Vec<Edge>,
-    pub(crate) out_edges: Vec<Vec<EdgeId>>,
-    pub(crate) in_edges: Vec<Vec<EdgeId>>,
-    pub(crate) routines: Vec<RoutineNodes>,
-    /// Per call-return edge: the callee entry nodes whose phase-1 values
-    /// feed it (empty for flow edges and unknown-target calls).
-    pub(crate) cr_sources: Vec<Vec<NodeId>>,
-    /// Per node: the call-return edges fed by this (entry) node.
-    pub(crate) entry_cr_edges: Vec<Vec<EdgeId>>,
-    /// Per node: the callee exit nodes a (return) node broadcasts phase-2
-    /// liveness to.
-    pub(crate) return_exit_targets: Vec<Vec<NodeId>>,
-    /// Nodes whose dataflow values are fixed (unknown-jump, halt sinks).
-    pub(crate) pinned: Vec<bool>,
-    /// Per node: the liveness pinned at an unknown-jump sink — every
-    /// register by default, or the compiler-provided hint (§3.5
-    /// extension). Meaningful only for [`NodeKind::UnknownJump`] nodes.
-    pub(crate) uj_live: Vec<RegSet>,
-    // Phase-1 node values.
-    pub(crate) may_use: Vec<RegSet>,
-    pub(crate) may_def: Vec<RegSet>,
-    pub(crate) must_def: Vec<RegSet>,
-    // Phase-2 node values (registers live at the node's location).
-    pub(crate) live: Vec<RegSet>,
+spike_isa::analysis_struct! {
+    /// The Program Summary Graph: a compact representation of a program's
+    /// intraprocedural and interprocedural control flow (§3.1).
+    ///
+    /// Nodes mark the program locations dataflow is collected for; each node
+    /// carries `MAY-USE`/`MAY-DEF`/`MUST-DEF` sets (filled by phase 1) and a
+    /// phase-2 liveness set. Edges summarize the register definitions and uses
+    /// occurring on the control-flow paths they represent.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct Psg {
+        pub(crate) nodes: Vec<NodeKind>,
+        pub(crate) edges: Vec<Edge>,
+        pub(crate) out_edges: Vec<Vec<EdgeId>>,
+        pub(crate) in_edges: Vec<Vec<EdgeId>>,
+        pub(crate) routines: Vec<RoutineNodes>,
+        /// Per call-return edge: the callee entry nodes whose phase-1 values
+        /// feed it (empty for flow edges and unknown-target calls).
+        pub(crate) cr_sources: Vec<Vec<NodeId>>,
+        /// Per node: the call-return edges fed by this (entry) node.
+        pub(crate) entry_cr_edges: Vec<Vec<EdgeId>>,
+        /// Per node: the callee exit nodes a (return) node broadcasts phase-2
+        /// liveness to.
+        pub(crate) return_exit_targets: Vec<Vec<NodeId>>,
+        /// Nodes whose dataflow values are fixed (unknown-jump, halt sinks).
+        pub(crate) pinned: Vec<bool>,
+        /// Per node: the liveness pinned at an unknown-jump sink — every
+        /// register by default, or the compiler-provided hint (§3.5
+        /// extension). Meaningful only for [`NodeKind::UnknownJump`] nodes.
+        pub(crate) uj_live: Vec<RegSet>,
+        // Phase-1 node values.
+        pub(crate) may_use: Vec<RegSet>,
+        pub(crate) may_def: Vec<RegSet>,
+        pub(crate) must_def: Vec<RegSet>,
+        // Phase-2 node values (registers live at the node's location).
+        pub(crate) live: Vec<RegSet>,
+    }
 }
 
 impl Psg {
@@ -421,50 +401,4 @@ impl Psg {
     }
 }
 
-impl HeapSize for Psg {
-    fn heap_bytes(&self) -> usize {
-        self.nodes.heap_bytes()
-            + self.edges.heap_bytes()
-            + self.out_edges.heap_bytes()
-            + self.in_edges.heap_bytes()
-            + self.routines.heap_bytes()
-            + self.cr_sources.heap_bytes()
-            + self.entry_cr_edges.heap_bytes()
-            + self.return_exit_targets.heap_bytes()
-            + self.pinned.heap_bytes()
-            + self.uj_live.heap_bytes()
-            + self.may_use.heap_bytes()
-            + self.may_def.heap_bytes()
-            + self.must_def.heap_bytes()
-            + self.live.heap_bytes()
-    }
-}
-
-impl CloneExact for Psg {
-    fn clone_exact(&self) -> Psg {
-        Psg {
-            nodes: self.nodes.clone_exact(),
-            edges: self.edges.clone_exact(),
-            out_edges: self.out_edges.clone_exact(),
-            in_edges: self.in_edges.clone_exact(),
-            routines: self.routines.clone_exact(),
-            cr_sources: self.cr_sources.clone_exact(),
-            entry_cr_edges: self.entry_cr_edges.clone_exact(),
-            return_exit_targets: self.return_exit_targets.clone_exact(),
-            pinned: self.pinned.clone_exact(),
-            uj_live: self.uj_live.clone_exact(),
-            may_use: self.may_use.clone_exact(),
-            may_def: self.may_def.clone_exact(),
-            must_def: self.must_def.clone_exact(),
-            live: self.live.clone_exact(),
-        }
-    }
-}
-
 spike_isa::impl_clone_exact_for_copy!(NodeId, EdgeId, NodeKind, EdgeKind);
-
-impl CloneExact for Edge {
-    fn clone_exact(&self) -> Edge {
-        self.clone()
-    }
-}

@@ -2,6 +2,14 @@
 //! summaries, stack-slot analysis, CFGs, and the stage statistics —
 //! everything `spike-served` keeps per warm cache entry.
 //!
+//! Every struct among them is declared through
+//! [`spike_isa::analysis_struct!`], which derives its `Snap` impl from
+//! the field list together with `HeapSize` and `CloneExact`: a struct
+//! encodes as its fields in declaration order, so reordering the fields
+//! of one is a snapshot `FORMAT_VERSION` bump. This module holds only
+//! what a field walk cannot infer: the id widths and the tag numbers of
+//! [`NodeKind`] and [`EdgeKind`] (the CFG's own live in `spike-cfg`).
+//!
 //! The contract mirrors [`CloneExact`](spike_isa::CloneExact): a
 //! decoded `Analysis` is indistinguishable from a live one, down to
 //! `Vec` capacities and therefore down to
@@ -17,10 +25,8 @@
 
 use spike_isa::{fnv64, Snap, SnapError, SnapReader, SnapWriter};
 
-use crate::analysis::{Analysis, AnalysisOptions, AnalysisStats};
-use crate::psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, RoutineNodes};
-use crate::stack::{FrameModel, RoutineStack, Slot, StackSummary};
-use crate::summary::RoutineSummary;
+use crate::analysis::AnalysisOptions;
+use crate::psg::{EdgeId, EdgeKind, NodeId, NodeKind};
 
 impl Snap for NodeId {
     fn snap(&self, w: &mut SnapWriter) {
@@ -117,254 +123,6 @@ impl Snap for EdgeKind {
     }
 }
 
-impl Snap for Edge {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.from.snap(w);
-        self.to.snap(w);
-        self.kind.snap(w);
-        self.may_use.snap(w);
-        self.may_def.snap(w);
-        self.must_def.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Edge {
-            from: Snap::unsnap(r)?,
-            to: Snap::unsnap(r)?,
-            kind: Snap::unsnap(r)?,
-            may_use: Snap::unsnap(r)?,
-            may_def: Snap::unsnap(r)?,
-            must_def: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for RoutineNodes {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.entries.snap(w);
-        self.exits.snap(w);
-        self.calls.snap(w);
-        self.branches.snap(w);
-        self.halts.snap(w);
-        self.unknown_jumps.snap(w);
-        self.diverge.snap(w);
-        self.saved_restored.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RoutineNodes {
-            entries: Snap::unsnap(r)?,
-            exits: Snap::unsnap(r)?,
-            calls: Snap::unsnap(r)?,
-            branches: Snap::unsnap(r)?,
-            halts: Snap::unsnap(r)?,
-            unknown_jumps: Snap::unsnap(r)?,
-            diverge: Snap::unsnap(r)?,
-            saved_restored: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for Psg {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.nodes.snap(w);
-        self.edges.snap(w);
-        self.out_edges.snap(w);
-        self.in_edges.snap(w);
-        self.routines.snap(w);
-        self.cr_sources.snap(w);
-        self.entry_cr_edges.snap(w);
-        self.return_exit_targets.snap(w);
-        self.pinned.snap(w);
-        self.uj_live.snap(w);
-        self.may_use.snap(w);
-        self.may_def.snap(w);
-        self.must_def.snap(w);
-        self.live.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Psg {
-            nodes: Snap::unsnap(r)?,
-            edges: Snap::unsnap(r)?,
-            out_edges: Snap::unsnap(r)?,
-            in_edges: Snap::unsnap(r)?,
-            routines: Snap::unsnap(r)?,
-            cr_sources: Snap::unsnap(r)?,
-            entry_cr_edges: Snap::unsnap(r)?,
-            return_exit_targets: Snap::unsnap(r)?,
-            pinned: Snap::unsnap(r)?,
-            uj_live: Snap::unsnap(r)?,
-            may_use: Snap::unsnap(r)?,
-            may_def: Snap::unsnap(r)?,
-            must_def: Snap::unsnap(r)?,
-            live: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for RoutineSummary {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.call_used.snap(w);
-        self.call_defined.snap(w);
-        self.call_killed.snap(w);
-        self.live_at_entry.snap(w);
-        self.live_at_exit.snap(w);
-        self.saved_restored.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RoutineSummary {
-            call_used: Snap::unsnap(r)?,
-            call_defined: Snap::unsnap(r)?,
-            call_killed: Snap::unsnap(r)?,
-            live_at_entry: Snap::unsnap(r)?,
-            live_at_exit: Snap::unsnap(r)?,
-            saved_restored: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for Slot {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_i64(self.entry_off);
-        self.width.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Slot { entry_off: r.get_i64()?, width: Snap::unsnap(r)? })
-    }
-}
-
-impl Snap for FrameModel {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_i64(self.frame_size);
-        self.slots.snap(w);
-        self.escaped.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FrameModel {
-            frame_size: r.get_i64()?,
-            slots: Snap::unsnap(r)?,
-            escaped: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for StackSummary {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.unbalanced.snap(w);
-        self.opaque.snap(w);
-        self.refs_above.snap(w);
-        self.mods_above.snap(w);
-        self.kills_above.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(StackSummary {
-            unbalanced: Snap::unsnap(r)?,
-            opaque: Snap::unsnap(r)?,
-            refs_above: Snap::unsnap(r)?,
-            mods_above: Snap::unsnap(r)?,
-            kills_above: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for RoutineStack {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.frame.snap(w);
-        self.summary.snap(w);
-        self.sp_disp_in.snap(w);
-        self.must_defined_in.snap(w);
-        self.live_out.snap(w);
-        self.cyclic.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RoutineStack {
-            frame: Snap::unsnap(r)?,
-            summary: Snap::unsnap(r)?,
-            sp_disp_in: Snap::unsnap(r)?,
-            must_defined_in: Snap::unsnap(r)?,
-            live_out: Snap::unsnap(r)?,
-            cyclic: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for AnalysisStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.cfg_build.snap(w);
-        self.init.snap(w);
-        self.psg_build.snap(w);
-        self.phase1.snap(w);
-        self.phase2.snap(w);
-        self.stack_build.snap(w);
-        self.phase1_visits.snap(w);
-        self.phase2_visits.snap(w);
-        self.stack_forward_visits.snap(w);
-        self.stack_backward_visits.snap(w);
-        self.stack_summary_evals.snap(w);
-        self.front_end_workers.snap(w);
-        self.waves.snap(w);
-        self.routines_reanalyzed.snap(w);
-        self.routines_reused.snap(w);
-        self.memory_bytes.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(AnalysisStats {
-            cfg_build: Snap::unsnap(r)?,
-            init: Snap::unsnap(r)?,
-            psg_build: Snap::unsnap(r)?,
-            phase1: Snap::unsnap(r)?,
-            phase2: Snap::unsnap(r)?,
-            stack_build: Snap::unsnap(r)?,
-            phase1_visits: Snap::unsnap(r)?,
-            phase2_visits: Snap::unsnap(r)?,
-            stack_forward_visits: Snap::unsnap(r)?,
-            stack_backward_visits: Snap::unsnap(r)?,
-            stack_summary_evals: Snap::unsnap(r)?,
-            front_end_workers: Snap::unsnap(r)?,
-            waves: Snap::unsnap(r)?,
-            routines_reanalyzed: Snap::unsnap(r)?,
-            routines_reused: Snap::unsnap(r)?,
-            memory_bytes: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for Analysis {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.psg.snap(w);
-        self.summary.snap(w);
-        self.stack.snap(w);
-        self.cfg.snap(w);
-        self.stats.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Analysis {
-            psg: Snap::unsnap(r)?,
-            summary: Snap::unsnap(r)?,
-            stack: Snap::unsnap(r)?,
-            cfg: Snap::unsnap(r)?,
-            stats: Snap::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for AnalysisOptions {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.branch_nodes.snap(w);
-        self.callee_saved_filter.snap(w);
-        self.calling_standard.snap(w);
-        self.exported_live_at_exit.snap(w);
-        self.threads.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(AnalysisOptions {
-            branch_nodes: Snap::unsnap(r)?,
-            callee_saved_filter: Snap::unsnap(r)?,
-            calling_standard: Snap::unsnap(r)?,
-            exported_live_at_exit: Snap::unsnap(r)?,
-            threads: Snap::unsnap(r)?,
-        })
-    }
-}
-
 /// A 64-bit FNV-1a fingerprint of the semantics-affecting analysis
 /// options. Snapshot files carry it so a daemon only restores entries
 /// produced under its *own* configuration — an entry analyzed with a
@@ -384,7 +142,7 @@ pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze_with;
+    use crate::{analyze_with, Analysis};
     use spike_isa::{HeapSize, Reg, RegSet};
     use spike_program::ProgramBuilder;
 
@@ -415,13 +173,7 @@ mod tests {
         assert_eq!(format!("{:?}", back.stats), format!("{:?}", a.stats));
         // The capacity contract: the restored analysis charges exactly
         // the same memory as the live one, like CloneExact does.
-        assert_eq!(
-            back.cfg.heap_bytes()
-                + back.psg.heap_bytes()
-                + back.summary.heap_bytes()
-                + back.stack.heap_bytes(),
-            a.stats.memory_bytes
-        );
+        assert_eq!(back.heap_bytes(), a.stats.memory_bytes);
     }
 
     #[test]

@@ -74,27 +74,21 @@ use spike_program::{Program, Routine, RoutineId};
 use crate::analysis::Calls;
 use crate::worklist::PriorityWorklist;
 
-/// One stack slot of a routine's frame model: an access site class keyed
-/// by its entry-SP-relative byte offset and access width.
-///
-/// Offsets are relative to the SP value *at routine entry*: negative
-/// offsets are the routine's own frame, offsets `>= 0` address its
-/// callers' frames. The machine keys memory cells by exact address, so
-/// two slots at different offsets never alias; a width conflict at one
-/// offset escapes the frame instead of modelling partial overlap.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Slot {
-    /// Byte offset from the routine's entry SP.
-    pub entry_off: i64,
-    /// The access width every site uses for this offset.
-    pub width: MemWidth,
-}
-
-spike_isa::impl_clone_exact_for_copy!(Slot);
-
-impl HeapSize for Slot {
-    fn heap_bytes(&self) -> usize {
-        0
+spike_isa::analysis_struct! {
+    /// One stack slot of a routine's frame model: an access site class keyed
+    /// by its entry-SP-relative byte offset and access width.
+    ///
+    /// Offsets are relative to the SP value *at routine entry*: negative
+    /// offsets are the routine's own frame, offsets `>= 0` address its
+    /// callers' frames. The machine keys memory cells by exact address, so
+    /// two slots at different offsets never alias; a width conflict at one
+    /// offset escapes the frame instead of modelling partial overlap.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub struct Slot {
+        /// Byte offset from the routine's entry SP.
+        pub entry_off: i64,
+        /// The access width every site uses for this offset.
+        pub width: MemWidth,
     }
 }
 
@@ -275,20 +269,22 @@ impl spike_isa::Snap for SlotSet {
     }
 }
 
-/// A routine's discovered stack frame.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct FrameModel {
-    /// Maximum bytes SP is lowered below its entry value on any tracked
-    /// path (`max(0, -min(sp_disp))`). Zero for frameless or escaped
-    /// routines.
-    pub frame_size: i64,
-    /// The slot universe, sorted by `entry_off`. Offsets are unique
-    /// (a width conflict escapes the frame instead).
-    pub slots: Vec<Slot>,
-    /// Whether the frame escaped the model (see the module docs for the
-    /// rules). Escaped routines report no accesses and empty dataflow
-    /// sets, and are opaque to callers.
-    pub escaped: bool,
+spike_isa::analysis_struct! {
+    /// A routine's discovered stack frame.
+    #[derive(Clone, PartialEq, Eq, Debug, Default)]
+    pub struct FrameModel {
+        /// Maximum bytes SP is lowered below its entry value on any tracked
+        /// path (`max(0, -min(sp_disp))`). Zero for frameless or escaped
+        /// routines.
+        pub frame_size: i64,
+        /// The slot universe, sorted by `entry_off`. Offsets are unique
+        /// (a width conflict escapes the frame instead).
+        pub slots: Vec<Slot>,
+        /// Whether the frame escaped the model (see the module docs for the
+        /// rules). Escaped routines report no accesses and empty dataflow
+        /// sets, and are opaque to callers.
+        pub escaped: bool,
+    }
 }
 
 impl FrameModel {
@@ -298,142 +294,70 @@ impl FrameModel {
     }
 }
 
-impl HeapSize for FrameModel {
-    fn heap_bytes(&self) -> usize {
-        self.slots.heap_bytes()
+spike_isa::analysis_struct! {
+    /// A routine's interprocedural stack effect, as seen by its callers.
+    ///
+    /// The `*_above` offset lists are relative to the routine's *entry* SP
+    /// and only contain offsets `>= 0` (the caller-frame region); a caller
+    /// translates them by its own SP displacement at the call site. All
+    /// three are empty for routines that never touch caller frames — the
+    /// common case for a conforming calling standard.
+    #[derive(Clone, PartialEq, Eq, Debug, Default)]
+    pub struct StackSummary {
+        /// Whether the routine provably returns with SP different from its
+        /// entry value. Viral: callers of an unbalanced routine lose SP
+        /// tracking too. Untracked SP movement is *not* unbalanced — like
+        /// unknown-target callees, such routines are assumed balanced per
+        /// the calling standard, just opaque.
+        pub unbalanced: bool,
+        /// Whether callers must assume the routine may read or write any
+        /// stack location: its frame escaped, it is unbalanced, or it
+        /// (transitively) makes unknown-target calls.
+        pub opaque: bool,
+        /// Offsets above the entry SP the routine (transitively) may read.
+        pub refs_above: Vec<i64>,
+        /// Offsets above the entry SP the routine (transitively) may write.
+        pub mods_above: Vec<i64>,
+        /// Offsets above the entry SP the routine writes on *every* path to
+        /// a return. Empty for recursive routines (a sound
+        /// under-approximation keeps the SCC fixpoint trivial).
+        pub kills_above: Vec<i64>,
     }
 }
 
-impl CloneExact for FrameModel {
-    fn clone_exact(&self) -> Self {
-        FrameModel {
-            frame_size: self.frame_size,
-            slots: self.slots.clone_exact(),
-            escaped: self.escaped,
-        }
+spike_isa::analysis_struct! {
+    /// The converged per-routine stack facts. All vectors are indexed by
+    /// [`BlockId`] within the routine's CFG; everything is block-index and
+    /// offset based (address-free), so a pure rebase leaves it valid.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct RoutineStack {
+        /// The frame model.
+        pub frame: FrameModel,
+        /// The MOD/REF/KILL summary callers compose with.
+        pub summary: StackSummary,
+        /// SP displacement (relative to entry SP) at each block's first
+        /// instruction; `None` for blocks unreachable along tracked arcs or
+        /// when tracking failed.
+        pub sp_disp_in: Vec<Option<i64>>,
+        /// Per block: slots certainly written on every path to the block's
+        /// first instruction (greatest fixpoint; all-empty when escaped).
+        pub must_defined_in: Vec<SlotSet>,
+        /// Per block: slots that may still be read after the block's last
+        /// instruction (least fixpoint; all-empty when escaped).
+        pub live_out: Vec<SlotSet>,
+        /// Whether the routine sits on a call-graph cycle (its
+        /// `kills_above` is pinned empty; recorded so incremental reuse can
+        /// detect condensation changes).
+        pub cyclic: bool,
     }
 }
 
-/// A routine's interprocedural stack effect, as seen by its callers.
-///
-/// The `*_above` offset lists are relative to the routine's *entry* SP
-/// and only contain offsets `>= 0` (the caller-frame region); a caller
-/// translates them by its own SP displacement at the call site. All
-/// three are empty for routines that never touch caller frames — the
-/// common case for a conforming calling standard.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct StackSummary {
-    /// Whether the routine provably returns with SP different from its
-    /// entry value. Viral: callers of an unbalanced routine lose SP
-    /// tracking too. Untracked SP movement is *not* unbalanced — like
-    /// unknown-target callees, such routines are assumed balanced per
-    /// the calling standard, just opaque.
-    pub unbalanced: bool,
-    /// Whether callers must assume the routine may read or write any
-    /// stack location: its frame escaped, it is unbalanced, or it
-    /// (transitively) makes unknown-target calls.
-    pub opaque: bool,
-    /// Offsets above the entry SP the routine (transitively) may read.
-    pub refs_above: Vec<i64>,
-    /// Offsets above the entry SP the routine (transitively) may write.
-    pub mods_above: Vec<i64>,
-    /// Offsets above the entry SP the routine writes on *every* path to
-    /// a return. Empty for recursive routines (a sound
-    /// under-approximation keeps the SCC fixpoint trivial).
-    pub kills_above: Vec<i64>,
-}
-
-impl HeapSize for StackSummary {
-    fn heap_bytes(&self) -> usize {
-        self.refs_above.heap_bytes() + self.mods_above.heap_bytes() + self.kills_above.heap_bytes()
-    }
-}
-
-impl CloneExact for StackSummary {
-    fn clone_exact(&self) -> Self {
-        StackSummary {
-            unbalanced: self.unbalanced,
-            opaque: self.opaque,
-            refs_above: self.refs_above.clone_exact(),
-            mods_above: self.mods_above.clone_exact(),
-            kills_above: self.kills_above.clone_exact(),
-        }
-    }
-}
-
-/// The converged per-routine stack facts. All vectors are indexed by
-/// [`BlockId`] within the routine's CFG; everything is block-index and
-/// offset based (address-free), so a pure rebase leaves it valid.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RoutineStack {
-    /// The frame model.
-    pub frame: FrameModel,
-    /// The MOD/REF/KILL summary callers compose with.
-    pub summary: StackSummary,
-    /// SP displacement (relative to entry SP) at each block's first
-    /// instruction; `None` for blocks unreachable along tracked arcs or
-    /// when tracking failed.
-    pub sp_disp_in: Vec<Option<i64>>,
-    /// Per block: slots certainly written on every path to the block's
-    /// first instruction (greatest fixpoint; all-empty when escaped).
-    pub must_defined_in: Vec<SlotSet>,
-    /// Per block: slots that may still be read after the block's last
-    /// instruction (least fixpoint; all-empty when escaped).
-    pub live_out: Vec<SlotSet>,
-    /// Whether the routine sits on a call-graph cycle (its
-    /// `kills_above` is pinned empty; recorded so incremental reuse can
-    /// detect condensation changes).
-    pub cyclic: bool,
-}
-
-impl HeapSize for RoutineStack {
-    fn heap_bytes(&self) -> usize {
-        self.frame.heap_bytes()
-            + self.summary.heap_bytes()
-            + self.sp_disp_in.heap_bytes()
-            + self.must_defined_in.heap_bytes()
-            + self.live_out.heap_bytes()
-    }
-}
-
-impl CloneExact for RoutineStack {
-    fn clone_exact(&self) -> Self {
-        RoutineStack {
-            frame: self.frame.clone_exact(),
-            summary: self.summary.clone_exact(),
-            sp_disp_in: self.sp_disp_in.clone_exact(),
-            must_defined_in: self.must_defined_in.clone_exact(),
-            live_out: self.live_out.clone_exact(),
-            cyclic: self.cyclic,
-        }
-    }
-}
-
-/// The whole-program stack-slot analysis, one [`RoutineStack`] per
-/// routine.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StackAnalysis {
-    routines: Vec<RoutineStack>,
-}
-
-impl HeapSize for StackAnalysis {
-    fn heap_bytes(&self) -> usize {
-        self.routines.heap_bytes()
-    }
-}
-
-impl CloneExact for StackAnalysis {
-    fn clone_exact(&self) -> Self {
-        StackAnalysis { routines: self.routines.clone_exact() }
-    }
-}
-
-impl spike_isa::Snap for StackAnalysis {
-    fn snap(&self, w: &mut spike_isa::SnapWriter) {
-        spike_isa::Snap::snap(&self.routines, w);
-    }
-    fn unsnap(r: &mut spike_isa::SnapReader<'_>) -> Result<Self, spike_isa::SnapError> {
-        Ok(StackAnalysis { routines: spike_isa::Snap::unsnap(r)? })
+spike_isa::analysis_struct! {
+    /// The whole-program stack-slot analysis, one [`RoutineStack`] per
+    /// routine.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct StackAnalysis {
+        routines: Vec<RoutineStack>,
     }
 }
 

@@ -1,53 +1,32 @@
 //! Per-routine and per-call-site register summaries (§2 of the paper).
 
 use spike_cfg::{CallTarget, ProgramCfg, TermKind};
-use spike_isa::{CallingStandard, CloneExact, HeapSize, RegSet};
-use spike_program::{Program, RoutineId};
+use spike_isa::{CallingStandard, RegSet};
+use spike_program::RoutineId;
 
 use crate::psg::Psg;
 
-/// The interprocedural dataflow summary of one routine (§2).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RoutineSummary {
-    /// Per entrance: registers that may be used by a call to this
-    /// entrance before being defined (`MAY-USE`, callee-saved filtered).
-    pub call_used: Vec<RegSet>,
-    /// Per entrance: registers that must be defined by a call to this
-    /// entrance (`MUST-DEF`, callee-saved filtered).
-    pub call_defined: Vec<RegSet>,
-    /// Per entrance: registers that may be overwritten by a call to this
-    /// entrance (`MAY-DEF`, callee-saved filtered).
-    pub call_killed: Vec<RegSet>,
-    /// Per entrance: registers live at the entrance, including uses
-    /// reached only after returning to a caller.
-    pub live_at_entry: Vec<RegSet>,
-    /// Per exit (in the CFG's exit order): registers live at the exit,
-    /// i.e. that may be used along some valid return path.
-    pub live_at_exit: Vec<RegSet>,
-    /// Callee-saved registers the routine saves and restores (§3.4).
-    pub saved_restored: RegSet,
-}
-
-impl HeapSize for RoutineSummary {
-    fn heap_bytes(&self) -> usize {
-        self.call_used.heap_bytes()
-            + self.call_defined.heap_bytes()
-            + self.call_killed.heap_bytes()
-            + self.live_at_entry.heap_bytes()
-            + self.live_at_exit.heap_bytes()
-    }
-}
-
-impl CloneExact for RoutineSummary {
-    fn clone_exact(&self) -> RoutineSummary {
-        RoutineSummary {
-            call_used: self.call_used.clone_exact(),
-            call_defined: self.call_defined.clone_exact(),
-            call_killed: self.call_killed.clone_exact(),
-            live_at_entry: self.live_at_entry.clone_exact(),
-            live_at_exit: self.live_at_exit.clone_exact(),
-            saved_restored: self.saved_restored,
-        }
+spike_isa::analysis_struct! {
+    /// The interprocedural dataflow summary of one routine (§2).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct RoutineSummary {
+        /// Per entrance: registers that may be used by a call to this
+        /// entrance before being defined (`MAY-USE`, callee-saved filtered).
+        pub call_used: Vec<RegSet>,
+        /// Per entrance: registers that must be defined by a call to this
+        /// entrance (`MUST-DEF`, callee-saved filtered).
+        pub call_defined: Vec<RegSet>,
+        /// Per entrance: registers that may be overwritten by a call to this
+        /// entrance (`MAY-DEF`, callee-saved filtered).
+        pub call_killed: Vec<RegSet>,
+        /// Per entrance: registers live at the entrance, including uses
+        /// reached only after returning to a caller.
+        pub live_at_entry: Vec<RegSet>,
+        /// Per exit (in the CFG's exit order): registers live at the exit,
+        /// i.e. that may be used along some valid return path.
+        pub live_at_exit: Vec<RegSet>,
+        /// Callee-saved registers the routine saves and restores (§3.4).
+        pub saved_restored: RegSet,
     }
 }
 
@@ -63,12 +42,14 @@ pub struct CallSiteSummary {
     pub killed: RegSet,
 }
 
-/// The complete analysis result over a program: one [`RoutineSummary`] per
-/// routine, resolvable to per-call-site summaries.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ProgramSummary {
-    routines: Vec<RoutineSummary>,
-    calling_standard: CallingStandard,
+spike_isa::analysis_struct! {
+    /// The complete analysis result over a program: one [`RoutineSummary`] per
+    /// routine, resolvable to per-call-site summaries.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct ProgramSummary {
+        routines: Vec<RoutineSummary>,
+        calling_standard: CallingStandard,
+    }
 }
 
 impl ProgramSummary {
@@ -166,50 +147,6 @@ impl ProgramSummary {
             CallTarget::IndirectHinted { used, defined, killed } => {
                 CallSiteSummary { used: *used, defined: *defined, killed: *killed }
             }
-        })
-    }
-
-    /// Resolves the call-summary for the call instruction at word address
-    /// `addr`, or `None` if no call block ends there.
-    pub fn call_site_at(
-        &self,
-        program: &Program,
-        cfg: &ProgramCfg,
-        addr: u32,
-    ) -> Option<CallSiteSummary> {
-        let routine = program.routine_containing(addr)?;
-        let rcfg = cfg.routine_cfg(routine);
-        let block = rcfg.block_containing(addr)?;
-        (rcfg.block(block).term_addr() == addr)
-            .then(|| self.call_site(cfg, routine, block))
-            .flatten()
-    }
-}
-
-impl HeapSize for ProgramSummary {
-    fn heap_bytes(&self) -> usize {
-        self.routines.heap_bytes()
-    }
-}
-
-impl CloneExact for ProgramSummary {
-    fn clone_exact(&self) -> ProgramSummary {
-        ProgramSummary {
-            routines: self.routines.clone_exact(),
-            calling_standard: self.calling_standard,
-        }
-    }
-}
-
-impl spike_isa::Snap for ProgramSummary {
-    fn snap(&self, w: &mut spike_isa::SnapWriter) {
-        spike_isa::Snap::snap(&self.routines, w);
-        spike_isa::Snap::snap(&self.calling_standard, w);
-    }
-    fn unsnap(r: &mut spike_isa::SnapReader<'_>) -> Result<Self, spike_isa::SnapError> {
-        Ok(ProgramSummary {
-            routines: spike_isa::Snap::unsnap(r)?,
-            calling_standard: spike_isa::Snap::unsnap(r)?,
         })
     }
 }

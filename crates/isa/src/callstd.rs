@@ -3,35 +3,37 @@
 use crate::reg::Reg;
 use crate::regset::RegSet;
 
-/// Register roles defined by the Windows NT calling standard for Alpha
-/// (`[CALLSTD]` in the paper).
-///
-/// Spike's analysis consults the calling standard in two places:
-///
-/// * **§3.4 callee-saved registers** — definitions and uses of registers in
-///   [`callee_saved`](CallingStandard::callee_saved) that a routine saves and
-///   restores must not propagate to callers;
-/// * **§3.5 indirect calls to unknown targets** — assumed to obey the
-///   standard: [`argument`](CallingStandard::argument) registers are
-///   call-used, [`return_value`](CallingStandard::return_value) registers are
-///   call-defined, and [`temporary`](CallingStandard::temporary) registers
-///   are call-killed.
-///
-/// ```
-/// use spike_isa::{CallingStandard, Reg};
-/// let std = CallingStandard::alpha_nt();
-/// assert!(std.callee_saved().contains(Reg::S0));
-/// assert!(std.argument().contains(Reg::A0));
-/// assert!(std.temporary().contains(Reg::T0));
-/// assert!(std.callee_saved().is_disjoint(std.temporary()));
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct CallingStandard {
-    argument: RegSet,
-    return_value: RegSet,
-    callee_saved: RegSet,
-    temporary: RegSet,
-    special: RegSet,
+crate::analysis_struct! {
+    /// Register roles defined by the Windows NT calling standard for Alpha
+    /// (`[CALLSTD]` in the paper).
+    ///
+    /// Spike's analysis consults the calling standard in two places:
+    ///
+    /// * **§3.4 callee-saved registers** — definitions and uses of registers in
+    ///   [`callee_saved`](CallingStandard::callee_saved) that a routine saves and
+    ///   restores must not propagate to callers;
+    /// * **§3.5 indirect calls to unknown targets** — assumed to obey the
+    ///   standard: [`argument`](CallingStandard::argument) registers are
+    ///   call-used, [`return_value`](CallingStandard::return_value) registers are
+    ///   call-defined, and [`temporary`](CallingStandard::temporary) registers
+    ///   are call-killed.
+    ///
+    /// ```
+    /// use spike_isa::{CallingStandard, Reg};
+    /// let std = CallingStandard::alpha_nt();
+    /// assert!(std.callee_saved().contains(Reg::S0));
+    /// assert!(std.argument().contains(Reg::A0));
+    /// assert!(std.temporary().contains(Reg::T0));
+    /// assert!(std.callee_saved().is_disjoint(std.temporary()));
+    /// ```
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    pub struct CallingStandard {
+        argument: RegSet,
+        return_value: RegSet,
+        callee_saved: RegSet,
+        temporary: RegSet,
+        special: RegSet,
+    }
 }
 
 impl CallingStandard {
@@ -155,25 +157,6 @@ impl CallingStandard {
 impl Default for CallingStandard {
     fn default() -> CallingStandard {
         CallingStandard::alpha_nt()
-    }
-}
-
-impl crate::Snap for CallingStandard {
-    fn snap(&self, w: &mut crate::SnapWriter) {
-        self.argument.snap(w);
-        self.return_value.snap(w);
-        self.callee_saved.snap(w);
-        self.temporary.snap(w);
-        self.special.snap(w);
-    }
-    fn unsnap(r: &mut crate::SnapReader<'_>) -> Result<Self, crate::SnapError> {
-        Ok(CallingStandard {
-            argument: crate::Snap::unsnap(r)?,
-            return_value: crate::Snap::unsnap(r)?,
-            callee_saved: crate::Snap::unsnap(r)?,
-            temporary: crate::Snap::unsnap(r)?,
-            special: crate::Snap::unsnap(r)?,
-        })
     }
 }
 

@@ -68,6 +68,74 @@ macro_rules! impl_clone_exact_for_copy {
     };
 }
 
+/// Declares a struct together with field-wise [`HeapSize`],
+/// [`CloneExact`] and [`Snap`](crate::Snap) impls, so its field list is
+/// written once.
+///
+/// The struct is emitted exactly as written (attributes, doc comments,
+/// field visibility), and every impl walks the fields in declaration
+/// order. For `Snap` that order *is* the encoding: reordering the fields
+/// of a type that reaches a snapshot changes the payload layout and needs
+/// a format-version bump. Types whose representation is itself a format
+/// decision — tagged enums, id newtypes, packed sets — keep hand-written
+/// impls.
+///
+/// ```
+/// use spike_isa::{CloneExact, HeapSize, RegSet, Snap, SnapReader, SnapWriter};
+///
+/// spike_isa::analysis_struct! {
+///     /// Live registers and a scratch buffer.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Frame {
+///         pub live: RegSet,
+///         pub(crate) scratch: Vec<u32>,
+///     }
+/// }
+///
+/// let f = Frame { live: RegSet::ALL, scratch: Vec::with_capacity(4) };
+/// assert_eq!(f.heap_bytes(), 4 * 4);
+/// assert_eq!(f.clone_exact().scratch.capacity(), 4);
+/// let mut w = SnapWriter::new();
+/// f.snap(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(Frame::unsnap(&mut SnapReader::new(&bytes)), Ok(f));
+/// ```
+#[macro_export]
+macro_rules! analysis_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident : $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty,)*
+        }
+
+        impl $crate::HeapSize for $name {
+            fn heap_bytes(&self) -> usize {
+                0 $(+ $crate::HeapSize::heap_bytes(&self.$field))*
+            }
+        }
+
+        impl $crate::CloneExact for $name {
+            fn clone_exact(&self) -> Self {
+                $name { $($field: $crate::CloneExact::clone_exact(&self.$field),)* }
+            }
+        }
+
+        impl $crate::Snap for $name {
+            fn snap(&self, w: &mut $crate::SnapWriter) {
+                $($crate::Snap::snap(&self.$field, w);)*
+            }
+            fn unsnap(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                Ok($name { $($field: $crate::Snap::unsnap(r)?,)* })
+            }
+        }
+    };
+}
+
 macro_rules! impl_heap_size_zero {
     ($($t:ty),* $(,)?) => {
         $(impl HeapSize for $t {
@@ -93,8 +161,10 @@ impl_heap_size_zero!(
     bool,
     char,
     (),
+    std::time::Duration,
     crate::Reg,
     crate::RegSet,
+    crate::MemWidth,
     crate::Instruction
 );
 
@@ -114,10 +184,11 @@ impl_clone_exact_for_copy!(
     bool,
     char,
     (),
+    std::time::Duration,
     crate::Reg,
     crate::RegSet,
-    crate::Instruction,
-    crate::CallingStandard
+    crate::MemWidth,
+    crate::Instruction
 );
 
 impl<T: HeapSize> HeapSize for Vec<T> {
@@ -202,6 +273,12 @@ impl HeapSize for String {
 impl<A: HeapSize, B: HeapSize> HeapSize for (A, B) {
     fn heap_bytes(&self) -> usize {
         self.0.heap_bytes() + self.1.heap_bytes()
+    }
+}
+
+impl<A: HeapSize, B: HeapSize, C: HeapSize> HeapSize for (A, B, C) {
+    fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes() + self.1.heap_bytes() + self.2.heap_bytes()
     }
 }
 

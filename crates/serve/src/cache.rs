@@ -27,7 +27,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use spike_core::{analyze_with, Analysis, AnalysisCache, AnalysisOptions};
-use spike_isa::CloneExact;
+use spike_isa::{CloneExact, HeapSize};
 use spike_program::Program;
 
 use crate::diff::diff_for_reanalysis;
@@ -348,7 +348,8 @@ impl ProgramStore {
     /// snapshot loader) has already verified the container checksum and
     /// the options fingerprint; this re-validates the entry itself: the
     /// image must parse and must hash to `key`, otherwise the entry is
-    /// refused and the cache state is untouched.
+    /// refused and the cache state is untouched. The entry is charged the
+    /// heap `analysis` holds.
     ///
     /// # Errors
     ///
@@ -364,7 +365,8 @@ impl ProgramStore {
             return Err("snapshot entry key does not match its image bytes".into());
         }
         let program = Program::from_image(&image).map_err(|e| e.to_string())?;
-        let bytes = image.len() + analysis.stats.memory_bytes;
+        // Charge what the decoded analysis holds, not the count it carries.
+        let bytes = image.len() + analysis.heap_bytes();
         let shared = Arc::new(AnalyzedProgram { key, program, analysis, image });
         let mut inner = self.lock();
         inner.tick += 1;

@@ -34,7 +34,8 @@
 //! [`Snap`]-encoded. Restore is all-or-nothing: any truncation, bad
 //! tag, or per-entry validation failure abandons the whole snapshot
 //! and the daemon starts cold — never a panic, never a silently wrong
-//! cache.
+//! cache. An entry is charged the heap its decoded analysis holds, and
+//! one whose stored `memory_bytes` disagrees with that is corrupt.
 //!
 //! Writes go through a sibling temp file + atomic rename, so a crash
 //! mid-write leaves the previous snapshot intact and a reader never
@@ -46,7 +47,7 @@ use std::time::Instant;
 
 use spike_core::json::Json;
 use spike_core::{options_fingerprint, Analysis, AnalysisOptions};
-use spike_isa::{Snap, SnapReader, SnapWriter};
+use spike_isa::{HeapSize, Snap, SnapReader, SnapWriter};
 
 use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 
@@ -260,6 +261,15 @@ pub fn read(path: &Path, options: &AnalysisOptions) -> Result<DecodedSnapshot, S
             let b = u64::unsnap(r).map_err(|e| e.to_string())?;
             let image = Vec::<u8>::unsnap(r).map_err(|e| e.to_string())?;
             let analysis = Analysis::unsnap(r).map_err(|e| e.to_string())?;
+            // The store charges what the analysis holds; a stored count
+            // that disagrees with it was not written by `encode`.
+            let held = analysis.heap_bytes();
+            if held != analysis.stats.memory_bytes {
+                return Err(format!(
+                    "entry analysis holds {held} bytes, its memory_bytes claims {}",
+                    analysis.stats.memory_bytes
+                ));
+            }
             entries.push((CacheKey::from_lanes([a, b]), image, analysis));
         }
         if !r.is_exhausted() {
@@ -295,7 +305,7 @@ pub fn restore(
     }
     let mut report = RestoreReport::default();
     for (key, image, analysis) in decoded.entries {
-        report.bytes += image.len() + analysis.stats.memory_bytes;
+        report.bytes += image.len() + analysis.heap_bytes();
         store.restore_entry(key, image, analysis).map_err(SnapshotError::Corrupt)?;
         report.entries += 1;
     }
@@ -306,7 +316,7 @@ pub fn restore(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spike_isa::Reg;
+    use spike_isa::{CloneExact, Reg};
     use spike_program::ProgramBuilder;
 
     fn image(tag: u32) -> Vec<u8> {
@@ -403,6 +413,41 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         match read(&path, &options) {
             Err(SnapshotError::Corrupt(what)) => assert!(what.contains("vec capacity"), "{what}"),
+            Err(other) => panic!("must be Corrupt, got {other:?}"),
+            Ok(_) => panic!("must be Corrupt, got a decoded snapshot"),
+        }
+        let fresh = ProgramStore::new(options.clone(), usize::MAX);
+        assert!(restore(&path, &fresh, &options).is_err());
+        assert_eq!(fresh.snapshot().entries, 0, "store must stay cold");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Valid header, valid checksum, and an entry whose `memory_bytes`
+    /// claims far more than its analysis holds. Charging the stored
+    /// number would overflow the byte count, or wrap and undercharge.
+    #[test]
+    fn a_memory_charge_that_disagrees_with_the_decoded_analysis_is_corrupt() {
+        let img = image(0);
+        let store = warm_store(std::slice::from_ref(&img));
+        let entry = &store.export_entries()[0];
+        let mut analysis = entry.analysis.clone_exact();
+        analysis.stats.memory_bytes = usize::MAX - 8;
+        let mut payload = SnapWriter::new();
+        payload.put_usize(1);
+        for lane in entry.key.lanes() {
+            lane.snap(&mut payload);
+        }
+        img.snap(&mut payload);
+        analysis.snap(&mut payload);
+        let options = AnalysisOptions::default();
+        let bytes = seal(&payload.into_bytes(), 1, &options);
+
+        let dir = std::env::temp_dir().join(format!("spike-snap-mem-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.snap");
+        std::fs::write(&path, &bytes).unwrap();
+        match read(&path, &options) {
+            Err(SnapshotError::Corrupt(what)) => assert!(what.contains("memory_bytes"), "{what}"),
             Err(other) => panic!("must be Corrupt, got {other:?}"),
             Ok(_) => panic!("must be Corrupt, got a decoded snapshot"),
         }
