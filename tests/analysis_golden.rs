@@ -4,14 +4,19 @@
 //! engine runs at all) must not change a single bit of what the analysis
 //! computes. This suite records, for the 16 synthetic profiles at 30
 //! routines and four runnable executables, one FNV-64 over every PSG
-//! node's `MAY-USE`/`MAY-DEF`/`MUST-DEF`/`LIVE`, every edge label, every
-//! routine summary and `stats.memory_bytes` — all read through public
-//! accessors, none of the timing or effort counters.
+//! node's `MAY-USE`/`MAY-DEF`/`MUST-DEF`/`LIVE`, every edge label and
+//! every routine summary — all read through public accessors. Beside the
+//! hash each line carries three columns of its own: the phase-1 and
+//! phase-2 visit counts (both phases are serial FIFO worklists, so the
+//! counts repeat exactly and pin the solver's schedule, including the
+//! order of every PSG adjacency row) and `stats.memory_bytes`. A layout
+//! change that only moves memory shows as a `memory_bytes=` diff with
+//! every hash unchanged.
 //!
-//! `tests/golden/analysis.fnv` was recorded with the sparse SCC-wave
-//! engine that was the default before the FIFO worklist became the only
-//! phase solver; it is the one check that spans that deletion. Regenerate
-//! only after an intentional change to what the analysis computes:
+//! The hashes were first recorded with the sparse SCC-wave engine that
+//! was the default before the FIFO worklist became the only phase solver;
+//! they are the one check that spans that deletion. Regenerate only after
+//! an intentional change to what the analysis computes or holds:
 //! `UPDATE_GOLDEN=1 cargo test --test analysis_golden`
 
 use spike::core::{analyze, Analysis};
@@ -57,12 +62,14 @@ fn line(name: &str, program: &Program) -> String {
         h.sets(&s.live_at_exit);
         h.word(s.saved_restored.bits());
     }
-    h.word(stats.memory_bytes as u64);
     format!(
-        "{name} analysis={:016x} nodes={} edges={} memory_bytes={}\n",
+        "{name} analysis={:016x} nodes={} edges={} phase1_visits={} phase2_visits={} \
+         memory_bytes={}\n",
         h.0,
         psg.nodes().len(),
         psg.edges().len(),
+        stats.phase1_visits,
+        stats.phase2_visits,
         stats.memory_bytes
     )
 }
