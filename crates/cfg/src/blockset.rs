@@ -1,14 +1,10 @@
-//! Dense bitsets over basic blocks, used by the PSG subgraph chopper.
+//! Dense bitsets over basic blocks, used for natural-loop bodies.
 
 use spike_isa::{CloneExact, HeapSize};
 
 use crate::block::BlockId;
 
 /// A set of basic blocks within one routine, as a dense bitset.
-///
-/// Flow-summary-edge construction intersects forward- and
-/// backward-reachable block sets for every edge (§3.1 of the paper), so
-/// membership and intersection must be cheap.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BlockSet {
     words: Vec<u64>,
@@ -63,24 +59,6 @@ impl BlockSet {
     /// Removes all blocks.
     pub fn clear(&mut self) {
         self.words.fill(0);
-    }
-
-    /// The intersection of `self` and `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn intersection(&self, other: &BlockSet) -> BlockSet {
-        assert_eq!(self.len, other.len, "universe mismatch");
-        BlockSet {
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a & b).collect(),
-            len: self.len,
-        }
-    }
-
-    /// Whether `self` and `other` share any block.
-    pub fn intersects(&self, other: &BlockSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Iterates over members in ascending index order.
@@ -141,17 +119,6 @@ mod tests {
         }
         let v: Vec<usize> = s.iter().map(|x| x.index()).collect();
         assert_eq!(v, vec![0, 5, 64, 65, 199]);
-    }
-
-    #[test]
-    fn intersects_detects_overlap() {
-        let mut a = BlockSet::new(100);
-        let mut c = BlockSet::new(100);
-        a.insert(b(70));
-        c.insert(b(71));
-        assert!(!a.intersects(&c));
-        c.insert(b(70));
-        assert!(a.intersects(&c));
     }
 
     #[test]

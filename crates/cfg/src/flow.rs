@@ -12,108 +12,100 @@
 
 use crate::block::{BlockId, TermKind};
 use crate::build::RoutineCfg;
+use crate::csr::Csr;
 
-/// One direction of the relation: `adj[off[b]..off[b + 1]]` are `b`'s
-/// neighbours.
-#[derive(Clone, Debug)]
-struct Csr {
-    off: Vec<u32>,
-    adj: Vec<BlockId>,
+/// The inverse of `rel`, by a counting sort over its items; each row
+/// lists its sources in ascending block order.
+fn inverse(rel: &Csr<BlockId>) -> Csr<BlockId> {
+    let n = rel.rows();
+    let mut offsets = vec![0u32; n + 1];
+    for t in &rel.items {
+        offsets[t.index() + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut next = offsets.clone();
+    let mut items = vec![BlockId::from_index(0); rel.items.len()];
+    for b in 0..n {
+        for t in rel.row(b) {
+            items[next[t.index()] as usize] = BlockId::from_index(b);
+            next[t.index()] += 1;
+        }
+    }
+    Csr { offsets, items }
 }
 
-impl Csr {
-    fn of(&self, b: BlockId) -> &[BlockId] {
-        &self.adj[self.off[b.index()] as usize..self.off[b.index() + 1] as usize]
+/// Blocks reachable from `roots` along `rel`.
+fn reachable_from(rel: &Csr<BlockId>, roots: &[BlockId]) -> Vec<bool> {
+    let mut seen = vec![false; rel.rows()];
+    let mut stack: Vec<BlockId> = Vec::new();
+    for &r in roots {
+        if !std::mem::replace(&mut seen[r.index()], true) {
+            stack.push(r);
+        }
     }
-
-    /// The inverse relation; each row lists its sources in ascending
-    /// block order.
-    fn inverse(&self) -> Csr {
-        let n = self.off.len() - 1;
-        let mut off = vec![0u32; n + 1];
-        for t in &self.adj {
-            off[t.index() + 1] += 1;
-        }
-        for i in 0..n {
-            off[i + 1] += off[i];
-        }
-        let mut next = off.clone();
-        let mut adj = vec![BlockId::from_index(0); self.adj.len()];
-        for b in 0..n {
-            for t in self.of(BlockId::from_index(b)) {
-                adj[next[t.index()] as usize] = BlockId::from_index(b);
-                next[t.index()] += 1;
+    while let Some(b) = stack.pop() {
+        for &s in rel.row(b.index()) {
+            if !std::mem::replace(&mut seen[s.index()], true) {
+                stack.push(s);
             }
         }
-        Csr { off, adj }
     }
+    seen
+}
 
-    fn reachable_from(&self, roots: &[BlockId]) -> Vec<bool> {
-        let mut seen = vec![false; self.off.len() - 1];
-        let mut stack: Vec<BlockId> = Vec::new();
-        for &r in roots {
-            if !std::mem::replace(&mut seen[r.index()], true) {
-                stack.push(r);
-            }
+/// Reverse-postorder ranks of a depth-first search from `roots` along
+/// `rel`; unreached blocks get the tail ranks, in block order.
+fn rpo_ranks(rel: &Csr<BlockId>, roots: &[BlockId]) -> Vec<u32> {
+    let n = rel.rows();
+    let mut rank = vec![u32::MAX; n];
+    let mut seen = vec![false; n];
+    let mut postorder: Vec<BlockId> = Vec::with_capacity(n);
+    let mut dfs: Vec<(BlockId, u32)> = Vec::new();
+    for &r in roots {
+        if std::mem::replace(&mut seen[r.index()], true) {
+            continue;
         }
-        while let Some(b) = stack.pop() {
-            for &s in self.of(b) {
-                if !std::mem::replace(&mut seen[s.index()], true) {
-                    stack.push(s);
+        dfs.push((r, 0));
+        while let Some(frame) = dfs.last_mut() {
+            let (x, k) = (frame.0, frame.1 as usize);
+            if let Some(&y) = rel.row(x.index()).get(k) {
+                frame.1 += 1;
+                if !std::mem::replace(&mut seen[y.index()], true) {
+                    dfs.push((y, 0));
                 }
+            } else {
+                dfs.pop();
+                postorder.push(x);
             }
         }
-        seen
     }
-
-    fn rpo_ranks(&self, roots: &[BlockId]) -> Vec<u32> {
-        let n = self.off.len() - 1;
-        let mut rank = vec![u32::MAX; n];
-        let mut seen = vec![false; n];
-        let mut postorder: Vec<BlockId> = Vec::with_capacity(n);
-        let mut dfs: Vec<(BlockId, u32)> = Vec::new();
-        for &r in roots {
-            if std::mem::replace(&mut seen[r.index()], true) {
-                continue;
-            }
-            dfs.push((r, 0));
-            while let Some(frame) = dfs.last_mut() {
-                let (x, k) = (frame.0, frame.1 as usize);
-                if let Some(&y) = self.of(x).get(k) {
-                    frame.1 += 1;
-                    if !std::mem::replace(&mut seen[y.index()], true) {
-                        dfs.push((y, 0));
-                    }
-                } else {
-                    dfs.pop();
-                    postorder.push(x);
-                }
-            }
-        }
-        let mut next = 0u32;
-        for x in postorder.iter().rev() {
-            rank[x.index()] = next;
-            next += 1;
-        }
-        for r in rank.iter_mut().filter(|r| **r == u32::MAX) {
-            *r = next;
-            next += 1;
-        }
-        rank
+    let mut next = 0u32;
+    for x in postorder.iter().rev() {
+        rank[x.index()] = next;
+        next += 1;
     }
+    for r in rank.iter_mut().filter(|r| **r == u32::MAX) {
+        *r = next;
+        next += 1;
+    }
+    rank
 }
 
 /// The flow arcs of one routine and their inverse; see the module docs.
 #[derive(Clone, Debug)]
 pub struct FlowArcs {
-    succs: Csr,
-    preds: Csr,
+    succs: Csr<BlockId>,
+    /// The inverse relation; each row lists its sources in ascending
+    /// block order.
+    preds: Csr<BlockId>,
 }
 
 impl FlowArcs {
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.succs.off.len() - 1
+        self.succs.rows()
     }
 
     /// Whether the routine has no blocks (never true once built).
@@ -124,53 +116,53 @@ impl FlowArcs {
     /// The blocks control can reach next from `b`: its CFG successors,
     /// or the return point for a returning call.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        self.succs.of(b)
+        self.succs.row(b.index())
     }
 
     /// The blocks control can arrive at `b` from, ascending.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        self.preds.of(b)
+        self.preds.row(b.index())
     }
 
     /// Blocks reachable from `roots` along flow arcs.
     pub fn reachable_from(&self, roots: &[BlockId]) -> Vec<bool> {
-        self.succs.reachable_from(roots)
+        reachable_from(&self.succs, roots)
     }
 
     /// Blocks from which some block of `roots` is reachable.
     pub fn reaching(&self, roots: &[BlockId]) -> Vec<bool> {
-        self.preds.reachable_from(roots)
+        reachable_from(&self.preds, roots)
     }
 
     /// Reverse-postorder ranks of a depth-first search from `roots`
     /// along flow arcs — the priority order for forward solvers. Blocks
     /// the search does not reach get the tail ranks, in block order.
     pub fn rpo_ranks(&self, roots: &[BlockId]) -> Vec<u32> {
-        self.succs.rpo_ranks(roots)
+        rpo_ranks(&self.succs, roots)
     }
 
     /// [`FlowArcs::rpo_ranks`] over the inverse relation — the priority
     /// order for backward solvers, rooted at the blocks flow ends in.
     pub fn rpo_ranks_backward(&self, roots: &[BlockId]) -> Vec<u32> {
-        self.preds.rpo_ranks(roots)
+        rpo_ranks(&self.preds, roots)
     }
 }
 
 impl RoutineCfg {
     /// Builds the routine's flow arcs.
     pub fn flow_arcs(&self) -> FlowArcs {
-        let mut off = Vec::with_capacity(self.blocks().len() + 1);
-        let mut adj = Vec::with_capacity(self.arc_count() + self.call_count());
-        off.push(0);
+        let mut offsets = Vec::with_capacity(self.blocks().len() + 1);
+        let mut items = Vec::with_capacity(self.arc_count() + self.call_count());
+        offsets.push(0);
         for block in self.blocks() {
             if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
-                adj.push(*rt);
+                items.push(*rt);
             }
-            adj.extend_from_slice(block.succs());
-            off.push(adj.len() as u32);
+            items.extend_from_slice(block.succs());
+            offsets.push(items.len() as u32);
         }
-        let succs = Csr { off, adj };
-        let preds = succs.inverse();
+        let succs = Csr { offsets, items };
+        let preds = inverse(&succs);
         FlowArcs { succs, preds }
     }
 }

@@ -20,7 +20,9 @@
 //!   analysis and by the Table 5 size comparison,
 //! * the [`FlowArcs`] relation that adds the call → return-point arcs
 //!   back, with its reverse-postorder ranks, shared by the dataflow
-//!   solvers.
+//!   solvers,
+//! * [`Csr`], the compressed-sparse-row table `FlowArcs` and the PSG
+//!   store their graphs in.
 //!
 //! # Example
 //!
@@ -46,6 +48,7 @@
 mod block;
 mod blockset;
 mod build;
+mod csr;
 mod dom;
 mod flow;
 mod loops;
@@ -55,6 +58,7 @@ mod snap;
 pub use block::{BasicBlock, BlockId, CallTarget, TermKind};
 pub use blockset::BlockSet;
 pub use build::RoutineCfg;
+pub use csr::Csr;
 pub use dom::DomTree;
 pub use flow::FlowArcs;
 pub use loops::{LoopForest, NaturalLoop};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use spike_cfg::BlockId;
+use spike_cfg::{BlockId, Csr};
 use spike_isa::{HeapSize, RegSet};
 use spike_program::RoutineId;
 
@@ -272,21 +272,29 @@ spike_isa::analysis_struct! {
     /// carries `MAY-USE`/`MAY-DEF`/`MUST-DEF` sets (filled by phase 1) and a
     /// phase-2 liveness set. Edges summarize the register definitions and uses
     /// occurring on the control-flow paths they represent.
+    ///
+    /// The five adjacency tables are [`Csr`] tables, filled once at the end
+    /// of the build. Every row lists its items in ascending id order — the
+    /// order a per-row push in id order would have produced — and the phase
+    /// worklists visit rows in that order, so the layout pins the visit
+    /// counts (DESIGN.md "Graph data layout").
     #[derive(Clone, PartialEq, Eq, Debug)]
     pub struct Psg {
         pub(crate) nodes: Vec<NodeKind>,
         pub(crate) edges: Vec<Edge>,
-        pub(crate) out_edges: Vec<Vec<EdgeId>>,
-        pub(crate) in_edges: Vec<Vec<EdgeId>>,
+        /// Per node: the edges leaving it.
+        pub(crate) out_edges: Csr<EdgeId>,
+        /// Per node: the edges entering it.
+        pub(crate) in_edges: Csr<EdgeId>,
         pub(crate) routines: Vec<RoutineNodes>,
-        /// Per call-return edge: the callee entry nodes whose phase-1 values
-        /// feed it (empty for flow edges and unknown-target calls).
-        pub(crate) cr_sources: Vec<Vec<NodeId>>,
+        /// Per edge: the callee entry nodes whose phase-1 values feed it
+        /// (empty for flow edges and unknown-target calls).
+        pub(crate) cr_sources: Csr<NodeId>,
         /// Per node: the call-return edges fed by this (entry) node.
-        pub(crate) entry_cr_edges: Vec<Vec<EdgeId>>,
+        pub(crate) entry_cr_edges: Csr<EdgeId>,
         /// Per node: the callee exit nodes a (return) node broadcasts phase-2
         /// liveness to.
-        pub(crate) return_exit_targets: Vec<Vec<NodeId>>,
+        pub(crate) return_exit_targets: Csr<NodeId>,
         /// Nodes whose dataflow values are fixed (unknown-jump, halt sinks).
         pub(crate) pinned: Vec<bool>,
         /// Per node: the liveness pinned at an unknown-jump sink — every
@@ -330,13 +338,13 @@ impl Psg {
     /// Outgoing edges of `n`.
     #[inline]
     pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.out_edges[n.index()]
+        self.out_edges.row(n.index())
     }
 
     /// Incoming edges of `n`.
     #[inline]
     pub fn in_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.in_edges[n.index()]
+        self.in_edges.row(n.index())
     }
 
     /// The node directory for `routine`.
@@ -376,6 +384,53 @@ impl Psg {
     #[inline]
     pub fn live(&self, n: NodeId) -> RegSet {
         self.live[n.index()]
+    }
+
+    /// Checks what the phase solvers index by without a bounds argument:
+    /// every per-node array and adjacency table has one entry per node
+    /// (one row per edge for the call-return sources), and every id an
+    /// edge or a table names exists. A built PSG always passes; a decoded
+    /// snapshot is checked before anything solves over it.
+    ///
+    /// # Errors
+    ///
+    /// Names the first table that does not fit the graph.
+    pub fn check_tables(&self) -> Result<(), &'static str> {
+        let (n, m) = (self.nodes.len(), self.edges.len());
+        let per_node = [
+            self.pinned.len(),
+            self.uj_live.len(),
+            self.may_use.len(),
+            self.may_def.len(),
+            self.must_def.len(),
+            self.live.len(),
+        ];
+        if per_node.iter().any(|&len| len != n) {
+            return Err("node values");
+        }
+        if self.edges.iter().any(|e| e.from.index() >= n || e.to.index() >= n) {
+            return Err("edges");
+        }
+        let edge_tables = [
+            ("out_edges", &self.out_edges),
+            ("in_edges", &self.in_edges),
+            ("entry_cr_edges", &self.entry_cr_edges),
+        ];
+        for (name, table) in edge_tables {
+            if table.rows() != n || table.items().iter().any(|e| e.index() >= m) {
+                return Err(name);
+            }
+        }
+        let node_tables = [
+            ("cr_sources", &self.cr_sources, m),
+            ("return_exit_targets", &self.return_exit_targets, n),
+        ];
+        for (name, table, rows) in node_tables {
+            if table.rows() != rows || table.items().iter().any(|x| x.index() >= n) {
+                return Err(name);
+            }
+        }
+        Ok(())
     }
 
     /// Aggregate size statistics (Tables 3–5).

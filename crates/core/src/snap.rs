@@ -197,18 +197,52 @@ mod tests {
         assert_eq!(re.stats.memory_bytes, scratch.stats.memory_bytes);
     }
 
+    /// Every strict prefix of an encoding fails to decode — with an
+    /// error, never a panic — whichever field the cut lands in.
     #[test]
-    fn truncated_analysis_payloads_error_cleanly() {
-        let (_, a) = sample_analysis();
+    fn every_truncated_analysis_payload_errors_cleanly() {
+        let mut b = ProgramBuilder::new();
+        b.routine("main")
+            .switch(Reg::T0, &["a", "b", "c"])
+            .label("a")
+            .call("leaf")
+            .label("b")
+            .def(Reg::A0)
+            .label("c")
+            .halt();
+        b.routine("leaf").copy(Reg::A0, Reg::V0).ret();
+        let p = b.build().unwrap();
+        let a = analyze_with(&p, &AnalysisOptions::default());
         let mut w = SnapWriter::new();
         a.snap(&mut w);
         let bytes = w.into_bytes();
-        // Sample cut points across the payload (every offset would take
-        // minutes on a payload this size).
-        for cut in (0..bytes.len()).step_by(97) {
+        for cut in 0..bytes.len() {
             let mut r = SnapReader::new(&bytes[..cut]);
             assert!(Analysis::unsnap(&mut r).is_err(), "cut at {cut} must not decode");
         }
+        assert!(Analysis::unsnap(&mut SnapReader::new(&bytes)).is_ok());
+    }
+
+    #[test]
+    fn tables_that_do_not_fit_the_graph_are_named() {
+        let (_, a) = sample_analysis();
+        assert_eq!(a.psg.check_tables(), Ok(()));
+        let n = a.psg.nodes.len();
+        let mut psg = a.psg.clone();
+        psg.out_edges = spike_cfg::Csr::empty(n - 1);
+        assert_eq!(psg.check_tables(), Err("out_edges"));
+        let mut psg = a.psg.clone();
+        psg.cr_sources = spike_cfg::Csr::empty(n);
+        assert_eq!(psg.check_tables(), Err("cr_sources"), "one row per edge, not per node");
+        let mut psg = a.psg.clone();
+        psg.in_edges = spike_cfg::Csr::from_pairs(
+            n,
+            [(0, crate::EdgeId::from_index(psg.edges.len()))].into_iter(),
+        );
+        assert_eq!(psg.check_tables(), Err("in_edges"), "an edge id past the last edge");
+        let mut psg = a.psg;
+        psg.live.pop();
+        assert_eq!(psg.check_tables(), Err("node values"));
     }
 
     #[test]

@@ -80,6 +80,14 @@ impl PriorityWorklist {
         PriorityWorklist { heap: BinaryHeap::new(), queued: vec![false; universe] }
     }
 
+    /// Widens the item universe to at least `0..universe`, so one
+    /// drained worklist can serve problems of different sizes.
+    pub fn cover(&mut self, universe: usize) {
+        if self.queued.len() < universe {
+            self.queued.resize(universe, false);
+        }
+    }
+
     /// Queues `item` at `rank` unless it is already queued. Returns
     /// whether the item was newly queued.
     pub fn push(&mut self, item: usize, rank: u32) -> bool {
@@ -146,6 +154,19 @@ mod tests {
         assert_eq!(wl.pop(), Some(0));
         assert_eq!(wl.pop(), Some(1));
         assert_eq!(wl.pop(), Some(2));
+    }
+
+    #[test]
+    fn a_covered_worklist_serves_a_wider_problem() {
+        let mut wl = PriorityWorklist::default();
+        wl.cover(2);
+        wl.push(1, 0);
+        assert_eq!(wl.pop(), Some(1));
+        wl.cover(6);
+        wl.cover(3);
+        wl.push(5, 1);
+        wl.push(0, 0);
+        assert_eq!((wl.pop(), wl.pop(), wl.pop()), (Some(0), Some(5), None));
     }
 
     #[test]

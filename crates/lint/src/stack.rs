@@ -26,8 +26,14 @@ use spike_core::{AccessKind, Analysis, StackAccess};
 use spike_program::{Program, RoutineId};
 
 use crate::diag::{Check, Diagnostic, LintReport};
+use crate::frame::LintFrame;
 
-pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintReport) {
+pub(crate) fn check(
+    program: &Program,
+    analysis: &Analysis,
+    frame: &LintFrame,
+    report: &mut LintReport,
+) {
     for (rid, routine) in program.iter() {
         let rs = analysis.stack.routine(rid);
         if rs.frame.escaped {
@@ -60,7 +66,7 @@ pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintRep
                 );
                 d.addr = Some(access.addr);
                 d.slot = Some(access.entry_off);
-                d.witness = witness_path(program, analysis, rid, &access);
+                d.witness = witness_path(program, analysis, frame, rid, &access);
                 report.push(d);
             } else if access.kind == AccessKind::Store && !access.live_after {
                 let mut d = Diagnostic::new(
@@ -85,6 +91,7 @@ pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintRep
 fn witness_path(
     program: &Program,
     analysis: &Analysis,
+    frame: &LintFrame,
     rid: RoutineId,
     access: &StackAccess,
 ) -> Vec<u32> {
@@ -93,7 +100,7 @@ fn witness_path(
         return Vec::new();
     };
     let cfg = analysis.cfg.routine_cfg(rid);
-    let arcs = cfg.flow_arcs();
+    let arcs = &frame.routine(rid).arcs;
     let nb = cfg.blocks().len();
     let target = access.block;
     let mut parent: Vec<Option<BlockId>> = vec![None; nb];

@@ -16,13 +16,15 @@
 
 use std::collections::VecDeque;
 
-use spike_cfg::{BlockId, CallTarget, FlowArcs, ProgramCfg, RoutineCfg, TermKind};
+use spike_callgraph::CallGraph;
+use spike_cfg::{BlockId, CallTarget, ProgramCfg, RoutineCfg, TermKind};
 use spike_core::worklist::PriorityWorklist;
 use spike_core::{Analysis, ProgramSummary};
 use spike_isa::{CallingStandard, Instruction, Reg, RegSet};
 use spike_program::{Program, RoutineId};
 
 use crate::diag::{Check, Diagnostic, LintReport};
+use crate::frame::{LintFrame, RoutineFrame};
 
 /// Registers defined before the program's first instruction: the machine
 /// initializes the stack pointer and the return address, and the zero
@@ -82,14 +84,13 @@ fn call_defined_per_block(
 /// One in-scope routine's share of the fixpoint system, built once: the
 /// structure every solve of the routine runs over, and what the last
 /// solve left behind.
-struct Plan {
-    /// Definedness arcs: successors plus the call → return-point arc the
-    /// CFG itself omits (definedness flows through the callee).
-    arcs: FlowArcs,
-    /// Reverse postorder over `arcs` from the entrances: most blocks see
-    /// their final predecessor facts on the first evaluation, and a
-    /// change only re-queues the blocks that actually read it.
-    rank: Vec<u32>,
+struct Plan<'f> {
+    /// Definedness flows along the frame's arcs: successors plus the
+    /// call → return-point arc (definedness flows through the callee).
+    /// Its reverse postorder from the entrances is the pop order: most
+    /// blocks see their final predecessor facts on the first evaluation,
+    /// and a change only re-queues the blocks that actually read it.
+    frame: &'f RoutineFrame,
     /// Per block, what its flow successors see on top of its own
     /// entry facts: `DEF`, plus `call-defined` for a call block.
     gen: Vec<RegSet>,
@@ -101,16 +102,19 @@ struct Plan {
     solved: bool,
 }
 
-impl Plan {
-    fn build(pcfg: &ProgramCfg, summary: &ProgramSummary, rid: RoutineId) -> Plan {
+impl<'f> Plan<'f> {
+    fn build(
+        pcfg: &ProgramCfg,
+        summary: &ProgramSummary,
+        frame: &'f RoutineFrame,
+        rid: RoutineId,
+    ) -> Plan<'f> {
         let cfg = pcfg.routine_cfg(rid);
-        let arcs = cfg.flow_arcs();
-        let rank = arcs.rpo_ranks(cfg.entries());
         let cs_defined = call_defined_per_block(pcfg, summary, rid);
         let gen = cfg.blocks().iter().zip(cs_defined).map(|(b, cs)| b.def() | cs).collect();
         let calls = cfg.call_blocks().collect();
-        let constraint = vec![RegSet::ALL; rank.len()];
-        Plan { arcs, rank, gen, constraint, calls, solved: false }
+        let constraint = vec![RegSet::ALL; frame.rank.len()];
+        Plan { frame, gen, constraint, calls, solved: false }
     }
 
     /// Brings `block_in` to the routine's local fixpoint under the
@@ -135,24 +139,25 @@ impl Plan {
             let met = self.constraint[b.index()] & at_entrance;
             if met != self.constraint[b.index()] {
                 self.constraint[b.index()] = met;
-                wl.push(b.index(), self.rank[b.index()]);
+                wl.push(b.index(), self.frame.rank[b.index()]);
             }
         }
         if !std::mem::replace(&mut self.solved, true) {
-            for (i, &r) in self.rank.iter().enumerate() {
+            for (i, &r) in self.frame.rank.iter().enumerate() {
                 wl.push(i, r);
             }
         }
+        let (arcs, rank) = (&self.frame.arcs, &self.frame.rank);
         while let Some(i) = wl.pop() {
             let b = BlockId::from_index(i);
             let mut acc = self.constraint[i];
-            for &p in self.arcs.preds(b) {
+            for &p in arcs.preds(b) {
                 acc &= block_in[p.index()] | self.gen[p.index()];
             }
             if acc != block_in[i] {
                 block_in[i] = acc;
-                for &s in self.arcs.succs(b) {
-                    wl.push(s.index(), self.rank[s.index()]);
+                for &s in arcs.succs(b) {
+                    wl.push(s.index(), rank[s.index()]);
                 }
             }
         }
@@ -186,10 +191,13 @@ impl Plan {
 /// never read the dropped ones. Outside the closure `block_in` is never
 /// computed and an entrance has met only its in-closure callers:
 /// neither must be read.
+///
+/// `frame` must hold the frame of every routine the iteration covers.
 pub(crate) fn compute_scoped(
     program: &Program,
     cfg: &ProgramCfg,
     summary: &ProgramSummary,
+    frame: &LintFrame,
     scope: Option<RoutineId>,
 ) -> MustDefined {
     let std = summary.calling_standard();
@@ -215,23 +223,12 @@ pub(crate) fn compute_scoped(
 
     // Callers-first order: entrance facts propagate down call chains
     // before the callee is first solved.
-    let callgraph = spike_callgraph::CallGraph::build(program, cfg);
-    let mut order: Vec<RoutineId> = callgraph.sccs().bottom_up().concat();
+    let mut order: Vec<RoutineId> = frame.callgraph.sccs().bottom_up().concat();
     order.reverse();
 
     // Restrict the iteration to the target's caller closure.
     if let Some(target) = scope {
-        let mut mask = vec![false; program.routines().len()];
-        let mut stack = vec![target];
-        mask[target.index()] = true;
-        while let Some(r) = stack.pop() {
-            for &c in callgraph.callers(r) {
-                if !mask[c.index()] {
-                    mask[c.index()] = true;
-                    stack.push(c);
-                }
-            }
-        }
+        let mask = caller_closure(&frame.callgraph, target);
         order.retain(|r| mask[r.index()]);
     }
 
@@ -241,12 +238,13 @@ pub(crate) fn compute_scoped(
     for (i, &rid) in order.iter().enumerate() {
         position[rid.index()] = Some(i);
     }
-    let mut plans: Vec<Plan> = order.iter().map(|&rid| Plan::build(cfg, summary, rid)).collect();
+    let mut plans: Vec<Plan> =
+        order.iter().map(|&rid| Plan::build(cfg, summary, frame.routine(rid), rid)).collect();
     let mut routines = PriorityWorklist::new(order.len());
     for i in 0..order.len() {
         routines.push(i, i as u32);
     }
-    let widest = plans.iter().map(|p| p.rank.len()).max().unwrap_or(0);
+    let widest = plans.iter().map(|p| p.constraint.len()).max().unwrap_or(0);
     let mut blocks = PriorityWorklist::new(widest);
 
     while let Some(i) = routines.pop() {
@@ -277,6 +275,23 @@ pub(crate) fn compute_scoped(
         }
     }
     MustDefined { entry, block_in }
+}
+
+/// `target` and every routine with a call path to it: the only routines
+/// whose facts can flow into `target`'s entrances.
+fn caller_closure(callgraph: &CallGraph, target: RoutineId) -> Vec<bool> {
+    let mut mask = vec![false; callgraph.len()];
+    let mut stack = vec![target];
+    mask[target.index()] = true;
+    while let Some(r) = stack.pop() {
+        for &c in callgraph.callers(r) {
+            if !mask[c.index()] {
+                mask[c.index()] = true;
+                stack.push(c);
+            }
+        }
+    }
+    mask
 }
 
 /// A shortest intra-routine path (as block-start addresses) from an
@@ -389,6 +404,12 @@ fn check_one(
     let mut flagged = RegSet::EMPTY;
     for (bi, block) in rcfg.blocks().iter().enumerate() {
         let mut defined = md.block_in[rid.index()][bi];
+        // Checked uses are uses, and a use the block itself does not
+        // define first is in `UBD`: with all of `UBD` defined on entry,
+        // nothing in the block can be flagged.
+        if block.ubd().is_subset(defined) {
+            continue;
+        }
         for addr in block.start()..block.end() {
             let insn = routine.insn_at(addr).expect("address in routine");
             let missing = checked_uses(insn) - defined;
@@ -427,19 +448,24 @@ fn check_one(
 
 /// Flags every use not covered by the must-defined solution, across the
 /// whole program.
-pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintReport) {
-    let md = compute_scoped(program, &analysis.cfg, &analysis.summary, None);
+pub(crate) fn check(
+    program: &Program,
+    analysis: &Analysis,
+    frame: &LintFrame,
+    report: &mut LintReport,
+) {
+    let md = compute_scoped(program, &analysis.cfg, &analysis.summary, frame, None);
     for (rid, _) in program.iter() {
         check_one(program, &analysis.cfg, &analysis.summary, &md, rid, report);
     }
 }
 
-/// Single-routine variant, for `query uninit`: converges the
-/// must-defined fixpoint over `rid`'s caller closure only and flags only
-/// `rid`'s reads. The findings equal the whole-program [`check`]'s
-/// findings for `rid` exactly (see [`compute_scoped`]); `summary` only
-/// needs converged `call-defined` facts for the call sites inside the
-/// closure.
+/// Single-routine variant, for `query uninit`: builds flow frames for
+/// `rid`'s caller closure only, converges the must-defined fixpoint over
+/// it and flags only `rid`'s reads. The findings equal the whole-program
+/// [`check`]'s findings for `rid` exactly (see [`compute_scoped`]);
+/// `summary` only needs converged `call-defined` facts for the call sites
+/// inside the closure.
 pub(crate) fn check_routine(
     program: &Program,
     cfg: &ProgramCfg,
@@ -447,7 +473,10 @@ pub(crate) fn check_routine(
     rid: RoutineId,
     report: &mut LintReport,
 ) {
-    let md = compute_scoped(program, cfg, summary, Some(rid));
+    let callgraph = CallGraph::build(program, cfg);
+    let closure = caller_closure(&callgraph, rid);
+    let frame = LintFrame::build(cfg, callgraph, |r| closure[r.index()]);
+    let md = compute_scoped(program, cfg, summary, &frame, Some(rid));
     check_one(program, cfg, summary, &md, rid, report);
 }
 
@@ -465,12 +494,17 @@ mod tests {
     fn assert_matches_reference(program: &Program, scopes: &[RoutineId]) {
         let analysis = spike_core::analyze(program);
         let (cfg, summary) = (&analysis.cfg, &analysis.summary);
+        let frame = full_frame(program, cfg);
         for scope in std::iter::once(None).chain(scopes.iter().copied().map(Some)) {
-            let new = compute_scoped(program, cfg, summary, scope);
+            let new = compute_scoped(program, cfg, summary, &frame, scope);
             let (old, _) = reference::compute_scoped(program, cfg, summary, scope);
             assert_eq!(new.entry, old.entry, "entrances, scope {scope:?}");
             assert_eq!(new.block_in, old.block_in, "block facts, scope {scope:?}");
         }
+    }
+
+    fn full_frame(program: &Program, cfg: &ProgramCfg) -> LintFrame {
+        LintFrame::build(cfg, CallGraph::build(program, cfg), |_| true)
     }
 
     fn spread(program: &Program) -> Vec<RoutineId> {
@@ -519,7 +553,8 @@ mod tests {
         let (old, sweeps) = reference::compute_scoped(&program, cfg, summary, None);
         assert!(sweeps >= 4, "entrances shrink over three rounds, then one confirms: {sweeps}");
 
-        let new = compute_scoped(&program, cfg, summary, None);
+        let frame = full_frame(&program, cfg);
+        let new = compute_scoped(&program, cfg, summary, &frame, None);
         assert_eq!(new.entry, old.entry);
         assert_eq!(new.block_in, old.block_in);
         for name in ["a", "b", "c", "d"] {
@@ -533,7 +568,7 @@ mod tests {
         assert_matches_reference(&program, &spread(&program));
 
         let mut report = LintReport::default();
-        check(&program, &analysis, &mut report);
+        check(&program, &analysis, &frame, &mut report);
         let flagged: Vec<_> =
             report.diagnostics().iter().map(|d| (d.routine.as_str(), d.reg)).collect();
         assert_eq!(flagged, vec![("b", Some(Reg::T0))]);

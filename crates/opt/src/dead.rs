@@ -106,7 +106,7 @@ fn routine_dead(
     let (mut block_gen, mut block_pass): (Vec<RegSet>, Vec<RegSet>) =
         (0..blocks.len()).map(|bi| compose(bi, &dead)).unzip();
 
-    let mut live = RoutineLiveness::empty(blocks.len());
+    let mut live = RoutineLiveness::default();
     let mut wl = PriorityWorklist::new(blocks.len());
     // The `live_end` each block was last scanned with.
     let mut scanned: Vec<Option<RegSet>> = vec![None; blocks.len()];

@@ -35,7 +35,7 @@ use spike_isa::{Instruction, Reg, RegSet};
 use spike_profile::Profile;
 use spike_program::Program;
 
-use crate::liveness::routine_liveness;
+use crate::liveness::{block_liveness, LivenessScratch};
 
 /// The hoists of one loop: instructions to move (delete at their old
 /// address, insert before the header) and the back-edge branches that
@@ -238,6 +238,7 @@ pub(crate) fn find_hoists(
     profile: Option<&Profile>,
 ) -> Hoists {
     let mut out = Hoists::default();
+    let mut liveness = LivenessScratch::default();
 
     for (rid, routine) in program.iter() {
         let cfg = analysis.cfg.routine_cfg(rid);
@@ -246,7 +247,9 @@ pub(crate) fn find_hoists(
         if forest.loops().is_empty() {
             continue;
         }
-        let live = routine_liveness(program, analysis.registers(), rid, &|_| false);
+        let arcs = cfg.flow_arcs();
+        let rank = arcs.rpo_ranks(cfg.entries());
+        let live = block_liveness(program, analysis.registers(), rid, &arcs, &rank, &mut liveness);
         let must_regs = must_defined_in(program, analysis, rid, cfg);
         let rs = analysis.stack.routine(rid);
         // Per-address stack facts: entry offset of every store, and

@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 
 use spike_baseline::BaselineAnalysis;
 use spike_core::{Analysis, AnalysisStats, QueryAnswer, QueryStats};
+use spike_isa::HeapSize;
 use spike_lint::LintReport;
 use spike_opt::OptReport;
 use spike_program::Program;
@@ -74,7 +75,20 @@ pub fn analyze_report(
         program.routines().len() - analysis.stack.escaped_count(),
         analysis.stack.escaped_count()
     );
-    let _ = writeln!(out, "memory {:.2} MB", stats.memory_bytes as f64 / 1e6);
+    // Table 2's yardstick: bytes per basic block, overall and per layer,
+    // each layer measured by its own `HeapSize`.
+    let blocks = analysis.cfg.total_blocks().max(1) as f64;
+    let per_block = |bytes: usize| bytes as f64 / blocks;
+    let _ = writeln!(
+        out,
+        "memory {:.2} MB ({:.1} B/block: cfg {:.1}, psg {:.1}, stack {:.1}, summaries {:.1})",
+        stats.memory_bytes as f64 / 1e6,
+        per_block(stats.memory_bytes),
+        per_block(analysis.cfg.heap_bytes()),
+        per_block(analysis.psg.heap_bytes()),
+        per_block(analysis.stack.heap_bytes()),
+        per_block(analysis.summary.heap_bytes()),
+    );
 
     let wanted = |name: &str| routine.map_or(summaries, |r| r == name);
     for (rid, r) in program.iter() {
@@ -370,6 +384,35 @@ mod tests {
         // Timings live in the diag renderer, never in the report.
         assert!(!r1.contains("time "));
         assert!(analyze_diag(&a.stats).contains("time "));
+    }
+
+    /// The memory line splits `memory_bytes` per basic block and per
+    /// layer, and the layers add up to the total.
+    #[test]
+    fn memory_line_reports_bytes_per_block_by_layer() {
+        let p = sample();
+        let a = analyze(&p);
+        let report = analyze_report("x.img", &p, &a, false, None).unwrap();
+        let line = report.lines().find(|l| l.starts_with("memory ")).expect("memory line");
+        let blocks = a.cfg.total_blocks() as f64;
+        let layers = [
+            ("cfg", a.cfg.heap_bytes()),
+            ("psg", a.psg.heap_bytes()),
+            ("stack", a.stack.heap_bytes()),
+            ("summaries", a.summary.heap_bytes()),
+        ];
+        assert_eq!(layers.iter().map(|l| l.1).sum::<usize>(), a.stats.memory_bytes);
+        let mut expected = format!(
+            "memory {:.2} MB ({:.1} B/block:",
+            a.stats.memory_bytes as f64 / 1e6,
+            a.stats.memory_bytes as f64 / blocks
+        );
+        for (i, (name, bytes)) in layers.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            expected.push_str(&format!("{sep} {name} {:.1}", *bytes as f64 / blocks));
+        }
+        expected.push(')');
+        assert_eq!(line, expected);
     }
 
     #[test]

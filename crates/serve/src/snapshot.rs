@@ -13,7 +13,7 @@
 //! The header is a `spike_core::json` object:
 //!
 //! ```json
-//! {"tool": "spike-served", "format": 6, "entries": 3,
+//! {"tool": "spike-served", "format": 7, "entries": 3,
 //!  "payload_bytes": 123456, "checksum": "<32 hex>", "options_fp": "<16 hex>"}
 //! ```
 //!
@@ -34,8 +34,11 @@
 //! [`Snap`]-encoded. Restore is all-or-nothing: any truncation, bad
 //! tag, or per-entry validation failure abandons the whole snapshot
 //! and the daemon starts cold — never a panic, never a silently wrong
-//! cache. An entry is charged the heap its decoded analysis holds, and
-//! one whose stored `memory_bytes` disagrees with that is corrupt.
+//! cache. Decoding checks every compressed-sparse-row table's offsets,
+//! and each decoded PSG must have one adjacency row per node or edge
+//! ([`spike_core::Psg::check_tables`]) before anything solves over it.
+//! An entry is charged the heap its decoded analysis holds, and one
+//! whose stored `memory_bytes` disagrees with that is corrupt.
 //!
 //! Writes go through a sibling temp file + atomic rename, so a crash
 //! mid-write leaves the previous snapshot intact and a reader never
@@ -53,7 +56,10 @@ use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 
 /// Payload encoding version. Bump on any change to the `Snap` layout of
 /// the analysis structures or to how a header field is computed.
-pub const FORMAT_VERSION: i64 = 6;
+///
+/// 7: the PSG's five adjacency tables and the flow arcs are
+/// compressed-sparse-row tables, and block lists hold two ids inline.
+pub const FORMAT_VERSION: i64 = 7;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
@@ -261,6 +267,10 @@ pub fn read(path: &Path, options: &AnalysisOptions) -> Result<DecodedSnapshot, S
             let b = u64::unsnap(r).map_err(|e| e.to_string())?;
             let image = Vec::<u8>::unsnap(r).map_err(|e| e.to_string())?;
             let analysis = Analysis::unsnap(r).map_err(|e| e.to_string())?;
+            analysis
+                .psg
+                .check_tables()
+                .map_err(|table| format!("psg table {table} does not fit the graph"))?;
             // The store charges what the analysis holds; a stored count
             // that disagrees with it was not written by `encode`.
             let held = analysis.heap_bytes();
@@ -457,6 +467,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Valid header, valid checksum, and a PSG whose out-edge offsets
+    /// decrease: decoding must refuse it before any row is looked up.
+    #[test]
+    fn a_decreasing_csr_offset_under_a_valid_checksum_is_corrupt() {
+        let img = image(1);
+        let store = warm_store(std::slice::from_ref(&img));
+        let entry = &store.export_entries()[0];
+        let mut payload = SnapWriter::new();
+        payload.put_usize(1);
+        for lane in entry.key.lanes() {
+            lane.snap(&mut payload);
+        }
+        img.snap(&mut payload);
+        let analysis_at = payload.len();
+        entry.analysis.snap(&mut payload);
+        let mut bytes = payload.into_bytes();
+
+        // The payload of `Psg` opens with its node and edge vectors, each
+        // a (capacity, length) header and the items; the out-edge offsets
+        // come next, as another such vector of `u32`s.
+        let psg = &entry.analysis.psg;
+        assert!(psg.nodes().len() >= 2, "the image needs two rows to make one decrease");
+        let mut items = SnapWriter::new();
+        psg.nodes().iter().for_each(|n| n.snap(&mut items));
+        psg.edges().iter().for_each(|e| e.snap(&mut items));
+        let offsets_at = analysis_at + 2 * 16 + items.len();
+        let len_at = offsets_at + 8;
+        let rows = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+        assert_eq!(rows as usize, psg.nodes().len() + 1, "found the out-edge offsets");
+        let second = offsets_at + 16 + 4;
+        bytes[second..second + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let options = AnalysisOptions::default();
+        let file = seal(&bytes, 1, &options);
+
+        let dir = std::env::temp_dir().join(format!("spike-snap-csr-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.snap");
+        std::fs::write(&path, &file).unwrap();
+        match read(&path, &options) {
+            Err(SnapshotError::Corrupt(what)) => assert!(what.contains("decrease"), "{what}"),
+            Err(other) => panic!("must be Corrupt, got {other:?}"),
+            Ok(_) => panic!("must be Corrupt, got a decoded snapshot"),
+        }
+        let fresh = ProgramStore::new(options.clone(), usize::MAX);
+        assert!(restore(&path, &fresh, &options).is_err());
+        assert_eq!(fresh.snapshot().entries, 0, "store must stay cold");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn version_and_options_mismatches_are_incompatible() {
         let store = warm_store(&[image(0)]);
@@ -469,13 +528,14 @@ mod tests {
         // Any other format version is refused up front: a future one,
         // version 3, whose `AnalysisOptions`/`AnalysisStats` layouts still
         // carried the solver-selection fields, version 4, whose
-        // `options_fp` was computed with a non-FNV multiplier, and
-        // version 5, whose `Analysis` payload still carried per-routine
-        // loop statistics. Splice the format field in the JSON header and
-        // fix up the length field.
+        // `options_fp` was computed with a non-FNV multiplier, version 5,
+        // whose `Analysis` payload still carried per-routine loop
+        // statistics, and version 6, whose PSG tables were one list per
+        // row and whose block lists were plain vectors. Splice the format
+        // field in the JSON header and fix up the length field.
         let header_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
         let header = std::str::from_utf8(&good[12..12 + header_len]).unwrap();
-        for other in [999, 3, 4, 5] {
+        for other in [999, 3, 4, 5, 6] {
             let spliced_header = header.replacen(
                 &format!("\"format\":{FORMAT_VERSION}"),
                 &format!("\"format\":{other}"),
