@@ -109,6 +109,18 @@ impl CallGraph {
         &self.callers[id.index()]
     }
 
+    /// `roots` and every routine some `roots` member may (transitively)
+    /// call, as a per-routine mask.
+    pub fn callee_closure(&self, roots: &[RoutineId]) -> Vec<bool> {
+        closure(&self.callees, roots)
+    }
+
+    /// `roots` and every routine with a call path to some `roots`
+    /// member, as a per-routine mask.
+    pub fn caller_closure(&self, roots: &[RoutineId]) -> Vec<bool> {
+        closure(&self.callers, roots)
+    }
+
     /// Whether `id` makes at least one unknown-target indirect call.
     pub fn calls_unknown(&self, id: RoutineId) -> bool {
         self.calls_unknown[id.index()]
@@ -165,6 +177,25 @@ impl CallGraph {
             unknown_call_routines: self.calls_unknown.iter().filter(|&&b| b).count(),
         }
     }
+}
+
+/// The routines reachable from `roots` along `rel`, `roots` included.
+fn closure(rel: &[Vec<RoutineId>], roots: &[RoutineId]) -> Vec<bool> {
+    let mut seen = vec![false; rel.len()];
+    let mut stack: Vec<RoutineId> = Vec::new();
+    for &r in roots {
+        if !std::mem::replace(&mut seen[r.index()], true) {
+            stack.push(r);
+        }
+    }
+    while let Some(r) = stack.pop() {
+        for &s in &rel[r.index()] {
+            if !std::mem::replace(&mut seen[s.index()], true) {
+                stack.push(s);
+            }
+        }
+    }
+    seen
 }
 
 impl HeapSize for CallGraph {
@@ -322,6 +353,26 @@ mod tests {
         assert_eq!(cg.callers(id(&p, "a")), &[id(&p, "main")]);
         assert_eq!(cg.stats().edges, 2);
         assert!(!cg.is_empty());
+    }
+
+    #[test]
+    fn closures_follow_calls_both_ways() {
+        // main → a → b ⇄ c, and d → c; e stands alone.
+        let mut b = ProgramBuilder::new();
+        b.routine("main").call("a").halt();
+        b.routine("a").call("b").ret();
+        b.routine("b").call("c").ret();
+        b.routine("c").call("b").ret();
+        b.routine("d").call("c").ret();
+        b.routine("e").ret();
+        let (p, cg) = graph_of(&b);
+        let names = |mask: Vec<bool>| -> Vec<&str> {
+            p.iter().filter(|(r, _)| mask[r.index()]).map(|(_, r)| r.name()).collect()
+        };
+        assert_eq!(names(cg.callee_closure(&[id(&p, "a")])), ["a", "b", "c"]);
+        assert_eq!(names(cg.caller_closure(&[id(&p, "b")])), ["main", "a", "b", "c", "d"]);
+        assert_eq!(names(cg.callee_closure(&[id(&p, "e"), id(&p, "d")])), ["b", "c", "d", "e"]);
+        assert_eq!(names(cg.caller_closure(&[])), Vec::<&str>::new());
     }
 
     #[test]

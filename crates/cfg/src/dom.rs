@@ -18,6 +18,7 @@
 
 use crate::block::BlockId;
 use crate::build::RoutineCfg;
+use crate::flow::FlowArcs;
 
 /// A dominator tree plus dominance frontiers for one routine, built by
 /// [`DomTree::dominators`] / [`DomTree::dominators_linked`].
@@ -49,9 +50,9 @@ impl DomTree {
     /// arcs (interprocedural paths run through the callee); loop
     /// detection and loop-invariant code motion instead need the
     /// routine-local execution order, where a call-and-return inside a
-    /// loop body keeps the body connected.
-    pub fn dominators_linked(cfg: &RoutineCfg) -> DomTree {
-        let arcs = cfg.flow_arcs();
+    /// loop body keeps the body connected. `arcs` must be the routine's
+    /// [`RoutineCfg::flow_arcs`], which the caller builds once and shares.
+    pub fn dominators_linked(cfg: &RoutineCfg, arcs: &FlowArcs) -> DomTree {
         let blocks = (0..arcs.len()).map(BlockId::from_index);
         let succs: Vec<&[BlockId]> = blocks.clone().map(|b| arcs.succs(b)).collect();
         let preds: Vec<&[BlockId]> = blocks.map(|b| arcs.preds(b)).collect();

@@ -59,10 +59,10 @@ pub struct LoopForest {
 impl LoopForest {
     /// Detects the natural loops of `cfg`. `dom` must be the
     /// execution-graph dominator tree of the same routine
-    /// ([`DomTree::dominators_linked`]).
-    pub fn build(cfg: &RoutineCfg, dom: &DomTree) -> LoopForest {
+    /// ([`DomTree::dominators_linked`]) built over `arcs`, the routine's
+    /// [`RoutineCfg::flow_arcs`].
+    pub fn build(cfg: &RoutineCfg, dom: &DomTree, arcs: &FlowArcs) -> LoopForest {
         let n = cfg.blocks().len();
-        let arcs = cfg.flow_arcs();
 
         // Retreating edges via DFS from the entries: an edge to a block
         // still on the DFS stack closes a cycle. If the target dominates
@@ -108,7 +108,7 @@ impl LoopForest {
         // an irreducible edge source.
         let mut demoted = vec![false; n];
         if !irreducible_edges.is_empty() {
-            let scc = sccs(&arcs);
+            let scc = sccs(arcs);
             let mut bad: Vec<usize> = Vec::new();
             for &(src, _) in &irreducible_edges {
                 let c = scc[src.index()];
@@ -308,8 +308,9 @@ mod tests {
 
     fn forest(program: &Program, name: &str) -> (RoutineCfg, LoopForest) {
         let cfg = RoutineCfg::build(program, program.routine_by_name(name).unwrap());
-        let dom = DomTree::dominators_linked(&cfg);
-        let f = LoopForest::build(&cfg, &dom);
+        let arcs = cfg.flow_arcs();
+        let dom = DomTree::dominators_linked(&cfg, &arcs);
+        let f = LoopForest::build(&cfg, &dom, &arcs);
         (cfg, f)
     }
 

@@ -384,33 +384,12 @@ pub fn query_analysis(analysis: &Analysis, program: &Program, query: &Query) -> 
             }
         }
         Query::Reaches { caller, callee } => {
-            QueryAnswer::Reaches(reaches_in_callgraph(program, &analysis.cfg, caller, callee))
+            // A call path of at least one edge: the closure starts at
+            // `caller`'s callees, not at `caller`.
+            let graph = spike_callgraph::CallGraph::build(program, &analysis.cfg);
+            QueryAnswer::Reaches(graph.callee_closure(graph.callees(caller))[callee.index()])
         }
     }
-}
-
-/// Whether a call path of at least one edge leads from `caller` to
-/// `callee` — the [`Query::Reaches`] semantics, answered by a
-/// routine-level walk of the call graph rebuilt from the analysis' CFGs.
-fn reaches_in_callgraph(
-    program: &Program,
-    cfg: &ProgramCfg,
-    caller: RoutineId,
-    callee: RoutineId,
-) -> bool {
-    let graph = spike_callgraph::CallGraph::build(program, cfg);
-    let mut seen = vec![false; graph.len()];
-    let mut stack: Vec<RoutineId> = graph.callees(caller).to_vec();
-    while let Some(r) = stack.pop() {
-        if r == callee {
-            return true;
-        }
-        if !seen[r.index()] {
-            seen[r.index()] = true;
-            stack.extend_from_slice(graph.callees(r));
-        }
-    }
-    false
 }
 
 /// Free-function form of [`AnalysisCache::reanalyze`].

@@ -455,6 +455,22 @@ impl Instruction {
         )
     }
 
+    /// Whether deleting this instruction can never change observable
+    /// behaviour once its results are dead: pure register computations
+    /// and loads (the machine model has no faulting loads). Stores,
+    /// control flow and `put_int` are not.
+    pub fn is_pure(&self) -> bool {
+        matches!(
+            self,
+            Instruction::Operate { .. }
+                | Instruction::OperateImm { .. }
+                | Instruction::Lda { .. }
+                | Instruction::Ldah { .. }
+                | Instruction::Load { .. }
+                | Instruction::FpOperate { .. }
+        )
+    }
+
     /// Whether this is a call (direct or indirect).
     pub fn is_call(&self) -> bool {
         matches!(self, Instruction::Bsr { .. } | Instruction::Jsr { .. })

@@ -11,26 +11,12 @@
 
 use spike_cfg::BlockId;
 use spike_core::Analysis;
-use spike_isa::{Instruction, NUM_REGS};
+use spike_isa::NUM_REGS;
 use spike_opt::{block_liveness, step_back, LivenessScratch};
 use spike_program::Program;
 
 use crate::diag::{Check, Diagnostic, LintReport};
 use crate::frame::LintFrame;
-
-/// Instructions with no effect beyond their register result (mirrors the
-/// dead-code pass's notion; memory stores and control flow are excluded).
-fn is_pure(insn: &Instruction) -> bool {
-    matches!(
-        insn,
-        Instruction::Operate { .. }
-            | Instruction::OperateImm { .. }
-            | Instruction::Lda { .. }
-            | Instruction::Ldah { .. }
-            | Instruction::Load { .. }
-            | Instruction::FpOperate { .. }
-    )
-}
 
 pub(crate) fn check(
     program: &Program,
@@ -59,7 +45,7 @@ pub(crate) fn check(
                     .flatten();
                 let defs = insn.defs();
                 if cs.is_none()
-                    && is_pure(insn)
+                    && insn.is_pure()
                     && !defs.is_empty()
                     && defs.is_disjoint(l)
                     && !program.relocations().contains_key(&addr)

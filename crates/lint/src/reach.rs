@@ -12,30 +12,10 @@ use crate::frame::LintFrame;
 /// principle reach anything, so this stays a warning: "no *known* call
 /// path".
 pub(crate) fn check_routines(program: &Program, frame: &LintFrame, report: &mut LintReport) {
-    let cg = &frame.callgraph;
-    let n = program.routines().len();
-    let mut reached = vec![false; n];
-    let mut stack: Vec<RoutineId> = Vec::new();
-    let seed = |rid: RoutineId, reached: &mut Vec<bool>, stack: &mut Vec<RoutineId>| {
-        if !reached[rid.index()] {
-            reached[rid.index()] = true;
-            stack.push(rid);
-        }
-    };
-    seed(program.entry(), &mut reached, &mut stack);
-    for (rid, r) in program.iter() {
-        if r.exported() {
-            seed(rid, &mut reached, &mut stack);
-        }
-    }
-    while let Some(rid) = stack.pop() {
-        for &callee in cg.callees(rid) {
-            if !reached[callee.index()] {
-                reached[callee.index()] = true;
-                stack.push(callee);
-            }
-        }
-    }
+    let roots: Vec<RoutineId> = std::iter::once(program.entry())
+        .chain(program.iter().filter(|(_, r)| r.exported()).map(|(rid, _)| rid))
+        .collect();
+    let reached = frame.callgraph.callee_closure(&roots);
     for (rid, r) in program.iter() {
         if !reached[rid.index()] {
             let mut d = Diagnostic::new(

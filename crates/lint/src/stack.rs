@@ -19,11 +19,8 @@
 //! Escaped frames produce no findings: the model cannot judge them, and
 //! soundness there is the shadow oracle's job alone.
 
-use std::collections::VecDeque;
-
-use spike_cfg::BlockId;
 use spike_core::{AccessKind, Analysis, StackAccess};
-use spike_program::{Program, RoutineId};
+use spike_program::Program;
 
 use crate::diag::{Check, Diagnostic, LintReport};
 use crate::frame::LintFrame;
@@ -66,7 +63,17 @@ pub(crate) fn check(
                 );
                 d.addr = Some(access.addr);
                 d.slot = Some(access.entry_off);
-                d.witness = witness_path(program, analysis, frame, rid, &access);
+                // A block path from an entrance that avoids every block
+                // whose forward *gen* mask certainly stores the slot
+                // (directly or via a callee KILL): along it, the load
+                // really does observe an unwritten slot.
+                if let Some(slot) = rs.frame.slot_at(access.entry_off) {
+                    let cfg = analysis.cfg.routine_cfg(rid);
+                    let entries = cfg.entries().iter().copied();
+                    d.witness = frame.routine(rid).witness(cfg, entries, access.block, |b| {
+                        analysis.stack.block_gen(program, &analysis.cfg, rid, b).contains(slot)
+                    });
+                }
                 report.push(d);
             } else if access.kind == AccessKind::Store && !access.live_after {
                 let mut d = Diagnostic::new(
@@ -83,65 +90,6 @@ pub(crate) fn check(
             }
         }
     }
-}
-
-/// A block path from a routine entrance to the offending load that
-/// avoids every block whose forward *gen* mask certainly stores the
-/// slot — along it, the load really does observe an unwritten slot.
-fn witness_path(
-    program: &Program,
-    analysis: &Analysis,
-    frame: &LintFrame,
-    rid: RoutineId,
-    access: &StackAccess,
-) -> Vec<u32> {
-    let rs = analysis.stack.routine(rid);
-    let Some(slot) = rs.frame.slot_at(access.entry_off) else {
-        return Vec::new();
-    };
-    let cfg = analysis.cfg.routine_cfg(rid);
-    let arcs = &frame.routine(rid).arcs;
-    let nb = cfg.blocks().len();
-    let target = access.block;
-    let mut parent: Vec<Option<BlockId>> = vec![None; nb];
-    let mut visited = vec![false; nb];
-    let mut q = VecDeque::new();
-    for &b in cfg.entries() {
-        if !visited[b.index()] {
-            visited[b.index()] = true;
-            q.push_back(b);
-        }
-    }
-    let mut found = false;
-    while let Some(b) = q.pop_front() {
-        if b == target {
-            found = true;
-            break;
-        }
-        // Every path through this block stores the slot (directly or
-        // via a callee KILL): it stops witnessing.
-        if analysis.stack.block_gen(program, &analysis.cfg, rid, b).contains(slot) {
-            continue;
-        }
-        for &s in arcs.succs(b) {
-            if !visited[s.index()] {
-                visited[s.index()] = true;
-                parent[s.index()] = Some(b);
-                q.push_back(s);
-            }
-        }
-    }
-    if !found {
-        return vec![cfg.block(target).start()];
-    }
-    let mut path = Vec::new();
-    let mut cur = Some(target);
-    while let Some(b) = cur {
-        path.push(cfg.block(b).start());
-        cur = parent[b.index()];
-    }
-    path.reverse();
-    path
 }
 
 fn verb(access: &StackAccess) -> &'static str {

@@ -14,13 +14,12 @@
 //! [`checked_uses`] exactly — so a lint-clean program can never trap
 //! `Fault::UninitRead` in shadow mode.
 
-use std::collections::VecDeque;
-
 use spike_callgraph::CallGraph;
 use spike_cfg::{BlockId, CallTarget, ProgramCfg, RoutineCfg, TermKind};
 use spike_core::worklist::PriorityWorklist;
 use spike_core::{Analysis, ProgramSummary};
 use spike_isa::{CallingStandard, Instruction, Reg, RegSet};
+use spike_opt::{block_must_defined, must_defined_gen};
 use spike_program::{Program, RoutineId};
 
 use crate::diag::{Check, Diagnostic, LintReport};
@@ -64,23 +63,6 @@ pub(crate) struct MustDefined {
     block_in: Vec<Vec<RegSet>>,
 }
 
-/// `call-defined` for each call block of `rid` (empty for non-call
-/// blocks), i.e. the registers the callee must write before returning.
-fn call_defined_per_block(
-    cfg: &ProgramCfg,
-    summary: &ProgramSummary,
-    rid: RoutineId,
-) -> Vec<RegSet> {
-    let nb = cfg.routine_cfg(rid).blocks().len();
-    (0..nb)
-        .map(|i| {
-            summary
-                .call_site(cfg, rid, BlockId::from_index(i))
-                .map_or(RegSet::EMPTY, |cs| cs.defined)
-        })
-        .collect()
-}
-
 /// One in-scope routine's share of the fixpoint system, built once: the
 /// structure every solve of the routine runs over, and what the last
 /// solve left behind.
@@ -109,10 +91,8 @@ impl<'f> Plan<'f> {
         frame: &'f RoutineFrame,
         rid: RoutineId,
     ) -> Plan<'f> {
-        let cfg = pcfg.routine_cfg(rid);
-        let cs_defined = call_defined_per_block(pcfg, summary, rid);
-        let gen = cfg.blocks().iter().zip(cs_defined).map(|(b, cs)| b.def() | cs).collect();
-        let calls = cfg.call_blocks().collect();
+        let gen = must_defined_gen(pcfg, summary, rid);
+        let calls = pcfg.routine_cfg(rid).call_blocks().collect();
         let constraint = vec![RegSet::ALL; frame.rank.len()];
         Plan { frame, gen, constraint, calls, solved: false }
     }
@@ -148,19 +128,7 @@ impl<'f> Plan<'f> {
             }
         }
         let (arcs, rank) = (&self.frame.arcs, &self.frame.rank);
-        while let Some(i) = wl.pop() {
-            let b = BlockId::from_index(i);
-            let mut acc = self.constraint[i];
-            for &p in arcs.preds(b) {
-                acc &= block_in[p.index()] | self.gen[p.index()];
-            }
-            if acc != block_in[i] {
-                block_in[i] = acc;
-                for &s in arcs.succs(b) {
-                    wl.push(s.index(), rank[s.index()]);
-                }
-            }
-        }
+        block_must_defined(arcs, rank, &self.constraint, &self.gen, block_in, wl);
     }
 }
 
@@ -228,7 +196,7 @@ pub(crate) fn compute_scoped(
 
     // Restrict the iteration to the target's caller closure.
     if let Some(target) = scope {
-        let mask = caller_closure(&frame.callgraph, target);
+        let mask = frame.callgraph.caller_closure(&[target]);
         order.retain(|r| mask[r.index()]);
     }
 
@@ -277,95 +245,6 @@ pub(crate) fn compute_scoped(
     MustDefined { entry, block_in }
 }
 
-/// `target` and every routine with a call path to it: the only routines
-/// whose facts can flow into `target`'s entrances.
-fn caller_closure(callgraph: &CallGraph, target: RoutineId) -> Vec<bool> {
-    let mut mask = vec![false; callgraph.len()];
-    let mut stack = vec![target];
-    mask[target.index()] = true;
-    while let Some(r) = stack.pop() {
-        for &c in callgraph.callers(r) {
-            if !mask[c.index()] {
-                mask[c.index()] = true;
-                stack.push(c);
-            }
-        }
-    }
-    mask
-}
-
-/// A shortest intra-routine path (as block-start addresses) from an
-/// entrance to `target` along which `reg` is never defined. Falls back to
-/// the lone target address if no such path is recoverable.
-fn witness_path(
-    pcfg: &ProgramCfg,
-    summary: &ProgramSummary,
-    cfg: &RoutineCfg,
-    rid: RoutineId,
-    md: &MustDefined,
-    reg: Reg,
-    target: BlockId,
-) -> Vec<u32> {
-    let nb = cfg.blocks().len();
-    let cs_defined = call_defined_per_block(pcfg, summary, rid);
-    let mut parent: Vec<Option<BlockId>> = vec![None; nb];
-    let mut visited = vec![false; nb];
-    let mut q = VecDeque::new();
-    for (e, &b) in cfg.entries().iter().enumerate() {
-        if !md.entry[rid.index()][e].contains(reg) && !visited[b.index()] {
-            visited[b.index()] = true;
-            q.push_back(b);
-        }
-    }
-    let mut found = false;
-    while let Some(b) = q.pop_front() {
-        if b == target {
-            found = true;
-            break;
-        }
-        let block = cfg.block(b);
-        // A path through this block defines `reg`: it stops witnessing.
-        if block.def().contains(reg) {
-            continue;
-        }
-        let extend = |s: BlockId,
-                      visited: &mut Vec<bool>,
-                      parent: &mut Vec<Option<BlockId>>,
-                      q: &mut VecDeque<BlockId>| {
-            if !visited[s.index()] {
-                visited[s.index()] = true;
-                parent[s.index()] = Some(b);
-                q.push_back(s);
-            }
-        };
-        match block.term() {
-            TermKind::Call { return_to, .. } => {
-                if !cs_defined[b.index()].contains(reg) {
-                    if let Some(rt) = return_to {
-                        extend(*rt, &mut visited, &mut parent, &mut q);
-                    }
-                }
-            }
-            _ => {
-                for &s in block.succs() {
-                    extend(s, &mut visited, &mut parent, &mut q);
-                }
-            }
-        }
-    }
-    if !found {
-        return vec![cfg.block(target).start()];
-    }
-    let mut path = Vec::new();
-    let mut cur = Some(target);
-    while let Some(b) = cur {
-        path.push(cfg.block(b).start());
-        cur = parent[b.index()];
-    }
-    path.reverse();
-    path
-}
-
 /// The callee name of the last call block on the witness path, if any —
 /// used to phrase the missing-return-value note.
 fn last_call_on_path(program: &Program, cfg: &RoutineCfg, witness: &[u32]) -> Option<String> {
@@ -394,6 +273,7 @@ fn check_one(
     program: &Program,
     cfg: &ProgramCfg,
     summary: &ProgramSummary,
+    frame: &LintFrame,
     md: &MustDefined,
     rid: RoutineId,
     report: &mut LintReport,
@@ -401,6 +281,8 @@ fn check_one(
     let routine = program.routine(rid);
     let rcfg = cfg.routine_cfg(rid);
     let ret_regs = summary.calling_standard().return_value();
+    let frame = frame.routine(rid);
+    let mut gen: Option<Vec<RegSet>> = None;
     let mut flagged = RegSet::EMPTY;
     for (bi, block) in rcfg.blocks().iter().enumerate() {
         let mut defined = md.block_in[rid.index()][bi];
@@ -421,8 +303,16 @@ fn check_one(
                     continue;
                 }
                 flagged.insert(reg);
-                let witness =
-                    witness_path(cfg, summary, rcfg, rid, md, reg, BlockId::from_index(bi));
+                // A path from an entrance `reg` may be missing at, through
+                // blocks that do not define it.
+                let gen = gen.get_or_insert_with(|| must_defined_gen(cfg, summary, rid));
+                let seeds = rcfg.entries().iter().zip(&md.entry[rid.index()]);
+                let witness = frame.witness(
+                    rcfg,
+                    seeds.filter(|(_, e)| !e.contains(reg)).map(|(&b, _)| b),
+                    BlockId::from_index(bi),
+                    |b| gen[b.index()].contains(reg),
+                );
                 let mut d = Diagnostic::new(
                     Check::UninitRead,
                     routine.name(),
@@ -456,7 +346,7 @@ pub(crate) fn check(
 ) {
     let md = compute_scoped(program, &analysis.cfg, &analysis.summary, frame, None);
     for (rid, _) in program.iter() {
-        check_one(program, &analysis.cfg, &analysis.summary, &md, rid, report);
+        check_one(program, &analysis.cfg, &analysis.summary, frame, &md, rid, report);
     }
 }
 
@@ -474,10 +364,10 @@ pub(crate) fn check_routine(
     report: &mut LintReport,
 ) {
     let callgraph = CallGraph::build(program, cfg);
-    let closure = caller_closure(&callgraph, rid);
+    let closure = callgraph.caller_closure(&[rid]);
     let frame = LintFrame::build(cfg, callgraph, |r| closure[r.index()]);
     let md = compute_scoped(program, cfg, summary, &frame, Some(rid));
-    check_one(program, cfg, summary, &md, rid, report);
+    check_one(program, cfg, summary, &frame, &md, rid, report);
 }
 
 #[cfg(test)]

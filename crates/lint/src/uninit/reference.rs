@@ -12,7 +12,24 @@ use spike_core::ProgramSummary;
 use spike_isa::RegSet;
 use spike_program::{Program, RoutineId};
 
-use super::{call_defined_per_block, exported_entry_defined, program_entry_defined, MustDefined};
+use super::{exported_entry_defined, program_entry_defined, MustDefined};
+
+/// `call-defined` for each call block of `rid` (empty for non-call
+/// blocks), i.e. the registers the callee must write before returning.
+fn call_defined_per_block(
+    cfg: &ProgramCfg,
+    summary: &ProgramSummary,
+    rid: RoutineId,
+) -> Vec<RegSet> {
+    let nb = cfg.routine_cfg(rid).blocks().len();
+    (0..nb)
+        .map(|i| {
+            summary
+                .call_site(cfg, rid, BlockId::from_index(i))
+                .map_or(RegSet::EMPTY, |cs| cs.defined)
+        })
+        .collect()
+}
 
 /// One intra-routine forward pass to a local fixpoint, given the current
 /// entrance values. Resets and refills `block_in[rid]`.

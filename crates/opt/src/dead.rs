@@ -11,25 +11,10 @@
 use spike_cfg::BlockId;
 use spike_core::worklist::PriorityWorklist;
 use spike_core::RegisterFacts;
-use spike_isa::{Instruction, RegSet};
+use spike_isa::RegSet;
 use spike_program::{Program, Routine, RoutineId};
 
-use crate::liveness::{call_at, step_back, LivenessFrame, RoutineLiveness};
-
-/// Whether deleting `insn` can never change observable behaviour when its
-/// results are dead: pure register computations and loads (our machine
-/// model has no faulting loads).
-fn is_pure(insn: &Instruction) -> bool {
-    matches!(
-        insn,
-        Instruction::Operate { .. }
-            | Instruction::OperateImm { .. }
-            | Instruction::Lda { .. }
-            | Instruction::Ldah { .. }
-            | Instruction::Load { .. }
-            | Instruction::FpOperate { .. }
-    )
-}
+use crate::liveness::{call_at, fill_boundary, solve, step_back, RoutineLiveness};
 
 /// Finds all dead instructions, cascading (a deleted def can make its
 /// operands' defs dead) until no more are found. Returns the dead
@@ -51,15 +36,16 @@ pub(crate) fn find_dead(program: &Program, facts: RegisterFacts<'_>) -> Vec<u32>
 /// The cascade over one routine; appends its dead addresses to `out`.
 ///
 /// Everything that does not depend on the dead set is built once: the
-/// [`LivenessFrame`], each instruction's backward step as a `gen`/`pass`
-/// pair, and the definitions whose deadness makes it deletable. A round
-/// then re-solves block liveness over that structure (from ∅ — see
-/// [`LivenessFrame::solve`]), re-scans only the blocks whose `live_end`
-/// differs from the one they were last scanned with, and recomposes
-/// `gen`/`pass` only for the blocks that gained a deletion. One backward
-/// scan takes a block to its local fixpoint for a given `live_end` (a
-/// deletion changes what is live *before* it, never after), so a block
-/// whose `live_end` did not move has nothing new to offer.
+/// flow arcs, their ranks and the boundary liveness, each instruction's
+/// backward step as a `gen`/`pass` pair, and the definitions whose
+/// deadness makes it deletable. A round then re-solves block liveness
+/// over that structure (from ∅ — see [`solve`]), re-scans only the
+/// blocks whose `live_end` differs from the one they were last scanned
+/// with, and recomposes `gen`/`pass` only for the blocks that gained a
+/// deletion. One backward scan takes a block to its local fixpoint for a
+/// given `live_end` (a deletion changes what is live *before* it, never
+/// after), so a block whose `live_end` did not move has nothing new to
+/// offer.
 fn routine_dead(
     program: &Program,
     facts: RegisterFacts<'_>,
@@ -70,7 +56,10 @@ fn routine_dead(
     let cfg = facts.cfg.routine_cfg(rid);
     let blocks = cfg.blocks();
     let base = routine.addr();
-    let frame = LivenessFrame::new(program, facts, rid);
+    let arcs = cfg.flow_arcs();
+    let rank = arcs.rpo_ranks(cfg.entries());
+    let mut boundary = Vec::new();
+    fill_boundary(program, facts, rid, &mut boundary);
 
     // Per instruction: its step `x ↦ gen ∪ (x ∩ pass)` (a gen/kill
     // function is pinned by its values at ∅ and ⊤), and `defs` if it is
@@ -84,7 +73,7 @@ fn routine_dead(
             let cs = call_at(facts, rid, bi, block, addr);
             gen.push(step_back(RegSet::EMPTY, insn, cs.as_ref()));
             pass.push(step_back(RegSet::ALL, insn, cs.as_ref()));
-            deletable.push(if is_pure(insn) { insn.defs() } else { RegSet::EMPTY });
+            deletable.push(if insn.is_pure() { insn.defs() } else { RegSet::EMPTY });
         }
     }
     debug_assert_eq!(gen.len(), routine.len(), "blocks partition the routine in address order");
@@ -111,7 +100,7 @@ fn routine_dead(
     // The `live_end` each block was last scanned with.
     let mut scanned: Vec<Option<RegSet>> = vec![None; blocks.len()];
     loop {
-        frame.solve(&block_gen, &block_pass, &mut live, &mut wl);
+        solve(&arcs, &rank, &boundary, &block_gen, &block_pass, &mut live, &mut wl);
         let mut found = false;
         for bi in 0..blocks.len() {
             let end = live.live_end(BlockId::from_index(bi));
@@ -170,7 +159,7 @@ fn find_dead_reference(
                     }
                     let insn = routine.insn_at(addr).expect("address in routine");
                     let defs = insn.defs();
-                    if is_pure(insn)
+                    if insn.is_pure()
                         && !defs.is_empty()
                         && defs.is_disjoint(l)
                         && !program.relocations().contains_key(&addr)

@@ -58,7 +58,10 @@ use spike_core::{Analysis, AnalysisCache, AnalysisOptions, AnalysisStats, Regist
 use spike_isa::Instruction;
 use spike_program::{Program, RewriteError, Rewriter, RoutineId};
 
-pub use liveness::{block_liveness, routine_liveness, step_back, LivenessScratch, RoutineLiveness};
+pub use liveness::{
+    block_liveness, block_must_defined, must_defined_gen, routine_liveness, step_back,
+    LivenessScratch, RoutineLiveness,
+};
 
 /// Bound on [`OptOptions::iterate`] rounds: each round re-runs every
 /// enabled pass, and the loop stops early the first round no pass edits

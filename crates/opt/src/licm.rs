@@ -29,13 +29,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use spike_cfg::{BlockId, DomTree, LoopForest, RoutineCfg, TermKind};
+use spike_cfg::{BlockId, DomTree, FlowArcs, LoopForest, RoutineCfg, TermKind};
+use spike_core::worklist::PriorityWorklist;
 use spike_core::{AccessKind, Analysis};
 use spike_isa::{Instruction, Reg, RegSet};
 use spike_profile::Profile;
-use spike_program::Program;
+use spike_program::{Program, RoutineId};
 
-use crate::liveness::{block_liveness, LivenessScratch};
+use crate::liveness::{block_liveness, block_must_defined, must_defined_gen, LivenessScratch};
 
 /// The hoists of one loop: instructions to move (delete at their old
 /// address, insert before the header) and the back-edge branches that
@@ -64,19 +65,6 @@ fn branch_target(addr: u32, disp: i32) -> u32 {
     (addr as i64 + 1 + disp as i64) as u32
 }
 
-/// The single register a hoist candidate writes, or `None` if the
-/// instruction is not a hoistable kind (stores, branches, calls, `halt`,
-/// `put_int` never move).
-fn hoistable_dest(insn: &Instruction) -> Option<Reg> {
-    match *insn {
-        Instruction::Operate { rc, .. } | Instruction::OperateImm { rc, .. } => Some(rc),
-        Instruction::Lda { rd, .. } | Instruction::Ldah { rd, .. } => Some(rd),
-        Instruction::Load { rd, .. } => Some(rd),
-        Instruction::FpOperate { fc, .. } => Some(fc),
-        _ => None,
-    }
-}
-
 /// Forward MUST-defined register sets at each block's entry: registers
 /// written on *every* path from the routine's entries, starting from the
 /// set the shadow oracle treats as defined at program start (`ra`, `sp`,
@@ -85,53 +73,25 @@ fn hoistable_dest(insn: &Instruction) -> Option<Reg> {
 /// through calls interprocedurally. An under-approximation: registers
 /// the caller defined before entry are not counted.
 fn must_defined_in(
-    program: &Program,
     analysis: &Analysis,
-    rid: spike_program::RoutineId,
+    rid: RoutineId,
     cfg: &RoutineCfg,
+    arcs: &FlowArcs,
+    rank: &[u32],
+    wl: &mut PriorityWorklist,
 ) -> Vec<RegSet> {
-    let routine = program.routine(rid);
-    let n = cfg.blocks().len();
-    let entry_defined = RegSet::of(&[Reg::RA, Reg::SP, Reg::ZERO, Reg::FZERO]);
-    let mut defined_in = vec![RegSet::ALL; n];
+    let n = rank.len();
+    let mut start = vec![RegSet::ALL; n];
     for &e in cfg.entries() {
-        defined_in[e.index()] = entry_defined;
+        start[e.index()] = RegSet::of(&[Reg::RA, Reg::SP, Reg::ZERO, Reg::FZERO]);
     }
-
-    // Execution-graph successors: block arcs plus call→return.
-    let mut succs: Vec<Vec<BlockId>> = cfg.blocks().iter().map(|b| b.succs().to_vec()).collect();
-    for (bi, block) in cfg.blocks().iter().enumerate() {
-        if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
-            succs[bi].push(*rt);
-        }
+    let gen = must_defined_gen(&analysis.cfg, &analysis.summary, rid);
+    let mut defined_in = vec![RegSet::ALL; n];
+    wl.cover(n);
+    for (i, &r) in rank.iter().enumerate() {
+        wl.push(i, r);
     }
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bi in 0..n {
-            let b = BlockId::from_index(bi);
-            let block = cfg.block(b);
-            let mut out = defined_in[bi];
-            for addr in block.start()..block.end() {
-                out |= routine.insn_at(addr).expect("address in routine").defs();
-            }
-            if block.is_call_block() {
-                let cs = analysis
-                    .summary
-                    .call_site(&analysis.cfg, rid, b)
-                    .unwrap_or_else(|| analysis.summary.unknown_call_summary());
-                out |= cs.defined;
-            }
-            for &s in &succs[bi] {
-                let met = defined_in[s.index()] & out;
-                if met != defined_in[s.index()] {
-                    defined_in[s.index()] = met;
-                    changed = true;
-                }
-            }
-        }
-    }
+    block_must_defined(arcs, rank, &start, &gen, &mut defined_in, wl);
     defined_in
 }
 
@@ -198,10 +158,8 @@ fn body_effects(
         }
         if block.is_call_block() {
             e.calls = true;
-            let cs = analysis
-                .summary
-                .call_site(&analysis.cfg, rid, b)
-                .unwrap_or_else(|| analysis.summary.unknown_call_summary());
+            let cs =
+                analysis.summary.call_site(&analysis.cfg, rid, b).expect("a call block's summary");
             e.defs |= cs.defined | cs.killed;
             e.call_defs |= cs.defined | cs.killed;
             match block.term() {
@@ -239,18 +197,19 @@ pub(crate) fn find_hoists(
 ) -> Hoists {
     let mut out = Hoists::default();
     let mut liveness = LivenessScratch::default();
+    let mut wl = PriorityWorklist::default();
 
     for (rid, routine) in program.iter() {
         let cfg = analysis.cfg.routine_cfg(rid);
-        let dom = DomTree::dominators_linked(cfg);
-        let forest = LoopForest::build(cfg, &dom);
+        let arcs = cfg.flow_arcs();
+        let dom = DomTree::dominators_linked(cfg, &arcs);
+        let forest = LoopForest::build(cfg, &dom, &arcs);
         if forest.loops().is_empty() {
             continue;
         }
-        let arcs = cfg.flow_arcs();
         let rank = arcs.rpo_ranks(cfg.entries());
         let live = block_liveness(program, analysis.registers(), rid, &arcs, &rank, &mut liveness);
-        let must_regs = must_defined_in(program, analysis, rid, cfg);
+        let must_regs = must_defined_in(analysis, rid, cfg, &arcs, &rank, &mut wl);
         let rs = analysis.stack.routine(rid);
         // Per-address stack facts: entry offset of every store, and
         // (offset, MUST-defined-at-header usable) for every load.
@@ -324,10 +283,12 @@ pub(crate) fn find_hoists(
                     if claimed.contains(&addr) {
                         continue;
                     }
-                    // Control terminators are rejected here: only pure
-                    // register-writing kinds have a hoistable dest.
+                    // Only pure instructions move (stores, control flow
+                    // and `put_int` never do); each writes one register,
+                    // none when it targets a zero register.
                     let insn = routine.insn_at(addr).expect("address in routine");
-                    let Some(dest) = hoistable_dest(insn) else { continue };
+                    let pure = insn.is_pure();
+                    let Some(dest) = insn.defs().iter().next().filter(|_| pure) else { continue };
                     if program.relocations().contains_key(&addr) {
                         continue;
                     }
@@ -337,7 +298,6 @@ pub(crate) fn find_hoists(
                     // nothing an entry path still needs).
                     if dest == Reg::SP
                         || dest == Reg::RA
-                        || dest.is_zero()
                         || header_live.contains(dest)
                         || effects.multi_defs.contains(dest)
                         || effects.call_defs.contains(dest)
@@ -430,6 +390,102 @@ mod tests {
 
     fn hoists(p: &Program) -> Hoists {
         find_hoists(p, &analyze(p), None)
+    }
+
+    /// The round-robin sweep [`must_defined_in`] replaced, kept as its
+    /// oracle: its own successor lists, and every instruction re-scanned on
+    /// every sweep until no block's entry set moves.
+    fn must_defined_in_reference(
+        program: &Program,
+        analysis: &Analysis,
+        rid: spike_program::RoutineId,
+        cfg: &RoutineCfg,
+    ) -> Vec<RegSet> {
+        let routine = program.routine(rid);
+        let n = cfg.blocks().len();
+        let entry_defined = RegSet::of(&[Reg::RA, Reg::SP, Reg::ZERO, Reg::FZERO]);
+        let mut defined_in = vec![RegSet::ALL; n];
+        for &e in cfg.entries() {
+            defined_in[e.index()] = entry_defined;
+        }
+
+        // Execution-graph successors: block arcs plus call→return.
+        let mut succs: Vec<Vec<BlockId>> =
+            cfg.blocks().iter().map(|b| b.succs().to_vec()).collect();
+        for (bi, block) in cfg.blocks().iter().enumerate() {
+            if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
+                succs[bi].push(*rt);
+            }
+        }
+
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for bi in 0..n {
+                let b = BlockId::from_index(bi);
+                let block = cfg.block(b);
+                let mut out = defined_in[bi];
+                for addr in block.start()..block.end() {
+                    out |= routine.insn_at(addr).expect("address in routine").defs();
+                }
+                if block.is_call_block() {
+                    let cs = analysis
+                        .summary
+                        .call_site(&analysis.cfg, rid, b)
+                        .unwrap_or_else(|| analysis.summary.unknown_call_summary());
+                    out |= cs.defined;
+                }
+                for &s in &succs[bi] {
+                    let met = defined_in[s.index()] & out;
+                    if met != defined_in[s.index()] {
+                        defined_in[s.index()] = met;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        defined_in
+    }
+
+    /// [`must_defined_in`] against the round-robin reference, one
+    /// worklist across all routines.
+    fn assert_must_defined_matches(p: &Program) {
+        let a = analyze(p);
+        let mut wl = PriorityWorklist::default();
+        for (rid, routine) in p.iter() {
+            let cfg = a.cfg.routine_cfg(rid);
+            let arcs = cfg.flow_arcs();
+            let rank = arcs.rpo_ranks(cfg.entries());
+            let solved = must_defined_in(&a, rid, cfg, &arcs, &rank, &mut wl);
+            let swept = must_defined_in_reference(p, &a, rid, cfg);
+            assert_eq!(solved, swept, "{}", routine.name());
+        }
+    }
+
+    #[test]
+    fn must_defined_in_equals_the_round_robin_sweep() {
+        for profile in spike_synth::profiles() {
+            assert_must_defined_matches(&spike_synth::generate(
+                &profile,
+                30.0 / profile.routines as f64,
+                1,
+            ));
+        }
+        for seed in [1u64, 2, 3, 4] {
+            assert_must_defined_matches(&spike_synth::generate_executable(seed, 40));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn must_defined_in_equals_the_round_robin_sweep_on_random_executables(
+            seed in proptest::prelude::any::<u64>(),
+            size in 1usize..40,
+        ) {
+            assert_must_defined_matches(&spike_synth::generate_executable(seed, size));
+        }
     }
 
     /// store t0 → slot; loop { load t1 ← slot; use; dec; branch } — the
@@ -632,9 +688,7 @@ mod tests {
         let p = b.build().unwrap();
         let h = hoists(&p);
         assert!(
-            h.loops
-                .iter()
-                .all(|lh| lh.insns.iter().all(|(_, i)| hoistable_dest(i) != Some(Reg::T1))),
+            h.loops.iter().all(|lh| lh.insns.iter().all(|(_, i)| !i.defs().contains(Reg::T1))),
             "the t1 redefinition must stay in the loop"
         );
     }

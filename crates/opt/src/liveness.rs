@@ -5,11 +5,13 @@
 //! call-killed), insert an exit instruction using live-at-exit at each
 //! `ret`, then run ordinary intraprocedural liveness. This module is that
 //! computation, with the call-summary/exit values drawn from a completed
-//! [`spike_core::Analysis`].
+//! [`spike_core::Analysis`]. The forward dual, the register MUST-defined
+//! solve behind LICM's operand guard and the lint's `uninit-read`, lives
+//! here too, on the same flow arcs and ranks.
 
-use spike_cfg::{BasicBlock, BlockId, FlowArcs};
+use spike_cfg::{BasicBlock, BlockId, FlowArcs, ProgramCfg};
 use spike_core::worklist::PriorityWorklist;
-use spike_core::{CallSiteSummary, RegisterFacts};
+use spike_core::{CallSiteSummary, ProgramSummary, RegisterFacts};
 use spike_isa::{Instruction, RegSet};
 use spike_program::{Program, RoutineId};
 
@@ -54,7 +56,7 @@ pub fn step_back(live_after: RegSet, insn: &Instruction, call: Option<&CallSiteS
 /// the routine through: live-at-exit after a `ret`, the §3.5 hint (or
 /// every register) after an unknown-target jump, nothing after any other
 /// block.
-fn fill_boundary(
+pub(crate) fn fill_boundary(
     program: &Program,
     facts: RegisterFacts<'_>,
     rid: RoutineId,
@@ -84,7 +86,7 @@ fn fill_boundary(
 /// sustains itself, so continuing downward from an earlier, larger
 /// solution after `gen` shrank would keep registers live that nothing
 /// reads any more.
-fn solve(
+pub(crate) fn solve(
     arcs: &FlowArcs,
     rank: &[u32],
     boundary: &[RegSet],
@@ -114,51 +116,6 @@ fn solve(
                 wl.push(p.index(), last - rank[p.index()]);
             }
         }
-    }
-}
-
-/// The instruction-independent half of one routine's liveness problem,
-/// built once per routine: flow arcs, their ranks, and what is live after
-/// each block that flow leaves the routine through. Every
-/// [`LivenessFrame::solve`] is then a walk over it — which is what lets
-/// the dead-code cascade re-solve once per round without rebuilding any
-/// of this.
-pub(crate) struct LivenessFrame {
-    // Field order does not set any measured number: no caller frees a
-    // frame per routine between long-lived allocations (the lint runs
-    // `block_liveness` on buffers it keeps for the whole run). A loop
-    // that does should re-measure `peak_rss_mb` on `analyze-mid`, whose
-    // peak once depended on this order (EXPERIMENTS.md "Flat graphs").
-    /// Forward reverse-postorder ranks from the entrances.
-    rank: Vec<u32>,
-    arcs: FlowArcs,
-    boundary: Vec<RegSet>,
-}
-
-impl LivenessFrame {
-    pub(crate) fn new(
-        program: &Program,
-        facts: RegisterFacts<'_>,
-        rid: RoutineId,
-    ) -> LivenessFrame {
-        let cfg = facts.cfg.routine_cfg(rid);
-        let mut boundary = Vec::new();
-        fill_boundary(program, facts, rid, &mut boundary);
-        let arcs = cfg.flow_arcs();
-        let rank = arcs.rpo_ranks(cfg.entries());
-        LivenessFrame { rank, arcs, boundary }
-    }
-
-    /// Solves block liveness for the per-block `gen`/`pass`; see
-    /// [`solve`].
-    pub(crate) fn solve(
-        &self,
-        gen: &[RegSet],
-        pass: &[RegSet],
-        live: &mut RoutineLiveness,
-        wl: &mut PriorityWorklist,
-    ) {
-        solve(&self.arcs, &self.rank, &self.boundary, gen, pass, live, wl);
     }
 }
 
@@ -261,10 +218,64 @@ pub fn routine_liveness(
         }
     }
 
-    let frame = LivenessFrame::new(program, facts, rid);
+    let arcs = cfg.flow_arcs();
+    let rank = arcs.rpo_ranks(cfg.entries());
+    let mut boundary = Vec::new();
+    fill_boundary(program, facts, rid, &mut boundary);
     let mut live = RoutineLiveness::default();
-    frame.solve(&gen, &pass, &mut live, &mut PriorityWorklist::default());
+    solve(&arcs, &rank, &boundary, &gen, &pass, &mut live, &mut PriorityWorklist::default());
     live
+}
+
+/// `DEF ∪ call-defined` for each block of `rid`: what its flow
+/// successors see defined on top of its own entry facts — its own
+/// writes and, for a call block, the registers the callee must write
+/// before returning. The `gen` of [`block_must_defined`].
+pub fn must_defined_gen(cfg: &ProgramCfg, summary: &ProgramSummary, rid: RoutineId) -> Vec<RegSet> {
+    let blocks = cfg.routine_cfg(rid).blocks();
+    (0..blocks.len())
+        .map(|bi| {
+            let cs = summary.call_site(cfg, rid, BlockId::from_index(bi));
+            blocks[bi].def() | cs.map_or(RegSet::EMPTY, |cs| cs.defined)
+        })
+        .collect()
+}
+
+/// The one register MUST-defined block solver: brings `defined_in` to
+/// the **greatest** fixpoint of `in[b] = start[b] ∩ ⋂ₚ (in[p] ∪
+/// gen[p])` over the flow predecessors `p` of `b`, by popping the blocks
+/// queued in `wl` and re-queueing the flow successors of every block
+/// whose value moved.
+///
+/// `rank` holds the forward reverse-postorder ranks of `arcs` from the
+/// routine's entrances, so most blocks see their final predecessor
+/// facts on the first evaluation. The solve resumes from the values it
+/// is handed: a cold solve hands ⊤ everywhere with every block queued;
+/// a warm one may hand an earlier solution of a system whose `start`
+/// has since shrunk, queueing only the blocks whose `start` moved — it
+/// lies above the new greatest fixpoint, so descending from it reaches
+/// the same fixpoint a cold solve would.
+pub fn block_must_defined(
+    arcs: &FlowArcs,
+    rank: &[u32],
+    start: &[RegSet],
+    gen: &[RegSet],
+    defined_in: &mut [RegSet],
+    wl: &mut PriorityWorklist,
+) {
+    while let Some(i) = wl.pop() {
+        let b = BlockId::from_index(i);
+        let mut acc = start[i];
+        for &p in arcs.preds(b) {
+            acc &= defined_in[p.index()] | gen[p.index()];
+        }
+        if acc != defined_in[i] {
+            defined_in[i] = acc;
+            for &s in arcs.succs(b) {
+                wl.push(s.index(), rank[s.index()]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

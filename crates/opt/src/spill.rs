@@ -72,8 +72,9 @@ pub(crate) fn find_spills(
         // Loop depth prices the pairs when no profile is available; the
         // forest is only needed then.
         let forest = if profile.is_none() {
-            let dom = DomTree::dominators_linked(cfg);
-            Some(LoopForest::build(cfg, &dom))
+            let arcs = cfg.flow_arcs();
+            let dom = DomTree::dominators_linked(cfg, &arcs);
+            Some(LoopForest::build(cfg, &dom, &arcs))
         } else {
             None
         };

@@ -201,7 +201,7 @@ impl Router {
                 "router needs at least one shard address",
             ));
         }
-        let listener = crate::server::bind_reuseaddr(&options.listen)?;
+        let listener = crate::server::bind_listener(&options.listen)?;
         let addr = listener.local_addr()?;
         let ring = Arc::new(Ring::new(options.shards.clone()));
         let shutdown = Arc::new(AtomicBool::new(false));

@@ -212,15 +212,17 @@ impl Queue {
     }
 }
 
-/// Binds a TCP listener with `SO_REUSEADDR`, so a restarted daemon can
-/// reclaim its port immediately instead of waiting out the TIME_WAIT
-/// sockets its predecessor left behind. std's `TcpListener::bind` does
-/// not set the option, which makes fixed-port restarts — the whole
-/// point of warm snapshot restores, and what a cluster shard *must* do
-/// to keep its ring position — fail with `EADDRINUSE` for up to a
-/// minute.
+/// Binds a TCP listener with a listen backlog of 1024. std's
+/// `TcpListener::bind` listens with a backlog of 128, and a burst of
+/// connections beyond it — the loadgen's open-everything phase, a
+/// cluster router's fan-in — waits out SYN retransmits: opening 5 000
+/// connections took about 30 times as long through it (EXPERIMENTS.md
+/// "Cluster serving and connection scale").
+/// `SO_REUSEADDR` is set as std sets it, so a restarted daemon or
+/// cluster shard rebinds its fixed port despite lingering TIME_WAIT
+/// sockets.
 #[cfg(target_os = "linux")]
-pub(crate) fn bind_reuseaddr(addr: &str) -> io::Result<TcpListener> {
+pub(crate) fn bind_listener(addr: &str) -> io::Result<TcpListener> {
     use std::net::ToSocketAddrs;
     use std::os::fd::FromRawFd;
 
@@ -305,7 +307,7 @@ pub(crate) fn bind_reuseaddr(addr: &str) -> io::Result<TcpListener> {
 /// Off Linux, plain `bind` (the reactor is Linux-only anyway and tests
 /// there use ephemeral ports).
 #[cfg(not(target_os = "linux"))]
-pub(crate) fn bind_reuseaddr(addr: &str) -> io::Result<TcpListener> {
+pub(crate) fn bind_listener(addr: &str) -> io::Result<TcpListener> {
     TcpListener::bind(addr)
 }
 
@@ -425,7 +427,7 @@ impl Server {
         };
 
         let tcp_listener = match &options.tcp {
-            Some(addr) => Some(bind_reuseaddr(addr)?),
+            Some(addr) => Some(bind_listener(addr)?),
             None => None,
         };
         let tcp_addr = match &tcp_listener {
