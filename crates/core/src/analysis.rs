@@ -89,6 +89,10 @@ spike_isa::analysis_struct! {
         /// routine it solved, plus the re-compositions call-graph cycles
         /// forced.
         pub stack_summary_evals: usize,
+        /// Routines whose instructions the stack layer scanned: all of
+        /// them in a from-scratch solve, once each; in a catch-up only
+        /// the edited ones and those the slot dataflows re-solved.
+        pub stack_scans: usize,
         /// Worker threads the per-routine front-end stages (CFG build,
         /// `DEF`/`UBD` initialization, PSG build) ran with.
         pub front_end_workers: usize,
@@ -173,6 +177,7 @@ impl Analysis {
         self.stats.stack_forward_visits = stats.forward_visits;
         self.stats.stack_backward_visits = stats.backward_visits;
         self.stats.stack_summary_evals = stats.summary_evals;
+        self.stats.stack_scans = stats.scans;
         self.stats.memory_bytes += stack.heap_bytes();
         self.stack = stack;
     }

@@ -52,9 +52,14 @@
 //! Each routine's instructions are scanned once per solve into a
 //! `Digest` — SP-effect flags, per-block displacement deltas, the
 //! SP-relative accesses with block-relative offsets, the call sites and
-//! the flow arcs — and displacement propagation, slot discovery,
-//! summary composition and the block transfer masks all read the
-//! digest. Summary composition sweeps a call-graph component
+//! the flow arcs — and displacement propagation, slot discovery and the
+//! block transfer masks read the digest. Summary composition reads only
+//! its address-free [`CallDigest`] part (tracking verdicts, own
+//! caller-frame traffic, call sites with their callee-entry
+//! displacements), which every [`RoutineStack`] keeps: an incremental
+//! solve composes an unedited routine's summary from the kept one and
+//! scans the routine only if its slot dataflows must run again.
+//! Summary composition sweeps a call-graph component
 //! Gauss–Seidel style and re-composes only members one of whose
 //! callees' summaries changed (see `Solver::phase_a` for why nothing
 //! more aggressive is sound); the two slot dataflows are rank-ordered
@@ -349,6 +354,42 @@ spike_isa::analysis_struct! {
         /// `kills_above` is pinned empty; recorded so incremental reuse can
         /// detect condensation changes).
         pub cyclic: bool,
+        /// What summary composition reads of the routine's own code, kept
+        /// so an incremental solve can re-compose the summary of an
+        /// unedited routine without scanning its instructions again.
+        pub call: CallDigest,
+    }
+}
+
+spike_isa::analysis_struct! {
+    /// The part of a routine's instruction scan that phase A — summary
+    /// composition — reads: the SP-tracking verdicts of its own code, its
+    /// own caller-frame traffic, and its call sites. It holds no
+    /// addresses (block indices and SP offsets only), so it stays valid
+    /// for an unedited routine however the program around it moved.
+    #[derive(Clone, PartialEq, Eq, Debug, Default)]
+    pub struct CallDigest {
+        /// The routine's own code keeps SP tracked: nothing redefines it
+        /// untracked, and displacements agree at every join.
+        tracked: bool,
+        /// Two access widths address one offset.
+        width_conflict: bool,
+        /// No tracked path reaches a `Ret` with a nonzero displacement.
+        balanced: bool,
+        /// SP's value flows somewhere the model cannot see.
+        leaked: bool,
+        /// Some call has an unknown target.
+        has_unknown_call: bool,
+        /// Offsets at or above the entry SP the routine itself reads,
+        /// ascending (empty when untracked).
+        own_refs: Vec<i64>,
+        /// Offsets at or above the entry SP the routine itself writes,
+        /// ascending (empty when untracked).
+        own_mods: Vec<i64>,
+        /// The call-terminated blocks in block order, each with the
+        /// callee's entry SP relative to ours; `None` where the block has
+        /// no tracked displacement.
+        calls: Vec<(BlockId, Option<i64>)>,
     }
 }
 
@@ -373,6 +414,10 @@ pub struct StackStats {
     /// Summary compositions of phase A: one per routine, plus the
     /// re-compositions call-graph cycles force.
     pub summary_evals: usize,
+    /// Routines whose instructions were scanned: every routine of a
+    /// from-scratch solve, once; in an incremental solve only the edited
+    /// routines and the ones phase B re-solves.
+    pub scans: usize,
 }
 
 /// Whether a [`StackAccess`] reads or writes its slot.
@@ -536,32 +581,51 @@ fn slot_range(slots: &[Slot], lo: i64, hi: i64) -> std::ops::Range<usize> {
 struct TrackedFrame {
     sp_disp_in: Vec<Option<i64>>,
     slots: Vec<Slot>,
-    width_conflict: bool,
     frame_size: i64,
     /// No tracked path reaches a `Ret` with a nonzero displacement.
     balanced: bool,
-    /// Offsets at or above the entry SP the routine itself reads and
-    /// writes, ascending.
-    own_refs: Vec<i64>,
-    own_mods: Vec<i64>,
 }
 
 /// Everything the solvers need from a routine's instructions, scanned
-/// once per component solve.
+/// once per solve of the routine: the [`CallDigest`] phase A reads, plus
+/// what phase B reads.
 struct Digest {
+    call: CallDigest,
     arcs: FlowArcs,
     /// `events[ev_off[b]..ev_off[b + 1]]` are block `b`'s SP events.
     ev_off: Vec<u32>,
     events: Vec<SpEvent>,
     /// Net SP movement across each block.
     delta: Vec<i64>,
-    /// The call-terminated blocks.
-    calls: Vec<BlockId>,
-    leaked: bool,
-    has_unknown_call: bool,
     /// `None` when the routine's own code loses SP tracking: SP is
     /// redefined untracked, or displacements disagree at a join.
     frame: Option<TrackedFrame>,
+}
+
+/// Phase B keeps the call digest of the scan it consumes.
+impl From<Digest> for CallDigest {
+    fn from(digest: Digest) -> CallDigest {
+        digest.call
+    }
+}
+
+/// The reference oracle reads the call digest's flags through the
+/// digest.
+#[cfg(test)]
+impl std::ops::Deref for Digest {
+    type Target = CallDigest;
+
+    fn deref(&self) -> &CallDigest {
+        &self.call
+    }
+}
+
+/// The reference oracle solves from borrowed digests.
+#[cfg(test)]
+impl From<&Digest> for CallDigest {
+    fn from(digest: &Digest) -> CallDigest {
+        digest.call.clone_exact()
+    }
 }
 
 impl Digest {
@@ -588,10 +652,23 @@ impl Digest {
             }
         }
         let mut digest =
-            Digest { arcs, ev_off, events, delta, calls, leaked, has_unknown_call, frame: None };
-        if !untracked {
-            digest.frame = digest.track(cfg, &min_rel);
-        }
+            Digest { call: CallDigest::default(), arcs, ev_off, events, delta, frame: None };
+        let tracked = if untracked { None } else { digest.track(cfg, &min_rel) };
+        let (frame, mut call) = match tracked {
+            Some((frame, call)) => (Some(frame), call),
+            None => (None, CallDigest { balanced: true, ..CallDigest::default() }),
+        };
+        call.leaked = leaked;
+        call.has_unknown_call = has_unknown_call;
+        call.calls = calls
+            .into_iter()
+            .map(|b| {
+                let d0 = frame.as_ref().and_then(|f| f.sp_disp_in[b.index()]);
+                (b, d0.map(|d0| d0 + digest.delta[b.index()]))
+            })
+            .collect();
+        digest.call = call;
+        digest.frame = frame;
         digest
     }
 
@@ -600,9 +677,11 @@ impl Digest {
     }
 
     /// Propagates entry-relative displacements over the flow arcs and
-    /// reads the frame off the events. A disagreement at a join loses
-    /// tracking for the whole routine.
-    fn track(&self, cfg: &RoutineCfg, min_rel: &[i64]) -> Option<TrackedFrame> {
+    /// reads the frame off the events, together with the call digest's
+    /// verdicts on it and the routine's own caller-frame traffic (the
+    /// caller fills in the rest). A disagreement at a join loses tracking
+    /// for the whole routine.
+    fn track(&self, cfg: &RoutineCfg, min_rel: &[i64]) -> Option<(TrackedFrame, CallDigest)> {
         let nb = min_rel.len();
         let mut sp_disp_in: Vec<Option<i64>> = vec![None; nb];
         let mut stack: Vec<BlockId> = Vec::new();
@@ -664,35 +743,50 @@ impl Digest {
         }
         sort_dedup(&mut own_refs);
         sort_dedup(&mut own_mods);
-        Some(TrackedFrame {
-            sp_disp_in,
-            slots,
+        let frame = TrackedFrame { sp_disp_in, slots, frame_size: (-min_disp).max(0), balanced };
+        let call = CallDigest {
+            tracked: true,
             width_conflict,
-            frame_size: (-min_disp).max(0),
-            balanced,
+            balanced: frame.balanced,
             own_refs,
             own_mods,
-        })
+            ..CallDigest::default()
+        };
+        Some((frame, call))
     }
 
-    /// The frame under the current callee summaries: an unbalanced
-    /// callee clobbers the caller's displacement — viral loss of
-    /// tracking. Unknown-target calls are assumed balanced (the calling
-    /// standard).
+    /// The frame under the current callee summaries (see
+    /// [`CallDigest::tracked_under`]).
     fn frame_under(&self, cfg: &RoutineCfg, summaries: &[StackSummary]) -> Option<&TrackedFrame> {
-        let frame = self.frame.as_ref()?;
-        let mut tracked = true;
-        for &b in &self.calls {
-            if let TermKind::Call { target, .. } = cfg.block(b).term() {
-                for_each_callee(target, |c| tracked &= !summaries[c.index()].unbalanced);
-            }
-        }
-        tracked.then_some(frame)
+        self.frame.as_ref().filter(|_| self.call.tracked_under(cfg, summaries))
     }
 
     /// Escaped frames report no accesses and are opaque to callers.
     fn escaped(&self, frame: Option<&TrackedFrame>) -> bool {
-        self.leaked || frame.is_none_or(|f| f.width_conflict)
+        self.call.escaped_when(frame.is_some())
+    }
+}
+
+impl CallDigest {
+    /// Whether SP stays tracked under the current callee summaries: an
+    /// unbalanced callee clobbers the caller's displacement — viral loss
+    /// of tracking. Unknown-target calls are assumed balanced (the
+    /// calling standard).
+    fn tracked_under(&self, cfg: &RoutineCfg, summaries: &[StackSummary]) -> bool {
+        let mut tracked = self.tracked;
+        for &(b, _) in &self.calls {
+            if let TermKind::Call { target, .. } = cfg.block(b).term() {
+                for_each_callee(target, |c| tracked &= !summaries[c.index()].unbalanced);
+            }
+        }
+        tracked
+    }
+
+    /// Whether the frame escapes the model, given whether SP stays
+    /// tracked. Escaped frames report no accesses and are opaque to
+    /// callers.
+    fn escaped_when(&self, tracked: bool) -> bool {
+        self.leaked || !tracked || self.width_conflict
     }
 }
 
@@ -705,25 +799,27 @@ fn sort_dedup(v: &mut Vec<i64>) {
 // Summary composition (phase A).
 // ---------------------------------------------------------------------
 
-/// A routine's MOD/REF summary from its digest and its callees' current
-/// summaries; `kills_above` is filled in after phase B.
-fn compose_summary(cfg: &RoutineCfg, digest: &Digest, summaries: &[StackSummary]) -> StackSummary {
-    let frame = digest.frame_under(cfg, summaries);
-    let unbalanced = frame.is_some_and(|f| !f.balanced);
-    let mut opaque = digest.escaped(frame) || unbalanced || digest.has_unknown_call;
+/// A routine's MOD/REF summary from its call digest and its callees'
+/// current summaries; `kills_above` is filled in after phase B.
+fn compose_summary(
+    cfg: &RoutineCfg,
+    digest: &CallDigest,
+    summaries: &[StackSummary],
+) -> StackSummary {
+    let tracked = digest.tracked_under(cfg, summaries);
+    let unbalanced = tracked && !digest.balanced;
+    let mut opaque = digest.escaped_when(tracked) || unbalanced || digest.has_unknown_call;
     let (mut refs, mut mods) = (Vec::new(), Vec::new());
-    if let Some(frame) = frame {
-        refs.clone_from(&frame.own_refs);
-        mods.clone_from(&frame.own_mods);
-        for &b in &digest.calls {
-            let (Some(d0), TermKind::Call { target, .. }) =
-                (frame.sp_disp_in[b.index()], cfg.block(b).term())
+    if tracked {
+        refs.clone_from(&digest.own_refs);
+        mods.clone_from(&digest.own_mods);
+        for &(b, d_call) in &digest.calls {
+            let (Some(d_call), TermKind::Call { target, .. }) = (d_call, cfg.block(b).term())
             else {
                 continue;
             };
             // Translate callee effects through the call-site
             // displacement: callee entry SP = our entry SP + d_call.
-            let d_call = d0 + digest.delta[b.index()];
             for_each_callee(target, |c| {
                 let s = &summaries[c.index()];
                 if s.opaque {
@@ -1039,29 +1135,72 @@ impl<'a> Solver<'a> {
         component.len() > 1 || component.iter().any(|&r| self.cg.callees(r).contains(&r))
     }
 
-    /// Solves one component. `reuse` is asked, once phase A has settled
-    /// the component's summaries (and told whether it was cut off), for
-    /// each member's facts from an earlier solve; a member it answers
-    /// for skips phase B.
+    /// Solves one component. `prev` holds an earlier solve's facts of
+    /// every routine not edited since (`None` for an edited one; empty
+    /// for a from-scratch solve) and `prev_summaries` the summaries that
+    /// solve ended with. Phase A composes a member with kept facts from
+    /// its kept [`CallDigest`], unscanned; a full scan waits for phase B.
+    /// Once phase A has settled, a kept member with an unchanged cyclic
+    /// flag whose own and callees' summaries all came out as before (and
+    /// the sweep was not cut off) keeps its facts and skips phase B, so
+    /// it is never scanned.
     fn solve_component(
         &mut self,
         component: &[RoutineId],
-        mut reuse: impl FnMut(&Solver<'_>, RoutineId, bool) -> Option<RoutineStack>,
+        prev: &mut [Option<RoutineStack>],
+        prev_summaries: &[StackSummary],
     ) {
-        let digests = self.scan(component);
-        let cut_off = self.phase_a(component, &digests);
+        fn kept(prev: &[Option<RoutineStack>], r: RoutineId) -> Option<&RoutineStack> {
+            prev.get(r.index()).and_then(Option::as_ref)
+        }
+        let digests: Vec<Option<Digest>> = component
+            .iter()
+            .map(|&r| kept(prev, r).is_none().then(|| self.scan_routine(r)))
+            .collect();
+        let calls: Vec<&CallDigest> = digests
+            .iter()
+            .zip(component)
+            .map(|(digest, &r)| match digest {
+                Some(digest) => &digest.call,
+                None => &kept(prev, r).expect("an unscanned member is kept").call,
+            })
+            .collect();
+        let cut_off = self.phase_a(component, &calls);
         let cyclic = self.is_cyclic(component);
-        for (digest, &rid) in digests.iter().zip(component) {
-            let solved = match reuse(self, rid, cut_off) {
-                Some(rs) => rs,
-                None => self.phase_b(rid, digest, cyclic),
+        let unchanged = |s: &Solver<'_>, r: RoutineId| {
+            prev_summaries.get(r.index()) == Some(&s.summaries[r.index()])
+        };
+        for (digest, &rid) in digests.into_iter().zip(component) {
+            let reusable = !cut_off
+                && kept(prev, rid).is_some_and(|p| p.cyclic == cyclic)
+                && unchanged(self, rid)
+                && self.cg.callees(rid).iter().all(|&c| unchanged(self, c));
+            let solved = if reusable {
+                prev[rid.index()].take().expect("kept routine present")
+            } else {
+                let digest = digest.unwrap_or_else(|| {
+                    let digest = self.scan_routine(rid);
+                    debug_assert_eq!(
+                        Some(&digest.call),
+                        kept(prev, rid).map(|p| &p.call),
+                        "an unedited routine's call digest must not change"
+                    );
+                    digest
+                });
+                self.phase_b(rid, digest, cyclic)
             };
             self.routines[rid.index()] = Some(solved);
         }
     }
 
-    fn scan(&self, component: &[RoutineId]) -> Vec<Digest> {
-        component.iter().map(|&r| Digest::scan(self.program, self.pcfg.routine_cfg(r))).collect()
+    fn scan_routine(&mut self, rid: RoutineId) -> Digest {
+        self.stats.scans += 1;
+        Digest::scan(self.program, self.pcfg.routine_cfg(rid))
+    }
+
+    #[cfg(test)]
+    fn scan(&mut self, component: &[RoutineId]) -> Vec<Digest> {
+        component.iter().map(|&r| self.scan_routine(r)).collect()
     }
 
     /// Phase A: composes the members' summaries to a fixpoint over the
@@ -1072,12 +1211,12 @@ impl<'a> Solver<'a> {
     /// back to false — so the sweep order is part of the result and is
     /// kept. What a sweep may skip is a member none of whose callees'
     /// summaries changed since it was last composed: composition is a
-    /// function of the digest and those summaries alone, so it would
+    /// function of the call digest and those summaries alone, so it would
     /// return the summary the member already has. An acyclic member is
     /// therefore composed exactly once. A pathological cycle that keeps
     /// translating offsets upward is cut off by forcing opacity; returns
     /// whether that happened.
-    fn phase_a(&mut self, component: &[RoutineId], digests: &[Digest]) -> bool {
+    fn phase_a(&mut self, component: &[RoutineId], digests: &[&CallDigest]) -> bool {
         for &rid in component {
             self.summaries[rid.index()] = StackSummary::default();
             self.stale[rid.index()] = true;
@@ -1126,17 +1265,22 @@ impl<'a> Solver<'a> {
     /// `cyclic`, its own composed summary and its callees' summaries as
     /// the table holds them now — which for every callee is its final
     /// one: a lower component's is complete, and a fellow member's gains
-    /// no KILL. [`reanalyze_stack`] rests on that.
-    fn phase_b(&mut self, rid: RoutineId, digest: &Digest, cyclic: bool) -> RoutineStack {
+    /// no KILL. [`reanalyze_stack`] rests on that. The result keeps the
+    /// digest's [`CallDigest`].
+    fn phase_b<D>(&mut self, rid: RoutineId, digest: D, cyclic: bool) -> RoutineStack
+    where
+        D: std::borrow::Borrow<Digest> + Into<CallDigest>,
+    {
         let cfg = self.pcfg.routine_cfg(rid);
+        let scanned: &Digest = digest.borrow();
         let nb = cfg.blocks().len();
-        let frame = digest.frame_under(cfg, &self.summaries);
-        let escaped = digest.escaped(frame);
+        let frame = scanned.frame_under(cfg, &self.summaries);
+        let escaped = scanned.escaped(frame);
         let slots = frame.map_or(Vec::new(), |f| f.slots.clone());
         let empty = SlotSet::empty(slots.len());
         let (must_defined_in, live_out) = match frame {
             Some(frame) if !escaped => {
-                let pb = phase_b(cfg, digest, frame, &self.summaries, &mut self.stats);
+                let pb = phase_b(cfg, scanned, frame, &self.summaries, &mut self.stats);
                 if !cyclic && !self.summaries[rid.index()].unbalanced {
                     self.summaries[rid.index()].kills_above = kills_above(cfg, frame, &pb);
                 }
@@ -1144,13 +1288,17 @@ impl<'a> Solver<'a> {
             }
             _ => (vec![empty.clone(); nb], vec![empty; nb]),
         };
+        let frame_model =
+            FrameModel { frame_size: frame.map_or(0, |f| f.frame_size), slots, escaped };
+        let sp_disp_in = frame.map_or_else(|| vec![None; nb], |f| f.sp_disp_in.clone());
         RoutineStack {
-            frame: FrameModel { frame_size: frame.map_or(0, |f| f.frame_size), slots, escaped },
+            frame: frame_model,
             summary: self.summaries[rid.index()].clone(),
-            sp_disp_in: frame.map_or_else(|| vec![None; nb], |f| f.sp_disp_in.clone()),
+            sp_disp_in,
             must_defined_in,
             live_out,
             cyclic,
+            call: digest.into(),
         }
     }
 }
@@ -1193,7 +1341,7 @@ pub(crate) fn analyze_stack_over(
 ) -> (StackAnalysis, StackStats) {
     let mut solver = Solver::new(program, cfg, &calls.graph);
     for component in calls.sccs.bottom_up() {
-        solver.solve_component(component, |_, _, _| None);
+        solver.solve_component(component, &mut [], &[]);
     }
     solver.finish()
 }
@@ -1206,16 +1354,20 @@ pub(crate) fn analyze_stack_over(
 /// * a call-graph component with no dirty member, an unchanged cyclic
 ///   flag and unchanged summaries for every callee in a lower component
 ///   is reused whole, unscanned;
-/// * any other component is re-scanned and its summaries re-composed
-///   from the optimistic default exactly as [`analyze_stack`] does (the
-///   sweep order is part of the result), but the slot dataflows run only
-///   for members that are dirty, whose cyclic flag flipped, or whose own
-///   or any callee's summary came out different from `prev`'s. If the
+/// * any other component has its summaries re-composed from the
+///   optimistic default exactly as [`analyze_stack`] does (the sweep
+///   order is part of the result), reading the kept [`CallDigest`] of
+///   each clean member and scanning only the dirty ones; the slot
+///   dataflows run only for members that are dirty, whose cyclic flag
+///   flipped, or whose own or any callee's summary came out different
+///   from `prev`'s, and only those are scanned in full. If the
 ///   composition was cut off, every member is re-solved.
 ///
 /// Bit-identical to [`analyze_stack`] on the same program (including
-/// heap capacities, so `memory_bytes` accounting is preserved): the
-/// slot dataflows of a routine are a deterministic function of its
+/// heap capacities, so `memory_bytes` accounting is preserved): a
+/// clean routine's text is unchanged up to layout and its call digest
+/// holds no addresses, so the kept one equals a fresh scan's; the slot
+/// dataflows of a routine are a deterministic function of its
 /// instruction text, its cyclic flag, its composed summary and its
 /// callees' final summaries (`Solver::phase_b`), and a reused member
 /// has all four proven unchanged. Reused routines contribute nothing to
@@ -1245,7 +1397,8 @@ pub(crate) fn reanalyze_stack_over(
     let Calls { graph: cg, sccs } = calls;
     let prev_summaries: Vec<StackSummary> =
         prev.routines.iter().map(|r| r.summary.clone()).collect();
-    let mut prev_slots: Vec<Option<RoutineStack>> = prev.routines.into_iter().map(Some).collect();
+    let mut prev_slots: Vec<Option<RoutineStack>> =
+        prev.routines.into_iter().zip(dirty).map(|(rs, &d)| (!d).then_some(rs)).collect();
     let mut solver = Solver::new(program, cfg, cg);
     for component in sccs.bottom_up() {
         let comp = sccs.component_of(component[0]);
@@ -1253,18 +1406,12 @@ pub(crate) fn reanalyze_stack_over(
         // An unchanged cyclic flag is part of every reuse: a
         // condensation change elsewhere can flip it without touching
         // the routine's text, and KILL extraction depends on it.
-        let kept_shape = |prev_slots: &[Option<RoutineStack>], r: RoutineId| {
-            !dirty[r.index()] && prev_slots[r.index()].as_ref().is_some_and(|p| p.cyclic == cyclic)
-        };
-        let unchanged = |solver: &Solver<'_>, r: RoutineId| {
-            solver.summaries[r.index()] == prev_summaries[r.index()]
-        };
         let clean = component.iter().all(|&r| {
-            kept_shape(&prev_slots, r)
-                && cg
-                    .callees(r)
-                    .iter()
-                    .all(|&c| sccs.component_of(c) == comp || unchanged(&solver, c))
+            prev_slots[r.index()].as_ref().is_some_and(|p| p.cyclic == cyclic)
+                && cg.callees(r).iter().all(|&c| {
+                    sccs.component_of(c) == comp
+                        || solver.summaries[c.index()] == prev_summaries[c.index()]
+                })
         });
         if clean {
             for &rid in component {
@@ -1273,17 +1420,7 @@ pub(crate) fn reanalyze_stack_over(
                 solver.routines[rid.index()] = Some(rs);
             }
         } else {
-            solver.solve_component(component, |solver, r, cut_off| {
-                let reusable = !cut_off
-                    && kept_shape(&prev_slots, r)
-                    && unchanged(solver, r)
-                    && cg.callees(r).iter().all(|&c| unchanged(solver, c));
-                if reusable {
-                    prev_slots[r.index()].take()
-                } else {
-                    None
-                }
-            });
+            solver.solve_component(component, &mut prev_slots, &prev_summaries);
         }
     }
     solver.finish()
@@ -1986,6 +2123,51 @@ mod tests {
         // Phase A is not member-local: the sweep order is part of the
         // result, so a touched component re-composes every member.
         assert_eq!(only_c.summary_evals, scratch.summary_evals - 1, "all but main's");
+    }
+
+    /// [`ring`] with one extra instruction in each member: an add in
+    /// `b` whose source operands `swap` exchanges, and, when
+    /// `c_writes_up`, a store from `c` into its caller's frame.
+    fn ring_with(swap: bool, c_writes_up: bool) -> ProgramBuilder {
+        let mut p = ProgramBuilder::new();
+        p.routine("main").call("a").halt();
+        for (name, callee) in [("a", "b"), ("b", "c"), ("c", "a")] {
+            let r = p.routine(name);
+            r.def(Reg::T0).def(Reg::T1).lda(Reg::SP, Reg::SP, -16).store(Reg::T0, Reg::SP, 0);
+            match name {
+                "b" if swap => r.op(AluOp::Add, Reg::T1, Reg::T0, Reg::T2),
+                "b" => r.op(AluOp::Add, Reg::T0, Reg::T1, Reg::T2),
+                "c" if c_writes_up => r.store(Reg::T0, Reg::SP, 16),
+                _ => r,
+            };
+            r.cond(spike_isa::BranchCond::Eq, Reg::T0, "out").call(callee);
+            r.label("out").load(Reg::T1, Reg::SP, 0).lda(Reg::SP, Reg::SP, 16).ret();
+        }
+        p
+    }
+
+    #[test]
+    fn a_solve_scans_each_routine_it_must_once_and_no_other() {
+        let (program, _, _, scratch) = analyze(&ring_with(false, false));
+        assert_eq!(scratch.scans, program.routines().len(), "from scratch: each routine once");
+
+        // An operand swap in `b` changes no summary: phase A composes
+        // the whole cycle from `a`'s and `c`'s kept digests, and phase B
+        // re-solves `b` alone, so `b` is the only routine scanned.
+        let before = ring_with(false, false);
+        let (_, _, (_, swapped), _) = reanalyze_edit(&before, &ring_with(true, false), &["b"]);
+        assert_eq!(swapped.scans, 1);
+        assert_eq!(swapped.summary_evals, scratch.summary_evals - 1, "all but main's");
+
+        // `c` now writes its caller's frame: its summary changes, so its
+        // caller `b` is re-solved (and scanned) too. `b` sees the write
+        // below its own entry SP, so `a` keeps its facts, unscanned.
+        let (program, prev, (re, wrote), _) =
+            reanalyze_edit(&before, &ring_with(false, true), &["c"]);
+        let c = rid(&program, "c");
+        assert_ne!(re.routine(c).summary, prev.routine(c).summary);
+        assert_eq!(re.routine(rid(&program, "a")), prev.routine(rid(&program, "a")));
+        assert_eq!(wrote.scans, 2, "c, then b in phase B");
     }
 
     #[test]

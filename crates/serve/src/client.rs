@@ -134,8 +134,7 @@ fn round_trip(
         .map_err(|e| ClientError::Protocol(format!("sending request: {e}")))?;
     match read_frame(&mut stream, MAX_RESPONSE_BYTES) {
         Ok(FrameRead::Frame(json, blob)) => {
-            let response = Response::from_json(&json).map_err(ClientError::Protocol)?;
-            Ok((response, blob))
+            Response::from_frame(&json, blob).map_err(ClientError::Protocol)
         }
         Ok(FrameRead::Eof) => {
             Err(ClientError::Protocol("daemon closed the connection without replying".into()))
@@ -163,6 +162,41 @@ mod tests {
         assert!(Endpoint::parse("unix:").is_err());
         assert!(Endpoint::parse("").is_err());
         assert_eq!(Endpoint::parse("unix:/a b/s.sock").unwrap().to_string(), "unix:/a b/s.sock");
+    }
+
+    /// A transport that swallows the request and replays a canned reply.
+    struct Canned(io::Cursor<Vec<u8>>);
+
+    impl io::Read for Canned {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl io::Write for Canned {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_bad_stdout_length_is_a_protocol_error() {
+        let req = Request {
+            cmd: crate::proto::Command::Stats,
+            image_name: String::new(),
+            deadline_ms: None,
+            profile_len: 0,
+        };
+        let mut reply = Vec::new();
+        let json = spike_core::json::Json::parse(r#"{"exit":0,"stdout_bytes":9}"#).unwrap();
+        write_frame(&mut reply, &json, b"short").unwrap();
+        match round_trip(Canned(io::Cursor::new(reply)), &req, &[]) {
+            Err(ClientError::Protocol(m)) => assert!(m.contains("stdout_bytes 9"), "{m}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

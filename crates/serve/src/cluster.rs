@@ -224,7 +224,7 @@ impl Router {
                                             "router relay queue is full",
                                         );
                                         let _ = prepare(&refused);
-                                        let _ = write_frame(&mut refused, &resp.to_json(), &[]);
+                                        let _ = resp.send(&mut refused, &[]);
                                     }
                                 }
                                 Err(_) => thread::sleep(Duration::from_millis(5)),
@@ -377,7 +377,7 @@ fn relay(mut stream: TcpStream, ring: &Ring, max_frame_bytes: usize) {
         Ok(FrameRead::Eof) => return,
         Err(e) => {
             let resp = Response::error(ErrorKind::BadRequest, e.to_string());
-            let _ = write_frame(&mut stream, &resp.to_json(), &[]);
+            let _ = resp.send(&mut stream, &[]);
             return;
         }
     };
@@ -409,7 +409,7 @@ fn finish(stream: &mut TcpStream, result: Result<(Json, Vec<u8>), String>) {
         }
         Err(msg) => {
             let resp = Response::error(ErrorKind::Busy, msg);
-            let _ = write_frame(stream, &resp.to_json(), &[]);
+            let _ = resp.send(stream, &[]);
         }
     }
 }

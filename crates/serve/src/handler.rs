@@ -94,8 +94,8 @@ impl Handler {
                 self.metrics.forwarded.fetch_add(1, Ordering::Relaxed);
                 let addr = &cluster.ring.shards()[owner];
                 return match crate::cluster::forward_frame(addr, &req.to_json(), blob) {
-                    Ok((json, blob)) => match Response::from_json(&json) {
-                        Ok(mut resp) => {
+                    Ok((json, blob)) => match Response::from_frame(&json, blob) {
+                        Ok((mut resp, blob)) => {
                             let _ =
                                 writeln!(resp.diag, "cluster: forwarded to shard {owner} ({addr})");
                             (resp, blob)

@@ -114,9 +114,10 @@ fn round_trip(stream: &mut TcpStream, json: &Json, image: &[u8]) -> Result<u64, 
     let t = Instant::now();
     write_frame(stream, json, image).map_err(|e| format!("send: {e}"))?;
     match read_frame(stream, 256 << 20) {
-        Ok(FrameRead::Frame(reply, _)) => {
+        Ok(FrameRead::Frame(reply, blob)) => {
             let elapsed = t.elapsed().as_micros() as u64;
-            let response = Response::from_json(&reply).map_err(|e| format!("reply: {e}"))?;
+            let (response, _) =
+                Response::from_frame(&reply, blob).map_err(|e| format!("reply: {e}"))?;
             match response.error {
                 None => Ok(elapsed),
                 Some((kind, message)) => {

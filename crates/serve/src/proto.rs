@@ -3,9 +3,13 @@
 //!
 //! A frame is an 8-byte big-endian header — `u32` JSON length, `u32` blob
 //! length — followed by the JSON bytes and then the blob bytes. Requests
-//! carry the executable image in the blob (no base64 inflation); the only
-//! response that uses the blob is `optimize`, which returns the rewritten
-//! image. One connection carries exactly one request/response exchange:
+//! carry the executable image in the blob (no base64 inflation), followed
+//! by the execution profile when the JSON's `profile_len` says so.
+//! Responses mirror that: the report text travels raw at the front of the
+//! blob, `stdout_bytes` long, never escaped into the JSON, and `optimize`
+//! appends the rewritten image after it. [`Response::send`] and
+//! [`Response::from_frame`] are the only writer and reader of that
+//! layout. One connection carries exactly one request/response exchange:
 //! the client connects, writes one frame, reads one frame, and both sides
 //! close. That keeps the server's worker loop free of idle-connection
 //! bookkeeping, and connecting over a Unix socket is far cheaper than any
@@ -72,14 +76,23 @@ impl From<io::Error> for FrameError {
 /// Writes one frame. The JSON document is serialized in stored member
 /// order, so identical values produce identical bytes.
 pub fn write_frame(w: &mut impl Write, json: &Json, blob: &[u8]) -> io::Result<()> {
+    write_frame_parts(w, json, &[blob])
+}
+
+/// [`write_frame`] with the blob given as consecutive parts, so a caller
+/// never concatenates them into one buffer first.
+fn write_frame_parts(w: &mut impl Write, json: &Json, blob: &[&[u8]]) -> io::Result<()> {
     let mut text = String::new();
     json.write(&mut text);
+    let blob_len: usize = blob.iter().map(|part| part.len()).sum();
     let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&(text.len() as u32).to_be_bytes());
-    header[4..].copy_from_slice(&(blob.len() as u32).to_be_bytes());
+    header[4..].copy_from_slice(&(blob_len as u32).to_be_bytes());
     w.write_all(&header)?;
     w.write_all(text.as_bytes())?;
-    w.write_all(blob)?;
+    for part in blob {
+        w.write_all(part)?;
+    }
     w.flush()
 }
 
@@ -478,14 +491,21 @@ impl Response {
         }
     }
 
-    /// Serializes the response to its wire JSON document.
-    pub fn to_json(&self) -> Json {
+    /// Writes the response as one frame. The JSON holds the exit code,
+    /// the diagnostics, the error and `stdout_bytes`; the blob is the
+    /// stdout bytes followed by `image` (the rewritten image of
+    /// `optimize`, empty otherwise). The report is never escaped.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the transport does.
+    pub fn send(&self, w: &mut impl Write, image: &[u8]) -> io::Result<()> {
         let mut members = vec![
             ("status".to_string(), Json::from(if self.error.is_some() { "error" } else { "ok" })),
             ("exit".to_string(), Json::from(u64::from(self.exit))),
         ];
         if !self.stdout.is_empty() {
-            members.push(("stdout".to_string(), Json::from(self.stdout.as_str())));
+            members.push(("stdout_bytes".to_string(), Json::from(self.stdout.len() as u64)));
         }
         if !self.diag.is_empty() {
             members.push(("diag".to_string(), Json::from(self.diag.as_str())));
@@ -499,11 +519,18 @@ impl Response {
                 ]),
             ));
         }
-        Json::Obj(members)
+        write_frame_parts(w, &Json::Obj(members), &[self.stdout.as_bytes(), image])
     }
 
-    /// Decodes a response from its wire JSON document.
-    pub fn from_json(json: &Json) -> Result<Response, String> {
+    /// Decodes a frame [`Response::send`] wrote: the response, and the
+    /// image that followed its stdout in the blob.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a frame without an exit code or with an unknown error
+    /// kind, and a `stdout_bytes` that runs past the blob or does not end
+    /// on a UTF-8 boundary.
+    pub fn from_frame(json: &Json, mut blob: Vec<u8>) -> Result<(Response, Vec<u8>), String> {
         let exit = json
             .get("exit")
             .and_then(Json::as_u64)
@@ -521,12 +548,28 @@ impl Response {
             }
             None => None,
         };
-        Ok(Response {
+        let stdout_bytes = match json.get("stdout_bytes") {
+            None => 0,
+            Some(n) => n
+                .as_u64()
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| "`stdout_bytes` is not a byte count".to_string())?,
+        };
+        if stdout_bytes > blob.len() {
+            return Err(format!(
+                "stdout_bytes {stdout_bytes} exceeds the {}-byte frame blob",
+                blob.len()
+            ));
+        }
+        let image = blob.split_off(stdout_bytes);
+        let stdout = String::from_utf8(blob).map_err(|e| format!("stdout is not UTF-8: {e}"))?;
+        let response = Response {
             exit: u8::try_from(exit).map_err(|_| format!("exit code {exit} out of range"))?,
-            stdout: json.get("stdout").and_then(Json::as_str).unwrap_or("").to_string(),
+            stdout,
             diag: json.get("diag").and_then(Json::as_str).unwrap_or("").to_string(),
             error,
-        })
+        };
+        Ok((response, image))
     }
 }
 
@@ -621,6 +664,22 @@ mod tests {
         }
     }
 
+    /// Sends `response` with `image` through an in-memory frame and reads
+    /// it back.
+    fn through_frame(response: &Response, image: &[u8]) -> Result<(Response, Vec<u8>), String> {
+        let mut buf = Vec::new();
+        response.send(&mut buf, image).unwrap();
+        match read_frame(&mut &buf[..], 1 << 20).unwrap() {
+            FrameRead::Frame(json, blob) => Response::from_frame(&json, blob),
+            FrameRead::Eof => panic!("expected a frame"),
+        }
+    }
+
+    /// A frame carrying `json` and `blob` verbatim, read back.
+    fn decode(json: &str, blob: &[u8]) -> Result<(Response, Vec<u8>), String> {
+        Response::from_frame(&Json::parse(json).unwrap(), blob.to_vec())
+    }
+
     #[test]
     fn responses_roundtrip() {
         let rs = [
@@ -629,8 +688,51 @@ mod tests {
             Response::error(ErrorKind::Busy, "queue full"),
         ];
         for r in rs {
-            assert_eq!(Response::from_json(&r.to_json()).unwrap(), r);
+            assert_eq!(through_frame(&r, &[]).unwrap(), (r, Vec::new()));
         }
+    }
+
+    #[test]
+    fn stdout_roundtrips_byte_for_byte() {
+        let texts = [
+            String::new(),
+            "\"quoted\" and \\back\\slashed\n".to_string(),
+            (0u8..0x20).map(char::from).chain(['\u{7f}']).collect(),
+            "multi-byte: é ß 漢字 🦀\n".to_string(),
+        ];
+        for text in texts {
+            let r = Response::ok(text.clone(), String::new());
+            let (back, image) = through_frame(&r, &[]).unwrap();
+            assert_eq!(back.stdout.as_bytes(), text.as_bytes());
+            assert!(image.is_empty());
+        }
+    }
+
+    #[test]
+    fn an_optimize_reply_splits_into_stdout_and_image() {
+        let r = Response::ok("optimized: 3 insns removed\n".into(), String::new());
+        let image = [0u8, 159, 146, 150, 255];
+        let (back, blob) = through_frame(&r, &image).unwrap();
+        assert_eq!(back, r);
+        assert_eq!(blob, image);
+        // No stdout: the whole blob is the image.
+        let (back, blob) =
+            through_frame(&Response::ok(String::new(), "d\n".into()), &image).unwrap();
+        assert_eq!((back.stdout.as_str(), blob.as_slice()), ("", &image[..]));
+    }
+
+    #[test]
+    fn bad_stdout_lengths_are_protocol_errors() {
+        let past = decode(r#"{"exit":0,"stdout_bytes":4}"#, b"abc").unwrap_err();
+        assert!(past.contains("exceeds the 3-byte frame blob"), "{past}");
+        // 4 bytes of "é漢" end inside the three-byte sequence of 漢.
+        let split = decode(r#"{"exit":0,"stdout_bytes":4}"#, "é漢".as_bytes()).unwrap_err();
+        assert!(split.contains("not UTF-8"), "{split}");
+        assert!(decode(r#"{"exit":0,"stdout_bytes":-1}"#, b"").is_err());
+        assert!(decode(r#"{"exit":0,"stdout_bytes":"2"}"#, b"ab").is_err());
+        // The same lengths on a well-formed blob decode.
+        let (r, image) = decode(r#"{"exit":0,"stdout_bytes":2}"#, "é漢".as_bytes()).unwrap();
+        assert_eq!((r.stdout.as_str(), image.as_slice()), ("é", "漢".as_bytes()));
     }
 
     #[test]

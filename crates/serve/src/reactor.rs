@@ -34,7 +34,7 @@ use std::thread::{self, JoinHandle};
 use spike_core::json::Json;
 
 use crate::metrics::Metrics;
-use crate::proto::{write_frame, ErrorKind, FrameError, Response};
+use crate::proto::{ErrorKind, FrameError, Response};
 use crate::server::{Conn, Queue, Work};
 
 /// A bound, not-yet-nonblocking listener handed over by the server.
@@ -236,7 +236,7 @@ impl Pending {
 fn reject(mut conn: Conn, kind: ErrorKind, msg: String) {
     if conn.prepare().is_ok() {
         let resp = Response::error(kind, msg);
-        let _ = write_frame(&mut conn, &resp.to_json(), &[]);
+        let _ = resp.send(&mut conn, &[]);
     }
 }
 

@@ -139,8 +139,12 @@ pub fn analyze_diag(stats: &AnalysisStats) -> String {
     );
     let _ = writeln!(
         out,
-        "stack slots: {} + {} block visits (must-defined + live), {} summary composition(s)",
-        stats.stack_forward_visits, stats.stack_backward_visits, stats.stack_summary_evals
+        "stack slots: {} + {} block visits (must-defined + live), {} summary composition(s), \
+         {} routine scan(s)",
+        stats.stack_forward_visits,
+        stats.stack_backward_visits,
+        stats.stack_summary_evals,
+        stats.stack_scans
     );
     out
 }

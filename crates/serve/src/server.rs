@@ -35,7 +35,7 @@ use spike_core::AnalysisOptions;
 use crate::cache::ProgramStore;
 use crate::handler::{Deadline, Handler};
 use crate::metrics::Metrics;
-use crate::proto::{read_frame, write_frame, ErrorKind, FrameError, FrameRead, Request, Response};
+use crate::proto::{read_frame, ErrorKind, FrameError, FrameRead, Request, Response};
 use crate::snapshot::{self, RestoreReport};
 
 /// How the daemon listens, queues, and bounds work.
@@ -691,7 +691,7 @@ fn spawn_acceptor(
                             // gets a structured reply, not a hang.
                             if refused.prepare().is_ok() {
                                 let resp = Response::error(ErrorKind::Busy, "work queue is full");
-                                let _ = write_frame(&mut refused, &resp.to_json(), &[]);
+                                let _ = resp.send(&mut refused, &[]);
                             }
                         }
                     },
@@ -721,13 +721,13 @@ fn serve_connection(
         Err(e @ FrameError::TooLarge { .. }) => {
             handler.metrics.rejected_oversized.fetch_add(1, Ordering::Relaxed);
             let resp = Response::error(ErrorKind::TooLarge, e.to_string());
-            let _ = write_frame(&mut conn, &resp.to_json(), &[]);
+            let _ = resp.send(&mut conn, &[]);
             return;
         }
         Err(e @ FrameError::BadJson(_)) => {
             handler.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
             let resp = Response::error(ErrorKind::BadRequest, e.to_string());
-            let _ = write_frame(&mut conn, &resp.to_json(), &[]);
+            let _ = resp.send(&mut conn, &[]);
             return;
         }
         Err(FrameError::Io(_)) => return,
@@ -764,7 +764,7 @@ fn dispatch(
         Err(msg) => {
             handler.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
             let resp = Response::error(ErrorKind::BadRequest, msg);
-            let _ = write_frame(&mut conn, &resp.to_json(), &[]);
+            let _ = resp.send(&mut conn, &[]);
             return;
         }
     };
@@ -786,5 +786,5 @@ fn dispatch(
         }
     };
     handler.metrics.latency.record(started.elapsed());
-    let _ = write_frame(&mut conn, &response.to_json(), &out_blob);
+    let _ = response.send(&mut conn, &out_blob);
 }

@@ -13,7 +13,7 @@
 //! The header is a `spike_core::json` object:
 //!
 //! ```json
-//! {"tool": "spike-served", "format": 7, "entries": 3,
+//! {"tool": "spike-served", "format": 8, "entries": 3,
 //!  "payload_bytes": 123456, "checksum": "<32 hex>", "options_fp": "<16 hex>"}
 //! ```
 //!
@@ -57,9 +57,9 @@ use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 /// Payload encoding version. Bump on any change to the `Snap` layout of
 /// the analysis structures or to how a header field is computed.
 ///
-/// 7: the PSG's five adjacency tables and the flow arcs are
-/// compressed-sparse-row tables, and block lists hold two ids inline.
-pub const FORMAT_VERSION: i64 = 7;
+/// 8: each routine's stack facts keep its `CallDigest`, and the stats
+/// count the stack layer's routine scans.
+pub const FORMAT_VERSION: i64 = 8;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
@@ -530,12 +530,13 @@ mod tests {
         // carried the solver-selection fields, version 4, whose
         // `options_fp` was computed with a non-FNV multiplier, version 5,
         // whose `Analysis` payload still carried per-routine loop
-        // statistics, and version 6, whose PSG tables were one list per
-        // row and whose block lists were plain vectors. Splice the format
+        // statistics, version 6, whose PSG tables were one list per row
+        // and whose block lists were plain vectors, and version 7, whose
+        // routine stack facts kept no call digest. Splice the format
         // field in the JSON header and fix up the length field.
         let header_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
         let header = std::str::from_utf8(&good[12..12 + header_len]).unwrap();
-        for other in [999, 3, 4, 5, 6] {
+        for other in [999, 3, 4, 5, 6, 7] {
             let spliced_header = header.replacen(
                 &format!("\"format\":{FORMAT_VERSION}"),
                 &format!("\"format\":{other}"),

@@ -438,6 +438,48 @@ fn cluster_routes_by_content_hash_and_forwards_misroutes() {
     }
 }
 
+#[test]
+fn a_misrouted_lint_returns_the_local_report_bytes() {
+    let shards = reserve_addrs(2);
+    let servers: Vec<Server> = (0..shards.len())
+        .map(|i| {
+            Server::start(&ServeOptions {
+                tcp: Some(shards[i].clone()),
+                cluster: shards.clone(),
+                shard_index: Some(i),
+                ..ServeOptions::default()
+            })
+            .expect("shard starts")
+        })
+        .collect();
+    let ring = Ring::new(shards.clone());
+    // A profile image: its JSON report runs to many findings, with
+    // quotes and backslashes the old wire format had to escape.
+    let program = spike_synth::generate(&spike_synth::profiles()[0], 0.05, 3);
+    let image = program.to_image();
+    let analysis = spike_core::analyze_with(&program, &AnalysisOptions::default());
+    let report = spike_lint::lint_with(&program, &analysis, &spike_lint::LintOptions::default());
+    let wrong = (ring.owner_of(key_of(&image)) + 1) % shards.len();
+    for format in [LintFormat::Json, LintFormat::Human] {
+        let expected = render::lint_report("p\\\"q.img", &report, format);
+        let r = send(
+            &Endpoint::Tcp(shards[wrong].clone()),
+            &req(Command::Lint { format }, "p\\\"q.img"),
+            &image,
+        );
+        assert_eq!(r.error, None);
+        assert_eq!(
+            r.stdout.as_bytes(),
+            expected.as_bytes(),
+            "forwarded lint must be byte-identical"
+        );
+        assert!(r.diag.contains("cluster: forwarded to shard"), "{}", r.diag);
+    }
+    for (server, addr) in servers.into_iter().zip(&shards) {
+        stop(server, &Endpoint::Tcp(addr.clone()));
+    }
+}
+
 /// The image content hash, via the public serve API.
 fn key_of(image: &[u8]) -> spike_serve::cache::CacheKey {
     spike_serve::cache::CacheKey::of(image)
