@@ -45,7 +45,6 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use spike_cfg::{BlockId, CallTarget, ProgramCfg, RoutineCfg, SupergraphCounts, TermKind};
-use spike_core::parallel::{par_map, resolve_threads};
 use spike_core::{saved_restored_registers, AnalysisOptions, RoutineSummary};
 use spike_isa::{HeapSize, RegSet};
 use spike_program::{Program, RoutineId};
@@ -77,9 +76,6 @@ pub struct BaselineStats {
     pub phase1_visits: usize,
     /// Block evaluations in phase 2.
     pub phase2_visits: usize,
-    /// Worker threads the CFG build stage ran with (mirrors
-    /// [`AnalysisOptions::threads`]).
-    pub cfg_build_workers: usize,
     /// Bytes of analysis structures (CFGs + per-block dataflow sets).
     pub memory_bytes: usize,
 }
@@ -112,12 +108,7 @@ struct Super {
 }
 
 impl Super {
-    fn build(
-        program: &Program,
-        cfg: &ProgramCfg,
-        options: &AnalysisOptions,
-        workers: usize,
-    ) -> Super {
+    fn build(program: &Program, cfg: &ProgramCfg, options: &AnalysisOptions) -> Super {
         let n_routines = cfg.cfgs().len();
         let mut base = Vec::with_capacity(n_routines);
         let mut total = 0usize;
@@ -125,15 +116,17 @@ impl Super {
             base.push(total);
             total += c.blocks().len();
         }
-        // The §3.4 saved/restored scan reads every routine body; like the
-        // PSG builder's pass 1 it fans out per routine.
-        let csr = par_map(n_routines, workers, |i| {
-            if options.callee_saved_filter {
-                saved_restored_registers(program, &cfg.cfgs()[i], &options.calling_standard)
-            } else {
-                RegSet::EMPTY
-            }
-        });
+        let csr = cfg
+            .cfgs()
+            .iter()
+            .map(|c| {
+                if options.callee_saved_filter {
+                    saved_restored_registers(program, c, &options.calling_standard)
+                } else {
+                    RegSet::EMPTY
+                }
+            })
+            .collect();
 
         let mut callers = vec![Vec::new(); n_routines];
         let mut caller_returns = vec![Vec::new(); n_routines];
@@ -199,18 +192,10 @@ pub fn analyze_baseline(program: &Program) -> BaselineAnalysis {
 
 /// Analyzes `program` over the full supergraph.
 pub fn analyze_baseline_with(program: &Program, options: &AnalysisOptions) -> BaselineAnalysis {
-    let n_routines = program.routines().len();
-    let workers = resolve_threads(options.threads).clamp(1, n_routines.max(1));
-
-    // CFG structure and DEF/UBD are independent per routine: fan out over
-    // the same scoped-thread helper the PSG front-end uses, then reattach
-    // in routine-id order (results are identical at any worker count).
     let t = Instant::now();
-    let cfg = ProgramCfg::from_cfgs(par_map(n_routines, workers, |i| {
-        RoutineCfg::build(program, RoutineId::from_index(i))
-    }));
+    let cfg = ProgramCfg::build(program);
     let cfg_build = t.elapsed();
-    let sp = Super::build(program, &cfg, options, workers);
+    let sp = Super::build(program, &cfg, options);
 
     // The summary a call site sees for its callees: meet over targets,
     // callee-saved registers filtered (§3.4), calling-standard assumptions
@@ -470,7 +455,6 @@ pub fn analyze_baseline_with(program: &Program, options: &AnalysisOptions) -> Ba
             phase2,
             phase1_visits,
             phase2_visits,
-            cfg_build_workers: workers,
             memory_bytes,
         },
     }

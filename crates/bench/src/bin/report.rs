@@ -1,18 +1,17 @@
 //! Regenerates every table and figure of the paper's evaluation (§4).
 //!
 //! ```text
-//! report [--scale S] [--seed N] [--baseline] [--threads N] [SECTION...]
+//! report [--scale S] [--seed N] [--baseline] [SECTION...]
 //! SECTION: table1 table2 table3 table4 table5 fig13 fig14 fig15 opts
 //!          ablate all
 //! ```
 //!
 //! `--scale` shrinks every benchmark proportionally (default 0.1); pass
 //! `--scale 1` for paper-sized programs. `--baseline` additionally runs
-//! the full-CFG analysis and prints its time/memory comparison.
-//! `--threads` selects the analysis front-end worker count (0 = all
-//! available hardware threads). With no section (or `all`) every table
-//! and figure plus `opts` prints; `ablate`, the §3.4 callee-saved filter
-//! ablation, prints only when named.
+//! the full-CFG analysis and prints its time/memory comparison. With no
+//! section (or `all`) every table and figure plus `opts` prints;
+//! `ablate`, the §3.4 callee-saved filter ablation, prints only when
+//! named.
 //!
 //! This binary reproduces the paper and nothing else. What the system
 //! costs end to end and layer by layer — the analyze, optimize and
@@ -35,7 +34,6 @@ fn main() {
     let mut scale = 0.1f64;
     let mut seed = DEFAULT_SEED;
     let mut with_baseline = false;
-    let mut threads = 0usize;
     let mut sections: BTreeSet<String> = BTreeSet::new();
 
     let mut args = std::env::args().skip(1);
@@ -54,16 +52,9 @@ fn main() {
                     .unwrap_or_else(|| die("--seed needs an integer"));
             }
             "--baseline" => with_baseline = true,
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs a non-negative integer"));
-            }
             "--help" | "-h" => {
                 println!(
-                    "report [--scale S] [--seed N] [--baseline] [--threads N] \
-                     [{}|ablate|all]",
+                    "report [--scale S] [--seed N] [--baseline] [{}|ablate|all]",
                     PAPER_SECTIONS.join("|")
                 );
                 return;
@@ -92,7 +83,7 @@ fn main() {
             .iter()
             .map(|p| {
                 eprintln!("measuring {} ...", p.name);
-                BenchRun::measure(p, scale, seed, with_baseline, threads)
+                BenchRun::measure(p, scale, seed, with_baseline)
             })
             .collect()
     } else {

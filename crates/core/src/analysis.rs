@@ -10,7 +10,6 @@ use spike_program::{Program, RoutineId};
 
 use crate::build::build_psg;
 use crate::dataflow::{run_phase1, run_phase2};
-use crate::parallel::{par_for_each_mut, par_map, resolve_threads};
 use crate::psg::{NodeId, Psg};
 use crate::stack::{reanalyze_stack_over, StackAnalysis};
 use crate::summary::ProgramSummary;
@@ -32,11 +31,8 @@ spike_isa::analysis_struct! {
         /// (exported routines and the program entry), whose callers are
         /// outside the program.
         pub exported_live_at_exit: RegSet,
-        /// Worker threads for the per-routine front-end stages (CFG build,
-        /// `DEF`/`UBD` initialization, PSG build). `0` uses one worker per
-        /// available hardware thread; `1` runs serially. Results — summaries,
-        /// PSG node/edge order, and [`AnalysisStats::memory_bytes`] — are
-        /// bit-identical at every setting.
+        /// Ignored; the front end is serial. Kept so the `benchmark/`
+        /// package compiles (`benchmark/src/serve.rs` sets it).
         pub threads: usize,
     }
 }
@@ -93,9 +89,6 @@ spike_isa::analysis_struct! {
         /// them in a from-scratch solve, once each; in a catch-up only
         /// the edited ones and those the slot dataflows re-solved.
         pub stack_scans: usize,
-        /// Worker threads the per-routine front-end stages (CFG build,
-        /// `DEF`/`UBD` initialization, PSG build) ran with.
-        pub front_end_workers: usize,
         /// Always `0`: the one phase solver is a flat FIFO worklist with no
         /// condensation waves. The field stays because the standalone
         /// benchmark package reads it (`core.waves` in
@@ -238,7 +231,7 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
 /// [`analyze_with`] short of the stack layer, which is left unsolved
 /// (see [`solve_registers`]), with the call graph the run built.
 pub(crate) fn analyze_registers(program: &Program, options: &AnalysisOptions) -> (Analysis, Calls) {
-    let front = FrontEnd::build(program, options);
+    let front = FrontEnd::build(program);
     let calls = Calls::of(program, &front.cfg);
     (solve_registers(program, front, options, &calls.sccs), calls)
 }
@@ -272,26 +265,22 @@ pub(crate) struct FrontEnd {
 
 impl FrontEnd {
     /// Builds every routine's CFG and `DEF`/`UBD` sets.
-    fn build(program: &Program, options: &AnalysisOptions) -> FrontEnd {
+    fn build(program: &Program) -> FrontEnd {
         let n_routines = program.routines().len();
-        let workers = front_end_workers(options, n_routines);
 
         let t = Instant::now();
-        let mut cfgs: Vec<RoutineCfg> = par_map(n_routines, workers, |i| {
-            RoutineCfg::build_structure(program, RoutineId::from_index(i))
-        });
+        let mut cfgs: Vec<RoutineCfg> = (0..n_routines)
+            .map(|i| RoutineCfg::build_structure(program, RoutineId::from_index(i)))
+            .collect();
         let cfg_build = t.elapsed();
 
         let t = Instant::now();
-        par_for_each_mut(&mut cfgs, workers, |c| c.init_def_ubd(program));
+        for c in &mut cfgs {
+            c.init_def_ubd(program);
+        }
         let init = t.elapsed();
         FrontEnd { cfg: ProgramCfg::from_cfgs(cfgs), cfg_build, init, rebuilt: n_routines }
     }
-}
-
-/// Worker threads for per-routine front-end work over `items` routines.
-pub(crate) fn front_end_workers(options: &AnalysisOptions, items: usize) -> usize {
-    resolve_threads(options.threads).clamp(1, items.max(1))
 }
 
 /// The register layers over a finished front end: PSG build, both
@@ -309,10 +298,9 @@ pub(crate) fn solve_registers(
 ) -> Analysis {
     let FrontEnd { cfg, cfg_build, init, rebuilt } = front;
     let n_routines = program.routines().len();
-    let workers = front_end_workers(options, n_routines);
 
     let t = Instant::now();
-    let mut psg = build_psg(program, &cfg, options, workers);
+    let mut psg = build_psg(program, &cfg, options);
     let psg_build = t.elapsed();
 
     let t = Instant::now();
@@ -341,7 +329,6 @@ pub(crate) fn solve_registers(
             phase2,
             phase1_visits,
             phase2_visits,
-            front_end_workers: workers,
             routines_reanalyzed: rebuilt,
             routines_reused: n_routines - rebuilt,
             memory_bytes,

@@ -7,26 +7,13 @@ use spike_program::{Program, RoutineId};
 use crate::analysis::AnalysisOptions;
 use crate::callee_saved::saved_restored_registers;
 use crate::flow::{bits, set_bit, solve_edge, words_for, FlowScratch};
-use crate::parallel::{par_map, par_map_with};
 use crate::psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, RoutineNodes};
 
 /// Builds the PSG for `program`: one set of entry/exit/call/return (and
 /// optionally branch) nodes per routine, flow-summary edges labeled by the
 /// Figure-6 subgraph dataflow, and call-return edges wired to their callee
 /// entry nodes for the phase-1 broadcast.
-///
-/// The expensive per-routine work — the §3.4 callee-saved scan in pass 1
-/// and the Figure-6 edge labeling in pass 2 — fans out over `workers`
-/// scoped threads; results merge back in routine-id order, so node ids,
-/// edge ids, and every vector's growth sequence (hence the deterministic
-/// [`HeapSize`](spike_isa::HeapSize) accounting) are identical at any
-/// worker count.
-pub(crate) fn build_psg(
-    program: &Program,
-    pcfg: &ProgramCfg,
-    options: &AnalysisOptions,
-    workers: usize,
-) -> Psg {
+pub(crate) fn build_psg(program: &Program, pcfg: &ProgramCfg, options: &AnalysisOptions) -> Psg {
     let mut psg = Psg {
         nodes: Vec::new(),
         edges: Vec::new(),
@@ -45,20 +32,8 @@ pub(crate) fn build_psg(
     };
 
     // Pass 1: create every node, so cross-routine references (call-return
-    // sources, return-to-exit broadcasts) can be resolved in pass 2. The
-    // node pushes are cheap and id-sequential, so they stay serial; the
-    // dominant cost — the §3.4 saved/restored scan over every routine
-    // body — runs per routine in parallel first.
-    let saved_restored: Vec<RegSet> = par_map(pcfg.cfgs().len(), workers, |i| {
-        if options.callee_saved_filter {
-            saved_restored_registers(program, &pcfg.cfgs()[i], &options.calling_standard)
-        } else {
-            RegSet::EMPTY
-        }
-    });
-
+    // sources, return-to-exit broadcasts) can be resolved in pass 2.
     for cfg in pcfg.cfgs() {
-        let rid = cfg.routine();
         let mut rn = RoutineNodes::default();
         for planned in plan_routine_nodes(program, cfg, options) {
             let n = push_node(&mut psg, planned.kind);
@@ -66,22 +41,20 @@ pub(crate) fn build_psg(
             psg.uj_live[n.index()] = planned.uj_live;
             register_node(&mut rn, planned.kind, n);
         }
-        rn.saved_restored = saved_restored[rid.index()];
+        if options.callee_saved_filter {
+            rn.saved_restored = saved_restored_registers(program, cfg, &options.calling_standard);
+        }
         psg.routines.push(rn);
     }
 
     // Pass 2: per routine, chop the CFG at summary points and label
-    // flow-summary and call-return edges. Planning each routine's edges
-    // reads only the immutable pass-1 node tables, so it fans out across
-    // workers (each with its own flow-solver scratch); the plans are then
-    // applied serially in routine-id order, replaying the exact push
-    // sequence the serial builder would perform.
-    let plans: Vec<RoutineEdgePlan> =
-        par_map_with(pcfg.cfgs().len(), workers, FlowScratch::default, |scratch, i| {
-            plan_routine_edges(&psg, &pcfg.cfgs()[i], options, scratch)
-        });
+    // flow-summary and call-return edges. Planning reads the routines'
+    // pass-1 node directories; applying a plan adds edges and at most a
+    // diverge sink, which no plan reads.
+    let mut scratch = FlowScratch::default();
     let mut wiring = Wiring::default();
-    for (cfg, plan) in pcfg.cfgs().iter().zip(plans) {
+    for cfg in pcfg.cfgs() {
+        let plan = plan_routine_edges(&psg, cfg, options, &mut scratch);
         apply_routine_plan(&mut psg, cfg.routine(), plan, &mut wiring);
     }
 
@@ -252,7 +225,7 @@ pub(crate) struct CrWiring {
 }
 
 /// Everything pass 2 computes for one routine, ready to replay into the
-/// PSG in routine-id order.
+/// PSG.
 pub(crate) struct RoutineEdgePlan {
     pub(crate) edges: Vec<PlannedEdge>,
     /// The node lists every [`CrWiring`] of the plan points into.
@@ -273,9 +246,9 @@ impl RoutineEdgePlan {
 }
 
 /// Plans one routine's flow-summary and call-return edges against the
-/// immutable pass-1 node tables. Pure with respect to `psg`, so any
-/// number of routines can be planned concurrently, each with its own
-/// `scratch`; the plan itself is the only allocation.
+/// pass-1 node tables, without touching `psg`, so incremental re-analysis
+/// can compare the plan against the cached edges; the plan itself is the
+/// only allocation.
 pub(crate) fn plan_routine_edges(
     psg: &Psg,
     cfg: &RoutineCfg,
@@ -474,10 +447,9 @@ pub(crate) fn plan_routine_edges(
     plan
 }
 
-/// Replays one routine's plan into the PSG. Called in routine-id order;
-/// together with the deterministic plan contents this makes every push —
-/// node, edge, call-return wiring — happen in exactly the order a fully
-/// serial pass 2 would produce.
+/// Replays one routine's plan into the PSG: its diverge sink, if it needs
+/// one, then its edges and their call-return wiring. Called in routine-id
+/// order.
 fn apply_routine_plan(psg: &mut Psg, rid: RoutineId, plan: RoutineEdgePlan, wiring: &mut Wiring) {
     let diverge = plan.needs_diverge.then(|| {
         let d = push_node(psg, NodeKind::Diverge { routine: rid });
@@ -510,7 +482,7 @@ mod tests {
     fn build(b: &ProgramBuilder, options: &AnalysisOptions) -> (Program, ProgramCfg, Psg) {
         let p = b.build().unwrap();
         let pcfg = ProgramCfg::build(&p);
-        let psg = build_psg(&p, &pcfg, options, 1);
+        let psg = build_psg(&p, &pcfg, options);
         (p, pcfg, psg)
     }
 
@@ -544,7 +516,7 @@ mod tests {
     /// call targets, in the push order the phase worklists depend on.
     fn assert_rows_match_reference(p: &Program, options: &AnalysisOptions) {
         let pcfg = ProgramCfg::build(p);
-        let psg = build_psg(p, &pcfg, options, 1);
+        let psg = build_psg(p, &pcfg, options);
         let (n, m) = (psg.nodes.len(), psg.edges.len());
         for i in 0..n {
             let node = NodeId::from_index(i);

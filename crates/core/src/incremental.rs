@@ -52,14 +52,13 @@ use spike_isa::{HeapSize, RegSet};
 use spike_program::{Program, RoutineId};
 
 use crate::analysis::{
-    analyze_registers, exported_exit_seeds, front_end_workers, phase1_seed_order, solve_registers,
-    Analysis, AnalysisOptions, AnalysisStats, Calls, FrontEnd, RegisterFacts,
+    analyze_registers, exported_exit_seeds, phase1_seed_order, solve_registers, Analysis,
+    AnalysisOptions, AnalysisStats, Calls, FrontEnd, RegisterFacts,
 };
 use crate::build::{plan_routine_edges, plan_routine_nodes, RoutineEdgePlan};
 use crate::callee_saved::saved_restored_registers;
 use crate::dataflow::{run_phase1_seeded, run_phase2_seeded};
 use crate::flow::FlowScratch;
-use crate::parallel::{par_for_each_mut, par_map, par_map_with};
 use crate::psg::{EdgeKind, NodeId, Psg};
 use crate::query::{Query, QueryAnswer, QueryStats};
 use crate::summary::ProgramSummary;
@@ -296,7 +295,6 @@ impl AnalysisCache {
             // Nothing changed: the cached solution is the solution. Reset
             // the effort counters so callers see this run did no work.
             cached.stats = AnalysisStats {
-                front_end_workers: cached.stats.front_end_workers,
                 routines_reused: n_routines,
                 memory_bytes: cached.stats.memory_bytes,
                 ..AnalysisStats::default()
@@ -419,12 +417,11 @@ fn advance_register_layers(
     for &r in dirty {
         dirty_mask[r.index()] = true;
     }
-    let workers = front_end_workers(options, dirty.len());
 
     // --- Front end, dirty routines only. ---
     let t = Instant::now();
     let mut rebuilt: Vec<RoutineCfg> =
-        par_map(dirty.len(), workers, |i| RoutineCfg::build_structure(program, dirty[i]));
+        dirty.iter().map(|&r| RoutineCfg::build_structure(program, r)).collect();
     let cfg_build = t.elapsed();
 
     // Detect a shape change early. The node plan needs block structure
@@ -439,7 +436,9 @@ fn advance_register_layers(
     let node_patch = t.elapsed();
 
     let t = Instant::now();
-    par_for_each_mut(&mut rebuilt, workers, |c| c.init_def_ubd(program));
+    for c in &mut rebuilt {
+        c.init_def_ubd(program);
+    }
     let mut cfgs = cfg.into_cfgs();
     for c in rebuilt {
         let i = c.routine().index();
@@ -461,13 +460,11 @@ fn advance_register_layers(
     let t = Instant::now();
     if same_shape {
         let edge_ranges = routine_edge_ranges(&psg, n_routines);
-        let plans: Vec<RoutineEdgePlan> =
-            par_map_with(dirty.len(), workers, FlowScratch::default, |scratch, i| {
-                plan_routine_edges(&psg, cfg.routine_cfg(dirty[i]), options, scratch)
-            });
-        same_shape = dirty.iter().zip(&plans).all(|(&r, plan)| {
+        let mut scratch = FlowScratch::default();
+        same_shape = dirty.iter().all(|&r| {
+            let plan = plan_routine_edges(&psg, cfg.routine_cfg(r), options, &mut scratch);
             let (lo, hi) = edge_ranges[r.index()];
-            patch_routine_edges(&mut psg, r, plan, lo, hi).is_ok()
+            patch_routine_edges(&mut psg, r, &plan, lo, hi).is_ok()
         });
     }
     if !same_shape {
@@ -513,7 +510,6 @@ fn advance_register_layers(
             phase2,
             phase1_visits,
             phase2_visits,
-            front_end_workers: workers,
             routines_reanalyzed: dirty.len(),
             routines_reused: n_routines - dirty.len(),
             memory_bytes,

@@ -54,7 +54,6 @@ mod dot;
 mod flow;
 mod incremental;
 pub mod json;
-pub mod parallel;
 mod psg;
 mod query;
 mod snap;

@@ -129,10 +129,8 @@ impl Snap for EdgeKind {
 /// different calling standard or filter setting would be silently
 /// wrong, not just stale.
 ///
-/// `threads` is deliberately excluded: results (including
-/// `memory_bytes`) are bit-identical at every worker count, so a
-/// snapshot from a 4-worker daemon is valid donor state for an
-/// 8-worker one.
+/// `threads` is excluded because it is inert (the front end is serial);
+/// zeroing it keeps existing fingerprints where they were.
 pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     let mut w = SnapWriter::new();
     AnalysisOptions { threads: 0, ..options.clone() }.snap(&mut w);

@@ -10,7 +10,7 @@ use spike_serve::{server, ServeOptions, Server};
 const USAGE: &str = "\
 usage: spike-served [--listen HOST:PORT] [--unix PATH] [--workers N]
                     [--cache-bytes N] [--queue N] [--max-frame-bytes N]
-                    [--deadline-ms N] [--threads N] [--snapshot PATH]
+                    [--deadline-ms N] [--snapshot PATH]
                     [--snapshot-interval-ms N]
                     [--cluster A,B,C --shard-index I]
 
@@ -48,7 +48,6 @@ fn parse(args: &[String]) -> Result<ServeOptions, String> {
             "--deadline-ms" => {
                 o.default_deadline_ms = num("--deadline-ms", want("--deadline-ms")?)?
             }
-            "--threads" => o.analysis_threads = num("--threads", want("--threads")?)? as usize,
             "--snapshot" => o.snapshot = Some(PathBuf::from(want("--snapshot")?)),
             "--snapshot-interval-ms" => {
                 o.snapshot_interval_ms =

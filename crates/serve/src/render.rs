@@ -121,8 +121,7 @@ pub fn analyze_diag(stats: &AnalysisStats) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "time {:?} (cfg {:?}, init {:?}, psg {:?}, phase1 {:?}, phase2 {:?}, stack {:?}), \
-         {} front-end worker(s)",
+        "time {:?} (cfg {:?}, init {:?}, psg {:?}, phase1 {:?}, phase2 {:?}, stack {:?})",
         stats.total(),
         stats.cfg_build,
         stats.init,
@@ -130,7 +129,6 @@ pub fn analyze_diag(stats: &AnalysisStats) -> String {
         stats.phase1,
         stats.phase2,
         stats.stack_build,
-        stats.front_end_workers,
     );
     let _ = writeln!(
         out,

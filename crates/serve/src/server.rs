@@ -59,7 +59,8 @@ pub struct ServeOptions {
     /// Default per-request processing deadline (ms) when the request
     /// does not carry its own.
     pub default_deadline_ms: u64,
-    /// `threads` knob passed into every analysis.
+    /// Ignored; the front end is serial. Kept so the `benchmark/`
+    /// package compiles (`benchmark/src/serve.rs` sets it).
     pub analysis_threads: usize,
     /// Warm-cache snapshot file. When set, the daemon restores the cache
     /// from it at startup (falling back to cold on any mismatch or
@@ -368,8 +369,7 @@ impl Server {
                 "serve needs --listen and/or --unix",
             ));
         }
-        let analysis =
-            AnalysisOptions { threads: options.analysis_threads, ..AnalysisOptions::default() };
+        let analysis = AnalysisOptions::default();
         let cluster = if options.cluster.is_empty() {
             None
         } else {

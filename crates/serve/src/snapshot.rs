@@ -59,7 +59,8 @@ use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 ///
 /// 8: each routine's stack facts keep its `CallDigest`, and the stats
 /// count the stack layer's routine scans.
-pub const FORMAT_VERSION: i64 = 8;
+/// 9: the stats no longer carry a front-end worker count.
+pub const FORMAT_VERSION: i64 = 9;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
@@ -531,12 +532,13 @@ mod tests {
         // `options_fp` was computed with a non-FNV multiplier, version 5,
         // whose `Analysis` payload still carried per-routine loop
         // statistics, version 6, whose PSG tables were one list per row
-        // and whose block lists were plain vectors, and version 7, whose
-        // routine stack facts kept no call digest. Splice the format
+        // and whose block lists were plain vectors, version 7, whose
+        // routine stack facts kept no call digest, and version 8, whose
+        // stats still counted front-end workers. Splice the format
         // field in the JSON header and fix up the length field.
         let header_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
         let header = std::str::from_utf8(&good[12..12 + header_len]).unwrap();
-        for other in [999, 3, 4, 5, 6, 7] {
+        for other in [999, 3, 4, 5, 6, 7, 8] {
             let spliced_header = header.replacen(
                 &format!("\"format\":{FORMAT_VERSION}"),
                 &format!("\"format\":{other}"),

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use spike_isa::{AluOp, BranchCond, Reg, RegSet};
-use spike_program::{Program, ProgramBuilder, RoutineBuilder};
+use spike_program::{BuildError, Program, ProgramBuilder, RoutineBuilder};
 
 const TEMPS: [Reg; 6] = [Reg::T0, Reg::T1, Reg::T2, Reg::T3, Reg::int(5), Reg::int(6)];
 const COUNTERS: [Reg; 3] = [Reg::S0, Reg::S1, Reg::S2];
@@ -340,9 +340,21 @@ impl Ctx<'_, '_> {
 ///
 /// # Panics
 ///
-/// Panics if `n_routines` is zero.
+/// Panics where [`try_generate_executable`] returns an error.
 pub fn generate_executable(seed: u64, n_routines: usize) -> Program {
-    generate_inner(seed, n_routines, None).0
+    try_generate_executable(seed, n_routines)
+        .unwrap_or_else(|e| panic!("generated executable must be valid: {e}"))
+}
+
+/// [`generate_executable`], returning the builder's error instead of
+/// panicking: [`BuildError::NoRoutines`] when `n_routines` is zero, and
+/// [`BuildError::DisplacementOverflow`] when the program outgrows a
+/// 21-bit branch displacement (from about 2000 routines).
+pub fn try_generate_executable(seed: u64, n_routines: usize) -> Result<Program, BuildError> {
+    if n_routines == 0 {
+        return Err(BuildError::NoRoutines);
+    }
+    Ok(generate_inner(seed, n_routines, None)?.0)
 }
 
 /// Like [`generate_executable`], but plants one seeded defect of the given
@@ -365,13 +377,14 @@ pub fn generate_executable(seed: u64, n_routines: usize) -> Program {
 ///
 /// Panics if `n_routines` is zero, or below two for
 /// [`DefectKind::CalleeSavedClobber`] (the defect needs a returning
-/// routine).
+/// routine), or where [`try_generate_executable`] returns an error.
 pub fn generate_executable_with_defect(
     seed: u64,
     n_routines: usize,
     kind: DefectKind,
 ) -> (Program, InjectedDefect) {
-    let (program, defect) = generate_inner(seed, n_routines, Some(kind));
+    let (program, defect) = generate_inner(seed, n_routines, Some(kind))
+        .unwrap_or_else(|e| panic!("generated executable must be valid: {e}"));
     (program, defect.expect("defect was injected"))
 }
 
@@ -379,7 +392,7 @@ fn generate_inner(
     seed: u64,
     n_routines: usize,
     kind: Option<DefectKind>,
-) -> (Program, Option<InjectedDefect>) {
+) -> Result<(Program, Option<InjectedDefect>), BuildError> {
     assert!(n_routines > 0, "need at least the entry routine");
     // The clobber goes in a returning (non-entry) routine chosen from the
     // seed, so different seeds exercise different call-graph positions.
@@ -517,7 +530,7 @@ fn generate_inner(
         }
     }
 
-    (b.build().expect("generated executable must be valid"), defect)
+    Ok((b.build()?, defect))
 }
 
 #[cfg(test)]

@@ -34,6 +34,9 @@ mod exec;
 mod gen;
 mod profiles;
 
-pub use exec::{generate_executable, generate_executable_with_defect, DefectKind, InjectedDefect};
+pub use exec::{
+    generate_executable, generate_executable_with_defect, try_generate_executable, DefectKind,
+    InjectedDefect,
+};
 pub use gen::generate;
 pub use profiles::{profile, profiles, Profile, Suite};

@@ -7,8 +7,8 @@
 //! runnable executables), the FNV-64 and length of that encoding, so a
 //! reordered, added or dropped field shows up as a drifted line — the
 //! signal that `snapshot::FORMAT_VERSION` needs a bump. The six stage
-//! timings and the front-end worker count are zeroed first: they vary
-//! from run to run and from host to host.
+//! timings are zeroed first: they vary from run to run and from host to
+//! host.
 //!
 //! Per image it also checks the three walks against each other: a
 //! `clone_exact` fork and a decode of the bytes re-encode to the same
@@ -43,7 +43,6 @@ fn line(name: &str, program: &Program) -> String {
     ] {
         *d = Duration::ZERO;
     }
-    s.front_end_workers = 0;
 
     let bytes = encode(&a);
     assert_eq!(encode(&a.clone_exact()), bytes, "{name}: a clone_exact fork encodes differently");
