@@ -178,6 +178,13 @@ impl Super {
     }
 }
 
+/// The CFG predecessors of `b`: its flow predecessors minus call blocks,
+/// whose arc to their return point the supergraph routes through the
+/// callee (the `rt_watch_calls` pushes).
+fn cfg_preds(cfg: &RoutineCfg, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
+    cfg.flow().preds(b).iter().copied().filter(|&p| !cfg.block(p).is_call_block())
+}
+
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
 struct Triple {
     may_use: RegSet,
@@ -292,7 +299,7 @@ pub fn analyze_baseline_with(program: &Program, options: &AnalysisOptions) -> Ba
                 _ => {
                     let mut acc = Triple::default();
                     let mut first = true;
-                    for &s in block.succs() {
+                    for &s in rcfg.succs(b) {
                         let t = ins[sp.base[ri] + s.index()];
                         acc.may_use |= t.may_use;
                         acc.may_def |= t.may_def;
@@ -323,7 +330,7 @@ pub fn analyze_baseline_with(program: &Program, options: &AnalysisOptions) -> Ba
                         wl.push_back(x);
                     }
                 };
-                for &p in block.preds() {
+                for p in cfg_preds(rcfg, b) {
                     push(sp.base[ri] + p.index());
                 }
                 // Call blocks read their return point's values across the
@@ -388,7 +395,7 @@ pub fn analyze_baseline_with(program: &Program, options: &AnalysisOptions) -> Ba
             }
             _ => {
                 let mut acc = RegSet::EMPTY;
-                for &s in block.succs() {
+                for &s in rcfg.succs(b) {
                     acc |= live_in[sp.base[ri] + s.index()];
                 }
                 acc
@@ -404,7 +411,7 @@ pub fn analyze_baseline_with(program: &Program, options: &AnalysisOptions) -> Ba
                     wl.push_back(x);
                 }
             };
-            for &p in block.preds() {
+            for p in cfg_preds(rcfg, b) {
                 push(sp.base[ri] + p.index());
             }
             // Call blocks read their return point's liveness; callee exits

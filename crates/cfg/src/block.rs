@@ -41,70 +41,6 @@ impl HeapSize for BlockId {
     }
 }
 
-/// Marks an unused inline slot of a [`BlockList`]; no routine has this
-/// many blocks.
-const NO_BLOCK: BlockId = BlockId(u32::MAX);
-
-/// A block's successor or predecessor list: up to two ids inline, longer
-/// lists on the heap.
-///
-/// Almost every block has one or two successors and one or two
-/// predecessors; only multiway jumps and wide joins exceed that. Keeping
-/// the short lists inline means building a CFG allocates nothing per
-/// block for them. The representation is canonical — a list of at most
-/// two ids is always inline, unused slots hold `NO_BLOCK` — so the
-/// derived equality compares contents.
-#[derive(Clone, PartialEq, Eq)]
-pub(crate) enum BlockList {
-    Inline([BlockId; 2]),
-    Heap(Box<[BlockId]>),
-}
-
-impl BlockList {
-    pub(crate) const EMPTY: BlockList = BlockList::Inline([NO_BLOCK; 2]);
-
-    pub(crate) fn from_slice(ids: &[BlockId]) -> BlockList {
-        match *ids {
-            [] => BlockList::EMPTY,
-            [a] => BlockList::Inline([a, NO_BLOCK]),
-            [a, b] => BlockList::Inline([a, b]),
-            _ => BlockList::Heap(ids.into()),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[BlockId] {
-        match self {
-            BlockList::Inline(ids) => {
-                let len = usize::from(ids[0] != NO_BLOCK) + usize::from(ids[1] != NO_BLOCK);
-                &ids[..len]
-            }
-            BlockList::Heap(ids) => ids,
-        }
-    }
-}
-
-impl fmt::Debug for BlockList {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
-
-impl HeapSize for BlockList {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            BlockList::Inline(_) => 0,
-            BlockList::Heap(ids) => std::mem::size_of_val::<[BlockId]>(ids),
-        }
-    }
-}
-
-impl CloneExact for BlockList {
-    fn clone_exact(&self) -> BlockList {
-        self.clone()
-    }
-}
-
 /// The callee(s) of a call-terminated block.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CallTarget {
@@ -166,9 +102,12 @@ pub enum TermKind {
     /// successors.
     UnknownJump,
     /// Call; intraprocedural control resumes at `return_to` *after the
-    /// callee runs*. The return point is deliberately **not** a successor:
-    /// paths from the call to the return point exist only through the
-    /// callee, which is exactly what the PSG call-return edge models.
+    /// callee runs*. The return point is deliberately **not** a CFG
+    /// successor ([`crate::RoutineCfg::succs`]): paths from the call to
+    /// the return point exist only through the callee, which is exactly
+    /// what the PSG call-return edge models. The flow table
+    /// ([`crate::RoutineCfg::flow`]) carries the arc for the
+    /// routine-local solvers.
     Call {
         /// Who the call may target.
         target: CallTarget,
@@ -212,8 +151,6 @@ spike_isa::analysis_struct! {
     pub struct BasicBlock {
         pub(crate) start: u32,
         pub(crate) len: u32,
-        pub(crate) succs: BlockList,
-        pub(crate) preds: BlockList,
         pub(crate) def: RegSet,
         pub(crate) ubd: RegSet,
         pub(crate) term: TermKind,
@@ -249,20 +186,6 @@ impl BasicBlock {
     #[inline]
     pub fn term_addr(&self) -> u32 {
         self.start + self.len - 1
-    }
-
-    /// Intraprocedural successor blocks. Call blocks have none (see
-    /// [`TermKind::Call`]); their return point is reachable only through
-    /// the callee.
-    #[inline]
-    pub fn succs(&self) -> &[BlockId] {
-        self.succs.as_slice()
-    }
-
-    /// Intraprocedural predecessor blocks, ascending.
-    #[inline]
-    pub fn preds(&self) -> &[BlockId] {
-        self.preds.as_slice()
     }
 
     /// Registers defined by the block (the paper's `DEF` set).

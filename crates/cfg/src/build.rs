@@ -5,8 +5,9 @@ use std::fmt;
 use spike_isa::{Instruction, RegSet};
 use spike_program::{IndirectTargets, Program, RoutineId};
 
-use crate::block::{BasicBlock, BlockId, BlockList, CallTarget, TermKind};
+use crate::block::{BasicBlock, BlockId, CallTarget, TermKind};
 use crate::csr::Csr;
+use crate::flow::FlowArcs;
 
 spike_isa::analysis_struct! {
     /// The control-flow graph of one routine.
@@ -14,7 +15,9 @@ spike_isa::analysis_struct! {
     /// Built by [`RoutineCfg::build`]. Blocks are stored in address order;
     /// block 0 starts at the routine's first instruction. Every block carries
     /// its `DEF` and `UBD` register sets, so the *Initialization* stage of the
-    /// paper's pipeline is folded into construction.
+    /// paper's pipeline is folded into construction. The arcs live in one
+    /// [`FlowArcs`] table ([`RoutineCfg::flow`]); [`RoutineCfg::succs`] is
+    /// its CFG view.
     #[derive(Clone, PartialEq, Eq, Debug)]
     pub struct RoutineCfg {
         routine: RoutineId,
@@ -24,6 +27,7 @@ spike_isa::analysis_struct! {
         exits: Vec<BlockId>,
         unknown_jumps: Vec<BlockId>,
         halts: Vec<BlockId>,
+        flow: FlowArcs,
     }
 }
 
@@ -44,8 +48,8 @@ impl RoutineCfg {
         cfg
     }
 
-    /// Builds the block structure (leaders, arcs, terminators) for `id`,
-    /// leaving every block's `DEF`/`UBD` sets empty.
+    /// Builds the block structure (leaders, terminators and the flow
+    /// table) for `id`, leaving every block's `DEF`/`UBD` sets empty.
     ///
     /// # Panics
     ///
@@ -103,12 +107,15 @@ impl RoutineCfg {
             }
         };
 
-        // Pass 2: build blocks with successors and DEF/UBD.
+        // Pass 2: build blocks with their flow successors: the CFG
+        // successors, or the return point of a returning call.
         let mut blocks = Vec::with_capacity(starts.len());
         let mut exits = Vec::new();
         let mut unknown_jumps = Vec::new();
         let mut halts = Vec::new();
-        let mut succs: Vec<BlockId> = Vec::new();
+        let mut offsets = Vec::with_capacity(starts.len() + 1);
+        offsets.push(0u32);
+        let mut succs: Vec<BlockId> = Vec::with_capacity(2 * starts.len());
 
         for (bi, &start) in starts.iter().enumerate() {
             let end = starts.get(bi + 1).copied().unwrap_or(n);
@@ -121,7 +128,7 @@ impl RoutineCfg {
                 block_of(end)
             };
 
-            succs.clear();
+            let row = succs.len();
             let term = match last {
                 Instruction::CondBranch { disp, .. } => {
                     let taken = block_of(last_off.wrapping_add(1).wrapping_add(disp as u32));
@@ -140,7 +147,7 @@ impl RoutineCfg {
                     Some(table) => {
                         for &t in table {
                             let b = block_of(t - base);
-                            if !succs.contains(&b) {
+                            if !succs[row..].contains(&b) {
                                 succs.push(b);
                             }
                         }
@@ -197,32 +204,26 @@ impl RoutineCfg {
                 }
             };
 
+            if let TermKind::Call { return_to: Some(rt), .. } = &term {
+                succs.push(*rt);
+            }
+            offsets.push(succs.len() as u32);
             blocks.push(BasicBlock {
                 start: base + start,
                 len: end - start,
-                succs: BlockList::from_slice(&succs),
-                preds: BlockList::EMPTY,
                 def: RegSet::new(),
                 ubd: RegSet::new(),
                 term,
             });
         }
 
-        // Pass 3: predecessor lists in ascending block order, grouped by
-        // one counting sort over every arc.
-        let preds = Csr::from_pairs(
-            blocks.len(),
-            blocks.iter().enumerate().flat_map(|(bi, b)| {
-                b.succs().iter().map(move |s| (s.index(), BlockId::from_index(bi)))
-            }),
-        );
-        for (b, preds) in blocks.iter_mut().zip(preds.iter()) {
-            b.preds = BlockList::from_slice(preds);
-        }
+        // Pass 3: the predecessor rows, in ascending block order by one
+        // counting sort over every arc, and the forward ranks.
+        succs.shrink_to_fit();
+        let entries: Vec<BlockId> = r.entry_offsets().iter().map(|&o| block_of(o)).collect();
+        let flow = FlowArcs::new(Csr { offsets, items: succs }, &entries);
 
-        let entries = r.entry_offsets().iter().map(|&o| block_of(o)).collect();
-
-        RoutineCfg { routine: id, base, blocks, entries, exits, unknown_jumps, halts }
+        RoutineCfg { routine: id, base, blocks, entries, exits, unknown_jumps, halts, flow }
     }
 
     /// Computes every block's `DEF` (registers defined) and `UBD`
@@ -256,7 +257,8 @@ impl RoutineCfg {
     /// replacements inside it) stays structurally identical — block
     /// boundaries, arcs, terminators, and `DEF`/`UBD` sets are all
     /// expressed routine-relatively — so rebasing is all that is needed to
-    /// reuse it against the rewritten program.
+    /// reuse it against the rewritten program. The flow table holds block
+    /// ids only, so it does not move.
     pub fn rebase(&mut self, new_base: u32) {
         let delta = new_base.wrapping_sub(self.base);
         if delta == 0 {
@@ -301,6 +303,23 @@ impl RoutineCfg {
     #[inline]
     pub fn entries(&self) -> &[BlockId] {
         &self.entries
+    }
+
+    /// The routine's flow table: CFG arcs plus call → return-point arcs,
+    /// their inverse and the forward ranks, built with the CFG.
+    #[inline]
+    pub fn flow(&self) -> &FlowArcs {
+        &self.flow
+    }
+
+    /// The CFG successors of `b`: its flow successors, except that a call
+    /// block has none (see [`TermKind::Call`]).
+    #[inline]
+    pub fn succs(&self, b: BlockId) -> &[BlockId] {
+        match self.blocks[b.index()].term {
+            TermKind::Call { .. } => &[],
+            _ => self.flow.succs(b),
+        }
     }
 
     /// Exit blocks (those ending in `ret`), in address order.
@@ -368,9 +387,10 @@ impl RoutineCfg {
         self.blocks.iter().filter(|b| matches!(b.term, TermKind::MultiwayJump)).count()
     }
 
-    /// Number of intraprocedural arcs (sum of successor-list lengths).
+    /// Number of intraprocedural arcs (sum of CFG successor-list
+    /// lengths).
     pub fn arc_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.succs().len()).sum()
+        (0..self.blocks.len()).map(|b| self.succs(BlockId::from_index(b)).len()).sum()
     }
 }
 
@@ -385,7 +405,7 @@ impl fmt::Display for RoutineCfg {
                 b.end(),
                 b.def,
                 b.ubd,
-                b.succs(),
+                self.succs(BlockId::from_index(i)),
                 b.term
             )?;
         }
@@ -398,6 +418,8 @@ mod tests {
     use super::*;
     use spike_isa::{AluOp, BranchCond, Reg};
     use spike_program::ProgramBuilder;
+
+    const B0: BlockId = BlockId::from_index(0);
 
     fn cfg_of(b: &ProgramBuilder, name: &str) -> (Program, RoutineCfg) {
         let p = b.build().unwrap();
@@ -428,7 +450,7 @@ mod tests {
         let b0 = &cfg.blocks()[0];
         assert!(b0.is_call_block());
         // Call blocks have no intraprocedural successors...
-        assert!(b0.succs().is_empty());
+        assert!(cfg.succs(B0).is_empty());
         // ...but record their return point.
         let f = p.routine_by_name("f").unwrap();
         match b0.term() {
@@ -457,11 +479,11 @@ mod tests {
         let (_, cfg) = cfg_of(&b, "f");
         assert_eq!(cfg.blocks().len(), 4);
         let b0 = &cfg.blocks()[0];
-        assert_eq!(b0.succs().len(), 2);
+        assert_eq!(cfg.succs(B0).len(), 2);
         assert!(matches!(b0.term(), TermKind::CondBranch));
-        assert_eq!(cfg.blocks()[1].succs(), &[BlockId::from_index(3)]);
-        assert_eq!(cfg.blocks()[2].succs(), &[BlockId::from_index(3)]);
-        let preds = cfg.blocks()[3].preds();
+        assert_eq!(cfg.succs(BlockId::from_index(1)), &[BlockId::from_index(3)]);
+        assert_eq!(cfg.succs(BlockId::from_index(2)), &[BlockId::from_index(3)]);
+        let preds = cfg.flow().preds(BlockId::from_index(3));
         assert_eq!(preds.len(), 2);
         assert_eq!(cfg.branch_count(), 2); // cond + br
         assert_eq!(cfg.arc_count(), 4);
@@ -477,10 +499,9 @@ mod tests {
             .ret();
         let (_, cfg) = cfg_of(&b, "f");
         assert_eq!(cfg.blocks().len(), 2);
-        let b0 = &cfg.blocks()[0];
-        assert!(b0.succs().contains(&BlockId::from_index(0)));
-        assert!(b0.succs().contains(&BlockId::from_index(1)));
-        assert!(b0.preds().contains(&BlockId::from_index(0)));
+        assert!(cfg.succs(B0).contains(&BlockId::from_index(0)));
+        assert!(cfg.succs(B0).contains(&BlockId::from_index(1)));
+        assert!(cfg.flow().preds(B0).contains(&BlockId::from_index(0)));
     }
 
     #[test]
@@ -499,7 +520,7 @@ mod tests {
         let (_, cfg) = cfg_of(&b, "f");
         let b0 = &cfg.blocks()[0];
         assert!(matches!(b0.term(), TermKind::MultiwayJump));
-        assert_eq!(b0.succs().len(), 3);
+        assert_eq!(cfg.succs(B0).len(), 3);
         assert_eq!(cfg.multiway_count(), 1);
         // UBD of the switch block includes the index register.
         assert!(b0.ubd().contains(Reg::T0));
@@ -513,7 +534,7 @@ mod tests {
         let (_, cfg) = cfg_of(&b, "f");
         let b0 = &cfg.blocks()[0];
         assert!(matches!(b0.term(), TermKind::UnknownJump));
-        assert!(b0.succs().is_empty());
+        assert!(cfg.succs(B0).is_empty());
         assert_eq!(cfg.unknown_jumps(), &[BlockId::from_index(0)]);
     }
 
@@ -526,7 +547,7 @@ mod tests {
         assert_eq!(cfg.entries()[0], BlockId::from_index(0));
         assert_eq!(cfg.entries()[1], BlockId::from_index(1));
         // The entry split also forces a fall-through edge.
-        assert_eq!(cfg.blocks()[0].succs(), &[BlockId::from_index(1)]);
+        assert_eq!(cfg.succs(B0), &[BlockId::from_index(1)]);
         assert!(matches!(cfg.blocks()[0].term(), TermKind::FallThrough));
     }
 
@@ -576,12 +597,11 @@ mod tests {
         for (a, b) in cfg.blocks().iter().zip(moved.blocks()) {
             assert_eq!(b.start(), a.start() + 17);
             assert_eq!(b.len(), a.len());
-            assert_eq!(b.succs(), a.succs());
-            assert_eq!(b.preds(), a.preds());
             assert_eq!(b.def(), a.def());
             assert_eq!(b.ubd(), a.ubd());
             assert_eq!(b.term(), a.term());
         }
+        assert_eq!(moved.flow(), cfg.flow());
         // Address lookups follow the shift.
         assert_eq!(moved.block_containing(cfg.base()), None);
         assert_eq!(moved.block_containing(new_base), Some(BlockId::from_index(0)));
@@ -637,22 +657,29 @@ mod tests {
         (succs, preds)
     }
 
-    /// Returns the longest successor and predecessor list seen.
+    /// Checks one program's CFGs against the reference lists: the CFG
+    /// view over the flow table gives the reference successors, the flow
+    /// predecessors that are not call blocks give the reference
+    /// predecessors, and the table itself (rows and ranks) equals the one
+    /// derived from per-block lists. Returns the longest successor and
+    /// predecessor list seen.
     fn assert_lists_match_reference(program: &Program) -> (usize, usize) {
         let mut widest = (0, 0);
         for (id, _) in program.iter() {
             let cfg = RoutineCfg::build(program, id);
             let (succs, preds) = reference_lists(program, &cfg);
-            for (bi, b) in cfg.blocks().iter().enumerate() {
-                assert_eq!(b.succs(), &succs[bi][..], "{id} B{bi} successors");
-                assert_eq!(b.preds(), &preds[bi][..], "{id} B{bi} predecessors");
-                for (list, n) in [(&b.succs, succs[bi].len()), (&b.preds, preds[bi].len())] {
-                    assert_eq!(
-                        matches!(list, BlockList::Heap(_)),
-                        n > 2,
-                        "{id} B{bi}: heap only past two"
-                    );
-                }
+            assert_eq!(cfg.flow(), &crate::flow::reference_flow(&cfg, &succs), "{id} flow table");
+            for bi in 0..cfg.blocks().len() {
+                let b = BlockId::from_index(bi);
+                assert_eq!(cfg.succs(b), &succs[bi][..], "{id} B{bi} successors");
+                let cfg_preds: Vec<BlockId> = cfg
+                    .flow()
+                    .preds(b)
+                    .iter()
+                    .copied()
+                    .filter(|&p| !cfg.block(p).is_call_block())
+                    .collect();
+                assert_eq!(cfg_preds, preds[bi], "{id} B{bi} predecessors");
                 widest = (widest.0.max(succs[bi].len()), widest.1.max(preds[bi].len()));
             }
         }
@@ -660,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn block_lists_match_a_vec_built_reference() {
+    fn flow_table_matches_a_vec_built_reference() {
         // A four-way jump whose targets all meet at one join.
         let mut b = ProgramBuilder::new();
         b.routine("f")

@@ -1,4 +1,4 @@
-//! Dominance over [`RoutineCfg`]: dominator trees and dominance
+//! Dominance over a routine's flow table: dominator trees and dominance
 //! frontiers — the foundation of the loop-aware optimizations
 //! (natural-loop detection in [`crate::loops`], LICM and spill placement
 //! in `spike-opt`).
@@ -18,10 +18,9 @@
 
 use crate::block::BlockId;
 use crate::build::RoutineCfg;
-use crate::flow::FlowArcs;
 
 /// A dominator tree plus dominance frontiers for one routine, built by
-/// [`DomTree::dominators`] / [`DomTree::dominators_linked`].
+/// [`DomTree::dominators`].
 #[derive(Clone, Debug)]
 pub struct DomTree {
     /// Immediate dominator per block; `None` for roots (their parent is
@@ -34,25 +33,18 @@ pub struct DomTree {
 }
 
 impl DomTree {
-    /// Builds the dominator tree and frontiers of `cfg`, rooted at its
-    /// entrance blocks. With several entrances, "a dominates b" means
-    /// every path from *any* entrance to `b` passes through `a`.
-    pub fn dominators(cfg: &RoutineCfg) -> DomTree {
-        let succs: Vec<&[BlockId]> = cfg.blocks().iter().map(|b| b.succs()).collect();
-        let preds: Vec<&[BlockId]> = cfg.blocks().iter().map(|b| b.preds()).collect();
-        build(cfg.entries(), &succs, &preds)
-    }
-
-    /// Builds the dominator tree of `cfg` over the *execution* graph:
-    /// like [`DomTree::dominators`], but every call block additionally
-    /// flows to its return point, modeling the callee as an opaque
-    /// straight-line step. The PSG convention deliberately omits these
-    /// arcs (interprocedural paths run through the callee); loop
-    /// detection and loop-invariant code motion instead need the
+    /// Builds the dominator tree and frontiers of `cfg` over its
+    /// *execution* graph ([`RoutineCfg::flow`]), rooted at its entrance
+    /// blocks. Every call block flows to its return point there, modeling
+    /// the callee as an opaque straight-line step: the PSG convention
+    /// omits these arcs (interprocedural paths run through the callee),
+    /// but loop detection and loop-invariant code motion need the
     /// routine-local execution order, where a call-and-return inside a
-    /// loop body keeps the body connected. `arcs` must be the routine's
-    /// [`RoutineCfg::flow_arcs`], which the caller builds once and shares.
-    pub fn dominators_linked(cfg: &RoutineCfg, arcs: &FlowArcs) -> DomTree {
+    /// loop body keeps the body connected. With several entrances, "a
+    /// dominates b" means every path from *any* entrance to `b` passes
+    /// through `a`.
+    pub fn dominators(cfg: &RoutineCfg) -> DomTree {
+        let arcs = cfg.flow();
         let blocks = (0..arcs.len()).map(BlockId::from_index);
         let succs: Vec<&[BlockId]> = blocks.clone().map(|b| arcs.succs(b)).collect();
         let preds: Vec<&[BlockId]> = blocks.map(|b| arcs.preds(b)).collect();
@@ -322,11 +314,12 @@ mod tests {
     }
 
     /// Compares CHK against the naive reference on every block pair of
-    /// one routine.
+    /// one routine, both over its flow arcs.
     fn check_routine(cfg: &RoutineCfg) {
         let n = cfg.blocks().len();
-        let succs: Vec<&[BlockId]> = cfg.blocks().iter().map(|b| b.succs()).collect();
-        let preds: Vec<&[BlockId]> = cfg.blocks().iter().map(|b| b.preds()).collect();
+        let arcs = cfg.flow();
+        let succs: Vec<&[BlockId]> = (0..n).map(|b| arcs.succs(BlockId::from_index(b))).collect();
+        let preds: Vec<&[BlockId]> = (0..n).map(|b| arcs.preds(BlockId::from_index(b))).collect();
         let tree = DomTree::dominators(cfg);
         let naive = NaiveDoms::build(cfg.entries(), &succs, &preds);
         for a in 0..n {
@@ -386,10 +379,10 @@ mod tests {
         // and the join (two preds).
         let join = (0..cfg.blocks().len())
             .map(BlockId::from_index)
-            .find(|&x| cfg.block(x).preds().len() == 2)
+            .find(|&x| cfg.flow().preds(x).len() == 2)
             .expect("diamond has a join");
         assert_eq!(dom.idom(join), Some(entry));
-        for &arm in cfg.block(entry).succs() {
+        for &arm in cfg.flow().succs(entry) {
             assert_eq!(dom.idom(arm), Some(entry));
             assert_eq!(dom.frontier(arm), [join]);
         }
@@ -415,7 +408,7 @@ mod tests {
         let dom = DomTree::dominators(&cfg);
         let spin = (0..cfg.blocks().len())
             .map(BlockId::from_index)
-            .find(|&x| cfg.block(x).succs().contains(&x))
+            .find(|&x| cfg.flow().succs(x).contains(&x))
             .expect("self-loop block");
         assert!(dom.frontier(spin).contains(&spin), "self-loop joins at itself");
     }
@@ -448,7 +441,7 @@ mod tests {
         // each other. Neither may dominate the other.
         let joins: Vec<BlockId> = (0..cfg.blocks().len())
             .map(BlockId::from_index)
-            .filter(|&x| cfg.block(x).preds().len() >= 2)
+            .filter(|&x| cfg.flow().preds(x).len() >= 2)
             .collect();
         assert!(joins.len() >= 2, "irreducible shape has two join headers");
         assert!(!dom.dominates(joins[0], joins[1]) || !dom.dominates(joins[1], joins[0]));
@@ -481,7 +474,7 @@ mod tests {
         // entrance, and its idom is None (virtual root).
         let tail = (0..cfg.blocks().len())
             .map(BlockId::from_index)
-            .find(|&x| cfg.block(x).preds().len() >= 2)
+            .find(|&x| cfg.flow().preds(x).len() >= 2)
             .expect("shared tail join");
         for &e in cfg.entries() {
             assert!(!dom.dominates(e, tail), "{e:?} must not dominate the shared tail");

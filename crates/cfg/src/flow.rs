@@ -1,40 +1,23 @@
-//! The routine-local *flow* graph: block successors plus the
-//! call → return-point arcs the CFG itself omits.
+//! The routine-local *flow* table: CFG successors plus the
+//! call → return-point arcs the CFG convention omits.
 //!
-//! [`crate::TermKind::Call`] deliberately has no successor: paths from a
-//! call to its return point exist only through the callee, which is what
-//! the PSG models. Every routine-local consumer that treats a call as an
-//! opaque step — the must-defined and stack-slot solvers, the lint
+//! [`crate::TermKind::Call`] deliberately has no CFG successor: paths from
+//! a call to its return point exist only through the callee, which is
+//! what the PSG models. Every routine-local consumer that treats a call as
+//! an opaque step — the must-defined and stack-slot solvers, the lint
 //! reachability checks, execution-order dominators and loops — needs the
-//! arc back, so [`RoutineCfg::flow_arcs`] builds the relation once, in
-//! compressed-sparse-row form, together with its inverse and the
-//! traversal orders the worklist solvers rank blocks by.
+//! arc back. [`crate::RoutineCfg::build_structure`] builds the relation once per
+//! routine, in compressed-sparse-row form, together with its inverse and
+//! the forward reverse-postorder rank the worklist solvers order blocks
+//! by. Every consumer borrows it through [`crate::RoutineCfg::flow`];
+//! [`crate::RoutineCfg::succs`] is the CFG view over the same table.
 
-use crate::block::{BlockId, TermKind};
+use crate::block::BlockId;
+#[cfg(test)]
+use crate::block::TermKind;
+#[cfg(test)]
 use crate::build::RoutineCfg;
 use crate::csr::Csr;
-
-/// The inverse of `rel`, by a counting sort over its items; each row
-/// lists its sources in ascending block order.
-fn inverse(rel: &Csr<BlockId>) -> Csr<BlockId> {
-    let n = rel.rows();
-    let mut offsets = vec![0u32; n + 1];
-    for t in &rel.items {
-        offsets[t.index() + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut next = offsets.clone();
-    let mut items = vec![BlockId::from_index(0); rel.items.len()];
-    for b in 0..n {
-        for t in rel.row(b) {
-            items[next[t.index()] as usize] = BlockId::from_index(b);
-            next[t.index()] += 1;
-        }
-    }
-    Csr { offsets, items }
-}
 
 /// Blocks reachable from `roots` along `rel`.
 fn reachable_from(rel: &Csr<BlockId>, roots: &[BlockId]) -> Vec<bool> {
@@ -93,16 +76,34 @@ fn rpo_ranks(rel: &Csr<BlockId>, roots: &[BlockId]) -> Vec<u32> {
     rank
 }
 
-/// The flow arcs of one routine and their inverse; see the module docs.
-#[derive(Clone, Debug)]
-pub struct FlowArcs {
-    succs: Csr<BlockId>,
-    /// The inverse relation; each row lists its sources in ascending
-    /// block order.
-    preds: Csr<BlockId>,
+spike_isa::analysis_struct! {
+    /// The flow arcs of one routine, their inverse and the forward rank;
+    /// see the module docs.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct FlowArcs {
+        succs: Csr<BlockId>,
+        /// The inverse relation; each row lists its sources in ascending
+        /// block order.
+        preds: Csr<BlockId>,
+        /// Reverse-postorder rank from the entrances.
+        rank: Vec<u32>,
+    }
 }
 
 impl FlowArcs {
+    /// Completes a table from its successor rows: the inverse by one
+    /// counting sort, and the forward ranks from `entries`.
+    pub(crate) fn new(succs: Csr<BlockId>, entries: &[BlockId]) -> FlowArcs {
+        let preds = Csr::from_pairs(
+            succs.rows(),
+            (0..succs.rows()).flat_map(|b| {
+                succs.row(b).iter().map(move |s| (s.index(), BlockId::from_index(b)))
+            }),
+        );
+        let rank = rpo_ranks(&succs, entries);
+        FlowArcs { succs, preds, rank }
+    }
+
     /// Number of blocks.
     pub fn len(&self) -> usize {
         self.succs.rows()
@@ -115,13 +116,23 @@ impl FlowArcs {
 
     /// The blocks control can reach next from `b`: its CFG successors,
     /// or the return point for a returning call.
+    #[inline]
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
         self.succs.row(b.index())
     }
 
     /// The blocks control can arrive at `b` from, ascending.
+    #[inline]
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
         self.preds.row(b.index())
+    }
+
+    /// Reverse-postorder rank of every block along flow arcs from the
+    /// routine's entrances — the priority order for forward solvers.
+    /// Blocks no entrance reaches get the tail ranks, in block order.
+    #[inline]
+    pub fn rank(&self) -> &[u32] {
+        &self.rank
     }
 
     /// Blocks reachable from `roots` along flow arcs.
@@ -134,37 +145,73 @@ impl FlowArcs {
         reachable_from(&self.preds, roots)
     }
 
-    /// Reverse-postorder ranks of a depth-first search from `roots`
-    /// along flow arcs — the priority order for forward solvers. Blocks
-    /// the search does not reach get the tail ranks, in block order.
-    pub fn rpo_ranks(&self, roots: &[BlockId]) -> Vec<u32> {
-        rpo_ranks(&self.succs, roots)
-    }
-
-    /// [`FlowArcs::rpo_ranks`] over the inverse relation — the priority
-    /// order for backward solvers, rooted at the blocks flow ends in.
+    /// Reverse-postorder ranks of a depth-first search from `roots` over
+    /// the inverse relation — the priority order for backward solvers,
+    /// rooted at the blocks flow ends in. Blocks the search does not
+    /// reach get the tail ranks, in block order.
     pub fn rpo_ranks_backward(&self, roots: &[BlockId]) -> Vec<u32> {
         rpo_ranks(&self.preds, roots)
     }
+
+    /// Checks that the table fits a routine of `blocks` blocks: one row
+    /// per block in both directions, every item a block, and `rank` a
+    /// permutation of the block indices.
+    pub(crate) fn check(&self, blocks: usize) -> Result<(), &'static str> {
+        for table in [&self.succs, &self.preds] {
+            if table.rows() != blocks || table.items().iter().any(|b| b.index() >= blocks) {
+                return Err("flow arcs");
+            }
+        }
+        if self.rank.len() != blocks {
+            return Err("flow rank");
+        }
+        let mut seen = vec![false; blocks];
+        for &r in &self.rank {
+            match seen.get_mut(r as usize) {
+                Some(s) if !*s => *s = true,
+                _ => return Err("flow rank"),
+            }
+        }
+        Ok(())
+    }
 }
 
-impl RoutineCfg {
-    /// Builds the routine's flow arcs.
-    pub fn flow_arcs(&self) -> FlowArcs {
-        let mut offsets = Vec::with_capacity(self.blocks().len() + 1);
-        let mut items = Vec::with_capacity(self.arc_count() + self.call_count());
-        offsets.push(0);
-        for block in self.blocks() {
-            if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
-                items.push(*rt);
-            }
-            items.extend_from_slice(block.succs());
-            offsets.push(items.len() as u32);
+/// The flow table as the CFG once derived it from per-block successor
+/// lists: each block's return point (for a returning call) then its CFG
+/// successors, the inverse by a counting sort, and ranks from the
+/// entrances. The equivalence tests compare `RoutineCfg::flow` against
+/// it.
+#[cfg(test)]
+pub(crate) fn reference_flow(cfg: &RoutineCfg, cfg_succs: &[Vec<BlockId>]) -> FlowArcs {
+    let mut offsets = vec![0u32];
+    let mut items = Vec::new();
+    for (block, succs) in cfg.blocks().iter().zip(cfg_succs) {
+        if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
+            items.push(*rt);
         }
-        let succs = Csr { offsets, items };
-        let preds = inverse(&succs);
-        FlowArcs { succs, preds }
+        items.extend_from_slice(succs);
+        offsets.push(items.len() as u32);
     }
+    let succs = Csr { offsets, items };
+    let n = succs.rows();
+    let mut offsets = vec![0u32; n + 1];
+    for t in &succs.items {
+        offsets[t.index() + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut next = offsets.clone();
+    let mut items = vec![BlockId::from_index(0); succs.items.len()];
+    for b in 0..n {
+        for t in succs.row(b) {
+            items[next[t.index()] as usize] = BlockId::from_index(b);
+            next[t.index()] += 1;
+        }
+    }
+    let preds = Csr { offsets, items };
+    let rank = rpo_ranks(&succs, cfg.entries());
+    FlowArcs { succs, preds, rank }
 }
 
 #[cfg(test)]
@@ -195,9 +242,9 @@ mod tests {
     #[test]
     fn call_blocks_flow_to_their_return_point() {
         let cfg = looped_call();
-        let arcs = cfg.flow_arcs();
+        let arcs = cfg.flow();
         assert_eq!(arcs.len(), 4);
-        assert!(cfg.block(BlockId::from_index(1)).succs().is_empty());
+        assert!(cfg.succs(BlockId::from_index(1)).is_empty());
         assert_eq!(arcs.succs(BlockId::from_index(1)), ids(&[2]));
         assert_eq!(arcs.preds(BlockId::from_index(2)), ids(&[0, 1]));
         assert_eq!(arcs.preds(BlockId::from_index(0)), ids(&[2]));
@@ -212,8 +259,8 @@ mod tests {
     #[test]
     fn ranks_order_flow_before_readers_and_number_every_block() {
         let cfg = looped_call();
-        let arcs = cfg.flow_arcs();
-        let fwd = arcs.rpo_ranks(cfg.entries());
+        let arcs = cfg.flow();
+        let fwd = arcs.rank();
         assert_eq!(fwd[0], 0);
         assert!(fwd[1] < fwd[2] && fwd[2] < fwd[3]);
         let bwd = arcs.rpo_ranks_backward(cfg.exits());
@@ -223,7 +270,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
         // No roots: every block is "unreached" and ranked in block order.
-        assert_eq!(arcs.rpo_ranks(&[]), vec![0, 1, 2, 3]);
+        assert_eq!(arcs.rpo_ranks_backward(&[]), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -233,7 +280,7 @@ mod tests {
         b.routine("f").ret();
         let p = b.build().expect("valid program");
         let cfg = RoutineCfg::build(&p, p.routine_by_name("main").expect("main exists"));
-        let arcs = cfg.flow_arcs();
+        let arcs = cfg.flow();
         // B0 br, B1 dead def, B2 call, B3 halt.
         assert_eq!(arcs.reachable_from(cfg.entries()), vec![true, false, true, true]);
         assert_eq!(arcs.reaching(&ids(&[3])), vec![true, true, true, true]);

@@ -13,14 +13,16 @@
 //!
 //! The crate provides:
 //!
-//! * [`RoutineCfg`] — basic blocks, arcs, entry/exit blocks and per-block
-//!   `DEF`/`UBD` for one routine ([`RoutineCfg::build`]),
+//! * [`RoutineCfg`] — basic blocks, entry/exit blocks, per-block
+//!   `DEF`/`UBD` and one flow table for one routine
+//!   ([`RoutineCfg::build`]),
 //! * [`ProgramCfg`] — all routine CFGs plus the whole-program supergraph
 //!   bookkeeping (call and return arcs) used by the full-CFG baseline
 //!   analysis and by the Table 5 size comparison,
-//! * the [`FlowArcs`] relation that adds the call → return-point arcs
-//!   back, with its reverse-postorder ranks, shared by the dataflow
-//!   solvers,
+//! * [`FlowArcs`], that table: the CFG arcs plus the call → return-point
+//!   arcs, their inverse and the forward reverse-postorder ranks, which
+//!   every routine-local solver borrows ([`RoutineCfg::flow`]);
+//!   [`RoutineCfg::succs`] is its CFG view,
 //! * [`Csr`], the compressed-sparse-row table `FlowArcs` and the PSG
 //!   store their graphs in.
 //!

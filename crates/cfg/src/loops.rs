@@ -8,9 +8,9 @@
 //! and every block gets a nesting depth (0 = not in any loop) — the
 //! static "hotness" weight when no execution profile is available.
 //!
-//! Loops are detected over the *execution* graph
-//! ([`DomTree::dominators_linked`]): a call inside a loop flows to its
-//! return point, so dispatch loops whose iterations call out remain
+//! Loops are detected over the *execution* graph ([`RoutineCfg::flow`],
+//! the arcs [`DomTree::dominators`] reads): a call inside a loop flows
+//! to its return point, so dispatch loops whose iterations call out remain
 //! cycles. Irreducible regions — cycles entered other than through a
 //! dominating header, detected as DFS retreating edges whose target does
 //! not dominate the source — are demoted: their blocks are flagged so
@@ -57,12 +57,11 @@ pub struct LoopForest {
 }
 
 impl LoopForest {
-    /// Detects the natural loops of `cfg`. `dom` must be the
-    /// execution-graph dominator tree of the same routine
-    /// ([`DomTree::dominators_linked`]) built over `arcs`, the routine's
-    /// [`RoutineCfg::flow_arcs`].
-    pub fn build(cfg: &RoutineCfg, dom: &DomTree, arcs: &FlowArcs) -> LoopForest {
+    /// Detects the natural loops of `cfg`. `dom` must be the dominator
+    /// tree of the same routine ([`DomTree::dominators`]).
+    pub fn build(cfg: &RoutineCfg, dom: &DomTree) -> LoopForest {
         let n = cfg.blocks().len();
+        let arcs = cfg.flow();
 
         // Retreating edges via DFS from the entries: an edge to a block
         // still on the DFS stack closes a cycle. If the target dominates
@@ -308,9 +307,8 @@ mod tests {
 
     fn forest(program: &Program, name: &str) -> (RoutineCfg, LoopForest) {
         let cfg = RoutineCfg::build(program, program.routine_by_name(name).unwrap());
-        let arcs = cfg.flow_arcs();
-        let dom = DomTree::dominators_linked(&cfg, &arcs);
-        let f = LoopForest::build(&cfg, &dom, &arcs);
+        let dom = DomTree::dominators(&cfg);
+        let f = LoopForest::build(&cfg, &dom);
         (cfg, f)
     }
 

@@ -6,12 +6,11 @@
 //!
 //! The block and CFG structs derive theirs from their field lists
 //! through [`spike_isa::analysis_struct!`]; this module holds the
-//! block-id width, the block-list layout and the tag numbers of the two
-//! terminator enums.
+//! block-id width and the tag numbers of the two terminator enums.
 
 use spike_isa::{Snap, SnapError, SnapReader, SnapWriter};
 
-use crate::block::{BlockId, BlockList, CallTarget, TermKind};
+use crate::block::{BlockId, CallTarget, TermKind};
 
 impl Snap for BlockId {
     fn snap(&self, w: &mut SnapWriter) {
@@ -19,36 +18,6 @@ impl Snap for BlockId {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(BlockId::from_index(r.get_u32()? as usize))
-    }
-}
-
-/// `u32` length, then the ids. Inline or heap is not encoded: it follows
-/// from the length, which is what keeps the representation canonical.
-impl Snap for BlockList {
-    fn snap(&self, w: &mut SnapWriter) {
-        let ids = self.as_slice();
-        w.put_u32(ids.len() as u32);
-        for id in ids {
-            id.snap(w);
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let len = r.get_u32()? as usize;
-        if len > r.remaining() / 4 {
-            return Err(SnapError::Truncated);
-        }
-        let mut id = || match r.get_u32()? {
-            u32::MAX => Err(SnapError::Malformed("block list id")),
-            id => Ok(BlockId::from_index(id as usize)),
-        };
-        if len <= 2 {
-            let mut ids = [BlockId::from_index(0); 2];
-            for slot in &mut ids[..len] {
-                *slot = id()?;
-            }
-            return Ok(BlockList::from_slice(&ids[..len]));
-        }
-        (0..len).map(|_| id()).collect::<Result<Box<[BlockId]>, SnapError>>().map(BlockList::Heap)
     }
 }
 
@@ -167,48 +136,6 @@ mod tests {
         ];
         for t in &terms {
             assert_eq!(&roundtrip(t), t);
-        }
-    }
-
-    /// Short lists come back inline and long ones on the heap, with the
-    /// same charge; a cut anywhere, a length past the payload and the
-    /// inline slot marker as an id are all errors, never panics.
-    #[test]
-    fn block_lists_roundtrip_and_decode_defensively() {
-        for len in 0..5 {
-            let ids: Vec<BlockId> = (0..len).map(|i| BlockId::from_index(i * 3)).collect();
-            let list = BlockList::from_slice(&ids);
-            assert_eq!(list.as_slice(), &ids[..]);
-            assert_eq!(matches!(list, BlockList::Inline(_)), len <= 2);
-            let back = roundtrip(&list);
-            assert_eq!(back, list);
-            assert_eq!(back.heap_bytes(), list.heap_bytes());
-            assert_eq!(list.heap_bytes(), if len <= 2 { 0 } else { 4 * len });
-
-            let mut w = SnapWriter::new();
-            list.snap(&mut w);
-            let bytes = w.into_bytes();
-            for cut in 0..bytes.len() {
-                assert!(BlockList::unsnap(&mut SnapReader::new(&bytes[..cut])).is_err());
-            }
-        }
-        let mut w = SnapWriter::new();
-        w.put_u32(u32::MAX);
-        w.put_u32(0);
-        assert_eq!(
-            BlockList::unsnap(&mut SnapReader::new(&w.into_bytes())),
-            Err(SnapError::Truncated)
-        );
-        for len in [1u32, 3] {
-            let mut w = SnapWriter::new();
-            w.put_u32(len);
-            for _ in 0..len {
-                w.put_u32(u32::MAX);
-            }
-            assert_eq!(
-                BlockList::unsnap(&mut SnapReader::new(&w.into_bytes())),
-                Err(SnapError::Malformed("block list id"))
-            );
         }
     }
 

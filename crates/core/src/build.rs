@@ -293,9 +293,11 @@ pub(crate) fn plan_routine_edges(
         stack.clear();
         stack.push(BlockId::from_index(ti));
         while let Some(b) = stack.pop() {
-            for &p in cfg.block(b).preds() {
+            for &p in cfg.flow().preds(b) {
                 // Paths may not flow *through* another summary point; a
                 // predecessor ending at a summary point cannot be interior.
+                // That includes every call block, the only flow
+                // predecessors the CFG convention lacks.
                 if !is_terminal(p.index()) && set_bit(row, p.index()) {
                     stack.push(p);
                 }
@@ -317,7 +319,7 @@ pub(crate) fn plan_routine_edges(
             }
             _ => None,
         });
-    let branches = rn.branches.iter().map(|&(block, node)| (node, cfg.block(block).succs()));
+    let branches = rn.branches.iter().map(|&(block, node)| (node, cfg.succs(block)));
 
     visited.resize(words, 0);
     subgraph.resize(words, 0);
@@ -336,7 +338,7 @@ pub(crate) fn plan_routine_edges(
                 reached.push(b);
                 continue; // paths end at the summary point
             }
-            for &s in cfg.block(b).succs() {
+            for &s in cfg.succs(b) {
                 if set_bit(visited, s.index()) {
                     stack.push(s);
                 }

@@ -152,7 +152,7 @@ pub(crate) fn solve_edge(
             let mut must_def_out = RegSet::EMPTY;
             if b != target {
                 let mut first = true;
-                for &s in block.succs() {
+                for &s in cfg.succs(b) {
                     let sl = local[s.index()];
                     if sl == u32::MAX {
                         continue; // arc leaves the subgraph: not on a path to target
@@ -389,7 +389,7 @@ mod tests {
                 paths.push(path);
                 continue;
             }
-            for &s in cfg.block(last).succs() {
+            for &s in cfg.succs(last) {
                 let mut p = path.clone();
                 p.push(s);
                 stack.push(p);

@@ -51,12 +51,13 @@
 //!
 //! Each routine's instructions are scanned once per solve into a
 //! `Digest` — SP-effect flags, per-block displacement deltas, the
-//! SP-relative accesses with block-relative offsets, the call sites and
-//! the flow arcs — and displacement propagation, slot discovery and the
-//! block transfer masks read the digest. Summary composition reads only
-//! its address-free [`CallDigest`] part (tracking verdicts, own
-//! caller-frame traffic, call sites with their callee-entry
-//! displacements), which every [`RoutineStack`] keeps: an incremental
+//! SP-relative accesses with block-relative offsets and the call sites —
+//! and displacement propagation, slot discovery and the block transfer
+//! masks read the digest together with the CFG's flow table
+//! (`RoutineCfg::flow`). Summary composition reads only its
+//! address-free [`CallDigest`] part (tracking verdicts, own caller-frame
+//! traffic, call sites with their callee-entry displacements), which
+//! every [`RoutineStack`] keeps: an incremental
 //! solve composes an unedited routine's summary from the kept one and
 //! scans the routine only if its slot dataflows must run again.
 //! Summary composition sweeps a call-graph component
@@ -72,7 +73,7 @@
 //! `[sp, entry_sp)` frame rule and per-address definedness at run time.
 
 use spike_callgraph::CallGraph;
-use spike_cfg::{BlockId, CallTarget, FlowArcs, ProgramCfg, RoutineCfg, TermKind};
+use spike_cfg::{BlockId, CallTarget, ProgramCfg, RoutineCfg, TermKind};
 use spike_isa::{CloneExact, HeapSize, Instruction, MemWidth, Reg};
 use spike_program::{Program, Routine, RoutineId};
 
@@ -591,7 +592,6 @@ struct TrackedFrame {
 /// what phase B reads.
 struct Digest {
     call: CallDigest,
-    arcs: FlowArcs,
     /// `events[ev_off[b]..ev_off[b + 1]]` are block `b`'s SP events.
     ev_off: Vec<u32>,
     events: Vec<SpEvent>,
@@ -632,7 +632,6 @@ impl Digest {
     fn scan(program: &Program, cfg: &RoutineCfg) -> Digest {
         let routine = program.routine(cfg.routine());
         let nb = cfg.blocks().len();
-        let arcs = cfg.flow_arcs();
         let mut ev_off = Vec::with_capacity(nb + 1);
         let mut events = Vec::new();
         let (mut delta, mut min_rel) = (Vec::with_capacity(nb), Vec::with_capacity(nb));
@@ -651,8 +650,7 @@ impl Digest {
                 has_unknown_call |= !for_each_callee(target, |_| {});
             }
         }
-        let mut digest =
-            Digest { call: CallDigest::default(), arcs, ev_off, events, delta, frame: None };
+        let mut digest = Digest { call: CallDigest::default(), ev_off, events, delta, frame: None };
         let tracked = if untracked { None } else { digest.track(cfg, &min_rel) };
         let (frame, mut call) = match tracked {
             Some((frame, call)) => (Some(frame), call),
@@ -694,7 +692,7 @@ impl Digest {
         while let Some(b) = stack.pop() {
             let d_out = sp_disp_in[b.index()].expect("queued blocks have a displacement")
                 + self.delta[b.index()];
-            for &s in self.arcs.succs(b) {
+            for &s in cfg.flow().succs(b) {
                 match sp_disp_in[s.index()] {
                     None => {
                         sp_disp_in[s.index()] = Some(d_out);
@@ -998,7 +996,7 @@ fn phase_b(
     let nb = cfg.blocks().len();
     let slots = &frame.slots[..];
     let n = slots.len();
-    let arcs = &digest.arcs;
+    let arcs = cfg.flow();
     let empty = SlotSet::empty(n);
     let full = SlotSet::full(n);
 
@@ -1018,7 +1016,7 @@ fn phase_b(
     //   in[b] = constraint[b] ∩ ⋂_{p ∈ flow-preds} (in[p] − clear[p]) ∪ gen[p]
     // with constraint ∅ at entrances (no slot exists before the
     // prologue allocates it) and ⊤ elsewhere.
-    let frank = arcs.rpo_ranks(cfg.entries());
+    let frank = arcs.rank();
     let mut is_entry = vec![false; nb];
     for &e in cfg.entries() {
         is_entry[e.index()] = true;

@@ -101,7 +101,7 @@ fn local_scan(
                 Some(v) if v == d_out => {}
                 Some(_) => conflict = true,
             };
-            for &s in block.succs() {
+            for &s in cfg.succs(b) {
                 flow(s);
             }
             if let TermKind::Call { return_to: Some(rt), .. } = block.term() {

@@ -14,17 +14,11 @@ use spike_isa::RegSet;
 use spike_program::Program;
 
 use crate::diag::{Check, Diagnostic, LintReport, Severity};
-use crate::frame::LintFrame;
 
 #[allow(unused_imports)]
 use spike_isa::CallingStandard; // doc link
 
-pub(crate) fn check(
-    program: &Program,
-    analysis: &Analysis,
-    frame: &LintFrame,
-    report: &mut LintReport,
-) {
+pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintReport) {
     let callee_saved = analysis.summary.calling_standard().callee_saved();
     for (rid, routine) in program.iter() {
         // The entry routine has no caller whose registers it could
@@ -45,7 +39,7 @@ pub(crate) fn check(
         // reachability-based claims lose confidence.
         let demote = !cfg.unknown_jumps().is_empty();
         // A call is assumed to return: both directions cross it.
-        let arcs = &frame.routine(rid).arcs;
+        let arcs = cfg.flow();
         let live = arcs.reachable_from(cfg.entries());
         let returns = arcs.reaching(cfg.exits());
         let mut flagged = RegSet::EMPTY;

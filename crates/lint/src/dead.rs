@@ -5,8 +5,8 @@
 //! call-used at call summaries) but reports rather than rewrites, and does
 //! not cascade: each finding is a write that is dead in the program as it
 //! stands, so the list is stable and reviewable. Block liveness comes from
-//! the optimizer's one solver, [`block_liveness`], over the lint's shared
-//! frame, with its buffers reused from routine to routine; only the
+//! the optimizer's one solver, [`block_liveness`], over each routine's
+//! flow table, with its buffers reused from routine to routine; only the
 //! per-instruction scan that phrases the findings is this module's own.
 
 use spike_cfg::BlockId;
@@ -16,14 +16,8 @@ use spike_opt::{block_liveness, step_back, LivenessScratch};
 use spike_program::Program;
 
 use crate::diag::{Check, Diagnostic, LintReport};
-use crate::frame::LintFrame;
 
-pub(crate) fn check(
-    program: &Program,
-    analysis: &Analysis,
-    frame: &LintFrame,
-    report: &mut LintReport,
-) {
+pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintReport) {
     let arg_regs = analysis.summary.calling_standard().argument();
     let mut scratch = LivenessScratch::default();
     // One message per register and check, built on first use: at most
@@ -32,9 +26,7 @@ pub(crate) fn check(
     let mut dead_store: [Option<String>; NUM_REGS] = [const { None }; NUM_REGS];
     for (rid, routine) in program.iter() {
         let cfg = analysis.cfg.routine_cfg(rid);
-        let f = frame.routine(rid);
-        let live =
-            block_liveness(program, analysis.registers(), rid, &f.arcs, &f.rank, &mut scratch);
+        let live = block_liveness(program, analysis.registers(), rid, &mut scratch);
         for (bi, block) in cfg.blocks().iter().enumerate() {
             let b = BlockId::from_index(bi);
             let mut l = live.live_end(b);

@@ -55,8 +55,6 @@ use spike_cfg::ProgramCfg;
 use spike_core::{Analysis, ProgramSummary};
 use spike_program::{Program, RoutineId};
 
-use crate::frame::LintFrame;
-
 mod clobber;
 mod dead;
 mod diag;
@@ -108,30 +106,29 @@ pub fn lint(program: &Program) -> LintReport {
 /// Runs the selected checks over `program` using an existing analysis
 /// (which must have been computed over this exact program).
 ///
-/// Every routine's flow arcs and ranks, and the call graph, are built
-/// once here and shared by the checks that walk them.
+/// The call graph is built once here and shared by the checks that read
+/// it; the routine-local checks borrow each CFG's flow table.
 pub fn lint_with(program: &Program, analysis: &Analysis, options: &LintOptions) -> LintReport {
     let mut report = LintReport::default();
     let callgraph = CallGraph::build(program, &analysis.cfg);
-    let frame = LintFrame::build(&analysis.cfg, callgraph, |_| true);
     if options.uninit {
-        uninit::check(program, analysis, &frame, &mut report);
+        uninit::check(program, analysis, &callgraph, &mut report);
     }
     if options.clobber {
-        clobber::check(program, analysis, &frame, &mut report);
+        clobber::check(program, analysis, &mut report);
     }
     if options.dead {
-        dead::check(program, analysis, &frame, &mut report);
+        dead::check(program, analysis, &mut report);
     }
     if options.reach {
-        reach::check_routines(program, &frame, &mut report);
-        reach::check_blocks(program, analysis, &frame, &mut report);
+        reach::check_routines(program, &callgraph, &mut report);
+        reach::check_blocks(program, analysis, &mut report);
     }
     if options.tables {
         tables::check(program, &mut report);
     }
     if options.stack {
-        stack::check(program, analysis, &frame, &mut report);
+        stack::check(program, analysis, &mut report);
     }
     report.finish();
     report
@@ -139,10 +136,10 @@ pub fn lint_with(program: &Program, analysis: &Analysis, options: &LintOptions) 
 
 /// Runs the uninitialized-read check for a single routine.
 ///
-/// Flow arcs are built for `routine`'s transitive caller closure only,
-/// the must-defined fixpoint converges over that closure only, and only
-/// `routine`'s reads are flagged — the findings are exactly the
-/// whole-program [`lint_with`] uninit findings for that routine. `summary` and `cfg` are the program's analysis;
+/// The must-defined fixpoint converges over `routine`'s transitive
+/// caller closure only, and only `routine`'s reads are flagged — the
+/// findings are exactly the whole-program [`lint_with`] uninit findings
+/// for that routine. `summary` and `cfg` are the program's analysis;
 /// [`spike_core::AnalysisCache::with_uninit_facts`] hands them over
 /// after solving the register layers only:
 ///

@@ -23,14 +23,9 @@ use spike_core::{AccessKind, Analysis, StackAccess};
 use spike_program::Program;
 
 use crate::diag::{Check, Diagnostic, LintReport};
-use crate::frame::LintFrame;
+use crate::frame::witness;
 
-pub(crate) fn check(
-    program: &Program,
-    analysis: &Analysis,
-    frame: &LintFrame,
-    report: &mut LintReport,
-) {
+pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintReport) {
     for (rid, routine) in program.iter() {
         let rs = analysis.stack.routine(rid);
         if rs.frame.escaped {
@@ -70,7 +65,7 @@ pub(crate) fn check(
                 if let Some(slot) = rs.frame.slot_at(access.entry_off) {
                     let cfg = analysis.cfg.routine_cfg(rid);
                     let entries = cfg.entries().iter().copied();
-                    d.witness = frame.routine(rid).witness(cfg, entries, access.block, |b| {
+                    d.witness = witness(cfg, entries, access.block, |b| {
                         analysis.stack.block_gen(program, &analysis.cfg, rid, b).contains(slot)
                     });
                 }

@@ -23,7 +23,7 @@ use spike_opt::{block_must_defined, must_defined_gen};
 use spike_program::{Program, RoutineId};
 
 use crate::diag::{Check, Diagnostic, LintReport};
-use crate::frame::{LintFrame, RoutineFrame};
+use crate::frame::witness;
 
 /// Registers defined before the program's first instruction: the machine
 /// initializes the stack pointer and the return address, and the zero
@@ -66,13 +66,13 @@ pub(crate) struct MustDefined {
 /// One in-scope routine's share of the fixpoint system, built once: the
 /// structure every solve of the routine runs over, and what the last
 /// solve left behind.
-struct Plan<'f> {
-    /// Definedness flows along the frame's arcs: successors plus the
-    /// call → return-point arc (definedness flows through the callee).
-    /// Its reverse postorder from the entrances is the pop order: most
-    /// blocks see their final predecessor facts on the first evaluation,
-    /// and a change only re-queues the blocks that actually read it.
-    frame: &'f RoutineFrame,
+///
+/// Definedness flows along the CFG's flow table: successors plus the
+/// call → return-point arc (definedness flows through the callee). Its
+/// forward rank is the pop order: most blocks see their final
+/// predecessor facts on the first evaluation, and a change only
+/// re-queues the blocks that actually read it.
+struct Plan {
     /// Per block, what its flow successors see on top of its own
     /// entry facts: `DEF`, plus `call-defined` for a call block.
     gen: Vec<RegSet>,
@@ -84,17 +84,13 @@ struct Plan<'f> {
     solved: bool,
 }
 
-impl<'f> Plan<'f> {
-    fn build(
-        pcfg: &ProgramCfg,
-        summary: &ProgramSummary,
-        frame: &'f RoutineFrame,
-        rid: RoutineId,
-    ) -> Plan<'f> {
+impl Plan {
+    fn build(pcfg: &ProgramCfg, summary: &ProgramSummary, rid: RoutineId) -> Plan {
         let gen = must_defined_gen(pcfg, summary, rid);
-        let calls = pcfg.routine_cfg(rid).call_blocks().collect();
-        let constraint = vec![RegSet::ALL; frame.rank.len()];
-        Plan { frame, gen, constraint, calls, solved: false }
+        let cfg = pcfg.routine_cfg(rid);
+        let calls = cfg.call_blocks().collect();
+        let constraint = vec![RegSet::ALL; cfg.blocks().len()];
+        Plan { gen, constraint, calls, solved: false }
     }
 
     /// Brings `block_in` to the routine's local fixpoint under the
@@ -115,20 +111,20 @@ impl<'f> Plan<'f> {
         block_in: &mut [RegSet],
         wl: &mut PriorityWorklist,
     ) {
+        let rank = cfg.flow().rank();
         for (&b, &at_entrance) in cfg.entries().iter().zip(entry) {
             let met = self.constraint[b.index()] & at_entrance;
             if met != self.constraint[b.index()] {
                 self.constraint[b.index()] = met;
-                wl.push(b.index(), self.frame.rank[b.index()]);
+                wl.push(b.index(), rank[b.index()]);
             }
         }
         if !std::mem::replace(&mut self.solved, true) {
-            for (i, &r) in self.frame.rank.iter().enumerate() {
+            for (i, &r) in rank.iter().enumerate() {
                 wl.push(i, r);
             }
         }
-        let (arcs, rank) = (&self.frame.arcs, &self.frame.rank);
-        block_must_defined(arcs, rank, &self.constraint, &self.gen, block_in, wl);
+        block_must_defined(cfg, &self.constraint, &self.gen, block_in, wl);
     }
 }
 
@@ -159,13 +155,11 @@ impl<'f> Plan<'f> {
 /// never read the dropped ones. Outside the closure `block_in` is never
 /// computed and an entrance has met only its in-closure callers:
 /// neither must be read.
-///
-/// `frame` must hold the frame of every routine the iteration covers.
 pub(crate) fn compute_scoped(
     program: &Program,
     cfg: &ProgramCfg,
     summary: &ProgramSummary,
-    frame: &LintFrame,
+    callgraph: &CallGraph,
     scope: Option<RoutineId>,
 ) -> MustDefined {
     let std = summary.calling_standard();
@@ -191,12 +185,12 @@ pub(crate) fn compute_scoped(
 
     // Callers-first order: entrance facts propagate down call chains
     // before the callee is first solved.
-    let mut order: Vec<RoutineId> = frame.callgraph.sccs().bottom_up().concat();
+    let mut order: Vec<RoutineId> = callgraph.sccs().bottom_up().concat();
     order.reverse();
 
     // Restrict the iteration to the target's caller closure.
     if let Some(target) = scope {
-        let mask = frame.callgraph.caller_closure(&[target]);
+        let mask = callgraph.caller_closure(&[target]);
         order.retain(|r| mask[r.index()]);
     }
 
@@ -206,8 +200,7 @@ pub(crate) fn compute_scoped(
     for (i, &rid) in order.iter().enumerate() {
         position[rid.index()] = Some(i);
     }
-    let mut plans: Vec<Plan> =
-        order.iter().map(|&rid| Plan::build(cfg, summary, frame.routine(rid), rid)).collect();
+    let mut plans: Vec<Plan> = order.iter().map(|&rid| Plan::build(cfg, summary, rid)).collect();
     let mut routines = PriorityWorklist::new(order.len());
     for i in 0..order.len() {
         routines.push(i, i as u32);
@@ -273,7 +266,6 @@ fn check_one(
     program: &Program,
     cfg: &ProgramCfg,
     summary: &ProgramSummary,
-    frame: &LintFrame,
     md: &MustDefined,
     rid: RoutineId,
     report: &mut LintReport,
@@ -281,7 +273,6 @@ fn check_one(
     let routine = program.routine(rid);
     let rcfg = cfg.routine_cfg(rid);
     let ret_regs = summary.calling_standard().return_value();
-    let frame = frame.routine(rid);
     let mut gen: Option<Vec<RegSet>> = None;
     let mut flagged = RegSet::EMPTY;
     for (bi, block) in rcfg.blocks().iter().enumerate() {
@@ -307,7 +298,7 @@ fn check_one(
                 // blocks that do not define it.
                 let gen = gen.get_or_insert_with(|| must_defined_gen(cfg, summary, rid));
                 let seeds = rcfg.entries().iter().zip(&md.entry[rid.index()]);
-                let witness = frame.witness(
+                let path = witness(
                     rcfg,
                     seeds.filter(|(_, e)| !e.contains(reg)).map(|(&b, _)| b),
                     BlockId::from_index(bi),
@@ -321,14 +312,14 @@ fn check_one(
                 d.addr = Some(addr);
                 d.reg = Some(reg);
                 if ret_regs.contains(reg) {
-                    if let Some(callee) = last_call_on_path(program, rcfg, &witness) {
+                    if let Some(callee) = last_call_on_path(program, rcfg, &path) {
                         d.note = Some(format!(
                             "return value expected from the call to {callee}, \
                              which does not always define {reg}"
                         ));
                     }
                 }
-                d.witness = witness;
+                d.witness = path;
                 report.push(d);
             }
             defined |= insn.defs();
@@ -341,18 +332,18 @@ fn check_one(
 pub(crate) fn check(
     program: &Program,
     analysis: &Analysis,
-    frame: &LintFrame,
+    callgraph: &CallGraph,
     report: &mut LintReport,
 ) {
-    let md = compute_scoped(program, &analysis.cfg, &analysis.summary, frame, None);
+    let md = compute_scoped(program, &analysis.cfg, &analysis.summary, callgraph, None);
     for (rid, _) in program.iter() {
-        check_one(program, &analysis.cfg, &analysis.summary, frame, &md, rid, report);
+        check_one(program, &analysis.cfg, &analysis.summary, &md, rid, report);
     }
 }
 
-/// Single-routine variant, for `query uninit`: builds flow frames for
-/// `rid`'s caller closure only, converges the must-defined fixpoint over
-/// it and flags only `rid`'s reads. The findings equal the whole-program
+/// Single-routine variant, for `query uninit`: converges the
+/// must-defined fixpoint over `rid`'s caller closure only and flags only
+/// `rid`'s reads. The findings equal the whole-program
 /// [`check`]'s findings for `rid` exactly (see [`compute_scoped`]);
 /// `summary` only needs converged `call-defined` facts for the call sites
 /// inside the closure.
@@ -364,10 +355,8 @@ pub(crate) fn check_routine(
     report: &mut LintReport,
 ) {
     let callgraph = CallGraph::build(program, cfg);
-    let closure = callgraph.caller_closure(&[rid]);
-    let frame = LintFrame::build(cfg, callgraph, |r| closure[r.index()]);
-    let md = compute_scoped(program, cfg, summary, &frame, Some(rid));
-    check_one(program, cfg, summary, &frame, &md, rid, report);
+    let md = compute_scoped(program, cfg, summary, &callgraph, Some(rid));
+    check_one(program, cfg, summary, &md, rid, report);
 }
 
 #[cfg(test)]
@@ -384,17 +373,13 @@ mod tests {
     fn assert_matches_reference(program: &Program, scopes: &[RoutineId]) {
         let analysis = spike_core::analyze(program);
         let (cfg, summary) = (&analysis.cfg, &analysis.summary);
-        let frame = full_frame(program, cfg);
+        let callgraph = CallGraph::build(program, cfg);
         for scope in std::iter::once(None).chain(scopes.iter().copied().map(Some)) {
-            let new = compute_scoped(program, cfg, summary, &frame, scope);
+            let new = compute_scoped(program, cfg, summary, &callgraph, scope);
             let (old, _) = reference::compute_scoped(program, cfg, summary, scope);
             assert_eq!(new.entry, old.entry, "entrances, scope {scope:?}");
             assert_eq!(new.block_in, old.block_in, "block facts, scope {scope:?}");
         }
-    }
-
-    fn full_frame(program: &Program, cfg: &ProgramCfg) -> LintFrame {
-        LintFrame::build(cfg, CallGraph::build(program, cfg), |_| true)
     }
 
     fn spread(program: &Program) -> Vec<RoutineId> {
@@ -443,8 +428,8 @@ mod tests {
         let (old, sweeps) = reference::compute_scoped(&program, cfg, summary, None);
         assert!(sweeps >= 4, "entrances shrink over three rounds, then one confirms: {sweeps}");
 
-        let frame = full_frame(&program, cfg);
-        let new = compute_scoped(&program, cfg, summary, &frame, None);
+        let callgraph = CallGraph::build(&program, cfg);
+        let new = compute_scoped(&program, cfg, summary, &callgraph, None);
         assert_eq!(new.entry, old.entry);
         assert_eq!(new.block_in, old.block_in);
         for name in ["a", "b", "c", "d"] {
@@ -458,7 +443,7 @@ mod tests {
         assert_matches_reference(&program, &spread(&program));
 
         let mut report = LintReport::default();
-        check(&program, &analysis, &frame, &mut report);
+        check(&program, &analysis, &callgraph, &mut report);
         let flagged: Vec<_> =
             report.diagnostics().iter().map(|d| (d.routine.as_str(), d.reg)).collect();
         assert_eq!(flagged, vec![("b", Some(Reg::T0))]);

@@ -62,7 +62,7 @@ fn intra(
             call_ret[rt.index()].push(BlockId::from_index(i));
             readers.push(rt.index() as u32);
         }
-        readers.extend(block.succs().iter().map(|s| s.index() as u32));
+        readers.extend(cfg.succs(BlockId::from_index(i)).iter().map(|s| s.index() as u32));
     }
     let cs_defined = call_defined_per_block(pcfg, summary, rid);
 
@@ -116,9 +116,10 @@ fn intra(
         wl.push(i, r);
     }
     while let Some(i) = wl.pop() {
-        let block = cfg.block(BlockId::from_index(i));
         let mut acc = constraint[i];
-        for &p in block.preds() {
+        // CFG predecessors: the call arcs come from `call_ret`.
+        let preds = cfg.flow().preds(BlockId::from_index(i));
+        for &p in preds.iter().filter(|&&p| !cfg.block(p).is_call_block()) {
             acc &= block_in[p.index()] | cfg.block(p).def();
         }
         for &c in &call_ret[i] {

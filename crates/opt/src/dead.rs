@@ -56,8 +56,6 @@ fn routine_dead(
     let cfg = facts.cfg.routine_cfg(rid);
     let blocks = cfg.blocks();
     let base = routine.addr();
-    let arcs = cfg.flow_arcs();
-    let rank = arcs.rpo_ranks(cfg.entries());
     let mut boundary = Vec::new();
     fill_boundary(program, facts, rid, &mut boundary);
 
@@ -100,7 +98,7 @@ fn routine_dead(
     // The `live_end` each block was last scanned with.
     let mut scanned: Vec<Option<RegSet>> = vec![None; blocks.len()];
     loop {
-        solve(&arcs, &rank, &boundary, &block_gen, &block_pass, &mut live, &mut wl);
+        solve(cfg, &boundary, &block_gen, &block_pass, &mut live, &mut wl);
         let mut found = false;
         for bi in 0..blocks.len() {
             let end = live.live_end(BlockId::from_index(bi));

@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use spike_cfg::{BlockId, DomTree, FlowArcs, LoopForest, RoutineCfg, TermKind};
+use spike_cfg::{BlockId, DomTree, LoopForest, RoutineCfg, TermKind};
 use spike_core::worklist::PriorityWorklist;
 use spike_core::{AccessKind, Analysis};
 use spike_isa::{Instruction, Reg, RegSet};
@@ -76,10 +76,9 @@ fn must_defined_in(
     analysis: &Analysis,
     rid: RoutineId,
     cfg: &RoutineCfg,
-    arcs: &FlowArcs,
-    rank: &[u32],
     wl: &mut PriorityWorklist,
 ) -> Vec<RegSet> {
+    let rank = cfg.flow().rank();
     let n = rank.len();
     let mut start = vec![RegSet::ALL; n];
     for &e in cfg.entries() {
@@ -91,7 +90,7 @@ fn must_defined_in(
     for (i, &r) in rank.iter().enumerate() {
         wl.push(i, r);
     }
-    block_must_defined(arcs, rank, &start, &gen, &mut defined_in, wl);
+    block_must_defined(cfg, &start, &gen, &mut defined_in, wl);
     defined_in
 }
 
@@ -201,15 +200,13 @@ pub(crate) fn find_hoists(
 
     for (rid, routine) in program.iter() {
         let cfg = analysis.cfg.routine_cfg(rid);
-        let arcs = cfg.flow_arcs();
-        let dom = DomTree::dominators_linked(cfg, &arcs);
-        let forest = LoopForest::build(cfg, &dom, &arcs);
+        let dom = DomTree::dominators(cfg);
+        let forest = LoopForest::build(cfg, &dom);
         if forest.loops().is_empty() {
             continue;
         }
-        let rank = arcs.rpo_ranks(cfg.entries());
-        let live = block_liveness(program, analysis.registers(), rid, &arcs, &rank, &mut liveness);
-        let must_regs = must_defined_in(analysis, rid, cfg, &arcs, &rank, &mut wl);
+        let live = block_liveness(program, analysis.registers(), rid, &mut liveness);
+        let must_regs = must_defined_in(analysis, rid, cfg, &mut wl);
         let rs = analysis.stack.routine(rid);
         // Per-address stack facts: entry offset of every store, and
         // (offset, MUST-defined-at-header usable) for every load.
@@ -411,7 +408,7 @@ mod tests {
 
         // Execution-graph successors: block arcs plus call→return.
         let mut succs: Vec<Vec<BlockId>> =
-            cfg.blocks().iter().map(|b| b.succs().to_vec()).collect();
+            (0..n).map(|b| cfg.succs(BlockId::from_index(b)).to_vec()).collect();
         for (bi, block) in cfg.blocks().iter().enumerate() {
             if let TermKind::Call { return_to: Some(rt), .. } = block.term() {
                 succs[bi].push(*rt);
@@ -454,9 +451,7 @@ mod tests {
         let mut wl = PriorityWorklist::default();
         for (rid, routine) in p.iter() {
             let cfg = a.cfg.routine_cfg(rid);
-            let arcs = cfg.flow_arcs();
-            let rank = arcs.rpo_ranks(cfg.entries());
-            let solved = must_defined_in(&a, rid, cfg, &arcs, &rank, &mut wl);
+            let solved = must_defined_in(&a, rid, cfg, &mut wl);
             let swept = must_defined_in_reference(p, &a, rid, cfg);
             assert_eq!(solved, swept, "{}", routine.name());
         }

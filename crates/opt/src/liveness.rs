@@ -7,9 +7,9 @@
 //! computation, with the call-summary/exit values drawn from a completed
 //! [`spike_core::Analysis`]. The forward dual, the register MUST-defined
 //! solve behind LICM's operand guard and the lint's `uninit-read`, lives
-//! here too, on the same flow arcs and ranks.
+//! here too, on the same flow table ([`RoutineCfg::flow`]).
 
-use spike_cfg::{BasicBlock, BlockId, FlowArcs, ProgramCfg};
+use spike_cfg::{BasicBlock, BlockId, ProgramCfg, RoutineCfg};
 use spike_core::worklist::PriorityWorklist;
 use spike_core::{CallSiteSummary, ProgramSummary, RegisterFacts};
 use spike_isa::{Instruction, RegSet};
@@ -77,24 +77,24 @@ pub(crate) fn fill_boundary(
 /// The one block-liveness solver: solves `live_in = gen ∪ (live_end ∩
 /// pass)` for the per-block `gen`/`pass` into `live`, as the **least**
 /// fixpoint from ∅, where `live_end` is `boundary` joined with the
-/// `live_in` of every flow successor.
+/// `live_in` of every flow successor in `cfg`'s flow table.
 ///
-/// `rank` holds the forward reverse-postorder ranks of the routine's flow
-/// arcs from its entrances; blocks are popped in the reverse of that
-/// order, so successors come before their readers (a call block reads its
-/// return point). The solve always restarts from ∅: liveness round a loop
+/// Blocks are popped in the reverse of the table's forward ranks, so
+/// successors come before their readers (a call block reads its return
+/// point). The solve always restarts from ∅: liveness round a loop
 /// sustains itself, so continuing downward from an earlier, larger
 /// solution after `gen` shrank would keep registers live that nothing
 /// reads any more.
 pub(crate) fn solve(
-    arcs: &FlowArcs,
-    rank: &[u32],
+    cfg: &RoutineCfg,
     boundary: &[RegSet],
     gen: &[RegSet],
     pass: &[RegSet],
     live: &mut RoutineLiveness,
     wl: &mut PriorityWorklist,
 ) {
+    let arcs = cfg.flow();
+    let rank = arcs.rank();
     let n = rank.len();
     let last = n as u32 - 1;
     for v in [&mut live.live_in, &mut live.live_end] {
@@ -131,8 +131,7 @@ pub struct LivenessScratch {
 }
 
 /// Per-block liveness of `rid`, equal to [`routine_liveness`] with
-/// nothing ignored, over flow arcs and forward reverse-postorder ranks
-/// (`arcs.rpo_ranks(cfg.entries())`) the caller already holds.
+/// nothing ignored.
 ///
 /// It reads each block's transfer off the `DEF`/`UBD` sets the CFG
 /// carries instead of scanning instructions: `gen = UBD` and `pass =
@@ -145,8 +144,6 @@ pub fn block_liveness<'s>(
     program: &Program,
     facts: RegisterFacts<'_>,
     rid: RoutineId,
-    arcs: &FlowArcs,
-    rank: &[u32],
     scratch: &'s mut LivenessScratch,
 ) -> &'s RoutineLiveness {
     let cfg = facts.cfg.routine_cfg(rid);
@@ -167,7 +164,7 @@ pub fn block_liveness<'s>(
         }
     }
     fill_boundary(program, facts, rid, boundary);
-    solve(arcs, rank, boundary, gen, pass, live, wl);
+    solve(cfg, boundary, gen, pass, live, wl);
     live
 }
 
@@ -218,12 +215,10 @@ pub fn routine_liveness(
         }
     }
 
-    let arcs = cfg.flow_arcs();
-    let rank = arcs.rpo_ranks(cfg.entries());
     let mut boundary = Vec::new();
     fill_boundary(program, facts, rid, &mut boundary);
     let mut live = RoutineLiveness::default();
-    solve(&arcs, &rank, &boundary, &gen, &pass, &mut live, &mut PriorityWorklist::default());
+    solve(cfg, &boundary, &gen, &pass, &mut live, &mut PriorityWorklist::default());
     live
 }
 
@@ -243,26 +238,26 @@ pub fn must_defined_gen(cfg: &ProgramCfg, summary: &ProgramSummary, rid: Routine
 
 /// The one register MUST-defined block solver: brings `defined_in` to
 /// the **greatest** fixpoint of `in[b] = start[b] ∩ ⋂ₚ (in[p] ∪
-/// gen[p])` over the flow predecessors `p` of `b`, by popping the blocks
-/// queued in `wl` and re-queueing the flow successors of every block
-/// whose value moved.
+/// gen[p])` over the flow predecessors `p` of `b` in `cfg`'s flow
+/// table, by popping the blocks queued in `wl` and re-queueing the flow
+/// successors of every block whose value moved.
 ///
-/// `rank` holds the forward reverse-postorder ranks of `arcs` from the
-/// routine's entrances, so most blocks see their final predecessor
-/// facts on the first evaluation. The solve resumes from the values it
+/// Re-queued blocks take the table's forward ranks, so most blocks see
+/// their final predecessor facts on the first evaluation. The solve resumes from the values it
 /// is handed: a cold solve hands ⊤ everywhere with every block queued;
 /// a warm one may hand an earlier solution of a system whose `start`
 /// has since shrunk, queueing only the blocks whose `start` moved — it
 /// lies above the new greatest fixpoint, so descending from it reaches
 /// the same fixpoint a cold solve would.
 pub fn block_must_defined(
-    arcs: &FlowArcs,
-    rank: &[u32],
+    cfg: &RoutineCfg,
     start: &[RegSet],
     gen: &[RegSet],
     defined_in: &mut [RegSet],
     wl: &mut PriorityWorklist,
 ) {
+    let arcs = cfg.flow();
+    let rank = arcs.rank();
     while let Some(i) = wl.pop() {
         let b = BlockId::from_index(i);
         let mut acc = start[i];
@@ -281,7 +276,7 @@ pub fn block_must_defined(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spike_cfg::{RoutineCfg, TermKind};
+    use spike_cfg::TermKind;
     use spike_core::analyze;
     use spike_isa::Reg;
     use spike_program::ProgramBuilder;
@@ -310,7 +305,7 @@ mod tests {
             },
             _ => {
                 let mut acc = RegSet::EMPTY;
-                for &s in block.succs() {
+                for &s in cfg.succs(b) {
                     acc |= live_in[s.index()];
                 }
                 acc
@@ -424,11 +419,8 @@ mod tests {
         let a = analyze(p);
         let mut scratch = LivenessScratch::default();
         for (rid, routine) in p.iter() {
-            let cfg = a.cfg.routine_cfg(rid);
-            let arcs = cfg.flow_arcs();
-            let rank = arcs.rpo_ranks(cfg.entries());
             let by_insn = routine_liveness(p, a.registers(), rid, &|_| false);
-            let by_block = block_liveness(p, a.registers(), rid, &arcs, &rank, &mut scratch);
+            let by_block = block_liveness(p, a.registers(), rid, &mut scratch);
             assert_eq!(by_block.live_in, by_insn.live_in, "{}", routine.name());
             assert_eq!(by_block.live_end, by_insn.live_end, "{}", routine.name());
         }

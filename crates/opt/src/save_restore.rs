@@ -150,13 +150,9 @@ fn body_reads_before_write(
             }
         }
         if !defined {
-            for &s in block.succs() {
-                stack.push(s);
-            }
-            // Control also continues at a call's return point.
-            if let spike_cfg::TermKind::Call { return_to: Some(rt), .. } = block.term() {
-                stack.push(*rt);
-            }
+            // Flow successors: control also continues at a call's return
+            // point.
+            stack.extend_from_slice(cfg.flow().succs(b));
         }
     }
     false

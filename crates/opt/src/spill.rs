@@ -71,13 +71,7 @@ pub(crate) fn find_spills(
         let cfg = facts.cfg.routine_cfg(rid);
         // Loop depth prices the pairs when no profile is available; the
         // forest is only needed then.
-        let forest = if profile.is_none() {
-            let arcs = cfg.flow_arcs();
-            let dom = DomTree::dominators_linked(cfg, &arcs);
-            Some(LoopForest::build(cfg, &dom, &arcs))
-        } else {
-            None
-        };
+        let forest = profile.is_none().then(|| LoopForest::build(cfg, &DomTree::dominators(cfg)));
         for b in cfg.call_blocks() {
             let block = cfg.block(b);
             let TermKind::Call { return_to: Some(rt), .. } = block.term() else {

@@ -46,7 +46,9 @@ pub enum RewriteError {
     /// An address marked for deletion holds no instruction.
     NoSuchInstruction(u32),
     /// The instruction at the address may not be deleted: terminators and
-    /// relocated address materializations anchor control flow.
+    /// relocated address materializations anchor control flow. Also
+    /// returned, naming its first address, for a deleted span that would
+    /// leave an entrance with no instruction before the next entrance.
     NotDeletable(u32),
     /// An insertion or bypass request is invalid: inserted instructions
     /// must not transfer control, and only branches can be bypassed.
@@ -307,6 +309,13 @@ impl<'a> Rewriter<'a> {
             }
             if next == new_base {
                 return Err(RewriteError::EmptyRoutine(r.name().to_string()));
+            }
+            // Every entrance keeps an instruction of its own: a span
+            // deleted whole would merge its entrance with the next.
+            for w in r.entry_offsets().windows(2) {
+                if fwd[lo + w[0] as usize] == fwd[lo + w[1] as usize] {
+                    return Err(RewriteError::NotDeletable(r.addr() + w[0]));
+                }
             }
         }
         // Cross-routine targets — calls, relocations, known indirect-call
@@ -603,6 +612,20 @@ mod tests {
         let base = p.routines()[0].addr();
         let err = Rewriter::new(&p).delete(base + 1).finish().unwrap_err();
         assert_eq!(err, RewriteError::NotDeletable(base + 1));
+    }
+
+    #[test]
+    fn emptying_the_span_before_an_alternate_entrance_is_not_deletable() {
+        let mut b = ProgramBuilder::new();
+        b.routine("f").def(Reg::T0).label("g").alt_entry("g").def(Reg::T1).ret();
+        let p = b.build().unwrap();
+        let base = p.routines()[0].addr();
+        let err = Rewriter::new(&p).delete(base).finish().unwrap_err();
+        assert_eq!(err, RewriteError::NotDeletable(base));
+        // The span from the alternate entrance on may shrink: `g` then
+        // forwards to the `ret`.
+        let (q, _) = Rewriter::new(&p).delete(base + 1).finish().unwrap();
+        assert_eq!(q.routines()[0].entry_offsets(), &[0, 1]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The header is a `spike_core::json` object:
 //!
 //! ```json
-//! {"tool": "spike-served", "format": 8, "entries": 3,
+//! {"tool": "spike-served", "format": 10, "entries": 3,
 //!  "payload_bytes": 123456, "checksum": "<32 hex>", "options_fp": "<16 hex>"}
 //! ```
 //!
@@ -35,8 +35,11 @@
 //! tag, or per-entry validation failure abandons the whole snapshot
 //! and the daemon starts cold — never a panic, never a silently wrong
 //! cache. Decoding checks every compressed-sparse-row table's offsets,
-//! and each decoded PSG must have one adjacency row per node or edge
-//! ([`spike_core::Psg::check_tables`]) before anything solves over it.
+//! each decoded PSG must have one adjacency row per node or edge
+//! ([`spike_core::Psg::check_tables`]), and every block id a decoded CFG
+//! holds must name one of its routine's blocks
+//! (`spike_cfg::ProgramCfg::check_tables`) before anything solves over
+//! them.
 //! An entry is charged the heap its decoded analysis holds, and one
 //! whose stored `memory_bytes` disagrees with that is corrupt.
 //!
@@ -60,7 +63,10 @@ use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 /// 8: each routine's stack facts keep its `CallDigest`, and the stats
 /// count the stack layer's routine scans.
 /// 9: the stats no longer carry a front-end worker count.
-pub const FORMAT_VERSION: i64 = 9;
+/// 10: each routine CFG keeps one flow table (successor and predecessor
+/// rows plus forward ranks) instead of per-block successor and
+/// predecessor lists.
+pub const FORMAT_VERSION: i64 = 10;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
@@ -272,6 +278,10 @@ pub fn read(path: &Path, options: &AnalysisOptions) -> Result<DecodedSnapshot, S
                 .psg
                 .check_tables()
                 .map_err(|table| format!("psg table {table} does not fit the graph"))?;
+            analysis
+                .cfg
+                .check_tables()
+                .map_err(|table| format!("cfg table {table} does not fit the routine"))?;
             // The store charges what the analysis holds; a stored count
             // that disagrees with it was not written by `encode`.
             let held = analysis.heap_bytes();
@@ -517,6 +527,62 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Valid header, valid checksum, and a CFG whose first flow
+    /// successor names a block past the routine's last: every offset is
+    /// in order, so only the CFG table check can refuse it.
+    #[test]
+    fn an_out_of_range_successor_under_a_valid_checksum_is_corrupt() {
+        let mut b = ProgramBuilder::new();
+        b.routine("main")
+            .cond(spike_isa::BranchCond::Eq, Reg::A0, "join")
+            .def(Reg::A0)
+            .label("join")
+            .put_int()
+            .halt();
+        let img = b.build().unwrap().to_image();
+        let store = warm_store(std::slice::from_ref(&img));
+        let entry = &store.export_entries()[0];
+        let mut payload = SnapWriter::new();
+        payload.put_usize(1);
+        for lane in entry.key.lanes() {
+            lane.snap(&mut payload);
+        }
+        img.snap(&mut payload);
+        entry.analysis.snap(&mut payload);
+        let mut bytes = payload.into_bytes();
+
+        // The flow table opens with its successor offsets and items, each
+        // a (capacity, length) header and the `u32`s.
+        let cfg = &entry.analysis.cfg.cfgs()[0];
+        let blocks = cfg.blocks().len();
+        let mut flow = SnapWriter::new();
+        cfg.flow().snap(&mut flow);
+        let flow = flow.into_bytes();
+        let flow_at = bytes.windows(flow.len()).position(|w| w == flow).expect("flow table");
+        let items_at = flow_at + 16 + 4 * (blocks + 1);
+        let len = u64::from_le_bytes(bytes[items_at + 8..items_at + 16].try_into().unwrap());
+        // The routine makes no call, so its flow arcs are its CFG arcs.
+        assert!(cfg.arc_count() > 0 && len as usize == cfg.arc_count(), "found the successors");
+        let first = items_at + 16;
+        bytes[first..first + 4].copy_from_slice(&(blocks as u32).to_le_bytes());
+        let options = AnalysisOptions::default();
+        let file = seal(&bytes, 1, &options);
+
+        let dir = std::env::temp_dir().join(format!("spike-snap-cfg-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.snap");
+        std::fs::write(&path, &file).unwrap();
+        match read(&path, &options) {
+            Err(SnapshotError::Corrupt(what)) => assert!(what.contains("flow arcs"), "{what}"),
+            Err(other) => panic!("must be Corrupt, got {other:?}"),
+            Ok(_) => panic!("must be Corrupt, got a decoded snapshot"),
+        }
+        let fresh = ProgramStore::new(options.clone(), usize::MAX);
+        assert!(restore(&path, &fresh, &options).is_err());
+        assert_eq!(fresh.snapshot().entries, 0, "store must stay cold");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn version_and_options_mismatches_are_incompatible() {
         let store = warm_store(&[image(0)]);
@@ -533,12 +599,14 @@ mod tests {
         // whose `Analysis` payload still carried per-routine loop
         // statistics, version 6, whose PSG tables were one list per row
         // and whose block lists were plain vectors, version 7, whose
-        // routine stack facts kept no call digest, and version 8, whose
-        // stats still counted front-end workers. Splice the format
-        // field in the JSON header and fix up the length field.
+        // routine stack facts kept no call digest, version 8, whose
+        // stats still counted front-end workers, and version 9, whose
+        // CFG blocks carried their own successor and predecessor lists.
+        // Splice the format field in the JSON header and fix up the
+        // length field.
         let header_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
         let header = std::str::from_utf8(&good[12..12 + header_len]).unwrap();
-        for other in [999, 3, 4, 5, 6, 7, 8] {
+        for other in [999, 3, 4, 5, 6, 7, 8, 9] {
             let spliced_header = header.replacen(
                 &format!("\"format\":{FORMAT_VERSION}"),
                 &format!("\"format\":{other}"),

@@ -338,12 +338,16 @@ fn drain_snapshot_makes_a_plain_restart_start_warm() {
     // drain just rewrote the file): the header is refused before any
     // payload byte is decoded.
     let mut bytes = std::fs::read(&snap).unwrap();
-    let current = format!("\"format\":{}", spike_serve::snapshot::FORMAT_VERSION);
+    // The version is padded to the current one's width (JSON allows the
+    // space), so the header length stays put.
+    let version = spike_serve::snapshot::FORMAT_VERSION;
+    let current = format!("\"format\":{version}");
+    let previous = format!("\"format\":{:>1$}", version - 1, version.to_string().len());
     let at = bytes.windows(current.len()).position(|w| w == current.as_bytes()).unwrap();
-    bytes[at..at + current.len()].copy_from_slice(b"\"format\":3");
+    bytes[at..at + current.len()].copy_from_slice(previous.as_bytes());
     std::fs::write(&snap, &bytes).unwrap();
     let (server, endpoint) = start(|o| o.snapshot = Some(snap.clone()));
-    assert!(server.restored().is_none(), "a format-3 snapshot must be refused");
+    assert!(server.restored().is_none(), "a previous-format snapshot must be refused");
     let r = send(&endpoint, &req(analyze(), "img0"), &images[0]);
     assert!(r.diag.contains("cache: miss"), "cold start: {}", r.diag);
     stop(server, &endpoint);

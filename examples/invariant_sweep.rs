@@ -23,25 +23,25 @@ fn check_cfg(program: &Program) {
         assert_eq!(expected, routine.end_addr());
         for (bi, b) in cfg.blocks().iter().enumerate() {
             let me = BlockId::from_index(bi);
-            for &s in b.succs() {
-                assert!(cfg.block(s).preds().contains(&me));
+            for &s in cfg.succs(me) {
+                assert!(cfg.flow().preds(s).contains(&me));
             }
-            for &p in b.preds() {
-                assert!(cfg.block(p).succs().contains(&me));
+            for &p in cfg.flow().preds(me) {
+                assert!(cfg.flow().succs(p).contains(&me));
             }
             match b.term() {
                 TermKind::Call { return_to, .. } => {
-                    assert!(b.succs().is_empty());
+                    assert!(cfg.succs(me).is_empty());
                     assert!(return_to.is_some());
                 }
                 TermKind::Ret | TermKind::Halt | TermKind::UnknownJump => {
-                    assert!(b.succs().is_empty());
+                    assert!(cfg.succs(me).is_empty());
                 }
-                TermKind::Branch | TermKind::FallThrough => assert_eq!(b.succs().len(), 1),
+                TermKind::Branch | TermKind::FallThrough => assert_eq!(cfg.succs(me).len(), 1),
                 TermKind::CondBranch => {
-                    assert!(!b.succs().is_empty() && b.succs().len() <= 2);
+                    assert!(!cfg.succs(me).is_empty() && cfg.succs(me).len() <= 2);
                 }
-                TermKind::MultiwayJump => assert!(!b.succs().is_empty()),
+                TermKind::MultiwayJump => assert!(!cfg.succs(me).is_empty()),
             }
         }
         let rets: Vec<_> = cfg

@@ -38,30 +38,30 @@ proptest! {
             // Duality: a ∈ succs(b) ⇔ b ∈ preds(a).
             for (bi, b) in cfg.blocks().iter().enumerate() {
                 let me = spike::cfg::BlockId::from_index(bi);
-                for &s in b.succs() {
-                    prop_assert!(cfg.block(s).preds().contains(&me));
+                for &s in cfg.succs(me) {
+                    prop_assert!(cfg.flow().preds(s).contains(&me));
                 }
-                for &p in b.preds() {
-                    prop_assert!(cfg.block(p).succs().contains(&me));
+                for &p in cfg.flow().preds(me) {
+                    prop_assert!(cfg.flow().succs(p).contains(&me));
                 }
 
                 // Terminator shape.
                 match b.term() {
                     TermKind::Call { return_to, .. } => {
-                        prop_assert!(b.succs().is_empty());
+                        prop_assert!(cfg.succs(me).is_empty());
                         prop_assert!(return_to.is_some());
                     }
                     TermKind::Ret | TermKind::Halt | TermKind::UnknownJump => {
-                        prop_assert!(b.succs().is_empty());
+                        prop_assert!(cfg.succs(me).is_empty());
                     }
                     TermKind::Branch | TermKind::FallThrough => {
-                        prop_assert_eq!(b.succs().len(), 1);
+                        prop_assert_eq!(cfg.succs(me).len(), 1);
                     }
                     TermKind::CondBranch => {
-                        prop_assert!(!b.succs().is_empty() && b.succs().len() <= 2);
+                        prop_assert!(!cfg.succs(me).is_empty() && cfg.succs(me).len() <= 2);
                     }
                     TermKind::MultiwayJump => {
-                        prop_assert!(!b.succs().is_empty());
+                        prop_assert!(!cfg.succs(me).is_empty());
                     }
                 }
             }

@@ -44,28 +44,28 @@ fn check_cfg_invariants(program: &Program) {
 
         for (bi, b) in cfg.blocks().iter().enumerate() {
             let me = BlockId::from_index(bi);
-            for &s in b.succs() {
-                assert!(cfg.block(s).preds().contains(&me), "succ/pred duality");
+            for &s in cfg.succs(me) {
+                assert!(cfg.flow().preds(s).contains(&me), "succ/pred duality");
             }
-            for &p in b.preds() {
-                assert!(cfg.block(p).succs().contains(&me), "pred/succ duality");
+            for &p in cfg.flow().preds(me) {
+                assert!(cfg.flow().succs(p).contains(&me), "pred/succ duality");
             }
             match b.term() {
                 TermKind::Call { return_to, .. } => {
-                    assert!(b.succs().is_empty());
+                    assert!(cfg.succs(me).is_empty());
                     assert!(return_to.is_some());
                 }
                 TermKind::Ret | TermKind::Halt | TermKind::UnknownJump => {
-                    assert!(b.succs().is_empty());
+                    assert!(cfg.succs(me).is_empty());
                 }
                 TermKind::Branch | TermKind::FallThrough => {
-                    assert_eq!(b.succs().len(), 1);
+                    assert_eq!(cfg.succs(me).len(), 1);
                 }
                 TermKind::CondBranch => {
-                    assert!(!b.succs().is_empty() && b.succs().len() <= 2);
+                    assert!(!cfg.succs(me).is_empty() && cfg.succs(me).len() <= 2);
                 }
                 TermKind::MultiwayJump => {
-                    assert!(!b.succs().is_empty());
+                    assert!(!cfg.succs(me).is_empty());
                 }
             }
         }
