@@ -20,7 +20,9 @@
 //!   [`Instruction::decode`]) so that programs can round-trip through an
 //!   executable image, exercising the *post-link-time* nature of the system,
 //! * deterministic memory accounting ([`HeapSize`]) used to reproduce the
-//!   paper's memory-usage results.
+//!   paper's memory-usage results,
+//! * the [`Snap`] encoding and the one on-disk [`container`] that
+//!   snapshots and profiles are written in.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@
 #![forbid(unsafe_code)]
 
 mod callstd;
+pub mod container;
 mod insn;
 mod mem;
 mod reg;

@@ -162,6 +162,7 @@ impl_heap_size_zero!(
     char,
     (),
     std::time::Duration,
+    [u64; 2],
     crate::Reg,
     crate::RegSet,
     crate::MemWidth,
@@ -185,6 +186,7 @@ impl_clone_exact_for_copy!(
     char,
     (),
     std::time::Duration,
+    [u64; 2],
     crate::Reg,
     crate::RegSet,
     crate::MemWidth,

@@ -12,12 +12,13 @@
 //! `(capacity, len, items…)` and decodes via `Vec::with_capacity`.
 //!
 //! Everything else is deliberately plain: little-endian fixed-width
-//! integers, `u8` enum tags, no self-description. Integrity is the
-//! *container's* job — snapshot files carry a checksum over the whole
-//! payload ([`fnv128`], defined here) and a format version, and decoding only runs after both
-//! check out. The decoder still never panics on malformed input
-//! (every read is bounds-checked and every tag validated), so a bad
-//! file costs an error, not the daemon.
+//! integers, `u8` enum tags, no self-description. Integrity is the job
+//! of [`container`](crate::container) — snapshot and profile files carry
+//! a format version and a checksum over the whole payload ([`fnv128`],
+//! defined here), and decoding only runs after both check out. The
+//! decoder still never panics on malformed input (every read is
+//! bounds-checked and every tag validated), so a bad file costs an
+//! error, not the daemon.
 
 use std::time::Duration;
 
@@ -323,6 +324,44 @@ impl<T: Snap> Snap for Vec<T> {
     }
 }
 
+impl Snap for [u64; 2] {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_u64(self[0]);
+        w.put_u64(self[1]);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok([r.get_u64()?, r.get_u64()?])
+    }
+}
+
+/// `(len, (key, value)…)` in key order. Decoding requires strictly
+/// increasing keys, so every map has exactly one encoding.
+impl<K: Snap + Ord, V: Snap> Snap for std::collections::BTreeMap<K, V> {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_usize(self.len());
+        for (k, v) in self {
+            k.snap(w);
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let len = r.get_usize()?;
+        // Every entry encodes to at least one byte.
+        if len > r.remaining() {
+            return Err(SnapError::Truncated);
+        }
+        let mut map = std::collections::BTreeMap::new();
+        for _ in 0..len {
+            let (k, v) = (K::unsnap(r)?, V::unsnap(r)?);
+            if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(SnapError::Malformed("map keys out of order"));
+            }
+            map.insert(k, v);
+        }
+        Ok(map)
+    }
+}
+
 impl Snap for String {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_usize(self.len());
@@ -495,6 +534,24 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(Vec::<u64>::unsnap(&mut r).is_err());
+    }
+
+    #[test]
+    fn maps_roundtrip_and_refuse_out_of_order_keys() {
+        let map = std::collections::BTreeMap::from([((1_u32, 2_u32), 9_u64), ((1, 3), 0)]);
+        assert_eq!(roundtrip(&map), map);
+        assert_eq!(roundtrip(&[7_u64, u64::MAX]), [7, u64::MAX]);
+        for keys in [[2_u32, 1], [4, 4]] {
+            let mut w = SnapWriter::new();
+            w.put_usize(2);
+            for k in keys {
+                w.put_u32(k);
+                w.put_u8(0);
+            }
+            let bytes = w.into_bytes();
+            let got = std::collections::BTreeMap::<u32, u8>::unsnap(&mut SnapReader::new(&bytes));
+            assert_eq!(got, Err(SnapError::Malformed("map keys out of order")), "{keys:?}");
+        }
     }
 
     /// A 1 MiB vector whose capacity field claims `1 << 36` elements is

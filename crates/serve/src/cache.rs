@@ -344,43 +344,25 @@ impl ProgramStore {
         entries.into_iter().map(|(_, shared)| shared).collect()
     }
 
-    /// Installs one decoded snapshot entry, warm. The caller (the
-    /// snapshot loader) has already verified the container checksum and
-    /// the options fingerprint; this re-validates the entry itself: the
-    /// image must parse and must hash to `key`, otherwise the entry is
-    /// refused and the cache state is untouched. The entry is charged the
-    /// heap `analysis` holds.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch; the caller treats any
-    /// error as "fall back to cold" for the whole snapshot.
-    pub fn restore_entry(
-        &self,
-        key: CacheKey,
-        image: Vec<u8>,
-        analysis: Analysis,
-    ) -> Result<(), String> {
-        if CacheKey::of(&image) != key {
-            return Err("snapshot entry key does not match its image bytes".into());
-        }
-        let program = Program::from_image(&image).map_err(|e| e.to_string())?;
-        // Charge what the decoded analysis holds, not the count it carries.
-        let bytes = image.len() + analysis.heap_bytes();
-        let shared = Arc::new(AnalyzedProgram { key, program, analysis, image });
+    /// Installs one snapshot entry, warm. The snapshot loader has
+    /// already validated it (`snapshot::read`); the entry is charged the
+    /// heap its analysis holds.
+    pub(crate) fn restore_entry(&self, entry: AnalyzedProgram) {
+        let key = entry.key;
+        let bytes = entry.image.len() + entry.analysis.heap_bytes();
+        let shared = Arc::new(entry);
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         // A live entry for the same key wins over the snapshot: it is at
         // least as fresh.
         if inner.entries.contains_key(&key) {
-            return Ok(());
+            return;
         }
         inner.total_bytes += bytes;
         inner.entries.insert(key, Entry { shared, bytes, last_used: tick });
         inner.counters.restored += 1;
         inner.evict_to_budget(self.budget_bytes, key);
-        Ok(())
     }
 }
 

@@ -1,64 +1,70 @@
-//! Warm-cache snapshot files: persist the daemon's analyzed-program LRU
+//! Warm-cache snapshots: persist the daemon's analyzed-program LRU
 //! across restarts so a replacement instance starts *warm*.
 //!
 //! # File format
 //!
+//! A snapshot is a [`spike_isa::container`] with magic `spiksnap`:
+//!
 //! ```text
-//! +----------------+-------------------+----------------+------------------+
-//! | magic (8 B)    | header len (4 B)  | header (JSON)  | payload (binary) |
-//! | "spiksnap"     | u32 LE            |                |  Snap-encoded    |
-//! +----------------+-------------------+----------------+------------------+
+//! +----------+--------+-------------+-----------------+----------------------------+
+//! | spiksnap | format | payload len | fnv128(payload) | payload                    |
+//! | 8 B      | u32 LE | u64 LE      | 2 x u64 LE      | options fp, entries (Snap) |
+//! +----------+--------+-------------+-----------------+----------------------------+
 //! ```
 //!
-//! The header is a `spike_core::json` object:
-//!
-//! ```json
-//! {"tool": "spike-served", "format": 10, "entries": 3,
-//!  "payload_bytes": 123456, "checksum": "<32 hex>", "options_fp": "<16 hex>"}
-//! ```
-//!
-//! * `format` — bumped whenever the payload encoding changes; a
-//!   mismatch rejects the file (old daemons never misread new payloads
-//!   and vice versa).
-//! * `checksum` — [`spike_isa::fnv128`] of the payload bytes (the same
-//!   [`CacheKey`] hash that content-addresses images), verified
+//! * `format` — [`FORMAT_VERSION`], bumped whenever the payload encoding
+//!   changes; a mismatch rejects the file (old daemons never misread new
+//!   payloads and vice versa).
+//! * the checksum is [`spike_isa::fnv128`] of the payload bytes (the
+//!   same [`CacheKey`] hash that content-addresses images), verified
 //!   **before** any payload decoding runs.
-//! * `options_fp` — fingerprint of the analysis options the entries
-//!   were computed under (see [`spike_core::options_fingerprint`]); a
-//!   daemon only restores snapshots matching its own configuration,
-//!   because entries from a different calling standard or filter
-//!   setting would be *wrong*, not just stale.
 //!
-//! The payload is `entry count` followed by `(key, image, analysis)`
-//! triples in LRU order (least recently used first), each
-//! [`Snap`]-encoded. Restore is all-or-nothing: any truncation, bad
-//! tag, or per-entry validation failure abandons the whole snapshot
-//! and the daemon starts cold — never a panic, never a silently wrong
-//! cache. Decoding checks every compressed-sparse-row table's offsets,
-//! each decoded PSG must have one adjacency row per node or edge
-//! ([`spike_core::Psg::check_tables`]), and every block id a decoded CFG
-//! holds must name one of its routine's blocks
-//! (`spike_cfg::ProgramCfg::check_tables`) before anything solves over
-//! them.
-//! An entry is charged the heap its decoded analysis holds, and one
-//! whose stored `memory_bytes` disagrees with that is corrupt.
+//! The payload opens with the fingerprint of the analysis options the
+//! entries were computed under (see [`spike_core::options_fingerprint`]);
+//! a daemon only restores snapshots matching its own configuration,
+//! because entries from a different calling standard or filter setting
+//! would be *wrong*, not just stale. Then come the entry count and
+//! `(key, image, analysis)` triples in LRU order (least recently used
+//! first), each [`Snap`]-encoded.
 //!
-//! Writes go through a sibling temp file + atomic rename, so a crash
-//! mid-write leaves the previous snapshot intact and a reader never
-//! observes a half-written file.
+//! Restore is all-or-nothing: every entry is decoded and validated
+//! before any is installed, and any truncation, bad tag, or per-entry
+//! validation failure abandons the whole snapshot — the daemon starts
+//! cold, never with a half-restored cache and never after a panic. The
+//! checksum catches accidental damage, not a crafted file, so each entry
+//! is checked for what request paths index by:
+//!
+//! * every compressed-sparse-row table's offsets, one PSG adjacency row
+//!   per node or edge ([`spike_core::Psg::check_tables`]), and every
+//!   block id a CFG holds naming one of its routine's blocks
+//!   (`spike_cfg::ProgramCfg::check_tables`);
+//! * the image parses and hashes to the entry's key;
+//! * the analysis fits that program: one CFG, summary, PSG routine and
+//!   stack routine per routine, and every block's address range inside
+//!   its routine;
+//! * the entry is charged the heap its decoded analysis holds, and one
+//!   whose stored `memory_bytes` disagrees with that is corrupt.
+//!
+//! So a restored entry never panics a request or reads out of range; it
+//! is not proven to be the analysis its image would get.
+//!
+//! Writes go through [`container::write_atomic`], so a crash mid-write
+//! leaves the previous snapshot intact and a reader never observes a
+//! half-written file.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use spike_core::json::Json;
 use spike_core::{options_fingerprint, Analysis, AnalysisOptions};
-use spike_isa::{HeapSize, Snap, SnapReader, SnapWriter};
+use spike_isa::container::{self, ContainerError};
+use spike_isa::{HeapSize, Snap, SnapError, SnapReader, SnapWriter};
+use spike_program::Program;
 
 use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 
 /// Payload encoding version. Bump on any change to the `Snap` layout of
-/// the analysis structures or to how a header field is computed.
+/// the analysis structures or to the container.
 ///
 /// 8: each routine's stack facts keep its `CallDigest`, and the stats
 /// count the stack layer's routine scans.
@@ -66,7 +72,9 @@ use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 /// 10: each routine CFG keeps one flow table (successor and predecessor
 /// rows plus forward ranks) instead of per-block successor and
 /// predecessor lists.
-pub const FORMAT_VERSION: i64 = 10;
+/// 11: the shared [`spike_isa::container`] header replaces the JSON one;
+/// the options fingerprint opens the payload.
+pub const FORMAT_VERSION: u32 = 11;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
@@ -101,6 +109,24 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+impl From<ContainerError> for SnapshotError {
+    fn from(e: ContainerError) -> SnapshotError {
+        match e {
+            ContainerError::Foreign => SnapshotError::NotASnapshot("bad magic"),
+            ContainerError::Incompatible { found } => SnapshotError::Incompatible(format!(
+                "format {found} (this daemon writes {FORMAT_VERSION})"
+            )),
+            ContainerError::Corrupt(what) => SnapshotError::Corrupt(what.into()),
+        }
+    }
+}
+
+impl From<SnapError> for SnapshotError {
+    fn from(e: SnapError) -> SnapshotError {
+        SnapshotError::Corrupt(e.to_string())
+    }
+}
+
 /// What a successful restore did, for the startup log line.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RestoreReport {
@@ -112,59 +138,17 @@ pub struct RestoreReport {
     pub elapsed_ms: u128,
 }
 
-fn hex32(lanes: [u64; 2]) -> String {
-    format!("{:016x}{:016x}", lanes[0], lanes[1])
-}
-
-fn parse_hex_u64(s: &str) -> Option<u64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
-}
-
-fn parse_hex32(s: &str) -> Option<[u64; 2]> {
-    if s.len() != 32 {
-        return None;
-    }
-    Some([parse_hex_u64(&s[..16])?, parse_hex_u64(&s[16..])?])
-}
-
 /// Serializes `entries` into snapshot-file bytes.
 pub fn encode(entries: &[Arc<AnalyzedProgram>], options: &AnalysisOptions) -> Vec<u8> {
     let mut payload = SnapWriter::new();
+    payload.put_u64(options_fingerprint(options));
     payload.put_usize(entries.len());
     for e in entries {
-        e.key.lanes()[0].snap(&mut payload);
-        e.key.lanes()[1].snap(&mut payload);
+        e.key.lanes().snap(&mut payload);
         e.image.snap(&mut payload);
         e.analysis.snap(&mut payload);
     }
-    seal(&payload.into_bytes(), entries.len(), options)
-}
-
-/// Puts the magic and a header carrying `payload`'s checksum in front of
-/// it.
-fn seal(payload: &[u8], entries: usize, options: &AnalysisOptions) -> Vec<u8> {
-    let checksum = CacheKey::of(payload).lanes();
-
-    let header = Json::Obj(vec![
-        ("tool".into(), Json::Str("spike-served".into())),
-        ("format".into(), Json::Int(FORMAT_VERSION)),
-        ("entries".into(), Json::Int(entries as i64)),
-        ("payload_bytes".into(), Json::Int(payload.len() as i64)),
-        ("checksum".into(), Json::Str(hex32(checksum))),
-        ("options_fp".into(), Json::Str(format!("{:016x}", options_fingerprint(options)))),
-    ]);
-    let mut header_text = String::new();
-    header.write(&mut header_text);
-
-    let mut out = Vec::with_capacity(MAGIC.len() + 4 + header_text.len() + payload.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(header_text.len() as u32).to_le_bytes());
-    out.extend_from_slice(header_text.as_bytes());
-    out.extend_from_slice(payload);
-    out
+    container::seal(MAGIC, FORMAT_VERSION, &payload.into_bytes())
 }
 
 /// Writes a snapshot of `store`'s full-analysis entries to `path`,
@@ -182,153 +166,116 @@ pub fn write(
 ) -> Result<(usize, usize), SnapshotError> {
     let entries = store.export_entries();
     let bytes = encode(&entries, options);
-    spike_profile::write_atomic(path, &bytes)?;
+    container::write_atomic(path, &bytes)?;
     Ok((entries.len(), bytes.len()))
 }
 
-/// Decoded snapshot entries, not yet installed anywhere.
-pub struct DecodedSnapshot {
-    /// `(key, image, analysis)` triples in LRU order (oldest first).
-    pub entries: Vec<(CacheKey, Vec<u8>, Analysis)>,
-}
-
 /// Reads and fully validates the snapshot at `path` against `options`:
-/// magic, header shape, format version, options fingerprint, payload
-/// length, checksum — and only then the payload decode.
+/// the container (magic, format, length, checksum), then the options
+/// fingerprint, then every entry (see the module docs). Returns the
+/// entries in LRU order (oldest first), not yet installed anywhere.
 ///
 /// # Errors
 ///
 /// Every way a file can be wrong maps to a [`SnapshotError`]; callers
 /// treat all of them as "start cold".
-pub fn read(path: &Path, options: &AnalysisOptions) -> Result<DecodedSnapshot, SnapshotError> {
+pub fn read(path: &Path, options: &AnalysisOptions) -> Result<Vec<AnalyzedProgram>, SnapshotError> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < MAGIC.len() + 4 {
-        return Err(SnapshotError::NotASnapshot("shorter than the fixed header"));
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(SnapshotError::NotASnapshot("bad magic"));
-    }
-    let header_len =
-        u32::from_le_bytes(bytes[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap()) as usize;
-    let header_start = MAGIC.len() + 4;
-    let payload_start = header_start.checked_add(header_len).filter(|&p| p <= bytes.len());
-    let Some(payload_start) = payload_start else {
-        return Err(SnapshotError::NotASnapshot("header length overruns the file"));
-    };
-    let header_text = std::str::from_utf8(&bytes[header_start..payload_start])
-        .map_err(|_| SnapshotError::NotASnapshot("header is not UTF-8"))?;
-    let header = Json::parse(header_text)
-        .map_err(|e| SnapshotError::Incompatible(format!("header does not parse: {e}")))?;
-
-    let format = header.get("format").and_then(Json::as_i64);
-    if format != Some(FORMAT_VERSION) {
-        return Err(SnapshotError::Incompatible(format!(
-            "format {} (this daemon writes {FORMAT_VERSION})",
-            format.map_or_else(|| "missing".to_string(), |v| v.to_string())
-        )));
-    }
-    let fp = header
-        .get("options_fp")
-        .and_then(Json::as_str)
-        .and_then(parse_hex_u64)
-        .ok_or_else(|| SnapshotError::Incompatible("missing options fingerprint".into()))?;
+    let mut r = SnapReader::new(container::open(&bytes, MAGIC, FORMAT_VERSION)?);
+    let fp = r.get_u64()?;
     let own_fp = options_fingerprint(options);
     if fp != own_fp {
         return Err(SnapshotError::Incompatible(format!(
             "analysis options fingerprint {fp:016x} != this daemon's {own_fp:016x}"
         )));
     }
-
-    let payload = &bytes[payload_start..];
-    let announced = header.get("payload_bytes").and_then(Json::as_i64);
-    if announced != Some(payload.len() as i64) {
+    let count = r.get_usize()?;
+    let mut entries = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        let key = CacheKey::from_lanes(<[u64; 2]>::unsnap(&mut r)?);
+        let image = Vec::<u8>::unsnap(&mut r)?;
+        let analysis = Analysis::unsnap(&mut r)?;
+        let program = check_entry(key, &image, &analysis).map_err(SnapshotError::Corrupt)?;
+        entries.push(AnalyzedProgram { key, program, analysis, image });
+    }
+    if !r.is_exhausted() {
         return Err(SnapshotError::Corrupt(format!(
-            "payload is {} bytes, header announces {announced:?}",
-            payload.len()
+            "{} trailing bytes after the last entry",
+            r.remaining()
         )));
     }
-    let want = header
-        .get("checksum")
-        .and_then(Json::as_str)
-        .and_then(parse_hex32)
-        .ok_or_else(|| SnapshotError::Corrupt("missing checksum".into()))?;
-    let got = CacheKey::of(payload).lanes();
-    if want != got {
-        return Err(SnapshotError::Corrupt(format!(
-            "payload checksum {} != header's {}",
-            hex32(got),
-            hex32(want)
-        )));
-    }
+    Ok(entries)
+}
 
-    let mut r = SnapReader::new(payload);
-    let decode = |r: &mut SnapReader<'_>| -> Result<Vec<(CacheKey, Vec<u8>, Analysis)>, String> {
-        let count = r.get_usize().map_err(|e| e.to_string())?;
-        let announced = header.get("entries").and_then(Json::as_i64);
-        if announced != Some(count as i64) {
-            return Err(format!("payload has {count} entries, header announces {announced:?}"));
+/// Validates one decoded entry and returns its parsed program.
+fn check_entry(key: CacheKey, image: &[u8], analysis: &Analysis) -> Result<Program, String> {
+    analysis
+        .psg
+        .check_tables()
+        .map_err(|table| format!("psg table {table} does not fit the graph"))?;
+    analysis
+        .cfg
+        .check_tables()
+        .map_err(|table| format!("cfg table {table} does not fit the routine"))?;
+    // The store charges what the analysis holds; a stored count that
+    // disagrees with it was not written by `encode`.
+    let held = analysis.heap_bytes();
+    if held != analysis.stats.memory_bytes {
+        return Err(format!(
+            "entry analysis holds {held} bytes, its memory_bytes claims {}",
+            analysis.stats.memory_bytes
+        ));
+    }
+    if CacheKey::of(image) != key {
+        return Err("entry key does not match its image bytes".into());
+    }
+    let program = Program::from_image(image).map_err(|e| e.to_string())?;
+    // Request paths index the analysis per routine and per block address.
+    let routines = program.routines();
+    let counts = [
+        analysis.cfg.cfgs().len(),
+        analysis.summary.routines().len(),
+        analysis.psg.all_routine_nodes().len(),
+        analysis.stack.all().len(),
+    ];
+    if counts.iter().any(|&n| n != routines.len()) {
+        return Err(format!(
+            "entry analysis has {counts:?} (cfg, summary, psg, stack) routines, its image {}",
+            routines.len()
+        ));
+    }
+    for (routine, cfg) in routines.iter().zip(analysis.cfg.cfgs()) {
+        let span = u64::from(routine.addr())..=u64::from(routine.end_addr());
+        let inside = cfg.blocks().iter().all(|b| {
+            let start = u64::from(b.start());
+            !b.is_empty() && span.contains(&start) && span.contains(&(start + u64::from(b.len())))
+        });
+        if !inside {
+            return Err(format!("a cfg block lies outside routine {}", routine.name()));
         }
-        let mut entries = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let a = u64::unsnap(r).map_err(|e| e.to_string())?;
-            let b = u64::unsnap(r).map_err(|e| e.to_string())?;
-            let image = Vec::<u8>::unsnap(r).map_err(|e| e.to_string())?;
-            let analysis = Analysis::unsnap(r).map_err(|e| e.to_string())?;
-            analysis
-                .psg
-                .check_tables()
-                .map_err(|table| format!("psg table {table} does not fit the graph"))?;
-            analysis
-                .cfg
-                .check_tables()
-                .map_err(|table| format!("cfg table {table} does not fit the routine"))?;
-            // The store charges what the analysis holds; a stored count
-            // that disagrees with it was not written by `encode`.
-            let held = analysis.heap_bytes();
-            if held != analysis.stats.memory_bytes {
-                return Err(format!(
-                    "entry analysis holds {held} bytes, its memory_bytes claims {}",
-                    analysis.stats.memory_bytes
-                ));
-            }
-            entries.push((CacheKey::from_lanes([a, b]), image, analysis));
-        }
-        if !r.is_exhausted() {
-            return Err(format!("{} trailing bytes after the last entry", r.remaining()));
-        }
-        Ok(entries)
-    };
-    let entries = decode(&mut r).map_err(SnapshotError::Corrupt)?;
-    Ok(DecodedSnapshot { entries })
+    }
+    Ok(program)
 }
 
 /// Reads the snapshot at `path` and installs every entry into `store`.
-/// All-or-nothing at the validation level: the file must fully decode
-/// and every entry must re-validate (image parses, key matches) or the
-/// store is left exactly as it was.
+/// All-or-nothing: [`read`] builds and validates every entry before
+/// any is installed, so on any error the store is left exactly as it
+/// was.
 ///
 /// # Errors
 ///
-/// See [`read`]; additionally any per-entry validation failure.
+/// See [`read`].
 pub fn restore(
     path: &Path,
     store: &ProgramStore,
     options: &AnalysisOptions,
 ) -> Result<RestoreReport, SnapshotError> {
     let started = Instant::now();
-    let decoded = read(path, options)?;
-    // Validate every entry *before* installing any: restore must not
-    // leave a half-warm cache behind a corrupt tail.
-    for (key, image, _) in &decoded.entries {
-        if CacheKey::of(image) != *key {
-            return Err(SnapshotError::Corrupt("entry key does not match its image bytes".into()));
-        }
-    }
-    let mut report = RestoreReport::default();
-    for (key, image, analysis) in decoded.entries {
-        report.bytes += image.len() + analysis.heap_bytes();
-        store.restore_entry(key, image, analysis).map_err(SnapshotError::Corrupt)?;
-        report.entries += 1;
+    let entries = read(path, options)?;
+    let mut report = RestoreReport { entries: entries.len(), ..RestoreReport::default() };
+    for entry in entries {
+        report.bytes += entry.image.len() + entry.analysis.heap_bytes();
+        store.restore_entry(entry);
     }
     report.elapsed_ms = started.elapsed().as_millis();
     Ok(report)
@@ -348,6 +295,14 @@ mod tests {
         }
         r.put_int().halt();
         b.build().unwrap().to_image()
+    }
+
+    /// Seals `entries` — an entry count and the entries, as `encode`
+    /// writes them — behind `options`' fingerprint, as a snapshot file.
+    fn seal(entries: &[u8], options: &AnalysisOptions) -> Vec<u8> {
+        let mut payload = options_fingerprint(options).to_le_bytes().to_vec();
+        payload.extend_from_slice(entries);
+        container::seal(MAGIC, FORMAT_VERSION, &payload)
     }
 
     fn warm_store(images: &[Vec<u8>]) -> ProgramStore {
@@ -391,18 +346,24 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.snap");
 
-        let cases: Vec<(&str, Vec<u8>)> = vec![
-            ("empty", Vec::new()),
-            ("bad magic", b"notasnap".iter().chain(&good[8..]).copied().collect()),
-            ("truncated header", good[..10].to_vec()),
-            ("truncated payload", good[..good.len() - 7].to_vec()),
-            ("flipped payload byte", {
+        let mut cases: Vec<(String, Vec<u8>)> = vec![
+            ("empty".into(), Vec::new()),
+            ("bad magic".into(), b"notasnap".iter().chain(&good[8..]).copied().collect()),
+            ("truncated header".into(), good[..10].to_vec()),
+            ("truncated payload".into(), good[..good.len() - 7].to_vec()),
+            ("flipped payload byte".into(), {
                 let mut b = good.clone();
                 let last = b.len() - 1;
                 b[last] ^= 0x5A;
                 b
             }),
         ];
+        // Torn at every offset of the first 64 bytes, and at 64 evenly
+        // spaced offsets beyond.
+        let beyond = (0..64).map(|i| 64 + i * (good.len() - 64) / 64);
+        for cut in (0..64).chain(beyond) {
+            cases.push((format!("torn at {cut}"), good[..cut].to_vec()));
+        }
         for (what, bytes) in cases {
             std::fs::write(&path, &bytes).unwrap();
             let fresh = ProgramStore::new(options.clone(), usize::MAX);
@@ -426,7 +387,7 @@ mod tests {
         payload.put_usize(1 << 20);
         payload.put_bytes(&vec![0; 1 << 20]);
         let options = AnalysisOptions::default();
-        let bytes = seal(&payload.into_bytes(), 1, &options);
+        let bytes = seal(&payload.into_bytes(), &options);
 
         let dir = std::env::temp_dir().join(format!("spike-snap-cap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -461,7 +422,7 @@ mod tests {
         img.snap(&mut payload);
         analysis.snap(&mut payload);
         let options = AnalysisOptions::default();
-        let bytes = seal(&payload.into_bytes(), 1, &options);
+        let bytes = seal(&payload.into_bytes(), &options);
 
         let dir = std::env::temp_dir().join(format!("spike-snap-mem-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -510,7 +471,7 @@ mod tests {
         let second = offsets_at + 16 + 4;
         bytes[second..second + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let options = AnalysisOptions::default();
-        let file = seal(&bytes, 1, &options);
+        let file = seal(&bytes, &options);
 
         let dir = std::env::temp_dir().join(format!("spike-snap-csr-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -566,7 +527,7 @@ mod tests {
         let first = items_at + 16;
         bytes[first..first + 4].copy_from_slice(&(blocks as u32).to_le_bytes());
         let options = AnalysisOptions::default();
-        let file = seal(&bytes, 1, &options);
+        let file = seal(&bytes, &options);
 
         let dir = std::env::temp_dir().join(format!("spike-snap-cfg-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -600,23 +561,12 @@ mod tests {
         // statistics, version 6, whose PSG tables were one list per row
         // and whose block lists were plain vectors, version 7, whose
         // routine stack facts kept no call digest, version 8, whose
-        // stats still counted front-end workers, and version 9, whose
-        // CFG blocks carried their own successor and predecessor lists.
-        // Splice the format field in the JSON header and fix up the
-        // length field.
-        let header_len = u32::from_le_bytes(good[8..12].try_into().unwrap()) as usize;
-        let header = std::str::from_utf8(&good[12..12 + header_len]).unwrap();
-        for other in [999, 3, 4, 5, 6, 7, 8, 9] {
-            let spliced_header = header.replacen(
-                &format!("\"format\":{FORMAT_VERSION}"),
-                &format!("\"format\":{other}"),
-                1,
-            );
-            assert_ne!(spliced_header, header, "header must contain the format field");
-            let mut spliced = good[..8].to_vec();
-            spliced.extend_from_slice(&(spliced_header.len() as u32).to_le_bytes());
-            spliced.extend_from_slice(spliced_header.as_bytes());
-            spliced.extend_from_slice(&good[12 + header_len..]);
+        // stats still counted front-end workers, version 9, whose CFG
+        // blocks carried their own successor and predecessor lists, and
+        // version 10, whose header was JSON. Splice the format field.
+        for other in [999_u32, 3, 4, 5, 6, 7, 8, 9, 10] {
+            let mut spliced = good.clone();
+            spliced[8..12].copy_from_slice(&other.to_le_bytes());
             std::fs::write(&path, &spliced).unwrap();
             let fresh = ProgramStore::new(options.clone(), usize::MAX);
             match restore(&path, &fresh, &options) {
@@ -625,6 +575,30 @@ mod tests {
             }
             assert_eq!(fresh.snapshot().entries, 0, "format {other}: store must stay cold");
         }
+
+        // A format-10 file as it was written: a length-prefixed JSON
+        // header after the magic, whose length reads as the format.
+        let payload = &good[container::HEADER_LEN..];
+        let [a, b] = CacheKey::of(payload).lanes();
+        let header = format!(
+            "{{\"tool\":\"spike-served\",\"format\":10,\"entries\":1,\"payload_bytes\":{},\
+             \"checksum\":\"{a:016x}{b:016x}\",\"options_fp\":\"{:016x}\"}}",
+            payload.len(),
+            options_fingerprint(&options)
+        );
+        let mut v10 = MAGIC.to_vec();
+        v10.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        v10.extend_from_slice(header.as_bytes());
+        v10.extend_from_slice(payload);
+        std::fs::write(&path, &v10).unwrap();
+        let fresh = ProgramStore::new(options.clone(), usize::MAX);
+        match restore(&path, &fresh, &options) {
+            Err(SnapshotError::Incompatible(what)) => {
+                assert!(what.starts_with(&format!("format {} ", header.len())), "{what}")
+            }
+            got => panic!("a format-10 file must be Incompatible, got {got:?}"),
+        }
+        assert_eq!(fresh.snapshot().entries, 0);
 
         // A snapshot from a daemon with different analysis options is
         // refused even though the payload is pristine.
@@ -637,5 +611,63 @@ mod tests {
         }
         assert_eq!(fresh.snapshot().entries, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Appends one entry, as `encode` writes it, to `payload`.
+    fn put_entry(payload: &mut SnapWriter, key: CacheKey, image: &[u8], analysis: &Analysis) {
+        key.lanes().snap(payload);
+        image.to_vec().snap(payload);
+        analysis.snap(payload);
+    }
+
+    fn restore_crafted(entries: SnapWriter, name: &str) -> (Result<usize, String>, usize) {
+        let options = AnalysisOptions::default();
+        let dir = std::env::temp_dir().join(format!("spike-snap-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.snap");
+        std::fs::write(&path, seal(&entries.into_bytes(), &options)).unwrap();
+        let fresh = ProgramStore::new(options.clone(), usize::MAX);
+        let got = restore(&path, &fresh, &options).map(|r| r.entries).map_err(|e| e.to_string());
+        let _ = std::fs::remove_dir_all(&dir);
+        (got, fresh.snapshot().entries)
+    }
+
+    /// Valid checksum, a good first entry, and a second whose image is not
+    /// an image: nothing may be installed, not even the first.
+    #[test]
+    fn a_bad_image_in_a_later_entry_installs_nothing() {
+        let img = image(0);
+        let store = warm_store(std::slice::from_ref(&img));
+        let entry = &store.export_entries()[0];
+        let junk = b"definitely not an image";
+        let mut entries = SnapWriter::new();
+        entries.put_usize(2);
+        put_entry(&mut entries, entry.key, &img, &entry.analysis);
+        put_entry(&mut entries, CacheKey::of(junk), junk, &entry.analysis);
+        let (got, installed) = restore_crafted(entries, "half");
+        assert!(got.as_ref().is_err_and(|e| e.starts_with("corrupt snapshot")), "{got:?}");
+        assert_eq!(installed, 0, "a failed restore must leave the store cold");
+    }
+
+    /// Valid checksum, and an image paired with the analysis of another
+    /// program: one with more routines, and one whose blocks run past the
+    /// image's routine.
+    #[test]
+    fn an_analysis_of_another_program_is_corrupt() {
+        let mut b = ProgramBuilder::new();
+        b.routine("main").def(Reg::A0).call("f").put_int().halt();
+        b.routine("f").use_reg(Reg::A0).def(Reg::V0).ret();
+        let two_routines = b.build().unwrap().to_image();
+        let img = image(0);
+        for (other, why) in [(two_routines, "routines"), (image(3), "outside routine")] {
+            let store = warm_store(std::slice::from_ref(&other));
+            let foreign = &store.export_entries()[0].analysis;
+            let mut entries = SnapWriter::new();
+            entries.put_usize(1);
+            put_entry(&mut entries, CacheKey::of(&img), &img, foreign);
+            let (got, installed) = restore_crafted(entries, "foreign");
+            assert!(got.as_ref().is_err_and(|e| e.contains(why)), "{why}: {got:?}");
+            assert_eq!(installed, 0, "{why}: store must stay cold");
+        }
     }
 }

@@ -338,13 +338,8 @@ fn drain_snapshot_makes_a_plain_restart_start_warm() {
     // drain just rewrote the file): the header is refused before any
     // payload byte is decoded.
     let mut bytes = std::fs::read(&snap).unwrap();
-    // The version is padded to the current one's width (JSON allows the
-    // space), so the header length stays put.
     let version = spike_serve::snapshot::FORMAT_VERSION;
-    let current = format!("\"format\":{version}");
-    let previous = format!("\"format\":{:>1$}", version - 1, version.to_string().len());
-    let at = bytes.windows(current.len()).position(|w| w == current.as_bytes()).unwrap();
-    bytes[at..at + current.len()].copy_from_slice(previous.as_bytes());
+    bytes[8..12].copy_from_slice(&(version - 1).to_le_bytes());
     std::fs::write(&snap, &bytes).unwrap();
     let (server, endpoint) = start(|o| o.snapshot = Some(snap.clone()));
     assert!(server.restored().is_none(), "a previous-format snapshot must be refused");
