@@ -314,7 +314,7 @@ fn cmd_analyze(args: &[String]) -> Result<()> {
     if let Some(p) = &profile {
         print!("{}", render::profile_report(&program, p));
     }
-    eprint!("{}", render::analyze_diag(&analysis.stats));
+    eprint!("{}", render::analyze_diag(&analysis));
     Ok(())
 }
 

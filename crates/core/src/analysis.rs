@@ -71,7 +71,7 @@ spike_isa::analysis_struct! {
         /// Time for the second dataflow phase.
         pub phase2: Duration,
         /// Time for the interprocedural stack-slot analysis (frame models,
-        /// MOD/REF/KILL summaries, and both slot dataflows).
+        /// stack summaries, and both slot dataflows).
         pub stack_build: Duration,
         /// Node evaluations performed by phase 1.
         pub phase1_visits: usize,
@@ -81,10 +81,6 @@ spike_isa::analysis_struct! {
         pub stack_forward_visits: usize,
         /// Block evaluations of the backward MAY-live stack-slot solver.
         pub stack_backward_visits: usize,
-        /// Summary compositions of the stack layer's phase A: one per
-        /// routine it solved, plus the re-compositions call-graph cycles
-        /// forced.
-        pub stack_summary_evals: usize,
         /// Routines whose instructions the stack layer scanned: all of
         /// them in a from-scratch solve, once each; in a catch-up only
         /// the edited ones and those the slot dataflows re-solved.
@@ -136,7 +132,7 @@ spike_isa::analysis_struct! {
         /// Per-routine summaries and call-site resolution.
         pub summary: ProgramSummary,
         /// The interprocedural stack-slot analysis (frame models, slot
-        /// dataflows, and MOD/REF/KILL summaries).
+        /// dataflows, and stack summaries).
         pub stack: StackAnalysis,
         /// The control-flow graphs the analysis was computed over.
         pub cfg: ProgramCfg,
@@ -169,7 +165,6 @@ impl Analysis {
         self.stats.stack_build = t.elapsed();
         self.stats.stack_forward_visits = stats.forward_visits;
         self.stats.stack_backward_visits = stats.backward_visits;
-        self.stats.stack_summary_evals = stats.summary_evals;
         self.stats.stack_scans = stats.scans;
         self.stats.memory_bytes += stack.heap_bytes();
         self.stack = stack;

@@ -70,7 +70,7 @@ pub use psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, PsgStats, RoutineNo
 pub use query::{Query, QueryAnswer, QueryStats};
 pub use snap::options_fingerprint;
 pub use stack::{
-    analyze_stack, reanalyze_stack, AccessKind, CallDigest, FrameModel, RoutineStack, Slot,
-    SlotSet, StackAccess, StackAnalysis, StackStats, StackSummary,
+    analyze_stack, reanalyze_stack, AccessKind, FrameModel, RoutineStack, Slot, SlotSet,
+    StackAccess, StackAnalysis, StackStats, StackSummary,
 };
 pub use summary::{CallSiteSummary, ProgramSummary, RoutineSummary};

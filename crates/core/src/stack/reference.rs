@@ -1,12 +1,12 @@
-//! The stack layer's phase A as it was before the routine digest and
-//! the change-driven sweep: every round re-scans every member's
-//! instructions and re-composes its summary, whether or not a callee
-//! changed. Kept as the oracle the tests compare the production solver
-//! against — it shares no code with [`super::Digest`] or
-//! [`super::compose_summary`].
+//! The stack layer's phase A as a plain iteration: every round
+//! re-scans every member's instructions and re-composes its summary
+//! from them and the callees' current summaries, until no member's
+//! summary changes. Kept as the oracle the tests compare the one-pass
+//! production solver against — it shares no code with
+//! [`super::Digest`] or `Solver::phase_a`.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use super::*;
 
@@ -16,6 +16,8 @@ struct LocalScan {
     escaped: bool,
     balanced: bool,
     has_unknown_call: bool,
+    /// Some tracked access addresses an offset at or above the entry SP.
+    touches_callers: bool,
     frame_size: i64,
     slots: Vec<Slot>,
     sp_disp_in: Vec<Option<i64>>,
@@ -124,6 +126,7 @@ fn local_scan(
     // Balance defaults to the calling-standard assumption; only a
     // tracked path into a `Ret` can refute it.
     let mut balanced = true;
+    let mut touches_callers = false;
     if tracked {
         for (bi, block) in cfg.blocks().iter().enumerate() {
             let Some(d0) = sp_disp_in[bi] else { continue };
@@ -132,6 +135,7 @@ fn local_scan(
             for addr in block.start()..block.end() {
                 let insn = routine.insn_at(addr).expect("address in routine");
                 if let Some((_, width, disp)) = sp_access(insn) {
+                    touches_callers |= rel + disp as i64 >= 0;
                     match slot_map.entry(rel + disp as i64) {
                         Entry::Vacant(v) => {
                             v.insert(width);
@@ -159,109 +163,59 @@ fn local_scan(
         escaped: leaked || !tracked || width_conflict,
         balanced,
         has_unknown_call,
+        touches_callers,
         frame_size: (-min_disp).max(0),
         slots,
         sp_disp_in,
     }
 }
 
+/// The summary of `rid`: what its own scan says, ORed with the current
+/// summary of every routine a call of it may target.
 fn compose_summary(
-    program: &Program,
     pcfg: &ProgramCfg,
     rid: RoutineId,
     local: &LocalScan,
     summaries: &[StackSummary],
 ) -> StackSummary {
-    let routine = program.routine(rid);
-    let cfg = pcfg.routine_cfg(rid);
-    let unbalanced = !local.balanced;
-    let mut opaque = local.escaped || unbalanced || local.has_unknown_call;
-    let mut refs: BTreeSet<i64> = BTreeSet::new();
-    let mut mods: BTreeSet<i64> = BTreeSet::new();
-    if local.tracked {
-        for (bi, block) in cfg.blocks().iter().enumerate() {
-            let Some(d0) = local.sp_disp_in[bi] else { continue };
-            let mut rel = d0;
-            for addr in block.start()..block.end() {
-                let insn = routine.insn_at(addr).expect("address in routine");
-                if let Some((kind, _, disp)) = sp_access(insn) {
-                    let off = rel + disp as i64;
-                    if off >= 0 {
-                        match kind {
-                            AccessKind::Load => refs.insert(off),
-                            AccessKind::Store => mods.insert(off),
-                        };
-                    }
-                } else if let SpEffect::Adjust(d) = sp_effect(insn) {
-                    rel += d;
+    let mut unbalanced = !local.balanced;
+    let mut opaque = local.escaped || local.has_unknown_call || local.touches_callers;
+    for block in pcfg.routine_cfg(rid).blocks() {
+        let TermKind::Call { target, .. } = block.term() else { continue };
+        let mut add = |c: RoutineId| {
+            unbalanced |= summaries[c.index()].unbalanced;
+            opaque |= summaries[c.index()].opaque;
+        };
+        match target {
+            CallTarget::Direct(c, _) => add(*c),
+            CallTarget::IndirectKnown(list) => {
+                for &(c, _) in list {
+                    add(c);
                 }
             }
-            if let TermKind::Call { target, .. } = block.term() {
-                // Translate callee effects through the call-site
-                // displacement: callee entry SP = our entry SP + rel.
-                let mut add = |c: RoutineId| {
-                    let s = &summaries[c.index()];
-                    if s.opaque {
-                        opaque = true;
-                        return;
-                    }
-                    for &o in &s.refs_above {
-                        let t = o + rel;
-                        if t >= 0 {
-                            refs.insert(t);
-                        }
-                    }
-                    for &o in &s.mods_above {
-                        let t = o + rel;
-                        if t >= 0 {
-                            mods.insert(t);
-                        }
-                    }
-                };
-                match target {
-                    CallTarget::Direct(c, _) => add(*c),
-                    CallTarget::IndirectKnown(list) => {
-                        for &(c, _) in list {
-                            add(c);
-                        }
-                    }
-                    CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {}
-                }
-            }
+            CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {}
         }
     }
-    StackSummary {
-        unbalanced,
-        opaque,
-        refs_above: refs.into_iter().collect(),
-        mods_above: mods.into_iter().collect(),
-        kills_above: Vec::new(),
-    }
+    StackSummary { unbalanced, opaque: opaque || unbalanced }
 }
 
-/// The sweep-everything phase A over one component. Returns the
-/// members' scans under the converged summaries and the number of
-/// summary compositions.
+/// The iterate-everything phase A over one component. Returns the
+/// members' scans under the converged summaries.
 fn phase_a(
     program: &Program,
     pcfg: &ProgramCfg,
     component: &[RoutineId],
     summaries: &mut [StackSummary],
-) -> (Vec<LocalScan>, usize) {
+) -> Vec<LocalScan> {
     for &rid in component {
         summaries[rid.index()] = StackSummary::default();
     }
-    let limit = 2 * component.len() + 8;
-    let mut locals: Vec<LocalScan> = Vec::with_capacity(component.len());
-    let mut round = 0usize;
-    let mut evals = 0usize;
     loop {
-        locals.clear();
+        let mut locals: Vec<LocalScan> = Vec::with_capacity(component.len());
         let mut changed = false;
         for &rid in component {
-            evals += 1;
             let local = local_scan(program, pcfg, rid, summaries);
-            let s = compose_summary(program, pcfg, rid, &local, summaries);
+            let s = compose_summary(pcfg, rid, &local, summaries);
             if s != summaries[rid.index()] {
                 summaries[rid.index()] = s;
                 changed = true;
@@ -269,34 +223,16 @@ fn phase_a(
             locals.push(local);
         }
         if !changed {
-            break;
-        }
-        round += 1;
-        if round > limit {
-            for &rid in component {
-                let unbalanced = summaries[rid.index()].unbalanced;
-                summaries[rid.index()] = StackSummary {
-                    unbalanced,
-                    opaque: true,
-                    refs_above: Vec::new(),
-                    mods_above: Vec::new(),
-                    kills_above: Vec::new(),
-                };
-            }
-            locals.clear();
-            for &rid in component {
-                locals.push(local_scan(program, pcfg, rid, summaries));
-            }
-            break;
+            return locals;
         }
     }
-    (locals, evals)
 }
 
 /// [`analyze_stack`] with the reference phase A in place of the
 /// production one. Also checks, member by member, that the frame the
 /// digest yields under the converged summaries is the one the
-/// instruction re-scan finds.
+/// instruction re-scan finds, and that the digest's own verdict is what
+/// the re-scan says of a member no callee untracks.
 pub(super) fn analyze_stack_reference(
     program: &Program,
     cfg: &ProgramCfg,
@@ -306,23 +242,26 @@ pub(super) fn analyze_stack_reference(
     let mut solver = Solver::new(program, cfg, &cg);
     for component in sccs.bottom_up() {
         let digests = solver.scan(component);
-        let (locals, evals) = phase_a(program, cfg, component, &mut solver.summaries);
-        solver.stats.summary_evals += evals;
+        let locals = phase_a(program, cfg, component, &mut solver.summaries);
         for ((local, digest), &rid) in locals.iter().zip(&digests).zip(component) {
-            let rcfg = cfg.routine_cfg(rid);
-            let frame = digest.frame_under(rcfg, &solver.summaries);
+            let callee_unbalanced =
+                cg.callees(rid).iter().any(|c| solver.summaries[c.index()].unbalanced);
+            let frame = digest.frame_under(callee_unbalanced);
             assert_eq!(local.tracked, frame.is_some());
             assert_eq!(local.escaped, digest.escaped(frame));
-            assert_eq!(local.has_unknown_call, digest.has_unknown_call);
             assert_eq!(local.balanced, frame.is_none_or(|f| f.balanced));
             assert_eq!(local.frame_size, frame.map_or(0, |f| f.frame_size));
             assert_eq!(local.slots, frame.map_or(Vec::new(), |f| f.slots.clone()));
-            let nb = rcfg.blocks().len();
+            let nb = cfg.routine_cfg(rid).blocks().len();
             assert_eq!(local.sp_disp_in, frame.map_or(vec![None; nb], |f| f.sp_disp_in.clone()));
+            if !callee_unbalanced {
+                let own =
+                    compose_summary(cfg, rid, local, &vec![StackSummary::default(); cg.len()]);
+                assert_eq!(digest.own, own);
+            }
         }
-        let cyclic = solver.is_cyclic(component);
         for (digest, &rid) in digests.iter().zip(component) {
-            solver.routines[rid.index()] = Some(solver.phase_b(rid, digest, cyclic));
+            solver.routines[rid.index()] = Some(solver.phase_b(rid, digest));
         }
     }
     solver.finish()

@@ -512,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn callee_initialization_covers_the_caller_read() {
+    fn callee_initialization_of_the_caller_frame_is_not_trusted() {
         let mut b = ProgramBuilder::new();
         b.routine("main")
             .lda(Reg::SP, Reg::SP, -16)
@@ -523,10 +523,10 @@ mod tests {
         b.routine("init").def(Reg::T0).store(Reg::T0, Reg::SP, 0).ret();
         let p = b.build().unwrap();
         let r = lint(&p);
-        assert!(
-            findings(&r, Check::UninitStackRead).is_empty(),
-            "the callee's KILL summary initializes the caller slot: {r}"
-        );
+        // The callee's store is itself an error, and it makes the callee
+        // opaque: an opaque call defines no slot of its caller.
+        assert_eq!(findings(&r, Check::OutOfFrameAccess).len(), 1, "{r}");
+        assert_eq!(findings(&r, Check::UninitStackRead).len(), 1, "{r}");
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! Spike, *which* facts justify the motion:
 //!
 //! * loads stay hoistable in loops that call out, because the
-//!   interprocedural MOD summaries (register `call-defined`/`call-killed`
-//!   sets, stack `mods_above`) bound what every callee can write;
+//!   interprocedural summaries bound what every callee can write: the
+//!   register `call-defined`/`call-killed` sets, and the stack layer's
+//!   `opaque` bit (a callee that is not opaque writes nothing at or
+//!   above its entry SP);
 //! * the register-liveness and MUST-defined guards are exactly strong
 //!   enough that the shadow oracles cannot tell the difference: a hoisted
 //!   instruction never clobbers a live register, never reads a register
@@ -107,7 +109,7 @@ struct BodyEffects {
     /// The body contains a call block.
     calls: bool,
     /// Every callee in the body provably leaves the caller's stack alone
-    /// (no `mods_above`, not opaque, target known).
+    /// (not opaque, target known).
     callees_spare_stack: bool,
     /// Every body block has a tracked SP displacement, so the stack
     /// access list covers the whole body.
@@ -163,8 +165,7 @@ fn body_effects(
             e.call_defs |= cs.defined | cs.killed;
             match block.term() {
                 TermKind::Call { target: spike_cfg::CallTarget::Direct(callee, _), .. } => {
-                    let cs = &analysis.stack.routine(*callee).summary;
-                    if cs.opaque || !cs.mods_above.is_empty() {
+                    if analysis.stack.routine(*callee).summary.opaque {
                         e.callees_spare_stack = false;
                     }
                 }
@@ -172,8 +173,7 @@ fn body_effects(
                     target: spike_cfg::CallTarget::IndirectKnown(targets), ..
                 } => {
                     for &(callee, _) in targets {
-                        let cs = &analysis.stack.routine(callee).summary;
-                        if cs.opaque || !cs.mods_above.is_empty() {
+                        if analysis.stack.routine(callee).summary.opaque {
                             e.callees_spare_stack = false;
                         }
                     }

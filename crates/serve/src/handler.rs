@@ -186,7 +186,7 @@ impl Handler {
                 if let Some(p) = profile {
                     stdout.push_str(&render::profile_report(&entry.program, p));
                 }
-                let mut diag = render::analyze_diag(&entry.analysis.stats);
+                let mut diag = render::analyze_diag(&entry.analysis);
                 let _ = writeln!(diag, "cache: {}", outcome.name());
                 Response::ok(stdout, diag)
             }

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use spike_baseline::BaselineAnalysis;
-use spike_core::{Analysis, AnalysisStats, QueryAnswer, QueryStats};
+use spike_core::{Analysis, QueryAnswer, QueryStats};
 use spike_isa::HeapSize;
 use spike_lint::LintReport;
 use spike_opt::OptReport;
@@ -116,8 +116,11 @@ pub fn analyze_report(
 }
 
 /// The non-deterministic half of the analyze report: wall-clock phase
-/// timings and solver effort.
-pub fn analyze_diag(stats: &AnalysisStats) -> String {
+/// timings and solver effort, and how many routines the stack layer
+/// found opaque.
+pub fn analyze_diag(analysis: &Analysis) -> String {
+    let stats = &analysis.stats;
+    let (opaque, own_opaque) = analysis.stack.opaque_counts();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -137,11 +140,12 @@ pub fn analyze_diag(stats: &AnalysisStats) -> String {
     );
     let _ = writeln!(
         out,
-        "stack slots: {} + {} block visits (must-defined + live), {} summary composition(s), \
-         {} routine scan(s)",
+        "stack slots: {} + {} block visits (must-defined + live), {} opaque routine(s), {} by \
+         their own code, {} routine scan(s)",
         stats.stack_forward_visits,
         stats.stack_backward_visits,
-        stats.stack_summary_evals,
+        opaque,
+        own_opaque,
         stats.stack_scans
     );
     out
@@ -385,7 +389,20 @@ mod tests {
         assert!(r1.contains("call-used"));
         // Timings live in the diag renderer, never in the report.
         assert!(!r1.contains("time "));
-        assert!(analyze_diag(&a.stats).contains("time "));
+        assert!(analyze_diag(&a).contains("time "));
+    }
+
+    /// Opacity counts come from the stack layer: an unknown call makes
+    /// its routine opaque by its own code, and every caller above it
+    /// opaque through it.
+    #[test]
+    fn diag_counts_opaque_routines_and_those_opaque_by_their_own_code() {
+        let mut b = ProgramBuilder::new();
+        b.routine("main").call("mid").halt();
+        b.routine("mid").call("leaf").ret();
+        b.routine("leaf").def(Reg::PV).jsr_unknown(Reg::PV).ret();
+        let a = analyze(&b.build().unwrap());
+        assert!(analyze_diag(&a).contains(", 3 opaque routine(s), 1 by their own code, "));
     }
 
     /// The memory line splits `memory_bytes` per basic block and per

@@ -38,6 +38,10 @@
 //!   per node or edge ([`spike_core::Psg::check_tables`]), and every
 //!   block id a CFG holds naming one of its routine's blocks
 //!   (`spike_cfg::ProgramCfg::check_tables`);
+//! * the stack layer's tables: one entry per block in each per-block
+//!   table, every slot set sized for its frame, and each frame's slots
+//!   in strictly increasing offset order
+//!   ([`spike_core::StackAnalysis::check_tables`]);
 //! * the image parses and hashes to the entry's key;
 //! * the analysis fits that program: one CFG, summary, PSG routine and
 //!   stack routine per routine, and every block's address range inside
@@ -74,7 +78,10 @@ use crate::cache::{AnalyzedProgram, CacheKey, ProgramStore};
 /// predecessor lists.
 /// 11: the shared [`spike_isa::container`] header replaces the JSON one;
 /// the options fingerprint opens the payload.
-pub const FORMAT_VERSION: u32 = 11;
+/// 12: a stack summary is two bits, each routine's stack facts keep its
+/// own verdict in place of the call digest, and the stats no longer count
+/// summary compositions.
+pub const FORMAT_VERSION: u32 = 12;
 
 const MAGIC: &[u8; 8] = b"spiksnap";
 
@@ -217,6 +224,10 @@ fn check_entry(key: CacheKey, image: &[u8], analysis: &Analysis) -> Result<Progr
         .cfg
         .check_tables()
         .map_err(|table| format!("cfg table {table} does not fit the routine"))?;
+    analysis
+        .stack
+        .check_tables(&analysis.cfg)
+        .map_err(|table| format!("stack table {table} does not fit the routine"))?;
     // The store charges what the analysis holds; a stored count that
     // disagrees with it was not written by `encode`.
     let held = analysis.heap_bytes();
@@ -284,6 +295,7 @@ pub fn restore(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spike_core::{RoutineStack, SlotSet, StackAnalysis};
     use spike_isa::{CloneExact, Reg};
     use spike_program::ProgramBuilder;
 
@@ -562,9 +574,10 @@ mod tests {
         // and whose block lists were plain vectors, version 7, whose
         // routine stack facts kept no call digest, version 8, whose
         // stats still counted front-end workers, version 9, whose CFG
-        // blocks carried their own successor and predecessor lists, and
-        // version 10, whose header was JSON. Splice the format field.
-        for other in [999_u32, 3, 4, 5, 6, 7, 8, 9, 10] {
+        // blocks carried their own successor and predecessor lists,
+        // version 10, whose header was JSON, and version 11, whose stack
+        // summaries carried offset lists. Splice the format field.
+        for other in [999_u32, 3, 4, 5, 6, 7, 8, 9, 10, 11] {
             let mut spliced = good.clone();
             spliced[8..12].copy_from_slice(&other.to_le_bytes());
             std::fs::write(&path, &spliced).unwrap();
@@ -647,6 +660,48 @@ mod tests {
         let (got, installed) = restore_crafted(entries, "half");
         assert!(got.as_ref().is_err_and(|e| e.starts_with("corrupt snapshot")), "{got:?}");
         assert_eq!(installed, 0, "a failed restore must leave the store cold");
+    }
+
+    /// Valid checksum, and stack facts that do not fit their routine: a
+    /// `live_out` table one block short, and an inline set over a
+    /// 70-slot frame. Either would panic the first lint of the image.
+    #[test]
+    fn stack_tables_that_do_not_fit_the_routine_are_corrupt() {
+        const SLOTS: i16 = 70;
+        let mut b = ProgramBuilder::new();
+        let main = b.routine("main");
+        main.def(Reg::T0).lda(Reg::SP, Reg::SP, -8 * SLOTS);
+        for i in 0..SLOTS {
+            main.store(Reg::T0, Reg::SP, 8 * i);
+        }
+        main.lda(Reg::SP, Reg::SP, 8 * SLOTS).halt();
+        let img = b.build().unwrap().to_image();
+        let store = warm_store(std::slice::from_ref(&img));
+        let entry = &store.export_entries()[0];
+        let short: fn(&mut RoutineStack) = |rs| {
+            rs.live_out.pop();
+        };
+        let inline: fn(&mut RoutineStack) = |rs| rs.live_out[0] = SlotSet::default();
+        for (why, craft) in [("one block short", short), ("an inline set over 70 slots", inline)] {
+            let mut routines: Vec<RoutineStack> =
+                entry.analysis.stack.all().iter().map(CloneExact::clone_exact).collect();
+            assert_eq!(routines[0].frame.slots.len(), SLOTS as usize);
+            craft(&mut routines[0]);
+            let mut w = SnapWriter::new();
+            routines.snap(&mut w);
+            let mut analysis = entry.analysis.clone_exact();
+            analysis.stack = StackAnalysis::unsnap(&mut SnapReader::new(&w.into_bytes())).unwrap();
+            analysis.stats.memory_bytes = analysis.heap_bytes();
+            let mut entries = SnapWriter::new();
+            entries.put_usize(1);
+            put_entry(&mut entries, entry.key, &img, &analysis);
+            let (got, installed) = restore_crafted(entries, "stack");
+            assert!(
+                got.as_ref().is_err_and(|e| e.starts_with("corrupt snapshot: stack table")),
+                "{why}: {got:?}"
+            );
+            assert_eq!(installed, 0, "{why}: store must stay cold");
+        }
     }
 
     /// Valid checksum, and an image paired with the analysis of another

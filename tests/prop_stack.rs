@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 
+use spike::callgraph::CallGraph;
 use spike::core::{analyze_with, AnalysisCache, AnalysisOptions};
 use spike::lint::{lint, Check, Severity};
 use spike::opt::{optimize_with, OptOptions};
@@ -42,8 +43,45 @@ fn arb_profile_program() -> impl Strategy<Value = Program> {
         })
 }
 
+/// A runnable executable of up to 40 routines, or a small profile
+/// program: the executables have no unknown call and no recursion, the
+/// profiles have both.
+fn arb_program() -> impl Strategy<Value = Program> {
+    prop_oneof![
+        (any::<u64>(), 1usize..40).prop_map(|(seed, size)| generate_executable(seed, size)),
+        arb_profile_program(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A stack summary's two bits are ORs over the call graph: an
+    /// unknown-target call makes its routine opaque, opacity reaches
+    /// every caller, and so does unbalance, which also takes the
+    /// caller's SP tracking and so escapes its frame.
+    #[test]
+    fn stack_summary_bits_reach_every_caller(program in arb_program()) {
+        let analysis = analyze_with(&program, &AnalysisOptions::default());
+        let cg = CallGraph::build(&program, &analysis.cfg);
+        for (rid, routine) in program.iter() {
+            let rs = analysis.stack.routine(rid);
+            let name = routine.name();
+            if cg.calls_unknown(rid) {
+                prop_assert!(rs.summary.opaque, "{name} makes an unknown call");
+            }
+            for &c in cg.callees(rid) {
+                let callee = analysis.stack.routine(c).summary;
+                if callee.opaque {
+                    prop_assert!(rs.summary.opaque, "{name} calls an opaque routine");
+                }
+                if callee.unbalanced {
+                    prop_assert!(rs.summary.unbalanced, "{name} calls an unbalanced routine");
+                    prop_assert!(rs.frame.escaped, "{name} keeps SP tracking");
+                }
+            }
+        }
+    }
 
     /// Soundness of the error-severity stack checks, grounded end to
     /// end: generated executables carry no stack lint errors, and the
