@@ -44,7 +44,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use spike_cfg::{BlockId, CallTarget, ProgramCfg, RoutineCfg, SupergraphCounts, TermKind};
+use spike_cfg::{BlockId, CallTarget, Csr, ProgramCfg, RoutineCfg, SupergraphCounts, TermKind};
 use spike_core::{saved_restored_registers, AnalysisOptions, RoutineSummary};
 use spike_isa::{HeapSize, RegSet};
 use spike_program::{Program, RoutineId};
@@ -105,6 +105,10 @@ struct Super {
     /// Per global block id `b` (a return point): exit blocks of the
     /// callees that may return to `b` (phase 2 re-seeding).
     rt_watch_exits: Vec<Vec<usize>>,
+    /// Per global block id `b`: global ids of its flow predecessors minus
+    /// call blocks, whose arc to their return point the supergraph routes
+    /// through the callee (the `rt_watch_calls` pushes).
+    preds: Csr<u32>,
 }
 
 impl Super {
@@ -163,7 +167,17 @@ impl Super {
             }
         }
 
-        Super { base, total, csr, callers, caller_returns, rt_watch_calls, rt_watch_exits }
+        let rows = cfg.cfgs().iter().zip(&base).flat_map(|(c, &b0)| {
+            (0..c.blocks().len()).flat_map(move |bi| {
+                let preds = c.flow().preds(BlockId::from_index(bi)).iter();
+                preds
+                    .filter(|&&p| !c.block(p).is_call_block())
+                    .map(move |p| (b0 + bi, (b0 + p.index()) as u32))
+            })
+        });
+        let preds = Csr::from_pairs(total, rows);
+
+        Super { base, total, csr, callers, caller_returns, rt_watch_calls, rt_watch_exits, preds }
     }
 
     fn gid(&self, routine: RoutineId, block: BlockId) -> usize {
@@ -176,13 +190,6 @@ impl Super {
             Err(i) => i - 1,
         }
     }
-}
-
-/// The CFG predecessors of `b`: its flow predecessors minus call blocks,
-/// whose arc to their return point the supergraph routes through the
-/// callee (the `rt_watch_calls` pushes).
-fn cfg_preds(cfg: &RoutineCfg, b: BlockId) -> impl Iterator<Item = BlockId> + '_ {
-    cfg.flow().preds(b).iter().copied().filter(|&p| !cfg.block(p).is_call_block())
 }
 
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
@@ -330,8 +337,8 @@ pub fn analyze_baseline_with(program: &Program, options: &AnalysisOptions) -> Ba
                         wl.push_back(x);
                     }
                 };
-                for p in cfg_preds(rcfg, b) {
-                    push(sp.base[ri] + p.index());
+                for &p in sp.preds.row(g) {
+                    push(p as usize);
                 }
                 // Call blocks read their return point's values across the
                 // call.
@@ -411,8 +418,8 @@ pub fn analyze_baseline_with(program: &Program, options: &AnalysisOptions) -> Ba
                     wl.push_back(x);
                 }
             };
-            for p in cfg_preds(rcfg, b) {
-                push(sp.base[ri] + p.index());
+            for &p in sp.preds.row(g) {
+                push(p as usize);
             }
             // Call blocks read their return point's liveness; callee exits
             // read the liveness of the return points they may return to.

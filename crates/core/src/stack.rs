@@ -1215,6 +1215,42 @@ impl StackAnalysis {
         Ok(())
     }
 
+    /// Checks that every SP access of every tracked block of a routine
+    /// whose frame did not escape lands on a slot of its frame, as
+    /// [`StackAnalysis::accesses`] and the block masks assume: true of a
+    /// solve, not of decoded tables. `pcfg`'s blocks must lie inside
+    /// `program`'s routines and pass [`StackAnalysis::check_tables`].
+    ///
+    /// # Errors
+    ///
+    /// The first routine with an access off its frame's slots (or a
+    /// displacement that overflows).
+    pub fn check_slots(&self, program: &Program, pcfg: &ProgramCfg) -> Result<(), RoutineId> {
+        let mut events = Vec::new();
+        for ((rid, routine), rs) in program.iter().zip(&self.routines) {
+            if rs.frame.escaped {
+                continue;
+            }
+            for (block, d0) in pcfg.routine_cfg(rid).blocks().iter().zip(&rs.sp_disp_in) {
+                let Some(d0) = *d0 else { continue };
+                events.clear();
+                scan_block(routine, block, &mut events);
+                let fits = events.iter().all(|ev| match *ev {
+                    SpEvent::Access { off, .. } => {
+                        d0.checked_add(off).and_then(|o| slot_index(&rs.frame.slots, o)).is_some()
+                    }
+                    SpEvent::Adjust { from, to } => {
+                        d0.checked_add(from).is_some() && d0.checked_add(to).is_some()
+                    }
+                });
+                if !fits {
+                    return Err(rid);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Every SP-relative access of `rid` with its converged dataflow
     /// facts, in address order. Empty for escaped routines (no access
     /// can be judged) and for blocks without a tracked displacement.

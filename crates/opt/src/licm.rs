@@ -269,8 +269,8 @@ pub(crate) fn find_hoists(
             // Loop-entry count under a profile: times the header ran
             // minus times a back edge re-entered it.
             let entries = profile.map(|p| {
-                let back: u64 = bypasses.iter().map(|&ta| p.edge(ta, haddr)).sum();
-                p.count_at(haddr).saturating_sub(back)
+                let back: u64 = bypasses.iter().map(|&ta| p.counts.edge(ta, haddr)).sum();
+                p.counts.count_at(haddr).saturating_sub(back)
             });
 
             let mut insns: Vec<(u32, Instruction)> = Vec::new();
@@ -349,8 +349,8 @@ pub(crate) fn find_hoists(
                     // dominates the back edges), so the preheader copy
                     // can never run more often than the original did.
                     let profitable = match (profile, entries) {
-                        (Some(p), Some(entries)) if p.count_at(haddr) > 0 => {
-                            p.count_at(addr) > entries
+                        (Some(p), Some(entries)) if p.counts.count_at(haddr) > 0 => {
+                            p.counts.count_at(addr) > entries
                         }
                         _ => l.back_edges.iter().all(|&be| dom.dominates(b, be)),
                     };

@@ -99,7 +99,9 @@ pub(crate) fn find_spills(
                             matching_load(routine, ret_block, rs, disp, cs.defined)
                         {
                             let weight = match (profile, &forest) {
-                                (Some(p), _) => p.count_at(addr) + p.count_at(load_addr),
+                                (Some(p), _) => {
+                                    p.counts.count_at(addr) + p.counts.count_at(load_addr)
+                                }
                                 (None, Some(f)) => 2 * 10u64.saturating_pow(f.depth_of(b).min(9)),
                                 (None, None) => 2,
                             };

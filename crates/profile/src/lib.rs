@@ -2,23 +2,27 @@
 //!
 //! Versioned on-disk container for execution profiles.
 //!
-//! A [`Profile`] is the persistent form of a
-//! [`spike_sim::ExecutionProfile`]: edge, call, per-instruction, and
-//! per-routine counters gathered by `run_profiled`, bound to the exact
-//! program image they were measured on. The binding is a content hash of
-//! the image bytes — the same dual-lane FNV-1a the daemon's program
-//! cache uses — so a profile can never silently guide the optimization
-//! of a program it was not collected from: loading is fine, but
-//! consumers check [`Profile::matches`] (and [`Profile::merge`]
-//! enforces it) before trusting the counts.
+//! A [`Profile`] is a fingerprint, a run count and one
+//! [`spike_sim::ExecutionProfile`] — the edge, call, per-instruction and
+//! per-routine counters gathered by `run_profiled` — bound to the exact
+//! program image they were measured on. The counters and their
+//! accessors (`count_at`, `edge`, `routine_fraction`) are declared once,
+//! in `spike-sim`; this crate adds the binding, [`Profile::merge`] and
+//! the file. The binding is a content hash of the image bytes — the
+//! same dual-lane FNV-1a the daemon's program cache uses — so a profile
+//! can never silently guide the optimization of a program it was not
+//! collected from: loading is fine, but consumers check
+//! [`Profile::matches`] (and [`Profile::merge`] enforces it) before
+//! trusting the counts.
 //!
 //! On disk a profile is a [`spike_isa::container`]: magic `spikprof`,
 //! the format version, and the checksummed [`Snap`] encoding of the
-//! [`Profile`], fingerprint first. The container checks the magic, the
-//! version and the checksum before anything is decoded, and files are
-//! written atomically ([`spike_isa::container::write_atomic`]). Decoding
-//! never panics — truncated, corrupt, or foreign bytes come back as a
-//! [`ProfileError`].
+//! [`Profile`], fingerprint first; the nested counters encode as their
+//! own fields in order, so the layout is format 2's. The container
+//! checks the magic, the version and the checksum before anything is
+//! decoded, and files are written atomically
+//! ([`spike_isa::container::write_atomic`]). Decoding never panics —
+//! truncated, corrupt, or foreign bytes come back as a [`ProfileError`].
 //!
 //! Profiles from separate runs of the *same* image merge by summing
 //! counters ([`Profile::merge`]); `runs` counts how many went in.
@@ -44,7 +48,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -143,12 +146,11 @@ pub fn fingerprint(bytes: &[u8]) -> [u64; 2] {
 }
 
 spike_isa::analysis_struct! {
-    /// An execution profile bound to the program image it measured.
+    /// An execution profile bound to the program image it measured: a
+    /// fingerprint, a run count and the counters.
     ///
-    /// Counter fields mirror [`spike_sim::ExecutionProfile`];
-    /// `fingerprint` binds them to the image and `runs` counts how many
-    /// collected profiles were merged in. Field order is the `spikprof`
-    /// payload layout.
+    /// Field order is the `spikprof` payload layout; `counts` encodes as
+    /// its own fields in order, so the nesting adds no bytes.
     #[derive(Clone, PartialEq, Eq, Debug)]
     pub struct Profile {
         /// Content hash of the image the profile was collected from.
@@ -156,25 +158,8 @@ spike_isa::analysis_struct! {
         /// Number of runs merged into these counters (1 for a fresh
         /// collection).
         pub runs: u64,
-        /// Instructions executed per routine, indexed by routine id.
-        pub steps_per_routine: Vec<u64>,
-        /// Activations per routine (calls, plus the entry routine's initial
-        /// activation), indexed by routine id.
-        pub entries_per_routine: Vec<u64>,
-        /// Calls executed.
-        pub calls: u64,
-        /// Calling-convention maintenance instructions executed.
-        pub call_overhead_steps: u64,
-        /// Total instructions executed.
-        pub total_steps: u64,
-        /// Lowest code address; `insn_counts[addr - code_base]` is the
-        /// execution count of the instruction at `addr`.
-        pub code_base: u32,
-        /// Per-instruction execution counts over the whole code range.
-        pub insn_counts: Vec<u64>,
-        /// Control-transfer edge counts: `(source pc, destination pc) →
-        /// times taken`.
-        pub edges: BTreeMap<(u32, u32), u64>,
+        /// The counters, summed over the merged runs.
+        pub counts: ExecutionProfile,
     }
 }
 
@@ -182,48 +167,12 @@ impl Profile {
     /// Packages a sim-collected [`ExecutionProfile`] of `program` as a
     /// persistent profile bound to `program`'s image bytes.
     pub fn collect(program: &Program, exec: &ExecutionProfile) -> Profile {
-        Profile {
-            fingerprint: fingerprint(&program.to_image()),
-            runs: 1,
-            steps_per_routine: exec.steps_per_routine.clone(),
-            entries_per_routine: exec.entries_per_routine.clone(),
-            calls: exec.calls,
-            call_overhead_steps: exec.call_overhead_steps,
-            total_steps: exec.total_steps,
-            code_base: exec.code_base,
-            insn_counts: exec.insn_counts.clone(),
-            edges: exec.edges.clone(),
-        }
+        Profile { fingerprint: fingerprint(&program.to_image()), runs: 1, counts: exec.clone() }
     }
 
     /// Whether the profile was collected from exactly these image bytes.
     pub fn matches(&self, image: &[u8]) -> bool {
         self.fingerprint == fingerprint(image)
-    }
-
-    /// Execution count of the instruction at `addr` (0 outside the
-    /// profiled code range).
-    pub fn count_at(&self, addr: u32) -> u64 {
-        addr.checked_sub(self.code_base)
-            .and_then(|off| self.insn_counts.get(off as usize))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Times the control-transfer edge `src → dst` was taken.
-    pub fn edge(&self, src: u32, dst: u32) -> u64 {
-        self.edges.get(&(src, dst)).copied().unwrap_or(0)
-    }
-
-    /// Fraction of all executed instructions spent in routine `index`
-    /// (0.0 when nothing ran).
-    pub fn routine_fraction(&self, index: usize) -> f64 {
-        let steps = self.steps_per_routine.get(index).copied().unwrap_or(0);
-        if self.total_steps == 0 {
-            0.0
-        } else {
-            steps as f64 / self.total_steps as f64
-        }
     }
 
     /// Merges another run of the same image into this profile, summing
@@ -237,10 +186,11 @@ impl Profile {
         if self.fingerprint != other.fingerprint {
             return Err(ProfileError::FingerprintMismatch);
         }
-        if self.steps_per_routine.len() != other.steps_per_routine.len()
-            || self.entries_per_routine.len() != other.entries_per_routine.len()
-            || self.insn_counts.len() != other.insn_counts.len()
-            || self.code_base != other.code_base
+        let (a, b) = (&self.counts, &other.counts);
+        if a.steps_per_routine.len() != b.steps_per_routine.len()
+            || a.entries_per_routine.len() != b.entries_per_routine.len()
+            || a.insn_counts.len() != b.insn_counts.len()
+            || a.code_base != b.code_base
         {
             return Err(ProfileError::Corrupt("merge shape mismatch for identical image"));
         }
@@ -249,23 +199,23 @@ impl Profile {
         let add_all = |a: &[u64], b: &[u64]| -> Result<Vec<u64>, ProfileError> {
             a.iter().zip(b).map(|(&a, &b)| add(a, b)).collect()
         };
-        let mut edges = self.edges.clone();
-        for (&edge, &n) in &other.edges {
+        let mut edges = a.edges.clone();
+        for (&edge, &n) in &b.edges {
             let sum = edges.entry(edge).or_insert(0);
             *sum = add(*sum, n)?;
         }
-        *self = Profile {
-            fingerprint: self.fingerprint,
-            runs: add(self.runs, other.runs)?,
-            steps_per_routine: add_all(&self.steps_per_routine, &other.steps_per_routine)?,
-            entries_per_routine: add_all(&self.entries_per_routine, &other.entries_per_routine)?,
-            calls: add(self.calls, other.calls)?,
-            call_overhead_steps: add(self.call_overhead_steps, other.call_overhead_steps)?,
-            total_steps: add(self.total_steps, other.total_steps)?,
-            code_base: self.code_base,
-            insn_counts: add_all(&self.insn_counts, &other.insn_counts)?,
+        let counts = ExecutionProfile {
+            steps_per_routine: add_all(&a.steps_per_routine, &b.steps_per_routine)?,
+            entries_per_routine: add_all(&a.entries_per_routine, &b.entries_per_routine)?,
+            calls: add(a.calls, b.calls)?,
+            call_overhead_steps: add(a.call_overhead_steps, b.call_overhead_steps)?,
+            total_steps: add(a.total_steps, b.total_steps)?,
+            code_base: a.code_base,
+            insn_counts: add_all(&a.insn_counts, &b.insn_counts)?,
             edges,
         };
+        *self =
+            Profile { fingerprint: self.fingerprint, runs: add(self.runs, other.runs)?, counts };
         Ok(())
     }
 
@@ -308,6 +258,7 @@ mod tests {
     use super::*;
     use spike_isa::Reg;
     use spike_program::ProgramBuilder;
+    use std::collections::BTreeMap;
 
     fn sample() -> (Program, Profile) {
         let mut b = ProgramBuilder::new();
@@ -325,8 +276,8 @@ mod tests {
         let back = Profile::from_bytes(&profile.to_bytes()).unwrap();
         assert_eq!(back, profile);
         assert!(back.matches(&program.to_image()));
-        assert!(back.total_steps > 0);
-        assert!(!back.edges.is_empty());
+        assert!(back.counts.total_steps > 0);
+        assert!(!back.counts.edges.is_empty());
     }
 
     fn unhex(parts: &[&str]) -> Vec<u8> {
@@ -342,14 +293,16 @@ mod tests {
         Profile {
             fingerprint: [0x0102_0304_0506_0708, 0x1112_1314_1516_1718],
             runs: 1,
-            steps_per_routine: vec![5],
-            entries_per_routine: vec![6],
-            calls: 2,
-            call_overhead_steps: 3,
-            total_steps: 4,
-            code_base: 0x1000,
-            insn_counts: vec![7, 8],
-            edges: BTreeMap::from([((0x1000, 0x1001), 9)]),
+            counts: ExecutionProfile {
+                steps_per_routine: vec![5],
+                entries_per_routine: vec![6],
+                calls: 2,
+                call_overhead_steps: 3,
+                total_steps: 4,
+                code_base: 0x1000,
+                insn_counts: vec![7, 8],
+                edges: BTreeMap::from([((0x1000, 0x1001), 9)]),
+            },
         }
     }
 
@@ -406,13 +359,13 @@ mod tests {
         let b = a.clone();
         a.merge(&b).unwrap();
         assert_eq!(a.runs, 2);
-        assert_eq!(a.total_steps, 2 * b.total_steps);
-        assert_eq!(a.calls, 2 * b.calls);
-        for (x, y) in a.insn_counts.iter().zip(&b.insn_counts) {
+        assert_eq!(a.counts.total_steps, 2 * b.counts.total_steps);
+        assert_eq!(a.counts.calls, 2 * b.counts.calls);
+        for (x, y) in a.counts.insn_counts.iter().zip(&b.counts.insn_counts) {
             assert_eq!(*x, 2 * y);
         }
-        for (edge, n) in &a.edges {
-            assert_eq!(*n, 2 * b.edges[edge]);
+        for (edge, n) in &a.counts.edges {
+            assert_eq!(*n, 2 * b.counts.edges[edge]);
         }
     }
 
@@ -428,13 +381,13 @@ mod tests {
     fn an_overflowing_merge_is_corrupt_and_changes_nothing() {
         let (_, mut a) = sample();
         let mut other = Profile::from_bytes(&a.to_bytes()).unwrap();
-        other.total_steps = u64::MAX;
+        other.counts.total_steps = u64::MAX;
         let before = a.clone();
         assert!(matches!(a.merge(&other), Err(ProfileError::Corrupt("counter overflow"))));
         assert_eq!(a, before);
         // An overflow in the last table summed leaves the earlier ones alone too.
         let mut other = before.clone();
-        *other.edges.values_mut().next().unwrap() = u64::MAX;
+        *other.counts.edges.values_mut().next().unwrap() = u64::MAX;
         assert!(matches!(a.merge(&other), Err(ProfileError::Corrupt("counter overflow"))));
         assert_eq!(a, before);
     }
@@ -485,8 +438,8 @@ mod tests {
     fn count_accessors_are_total() {
         let (program, profile) = sample();
         let base = program.routines().first().unwrap().addr();
-        assert!(profile.count_at(base) > 0);
-        assert_eq!(profile.count_at(0xFFFF_FFFF), 0);
-        assert_eq!(profile.edge(1, 2), 0);
+        assert!(profile.counts.count_at(base) > 0);
+        assert_eq!(profile.counts.count_at(0xFFFF_FFFF), 0);
+        assert_eq!(profile.counts.edge(1, 2), 0);
     }
 }

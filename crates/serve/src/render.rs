@@ -208,11 +208,12 @@ pub const HOT_FRACTION: f64 = 0.05;
 /// the request carries a profile blob). Fully derived from the profile's
 /// counters, so it is byte-stable for a given (image, profile) pair.
 pub fn profile_report(program: &Program, profile: &spike_profile::Profile) -> String {
+    let counts = &profile.counts;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "profile: {} run(s), {} instructions executed, {} call(s)",
-        profile.runs, profile.total_steps, profile.calls
+        profile.runs, counts.total_steps, counts.calls
     );
     // Hot routines sorted by measured steps (descending), ties broken by
     // routine id so the listing is deterministic.
@@ -220,16 +221,16 @@ pub fn profile_report(program: &Program, profile: &spike_profile::Profile) -> St
         .iter()
         .map(|(rid, _)| {
             let i = rid.index();
-            (i, profile.steps_per_routine.get(i).copied().unwrap_or(0))
+            (i, counts.steps_per_routine.get(i).copied().unwrap_or(0))
         })
-        .filter(|&(i, steps)| steps > 0 && profile.routine_fraction(i) >= HOT_FRACTION)
+        .filter(|&(i, steps)| steps > 0 && counts.routine_fraction(i) >= HOT_FRACTION)
         .collect();
     hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let covered: u64 = hot.iter().map(|&(_, s)| s).sum();
-    let coverage = if profile.total_steps == 0 {
+    let coverage = if counts.total_steps == 0 {
         0.0
     } else {
-        100.0 * covered as f64 / profile.total_steps as f64
+        100.0 * covered as f64 / counts.total_steps as f64
     };
     let _ = writeln!(
         out,
@@ -246,7 +247,7 @@ pub fn profile_report(program: &Program, profile: &spike_profile::Profile) -> St
             "  hot {:<24} {:>12} steps ({:.1}%)",
             r.name(),
             steps,
-            100.0 * profile.routine_fraction(i)
+            100.0 * counts.routine_fraction(i)
         );
     }
     out

@@ -44,8 +44,9 @@
 //!   ([`spike_core::StackAnalysis::check_tables`]);
 //! * the image parses and hashes to the entry's key;
 //! * the analysis fits that program: one CFG, summary, PSG routine and
-//!   stack routine per routine, and every block's address range inside
-//!   its routine;
+//!   stack routine per routine, every block's address range inside its
+//!   routine, and every SP access of a tracked block on a slot of its
+//!   frame ([`spike_core::StackAnalysis::check_slots`]);
 //! * the entry is charged the heap its decoded analysis holds, and one
 //!   whose stored `memory_bytes` disagrees with that is corrupt.
 //!
@@ -265,6 +266,11 @@ fn check_entry(key: CacheKey, image: &[u8], analysis: &Analysis) -> Result<Progr
             return Err(format!("a cfg block lies outside routine {}", routine.name()));
         }
     }
+    // The stack lints and StackDse index a frame's slots by the offsets
+    // its code accesses.
+    analysis.stack.check_slots(&program, &analysis.cfg).map_err(|rid| {
+        format!("stack frame of {} lacks a slot its code accesses", program.routine(rid).name())
+    })?;
     Ok(program)
 }
 
@@ -698,6 +704,58 @@ mod tests {
             let (got, installed) = restore_crafted(entries, "stack");
             assert!(
                 got.as_ref().is_err_and(|e| e.starts_with("corrupt snapshot: stack table")),
+                "{why}: {got:?}"
+            );
+            assert_eq!(installed, 0, "{why}: store must stay cold");
+        }
+    }
+
+    /// Valid checksum, stack tables that fit their routine, and a frame
+    /// that lacks a slot its code accesses: the last slot dropped (its
+    /// sets shrunk to match), or the entry block's displacement moved off
+    /// the slots. Either would panic the first lint of the image.
+    #[test]
+    fn a_frame_missing_an_accessed_slot_is_corrupt() {
+        let mut b = ProgramBuilder::new();
+        b.routine("main")
+            .def(Reg::T0)
+            .lda(Reg::SP, Reg::SP, -16)
+            .store(Reg::T0, Reg::SP, 0)
+            .store(Reg::T0, Reg::SP, 8)
+            .load(Reg::V0, Reg::SP, 8)
+            .lda(Reg::SP, Reg::SP, 16)
+            .put_int()
+            .halt();
+        let img = b.build().unwrap().to_image();
+        let store = warm_store(std::slice::from_ref(&img));
+        let entry = &store.export_entries()[0];
+        let drop_slot: fn(&mut RoutineStack) = |rs| {
+            rs.frame.slots.pop();
+            let n = rs.frame.slots.len();
+            rs.must_defined_in
+                .iter_mut()
+                .chain(&mut rs.live_out)
+                .for_each(|s| *s = SlotSet::empty(n));
+        };
+        let shift: fn(&mut RoutineStack) = |rs| rs.sp_disp_in[0] = rs.sp_disp_in[0].map(|d| d + 4);
+        for (why, craft) in [("a dropped slot", drop_slot), ("a shifted displacement", shift)] {
+            let mut routines: Vec<RoutineStack> =
+                entry.analysis.stack.all().iter().map(CloneExact::clone_exact).collect();
+            assert_eq!(routines[0].frame.slots.len(), 2);
+            assert!(!routines[0].frame.escaped);
+            craft(&mut routines[0]);
+            let mut w = SnapWriter::new();
+            routines.snap(&mut w);
+            let mut analysis = entry.analysis.clone_exact();
+            analysis.stack = StackAnalysis::unsnap(&mut SnapReader::new(&w.into_bytes())).unwrap();
+            analysis.stats.memory_bytes = analysis.heap_bytes();
+            assert_eq!(analysis.stack.check_tables(&analysis.cfg), Ok(()), "{why}");
+            let mut entries = SnapWriter::new();
+            entries.put_usize(1);
+            put_entry(&mut entries, entry.key, &img, &analysis);
+            let (got, installed) = restore_crafted(entries, "slot");
+            assert!(
+                got.as_ref().is_err_and(|e| e.starts_with("corrupt snapshot: stack frame of main")),
                 "{why}: {got:?}"
             );
             assert_eq!(installed, 0, "{why}: store must stay cold");

@@ -8,6 +8,17 @@
 //! sequence of values emitted by `putint` — so tests can check that
 //! summary-driven optimizations preserve semantics.
 //!
+//! # One interpreter loop
+//!
+//! [`Machine::step`] executes one instruction and builds an [`Outcome`]
+//! only when the run stops; [`Machine::run`] and [`steps_to_output`]
+//! loop it. The other modes are one private loop (`drive`) over the
+//! same step with a hook that sees each instruction before it
+//! executes, and may fault, and the machine after it: the register
+//! tracker ([`run_shadow`]), that tracker plus the frame and slot
+//! tracker ([`run_shadow_slots`]), or the counters ([`run_profiled`]).
+//! A mode changes a run only by the fault it raises.
+//!
 //! # Example
 //!
 //! ```
@@ -35,7 +46,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use spike_isa::{AluOp, FpOp, Instruction, MemWidth, Reg, RegSet, NUM_REGS};
@@ -230,109 +241,109 @@ impl Machine {
     /// Executes until halt, fault, or `fuel` instructions have run.
     pub fn run(&mut self, program: &Program, fuel: u64) -> Outcome {
         for _ in 0..fuel {
-            if self.pc == EXIT_ADDR {
-                return Outcome::Halted { output: self.output.clone(), steps: self.steps };
+            if let Some(stop) = self.step(program) {
+                return stop;
             }
-            let Some(&insn) = program.insn_at(self.pc) else {
-                return Outcome::Fault(Fault::BadPc(self.pc));
-            };
-            self.steps += 1;
-            let next = self.pc + 1;
-            match insn {
-                Instruction::Operate { op, ra, rb, rc } => {
-                    let v = alu(op, self.reg(ra), self.reg(rb), self.reg(rc));
-                    self.set_reg(rc, v);
-                }
-                Instruction::OperateImm { op, ra, imm, rc } => {
-                    let v = alu(op, self.reg(ra), imm as i64, self.reg(rc));
-                    self.set_reg(rc, v);
-                }
-                Instruction::Lda { rd, base, disp } => {
-                    self.set_reg(rd, self.reg(base).wrapping_add(disp as i64));
-                }
-                Instruction::Ldah { rd, base, disp } => {
-                    self.set_reg(rd, self.reg(base).wrapping_add((disp as i64) << 16));
-                }
-                Instruction::Load { width, rd, base, disp } => {
-                    let addr = self.reg(base).wrapping_add(disp as i64);
-                    let raw = self.mem.get(&addr).copied().unwrap_or(0);
-                    let v = match width {
-                        MemWidth::L => raw as i32 as i64,
-                        MemWidth::Q | MemWidth::T => raw,
-                    };
-                    self.set_reg(rd, v);
-                }
-                Instruction::Store { width, rs, base, disp } => {
-                    let addr = self.reg(base).wrapping_add(disp as i64);
-                    let v = match width {
-                        MemWidth::L => self.reg(rs) as i32 as i64,
-                        MemWidth::Q | MemWidth::T => self.reg(rs),
-                    };
-                    self.mem.insert(addr, v);
-                }
-                Instruction::FpOperate { op, fa, fb, fc } => {
-                    let a = f64::from_bits(self.reg(fa) as u64);
-                    let b = f64::from_bits(self.reg(fb) as u64);
-                    let v = match op {
-                        FpOp::Add => a + b,
-                        FpOp::Sub => a - b,
-                        FpOp::Mul => a * b,
-                        FpOp::CmpEq => {
-                            if a == b {
-                                2.0
-                            } else {
-                                0.0
-                            }
-                        }
-                        FpOp::CmpLt => {
-                            if a < b {
-                                2.0
-                            } else {
-                                0.0
-                            }
-                        }
-                    };
-                    self.set_reg(fc, v.to_bits() as i64);
-                }
-                Instruction::Br { disp } => {
-                    self.pc = next.wrapping_add(disp as u32);
-                    continue;
-                }
-                Instruction::Bsr { disp } => {
-                    self.set_reg(Reg::RA, next as i64);
-                    self.pc = next.wrapping_add(disp as u32);
-                    continue;
-                }
-                Instruction::CondBranch { cond, ra, disp } => {
-                    if cond.eval(self.reg(ra)) {
-                        self.pc = next.wrapping_add(disp as u32);
-                        continue;
-                    }
-                }
-                Instruction::Jmp { base } => {
-                    self.pc = self.reg(base) as u32;
-                    continue;
-                }
-                Instruction::Jsr { base } => {
-                    let target = self.reg(base) as u32;
-                    self.set_reg(Reg::RA, next as i64);
-                    self.pc = target;
-                    continue;
-                }
-                Instruction::Ret { base } => {
-                    self.pc = self.reg(base) as u32;
-                    continue;
-                }
-                Instruction::Halt => {
-                    return Outcome::Halted { output: self.output.clone(), steps: self.steps };
-                }
-                Instruction::PutInt => {
-                    self.output.push(self.reg(Reg::V0));
-                }
-            }
-            self.pc = next;
         }
         Outcome::OutOfFuel { output: self.output.clone(), steps: self.steps }
+    }
+
+    /// Executes the instruction at the pc. `None` while the program can
+    /// go on; the run's [`Outcome`] once it stopped: at `halt`, at a pc
+    /// holding no instruction, or at [`EXIT_ADDR`] (which executes
+    /// nothing, like a fault). Only that last call builds an outcome or
+    /// copies the output.
+    pub fn step(&mut self, program: &Program) -> Option<Outcome> {
+        match self.fetch(program) {
+            Ok(insn) => self.execute(insn),
+            Err(stop) => Some(stop),
+        }
+    }
+
+    /// The instruction at the pc, or the outcome of a run that cannot
+    /// fetch one.
+    fn fetch(&self, program: &Program) -> Result<Instruction, Outcome> {
+        if self.pc == EXIT_ADDR {
+            return Err(Outcome::Halted { output: self.output.clone(), steps: self.steps });
+        }
+        match program.insn_at(self.pc) {
+            Some(&insn) => Ok(insn),
+            None => Err(Outcome::Fault(Fault::BadPc(self.pc))),
+        }
+    }
+
+    /// Executes `insn`, the instruction at the pc: `Some` only for `halt`.
+    fn execute(&mut self, insn: Instruction) -> Option<Outcome> {
+        self.steps += 1;
+        let next = self.pc + 1;
+        let mut to = next;
+        match insn {
+            Instruction::Operate { op, ra, rb, rc } => {
+                let v = alu(op, self.reg(ra), self.reg(rb), self.reg(rc));
+                self.set_reg(rc, v);
+            }
+            Instruction::OperateImm { op, ra, imm, rc } => {
+                let v = alu(op, self.reg(ra), imm as i64, self.reg(rc));
+                self.set_reg(rc, v);
+            }
+            Instruction::Lda { rd, base, disp } => {
+                self.set_reg(rd, self.reg(base).wrapping_add(disp as i64));
+            }
+            Instruction::Ldah { rd, base, disp } => {
+                self.set_reg(rd, self.reg(base).wrapping_add((disp as i64) << 16));
+            }
+            Instruction::Load { width, rd, base, disp } => {
+                let addr = self.reg(base).wrapping_add(disp as i64);
+                let raw = self.mem.get(&addr).copied().unwrap_or(0);
+                let v = match width {
+                    MemWidth::L => raw as i32 as i64,
+                    MemWidth::Q | MemWidth::T => raw,
+                };
+                self.set_reg(rd, v);
+            }
+            Instruction::Store { width, rs, base, disp } => {
+                let addr = self.reg(base).wrapping_add(disp as i64);
+                let v = match width {
+                    MemWidth::L => self.reg(rs) as i32 as i64,
+                    MemWidth::Q | MemWidth::T => self.reg(rs),
+                };
+                self.mem.insert(addr, v);
+            }
+            Instruction::FpOperate { op, fa, fb, fc } => {
+                let a = f64::from_bits(self.reg(fa) as u64);
+                let b = f64::from_bits(self.reg(fb) as u64);
+                let truth = |t: bool| if t { 2.0 } else { 0.0 };
+                let v = match op {
+                    FpOp::Add => a + b,
+                    FpOp::Sub => a - b,
+                    FpOp::Mul => a * b,
+                    FpOp::CmpEq => truth(a == b),
+                    FpOp::CmpLt => truth(a < b),
+                };
+                self.set_reg(fc, v.to_bits() as i64);
+            }
+            Instruction::Br { disp } => to = next.wrapping_add(disp as u32),
+            Instruction::Bsr { disp } => {
+                self.set_reg(Reg::RA, next as i64);
+                to = next.wrapping_add(disp as u32);
+            }
+            Instruction::CondBranch { cond, ra, disp } => {
+                if cond.eval(self.reg(ra)) {
+                    to = next.wrapping_add(disp as u32);
+                }
+            }
+            Instruction::Jmp { base } | Instruction::Ret { base } => to = self.reg(base) as u32,
+            Instruction::Jsr { base } => {
+                to = self.reg(base) as u32;
+                self.set_reg(Reg::RA, next as i64);
+            }
+            Instruction::Halt => {
+                return Some(Outcome::Halted { output: self.output.clone(), steps: self.steps });
+            }
+            Instruction::PutInt => self.output.push(self.reg(Reg::V0)),
+        }
+        self.pc = to;
+        None
     }
 }
 
@@ -368,6 +379,40 @@ fn alu(op: AluOp, a: i64, b: i64, old_c: i64) -> i64 {
     }
 }
 
+/// What a simulator mode adds to a plain run: a look at every
+/// instruction before it executes, which may fault, and at the machine
+/// after it executed.
+trait Hook {
+    /// Sees `insn`, the instruction at `m.pc()`, before it executes; an
+    /// error stops the run with that fault.
+    fn before(&mut self, m: &Machine, insn: Instruction) -> Result<(), Fault>;
+
+    /// Sees the machine after `insn`, fetched at `pc`, executed, unless
+    /// it stopped the run.
+    fn after(&mut self, _m: &Machine, _pc: u32, _insn: Instruction) {}
+}
+
+/// Runs `program` from a fresh [`Machine`] for at most `fuel`
+/// instructions, showing each one to `hook`.
+fn drive(program: &Program, fuel: u64, hook: &mut impl Hook) -> Outcome {
+    let mut m = Machine::new(program);
+    while m.steps < fuel {
+        let pc = m.pc;
+        let insn = match m.fetch(program) {
+            Ok(insn) => insn,
+            Err(stop) => return stop,
+        };
+        if let Err(fault) = hook.before(&m, insn) {
+            return Outcome::Fault(fault);
+        }
+        if let Some(stop) = m.execute(insn) {
+            return stop;
+        }
+        hook.after(&m, pc, insn);
+    }
+    Outcome::OutOfFuel { output: m.output, steps: m.steps }
+}
+
 /// Runs `program` from a fresh [`Machine`] with the given step budget.
 pub fn run(program: &Program, fuel: u64) -> Outcome {
     Machine::new(program).run(program, fuel)
@@ -386,6 +431,30 @@ fn shadow_uses(insn: &Instruction) -> RegSet {
     }
 }
 
+/// The register-definedness tracker of [`run_shadow`]: the registers
+/// some executed instruction (or the loader) defined.
+struct Registers<'p> {
+    program: &'p Program,
+    defined: RegSet,
+}
+
+impl Registers<'_> {
+    fn at_load(program: &Program) -> Registers<'_> {
+        Registers { program, defined: RegSet::of(&[Reg::RA, Reg::SP, Reg::ZERO, Reg::FZERO]) }
+    }
+}
+
+impl Hook for Registers<'_> {
+    fn before(&mut self, m: &Machine, insn: Instruction) -> Result<(), Fault> {
+        if let Some(reg) = (shadow_uses(&insn) - self.defined).iter().next() {
+            let pc = m.pc;
+            return Err(Fault::UninitRead { pc, routine: routine_name(self.program, pc), reg });
+        }
+        self.defined |= insn.defs();
+        Ok(())
+    }
+}
+
 /// Runs `program` with per-register definedness tracking (the opt-in
 /// shadow mode used as the soundness oracle for `spike-lint`).
 ///
@@ -401,33 +470,59 @@ fn shadow_uses(insn: &Instruction) -> RegSet {
 /// On a program that never trips the tracker, the outcome is identical to
 /// [`run`] with the same fuel.
 pub fn run_shadow(program: &Program, fuel: u64) -> Outcome {
-    let mut m = Machine::new(program);
-    let mut defined = RegSet::of(&[Reg::RA, Reg::SP, Reg::ZERO, Reg::FZERO]);
-    loop {
-        if m.steps() >= fuel {
-            return Outcome::OutOfFuel { output: m.output().to_vec(), steps: m.steps() };
-        }
-        let pc = m.pc();
-        if pc == EXIT_ADDR {
-            return Outcome::Halted { output: m.output().to_vec(), steps: m.steps() };
-        }
-        let Some(&insn) = program.insn_at(pc) else {
-            return Outcome::Fault(Fault::BadPc(pc));
+    drive(program, fuel, &mut Registers::at_load(program))
+}
+
+/// The tracker of [`run_shadow_slots`]: [`Registers`], plus the entry SP
+/// of every live activation and the stack addresses a store defined.
+struct Slots<'p> {
+    registers: Registers<'p>,
+    frames: Vec<i64>,
+    defined: BTreeSet<i64>,
+}
+
+impl Hook for Slots<'_> {
+    fn before(&mut self, m: &Machine, insn: Instruction) -> Result<(), Fault> {
+        self.registers.before(m, insn)?;
+        let (pc, sp, program) = (m.pc, m.reg(Reg::SP), self.registers.program);
+        let entry_sp = *self.frames.last().expect("frame stack never empties");
+        let in_frame = |addr: i64| {
+            if addr >= entry_sp || addr < sp {
+                Err(Fault::OutOfFrame { pc, routine: routine_name(program, pc), addr })
+            } else {
+                Ok(addr)
+            }
         };
-        let need = shadow_uses(&insn);
-        if !need.is_subset(defined) {
-            let reg = (need - defined).iter().next().expect("non-empty difference");
-            return Outcome::Fault(Fault::UninitRead {
-                pc,
-                routine: routine_name(program, pc),
-                reg,
-            });
+        match insn {
+            Instruction::Bsr { .. } | Instruction::Jsr { .. } => self.frames.push(sp),
+            Instruction::Ret { .. } if self.frames.len() > 1 => {
+                self.frames.pop();
+            }
+            Instruction::Lda { rd: Reg::SP, base: Reg::SP, disp } => {
+                // The bytes the move crossed change frames; definedness
+                // never survives the transition in either direction.
+                let new_sp = sp.wrapping_add(disp as i64);
+                let crossed = sp.min(new_sp)..sp.max(new_sp);
+                while let Some(&a) = self.defined.range(crossed.clone()).next() {
+                    self.defined.remove(&a);
+                }
+            }
+            Instruction::Load { base: Reg::SP, disp, .. } => {
+                let addr = in_frame(sp.wrapping_add(disp as i64))?;
+                if !self.defined.contains(&addr) {
+                    return Err(Fault::UninitStackRead {
+                        pc,
+                        routine: routine_name(program, pc),
+                        offset: addr - entry_sp,
+                    });
+                }
+            }
+            Instruction::Store { base: Reg::SP, disp, .. } => {
+                self.defined.insert(in_frame(sp.wrapping_add(disp as i64))?);
+            }
+            _ => {}
         }
-        defined |= insn.defs();
-        match m.run(program, 1) {
-            Outcome::OutOfFuel { .. } => {} // single step executed; continue
-            done => return done,
-        }
+        Ok(())
     }
 }
 
@@ -459,119 +554,53 @@ pub fn run_shadow(program: &Program, fuel: u64) -> Outcome {
 /// On a program that trips no tracker, the outcome is identical to
 /// [`run`] with the same fuel.
 pub fn run_shadow_slots(program: &Program, fuel: u64) -> Outcome {
-    let mut m = Machine::new(program);
-    let mut defined = RegSet::of(&[Reg::RA, Reg::SP, Reg::ZERO, Reg::FZERO]);
-    let mut frames: Vec<i64> = vec![STACK_TOP];
-    let mut slots: std::collections::BTreeSet<i64> = std::collections::BTreeSet::new();
-    loop {
-        if m.steps() >= fuel {
-            return Outcome::OutOfFuel { output: m.output().to_vec(), steps: m.steps() };
-        }
-        let pc = m.pc();
-        if pc == EXIT_ADDR {
-            return Outcome::Halted { output: m.output().to_vec(), steps: m.steps() };
-        }
-        let Some(&insn) = program.insn_at(pc) else {
-            return Outcome::Fault(Fault::BadPc(pc));
-        };
-        let need = shadow_uses(&insn);
-        if !need.is_subset(defined) {
-            let reg = (need - defined).iter().next().expect("non-empty difference");
-            return Outcome::Fault(Fault::UninitRead {
-                pc,
-                routine: routine_name(program, pc),
-                reg,
-            });
-        }
-        let sp = m.reg(Reg::SP);
-        let entry_sp = *frames.last().expect("frame stack never empties");
-        match insn {
-            Instruction::Bsr { .. } | Instruction::Jsr { .. } => frames.push(sp),
-            Instruction::Ret { .. } if frames.len() > 1 => {
-                frames.pop();
-            }
-            Instruction::Lda { rd: Reg::SP, base: Reg::SP, disp } => {
-                // The bytes the move crossed change frames; definedness
-                // never survives the transition in either direction.
-                let new_sp = sp.wrapping_add(disp as i64);
-                let (lo, hi) = (sp.min(new_sp), sp.max(new_sp));
-                let crossed: Vec<i64> = slots.range(lo..hi).copied().collect();
-                for a in crossed {
-                    slots.remove(&a);
-                }
-            }
-            Instruction::Load { base: Reg::SP, disp, .. } => {
-                let addr = sp.wrapping_add(disp as i64);
-                if addr >= entry_sp || addr < sp {
-                    return Outcome::Fault(Fault::OutOfFrame {
-                        pc,
-                        routine: routine_name(program, pc),
-                        addr,
-                    });
-                }
-                if !slots.contains(&addr) {
-                    return Outcome::Fault(Fault::UninitStackRead {
-                        pc,
-                        routine: routine_name(program, pc),
-                        offset: addr - entry_sp,
-                    });
-                }
-            }
-            Instruction::Store { base: Reg::SP, disp, .. } => {
-                let addr = sp.wrapping_add(disp as i64);
-                if addr >= entry_sp || addr < sp {
-                    return Outcome::Fault(Fault::OutOfFrame {
-                        pc,
-                        routine: routine_name(program, pc),
-                        addr,
-                    });
-                }
-                slots.insert(addr);
-            }
-            _ => {}
-        }
-        defined |= insn.defs();
-        match m.run(program, 1) {
-            Outcome::OutOfFuel { .. } => {} // single step executed; continue
-            done => return done,
-        }
-    }
+    let mut slots = Slots {
+        registers: Registers::at_load(program),
+        frames: vec![STACK_TOP],
+        defined: BTreeSet::new(),
+    };
+    drive(program, fuel, &mut slots)
 }
 
-/// Dynamic execution statistics, gathered by [`run_profiled`].
-///
-/// `call_overhead_steps` counts the instructions that exist only to
-/// maintain the calling convention: calls and returns themselves, frame
-/// pointer adjustment, and saves/restores of `ra` and callee-saved
-/// registers through the stack. The paper's introduction cites call
-/// overhead of up to 16% of execution time as the motivation for the
-/// Figure 1(d) optimization; this profile measures how much of it the
-/// optimizer removed.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct ExecutionProfile {
-    /// Instructions executed per routine, indexed by routine id.
-    pub steps_per_routine: Vec<u64>,
-    /// Times each routine was entered through a call (plus one for the
-    /// entry routine's initial activation), indexed by routine id.
-    pub entries_per_routine: Vec<u64>,
-    /// Calls executed (`bsr` + `jsr`).
-    pub calls: u64,
-    /// Calling-convention maintenance instructions executed (see type
-    /// docs).
-    pub call_overhead_steps: u64,
-    /// Total instructions executed.
-    pub total_steps: u64,
-    /// Lowest code address; `insn_counts[addr - code_base]` is the
-    /// execution count of the instruction at `addr`.
-    pub code_base: u32,
-    /// Per-instruction execution counts over the whole code range
-    /// (block counts are the counts at block leaders).
-    pub insn_counts: Vec<u64>,
-    /// Control-transfer edge counts: `(source pc, destination pc) →
-    /// times taken`, recorded for branches (both outcomes), jumps,
-    /// calls, and returns. A `ret` from the entry activation records its
-    /// edge to [`EXIT_ADDR`].
-    pub edges: BTreeMap<(u32, u32), u64>,
+spike_isa::analysis_struct! {
+    /// Dynamic execution statistics, gathered by [`run_profiled`].
+    ///
+    /// `call_overhead_steps` counts the instructions that exist only to
+    /// maintain the calling convention: calls and returns themselves, frame
+    /// pointer adjustment, and saves/restores of `ra` and callee-saved
+    /// registers through the stack. The paper's introduction cites call
+    /// overhead of up to 16% of execution time as the motivation for the
+    /// Figure 1(d) optimization; this profile measures how much of it the
+    /// optimizer removed.
+    ///
+    /// Field order is the counter part of the `spikprof` payload layout
+    /// (`spike-profile` nests this struct).
+    #[derive(Clone, PartialEq, Eq, Debug, Default)]
+    pub struct ExecutionProfile {
+        /// Instructions executed per routine, indexed by routine id.
+        pub steps_per_routine: Vec<u64>,
+        /// Times each routine was entered through a call (plus one for the
+        /// entry routine's initial activation), indexed by routine id.
+        pub entries_per_routine: Vec<u64>,
+        /// Calls executed (`bsr` + `jsr`).
+        pub calls: u64,
+        /// Calling-convention maintenance instructions executed (see type
+        /// docs).
+        pub call_overhead_steps: u64,
+        /// Total instructions executed.
+        pub total_steps: u64,
+        /// Lowest code address; `insn_counts[addr - code_base]` is the
+        /// execution count of the instruction at `addr`.
+        pub code_base: u32,
+        /// Per-instruction execution counts over the whole code range
+        /// (block counts are the counts at block leaders).
+        pub insn_counts: Vec<u64>,
+        /// Control-transfer edge counts: `(source pc, destination pc) →
+        /// times taken`, recorded for branches (both outcomes), jumps,
+        /// calls, and returns. A `ret` from the entry activation records its
+        /// edge to [`EXIT_ADDR`].
+        pub edges: BTreeMap<(u32, u32), u64>,
+    }
 }
 
 impl ExecutionProfile {
@@ -583,6 +612,80 @@ impl ExecutionProfile {
             self.call_overhead_steps as f64 / self.total_steps as f64
         }
     }
+
+    /// Execution count of the instruction at `addr` (0 outside the
+    /// profiled code range).
+    pub fn count_at(&self, addr: u32) -> u64 {
+        addr.checked_sub(self.code_base)
+            .and_then(|off| self.insn_counts.get(off as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Times the control-transfer edge `src → dst` was taken.
+    pub fn edge(&self, src: u32, dst: u32) -> u64 {
+        self.edges.get(&(src, dst)).copied().unwrap_or(0)
+    }
+
+    /// Fraction of all executed instructions spent in routine `index`
+    /// (0.0 when nothing ran).
+    pub fn routine_fraction(&self, index: usize) -> f64 {
+        let steps = self.steps_per_routine.get(index).copied().unwrap_or(0);
+        if self.total_steps == 0 {
+            0.0
+        } else {
+            steps as f64 / self.total_steps as f64
+        }
+    }
+}
+
+/// The counters of [`run_profiled`].
+struct Counts<'p> {
+    program: &'p Program,
+    profile: ExecutionProfile,
+    callee_saved: RegSet,
+}
+
+impl Hook for Counts<'_> {
+    fn before(&mut self, m: &Machine, insn: Instruction) -> Result<(), Fault> {
+        let (pc, profile) = (m.pc, &mut self.profile);
+        if let Some(rid) = self.program.routine_containing(pc) {
+            profile.steps_per_routine[rid.index()] += 1;
+        }
+        profile.total_steps += 1;
+        profile.insn_counts[(pc - profile.code_base) as usize] += 1;
+        let overhead = match insn {
+            Instruction::Bsr { .. } | Instruction::Jsr { .. } => {
+                profile.calls += 1;
+                true
+            }
+            Instruction::Ret { .. } => true,
+            Instruction::Lda { rd: Reg::SP, base: Reg::SP, .. } => true,
+            Instruction::Store { rs, base: Reg::SP, .. } => {
+                rs == Reg::RA || self.callee_saved.contains(rs)
+            }
+            Instruction::Load { rd, base: Reg::SP, .. } => {
+                rd == Reg::RA || self.callee_saved.contains(rd)
+            }
+            _ => false,
+        };
+        profile.call_overhead_steps += u64::from(overhead);
+        Ok(())
+    }
+
+    /// Records the control-transfer edge the step took. The fall-through
+    /// of a conditional branch is an edge too; plain straight-line flow
+    /// is not. A `halt` stops the run and records nothing.
+    fn after(&mut self, m: &Machine, pc: u32, insn: Instruction) {
+        if insn.is_terminator() {
+            *self.profile.edges.entry((pc, m.pc)).or_insert(0) += 1;
+            if insn.is_call() {
+                if let Some(callee) = self.program.routine_containing(m.pc) {
+                    self.profile.entries_per_routine[callee.index()] += 1;
+                }
+            }
+        }
+    }
 }
 
 /// Runs `program` and gathers an [`ExecutionProfile`] alongside the
@@ -592,73 +695,22 @@ impl ExecutionProfile {
 /// total, and the fuel boundary — is identical to [`run`] with the same
 /// budget (property-tested in `tests/prop_pgo.rs`).
 pub fn run_profiled(program: &Program, fuel: u64) -> (Outcome, ExecutionProfile) {
-    let callee_saved = spike_isa::CallingStandard::alpha_nt().callee_saved();
-    let mut m = Machine::new(program);
     let code_base = program.routines().first().map(|r| r.addr()).unwrap_or(0);
     let code_end = program.routines().last().map(|r| r.end_addr()).unwrap_or(code_base);
-    let mut profile = ExecutionProfile {
-        steps_per_routine: vec![0; program.routines().len()],
-        entries_per_routine: vec![0; program.routines().len()],
-        code_base,
-        insn_counts: vec![0; (code_end - code_base) as usize],
-        ..ExecutionProfile::default()
+    let mut counts = Counts {
+        program,
+        profile: ExecutionProfile {
+            steps_per_routine: vec![0; program.routines().len()],
+            entries_per_routine: vec![0; program.routines().len()],
+            code_base,
+            insn_counts: vec![0; (code_end - code_base) as usize],
+            ..ExecutionProfile::default()
+        },
+        callee_saved: spike_isa::CallingStandard::alpha_nt().callee_saved(),
     };
-    profile.entries_per_routine[program.entry().index()] += 1;
-
-    let outcome = loop {
-        if profile.total_steps >= fuel {
-            break Outcome::OutOfFuel { output: m.output().to_vec(), steps: m.steps() };
-        }
-        let pc = m.pc();
-        if pc == EXIT_ADDR {
-            break Outcome::Halted { output: m.output().to_vec(), steps: m.steps() };
-        }
-        let Some(&insn) = program.insn_at(pc) else {
-            break Outcome::Fault(Fault::BadPc(pc));
-        };
-        if let Some(rid) = program.routine_containing(pc) {
-            profile.steps_per_routine[rid.index()] += 1;
-        }
-        profile.total_steps += 1;
-        profile.insn_counts[(pc - code_base) as usize] += 1;
-        let overhead = match insn {
-            Instruction::Bsr { .. } | Instruction::Jsr { .. } => {
-                profile.calls += 1;
-                true
-            }
-            Instruction::Ret { .. } => true,
-            Instruction::Lda { rd: Reg::SP, base: Reg::SP, .. } => true,
-            Instruction::Store { rs, base: Reg::SP, .. } => {
-                rs == Reg::RA || callee_saved.contains(rs)
-            }
-            Instruction::Load { rd, base: Reg::SP, .. } => {
-                rd == Reg::RA || callee_saved.contains(rd)
-            }
-            _ => false,
-        };
-        if overhead {
-            profile.call_overhead_steps += 1;
-        }
-        match m.run(program, 1) {
-            Outcome::OutOfFuel { .. } => {} // single step executed; continue
-            done => break done,
-        }
-        // Record the control-transfer edge the step just took. The
-        // fall-through of a conditional branch is an edge too; plain
-        // straight-line flow is not.
-        if insn.is_terminator() {
-            *profile.edges.entry((pc, m.pc())).or_insert(0) += 1;
-            if insn.is_call() {
-                if let Some(callee) = program.routine_containing(m.pc()) {
-                    profile.entries_per_routine[callee.index()] += 1;
-                }
-            }
-        }
-    };
-    // A `halt` stops inside `m.run` without re-entering the loop; a
-    // `ret` to the exit address records its edge before the loop's
-    // EXIT_ADDR check stops the run. Nothing else to flush.
-    (outcome, profile)
+    counts.profile.entries_per_routine[program.entry().index()] += 1;
+    let outcome = drive(program, fuel, &mut counts);
+    (outcome, counts.profile)
 }
 
 /// Runs `program` until it has emitted `k` output values, returning the
@@ -669,26 +721,17 @@ pub fn run_profiled(program: &Program, fuel: u64) -> (Outcome, ExecutionProfile)
 /// profiles: two program variants are compared by the work each needs to
 /// produce the same observable prefix.
 pub fn steps_to_output(program: &Program, fuel: u64, k: usize) -> Option<u64> {
-    if k == 0 {
-        return Some(0);
-    }
     let mut m = Machine::new(program);
-    loop {
-        if m.output().len() >= k {
-            return Some(m.steps());
-        }
-        if m.steps() >= fuel {
+    while m.output.len() < k {
+        if m.steps >= fuel || m.step(program).is_some() {
             return None;
         }
-        match m.run(program, 1) {
-            Outcome::OutOfFuel { .. } => {}
-            Outcome::Halted { output, steps } => {
-                return (output.len() >= k).then_some(steps);
-            }
-            Outcome::Fault(_) => return None,
-        }
     }
+    Some(m.steps)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

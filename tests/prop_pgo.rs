@@ -100,7 +100,7 @@ proptest! {
         let mut merged = prof.clone();
         merged.merge(&back).expect("same image merges");
         prop_assert_eq!(merged.runs, 2);
-        prop_assert_eq!(merged.total_steps, prof.total_steps * 2);
+        prop_assert_eq!(merged.counts.total_steps, prof.counts.total_steps * 2);
     }
 
     /// A profile of one program is cleanly rejected for another: a typed
