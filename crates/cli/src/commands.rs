@@ -399,7 +399,7 @@ fn cmd_profile(args: &[String]) -> Result<()> {
         "wrote {out}: {} after {} instructions, {} call(s); {} run(s) recorded{}",
         ending,
         exec.total_steps,
-        profile.counts.calls,
+        exec.calls,
         profile.runs,
         if merged { " (merged)" } else { "" }
     );

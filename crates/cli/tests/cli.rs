@@ -209,3 +209,24 @@ fn corrupt_images_are_rejected() {
     let o = spike(&["analyze", path.to_str().unwrap()]);
     assert!(!o.status.success());
 }
+
+#[test]
+fn a_merged_profile_reports_the_calls_of_this_run() {
+    let (_dir, img) = tmp("prog.img");
+    let prof = format!("{img}.prof");
+    let o = spike(&["gen-exec", "--seed", "7", "--routines", "5", "-o", &img]);
+    assert!(o.status.success(), "{}", stderr(&o));
+
+    let calls = |line: &str| -> String {
+        let before = line.split(" call(s)").next().expect("a call count");
+        before.rsplit(' ').next().expect("a number").to_string()
+    };
+    let first = spike(&["profile", &img, "-o", &prof]);
+    assert!(first.status.success(), "{}", stderr(&first));
+    let second = spike(&["profile", &img, "-o", &prof]);
+    assert!(second.status.success(), "{}", stderr(&second));
+    let (first, second) = (stdout(&first), stdout(&second));
+    assert!(second.contains("2 run(s) recorded (merged)"), "{second}");
+    assert_eq!(calls(&first), calls(&second), "first: {first}second: {second}");
+    assert_ne!(calls(&first), "0", "the run makes calls: {first}");
+}
