@@ -13,7 +13,7 @@ use spike_core::Analysis;
 use spike_isa::RegSet;
 use spike_program::Program;
 
-use crate::diag::{Check, Diagnostic, LintReport, Severity};
+use crate::diag::{Check, Diagnostic, LintReport, Note, Operands, Severity};
 
 #[allow(unused_imports)]
 use spike_isa::CallingStandard; // doc link
@@ -55,26 +55,15 @@ pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintRep
                         continue;
                     }
                     flagged.insert(reg);
-                    let mut d = Diagnostic::new(
-                        Check::CalleeSavedClobber,
-                        routine.name(),
-                        format!(
-                            "callee-saved register {reg} is overwritten on a path that \
-                             returns, without a matching save and restore"
-                        ),
-                    );
-                    d.addr = Some(addr);
+                    let mut d = Diagnostic::new(Check::CalleeSavedClobber, Some(rid), Some(addr));
                     d.reg = Some(reg);
-                    d.witness = vec![cfg.block(b).start(), addr];
+                    let mut note = Note::None;
                     if demote {
                         d.severity = Severity::Warning;
-                        d.note = Some(
-                            "demoted to a warning: the routine contains an \
-                             unknown-target jump"
-                                .to_string(),
-                        );
+                        note = Note::Demoted;
                     }
-                    report.push(d);
+                    let path = [cfg.block(b).start(), addr];
+                    report.push_detailed(d, Operands::None, &path, note);
                 }
             }
         }

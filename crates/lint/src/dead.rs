@@ -11,7 +11,6 @@
 
 use spike_cfg::BlockId;
 use spike_core::Analysis;
-use spike_isa::NUM_REGS;
 use spike_opt::{block_liveness, step_back, LivenessScratch};
 use spike_program::Program;
 
@@ -20,10 +19,6 @@ use crate::diag::{Check, Diagnostic, LintReport};
 pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintReport) {
     let arg_regs = analysis.summary.calling_standard().argument();
     let mut scratch = LivenessScratch::default();
-    // One message per register and check, built on first use: at most
-    // 2 × 64 of them against up to ~100 k findings.
-    let mut dead_argument: [Option<String>; NUM_REGS] = [const { None }; NUM_REGS];
-    let mut dead_store: [Option<String>; NUM_REGS] = [const { None }; NUM_REGS];
     for (rid, routine) in program.iter() {
         let cfg = analysis.cfg.routine_cfg(rid);
         let live = block_liveness(program, analysis.registers(), rid, &mut scratch);
@@ -43,21 +38,12 @@ pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintRep
                     && !program.relocations().contains_key(&addr)
                 {
                     let reg = defs.iter().next().expect("non-empty def set");
-                    let mut d = if block.is_call_block() && !(defs & arg_regs).is_empty() {
-                        let message = dead_argument[reg.index()].get_or_insert_with(|| {
-                            format!(
-                                "argument register {reg} is set, but the call ending this block \
-                                 does not read it"
-                            )
-                        });
-                        Diagnostic::new(Check::DeadArgument, routine.name(), message.clone())
+                    let check = if block.is_call_block() && !(defs & arg_regs).is_empty() {
+                        Check::DeadArgument
                     } else {
-                        let message = dead_store[reg.index()].get_or_insert_with(|| {
-                            format!("the value written to {reg} is never read on any valid path")
-                        });
-                        Diagnostic::new(Check::DeadStore, routine.name(), message.clone())
+                        Check::DeadStore
                     };
-                    d.addr = Some(addr);
+                    let mut d = Diagnostic::new(check, Some(rid), Some(addr));
                     d.reg = Some(reg);
                     report.push(d);
                 }

@@ -18,14 +18,7 @@ pub(crate) fn check_routines(program: &Program, callgraph: &CallGraph, report: &
     let reached = callgraph.callee_closure(&roots);
     for (rid, r) in program.iter() {
         if !reached[rid.index()] {
-            let mut d = Diagnostic::new(
-                Check::UnreachableRoutine,
-                r.name(),
-                "no known call path from the program entry or an exported routine \
-                 reaches this routine",
-            );
-            d.addr = Some(r.addr());
-            report.push(d);
+            report.push(Diagnostic::new(Check::UnreachableRoutine, Some(rid), Some(r.addr())));
         }
     }
 }
@@ -33,7 +26,7 @@ pub(crate) fn check_routines(program: &Program, callgraph: &CallGraph, report: &
 /// Flags blocks no path from a routine entrance reaches. Routines with an
 /// unknown-target jump are skipped: the jump may land on any block.
 pub(crate) fn check_blocks(program: &Program, analysis: &Analysis, report: &mut LintReport) {
-    for (rid, routine) in program.iter() {
+    for (rid, _) in program.iter() {
         let cfg = analysis.cfg.routine_cfg(rid);
         if !cfg.unknown_jumps().is_empty() {
             continue;
@@ -41,13 +34,11 @@ pub(crate) fn check_blocks(program: &Program, analysis: &Analysis, report: &mut 
         let live = cfg.flow().reachable_from(cfg.entries());
         for (bi, block) in cfg.blocks().iter().enumerate() {
             if !live[bi] {
-                let mut d = Diagnostic::new(
+                report.push(Diagnostic::new(
                     Check::UnreachableBlock,
-                    routine.name(),
-                    "no path from a routine entrance reaches this block",
-                );
-                d.addr = Some(block.start());
-                report.push(d);
+                    Some(rid),
+                    Some(block.start()),
+                ));
             }
         }
     }

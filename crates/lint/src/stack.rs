@@ -19,77 +19,47 @@
 //! Escaped frames produce no findings: the model cannot judge them, and
 //! soundness there is the shadow oracle's job alone.
 
-use spike_core::{AccessKind, Analysis, StackAccess};
+use spike_core::{AccessKind, Analysis};
 use spike_program::Program;
 
-use crate::diag::{Check, Diagnostic, LintReport};
+use crate::diag::{Check, Diagnostic, LintReport, Note, Operands};
 use crate::frame::witness;
 
 pub(crate) fn check(program: &Program, analysis: &Analysis, report: &mut LintReport) {
-    for (rid, routine) in program.iter() {
+    for (rid, _) in program.iter() {
         let rs = analysis.stack.routine(rid);
         if rs.frame.escaped {
             continue;
         }
         for access in analysis.stack.accesses(program, &analysis.cfg, rid) {
+            let finding = |check| {
+                let mut d = Diagnostic::new(check, Some(rid), Some(access.addr));
+                d.slot = Some(access.entry_off);
+                d
+            };
             if !access.in_frame {
-                let mut d = Diagnostic::new(
-                    Check::OutOfFrameAccess,
-                    routine.name(),
-                    format!(
-                        "{} at entry-SP{:+} lies outside the live frame [SP{:+}, entry SP)",
-                        verb(&access),
-                        access.entry_off,
-                        access.sp_disp,
-                    ),
-                );
-                d.addr = Some(access.addr);
-                d.slot = Some(access.entry_off);
-                report.push(d);
+                let operands = Operands::OutOfFrame { kind: access.kind, sp_disp: access.sp_disp };
+                report.push_detailed(finding(Check::OutOfFrameAccess), operands, &[], Note::None);
             } else if access.kind == AccessKind::Load && !access.defined_before {
-                let mut d = Diagnostic::new(
-                    Check::UninitStackRead,
-                    routine.name(),
-                    format!(
-                        "{}-byte stack slot at entry-SP{:+} may be read before any store reaches it",
-                        access.width.bytes(),
-                        access.entry_off,
-                    ),
-                );
-                d.addr = Some(access.addr);
-                d.slot = Some(access.entry_off);
                 // A block path from an entrance that avoids every block
                 // whose forward *gen* mask certainly stores the slot
                 // (directly or via a callee KILL): along it, the load
                 // really does observe an unwritten slot.
-                if let Some(slot) = rs.frame.slot_at(access.entry_off) {
-                    let cfg = analysis.cfg.routine_cfg(rid);
-                    let entries = cfg.entries().iter().copied();
-                    d.witness = witness(cfg, entries, access.block, |b| {
-                        analysis.stack.block_gen(program, &analysis.cfg, rid, b).contains(slot)
-                    });
-                }
-                report.push(d);
+                let path = match rs.frame.slot_at(access.entry_off) {
+                    Some(slot) => {
+                        let cfg = analysis.cfg.routine_cfg(rid);
+                        let entries = cfg.entries().iter().copied();
+                        witness(cfg, entries, access.block, |b| {
+                            analysis.stack.block_gen(program, &analysis.cfg, rid, b).contains(slot)
+                        })
+                    }
+                    None => Vec::new(),
+                };
+                let operands = Operands::StackRead(access.width);
+                report.push_detailed(finding(Check::UninitStackRead), operands, &path, Note::None);
             } else if access.kind == AccessKind::Store && !access.live_after {
-                let mut d = Diagnostic::new(
-                    Check::DeadStackStore,
-                    routine.name(),
-                    format!(
-                        "store to stack slot at entry-SP{:+} is never read on any valid path",
-                        access.entry_off,
-                    ),
-                );
-                d.addr = Some(access.addr);
-                d.slot = Some(access.entry_off);
-                report.push(d);
+                report.push(finding(Check::DeadStackStore));
             }
         }
-    }
-}
-
-fn verb(access: &StackAccess) -> &'static str {
-    match access.kind {
-        AccessKind::Load => "stack read",
-        AccessKind::Store => "stack store",
     }
 }

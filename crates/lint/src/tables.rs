@@ -8,40 +8,24 @@ use std::collections::BTreeMap;
 
 use spike_program::Program;
 
-use crate::diag::{Check, Diagnostic, LintReport};
+use crate::diag::{Check, Diagnostic, LintReport, Note, Operands};
 
 pub(crate) fn check(program: &Program, report: &mut LintReport) {
     for (&addr, targets) in program.jump_tables() {
-        let name = program
-            .routine_containing(addr)
-            .map(|rid| program.routine(rid).name().to_string())
-            .unwrap_or_default();
+        let routine = program.routine_containing(addr);
         if targets.is_empty() {
-            let mut d = Diagnostic::new(
-                Check::EmptyJumpTable,
-                name,
-                format!(
-                    "the jump table for the multiway jump at {addr:#x} is empty: \
-                     the jump has no successors and code after it is lost"
-                ),
-            );
-            d.addr = Some(addr);
-            report.push(d);
+            report.push(Diagnostic::new(Check::EmptyJumpTable, routine, Some(addr)));
             continue;
         }
-        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
         for &t in targets {
             *counts.entry(t).or_insert(0) += 1;
         }
-        for (t, k) in counts {
-            if k > 1 {
-                let mut d = Diagnostic::new(
-                    Check::DuplicateJumpTargets,
-                    name.clone(),
-                    format!("the jump table at {addr:#x} lists target {t:#x} {k} times"),
-                );
-                d.addr = Some(addr);
-                report.push(d);
+        for (target, count) in counts {
+            if count > 1 {
+                let d = Diagnostic::new(Check::DuplicateJumpTargets, routine, Some(addr));
+                let operands = Operands::Duplicate { target, count };
+                report.push_detailed(d, operands, &[], Note::None);
             }
         }
     }

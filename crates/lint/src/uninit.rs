@@ -22,7 +22,7 @@ use spike_isa::{CallingStandard, Instruction, Reg, RegSet};
 use spike_opt::{block_must_defined, must_defined_gen};
 use spike_program::{Program, RoutineId};
 
-use crate::diag::{Check, Diagnostic, LintReport};
+use crate::diag::{Callee, Check, Diagnostic, LintReport, Note, Operands};
 use crate::frame::witness;
 
 /// Registers defined before the program's first instruction: the machine
@@ -238,21 +238,16 @@ pub(crate) fn compute_scoped(
     MustDefined { entry, block_in }
 }
 
-/// The callee name of the last call block on the witness path, if any —
-/// used to phrase the missing-return-value note.
-fn last_call_on_path(program: &Program, cfg: &RoutineCfg, witness: &[u32]) -> Option<String> {
+/// The callee of the last call block on the witness path, if any — the
+/// one the missing-return-value note names.
+fn last_call_on_path(cfg: &RoutineCfg, witness: &[u32]) -> Option<Callee> {
     for &addr in witness.iter().rev() {
         let b = cfg.block_containing(addr)?;
         if let TermKind::Call { target, .. } = cfg.block(b).term() {
             return Some(match target {
-                CallTarget::Direct(callee, _) => program.routine(*callee).name().to_string(),
-                CallTarget::IndirectKnown(list) => {
-                    let (callee, _) = list.first()?;
-                    program.routine(*callee).name().to_string()
-                }
-                CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => {
-                    "an indirect callee".to_string()
-                }
+                CallTarget::Direct(callee, _) => Callee::Routine(*callee),
+                CallTarget::IndirectKnown(list) => Callee::Routine(list.first()?.0),
+                CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => Callee::Indirect,
             });
         }
     }
@@ -304,23 +299,14 @@ fn check_one(
                     BlockId::from_index(bi),
                     |b| gen[b.index()].contains(reg),
                 );
-                let mut d = Diagnostic::new(
-                    Check::UninitRead,
-                    routine.name(),
-                    format!("register {reg} may be read before it is initialized"),
-                );
-                d.addr = Some(addr);
+                let mut d = Diagnostic::new(Check::UninitRead, Some(rid), Some(addr));
                 d.reg = Some(reg);
-                if ret_regs.contains(reg) {
-                    if let Some(callee) = last_call_on_path(program, rcfg, &path) {
-                        d.note = Some(format!(
-                            "return value expected from the call to {callee}, \
-                             which does not always define {reg}"
-                        ));
-                    }
-                }
-                d.witness = path;
-                report.push(d);
+                let note = if ret_regs.contains(reg) {
+                    last_call_on_path(rcfg, &path).map_or(Note::None, Note::ReturnValue)
+                } else {
+                    Note::None
+                };
+                report.push_detailed(d, Operands::None, &path, note);
             }
             defined |= insn.defs();
         }
@@ -444,8 +430,9 @@ mod tests {
 
         let mut report = LintReport::default();
         check(&program, &analysis, &callgraph, &mut report);
+        report.finish(|r| program.routine(r).name());
         let flagged: Vec<_> =
-            report.diagnostics().iter().map(|d| (d.routine.as_str(), d.reg)).collect();
+            report.diagnostics().iter().map(|d| (report.routine(d), d.reg)).collect();
         assert_eq!(flagged, vec![("b", Some(Reg::T0))]);
     }
 }

@@ -641,7 +641,7 @@ mod tests {
             spike_synth::generate_executable_with_defect(7, 5, spike_synth::DefectKind::UninitRead);
         let rname = {
             let report = spike_lint::lint(&defective);
-            report.diagnostics()[0].routine.clone()
+            report.routine(&report.diagnostics()[0]).to_string()
         };
         let q = req(Command::Query { kind: QueryKind::Uninit, routine: rname, callee: None });
         let (resp, _) = h.handle(&q, &defective.to_image(), &far_deadline());

@@ -309,16 +309,8 @@ pub fn lint_report(image_name: &str, report: &LintReport, format: LintFormat) ->
             out
         }
         LintFormat::Human => {
-            let mut out = String::new();
-            for d in report.diagnostics() {
-                let _ = writeln!(out, "{d}");
-            }
-            let _ = writeln!(
-                out,
-                "{image_name}: {} error(s), {} warning(s)",
-                report.errors(),
-                report.warnings()
-            );
+            let mut out = report.to_human(Some(image_name));
+            out.push('\n');
             out
         }
     }

@@ -19,7 +19,7 @@ fn assert_profile_clean(name: &str, scale: f64) {
             errors.is_empty(),
             "{name} (scale {scale}, seed {seed}): {} error finding(s), e.g. {}",
             errors.len(),
-            errors[0]
+            report.line(errors[0])
         );
     }
 }

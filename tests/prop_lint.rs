@@ -63,9 +63,9 @@ proptest! {
         prop_assert!(
             report.diagnostics().iter().any(|f| {
                 f.check == Check::UninitRead
-                    && f.routine == d.routine
+                    && report.routine(f) == d.routine
                     && f.reg == Some(d.reg)
-                    && !f.witness.is_empty()
+                    && !report.witness(f).is_empty()
             }),
             "injected uninit read of {} in {} not flagged (seed {}); findings: {:?}",
             d.reg, d.routine, seed, report.diagnostics()
@@ -95,7 +95,7 @@ proptest! {
         prop_assert!(
             report.diagnostics().iter().any(|f| {
                 f.check == Check::CalleeSavedClobber
-                    && f.routine == d.routine
+                    && report.routine(f) == d.routine
                     && f.reg == Some(d.reg)
             }),
             "injected clobber of {} in {} not flagged (seed {}); findings: {:?}",

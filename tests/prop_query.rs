@@ -14,6 +14,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use spike::core::{analyze_with, AnalysisCache, AnalysisOptions, Query, QueryAnswer, QueryStats};
+use spike::lint::{Diagnostic, LintReport};
 use spike::program::{Program, RoutineId};
 
 /// All sixteen Table-2 profiles, scaled to ~20 routines so that 16 cases
@@ -148,10 +149,19 @@ proptest! {
             let (solo, _) = cache.with_uninit_facts(&program, |cfg, summary| {
                 spike::lint::uninit_routine(&program, cfg, summary, rid)
             });
-            let expected: Vec<_> =
-                full.diagnostics().iter().filter(|d| d.routine == r.name()).collect();
+            // A finding's record and its rendered line: the line holds its
+            // message, witness and note.
+            let finding = |report: &LintReport, d: &Diagnostic| {
+                (d.check, d.severity, d.routine, d.addr, d.reg, d.slot, report.line(d))
+            };
+            let expected: Vec<_> = full
+                .diagnostics()
+                .iter()
+                .filter(|d| full.routine(d) == r.name())
+                .map(|d| finding(&full, d))
+                .collect();
             prop_assert_eq!(
-                solo.diagnostics().iter().collect::<Vec<_>>(),
+                solo.diagnostics().iter().map(|d| finding(&solo, d)).collect::<Vec<_>>(),
                 expected,
                 "routine {}",
                 r.name()

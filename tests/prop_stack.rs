@@ -96,7 +96,7 @@ proptest! {
             .iter()
             .filter(|d| d.severity == Severity::Error)
             .collect();
-        prop_assert!(errors.is_empty(), "not lint-clean: {}", errors[0]);
+        prop_assert!(errors.is_empty(), "not lint-clean: {}", report.line(errors[0]));
 
         let Outcome::Halted { output: plain, steps: plain_steps } = run(&p, FUEL) else {
             panic!("generated executables must halt");
@@ -119,15 +119,15 @@ proptest! {
             generate_executable_with_defect(seed, size, DefectKind::UninitStackSlotRead);
         let report = lint(&p);
         let hit = report.diagnostics().iter().find(|f| {
-            f.check == Check::UninitStackRead && f.routine == d.routine && f.slot == d.slot
+            f.check == Check::UninitStackRead && report.routine(f) == d.routine && f.slot == d.slot
         });
         prop_assert!(
             hit.is_some(),
             "uninit slot read in {} at {:?} not flagged; got {:?}",
             d.routine, d.slot,
-            report.diagnostics().iter().map(|f| f.to_string()).collect::<Vec<_>>()
+            report.diagnostics().iter().map(|f| report.line(f)).collect::<Vec<_>>()
         );
-        prop_assert!(!hit.unwrap().witness.is_empty(), "no witness path");
+        prop_assert!(!report.witness(hit.unwrap()).is_empty(), "no witness path");
 
         match run_shadow_slots(&p, FUEL) {
             Outcome::Fault(Fault::UninitStackRead { routine, offset, .. }) => {
@@ -146,13 +146,13 @@ proptest! {
         let (p, d) = generate_executable_with_defect(seed, size, DefectKind::OutOfFrameStore);
         let report = lint(&p);
         let hit = report.diagnostics().iter().any(|f| {
-            f.check == Check::OutOfFrameAccess && f.routine == d.routine && f.slot == d.slot
+            f.check == Check::OutOfFrameAccess && report.routine(f) == d.routine && f.slot == d.slot
         });
         prop_assert!(
             hit,
             "out-of-frame store in {} at {:?} not flagged; got {:?}",
             d.routine, d.slot,
-            report.diagnostics().iter().map(|f| f.to_string()).collect::<Vec<_>>()
+            report.diagnostics().iter().map(|f| report.line(f)).collect::<Vec<_>>()
         );
 
         match run_shadow_slots(&p, FUEL) {
