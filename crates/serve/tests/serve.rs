@@ -483,3 +483,45 @@ fn a_misrouted_lint_returns_the_local_report_bytes() {
 fn key_of(image: &[u8]) -> spike_serve::cache::CacheKey {
     spike_serve::cache::CacheKey::of(image)
 }
+
+#[test]
+fn a_lint_with_witness_paths_and_notes_is_byte_identical_through_the_daemon() {
+    // Findings whose text comes from the report's side and name tables:
+    // an uninit read with a witness path and a missing-return-value note
+    // naming a callee whose name needs escaping, a clobber demoted by an
+    // unknown jump (its note), and an orphan with a control character.
+    let mut b = ProgramBuilder::new();
+    b.routine("main").call("g").call("f\"\\").use_reg(Reg::V0).halt();
+    b.routine("f\"\\").def(Reg::T0).ret();
+    b.routine("g")
+        .def(Reg::T0)
+        .cond(spike_isa::BranchCond::Eq, Reg::T0, "away")
+        .def(Reg::S0)
+        .ret()
+        .label("away")
+        .insn(spike_isa::Instruction::Jmp { base: Reg::T0 });
+    b.routine("orphan\t\u{1}é").ret();
+    let program = b.build().expect("valid program");
+    let image = program.to_image();
+    let analysis = spike_core::analyze_with(&program, &AnalysisOptions::default());
+    let report = spike_lint::lint_with(&program, &analysis, &spike_lint::LintOptions::default());
+
+    let (server, endpoint) = start(|_| {});
+    for format in [LintFormat::Human, LintFormat::Json] {
+        let expected = render::lint_report("n\"q.img", &report, format);
+        let r = send(&endpoint, &req(Command::Lint { format }, "n\"q.img"), &image);
+        assert_eq!(r.error, None);
+        assert_eq!(r.exit, 1, "the uninit read is an error");
+        assert_eq!(r.stdout.as_bytes(), expected.as_bytes(), "{format:?} report diverged");
+    }
+    let human = render::lint_report("n\"q.img", &report, LintFormat::Human);
+    for part in [
+        "(path: ",
+        "note: return value expected from the call to f\"\\,",
+        "note: demoted to a warning",
+        "orphan\t\u{1}é",
+    ] {
+        assert!(human.contains(part), "missing {part:?} in:\n{human}");
+    }
+    stop(server, &endpoint);
+}
