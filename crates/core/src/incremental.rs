@@ -206,19 +206,6 @@ impl AnalysisCache {
         (query_analysis(a, program, query), QueryStats::of_run(&a.stats))
     }
 
-    /// Runs `f` on the control-flow graphs and summaries the
-    /// single-routine uninitialized-read check (`spike-lint`'s
-    /// `uninit_routine`) reads, after the same register-only solve a
-    /// cold [`query`](Self::query) runs.
-    pub fn with_uninit_facts<R>(
-        &mut self,
-        program: &Program,
-        f: impl FnOnce(&ProgramCfg, &ProgramSummary) -> R,
-    ) -> (R, QueryStats) {
-        let facts = self.reanalyze_registers(program, &[]);
-        (f(facts.cfg, facts.summary), QueryStats::of_run(facts.stats))
-    }
-
     /// Re-analyzes `program` after an edit that changed (at most) the
     /// routines in `dirty`, reusing the cached front-end structures and
     /// converged dataflow values of every clean routine. All layers: the

@@ -17,9 +17,8 @@ use crate::analysis::AnalysisStats;
 /// One question about the analyzed program.
 ///
 /// The single-routine uninitialized-read check is a fourth kind of
-/// question, but it lives in `spike-lint`; see
-/// [`AnalysisCache::with_uninit_facts`](crate::AnalysisCache::with_uninit_facts)
-/// for the entry point that hands the lint check the facts it reads.
+/// question, but it lives in `spike-lint` (`uninit_routine`), which
+/// reads an [`Analysis`](crate::Analysis)'s `cfg` and `summary`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Query {
     /// The routine's phase-1 entry summary: `call-used`,

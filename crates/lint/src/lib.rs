@@ -155,9 +155,7 @@ pub fn lint_with(program: &Program, analysis: &Analysis, options: &LintOptions) 
 /// The must-defined fixpoint converges over `routine`'s transitive
 /// caller closure only, and only `routine`'s reads are flagged — the
 /// findings are exactly the whole-program [`lint_with`] uninit findings
-/// for that routine. `summary` and `cfg` are the program's analysis;
-/// [`spike_core::AnalysisCache::with_uninit_facts`] hands them over
-/// after solving the register layers only:
+/// for that routine. `summary` and `cfg` are the program's analysis:
 ///
 /// ```
 /// use spike_isa::Reg;
@@ -169,10 +167,8 @@ pub fn lint_with(program: &Program, analysis: &Analysis, options: &LintOptions) 
 /// let program = b.build()?;
 /// let main = program.routine_by_name("main").unwrap();
 ///
-/// let mut cache = spike_core::AnalysisCache::new(spike_core::AnalysisOptions::default());
-/// let (report, _) = cache.with_uninit_facts(&program, |cfg, summary| {
-///     spike_lint::uninit_routine(&program, cfg, summary, main)
-/// });
+/// let analysis = spike_core::analyze(&program);
+/// let report = spike_lint::uninit_routine(&program, &analysis.cfg, &analysis.summary, main);
 /// assert_eq!(report.errors(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```

@@ -205,7 +205,7 @@ impl Router {
         let addr = listener.local_addr()?;
         let ring = Arc::new(Ring::new(options.shards.clone()));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(RelayQueue::new(options.workers.max(1) * 16));
+        let queue = Arc::new(crate::server::Queue::new(options.workers.max(1) * 16));
         let mut threads = Vec::new();
 
         {
@@ -262,14 +262,7 @@ impl Router {
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the acceptor parked in `accept`.
-        let mut addr = self.addr;
-        if addr.ip().is_unspecified() {
-            addr.set_ip(match addr {
-                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
+        crate::server::wake_listener(self.addr);
     }
 
     /// Waits for the acceptor and every relay in flight to finish.
@@ -289,52 +282,6 @@ impl Router {
             thread::sleep(Duration::from_millis(250));
         }
         self.join();
-    }
-}
-
-/// The router's bounded accept-to-relay handoff (same shape as the
-/// daemon's queue, but over raw TCP streams).
-struct RelayQueue {
-    inner: std::sync::Mutex<std::collections::VecDeque<TcpStream>>,
-    ready: std::sync::Condvar,
-    capacity: usize,
-}
-
-impl RelayQueue {
-    fn new(capacity: usize) -> RelayQueue {
-        RelayQueue {
-            inner: std::sync::Mutex::new(std::collections::VecDeque::new()),
-            ready: std::sync::Condvar::new(),
-            capacity,
-        }
-    }
-
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut q = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if q.len() >= self.capacity {
-            return Err(stream);
-        }
-        q.push_back(stream);
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    fn pop(&self, shutdown: &AtomicBool) -> Option<TcpStream> {
-        let mut q = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if let Some(stream) = q.pop_front() {
-                return Some(stream);
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(q, Duration::from_millis(250))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            q = guard;
-        }
     }
 }
 

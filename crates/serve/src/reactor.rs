@@ -244,7 +244,7 @@ fn reject(mut conn: Conn, kind: ErrorKind, msg: String) {
 pub(crate) fn spawn_reactor(
     listeners: Vec<Listener>,
     shutdown: Arc<AtomicBool>,
-    queue: Arc<Queue>,
+    queue: Arc<Queue<Work>>,
     metrics: Arc<Metrics>,
     max_frame_bytes: usize,
 ) -> io::Result<JoinHandle<()>> {
@@ -262,7 +262,7 @@ fn run(
     epoll: Epoll,
     listeners: Vec<Listener>,
     shutdown: &AtomicBool,
-    queue: &Queue,
+    queue: &Queue<Work>,
     metrics: &Metrics,
     max_frame_bytes: usize,
 ) {

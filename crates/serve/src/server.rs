@@ -164,42 +164,43 @@ pub(crate) enum Work {
     Frame(Conn, Json, Vec<u8>),
 }
 
-/// The bounded handoff between acceptors (or the reactor) and workers.
-pub(crate) struct Queue {
-    inner: Mutex<VecDeque<Work>>,
+/// The bounded handoff between acceptors (or the reactor) and workers,
+/// and between the cluster router's acceptor and its relays.
+pub(crate) struct Queue<T> {
+    inner: Mutex<VecDeque<T>>,
     ready: Condvar,
     capacity: usize,
 }
 
-impl Queue {
-    fn new(capacity: usize) -> Queue {
+impl<T> Queue<T> {
+    pub(crate) fn new(capacity: usize) -> Queue<T> {
         Queue { inner: Mutex::new(VecDeque::new()), ready: Condvar::new(), capacity }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Work>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Enqueues unless full; reports the depth after the push.
-    pub(crate) fn push(&self, work: Work) -> Result<usize, Work> {
+    pub(crate) fn push(&self, item: T) -> Result<usize, T> {
         let mut q = self.lock();
         if q.len() >= self.capacity {
-            return Err(work);
+            return Err(item);
         }
-        q.push_back(work);
+        q.push_back(item);
         let depth = q.len();
         drop(q);
         self.ready.notify_one();
         Ok(depth)
     }
 
-    /// Pops the next work item; `None` once `shutdown` is set and the
-    /// queue is empty (the drain guarantee: accepted work is finished).
-    fn pop(&self, shutdown: &AtomicBool) -> Option<Work> {
+    /// Pops the next item; `None` once `shutdown` is set and the queue
+    /// is empty (the drain guarantee: accepted work is finished).
+    pub(crate) fn pop(&self, shutdown: &AtomicBool) -> Option<T> {
         let mut q = self.lock();
         loop {
-            if let Some(work) = q.pop_front() {
-                return Some(work);
+            if let Some(item) = q.pop_front() {
+                return Some(item);
             }
             if shutdown.load(Ordering::SeqCst) {
                 return None;
@@ -211,6 +212,19 @@ impl Queue {
             q = guard;
         }
     }
+}
+
+/// Connects to our own TCP listener at `addr` (an unspecified address
+/// means localhost) and drops the connection, so an acceptor parked in
+/// `accept` wakes and re-checks its shutdown flag.
+pub(crate) fn wake_listener(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
 }
 
 /// Binds a TCP listener with a listen backlog of 1024. std's
@@ -609,14 +623,8 @@ impl Server {
     /// throwaway connections are accepted, queued, and drain as
     /// immediate-EOF requests.
     fn wake_acceptors(&self) {
-        if let Some(mut addr) = self.tcp_addr {
-            if addr.ip().is_unspecified() {
-                addr.set_ip(match addr {
-                    SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                    SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-                });
-            }
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
+        if let Some(addr) = self.tcp_addr {
+            wake_listener(addr);
         }
         #[cfg(unix)]
         if let Some(path) = &self.unix_path {
@@ -673,7 +681,7 @@ impl Server {
 fn spawn_acceptor(
     name: &str,
     shutdown: Arc<AtomicBool>,
-    queue: Arc<Queue>,
+    queue: Arc<Queue<Work>>,
     metrics: Arc<Metrics>,
     mut accept: impl FnMut() -> io::Result<Conn> + Send + 'static,
 ) -> JoinHandle<()> {

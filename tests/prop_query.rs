@@ -120,10 +120,10 @@ proptest! {
         }
     }
 
-    /// The single-routine `uninit` query on a cold cache finds exactly
-    /// the full lint pass's uninit findings for that routine — on
-    /// programs with a planted defect, so the equality is about real
-    /// findings, not just mutual emptiness.
+    /// The single-routine `uninit` query finds exactly the full lint
+    /// pass's uninit findings for that routine — on programs with a
+    /// planted defect, so the equality is about real findings, not just
+    /// mutual emptiness.
     #[test]
     fn uninit_query_matches_the_full_check(seed in any::<u64>()) {
         let (program, _) = spike::synth::generate_executable_with_defect(
@@ -131,10 +131,10 @@ proptest! {
             6,
             spike::synth::DefectKind::UninitRead,
         );
-        let options = AnalysisOptions::default();
+        let analysis = analyze_with(&program, &AnalysisOptions::default());
         let full = spike::lint::lint_with(
             &program,
-            &analyze_with(&program, &options),
+            &analysis,
             &spike::lint::LintOptions {
                 uninit: true,
                 clobber: false,
@@ -145,10 +145,8 @@ proptest! {
             },
         );
         for (rid, r) in program.iter() {
-            let mut cache = AnalysisCache::new(options.clone());
-            let (solo, _) = cache.with_uninit_facts(&program, |cfg, summary| {
-                spike::lint::uninit_routine(&program, cfg, summary, rid)
-            });
+            let solo =
+                spike::lint::uninit_routine(&program, &analysis.cfg, &analysis.summary, rid);
             // A finding's record and its rendered line: the line holds its
             // message, witness and note.
             let finding = |report: &LintReport, d: &Diagnostic| {
