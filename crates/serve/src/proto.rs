@@ -288,11 +288,6 @@ impl Command {
             Command::Shutdown => "shutdown",
         }
     }
-
-    /// Whether the request must carry an image in the frame blob.
-    pub fn wants_image(&self) -> bool {
-        !matches!(self, Command::Stats | Command::Shutdown)
-    }
 }
 
 /// One request: a command plus the metadata shared by all commands.
