@@ -7,13 +7,12 @@
 //! per-row allocations of a `Vec<Vec<_>>` buy nothing but allocator
 //! traffic and 24 bytes of header per row.
 
-use spike_isa::{CloneExact, HeapSize, Snap, SnapError, SnapReader, SnapWriter};
+use spike_isa::{CloneExact, HeapSize};
 
 /// A table of rows: row `i` is `items[offsets[i]..offsets[i + 1]]`.
 ///
 /// `offsets` always holds `rows + 1` non-decreasing values starting at 0
-/// and ending at `items.len()`; every constructor and the snapshot
-/// decoder keep that invariant.
+/// and ending at `items.len()`; every constructor keeps that invariant.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Csr<T> {
     pub(crate) offsets: Vec<u32>,
@@ -120,31 +119,6 @@ impl<T: CloneExact> CloneExact for Csr<T> {
     }
 }
 
-impl<T: Snap> Snap for Csr<T> {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.offsets.snap(w);
-        self.items.snap(w);
-    }
-
-    /// Decodes a table and checks its offsets: they start at 0, never
-    /// decrease, and end at the items length, so no row lookup on the
-    /// result can panic.
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let offsets: Vec<u32> = Snap::unsnap(r)?;
-        let items: Vec<T> = Snap::unsnap(r)?;
-        if offsets.first() != Some(&0) {
-            return Err(SnapError::Malformed("csr offsets do not start at 0"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SnapError::Malformed("csr offsets decrease"));
-        }
-        if offsets.last().map(|&o| o as usize) != Some(items.len()) {
-            return Err(SnapError::Malformed("csr offsets do not end at the items length"));
-        }
-        Ok(Csr { offsets, items })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,47 +140,10 @@ mod tests {
         assert_eq!(rows_of(&none), vec![Vec::<u32>::new(); 3]);
     }
 
-    fn encode(t: &Csr<u32>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        t.snap(&mut w);
-        w.into_bytes()
-    }
-
     #[test]
-    fn snap_roundtrips_and_clone_exact_keeps_the_charge() {
+    fn clone_exact_keeps_the_charge() {
         let t = Csr::from_pairs(3, [(1, 7), (1, 8), (0, 9)].into_iter());
-        let back = Csr::<u32>::unsnap(&mut SnapReader::new(&encode(&t))).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.heap_bytes(), t.heap_bytes());
+        assert_eq!(t.clone_exact(), t);
         assert_eq!(t.clone_exact().heap_bytes(), t.heap_bytes());
-    }
-
-    /// Offsets that would let a row lookup run out of bounds are refused
-    /// at decode time.
-    #[test]
-    fn bad_offsets_are_malformed() {
-        let craft = |offsets: Vec<u32>, items: Vec<u32>| {
-            let mut w = SnapWriter::new();
-            offsets.snap(&mut w);
-            items.snap(&mut w);
-            Csr::<u32>::unsnap(&mut SnapReader::new(&w.into_bytes()))
-        };
-        assert_eq!(
-            craft(vec![1, 2], vec![5, 6]),
-            Err(SnapError::Malformed("csr offsets do not start at 0"))
-        );
-        assert_eq!(
-            craft(vec![0, 2, 1, 2], vec![5, 6]),
-            Err(SnapError::Malformed("csr offsets decrease"))
-        );
-        assert_eq!(
-            craft(vec![0, 1], vec![5, 6]),
-            Err(SnapError::Malformed("csr offsets do not end at the items length"))
-        );
-        assert_eq!(
-            craft(Vec::new(), Vec::new()),
-            Err(SnapError::Malformed("csr offsets do not start at 0"))
-        );
-        assert!(craft(vec![0, 0, 2], vec![5, 6]).is_ok());
     }
 }

@@ -152,28 +152,6 @@ impl FlowArcs {
     pub fn rpo_ranks_backward(&self, roots: &[BlockId]) -> Vec<u32> {
         rpo_ranks(&self.preds, roots)
     }
-
-    /// Checks that the table fits a routine of `blocks` blocks: one row
-    /// per block in both directions, every item a block, and `rank` a
-    /// permutation of the block indices.
-    pub(crate) fn check(&self, blocks: usize) -> Result<(), &'static str> {
-        for table in [&self.succs, &self.preds] {
-            if table.rows() != blocks || table.items().iter().any(|b| b.index() >= blocks) {
-                return Err("flow arcs");
-            }
-        }
-        if self.rank.len() != blocks {
-            return Err("flow rank");
-        }
-        let mut seen = vec![false; blocks];
-        for &r in &self.rank {
-            match seen.get_mut(r as usize) {
-                Some(s) if !*s => *s = true,
-                _ => return Err("flow rank"),
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The flow table as the CFG once derived it from per-block successor

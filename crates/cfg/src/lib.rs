@@ -55,7 +55,6 @@ mod dom;
 mod flow;
 mod loops;
 mod program_cfg;
-mod snap;
 
 pub use block::{BasicBlock, BlockId, CallTarget, TermKind};
 pub use blockset::BlockSet;

@@ -125,56 +125,6 @@ impl ProgramCfg {
         c
     }
 
-    /// Checks that every block id and routine id the CFGs hold is in
-    /// range: each routine's flow table fits its blocks (one row per
-    /// block, every item a block, `rank` a permutation), its entrance,
-    /// exit, halt and unknown-jump ids and every call's `return_to` name
-    /// one of its blocks, and every call target names a routine. A
-    /// decoded snapshot is checked before any request reads it.
-    ///
-    /// # Errors
-    ///
-    /// Names the first table that does not fit.
-    pub fn check_tables(&self) -> Result<(), &'static str> {
-        let routines = self.cfgs.len();
-        for (i, cfg) in self.cfgs.iter().enumerate() {
-            if cfg.routine().index() != i {
-                return Err("routine order");
-            }
-            let n = cfg.blocks().len();
-            cfg.flow().check(n)?;
-            let ids = [
-                ("entries", cfg.entries()),
-                ("exits", cfg.exits()),
-                ("halts", cfg.halts()),
-                ("unknown jumps", cfg.unknown_jumps()),
-            ];
-            for (name, ids) in ids {
-                if ids.iter().any(|b| b.index() >= n) {
-                    return Err(name);
-                }
-            }
-            for b in cfg.blocks() {
-                if let TermKind::Call { target, return_to } = b.term() {
-                    if return_to.is_some_and(|rt| rt.index() >= n) {
-                        return Err("return_to");
-                    }
-                    let in_range = match target {
-                        CallTarget::Direct(rid, _) => rid.index() < routines,
-                        CallTarget::IndirectKnown(list) => {
-                            list.iter().all(|(rid, _)| rid.index() < routines)
-                        }
-                        CallTarget::IndirectUnknown | CallTarget::IndirectHinted { .. } => true,
-                    };
-                    if !in_range {
-                        return Err("call target");
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Total basic blocks (convenience for Table 2's "Basic Blocks").
     pub fn total_blocks(&self) -> usize {
         self.cfgs.iter().map(|c| c.blocks().len()).sum()
@@ -223,16 +173,6 @@ mod tests {
         // Known indirect: 2 call arcs + 2 return arcs. Unknown: 1 + 1.
         assert_eq!(c.call_arcs, 3);
         assert_eq!(c.return_arcs, 3);
-    }
-
-    #[test]
-    fn built_tables_fit_their_routines() {
-        for profile in spike_synth::profiles() {
-            let p = spike_synth::generate(&profile, 30.0 / profile.routines as f64, 1);
-            assert_eq!(ProgramCfg::build(&p).check_tables(), Ok(()), "{}", profile.name);
-        }
-        let p = spike_synth::generate_executable(3, 40);
-        assert_eq!(ProgramCfg::build(&p).check_tables(), Ok(()));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fs;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -47,7 +48,10 @@ commands:
         [--queue N] [--max-frame-bytes N] [--deadline-ms N]
         [--snapshot PATH] [--snapshot-interval-ms N]
         [--cluster A,B,C --shard-index I]
-                                                    run the analysis daemon
+                                                    run the analysis daemon;
+                                                    --snapshot keeps the cached
+                                                    images in PATH and re-analyzes
+                                                    them at the next start
   route --listen HOST:PORT --cluster A,B,C [--workers N] [--max-frame-bytes N]
                                                     run the cluster routing front
   client <cmd> [args] --connect <HOST:PORT|unix:PATH> [--deadline-ms N]
@@ -90,19 +94,31 @@ pub fn dispatch(args: &[String]) -> Result<ExitCode> {
         Some("client") => client(&args[1..]),
         Some("loadgen") => loadgen(&args[1..]).map(ok),
         Some("profiles") => {
+            let mut text = String::new();
             for p in spike_synth::profiles() {
-                println!(
-                    "{:<10} {:>7} routines {:>9} instructions  {}",
+                text += &format!(
+                    "{:<10} {:>7} routines {:>9} instructions  {}\n",
                     p.name, p.routines, p.instructions, p.description
                 );
             }
-            Ok(ExitCode::SUCCESS)
+            to_stdout(&text).map(ok)
         }
-        Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
-        }
+        Some("--help" | "-h" | "help") | None => to_stdout(USAGE).map(ok),
         Some(other) => Err(format!("unknown command `{other}`\n{USAGE}").into()),
+    }
+}
+
+/// Writes `text` to stdout. A reader that closes the pipe early (`spike
+/// disasm img | head -1`) ends the output quietly: the rest is dropped
+/// and the command keeps the exit code it computed. Any other write
+/// error is an I/O problem (exit 2).
+fn to_stdout(text: &str) -> Result<()> {
+    let mut stdout = io::stdout().lock();
+    match stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write stdout: {e}").into())
+        }
+        _ => Ok(()),
     }
 }
 
@@ -251,13 +267,13 @@ fn gen(args: &[String]) -> Result<()> {
     let program = spike_synth::generate(&profile, o.scale, o.seed);
     let out = o.out.ok_or("gen needs -o <img>")?;
     save(&program, out)?;
-    println!(
-        "wrote {out}: {} routines, {} instructions ({} at scale {})",
+    to_stdout(&format!(
+        "wrote {out}: {} routines, {} instructions ({} at scale {})\n",
         program.routines().len(),
         program.total_instructions(),
         name,
         o.scale
-    );
+    ))?;
     Ok(())
 }
 
@@ -267,11 +283,11 @@ fn gen_exec(args: &[String]) -> Result<()> {
         .map_err(|e| format!("cannot generate {} routines: {e}", o.routines))?;
     let out = o.out.ok_or("gen-exec needs -o <img>")?;
     save(&program, out)?;
-    println!(
-        "wrote {out}: {} routines, {} instructions (runnable)",
+    to_stdout(&format!(
+        "wrote {out}: {} routines, {} instructions (runnable)\n",
         program.routines().len(),
         program.total_instructions()
-    );
+    ))?;
     Ok(())
 }
 
@@ -284,11 +300,11 @@ fn asm(args: &[String]) -> Result<()> {
     let program = spike_asm::parse_asm(&text)?;
     let out = o.out.ok_or("asm needs -o <img>")?;
     save(&program, out)?;
-    println!(
-        "wrote {out}: {} routines, {} instructions",
+    to_stdout(&format!(
+        "wrote {out}: {} routines, {} instructions\n",
         program.routines().len(),
         program.total_instructions()
-    );
+    ))?;
     Ok(())
 }
 
@@ -299,8 +315,7 @@ fn disasm(args: &[String]) -> Result<()> {
     };
     let program = load(path)?;
     // The output is the assembler's input format: `spike asm` accepts it.
-    print!("{}", spike_asm::write_asm(&program));
-    Ok(())
+    to_stdout(&spike_asm::write_asm(&program))
 }
 
 fn cmd_run(args: &[String]) -> Result<()> {
@@ -311,9 +326,7 @@ fn cmd_run(args: &[String]) -> Result<()> {
     let program = load(path)?;
     match spike_sim::run(&program, o.fuel) {
         Outcome::Halted { output, steps } => {
-            for v in output {
-                println!("{v}");
-            }
+            to_stdout(&output.iter().map(|v| format!("{v}\n")).collect::<String>())?;
             eprintln!("halted after {steps} instructions");
             Ok(())
         }
@@ -357,14 +370,14 @@ fn cmd_profile(args: &[String]) -> Result<()> {
         Outcome::Fault(_) => "faulted",
         _ => "stopped",
     };
-    println!(
-        "wrote {out}: {} after {} instructions, {} call(s); {} run(s) recorded{}",
+    to_stdout(&format!(
+        "wrote {out}: {} after {} instructions, {} call(s); {} run(s) recorded{}\n",
         ending,
         exec.total_steps,
         exec.calls,
         profile.runs,
         if merged { " (merged)" } else { "" }
-    );
+    ))?;
     Ok(())
 }
 
@@ -403,8 +416,7 @@ fn dot(args: &[String]) -> Result<()> {
         ),
         None => None,
     };
-    print!("{}", analysis.psg.to_dot(&program, routine));
-    Ok(())
+    to_stdout(&analysis.psg.to_dot(&program, routine))
 }
 
 fn serve(args: &[String]) -> Result<()> {
@@ -492,9 +504,10 @@ fn loadgen(args: &[String]) -> Result<()> {
         "spike: {} ok, {} errors, p50 {} us, p95 {} us, p99 {} us",
         report.ok, report.errors, report.p50_us, report.p95_us, report.p99_us
     );
-    let mut out = String::new();
-    report.to_json().write(&mut out);
-    println!("{out}");
+    let mut json = String::new();
+    report.to_json().write(&mut json);
+    json.push('\n');
+    to_stdout(&json)?;
     if report.errors > 0 {
         return Err(format!("loadgen saw {} failed requests", report.errors).into());
     }
@@ -629,7 +642,7 @@ fn reply(request: &Request, response: &Response, image: &[u8]) -> Result<ExitCod
     if let Command::Optimize { out, .. } = &request.cmd {
         fs::write(out, image).map_err(|e| format!("cannot write {out}: {e}"))?;
     }
-    print!("{}", response.stdout);
+    to_stdout(&response.stdout)?;
     eprint!("{}", response.diag);
     Ok(ExitCode::from(response.exit))
 }

@@ -141,6 +141,37 @@ fn disasm_emits_reassemblable_text() {
     assert_eq!(std::fs::read(&img).unwrap(), std::fs::read(&img2).unwrap());
 }
 
+/// A reader that stops after one line (`spike disasm img | head -1`)
+/// ends the output quietly: no panic, no crash exit.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    use std::io::BufRead as _;
+    use std::process::Stdio;
+
+    let (_dir, img) = tmp("gcc.img");
+    let o = spike(&["gen", "gcc", "--scale", "0.05", "--seed", "1", "-o", &img]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    for args in [&["disasm", &img][..], &["analyze", &img, "--summaries"]] {
+        // More than a pipe buffer, so the writer is still writing when
+        // the reader goes away.
+        assert!(spike(args).stdout.len() > 64 << 10, "{args:?} must print over 64 KiB");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_spike-cli"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        let mut out = std::io::BufReader::new(child.stdout.take().unwrap());
+        out.read_line(&mut first).unwrap();
+        assert!(!first.is_empty(), "{args:?}: one line arrives");
+        drop(out);
+        let o = child.wait_with_output().unwrap();
+        assert_ne!(o.status.code(), Some(101), "{args:?}: {}", stderr(&o));
+        assert!(!stderr(&o).contains("panicked"), "{args:?}: {}", stderr(&o));
+    }
+}
+
 #[test]
 fn dot_emits_graphviz() {
     let (_dir, img) = tmp("dot.img");

@@ -56,7 +56,6 @@ mod incremental;
 pub mod json;
 mod psg;
 mod query;
-mod snap;
 mod stack;
 mod summary;
 pub mod worklist;
@@ -68,7 +67,6 @@ pub use callee_saved::saved_restored_registers;
 pub use incremental::{query_analysis, reanalyze, AnalysisCache};
 pub use psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, PsgStats, RoutineNodes};
 pub use query::{Query, QueryAnswer, QueryStats};
-pub use snap::options_fingerprint;
 pub use stack::{
     analyze_stack, reanalyze_stack, AccessKind, FrameModel, RoutineStack, Slot, SlotSet,
     StackAccess, StackAnalysis, StackStats, StackSummary,

@@ -386,53 +386,6 @@ impl Psg {
         self.live[n.index()]
     }
 
-    /// Checks what the phase solvers index by without a bounds argument:
-    /// every per-node array and adjacency table has one entry per node
-    /// (one row per edge for the call-return sources), and every id an
-    /// edge or a table names exists. A built PSG always passes; a decoded
-    /// snapshot is checked before anything solves over it.
-    ///
-    /// # Errors
-    ///
-    /// Names the first table that does not fit the graph.
-    pub fn check_tables(&self) -> Result<(), &'static str> {
-        let (n, m) = (self.nodes.len(), self.edges.len());
-        let per_node = [
-            self.pinned.len(),
-            self.uj_live.len(),
-            self.may_use.len(),
-            self.may_def.len(),
-            self.must_def.len(),
-            self.live.len(),
-        ];
-        if per_node.iter().any(|&len| len != n) {
-            return Err("node values");
-        }
-        if self.edges.iter().any(|e| e.from.index() >= n || e.to.index() >= n) {
-            return Err("edges");
-        }
-        let edge_tables = [
-            ("out_edges", &self.out_edges),
-            ("in_edges", &self.in_edges),
-            ("entry_cr_edges", &self.entry_cr_edges),
-        ];
-        for (name, table) in edge_tables {
-            if table.rows() != n || table.items().iter().any(|e| e.index() >= m) {
-                return Err(name);
-            }
-        }
-        let node_tables = [
-            ("cr_sources", &self.cr_sources, m),
-            ("return_exit_targets", &self.return_exit_targets, n),
-        ];
-        for (name, table, rows) in node_tables {
-            if table.rows() != rows || table.items().iter().any(|x| x.index() >= n) {
-                return Err(name);
-            }
-        }
-        Ok(())
-    }
-
     /// Aggregate size statistics (Tables 3–5).
     pub fn stats(&self) -> PsgStats {
         let mut s =

@@ -147,16 +147,6 @@ impl SlotSet {
         set
     }
 
-    /// Whether the set is one over a universe of `n` slots: it has the
-    /// representation [`SlotSet::empty`] gives that universe, and no slot
-    /// outside it.
-    fn fits(&self, n: usize) -> bool {
-        let universe = SlotSet::full(n);
-        std::mem::discriminant(&self.repr) == std::mem::discriminant(&universe.repr)
-            && self.words().len() == universe.words().len()
-            && self.words().iter().zip(universe.words()).all(|(w, u)| w & !u == 0)
-    }
-
     fn words(&self) -> &[u64] {
         match &self.repr {
             Repr::Inline(w) => std::slice::from_ref(w),
@@ -246,44 +236,6 @@ impl HeapSize for SlotSet {
 impl CloneExact for SlotSet {
     fn clone_exact(&self) -> Self {
         self.clone()
-    }
-}
-
-impl spike_isa::Snap for SlotSet {
-    fn snap(&self, w: &mut spike_isa::SnapWriter) {
-        match &self.repr {
-            Repr::Inline(word) => {
-                w.put_u8(0);
-                w.put_u64(*word);
-            }
-            Repr::Heap(v) => {
-                w.put_u8(1);
-                w.put_usize(v.len());
-                for &word in v.iter() {
-                    w.put_u64(word);
-                }
-            }
-        }
-    }
-    fn unsnap(r: &mut spike_isa::SnapReader<'_>) -> Result<Self, spike_isa::SnapError> {
-        let repr = match r.get_u8()? {
-            0 => Repr::Inline(r.get_u64()?),
-            1 => {
-                let len = r.get_usize()?;
-                // A heap set spans more than one word by construction,
-                // and every word costs eight payload bytes: bound the
-                // allocation by what is actually there.
-                if len < 2 {
-                    return Err(spike_isa::SnapError::Malformed("heap slot set under two words"));
-                }
-                if len > r.remaining() / 8 {
-                    return Err(spike_isa::SnapError::Truncated);
-                }
-                Repr::Heap((0..len).map(|_| r.get_u64()).collect::<Result<_, _>>()?)
-            }
-            _ => return Err(spike_isa::SnapError::Malformed("slot set tag")),
-        };
-        Ok(SlotSet { repr })
     }
 }
 
@@ -1181,76 +1133,6 @@ impl StackAnalysis {
         (count(|r| r.summary.opaque), count(|r| r.own.opaque))
     }
 
-    /// Checks what [`StackAnalysis::accesses`] and the [`SlotSet`]
-    /// operations index by without a bounds argument, against the CFGs
-    /// the layer was solved over: one routine per CFG, one entry per
-    /// block in each per-block table, every set sized for its routine's
-    /// slot universe, and the universe sorted by strictly increasing
-    /// offset. A solved layer always passes; a decoded snapshot is
-    /// checked before anything reads it.
-    ///
-    /// # Errors
-    ///
-    /// Names the first table that does not fit.
-    pub fn check_tables(&self, pcfg: &ProgramCfg) -> Result<(), &'static str> {
-        if self.routines.len() != pcfg.cfgs().len() {
-            return Err("routines");
-        }
-        for (rs, cfg) in self.routines.iter().zip(pcfg.cfgs()) {
-            let nb = cfg.blocks().len();
-            let n = rs.frame.slots.len();
-            if rs.frame.slots.windows(2).any(|w| w[0].entry_off >= w[1].entry_off) {
-                return Err("frame slots");
-            }
-            if rs.sp_disp_in.len() != nb {
-                return Err("sp_disp_in");
-            }
-            let sets = [("must_defined_in", &rs.must_defined_in), ("live_out", &rs.live_out)];
-            for (name, table) in sets {
-                if table.len() != nb || table.iter().any(|set| !set.fits(n)) {
-                    return Err(name);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that every SP access of every tracked block of a routine
-    /// whose frame did not escape lands on a slot of its frame, as
-    /// [`StackAnalysis::accesses`] and the block masks assume: true of a
-    /// solve, not of decoded tables. `pcfg`'s blocks must lie inside
-    /// `program`'s routines and pass [`StackAnalysis::check_tables`].
-    ///
-    /// # Errors
-    ///
-    /// The first routine with an access off its frame's slots (or a
-    /// displacement that overflows).
-    pub fn check_slots(&self, program: &Program, pcfg: &ProgramCfg) -> Result<(), RoutineId> {
-        let mut events = Vec::new();
-        for ((rid, routine), rs) in program.iter().zip(&self.routines) {
-            if rs.frame.escaped {
-                continue;
-            }
-            for (block, d0) in pcfg.routine_cfg(rid).blocks().iter().zip(&rs.sp_disp_in) {
-                let Some(d0) = *d0 else { continue };
-                events.clear();
-                scan_block(routine, block, &mut events);
-                let fits = events.iter().all(|ev| match *ev {
-                    SpEvent::Access { off, .. } => {
-                        d0.checked_add(off).and_then(|o| slot_index(&rs.frame.slots, o)).is_some()
-                    }
-                    SpEvent::Adjust { from, to } => {
-                        d0.checked_add(from).is_some() && d0.checked_add(to).is_some()
-                    }
-                });
-                if !fits {
-                    return Err(rid);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Every SP-relative access of `rid` with its converged dataflow
     /// facts, in address order. Empty for escaped routines (no access
     /// can be judged) and for blocks without a tracked displacement.
@@ -1450,8 +1332,7 @@ mod tests {
     }
 
     #[test]
-    fn frames_over_64_slots_use_the_heap_and_survive_a_snapshot() {
-        use spike_isa::{Snap, SnapReader, SnapWriter};
+    fn frames_over_64_slots_use_the_heap() {
         const SLOTS: i16 = 70;
         let mut b = ProgramBuilder::new();
         {
@@ -1474,20 +1355,6 @@ mod tests {
         assert_eq!(acc.len(), SLOTS as usize + 1);
         assert!(acc.last().expect("the load").defined_before);
         assert_eq!(acc.iter().filter(|a| !a.live_after).count(), SLOTS as usize - 1);
-
-        let mut w = SnapWriter::new();
-        stack.snap(&mut w);
-        let bytes = w.into_bytes();
-        let back = StackAnalysis::unsnap(&mut SnapReader::new(&bytes)).expect("decodes");
-        assert_eq!(back, stack);
-        assert_eq!(back.heap_bytes(), stack.heap_bytes());
-        // A heap set must span at least two words; anything else is not
-        // something `snap` writes.
-        let mut w = SnapWriter::new();
-        w.put_u8(1);
-        w.put_usize(1);
-        w.put_u64(0);
-        assert!(SlotSet::unsnap(&mut SnapReader::new(&w.into_bytes())).is_err());
     }
 
     fn analyze(b: &ProgramBuilder) -> (Program, ProgramCfg, StackAnalysis, StackStats) {

@@ -68,20 +68,16 @@ macro_rules! impl_clone_exact_for_copy {
     };
 }
 
-/// Declares a struct together with field-wise [`HeapSize`],
-/// [`CloneExact`] and [`Snap`](crate::Snap) impls, so its field list is
-/// written once.
+/// Declares a struct together with field-wise [`HeapSize`] and
+/// [`CloneExact`] impls, so its field list is written once.
 ///
 /// The struct is emitted exactly as written (attributes, doc comments,
-/// field visibility), and every impl walks the fields in declaration
-/// order. For `Snap` that order *is* the encoding: reordering the fields
-/// of a type that reaches a snapshot changes the payload layout and needs
-/// a format-version bump. Types whose representation is itself a format
-/// decision — tagged enums, id newtypes, packed sets — keep hand-written
-/// impls.
+/// field visibility), and both impls walk the fields in declaration
+/// order. Types with a representation of their own — tagged enums, id
+/// newtypes, packed sets — keep hand-written impls.
 ///
 /// ```
-/// use spike_isa::{CloneExact, HeapSize, RegSet, Snap, SnapReader, SnapWriter};
+/// use spike_isa::{CloneExact, HeapSize, RegSet};
 ///
 /// spike_isa::analysis_struct! {
 ///     /// Live registers and a scratch buffer.
@@ -94,11 +90,8 @@ macro_rules! impl_clone_exact_for_copy {
 ///
 /// let f = Frame { live: RegSet::ALL, scratch: Vec::with_capacity(4) };
 /// assert_eq!(f.heap_bytes(), 4 * 4);
+/// assert_eq!(f.clone_exact(), f);
 /// assert_eq!(f.clone_exact().scratch.capacity(), 4);
-/// let mut w = SnapWriter::new();
-/// f.snap(&mut w);
-/// let bytes = w.into_bytes();
-/// assert_eq!(Frame::unsnap(&mut SnapReader::new(&bytes)), Ok(f));
 /// ```
 #[macro_export]
 macro_rules! analysis_struct {
@@ -122,15 +115,6 @@ macro_rules! analysis_struct {
         impl $crate::CloneExact for $name {
             fn clone_exact(&self) -> Self {
                 $name { $($field: $crate::CloneExact::clone_exact(&self.$field),)* }
-            }
-        }
-
-        impl $crate::Snap for $name {
-            fn snap(&self, w: &mut $crate::SnapWriter) {
-                $($crate::Snap::snap(&self.$field, w);)*
-            }
-            fn unsnap(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
-                Ok($name { $($field: $crate::Snap::unsnap(r)?,)* })
             }
         }
     };

@@ -1,33 +1,27 @@
-//! `Snap`: a compact, versioned binary serialization for the analysis
-//! structures, built for warm-cache snapshots.
+//! `Snap`: the compact binary encoding of the two payloads the tools
+//! write to disk — a `spikprof` profile and the image list of a
+//! `spiksnap` warm-cache snapshot.
 //!
-//! The encoding has one unusual obligation that rules out every
-//! off-the-shelf format: it must round-trip **`Vec` capacities**, not
-//! just contents. [`HeapSize`](crate::HeapSize) charges capacity, the
-//! daemon's memory accounting is asserted bit-identical between
-//! incremental and from-scratch runs, and a restored snapshot entry is
-//! used as a re-analysis donor — so a `Vec` that comes back with a
-//! different capacity would change `memory_bytes` and trip the
-//! equality properties. `Vec<T>` therefore encodes as
-//! `(capacity, len, items…)` and decodes via `Vec::with_capacity`.
+//! `Vec<T>` encodes as `(capacity, len, items…)` and decodes through
+//! `Vec::with_capacity`. The capacity is on disk because the `spikprof`
+//! layout, pinned byte for byte since format 2, carries it; nothing
+//! charges memory by a decoded capacity (a snapshot restore re-analyzes
+//! its images), so the field is layout, not accounting.
 //!
 //! Everything else is deliberately plain: little-endian fixed-width
-//! integers, `u8` enum tags, no self-description. Integrity is the job
-//! of [`container`](crate::container) — snapshot and profile files carry
-//! a format version and a checksum over the whole payload ([`fnv128`],
+//! integers, no self-description. Integrity is the job of
+//! [`container`](crate::container) — snapshot and profile files carry a
+//! format version and a checksum over the whole payload ([`fnv128`],
 //! defined here), and decoding only runs after both check out. The
 //! decoder still never panics on malformed input (every read is
-//! bounds-checked and every tag validated), so a bad file costs an
-//! error, not the daemon.
-
-use std::time::Duration;
+//! bounds-checked), so a bad file costs an error, not the daemon.
 
 /// Errors a [`Snap`] decode can produce. Encoding is infallible.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapError {
     /// The buffer ended before the value did.
     Truncated,
-    /// A tag or invariant check failed; the payload names the field.
+    /// An invariant check failed; the payload names the field.
     Malformed(&'static str),
 }
 
@@ -57,16 +51,6 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -82,19 +66,9 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `usize` as a `u64`.
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
-    }
-
-    /// Appends raw bytes with no length prefix.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
     }
 }
 
@@ -145,25 +119,15 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     /// Reads a `u64` and narrows it to `usize`.
     pub fn get_usize(&mut self) -> Result<usize, SnapError> {
         usize::try_from(self.get_u64()?).map_err(|_| SnapError::Malformed("usize overflow"))
     }
-
-    /// Reads `n` raw bytes.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        self.take(n)
-    }
 }
 
-/// Binary snapshot encoding: writes to a [`SnapWriter`], reads back
-/// from a [`SnapReader`]. Round-trips values exactly, including `Vec`
-/// capacities (see the module docs for why that matters).
+/// Binary encoding: writes to a [`SnapWriter`], reads back from a
+/// [`SnapReader`]. Round-trips values exactly, including `Vec`
+/// capacities (see the module docs for why they are encoded).
 pub trait Snap: Sized {
     /// Appends this value's encoding to `w`.
     fn snap(&self, w: &mut SnapWriter);
@@ -172,21 +136,8 @@ pub trait Snap: Sized {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] when the buffer ends early,
-    /// [`SnapError::Malformed`] on an invalid tag or invariant.
+    /// [`SnapError::Malformed`] on a broken invariant.
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
-}
-
-impl Snap for bool {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(u8::from(*self));
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapError::Malformed("bool tag")),
-        }
-    }
 }
 
 impl Snap for u8 {
@@ -216,58 +167,6 @@ impl Snap for u64 {
     }
 }
 
-impl Snap for i64 {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_i64(*self);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.get_i64()
-    }
-}
-
-impl Snap for usize {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(*self);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.get_usize()
-    }
-}
-
-impl Snap for Duration {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.as_secs());
-        w.put_u32(self.subsec_nanos());
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let secs = r.get_u64()?;
-        let nanos = r.get_u32()?;
-        if nanos >= 1_000_000_000 {
-            return Err(SnapError::Malformed("duration nanos"));
-        }
-        Ok(Duration::new(secs, nanos))
-    }
-}
-
-impl<T: Snap> Snap for Option<T> {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            None => w.put_u8(0),
-            Some(v) => {
-                w.put_u8(1);
-                v.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::unsnap(r)?)),
-            _ => Err(SnapError::Malformed("option tag")),
-        }
-    }
-}
-
 impl<A: Snap, B: Snap> Snap for (A, B) {
     fn snap(&self, w: &mut SnapWriter) {
         self.0.snap(w);
@@ -275,17 +174,6 @@ impl<A: Snap, B: Snap> Snap for (A, B) {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok((A::unsnap(r)?, B::unsnap(r)?))
-    }
-}
-
-impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.0.snap(w);
-        self.1.snap(w);
-        self.2.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::unsnap(r)?, B::unsnap(r)?, C::unsnap(r)?))
     }
 }
 
@@ -362,58 +250,6 @@ impl<K: Snap + Ord, V: Snap> Snap for std::collections::BTreeMap<K, V> {
     }
 }
 
-impl Snap for String {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
-        w.put_bytes(self.as_bytes());
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let len = r.get_usize()?;
-        let bytes = r.get_bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Malformed("string utf-8"))
-    }
-}
-
-impl Snap for crate::Reg {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.index() as u8);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_u8()?;
-        if usize::from(n) >= crate::NUM_REGS {
-            return Err(SnapError::Malformed("register index"));
-        }
-        Ok(crate::Reg::from_index(usize::from(n)))
-    }
-}
-
-impl Snap for crate::RegSet {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.bits());
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::RegSet::from_bits(r.get_u64()?))
-    }
-}
-
-impl Snap for crate::MemWidth {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            crate::MemWidth::L => 0,
-            crate::MemWidth::Q => 1,
-            crate::MemWidth::T => 2,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(crate::MemWidth::L),
-            1 => Ok(crate::MemWidth::Q),
-            2 => Ok(crate::MemWidth::T),
-            _ => Err(SnapError::Malformed("mem width tag")),
-        }
-    }
-}
-
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 
@@ -442,7 +278,7 @@ pub fn fnv128(bytes: &[u8]) -> [u64; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CloneExact, HeapSize, MemWidth, Reg, RegSet};
+    use crate::{CloneExact, HeapSize};
 
     #[test]
     fn fnv_matches_the_published_vectors() {
@@ -466,44 +302,29 @@ mod tests {
 
     #[test]
     fn scalars_roundtrip() {
-        assert!(roundtrip(&true));
-        assert!(!roundtrip(&false));
         assert_eq!(roundtrip(&0xAB_u8), 0xAB);
         assert_eq!(roundtrip(&0xDEAD_BEEF_u32), 0xDEAD_BEEF);
         assert_eq!(roundtrip(&u64::MAX), u64::MAX);
-        assert_eq!(roundtrip(&-42_i64), -42);
-        assert_eq!(roundtrip(&12345_usize), 12345);
-        let d = Duration::new(7, 999_999_999);
-        assert_eq!(roundtrip(&d), d);
-        assert_eq!(roundtrip(&Some(9_u64)), Some(9));
-        assert_eq!(roundtrip(&None::<u64>), None);
-        assert_eq!(roundtrip(&"héllo".to_string()), "héllo");
-        assert_eq!(roundtrip(&Reg::A0), Reg::A0);
-        let set = RegSet::of(&[Reg::A0, Reg::V0, Reg::SP]);
-        assert_eq!(roundtrip(&set), set);
-        assert_eq!(roundtrip(&MemWidth::T), MemWidth::T);
+        assert_eq!(roundtrip(&(7_u32, 9_u32)), (7, 9));
     }
 
     #[test]
     fn vec_roundtrip_preserves_capacity() {
-        // A vector whose capacity exceeds its length — the shape eviction
-        // and incremental reuse leave behind — must come back with the
-        // same heap charge, not a shrunk-to-fit one.
+        // A vector whose capacity exceeds its length comes back with that
+        // capacity, not a shrunk-to-fit one.
         let mut v: Vec<u64> = Vec::with_capacity(32);
         v.extend([1, 2, 3]);
         let back = roundtrip(&v);
         assert_eq!(back, v);
         assert_eq!(back.capacity(), 32);
         assert_eq!(back.heap_bytes(), v.heap_bytes());
-        // And it matches what CloneExact produces, since the snapshot
-        // path must be indistinguishable from an in-memory deep copy.
         assert_eq!(back.capacity(), v.clone_exact().capacity());
     }
 
     #[test]
     fn nested_vec_roundtrip() {
         let mut inner = Vec::with_capacity(8);
-        inner.extend([RegSet::of(&[Reg::T0]), RegSet::new()]);
+        inner.extend([3_u8, 4]);
         let outer = vec![inner, Vec::with_capacity(4)];
         let back = roundtrip(&outer);
         assert_eq!(back, outer);
@@ -521,11 +342,6 @@ mod tests {
             let mut r = SnapReader::new(&bytes[..cut]);
             assert!(Vec::<u64>::unsnap(&mut r).is_err(), "cut at {cut} must not decode");
         }
-        // A bad enum tag errors rather than panicking.
-        let mut r = SnapReader::new(&[9]);
-        assert_eq!(MemWidth::unsnap(&mut r), Err(SnapError::Malformed("mem width tag")));
-        let mut r = SnapReader::new(&[7]);
-        assert_eq!(bool::unsnap(&mut r), Err(SnapError::Malformed("bool tag")));
         // An absurd capacity claim is refused before allocating.
         let mut w = SnapWriter::new();
         w.put_usize(usize::MAX);

@@ -145,21 +145,52 @@ pub fn fingerprint(bytes: &[u8]) -> [u64; 2] {
     spike_isa::fnv128(bytes)
 }
 
-spike_isa::analysis_struct! {
-    /// An execution profile bound to the program image it measured: a
-    /// fingerprint, a run count and the counters.
-    ///
-    /// Field order is the `spikprof` payload layout; `counts` encodes as
-    /// its own fields in order, so the nesting adds no bytes.
-    #[derive(Clone, PartialEq, Eq, Debug)]
-    pub struct Profile {
-        /// Content hash of the image the profile was collected from.
-        pub fingerprint: [u64; 2],
-        /// Number of runs merged into these counters (1 for a fresh
-        /// collection).
-        pub runs: u64,
-        /// The counters, summed over the merged runs.
-        pub counts: ExecutionProfile,
+/// An execution profile bound to the program image it measured: a
+/// fingerprint, a run count and the counters.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Profile {
+    /// Content hash of the image the profile was collected from.
+    pub fingerprint: [u64; 2],
+    /// Number of runs merged into these counters (1 for a fresh
+    /// collection).
+    pub runs: u64,
+    /// The counters, summed over the merged runs.
+    pub counts: ExecutionProfile,
+}
+
+/// The `spikprof` payload: the fingerprint, the run count, then the
+/// counters' fields in declaration order, so the nesting adds no bytes.
+impl Snap for Profile {
+    fn snap(&self, w: &mut SnapWriter) {
+        let c = &self.counts;
+        self.fingerprint.snap(w);
+        self.runs.snap(w);
+        c.steps_per_routine.snap(w);
+        c.entries_per_routine.snap(w);
+        c.calls.snap(w);
+        c.call_overhead_steps.snap(w);
+        c.total_steps.snap(w);
+        c.code_base.snap(w);
+        c.insn_counts.snap(w);
+        c.edges.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        // A struct expression evaluates its fields in the order written.
+        Ok(Profile {
+            fingerprint: Snap::unsnap(r)?,
+            runs: Snap::unsnap(r)?,
+            counts: ExecutionProfile {
+                steps_per_routine: Snap::unsnap(r)?,
+                entries_per_routine: Snap::unsnap(r)?,
+                calls: Snap::unsnap(r)?,
+                call_overhead_steps: Snap::unsnap(r)?,
+                total_steps: Snap::unsnap(r)?,
+                code_base: Snap::unsnap(r)?,
+                insn_counts: Snap::unsnap(r)?,
+                edges: Snap::unsnap(r)?,
+            },
+        })
     }
 }
 

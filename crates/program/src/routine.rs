@@ -25,15 +25,6 @@ impl RoutineId {
     }
 }
 
-impl spike_isa::Snap for RoutineId {
-    fn snap(&self, w: &mut spike_isa::SnapWriter) {
-        w.put_u32(self.0);
-    }
-    fn unsnap(r: &mut spike_isa::SnapReader<'_>) -> Result<Self, spike_isa::SnapError> {
-        Ok(RoutineId(r.get_u32()?))
-    }
-}
-
 impl fmt::Debug for RoutineId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "RoutineId({})", self.0)

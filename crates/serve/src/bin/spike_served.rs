@@ -17,9 +17,10 @@ usage: spike-served [--listen HOST:PORT] [--unix PATH] [--workers N]
 At least one of --listen / --unix is required. Runs until SIGTERM or a
 client sends the `shutdown` command; both drain gracefully and exit 0.
 
---snapshot restores the warm cache from PATH at startup (cold fallback
-on any mismatch) and writes a final snapshot on drain; with
---snapshot-interval-ms it also snapshots periodically while serving.
+--snapshot writes the cached images to PATH on drain and, at startup,
+re-analyzes the images PATH holds into a warm cache (cold fallback on
+any unreadable file); with --snapshot-interval-ms it also snapshots
+periodically while serving.
 --cluster/--shard-index join a sharded cluster: this instance owns its
 consistent-hash slice and forwards misrouted requests to the owner.
 ";

@@ -27,7 +27,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use spike_core::{analyze_with, Analysis, AnalysisCache, AnalysisOptions};
-use spike_isa::{CloneExact, HeapSize};
+use spike_isa::CloneExact;
 use spike_program::Program;
 
 use crate::diff::diff_for_reanalysis;
@@ -42,15 +42,10 @@ impl CacheKey {
         CacheKey(spike_isa::fnv128(bytes))
     }
 
-    /// The two 64-bit lanes, for serialization and for the cluster's
-    /// consistent-hash ring (which positions keys by the first lane).
+    /// The two 64-bit lanes, for the cluster's consistent-hash ring
+    /// (which positions keys by the first lane).
     pub const fn lanes(self) -> [u64; 2] {
         self.0
-    }
-
-    /// Rebuilds a key from its serialized lanes.
-    pub const fn from_lanes(lanes: [u64; 2]) -> CacheKey {
-        CacheKey(lanes)
     }
 }
 
@@ -90,11 +85,10 @@ pub struct AnalyzedProgram {
     pub program: Program,
     /// The converged interprocedural analysis.
     pub analysis: Analysis,
-    /// The raw image bytes. Retained because they are the canonical
-    /// program representation for warm-cache snapshots: a snapshot
-    /// stores `(image, analysis)` and re-parses the program on restore
-    /// (`Program::from_image` is deterministic), and the cluster router
-    /// hashes them for ownership checks.
+    /// The raw image bytes. Retained because they are all a warm-cache
+    /// snapshot stores of an entry: a restore re-parses the program and
+    /// re-derives the analysis from them (both are deterministic), and
+    /// the cluster router hashes them for ownership checks.
     pub image: Vec<u8>,
 }
 
@@ -344,12 +338,11 @@ impl ProgramStore {
         entries.into_iter().map(|(_, shared)| shared).collect()
     }
 
-    /// Installs one snapshot entry, warm. The snapshot loader has
-    /// already validated it (`snapshot::read`); the entry is charged the
-    /// heap its analysis holds.
+    /// Installs one entry a snapshot restore re-analyzed, warm, charged
+    /// as [`ProgramStore::get_or_analyze`] charges a miss.
     pub(crate) fn restore_entry(&self, entry: AnalyzedProgram) {
         let key = entry.key;
-        let bytes = entry.image.len() + entry.analysis.heap_bytes();
+        let bytes = entry.image.len() + entry.analysis.stats.memory_bytes;
         let shared = Arc::new(entry);
         let mut inner = self.lock();
         inner.tick += 1;

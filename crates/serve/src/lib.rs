@@ -30,9 +30,9 @@
 //!   warm sets), a stateless [`cluster::Router`] relays frames to the
 //!   owner byte-for-byte, and non-owner shards forward misroutes
 //!   themselves, so stdout is byte-identical whichever address serves.
-//! * [`snapshot`] — versioned, checksummed warm-cache persistence
-//!   (periodic and at drain; all-or-nothing restore with cold fallback),
-//!   so a plain restart starts warm.
+//! * [`snapshot`] — versioned, checksummed warm-cache persistence of the
+//!   cached images (periodic and at drain); a restore re-analyzes them,
+//!   all or nothing, with cold fallback, so a plain restart starts warm.
 //! * `reactor` (Linux) — an epoll event loop that reads frames from
 //!   nonblocking sockets and hands only complete requests to the worker
 //!   pool, letting one instance hold thousands of concurrent

@@ -62,10 +62,10 @@ pub struct ServeOptions {
     /// Ignored; the front end is serial. Kept so the `benchmark/`
     /// package compiles (`benchmark/src/serve.rs` sets it).
     pub analysis_threads: usize,
-    /// Warm-cache snapshot file. When set, the daemon restores the cache
-    /// from it at startup (falling back to cold on any mismatch or
-    /// corruption) and writes a final snapshot after draining, so a
-    /// plain restart starts warm.
+    /// Warm-cache snapshot file. When set, the daemon writes its cached
+    /// images there after draining and, at startup, re-analyzes the
+    /// images the file holds into a warm cache (falling back to cold on
+    /// any unreadable file), so a plain restart starts warm.
     pub snapshot: Option<PathBuf>,
     /// Also write the snapshot every this many milliseconds while
     /// serving, so a crash loses at most one interval of warmth.
@@ -417,7 +417,7 @@ impl Server {
         // the first request already sees the restored entries. Every
         // failure mode degrades to a cold start.
         let restored = match &options.snapshot {
-            Some(path) => match snapshot::restore(path, &store, store.options()) {
+            Some(path) => match snapshot::restore(path, &store) {
                 Ok(report) => {
                     eprintln!(
                         "spike-served: restored {} cached analyses ({} bytes) from {} in {} ms",
@@ -570,7 +570,7 @@ impl Server {
                             if last.elapsed() < interval {
                                 continue;
                             }
-                            if let Err(e) = snapshot::write(&path, &store, store.options()) {
+                            if let Err(e) = snapshot::write(&path, &store) {
                                 eprintln!(
                                     "spike-served: periodic snapshot to {} failed: {e}",
                                     path.display()
@@ -652,9 +652,9 @@ impl Server {
         // and the workers are gone, so this captures the final warm
         // state. A plain restart pointed at the same file starts warm.
         if let Some(path) = &self.snapshot_path {
-            match snapshot::write(path, &self.store, self.store.options()) {
+            match snapshot::write(path, &self.store) {
                 Ok((entries, bytes)) => eprintln!(
-                    "spike-served: wrote snapshot of {entries} cached analyses ({bytes} bytes) to {}",
+                    "spike-served: wrote snapshot of {entries} cached images ({bytes} bytes) to {}",
                     path.display()
                 ),
                 Err(e) => {

@@ -574,7 +574,7 @@ spike_isa::analysis_struct! {
     /// optimizer removed.
     ///
     /// Field order is the counter part of the `spikprof` payload layout
-    /// (`spike-profile` nests this struct).
+    /// (`spike-profile` encodes these fields in declaration order).
     #[derive(Clone, PartialEq, Eq, Debug, Default)]
     pub struct ExecutionProfile {
         /// Instructions executed per routine, indexed by routine id.

@@ -13,6 +13,10 @@
 //! change that only moves memory shows as a `memory_bytes=` diff with
 //! every hash unchanged.
 //!
+//! Per image it also checks the two memory walks against each other:
+//! the layers' `heap_bytes` sum to `stats.memory_bytes`, and a
+//! `clone_exact` fork holds exactly what its source holds.
+//!
 //! The hashes were first recorded with the sparse SCC-wave engine that
 //! was the default before the FIFO worklist became the only phase solver;
 //! they are the one check that spans that deletion. Regenerate only after
@@ -20,7 +24,7 @@
 //! `UPDATE_GOLDEN=1 cargo test --test analysis_golden`
 
 use spike::core::{analyze, Analysis};
-use spike::isa::RegSet;
+use spike::isa::{CloneExact, HeapSize, RegSet};
 use spike::program::Program;
 
 struct Fnv(u64);
@@ -41,7 +45,18 @@ impl Fnv {
 }
 
 fn line(name: &str, program: &Program) -> String {
-    let Analysis { psg, summary, stats, .. } = analyze(program);
+    let analysis = analyze(program);
+    let Analysis { psg, summary, stats, cfg, stack } = &analysis;
+    assert_eq!(
+        cfg.heap_bytes() + psg.heap_bytes() + summary.heap_bytes() + stack.heap_bytes(),
+        stats.memory_bytes,
+        "{name}: the layers' heap_bytes must sum to memory_bytes"
+    );
+    assert_eq!(
+        analysis.clone_exact().heap_bytes(),
+        analysis.heap_bytes(),
+        "{name}: a clone_exact fork must hold what its source holds"
+    );
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     h.word(psg.nodes().len() as u64);
     for i in 0..psg.nodes().len() {
