@@ -158,7 +158,12 @@ impl CallGraph {
 
     /// Aggregate statistics.
     pub fn stats(&self) -> CallGraphStats {
-        let sccs = self.sccs();
+        self.stats_over(&self.sccs())
+    }
+
+    /// [`stats`](Self::stats) over this graph's already computed
+    /// condensation.
+    pub fn stats_over(&self, sccs: &Sccs) -> CallGraphStats {
         let edges: usize = self.callees.iter().map(Vec::len).sum();
         let recursive_routines = (0..self.len())
             .filter(|&i| {
@@ -205,7 +210,7 @@ impl HeapSize for CallGraph {
 }
 
 /// Aggregate call-graph statistics.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CallGraphStats {
     /// Routine count.
     pub routines: usize,
@@ -222,6 +227,14 @@ pub struct CallGraphStats {
     /// Routines making unknown-target indirect calls.
     pub unknown_call_routines: usize,
 }
+
+impl HeapSize for CallGraphStats {
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
+spike_isa::impl_clone_exact_for_copy!(CallGraphStats);
 
 impl fmt::Display for CallGraphStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -122,6 +122,16 @@ fn to_stdout(text: &str) -> Result<()> {
     }
 }
 
+/// Writes `text` to stderr, the twin of [`to_stdout`] for diagnostics and
+/// the one way this binary writes there. A reader that closes the pipe
+/// early (`spike analyze img 2>&1 >/dev/null | true`) ends the
+/// diagnostics quietly and the command keeps the exit code it computed;
+/// so does any other write error, which there is nowhere left to report.
+pub(crate) fn to_stderr(text: &str) {
+    let mut stderr = io::stderr().lock();
+    let _ = stderr.write_all(text.as_bytes()).and_then(|()| stderr.flush());
+}
+
 /// Pulls `--flag value` pairs and positionals out of an argument list.
 struct Opts<'a> {
     positional: Vec<&'a str>,
@@ -327,7 +337,7 @@ fn cmd_run(args: &[String]) -> Result<()> {
     match spike_sim::run(&program, o.fuel) {
         Outcome::Halted { output, steps } => {
             to_stdout(&output.iter().map(|v| format!("{v}\n")).collect::<String>())?;
-            eprintln!("halted after {steps} instructions");
+            to_stderr(&format!("halted after {steps} instructions\n"));
             Ok(())
         }
         Outcome::OutOfFuel { .. } => Err(format!("did not halt within {} steps", o.fuel).into()),
@@ -359,7 +369,9 @@ fn cmd_profile(args: &[String]) -> Result<()> {
             profile.merge(&existing).map_err(|e| format!("cannot merge into {out}: {e}"))?;
             merged = true;
         } else {
-            eprintln!("spike: {out} was collected from a different image; replacing it");
+            to_stderr(&format!(
+                "spike: {out} was collected from a different image; replacing it\n"
+            ));
         }
     }
     profile.save(Path::new(&out)).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -447,10 +459,10 @@ fn serve(args: &[String]) -> Result<()> {
     spike_serve::server::install_sigterm_handler();
     let server = Server::start(&options)?;
     if let Some(addr) = server.tcp_addr() {
-        eprintln!("spike: serving on tcp {addr}");
+        to_stderr(&format!("spike: serving on tcp {addr}\n"));
     }
     if let Some(path) = &options.unix {
-        eprintln!("spike: serving on unix {}", path.display());
+        to_stderr(&format!("spike: serving on unix {}\n", path.display()));
     }
     // Returns once a `shutdown` command or SIGTERM drains the daemon;
     // all accepted requests have been answered.
@@ -478,7 +490,11 @@ fn route(args: &[String]) -> Result<()> {
     #[cfg(unix)]
     spike_serve::server::install_sigterm_handler();
     let router = spike_serve::Router::start(&options)?;
-    eprintln!("spike: routing on tcp {} over {} shard(s)", router.addr(), options.shards.len());
+    to_stderr(&format!(
+        "spike: routing on tcp {} over {} shard(s)\n",
+        router.addr(),
+        options.shards.len()
+    ));
     // Returns on SIGTERM; in-flight relays finish first.
     router.run_to_completion();
     Ok(())
@@ -494,16 +510,16 @@ fn loadgen(args: &[String]) -> Result<()> {
     let images: Vec<Vec<u8>> = (0..o.images.max(1))
         .map(|i| spike_synth::generate_executable(o.seed ^ i as u64, o.routines).to_image())
         .collect();
-    eprintln!(
-        "spike: loadgen {} connections ({} in flight) against {}",
+    to_stderr(&format!(
+        "spike: loadgen {} connections ({} in flight) against {}\n",
         options.connections, options.inflight, options.connect
-    );
+    ));
     let report = spike_serve::loadgen::run(&options, &images)
         .map_err(|e| -> Box<dyn Error> { format!("loadgen: {e}").into() })?;
-    eprintln!(
-        "spike: {} ok, {} errors, p50 {} us, p95 {} us, p99 {} us",
+    to_stderr(&format!(
+        "spike: {} ok, {} errors, p50 {} us, p95 {} us, p99 {} us\n",
         report.ok, report.errors, report.p50_us, report.p95_us, report.p99_us
-    );
+    ));
     let mut json = String::new();
     report.to_json().write(&mut json);
     json.push('\n');
@@ -636,13 +652,13 @@ fn request(sub: &str, o: &Opts) -> Result<(Request, Vec<u8>)> {
 /// exit code. An error response is `error: <message>` and exit 2.
 fn reply(request: &Request, response: &Response, image: &[u8]) -> Result<ExitCode> {
     if let Some((_, message)) = &response.error {
-        eprint!("{}", response.diag);
+        to_stderr(&response.diag);
         return Err(message.as_str().into());
     }
     if let Command::Optimize { out, .. } = &request.cmd {
         fs::write(out, image).map_err(|e| format!("cannot write {out}: {e}"))?;
     }
     to_stdout(&response.stdout)?;
-    eprint!("{}", response.diag);
+    to_stderr(&response.diag);
     Ok(ExitCode::from(response.exit))
 }

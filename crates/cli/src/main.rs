@@ -36,7 +36,7 @@ fn main() -> ExitCode {
     match commands::dispatch(&args) {
         Ok(code) => code,
         Err(e) => {
-            eprintln!("error: {e}");
+            commands::to_stderr(&format!("error: {e}\n"));
             ExitCode::from(2)
         }
     }

@@ -172,6 +172,45 @@ fn a_closed_stdout_ends_the_output_quietly() {
     }
 }
 
+/// A reader that has gone before the command writes its diagnostics
+/// (`spike analyze img 2>&1 >/dev/null | true`) ends them quietly: the
+/// command exits with its own code — 0, 1 for lint findings, 2 for the
+/// `error:` line — not 101.
+#[test]
+fn a_closed_stderr_keeps_the_commands_exit_code() {
+    use std::process::Stdio;
+
+    let (_dir, img) = tmp("exec.img");
+    let o = spike(&["gen-exec", "--seed", "3", "--routines", "6", "-o", &img]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let (_src_dir, src) = tmp("bad.s");
+    std::fs::write(&src, ".routine main\n    addq t0, t0, v0\n    putint\n    halt\n").unwrap();
+    let (_bad_dir, bad) = tmp("bad.img");
+    let o = spike(&["asm", &src, "-o", &bad]);
+    assert!(o.status.success(), "{}", stderr(&o));
+
+    let cases: [(&[&str], i32); 5] = [
+        (&["analyze", &img], 0),
+        (&["run", &img], 0),
+        (&["lint", &bad], 1),
+        (&["analyze", "/nonexistent/missing.img"], 2),
+        (&["frobnicate"], 2),
+    ];
+    for (args, code) in cases {
+        // The read end is dropped before the child starts, so every
+        // write to its stderr meets a closed pipe.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let o = Command::new(env!("CARGO_BIN_EXE_spike-cli"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::from(writer))
+            .output()
+            .expect("binary runs");
+        assert_eq!(o.status.code(), Some(code), "{args:?}");
+    }
+}
+
 #[test]
 fn dot_emits_graphviz() {
     let (_dir, img) = tmp("dot.img");

@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use spike_callgraph::{CallGraph, Sccs};
+use spike_callgraph::{CallGraph, CallGraphStats, Sccs};
 use spike_cfg::{ProgramCfg, RoutineCfg};
 use spike_isa::{CallingStandard, HeapSize, Reg, RegSet};
 use spike_program::{Program, RoutineId};
@@ -101,6 +101,57 @@ spike_isa::analysis_struct! {
         /// Bytes of analysis structures (CFGs + PSG + summaries), counted
         /// deterministically via [`HeapSize`].
         pub memory_bytes: usize,
+        /// `memory_bytes` split over the layers, each measured by its own
+        /// [`HeapSize`] when the run finished it; the layers sum to
+        /// `memory_bytes`.
+        pub layer_bytes: LayerBytes,
+        /// The call graph of the analyzed program, as the run that
+        /// analyzed it built it.
+        pub call_graph: CallGraphStats,
+        /// Registers whose phase-1/2 values this run re-solved: all 64
+        /// for a from-scratch run (and an incremental one that had to
+        /// rebuild the PSG), the registers whose equations an edit
+        /// changed for an incremental run that kept it, and 0 when no
+        /// equation changed and neither phase ran.
+        pub registers_resolved: usize,
+    }
+}
+
+spike_isa::analysis_struct! {
+    /// [`AnalysisStats::memory_bytes`] per layer, the paper's Table 2
+    /// yardstick split the way `spike analyze` prints it.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct LayerBytes {
+        /// The control-flow graphs.
+        pub cfg: usize,
+        /// The Program Summary Graph.
+        pub psg: usize,
+        /// The stack layer; 0 while it is unsolved or behind.
+        pub stack: usize,
+        /// The routine summaries.
+        pub summaries: usize,
+    }
+}
+
+impl LayerBytes {
+    /// Measures the register layers of a finished run; the stack layer is
+    /// added when it is solved ([`Analysis::catch_up_stack`]).
+    pub(crate) fn of_registers(
+        cfg: &ProgramCfg,
+        psg: &Psg,
+        summary: &ProgramSummary,
+    ) -> LayerBytes {
+        LayerBytes {
+            cfg: cfg.heap_bytes(),
+            psg: psg.heap_bytes(),
+            stack: 0,
+            summaries: summary.heap_bytes(),
+        }
+    }
+
+    /// The sum of the layers.
+    pub fn total(&self) -> usize {
+        self.cfg + self.psg + self.stack + self.summaries
     }
 }
 
@@ -166,7 +217,8 @@ impl Analysis {
         self.stats.stack_forward_visits = stats.forward_visits;
         self.stats.stack_backward_visits = stats.backward_visits;
         self.stats.stack_scans = stats.scans;
-        self.stats.memory_bytes += stack.heap_bytes();
+        self.stats.layer_bytes.stack = stack.heap_bytes();
+        self.stats.memory_bytes += self.stats.layer_bytes.stack;
         self.stack = stack;
     }
 }
@@ -228,7 +280,7 @@ pub fn analyze_with(program: &Program, options: &AnalysisOptions) -> Analysis {
 pub(crate) fn analyze_registers(program: &Program, options: &AnalysisOptions) -> (Analysis, Calls) {
     let front = FrontEnd::build(program);
     let calls = Calls::of(program, &front.cfg);
-    (solve_registers(program, front, options, &calls.sccs), calls)
+    (solve_registers(program, front, options, &calls), calls)
 }
 
 /// The call graph of one `(program, cfg)` and its condensation, built
@@ -244,6 +296,10 @@ impl Calls {
         let graph = CallGraph::build(program, cfg);
         let sccs = graph.sccs();
         Calls { graph, sccs }
+    }
+
+    pub fn stats(&self) -> CallGraphStats {
+        self.graph.stats_over(&self.sccs)
     }
 }
 
@@ -289,7 +345,7 @@ pub(crate) fn solve_registers(
     program: &Program,
     front: FrontEnd,
     options: &AnalysisOptions,
-    sccs: &Sccs,
+    calls: &Calls,
 ) -> Analysis {
     let FrontEnd { cfg, cfg_build, init, rebuilt } = front;
     let n_routines = program.routines().len();
@@ -299,7 +355,7 @@ pub(crate) fn solve_registers(
     let psg_build = t.elapsed();
 
     let t = Instant::now();
-    let seed_order = phase1_seed_order(sccs, &psg);
+    let seed_order = phase1_seed_order(&calls.sccs, &psg);
     let phase1_visits = run_phase1(&mut psg, &seed_order);
     let phase1 = t.elapsed();
 
@@ -309,7 +365,7 @@ pub(crate) fn solve_registers(
     let phase2 = t.elapsed();
 
     let summary = ProgramSummary::from_psg(&psg, options.calling_standard);
-    let memory_bytes = cfg.heap_bytes() + psg.heap_bytes() + summary.heap_bytes();
+    let layer_bytes = LayerBytes::of_registers(&cfg, &psg, &summary);
 
     Analysis {
         psg,
@@ -326,7 +382,10 @@ pub(crate) fn solve_registers(
             phase2_visits,
             routines_reanalyzed: rebuilt,
             routines_reused: n_routines - rebuilt,
-            memory_bytes,
+            memory_bytes: layer_bytes.total(),
+            layer_bytes,
+            call_graph: calls.stats(),
+            registers_resolved: RegSet::ALL.len(),
             ..AnalysisStats::default()
         },
     }

@@ -71,17 +71,22 @@ pub(crate) fn phase2_init_value(kind: NodeKind, uj_live: RegSet) -> RegSet {
 /// callers), which lets most call-return edges receive their final labels
 /// on the first visit.
 pub(crate) fn run_phase1(psg: &mut Psg, seed_order: &[NodeId]) -> usize {
-    run_phase1_seeded(psg, seed_order, None)
+    run_phase1_seeded(psg, seed_order, None, RegSet::ALL)
 }
 
-/// Phase 1 restricted to a *scope*: the one solver behind the
-/// from-scratch run (`scope: None`, every node) and incremental
-/// re-analysis (the reset subspace of `crate::incremental`).
+/// Phase 1 restricted to a *scope* and a register set: the one solver
+/// behind the from-scratch run (`scope: None`, every node, `regs` all
+/// registers) and incremental re-analysis (the reset subspace of
+/// `crate::incremental`, and the registers whose equations its edit
+/// changed).
 ///
-/// `seed_order` lists exactly the in-scope nodes. They are reinitialized
-/// and solved; every other node keeps its value, which the caller
-/// guarantees is final wherever the scope reads it. Two rules keep a
-/// scoped run inside its scope and still exact:
+/// `seed_order` lists exactly the in-scope nodes. Their `regs` bits are
+/// reinitialized and solved; every other bit of theirs, and every bit of
+/// every other node, keeps its value, which the caller guarantees is
+/// final wherever the scope reads it. Every transfer treats each register
+/// on its own (`∪`, `∩`, `−` of a fixed set), so a bit outside `regs`
+/// that is already a fixpoint stays one. Two rules keep a scoped run
+/// inside its scope and still exact:
 ///
 /// * **Pull.** Before iterating, every known-target call-return edge
 ///   whose *call node* is in scope is recomputed from its source entries,
@@ -97,6 +102,7 @@ pub(crate) fn run_phase1_seeded(
     psg: &mut Psg,
     seed_order: &[NodeId],
     scope: Option<&[bool]>,
+    regs: RegSet,
 ) -> usize {
     let n = psg.nodes.len();
     debug_assert!(
@@ -105,15 +111,16 @@ pub(crate) fn run_phase1_seeded(
         "the seed order must cover exactly the scope"
     );
     let in_scope = |i: usize| scope.is_none_or(|m| m[i]);
+    let reset = |value: RegSet, init: RegSet| (value - regs) | (init & regs);
 
     // Initialization; see `phase1_init_value` for the boundary rationale.
     for &node in seed_order {
         let i = node.index();
         debug_assert!(in_scope(i), "seeded node outside the scope");
         let (may_use, may_def, must_def) = phase1_init_value(psg.nodes[i], psg.uj_live[i]);
-        psg.may_use[i] = may_use;
-        psg.may_def[i] = may_def;
-        psg.must_def[i] = must_def;
+        psg.may_use[i] = reset(psg.may_use[i], may_use);
+        psg.may_def[i] = reset(psg.may_def[i], may_def);
+        psg.must_def[i] = reset(psg.must_def[i], must_def);
     }
     // The pull. Only call nodes own call-return edges, and only
     // known-target ones have sources.
@@ -280,13 +287,14 @@ fn recompute_cr_uses(psg: &mut Psg, e: crate::psg::EdgeId) -> bool {
 /// program entry, whose unseen callers are assumed to follow the calling
 /// standard). Returns the number of node evaluations.
 pub(crate) fn run_phase2(psg: &mut Psg, exit_seeds: &[(NodeId, RegSet)]) -> usize {
-    run_phase2_seeded(psg, exit_seeds, None)
+    run_phase2_seeded(psg, exit_seeds, None, RegSet::ALL)
 }
 
-/// Phase 2 restricted to a *scope*, the liveness twin of
-/// [`run_phase1_seeded`]: `None` is the from-scratch run; a mask
-/// reinitializes and solves only its nodes while every other node keeps
-/// its value. The caller guarantees that every return node broadcasting
+/// Phase 2 restricted to a *scope* and a register set, the liveness twin
+/// of [`run_phase1_seeded`]: `None` and all registers is the from-scratch
+/// run; a mask reinitializes and solves only the `regs` bits of its nodes
+/// while every other bit keeps its value. The caller guarantees that
+/// every return node broadcasting
 /// into an in-scope exit is either in scope itself or final (the
 /// incremental phase-2 mask is callee-closed), and that the call-return
 /// labels of in-scope call nodes are final.
@@ -301,6 +309,7 @@ pub(crate) fn run_phase2_seeded(
     psg: &mut Psg,
     exit_seeds: &[(NodeId, RegSet)],
     scope: Option<&[bool]>,
+    regs: RegSet,
 ) -> usize {
     let n = psg.nodes.len();
     debug_assert!(scope.is_none_or(|m| m.len() == n), "scope mask must cover every node");
@@ -308,7 +317,8 @@ pub(crate) fn run_phase2_seeded(
 
     for i in 0..n {
         if in_scope(i) {
-            psg.live[i] = phase2_init_value(psg.nodes[i], psg.uj_live[i]);
+            let init = phase2_init_value(psg.nodes[i], psg.uj_live[i]);
+            psg.live[i] = (psg.live[i] - regs) | (init & regs);
         }
     }
     for &(node, set) in exit_seeds {

@@ -28,14 +28,16 @@
 //!    the rebuilt dirty CFGs and the rebased clean ones go through the
 //!    PSG build and both phases from their initial values, the same tail
 //!    a from-scratch analysis runs.
-//! 3. **Seeded fixpoint** — with the PSG kept, phases 1–2 rerun over a
-//!    *reset subspace* (dirty routines plus everything their changes can
-//!    influence) while clean nodes keep their converged values. The
-//!    reset closures and the argument that this reproduces the
-//!    from-scratch solution exactly — bit-identical summaries,
-//!    `memory_bytes`, and PSG — are documented in DESIGN.md
-//!    ("Incremental re-analysis"); debug builds assert the equality
-//!    against an actual from-scratch run.
+//! 3. **Seeded fixpoint** — with the PSG kept, phases 1–2 rerun only
+//!    for the registers whose equations the patch changed (R), over a
+//!    *reset subspace* (the routines where they changed plus everything
+//!    those changes can influence), while every other bit keeps its
+//!    converged value; with R = ∅ neither phase runs. The reset
+//!    closures and the argument that this reproduces the from-scratch
+//!    solution exactly — bit-identical summaries, `memory_bytes`, and
+//!    PSG — are documented in DESIGN.md ("Incremental re-analysis");
+//!    debug builds assert the equality against an actual from-scratch
+//!    run.
 //! 4. **Stack layer, on demand** — only LICM, dead-stack-store
 //!    elimination, the lint and the daemon read it.
 //!    [`AnalysisCache::reanalyze_registers`] answers with the register
@@ -45,7 +47,7 @@
 //!    [`reanalyze_stack`](crate::reanalyze_stack) over that accumulated
 //!    set.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use spike_cfg::{ProgramCfg, RoutineCfg};
 use spike_isa::{HeapSize, RegSet};
@@ -53,7 +55,7 @@ use spike_program::{Program, RoutineId};
 
 use crate::analysis::{
     analyze_registers, exported_exit_seeds, phase1_seed_order, solve_registers, Analysis,
-    AnalysisOptions, AnalysisStats, Calls, FrontEnd, RegisterFacts,
+    AnalysisOptions, AnalysisStats, Calls, FrontEnd, LayerBytes, RegisterFacts,
 };
 use crate::build::{plan_routine_edges, plan_routine_nodes, RoutineEdgePlan};
 use crate::callee_saved::saved_restored_registers;
@@ -284,6 +286,8 @@ impl AnalysisCache {
             cached.stats = AnalysisStats {
                 routines_reused: n_routines,
                 memory_bytes: cached.stats.memory_bytes,
+                layer_bytes: cached.stats.layer_bytes,
+                call_graph: cached.stats.call_graph,
                 ..AnalysisStats::default()
             };
             self.state = Some(cached);
@@ -398,7 +402,7 @@ fn advance_register_layers(
     dirty: &[RoutineId],
 ) -> (Analysis, Calls) {
     let n_routines = program.routines().len();
-    let Analysis { mut psg, summary: _, stack, cfg, stats: _ } = cached;
+    let Analysis { mut psg, summary: cached_summary, stack, cfg, stats: _ } = cached;
 
     let mut dirty_mask = vec![false; n_routines];
     for &r in dirty {
@@ -410,6 +414,7 @@ fn advance_register_layers(
     let mut rebuilt: Vec<RoutineCfg> =
         dirty.iter().map(|&r| RoutineCfg::build_structure(program, r)).collect();
     let cfg_build = t.elapsed();
+    let mut delta = EquationDelta { regs: RegSet::EMPTY, routines: vec![false; n_routines] };
 
     // Detect a shape change early. The node plan needs block structure
     // only, so it is validated (and the cached node state patched) here:
@@ -418,8 +423,9 @@ fn advance_register_layers(
     // planned against. A vanished block behind the last call, branch and
     // halt block renumbers nothing a node names and passes.
     let t = Instant::now();
-    let mut same_shape =
-        rebuilt.iter().all(|c| patch_routine_nodes(&mut psg, program, c, options).is_ok());
+    let mut same_shape = rebuilt
+        .iter()
+        .all(|c| patch_routine_nodes(&mut psg, program, c, options, &mut delta).is_ok());
     let node_patch = t.elapsed();
 
     let t = Instant::now();
@@ -442,6 +448,7 @@ fn advance_register_layers(
     let init = t.elapsed();
     let cfg = ProgramCfg::from_cfgs(cfgs);
     let calls = Calls::of(program, &cfg);
+    let call_graph = calls.stats();
 
     // --- Patch the PSG's dirty routines in place (nodes: done above). ---
     let t = Instant::now();
@@ -451,7 +458,7 @@ fn advance_register_layers(
         same_shape = dirty.iter().all(|&r| {
             let plan = plan_routine_edges(&psg, cfg.routine_cfg(r), options, &mut scratch);
             let (lo, hi) = edge_ranges[r.index()];
-            patch_routine_edges(&mut psg, r, &plan, lo, hi).is_ok()
+            patch_routine_edges(&mut psg, r, &plan, lo, hi, &mut delta).is_ok()
         });
     }
     if !same_shape {
@@ -461,28 +468,45 @@ fn advance_register_layers(
         drop(psg);
         let failed_patch = node_patch + t.elapsed();
         let front = FrontEnd { cfg, cfg_build, init, rebuilt: dirty.len() };
-        let mut analysis = solve_registers(program, front, options, &calls.sccs);
+        let mut analysis = solve_registers(program, front, options, &calls);
         analysis.stats.psg_build += failed_patch;
         analysis.stack = stack;
         return (analysis, calls);
     }
     let psg_build = node_patch + t.elapsed();
+    // A comparable program keeps its exports and its entry, so the exit
+    // seeds are the ones the cached fixpoint already holds.
+    debug_assert!(
+        exported_exit_seeds(program, &psg, options)
+            .iter()
+            .all(|&(exit, live)| live.is_subset(psg.live[exit.index()])),
+        "an incremental run must not change the exported exit seeds"
+    );
 
-    // --- Seeded fixpoint over the reset subspace. ---
-    let t = Instant::now();
-    let (reset1, reset2) = reset_masks(&psg, &dirty_mask);
-    let seed: Vec<NodeId> =
-        phase1_seed_order(&calls.sccs, &psg).into_iter().filter(|n| reset1[n.index()]).collect();
-    let phase1_visits = run_phase1_seeded(&mut psg, &seed, Some(&reset1));
-    let phase1 = t.elapsed();
+    // --- Seeded fixpoint: the changed registers over the reset subspace. ---
+    // With no equation changed the cached values are the fixpoint, and
+    // so is the summary read from them.
+    let (mut phase1, mut phase2) = (Duration::ZERO, Duration::ZERO);
+    let (mut phase1_visits, mut phase2_visits) = (0, 0);
+    let summary = if delta.regs.is_empty() {
+        cached_summary
+    } else {
+        let t = Instant::now();
+        let (reset1, reset2) = reset_masks(&psg, &delta.routines);
+        let seed: Vec<NodeId> = phase1_seed_order(&calls.sccs, &psg)
+            .into_iter()
+            .filter(|n| reset1[n.index()])
+            .collect();
+        phase1_visits = run_phase1_seeded(&mut psg, &seed, Some(&reset1), delta.regs);
+        phase1 = t.elapsed();
 
-    let t = Instant::now();
-    let exit_seeds = exported_exit_seeds(program, &psg, options);
-    let phase2_visits = run_phase2_seeded(&mut psg, &exit_seeds, Some(&reset2));
-    let phase2 = t.elapsed();
-
-    let summary = ProgramSummary::from_psg(&psg, options.calling_standard);
-    let memory_bytes = cfg.heap_bytes() + psg.heap_bytes() + summary.heap_bytes();
+        let t = Instant::now();
+        let exit_seeds = exported_exit_seeds(program, &psg, options);
+        phase2_visits = run_phase2_seeded(&mut psg, &exit_seeds, Some(&reset2), delta.regs);
+        phase2 = t.elapsed();
+        ProgramSummary::from_psg(&psg, options.calling_standard)
+    };
+    let layer_bytes = LayerBytes::of_registers(&cfg, &psg, &summary);
 
     let analysis = Analysis {
         psg,
@@ -499,23 +523,51 @@ fn advance_register_layers(
             phase2_visits,
             routines_reanalyzed: dirty.len(),
             routines_reused: n_routines - dirty.len(),
-            memory_bytes,
+            memory_bytes: layer_bytes.total(),
+            layer_bytes,
+            call_graph,
+            registers_resolved: delta.regs.len(),
             ..AnalysisStats::default()
         },
     };
     (analysis, calls)
 }
 
+/// What a same-shape patch changed in the phase-1/2 equations: the
+/// registers whose equations differ (R) and the routines they differ in.
+/// Only the inputs of the equations count — flow-summary labels, static
+/// call-return labels, `uj_live`, §3.4 saved/restored sets and pinned
+/// flags — never a known-target call-return label, which phase 1 writes.
+struct EquationDelta {
+    regs: RegSet,
+    routines: Vec<bool>,
+}
+
+impl EquationDelta {
+    /// Records that an input of `routine`'s equations went from `old` to
+    /// `new`.
+    fn note(&mut self, routine: RoutineId, old: RegSet, new: RegSet) {
+        let changed = old ^ new;
+        if !changed.is_empty() {
+            self.regs |= changed;
+            self.routines[routine.index()] = true;
+        }
+    }
+}
+
 /// Re-plans one dirty routine's pass-1 nodes against its rebuilt CFG and
 /// patches the cached node state (pinned flags, unknown-jump hints, §3.4
-/// saved/restored set). The fresh plan must match the cached directory
-/// node-for-node — same count, same kinds, same blocks — or the routine's
-/// shape changed and the caller must rebuild from scratch.
+/// saved/restored set), noting every change in `delta`; a flipped pinned
+/// flag changes how the solver treats the node in every register. The
+/// fresh plan must match the cached directory node-for-node — same
+/// count, same kinds, same blocks — or the routine's shape changed and
+/// the caller must rebuild from scratch.
 fn patch_routine_nodes(
     psg: &mut Psg,
     program: &Program,
     cfg: &RoutineCfg,
     options: &AnalysisOptions,
+    delta: &mut EquationDelta,
 ) -> Result<(), ()> {
     let rid = cfg.routine();
     let planned = plan_routine_nodes(program, cfg, options);
@@ -541,30 +593,40 @@ fn patch_routine_nodes(
     }
 
     for (p, &id) in planned.iter().zip(&cached_ids) {
-        psg.pinned[id.index()] = p.pinned;
-        psg.uj_live[id.index()] = p.uj_live;
+        let i = id.index();
+        if psg.pinned[i] != p.pinned {
+            delta.note(rid, RegSet::EMPTY, RegSet::ALL);
+        }
+        delta.note(rid, psg.uj_live[i], p.uj_live);
+        psg.pinned[i] = p.pinned;
+        psg.uj_live[i] = p.uj_live;
     }
-    psg.routines[rid.index()].saved_restored = if options.callee_saved_filter {
+    let saved_restored = if options.callee_saved_filter {
         saved_restored_registers(program, cfg, &options.calling_standard)
     } else {
         RegSet::EMPTY
     };
+    let cached = &mut psg.routines[rid.index()].saved_restored;
+    delta.note(rid, *cached, saved_restored);
+    *cached = saved_restored;
     Ok(())
 }
 
 /// Validates one dirty routine's fresh edge plan against the cached edges
 /// in `[lo, hi)` — same count, endpoints, kinds, and call-return wiring —
-/// then overwrites the labels the plan owns: flow-summary labels and the
-/// static labels of unknown/hinted call-return edges. Known-target
-/// call-return labels are left alone: for clean callees the cached
-/// (converged) label is already final, and for reset callees the seeded
-/// phase 1 pulls it afresh from the reinitialized source entries.
+/// then overwrites the labels the plan owns, noting every change in
+/// `delta`: flow-summary labels and the static labels of unknown/hinted
+/// call-return edges. Known-target call-return labels are left alone:
+/// for clean callees the cached (converged) label is already final, and
+/// for reset callees the seeded phase 1 pulls it afresh from the
+/// reinitialized source entries.
 fn patch_routine_edges(
     psg: &mut Psg,
     rid: RoutineId,
     plan: &RoutineEdgePlan,
     lo: usize,
     hi: usize,
+    delta: &mut EquationDelta,
 ) -> Result<(), ()> {
     let rn = &psg.routines[rid.index()];
     if plan.needs_diverge != rn.diverge.is_some() || plan.edges.len() != hi - lo {
@@ -607,6 +669,9 @@ fn patch_routine_edges(
         };
         if overwrite {
             let e = &mut psg.edges[ei];
+            delta.note(rid, e.may_use, planned.edge.may_use);
+            delta.note(rid, e.may_def, planned.edge.may_def);
+            delta.note(rid, e.must_def, planned.edge.must_def);
             e.may_use = planned.edge.may_use;
             e.may_def = planned.edge.may_def;
             e.must_def = planned.edge.must_def;
@@ -635,19 +700,20 @@ fn routine_edge_ranges(psg: &Psg, n_routines: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Computes the node reset masks for the seeded phases.
+/// Computes the node reset masks for the seeded phases from the routines
+/// whose equations changed.
 ///
 /// Phase 1 flows callee→caller, so the reset set is the caller-closure of
-/// the dirty routines, additionally *promoted* so that every multi-source
+/// the changed routines, additionally *promoted* so that every multi-source
 /// call-return edge has either all or none of its source routines reset
 /// (a half-reset edge could not replay the from-scratch label exactly).
 /// Phase 2 flows caller→callee via the return→exit broadcast, so its
 /// reset set is the phase-1 set closed under callees.
-fn reset_masks(psg: &Psg, dirty_mask: &[bool]) -> (Vec<bool>, Vec<bool>) {
-    let n_routines = dirty_mask.len();
+fn reset_masks(psg: &Psg, changed: &[bool]) -> (Vec<bool>, Vec<bool>) {
+    let n_routines = changed.len();
     let routine_of = |n: NodeId| psg.nodes[n.index()].routine().index();
 
-    let mut reset1_r = dirty_mask.to_vec();
+    let mut reset1_r = changed.to_vec();
     loop {
         let mut changed = false;
         // Caller closure: a reset routine's summary feeds the call-return
@@ -728,7 +794,7 @@ fn reset_masks(psg: &Psg, dirty_mask: &[bool]) -> (Vec<bool>, Vec<bool>) {
 mod tests {
     use super::*;
     use crate::analyze_with;
-    use spike_isa::Reg;
+    use spike_isa::{Instruction, Reg};
     use spike_program::{ProgramBuilder, Rewriter};
 
     fn sample() -> Program {
@@ -758,6 +824,86 @@ mod tests {
         assert_eq!(incr.summary, scratch.summary);
         assert_eq!(incr.stats.memory_bytes, scratch.stats.memory_bytes);
         assert_eq!(incr.psg, scratch.psg);
+    }
+
+    /// `main` calls into a recursive pair. In `even`, an add whose
+    /// operands may be swapped and a definition of `t0` that the next one
+    /// overwrites; in `odd`, a read of `t0`.
+    fn recursive_sample() -> Program {
+        use spike_isa::AluOp;
+        let mut b = ProgramBuilder::new();
+        b.routine("main").def(Reg::A0).def(Reg::A1).call("even").put_int().halt();
+        b.routine("even")
+            .def(Reg::T0)
+            .def(Reg::T0)
+            .op(AluOp::Add, Reg::A0, Reg::A1, Reg::V0)
+            .call("odd")
+            .ret();
+        b.routine("odd").op(AluOp::Sub, Reg::A0, Reg::T0, Reg::A0).call("even").ret();
+        b.build().unwrap()
+    }
+
+    /// Reanalyzes `edited` from a cache warmed on `p` and checks every
+    /// layer against scratch; returns the run's stats.
+    fn reanalyze_against_scratch(
+        p: &Program,
+        edited: &Program,
+        dirty: &[RoutineId],
+    ) -> AnalysisStats {
+        let mut cache = AnalysisCache::new(AnalysisOptions::default());
+        assert_eq!(cache.analyze(p).stats.registers_resolved, 64, "scratch solves every register");
+        let a = cache.reanalyze(edited, dirty);
+        let scratch = analyze_with(edited, &AnalysisOptions::default());
+        assert_eq!(a.summary, scratch.summary);
+        assert_eq!(a.psg, scratch.psg);
+        assert_eq!(a.stack, scratch.stack);
+        assert_eq!(a.stats.memory_bytes, scratch.stats.memory_bytes);
+        assert_eq!(a.stats.layer_bytes, scratch.stats.layer_bytes);
+        assert_eq!(a.stats.call_graph, scratch.stats.call_graph);
+        a.stats
+    }
+
+    #[test]
+    fn an_operand_swap_solves_nothing() {
+        let p = recursive_sample();
+        let even = p.routine_by_name("even").unwrap();
+        let add = p.routine(even).addr() + 2;
+        let Some(&Instruction::Operate { op, ra, rb, rc }) = p.insn_at(add) else {
+            panic!("the add is the third instruction of `even`")
+        };
+        let swapped = Instruction::Operate { op, ra: rb, rb: ra, rc };
+        let (q, dirty) = Rewriter::new(&p).replace(add, swapped).finish().unwrap();
+        assert_eq!(dirty, vec![even]);
+        let stats = reanalyze_against_scratch(&p, &q, &dirty);
+        assert_eq!((stats.phase1_visits, stats.phase2_visits), (0, 0));
+        assert_eq!(stats.registers_resolved, 0);
+    }
+
+    #[test]
+    fn a_dead_definition_whose_labels_stay_solves_nothing() {
+        // The first `def t0` of `even`: the second one defines `t0` on the
+        // same paths, so no label moves, though `odd` shifts behind it.
+        let p = recursive_sample();
+        let even = p.routine_by_name("even").unwrap();
+        let (q, dirty) = Rewriter::new(&p).delete(p.routine(even).addr()).finish().unwrap();
+        assert_eq!(dirty, vec![even]);
+        let stats = reanalyze_against_scratch(&p, &q, &dirty);
+        assert_eq!((stats.phase1_visits, stats.phase2_visits), (0, 0));
+        assert_eq!(stats.registers_resolved, 0);
+    }
+
+    #[test]
+    fn a_changed_label_resolves_only_its_registers() {
+        // `odd` reads `t1` instead of `t0`: both registers' equations
+        // change, across the recursive pair and up into `main`.
+        use spike_isa::AluOp;
+        let p = recursive_sample();
+        let odd = p.routine_by_name("odd").unwrap();
+        let sub = Instruction::Operate { op: AluOp::Sub, ra: Reg::A0, rb: Reg::T1, rc: Reg::A0 };
+        let (q, dirty) = Rewriter::new(&p).replace(p.routine(odd).addr(), sub).finish().unwrap();
+        let stats = reanalyze_against_scratch(&p, &q, &dirty);
+        assert_eq!(stats.registers_resolved, 2);
+        assert!(stats.phase1_visits > 0 && stats.phase2_visits > 0);
     }
 
     #[test]
@@ -848,6 +994,7 @@ mod tests {
         assert_eq!(a.stack, scratch.stack);
         assert_eq!(a.stats.memory_bytes, scratch.stats.memory_bytes);
         assert_eq!(a.stats.phase1_visits, scratch.stats.phase1_visits, "full phases");
+        assert_eq!(a.stats.registers_resolved, 64);
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod summary;
 pub mod worklist;
 
 pub use analysis::{
-    analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, RegisterFacts,
+    analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, LayerBytes, RegisterFacts,
 };
 pub use callee_saved::saved_restored_registers;
 pub use incremental::{query_analysis, reanalyze, AnalysisCache};

@@ -110,6 +110,17 @@ pub struct CacheCounters {
     pub misses_cold: u64,
     /// Diff-seeded incremental analyses.
     pub misses_incremental: u64,
+    /// Incremental analyses whose edit changed no phase-1/2 equation, so
+    /// neither phase ran.
+    pub resolved_none: u64,
+    /// Incremental analyses that re-solved only the registers whose
+    /// equations the edit changed.
+    pub resolved_some: u64,
+    /// Incremental analyses that re-solved every register: the edit
+    /// changed a routine's shape (the PSG was rebuilt) or every
+    /// register's equations. The three `resolved_*` counters sum to
+    /// `misses_incremental`.
+    pub resolved_all: u64,
     /// Entries dropped by the byte-budget LRU.
     pub evictions: u64,
     /// Entries installed warm from a snapshot file at startup.
@@ -307,12 +318,21 @@ impl ProgramStore {
         };
 
         let bytes = image.len() + analysis.stats.memory_bytes;
+        let resolved = analysis.stats.registers_resolved;
         let shared = Arc::new(AnalyzedProgram { key, program, analysis, image: image.to_vec() });
 
         let mut inner = self.lock();
+        let c = &mut inner.counters;
         match outcome {
-            CacheOutcome::MissIncremental => inner.counters.misses_incremental += 1,
-            _ => inner.counters.misses_cold += 1,
+            CacheOutcome::MissIncremental => {
+                c.misses_incremental += 1;
+                match resolved {
+                    0 => c.resolved_none += 1,
+                    r if r < spike_isa::RegSet::ALL.len() => c.resolved_some += 1,
+                    _ => c.resolved_all += 1,
+                }
+            }
+            _ => c.misses_cold += 1,
         }
         inner.tick += 1;
         let tick = inner.tick;

@@ -17,6 +17,12 @@
 //! `(routine, offset)` its record denotes, not its immediate. An edit
 //! that shifts code therefore dirties the routine it landed in, not every
 //! caller across the shift.
+//!
+//! The diff costs what the edit touched. When no routine moved, grew or
+//! changed its entrances — an in-place edit — every address denotes what
+//! it did, so equal words and equal side-table entries are equal content
+//! and nothing is resolved. Otherwise each program's side tables are
+//! grouped by routine once, and each `bsr` is resolved with one lookup.
 
 use std::collections::BTreeMap;
 
@@ -69,28 +75,28 @@ fn normalize_targets(p: &Program, t: &IndirectTargets) -> NormalizedTargets {
     }
 }
 
-/// Groups a program's side tables by owning routine, normalized to
-/// routine-relative offsets. Map iteration is in address order, so the
-/// per-routine vectors are deterministically ordered and comparable.
-fn aux_by_routine(p: &Program) -> BTreeMap<usize, RoutineAux> {
-    let mut out: BTreeMap<usize, RoutineAux> = BTreeMap::new();
+/// Groups a program's side tables by owning routine (indexed by routine
+/// id), normalized to routine-relative offsets. Map iteration is in
+/// address order, so the per-routine vectors are deterministically
+/// ordered and comparable.
+fn aux_by_routine(p: &Program) -> Vec<RoutineAux> {
+    let mut out: Vec<RoutineAux> = p.routines().iter().map(|_| RoutineAux::default()).collect();
     let owner = |addr: u32| {
         let rid = p.routine_containing(addr).expect("validated aux info lies in a routine");
         (rid.index(), addr - p.routine(rid).addr())
     };
     for (&addr, targets) in p.jump_tables() {
         let (ri, off) = owner(addr);
-        let base = p.routine(RoutineId::from_index(ri)).addr();
-        let rel = targets.iter().map(|&t| t - base).collect();
-        out.entry(ri).or_default().jump_tables.push((off, rel));
+        let base = addr - off;
+        out[ri].jump_tables.push((off, targets.iter().map(|&t| t - base).collect()));
     }
     for (&addr, targets) in p.indirect_calls() {
         let (ri, off) = owner(addr);
-        out.entry(ri).or_default().indirect.push((off, normalize_targets(p, targets)));
+        out[ri].indirect.push((off, normalize_targets(p, targets)));
     }
     for (&addr, &set) in p.jump_hints() {
         let (ri, off) = owner(addr);
-        out.entry(ri).or_default().jump_hints.push((off, set));
+        out[ri].jump_hints.push((off, set));
     }
     for (&addr, &target) in p.relocations() {
         let (ri, off) = owner(addr);
@@ -98,62 +104,80 @@ fn aux_by_routine(p: &Program) -> BTreeMap<usize, RoutineAux> {
             Some(rid) => (Some(rid.index()), target - p.routine(rid).addr()),
             None => (None, target),
         };
-        out.entry(ri).or_default().relocations.push((off, denotes));
+        out[ri].relocations.push((off, denotes));
     }
     out
 }
 
+/// The `(routine, entry)` the `bsr` at index `i` of `r` (in `p`) with
+/// displacement `disp` calls, or the outer `None` when `r.addr() + i`
+/// overflows. A routine based near the top of the address space can make
+/// it wrap, which would compare the wrong address's call target (unsound:
+/// a changed callee could look clean), so overflow must read as dirty.
+fn callee(p: &Program, r: &Routine, i: usize, disp: i32) -> Option<Option<(usize, usize)>> {
+    let addr = u32::try_from(i).ok().and_then(|i| r.addr().checked_add(i))?;
+    let target = addr.wrapping_add(1).wrapping_add(disp as u32);
+    Some(p.entry_at(target).map(|(rid, ei)| (rid.index(), ei)))
+}
+
 /// Whether two routine bodies hold the same instructions modulo layout:
-/// word for word, except that a `bsr` may differ in its displacement and
-/// an `lda` that `aux` (the side tables of both routines, already found
-/// equal) records as relocated in its immediate. What those denote is
-/// compared elsewhere — calls by [`calls_resolve_identically`],
-/// relocations through that [`RoutineAux`] equality.
-fn same_body_modulo_layout(or: &Routine, nr: &Routine, aux: &RoutineAux) -> bool {
+/// word for word, except that a `bsr` may carry another displacement
+/// and a relocated `lda` (per `aux`, the side tables of both routines,
+/// already found equal) another immediate. Equal displacements are not
+/// enough either: a `bsr` displacement is layout-relative, so when the
+/// routines around it grow or shrink, an unchanged word can land on
+/// another routine (or another entrance of the same one) and a relinked
+/// one on the same. So every `bsr` is compared by what it resolves to.
+/// What a relocation denotes is compared through the [`RoutineAux`]
+/// equality.
+fn same_modulo_layout(
+    old: &Program,
+    new: &Program,
+    or: &Routine,
+    nr: &Routine,
+    aux: &RoutineAux,
+) -> bool {
     or.len() == nr.len()
-        && or.insns().iter().zip(nr.insns()).enumerate().all(|(i, (a, b))| {
-            a == b
-                || match (a, b) {
-                    (Instruction::Bsr { .. }, Instruction::Bsr { .. }) => true,
-                    (
-                        Instruction::Lda { rd: ard, base: abase, .. },
-                        Instruction::Lda { rd: brd, base: bbase, .. },
-                    ) => {
-                        (ard, abase) == (brd, bbase)
-                            && aux.relocations.binary_search_by_key(&i, |r| r.0 as usize).is_ok()
-                    }
-                    _ => false,
-                }
+        && or.insns().iter().zip(nr.insns()).enumerate().all(|(i, (a, b))| match (a, b) {
+            (Instruction::Bsr { disp: ad }, Instruction::Bsr { disp: bd }) => {
+                matches!(
+                    (callee(old, or, i, *ad), callee(new, nr, i, *bd)),
+                    (Some(x), Some(y)) if x == y
+                )
+            }
+            _ if a == b => true,
+            (
+                Instruction::Lda { rd: ard, base: abase, .. },
+                Instruction::Lda { rd: brd, base: bbase, .. },
+            ) => {
+                (ard, abase) == (brd, bbase)
+                    && aux.relocations.binary_search_by_key(&i, |r| r.0 as usize).is_ok()
+            }
+            _ => false,
         })
 }
 
-/// Whether the direct calls in two routine bodies that are equal modulo
-/// layout resolve to the same callees. Neither equal nor different
-/// displacements decide this: a `bsr` displacement is layout-relative, so
-/// when surrounding routines grow or shrink, an unchanged word can land
-/// on a different routine (or a different entrance of the same routine)
-/// and a relinked one on the same.
-fn calls_resolve_identically(old: &Program, new: &Program, or: &Routine, nr: &Routine) -> bool {
-    for (i, insn) in or.insns().iter().enumerate() {
-        if let Instruction::Bsr { .. } = insn {
-            // A routine based near the top of the address space can make
-            // `base + i` wrap, which would panic in debug builds and
-            // compare the wrong address's call target in release builds
-            // (unsound: a changed callee could look clean). Overflow
-            // means we cannot prove the calls identical, so report dirty.
-            let insn_addr = |base: u32| u32::try_from(i).ok().and_then(|i| base.checked_add(i));
-            let (Some(oa), Some(na)) = (insn_addr(or.addr()), insn_addr(nr.addr())) else {
-                return false;
-            };
-            let ot = old.direct_call_target(oa);
-            let nt = new.direct_call_target(na);
-            let norm = |t: Option<(RoutineId, usize)>| t.map(|(rid, ei)| (rid.index(), ei));
-            if norm(ot) != norm(nt) {
-                return false;
-            }
-        }
+/// Marks dirty the routine holding every address at which the side table
+/// `old` and its counterpart `new` differ. Only sound when no routine
+/// moved: then an equal entry denotes what it did.
+fn mark_changed_entries<V: PartialEq>(
+    p: &Program,
+    old: &BTreeMap<u32, V>,
+    new: &BTreeMap<u32, V>,
+    dirty: &mut [bool],
+) {
+    if old == new {
+        return;
     }
-    true
+    let changed = old
+        .iter()
+        .filter(|&(addr, v)| new.get(addr) != Some(v))
+        .map(|(addr, _)| addr)
+        .chain(new.keys().filter(|addr| !old.contains_key(addr)));
+    for &addr in changed {
+        let rid = p.routine_containing(addr).expect("validated aux info lies in a routine");
+        dirty[rid.index()] = true;
+    }
 }
 
 /// Computes the set of routines whose analysis facts may differ between
@@ -175,37 +199,50 @@ fn calls_resolve_identically(old: &Program, new: &Program, or: &Routine, nr: &Ro
 /// the same `(routine, offset)`. Equal words are not enough either way:
 /// a call or relocation whose bytes are unchanged but which now denotes
 /// something else is dirty.
+///
+/// When every routine kept its base, length and entrances, every address
+/// denotes what it did, and that rule reduces to: equal words and equal
+/// side-table entries. Nothing is normalized or resolved then.
 pub fn diff_for_reanalysis(old: &Program, new: &Program) -> Option<Vec<RoutineId>> {
     if old.routines().len() != new.routines().len() || old.entry().index() != new.entry().index() {
         return None;
     }
-    for (or, nr) in old.routines().iter().zip(new.routines()) {
-        if or.name() != nr.name() || or.exported() != nr.exported() {
-            return None;
-        }
+    let pairs = || old.routines().iter().zip(new.routines());
+    if pairs().any(|(or, nr)| or.name() != nr.name() || or.exported() != nr.exported()) {
+        return None;
     }
 
-    let old_aux = aux_by_routine(old);
-    let new_aux = aux_by_routine(new);
-    let empty = RoutineAux::default();
-
-    let mut dirty = Vec::new();
-    for (i, (or, nr)) in old.routines().iter().zip(new.routines()).enumerate() {
-        let (oa, na) = (old_aux.get(&i).unwrap_or(&empty), new_aux.get(&i).unwrap_or(&empty));
-        let clean = or.entry_offsets() == nr.entry_offsets()
-            && oa == na
-            && same_body_modulo_layout(or, nr, oa)
-            && calls_resolve_identically(old, new, or, nr);
-        if !clean {
-            dirty.push(RoutineId::from_index(i));
-        }
-    }
-    Some(dirty)
+    let same_layout = pairs().all(|(or, nr)| {
+        or.addr() == nr.addr() && or.len() == nr.len() && or.entry_offsets() == nr.entry_offsets()
+    });
+    let dirty: Vec<bool> = if same_layout {
+        let mut dirty: Vec<bool> = pairs().map(|(or, nr)| or.insns() != nr.insns()).collect();
+        mark_changed_entries(new, old.jump_tables(), new.jump_tables(), &mut dirty);
+        mark_changed_entries(new, old.indirect_calls(), new.indirect_calls(), &mut dirty);
+        mark_changed_entries(new, old.jump_hints(), new.jump_hints(), &mut dirty);
+        mark_changed_entries(new, old.relocations(), new.relocations(), &mut dirty);
+        dirty
+    } else {
+        let (old_aux, new_aux) = (aux_by_routine(old), aux_by_routine(new));
+        pairs()
+            .zip(old_aux.iter().zip(&new_aux))
+            .map(|((or, nr), (oa, na))| {
+                or.entry_offsets() != nr.entry_offsets()
+                    || oa != na
+                    || !same_modulo_layout(old, new, or, nr, oa)
+            })
+            .collect()
+    };
+    Some((0..dirty.len()).filter(|&i| dirty[i]).map(RoutineId::from_index).collect())
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spike_isa::Reg;
     use spike_program::{ProgramBuilder, Rewriter};
 
@@ -271,7 +308,7 @@ mod tests {
             vec![0],
             false,
         );
-        assert!(!calls_resolve_identically(&p, &p, &r, &r));
+        assert!(!same_modulo_layout(&p, &p, &r, &r, &RoutineAux::default()));
     }
 
     #[test]
@@ -351,5 +388,84 @@ mod tests {
         let old = with_tail(false, def, vec![ret], vec![0], vec![def, ret]);
         let new = with_tail(false, def, vec![def, ret], vec![0], vec![def, ret]);
         assert!(!diff_for_reanalysis(&old, &new).unwrap().contains(&main));
+    }
+
+    #[test]
+    fn same_layout_compares_side_table_entries() {
+        // Same words, same bases, same entrances: only the relocation
+        // record of `main`'s first word differs, so `main` alone is dirty,
+        // as the modulo-layout rule says.
+        let def = Instruction::Lda { rd: Reg::V0, base: Reg::ZERO, disp: 1 };
+        let ret = Instruction::Ret { base: Reg::RA };
+        let old = with_tail(false, def, vec![ret], vec![0], vec![def, ret]);
+        let new = with_tail(true, def, vec![ret], vec![0], vec![def, ret]);
+        let main = RoutineId::from_index(0);
+        assert_eq!(diff_for_reanalysis(&old, &new), Some(vec![main]));
+        assert_eq!(reference::diff_for_reanalysis(&old, &new), Some(vec![main]));
+        assert_eq!(diff_for_reanalysis(&new, &old), Some(vec![main]));
+    }
+
+    /// A small paper profile or a runnable executable.
+    fn arb_program() -> impl Strategy<Value = Program> {
+        let names =
+            prop_oneof![Just("compress"), Just("li"), Just("perl"), Just("vortex"), Just("")];
+        (any::<u64>(), names).prop_map(|(seed, name)| match spike_synth::profile(name) {
+            Some(p) => spike_synth::generate(&p, 20.0 / p.routines as f64, seed),
+            None => spike_synth::generate_executable(seed, 12),
+        })
+    }
+
+    /// One edit at the `pick`-th instruction: in place (an operand swap,
+    /// or a constant load over a plain instruction) or shifting (a
+    /// delete, or an insertion in front of it). Edits the rewriter
+    /// refuses are skipped.
+    fn edit(rw: &mut Rewriter, p: &Program, pick: usize, kind: u8) {
+        let sites: Vec<(u32, Instruction)> = p
+            .iter()
+            .flat_map(|(_, r)| r.insns().iter().enumerate().map(|(i, x)| (r.addr() + i as u32, *x)))
+            .collect();
+        let (addr, insn) = sites[pick % sites.len()];
+        let plain = !insn.is_terminator()
+            && !matches!(insn, Instruction::Bsr { .. } | Instruction::Jsr { .. })
+            && !p.relocations().contains_key(&addr);
+        let constant = Instruction::Lda { rd: Reg::T0, base: Reg::ZERO, disp: 1 };
+        match (kind % 4, insn) {
+            (0, Instruction::Operate { op, ra, rb, rc }) => {
+                rw.replace(addr, Instruction::Operate { op, ra: rb, rb: ra, rc });
+            }
+            (1, _) if plain => {
+                rw.replace(addr, constant);
+            }
+            (2, _) if plain => {
+                rw.delete(addr);
+            }
+            (3, _) => {
+                rw.insert_before(addr, vec![constant]);
+            }
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The diff, same layout or shifted, answers what the diff it
+        /// replaced answers, both ways round.
+        #[test]
+        fn diff_matches_the_reference_on_rewriter_edits(
+            program in arb_program(),
+            edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..4),
+        ) {
+            let mut rw = Rewriter::new(&program);
+            for &(pick, kind) in &edits {
+                edit(&mut rw, &program, pick as usize, kind);
+            }
+            let Ok((edited, _)) = rw.finish() else { return Ok(()) };
+            for (old, new) in [(&program, &edited), (&edited, &program)] {
+                let dirty = diff_for_reanalysis(old, new);
+                prop_assert!(dirty.is_some(), "an edit keeps the program comparable");
+                prop_assert_eq!(dirty, reference::diff_for_reanalysis(old, new));
+            }
+        }
     }
 }

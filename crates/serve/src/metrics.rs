@@ -149,8 +149,9 @@ impl Metrics {
     /// Renders the full `stats` document. Schema (stable, checked by the
     /// CI dogfood job): `{tool, version, requests: {total, analyze, lint,
     /// optimize, query, compare, stats, shutdown}, cache: {entries,
-    /// bytes, budget_bytes, hits, misses, incremental_warm, coalesced,
-    /// evictions, restored}, queue: {capacity, depth_highwater,
+    /// bytes, budget_bytes, hits, misses, incremental_warm,
+    /// incremental_resolved_none, incremental_resolved_some,
+    /// incremental_resolved_all, coalesced, evictions, restored}, queue: {capacity, depth_highwater,
     /// rejected_busy}, rejected: {oversized, deadline, bad_request},
     /// panics, forwarded, latency_us: {p50, p95, p99, buckets,
     /// overflow}}`.
@@ -185,6 +186,9 @@ impl Metrics {
                     ("hits", n(cache.counters.hits)),
                     ("misses", n(cache.counters.misses_cold)),
                     ("incremental_warm", n(cache.counters.misses_incremental)),
+                    ("incremental_resolved_none", n(cache.counters.resolved_none)),
+                    ("incremental_resolved_some", n(cache.counters.resolved_some)),
+                    ("incremental_resolved_all", n(cache.counters.resolved_all)),
                     ("coalesced", n(cache.counters.coalesced)),
                     ("evictions", n(cache.counters.evictions)),
                     ("restored", n(cache.counters.restored)),

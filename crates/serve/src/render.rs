@@ -13,7 +13,6 @@ use std::fmt::Write as _;
 
 use spike_baseline::BaselineAnalysis;
 use spike_core::{Analysis, QueryAnswer, QueryStats};
-use spike_isa::HeapSize;
 use spike_lint::LintReport;
 use spike_opt::OptReport;
 use spike_program::Program;
@@ -43,7 +42,6 @@ pub fn analyze_report(
     let stats = &analysis.stats;
     let psg = analysis.psg.stats();
     let counts = analysis.cfg.counts();
-    let cg = spike_callgraph::CallGraph::build(program, &analysis.cfg);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -54,7 +52,7 @@ pub fn analyze_report(
         analysis.cfg.total_blocks(),
         program.total_instructions()
     );
-    let _ = writeln!(out, "call graph: {}", cg.stats());
+    let _ = writeln!(out, "call graph: {}", stats.call_graph);
     let _ = writeln!(
         out,
         "psg: {} nodes, {} edges ({} flow, {} call-return, {} branch nodes)",
@@ -76,18 +74,19 @@ pub fn analyze_report(
         analysis.stack.escaped_count()
     );
     // Table 2's yardstick: bytes per basic block, overall and per layer,
-    // each layer measured by its own `HeapSize`.
+    // each layer measured by its own `HeapSize` when the run finished it.
     let blocks = analysis.cfg.total_blocks().max(1) as f64;
     let per_block = |bytes: usize| bytes as f64 / blocks;
+    let layers = &stats.layer_bytes;
     let _ = writeln!(
         out,
         "memory {:.2} MB ({:.1} B/block: cfg {:.1}, psg {:.1}, stack {:.1}, summaries {:.1})",
         stats.memory_bytes as f64 / 1e6,
         per_block(stats.memory_bytes),
-        per_block(analysis.cfg.heap_bytes()),
-        per_block(analysis.psg.heap_bytes()),
-        per_block(analysis.stack.heap_bytes()),
-        per_block(analysis.summary.heap_bytes()),
+        per_block(layers.cfg),
+        per_block(layers.psg),
+        per_block(layers.stack),
+        per_block(layers.summaries),
     );
 
     let wanted = |name: &str| routine.map_or(summaries, |r| r == name);
@@ -359,7 +358,7 @@ pub fn compare_diag(psg: &Analysis, full: &BaselineAnalysis) -> String {
 mod tests {
     use super::*;
     use spike_core::{analyze, AnalysisOptions};
-    use spike_isa::Reg;
+    use spike_isa::{HeapSize, Reg};
     use spike_program::ProgramBuilder;
 
     fn sample() -> Program {

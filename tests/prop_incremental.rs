@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use spike::core::{
     analyze_stack, analyze_with, query_analysis, AnalysisCache, AnalysisOptions, Query,
 };
-use spike::isa::{Instruction, Reg};
+use spike::isa::{Instruction, Reg, RegSet};
 use spike::opt::{optimize_with, OptOptions};
 use spike::program::{Program, Rewriter, RoutineId};
 use spike::sim::Outcome;
@@ -349,6 +349,73 @@ proptest! {
                 prop_assert!(cache.analysis().is_none(), "the stack layer is behind");
             }
             prop_assert_eq!(cache.stack_solves(), solves);
+        }
+    }
+}
+
+/// Replaces a plain instruction of a routine on a call-graph cycle with a
+/// read and a write of a register that routine never defines, so a label
+/// of the routine gains that register and the edit changes some
+/// registers' equations, not every register's. `None` when the program has no such
+/// routine and instruction.
+fn define_on_a_cycle(program: &Program, pick: usize) -> Option<(Program, Vec<RoutineId>)> {
+    let graph = spike::callgraph::CallGraph::build(
+        program,
+        &analyze_with(program, &AnalysisOptions::default()).cfg,
+    );
+    let sccs = graph.sccs();
+    let cyclic: Vec<RoutineId> = program
+        .iter()
+        .map(|(rid, _)| rid)
+        .filter(|&rid| {
+            sccs.components()[sccs.component_of(rid)].len() > 1 || graph.callees(rid).contains(&rid)
+        })
+        .collect();
+    let rid = *cyclic.get(pick % cyclic.len().max(1))?;
+    let r = program.routine(rid);
+    let defined = r.insns().iter().fold(RegSet::EMPTY, |acc, i| acc | i.defs());
+    // The temporaries t0–t7: caller-saved, so no §3.4 filter hides them.
+    let fresh = (1..=8).map(Reg::int).find(|&reg| !defined.contains(reg))?;
+    let addr = (r.addr()..r.end_addr()).find(|a| {
+        let insn = r.insn_at(*a).expect("address in routine");
+        !insn.is_terminator()
+            && !matches!(insn, Instruction::Bsr { .. } | Instruction::Jsr { .. })
+            && !program.relocations().contains_key(a)
+    })?;
+    // Read before it is written: the register's uses and liveness change
+    // as well as its definitions.
+    let (ra, rb, rc) = (fresh, fresh, fresh);
+    let op = Instruction::Operate { op: spike::isa::AluOp::Add, ra, rb, rc };
+    Rewriter::new(program).replace(addr, op).finish().ok()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// An edit inside a recursive component that changes some registers'
+    /// equations re-solves those registers only, over the caller/callee
+    /// closure of the changed routine — a cycle, so the reset subspace
+    /// and its converged neighbours meet around it — and still equals a
+    /// from-scratch run.
+    #[test]
+    fn a_partial_resolve_on_a_cycle_matches_scratch(program in arb_program(), pick in any::<u16>()) {
+        let Some((edited, dirty)) = define_on_a_cycle(&program, pick as usize) else {
+            return Ok(());
+        };
+        // Both ways: the edit adds uses and definitions, its undo takes
+        // them away again, so values grow in one run and shrink in the
+        // other.
+        let options = AnalysisOptions::default();
+        for (before, after) in [(&program, &edited), (&edited, &program)] {
+            let mut cache = AnalysisCache::new(options.clone());
+            cache.analyze(before);
+            let incremental = cache.reanalyze(after, &dirty);
+            let resolved = incremental.stats.registers_resolved;
+            prop_assert!((1..64).contains(&resolved), "{} register(s) re-solved", resolved);
+            let scratch = analyze_with(after, &options);
+            prop_assert_eq!(&incremental.summary, &scratch.summary);
+            prop_assert_eq!(&incremental.psg, &scratch.psg);
+            prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
         }
     }
 }
