@@ -234,8 +234,6 @@ impl HeapSize for CallGraphStats {
     }
 }
 
-spike_isa::impl_clone_exact_for_copy!(CallGraphStats);
-
 impl fmt::Display for CallGraphStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

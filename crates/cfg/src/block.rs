@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use spike_isa::{CloneExact, HeapSize, RegSet};
+use spike_isa::{HeapSize, RegSet};
 use spike_program::RoutineId;
 
 /// Identifies a basic block within one [`crate::RoutineCfg`].
@@ -74,15 +74,6 @@ impl HeapSize for CallTarget {
     }
 }
 
-impl CloneExact for CallTarget {
-    fn clone_exact(&self) -> CallTarget {
-        match self {
-            CallTarget::IndirectKnown(v) => CallTarget::IndirectKnown(v.clone_exact()),
-            other => other.clone(),
-        }
-    }
-}
-
 /// How a basic block ends.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TermKind {
@@ -128,17 +119,6 @@ impl HeapSize for TermKind {
         match self {
             TermKind::Call { target, .. } => target.heap_bytes(),
             _ => 0,
-        }
-    }
-}
-
-impl CloneExact for TermKind {
-    fn clone_exact(&self) -> TermKind {
-        match self {
-            TermKind::Call { target, return_to } => {
-                TermKind::Call { target: target.clone_exact(), return_to: *return_to }
-            }
-            other => other.clone(),
         }
     }
 }
@@ -213,5 +193,3 @@ impl BasicBlock {
         matches!(self.term, TermKind::Call { .. })
     }
 }
-
-spike_isa::impl_clone_exact_for_copy!(BlockId);

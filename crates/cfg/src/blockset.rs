@@ -1,6 +1,6 @@
 //! Dense bitsets over basic blocks, used for natural-loop bodies.
 
-use spike_isa::{CloneExact, HeapSize};
+use spike_isa::HeapSize;
 
 use crate::block::BlockId;
 
@@ -80,12 +80,6 @@ impl BlockSet {
 impl HeapSize for BlockSet {
     fn heap_bytes(&self) -> usize {
         self.words.heap_bytes()
-    }
-}
-
-impl CloneExact for BlockSet {
-    fn clone_exact(&self) -> BlockSet {
-        BlockSet { words: self.words.clone_exact(), len: self.len }
     }
 }
 

@@ -218,8 +218,12 @@ impl RoutineCfg {
         }
 
         // Pass 3: the predecessor rows, in ascending block order by one
-        // counting sort over every arc, and the forward ranks.
-        succs.shrink_to_fit();
+        // counting sort over every arc, and the forward ranks. The lists
+        // grown by `push` give back their slack, so a plain `Clone` holds
+        // what `heap_bytes` charges.
+        for list in [&mut succs, &mut exits, &mut unknown_jumps, &mut halts] {
+            list.shrink_to_fit();
+        }
         let entries: Vec<BlockId> = r.entry_offsets().iter().map(|&o| block_of(o)).collect();
         let flow = FlowArcs::new(Csr { offsets, items: succs }, &entries);
 

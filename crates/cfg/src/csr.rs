@@ -7,7 +7,7 @@
 //! per-row allocations of a `Vec<Vec<_>>` buy nothing but allocator
 //! traffic and 24 bytes of header per row.
 
-use spike_isa::{CloneExact, HeapSize};
+use spike_isa::HeapSize;
 
 /// A table of rows: row `i` is `items[offsets[i]..offsets[i + 1]]`.
 ///
@@ -113,12 +113,6 @@ impl<T: HeapSize> HeapSize for Csr<T> {
     }
 }
 
-impl<T: CloneExact> CloneExact for Csr<T> {
-    fn clone_exact(&self) -> Csr<T> {
-        Csr { offsets: self.offsets.clone_exact(), items: self.items.clone_exact() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,12 +132,5 @@ mod tests {
         let none = Csr::<u32>::from_pairs(3, std::iter::empty());
         assert_eq!(none, Csr::empty(3));
         assert_eq!(rows_of(&none), vec![Vec::<u32>::new(); 3]);
-    }
-
-    #[test]
-    fn clone_exact_keeps_the_charge() {
-        let t = Csr::from_pairs(3, [(1, 7), (1, 8), (0, 9)].into_iter());
-        assert_eq!(t.clone_exact(), t);
-        assert_eq!(t.clone_exact().heap_bytes(), t.heap_bytes());
     }
 }

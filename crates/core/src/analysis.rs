@@ -170,12 +170,11 @@ spike_isa::analysis_struct! {
     /// An `Analysis` is plain owned data — `Send + Sync` (checked below) and
     /// `Clone` — so a long-running service can hold converged analyses in a
     /// shared cache, hand them to worker threads, and fork one as the warm
-    /// starting point of an incremental re-analysis. Forks that feed
-    /// [`AnalysisCache::from_analysis`](crate::AnalysisCache::from_analysis)
-    /// must use [`CloneExact`] rather than `Clone`: a plain clone compacts
-    /// every Vec to its length, which silently changes
-    /// [`AnalysisStats::memory_bytes`] (a capacity count) and would break the
-    /// bit-identical-to-scratch contract of the incremental path.
+    /// starting point of an incremental re-analysis
+    /// ([`AnalysisCache::from_analysis`](crate::AnalysisCache::from_analysis)).
+    /// Every layer is built at its exact length, so a clone holds the
+    /// [`HeapSize`] bytes its source holds and
+    /// [`AnalysisStats::memory_bytes`] (a capacity count) survives the fork.
     #[derive(Clone, Debug)]
     pub struct Analysis {
         /// The converged Program Summary Graph.

@@ -44,6 +44,12 @@ pub(crate) fn build_psg(program: &Program, pcfg: &ProgramCfg, options: &Analysis
         if options.callee_saved_filter {
             rn.saved_restored = saved_restored_registers(program, cfg, &options.calling_standard);
         }
+        // The directory's lists give back their growth slack (see below).
+        for list in [&mut rn.entries, &mut rn.exits, &mut rn.halts, &mut rn.unknown_jumps] {
+            list.shrink_to_fit();
+        }
+        rn.calls.shrink_to_fit();
+        rn.branches.shrink_to_fit();
         psg.routines.push(rn);
     }
 
@@ -61,6 +67,12 @@ pub(crate) fn build_psg(program: &Program, pcfg: &ProgramCfg, options: &Analysis
     // Finalize adjacency and value arrays. Each table is one counting
     // sort over pairs listed in ascending edge id, so every row comes out
     // in ascending id order — the phase solvers visit rows in that order.
+    // The arrays grown by `push` give back their slack, so a plain `Clone`
+    // holds what `heap_bytes` charges.
+    psg.nodes.shrink_to_fit();
+    psg.edges.shrink_to_fit();
+    psg.pinned.shrink_to_fit();
+    psg.uj_live.shrink_to_fit();
     let n = psg.nodes.len();
     let edge_ids = || psg.edges.iter().enumerate().map(|(i, e)| (e, EdgeId::from_index(i)));
     psg.out_edges = Csr::from_pairs(n, edge_ids().map(|(e, id)| (e.from.index(), id)));

@@ -122,10 +122,9 @@ impl AnalysisCache {
     /// long-running service uses to fork a cached analysis into the warm
     /// starting point for a diffed re-submission.
     ///
-    /// When forking from a shared analysis, copy it with
-    /// [`CloneExact`](spike_isa::CloneExact): `reanalyze`'s bit-identical
-    /// `memory_bytes` guarantee counts Vec *capacities*, which a plain
-    /// `Clone` compacts.
+    /// A shared analysis is forked with a plain `Clone`: no layer holds
+    /// capacity slack, so the copy's `heap_bytes` — and with it the
+    /// `memory_bytes` of the next `reanalyze` — are the source's.
     pub fn from_analysis(options: AnalysisOptions, analysis: Analysis) -> AnalysisCache {
         AnalysisCache { state: Some(analysis), ..AnalysisCache::new(options) }
     }
@@ -312,16 +311,20 @@ impl AnalysisCache {
     /// the work a release build does.
     #[cfg(debug_assertions)]
     fn assert_matches_scratch(&self, program: &Program) {
-        use spike_isa::CloneExact;
         let incremental = self.state.as_ref().expect("checked after a run");
         let scratch = crate::analyze_with(program, &self.options);
+        assert_eq!(
+            scratch.clone().heap_bytes(),
+            scratch.heap_bytes(),
+            "a from-scratch run must hold no capacity slack"
+        );
         assert_eq!(
             scratch.summary, incremental.summary,
             "incremental summaries must equal a from-scratch run"
         );
         assert_eq!(scratch.psg, incremental.psg, "incremental PSG must equal a from-scratch run");
         let behind = self.stack_behind.as_ref().expect("an incremental run leaves it behind");
-        let prev = incremental.stack.clone_exact();
+        let prev = incremental.stack.clone();
         let (stack, _) = crate::reanalyze_stack(program, &incremental.cfg, prev, behind);
         assert_eq!(
             scratch.stack, stack,
@@ -379,15 +382,6 @@ pub fn query_analysis(analysis: &Analysis, program: &Program, query: &Query) -> 
             QueryAnswer::Reaches(graph.callee_closure(graph.callees(caller))[callee.index()])
         }
     }
-}
-
-/// Free-function form of [`AnalysisCache::reanalyze`].
-pub fn reanalyze<'c>(
-    cache: &'c mut AnalysisCache,
-    program: &Program,
-    dirty: &[RoutineId],
-) -> &'c Analysis {
-    cache.reanalyze(program, dirty)
 }
 
 /// The incremental pipeline over the register layers. Consumes the
@@ -1115,7 +1109,7 @@ mod tests {
         let p = sample();
         let mut cache = AnalysisCache::new(AnalysisOptions::default());
         assert!(cache.analysis().is_none());
-        let a = reanalyze(&mut cache, &p, &[RoutineId::from_index(1)]);
+        let a = cache.reanalyze(&p, &[RoutineId::from_index(1)]);
         assert_eq!(a.stats.routines_reanalyzed, 3);
         assert_eq!(a.stats.routines_reused, 0);
         cache.invalidate();

@@ -64,7 +64,7 @@ pub use analysis::{
     analyze, analyze_with, Analysis, AnalysisOptions, AnalysisStats, LayerBytes, RegisterFacts,
 };
 pub use callee_saved::saved_restored_registers;
-pub use incremental::{query_analysis, reanalyze, AnalysisCache};
+pub use incremental::{query_analysis, AnalysisCache};
 pub use psg::{Edge, EdgeId, EdgeKind, NodeId, NodeKind, Psg, PsgStats, RoutineNodes};
 pub use query::{Query, QueryAnswer, QueryStats};
 pub use stack::{

@@ -408,5 +408,3 @@ impl Psg {
         s
     }
 }
-
-spike_isa::impl_clone_exact_for_copy!(NodeId, EdgeId, NodeKind, EdgeKind);

@@ -76,7 +76,7 @@
 
 use spike_callgraph::CallGraph;
 use spike_cfg::{BlockId, CallTarget, ProgramCfg, RoutineCfg, TermKind};
-use spike_isa::{CloneExact, HeapSize, Instruction, MemWidth, Reg};
+use spike_isa::{HeapSize, Instruction, MemWidth, Reg};
 use spike_program::{Program, Routine, RoutineId};
 
 use crate::analysis::Calls;
@@ -230,12 +230,6 @@ impl HeapSize for SlotSet {
             Repr::Inline(_) => 0,
             Repr::Heap(v) => std::mem::size_of_val::<[u64]>(v),
         }
-    }
-}
-
-impl CloneExact for SlotSet {
-    fn clone_exact(&self) -> Self {
-        self.clone()
     }
 }
 
@@ -1000,53 +994,33 @@ impl<'a> Solver<'a> {
 
 /// Runs the whole-program stack-slot analysis: frame models, the
 /// two-bit summaries composed bottom-up over the call-graph
-/// condensation, and the two slot dataflows per routine.
+/// condensation, and the two slot dataflows per routine —
+/// [`reanalyze_stack`] with nothing kept.
 pub fn analyze_stack(program: &Program, cfg: &ProgramCfg) -> (StackAnalysis, StackStats) {
-    analyze_stack_over(program, cfg, &Calls::of(program, cfg))
-}
-
-/// [`analyze_stack`] over the caller's call graph of `(program, cfg)`.
-pub(crate) fn analyze_stack_over(
-    program: &Program,
-    cfg: &ProgramCfg,
-    calls: &Calls,
-) -> (StackAnalysis, StackStats) {
-    let mut solver = Solver::new(program, cfg, &calls.graph);
-    for component in calls.sccs.bottom_up() {
-        solver.solve_component(component, &mut [], &[]);
-    }
-    solver.finish()
+    reanalyze_stack(program, cfg, StackAnalysis::unsolved(), &[])
 }
 
 /// Incremental variant: `prev` is the analysis of an earlier version of
 /// the program and `dirty` marks every routine edited since. Re-solves
 /// only what those edits can reach, moving every other routine's facts
-/// out of `prev` untouched:
+/// out of `prev` untouched: every call-graph component has its summaries
+/// composed exactly as [`analyze_stack`] does, reading the kept own
+/// verdict of each clean member and scanning only the dirty ones; the
+/// slot dataflows run only for members that are dirty or whose own or
+/// any callee's summary came out different from `prev`'s, and only those
+/// are scanned in full. A component with no dirty member and unchanged
+/// summaries below it is therefore reused whole, unscanned.
 ///
-/// * a call-graph component with no dirty member and unchanged summaries
-///   for every callee in a lower component is reused whole, unscanned;
-/// * any other component has its summaries composed exactly as
-///   [`analyze_stack`] does, reading the kept own verdict of each clean
-///   member and scanning only the dirty ones; the slot dataflows run
-///   only for members that are dirty or whose own or any callee's
-///   summary came out different from `prev`'s, and only those are
-///   scanned in full.
-///
-/// Bit-identical to [`analyze_stack`] on the same program (including
-/// heap capacities, so `memory_bytes` accounting is preserved): a
-/// clean routine's text is unchanged up to layout and its own verdict
-/// holds no addresses, so the kept one equals a fresh scan's; the slot
-/// dataflows of a routine are a deterministic function of its
-/// instruction text, its composed summary and its callees' final
+/// Bit-identical to [`analyze_stack`] on the same program, heap bytes
+/// included: a clean routine's text is unchanged up to layout and its
+/// own verdict holds no addresses, so the kept one equals a fresh
+/// scan's; the slot dataflows of a routine are a deterministic function
+/// of its instruction text, its composed summary and its callees' final
 /// summaries (`Solver::phase_b`), and a reused member has all three
-/// proven unchanged. A clean component may be part of a larger one of
-/// `prev`'s, split by an edit elsewhere; its reused summaries are still
-/// exact, because some member calls a routine of the old cycle outside
-/// the new component, whose summary is checked unchanged and holds the
-/// old cycle's whole OR. Reused routines contribute nothing to the
-/// returned [`StackStats`]. A `prev` of another routine count — the
-/// never-solved layer of a register-only analysis in particular — is
-/// solved from scratch.
+/// proven unchanged. Reused routines contribute nothing to the returned
+/// [`StackStats`]. A `prev` of another routine count — the never-solved
+/// layer of a register-only analysis in particular — keeps nothing, so
+/// the solve is [`analyze_stack`]'s.
 pub fn reanalyze_stack(
     program: &Program,
     cfg: &ProgramCfg,
@@ -1064,32 +1038,16 @@ pub(crate) fn reanalyze_stack_over(
     prev: StackAnalysis,
     dirty: &[bool],
 ) -> (StackAnalysis, StackStats) {
-    if prev.routines.len() != program.routines().len() {
-        return analyze_stack_over(program, cfg, calls);
+    let mut prev = prev.routines;
+    if prev.len() != program.routines().len() {
+        prev.clear();
     }
-    let Calls { graph: cg, sccs } = calls;
-    let prev_summaries: Vec<StackSummary> = prev.routines.iter().map(|r| r.summary).collect();
-    let mut prev_slots: Vec<Option<RoutineStack>> =
-        prev.routines.into_iter().zip(dirty).map(|(rs, &d)| (!d).then_some(rs)).collect();
-    let mut solver = Solver::new(program, cfg, cg);
-    for component in sccs.bottom_up() {
-        let comp = sccs.component_of(component[0]);
-        let clean = component.iter().all(|&r| {
-            prev_slots[r.index()].is_some()
-                && cg.callees(r).iter().all(|&c| {
-                    sccs.component_of(c) == comp
-                        || solver.summaries[c.index()] == prev_summaries[c.index()]
-                })
-        });
-        if clean {
-            for &rid in component {
-                let rs = prev_slots[rid.index()].take().expect("prev routine present");
-                solver.summaries[rid.index()] = rs.summary;
-                solver.routines[rid.index()] = Some(rs);
-            }
-        } else {
-            solver.solve_component(component, &mut prev_slots, &prev_summaries);
-        }
+    let prev_summaries: Vec<StackSummary> = prev.iter().map(|r| r.summary).collect();
+    let mut kept: Vec<Option<RoutineStack>> =
+        prev.into_iter().zip(dirty).map(|(rs, &d)| (!d).then_some(rs)).collect();
+    let mut solver = Solver::new(program, cfg, &calls.graph);
+    for component in calls.sccs.bottom_up() {
+        solver.solve_component(component, &mut kept, &prev_summaries);
     }
     solver.finish()
 }
@@ -1648,7 +1606,7 @@ mod tests {
         let cfg = ProgramCfg::build(&program);
         let (scratch, scratch_stats) = analyze_stack(&program, &cfg);
         let dirty = vec![false; program.routines().len()];
-        let (re, re_stats) = reanalyze_stack(&program, &cfg, scratch.clone_exact(), &dirty);
+        let (re, re_stats) = reanalyze_stack(&program, &cfg, scratch.clone(), &dirty);
         assert_eq!(re, scratch);
         assert_eq!(re_stats, StackStats::default());
         assert_ne!(scratch_stats, StackStats::default());
@@ -1665,7 +1623,7 @@ mod tests {
         let (scratch, _) = analyze_stack(&program, &cfg);
         let mut dirty = vec![false; program.routines().len()];
         dirty[rid(&program, "init").index()] = true;
-        let (re, _) = reanalyze_stack(&program, &cfg, scratch.clone_exact(), &dirty);
+        let (re, _) = reanalyze_stack(&program, &cfg, scratch.clone(), &dirty);
         assert_eq!(re, scratch);
         assert_eq!(re.heap_bytes(), scratch.heap_bytes());
     }
@@ -1684,7 +1642,7 @@ mod tests {
         for name in dirty {
             mask[rid(&program, name).index()] = true;
         }
-        let (re, re_stats) = reanalyze_stack(&program, &cfg, prev.clone_exact(), &mask);
+        let (re, re_stats) = reanalyze_stack(&program, &cfg, prev.clone(), &mask);
         assert_eq!(re, scratch);
         assert_eq!(re.heap_bytes(), scratch.heap_bytes(), "capacity-exact reuse");
         (program, prev, (re, re_stats), (scratch, scratch_stats))

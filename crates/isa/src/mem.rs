@@ -33,51 +33,29 @@ pub trait HeapSize {
     }
 }
 
-/// Deep clone that preserves every collection's *capacity*, so the clone
-/// reports exactly the same [`HeapSize::heap_bytes`] as its source.
-///
-/// `Clone` on a `Vec` allocates exactly `len` elements, silently
-/// compacting the growth slack the original accumulated — which changes
-/// `heap_bytes` and with it `AnalysisStats::memory_bytes`. Pipelines
-/// that fork an analysis and still promise capacity-exact accounting
-/// (the incremental re-analysis contract) must clone through this trait
-/// instead.
-///
-/// ```
-/// use spike_isa::{CloneExact, HeapSize};
-/// let mut v: Vec<u32> = Vec::with_capacity(8);
-/// v.push(1);
-/// assert_ne!(v.clone().heap_bytes(), v.heap_bytes());
-/// assert_eq!(v.clone_exact().heap_bytes(), v.heap_bytes());
-/// ```
-pub trait CloneExact {
-    /// Clones `self`, reproducing the exact heap capacities of every
-    /// owned collection.
-    fn clone_exact(&self) -> Self;
+/// Kept only so the standalone `benchmark/` package compiles
+/// (`benchmark/src/run.rs` calls `analysis.clone_exact()`): an analysis
+/// holds no capacity slack, so its plain `Clone` already holds what
+/// [`HeapSize::heap_bytes`] charges, and this is that `Clone`.
+pub trait CloneExact: Clone {
+    /// `self.clone()`.
+    fn clone_exact(&self) -> Self {
+        self.clone()
+    }
 }
 
-/// Implements [`CloneExact`] for `Copy` types (no owned heap, so a bit
-/// copy is already exact).
-#[macro_export]
-macro_rules! impl_clone_exact_for_copy {
-    ($($t:ty),* $(,)?) => {
-        $(impl $crate::CloneExact for $t {
-            #[inline]
-            fn clone_exact(&self) -> Self { *self }
-        })*
-    };
-}
+impl<T: Clone> CloneExact for T {}
 
-/// Declares a struct together with field-wise [`HeapSize`] and
-/// [`CloneExact`] impls, so its field list is written once.
+/// Declares a struct together with a field-wise [`HeapSize`] impl, so
+/// its field list is written once.
 ///
 /// The struct is emitted exactly as written (attributes, doc comments,
-/// field visibility), and both impls walk the fields in declaration
+/// field visibility), and the impl walks the fields in declaration
 /// order. Types with a representation of their own — tagged enums, id
 /// newtypes, packed sets — keep hand-written impls.
 ///
 /// ```
-/// use spike_isa::{CloneExact, HeapSize, RegSet};
+/// use spike_isa::{HeapSize, RegSet};
 ///
 /// spike_isa::analysis_struct! {
 ///     /// Live registers and a scratch buffer.
@@ -90,8 +68,6 @@ macro_rules! impl_clone_exact_for_copy {
 ///
 /// let f = Frame { live: RegSet::ALL, scratch: Vec::with_capacity(4) };
 /// assert_eq!(f.heap_bytes(), 4 * 4);
-/// assert_eq!(f.clone_exact(), f);
-/// assert_eq!(f.clone_exact().scratch.capacity(), 4);
 /// ```
 #[macro_export]
 macro_rules! analysis_struct {
@@ -109,12 +85,6 @@ macro_rules! analysis_struct {
         impl $crate::HeapSize for $name {
             fn heap_bytes(&self) -> usize {
                 0 $(+ $crate::HeapSize::heap_bytes(&self.$field))*
-            }
-        }
-
-        impl $crate::CloneExact for $name {
-            fn clone_exact(&self) -> Self {
-                $name { $($field: $crate::CloneExact::clone_exact(&self.$field),)* }
             }
         }
     };
@@ -153,88 +123,10 @@ impl_heap_size_zero!(
     crate::Instruction
 );
 
-impl_clone_exact_for_copy!(
-    u8,
-    u16,
-    u32,
-    u64,
-    usize,
-    i8,
-    i16,
-    i32,
-    i64,
-    isize,
-    f32,
-    f64,
-    bool,
-    char,
-    (),
-    std::time::Duration,
-    [u64; 2],
-    crate::Reg,
-    crate::RegSet,
-    crate::MemWidth,
-    crate::Instruction
-);
-
 impl<T: HeapSize> HeapSize for Vec<T> {
     fn heap_bytes(&self) -> usize {
         self.capacity() * std::mem::size_of::<T>()
             + self.iter().map(HeapSize::heap_bytes).sum::<usize>()
-    }
-}
-
-impl<T: CloneExact> CloneExact for Vec<T> {
-    fn clone_exact(&self) -> Vec<T> {
-        let mut v = Vec::with_capacity(self.capacity());
-        v.extend(self.iter().map(CloneExact::clone_exact));
-        v
-    }
-}
-
-impl<T: CloneExact> CloneExact for Box<T> {
-    fn clone_exact(&self) -> Box<T> {
-        Box::new(self.as_ref().clone_exact())
-    }
-}
-
-impl<T: CloneExact> CloneExact for Option<T> {
-    fn clone_exact(&self) -> Option<T> {
-        self.as_ref().map(CloneExact::clone_exact)
-    }
-}
-
-impl CloneExact for String {
-    fn clone_exact(&self) -> String {
-        let mut s = String::with_capacity(self.capacity());
-        s.push_str(self);
-        s
-    }
-}
-
-impl<A: CloneExact, B: CloneExact> CloneExact for (A, B) {
-    fn clone_exact(&self) -> (A, B) {
-        (self.0.clone_exact(), self.1.clone_exact())
-    }
-}
-
-impl<A: CloneExact, B: CloneExact, C: CloneExact> CloneExact for (A, B, C) {
-    fn clone_exact(&self) -> (A, B, C) {
-        (self.0.clone_exact(), self.1.clone_exact(), self.2.clone_exact())
-    }
-}
-
-impl<K: CloneExact + Ord, V: CloneExact> CloneExact for std::collections::BTreeMap<K, V> {
-    fn clone_exact(&self) -> Self {
-        // BTreeMap allocates per node from `len` alone, so rebuilding
-        // from the entries reproduces the accounting exactly.
-        self.iter().map(|(k, v)| (k.clone_exact(), v.clone_exact())).collect()
-    }
-}
-
-impl<T: CloneExact + Ord> CloneExact for std::collections::BTreeSet<T> {
-    fn clone_exact(&self) -> Self {
-        self.iter().map(CloneExact::clone_exact).collect()
     }
 }
 
@@ -329,28 +221,6 @@ mod tests {
         let o: Option<Vec<u8>> = Some(Vec::with_capacity(4));
         assert_eq!(o.heap_bytes(), 4);
         assert_eq!(None::<Vec<u8>>.heap_bytes(), 0);
-    }
-
-    #[test]
-    fn clone_exact_preserves_capacity_slack() {
-        let mut v: Vec<u64> = Vec::with_capacity(16);
-        v.push(1);
-        v.push(2);
-        assert_eq!(v.clone().heap_bytes(), 2 * 8, "Clone compacts to len");
-        assert_eq!(v.clone_exact().heap_bytes(), v.heap_bytes());
-        assert_eq!(v.clone_exact(), v);
-
-        let mut nested: Vec<Vec<u8>> = Vec::with_capacity(4);
-        nested.push(Vec::with_capacity(32));
-        assert_eq!(nested.clone_exact().heap_bytes(), nested.heap_bytes());
-
-        let mut s = String::with_capacity(64);
-        s.push_str("hi");
-        assert_eq!(s.clone_exact().heap_bytes(), 64);
-        assert_eq!(s.clone_exact(), s);
-
-        let o: Option<Vec<u8>> = Some(Vec::with_capacity(4));
-        assert_eq!(o.clone_exact().heap_bytes(), 4);
     }
 
     #[test]

@@ -458,8 +458,6 @@ impl HeapSize for RoutineId {
     }
 }
 
-spike_isa::impl_clone_exact_for_copy!(RoutineId);
-
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for r in &self.routines {

@@ -27,7 +27,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use spike_core::{analyze_with, Analysis, AnalysisCache, AnalysisOptions};
-use spike_isa::CloneExact;
 use spike_program::Program;
 
 use crate::diff::diff_for_reanalysis;
@@ -298,14 +297,8 @@ impl ProgramStore {
 
         let analysis = match &seeded {
             Some((donor, dirty)) => {
-                // `clone_exact`, not `clone`: the incremental result's
-                // `memory_bytes` (and with it the analyze report) must be
-                // bit-identical to a from-scratch run, which a plain
-                // capacity-compacting clone of the donor would break.
-                let mut cache = AnalysisCache::from_analysis(
-                    self.options.clone(),
-                    donor.analysis.clone_exact(),
-                );
+                let mut cache =
+                    AnalysisCache::from_analysis(self.options.clone(), donor.analysis.clone());
                 cache.reanalyze(&program, dirty);
                 cache.into_analysis().expect("reanalyze always fills the cache")
             }

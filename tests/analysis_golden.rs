@@ -13,9 +13,9 @@
 //! change that only moves memory shows as a `memory_bytes=` diff with
 //! every hash unchanged.
 //!
-//! Per image it also checks the two memory walks against each other:
-//! the layers' `heap_bytes` sum to `stats.memory_bytes`, and a
-//! `clone_exact` fork holds exactly what its source holds.
+//! Per image it also checks the memory walk against itself: the layers'
+//! `heap_bytes` sum to `stats.memory_bytes`, and a plain `clone` holds
+//! exactly what its source holds — no layer keeps capacity slack.
 //!
 //! The hashes were first recorded with the sparse SCC-wave engine that
 //! was the default before the FIFO worklist became the only phase solver;
@@ -24,7 +24,7 @@
 //! `UPDATE_GOLDEN=1 cargo test --test analysis_golden`
 
 use spike::core::{analyze, Analysis};
-use spike::isa::{CloneExact, HeapSize, RegSet};
+use spike::isa::{HeapSize, RegSet};
 use spike::program::Program;
 
 struct Fnv(u64);
@@ -53,9 +53,9 @@ fn line(name: &str, program: &Program) -> String {
         "{name}: the layers' heap_bytes must sum to memory_bytes"
     );
     assert_eq!(
-        analysis.clone_exact().heap_bytes(),
+        analysis.clone().heap_bytes(),
         analysis.heap_bytes(),
-        "{name}: a clone_exact fork must hold what its source holds"
+        "{name}: a clone must hold what its source holds (no capacity slack)"
     );
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     h.word(psg.nodes().len() as u64);

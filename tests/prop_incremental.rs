@@ -5,15 +5,15 @@
 //! the previous pass edited. These properties pin the contract down hard:
 //! the cached pipeline must emit bit-identical programs, summaries, PSGs
 //! and deterministic `memory_bytes` — the latter is capacity-sensitive, so
-//! it fails if the in-place PSG patching deviates from the from-scratch
-//! push sequence by even one `Vec` growth step.
+//! every compared result must also hold no capacity slack: a plain
+//! `clone` of it holds the bytes it holds.
 
 use proptest::prelude::*;
 
 use spike::core::{
     analyze_stack, analyze_with, query_analysis, AnalysisCache, AnalysisOptions, Query,
 };
-use spike::isa::{Instruction, Reg, RegSet};
+use spike::isa::{HeapSize, Instruction, Reg, RegSet};
 use spike::opt::{optimize_with, OptOptions};
 use spike::program::{Program, Rewriter, RoutineId};
 use spike::sim::Outcome;
@@ -24,6 +24,12 @@ fn arb_program() -> impl Strategy<Value = Program> {
             let p = spike::synth::profile(name).expect("known benchmark");
             spike::synth::generate(&p, 20.0 / p.routines as f64, seed)
         })
+}
+
+/// The capacity `v` holds beyond what a plain `clone` of it holds; 0 for
+/// every analysis layer, incremental or from scratch.
+fn slack<T: Clone + HeapSize>(v: &T) -> usize {
+    v.heap_bytes() - v.clone().heap_bytes()
 }
 
 fn with_incremental(incremental: bool) -> OptOptions {
@@ -216,6 +222,7 @@ proptest! {
         }
         prop_assert_eq!(&incremental.psg, &scratch.psg);
         prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
+        prop_assert_eq!(slack(incremental), 0);
         prop_assert_eq!(
             incremental.stats.routines_reanalyzed + incremental.stats.routines_reused,
             edited.routines().len()
@@ -257,6 +264,7 @@ proptest! {
         prop_assert_eq!(&incremental.psg, &scratch.psg);
         prop_assert_eq!(&incremental.stack, &scratch.stack);
         prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
+        prop_assert_eq!(slack(incremental), 0);
         prop_assert_eq!(cache.stack_solves(), 1);
     }
 
@@ -301,6 +309,7 @@ proptest! {
         prop_assert_eq!(&incremental.psg, &scratch.psg);
         prop_assert_eq!(&incremental.stack, &scratch.stack);
         prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
+        prop_assert_eq!(slack(incremental), 0);
     }
 
     /// The stack layer on demand: a chain of edits goes through one
@@ -341,11 +350,13 @@ proptest! {
                 prop_assert_eq!(&a.psg, &scratch.psg);
                 prop_assert_eq!(&a.stack, &analyze_stack(&program, &a.cfg).0);
                 prop_assert_eq!(a.stats.memory_bytes, scratch.stats.memory_bytes);
+                prop_assert_eq!(slack(a), 0);
                 solves += 1;
             } else {
                 let facts = cache.reanalyze_registers(&program, &changed);
                 prop_assert_eq!(facts.summary, &scratch.summary);
                 prop_assert_eq!(facts.cfg, &scratch.cfg);
+                prop_assert_eq!(slack(facts.summary) + slack(facts.cfg), 0);
                 prop_assert!(cache.analysis().is_none(), "the stack layer is behind");
             }
             prop_assert_eq!(cache.stack_solves(), solves);
@@ -416,6 +427,7 @@ proptest! {
             prop_assert_eq!(&incremental.summary, &scratch.summary);
             prop_assert_eq!(&incremental.psg, &scratch.psg);
             prop_assert_eq!(incremental.stats.memory_bytes, scratch.stats.memory_bytes);
+            prop_assert_eq!(slack(incremental), 0);
         }
     }
 }
