@@ -187,49 +187,6 @@ fn parse_keyed_set(s: &str, key: &str, line: usize) -> Result<RegSet, AsmError> 
     parse_regset(rest.trim(), line)
 }
 
-fn alu_op(mn: &str) -> Option<AluOp> {
-    [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Mul,
-        AluOp::And,
-        AluOp::Or,
-        AluOp::Xor,
-        AluOp::Sll,
-        AluOp::Srl,
-        AluOp::Sra,
-        AluOp::CmpEq,
-        AluOp::CmpLt,
-        AluOp::CmpLe,
-        AluOp::CmpUlt,
-        AluOp::CmovEq,
-        AluOp::CmovNe,
-    ]
-    .into_iter()
-    .find(|op| op.mnemonic() == mn)
-}
-
-fn fp_op(mn: &str) -> Option<FpOp> {
-    [FpOp::Add, FpOp::Sub, FpOp::Mul, FpOp::CmpEq, FpOp::CmpLt]
-        .into_iter()
-        .find(|op| op.mnemonic() == mn)
-}
-
-fn branch_cond(mn: &str) -> Option<BranchCond> {
-    [
-        BranchCond::Eq,
-        BranchCond::Ne,
-        BranchCond::Lt,
-        BranchCond::Le,
-        BranchCond::Ge,
-        BranchCond::Gt,
-        BranchCond::Lbc,
-        BranchCond::Lbs,
-    ]
-    .into_iter()
-    .find(|c| c.mnemonic() == mn)
-}
-
 fn parse_instruction(
     r: &mut spike_program::RoutineBuilder,
     line: &str,
@@ -248,7 +205,7 @@ fn parse_instruction(
         }
     };
 
-    if let Some(op) = alu_op(mn) {
+    if let Some(op) = AluOp::from_mnemonic(mn) {
         want(3)?;
         let ra = parse_reg(ops[0], lineno)?;
         let rc = parse_reg(ops[2], lineno)?;
@@ -262,7 +219,7 @@ fn parse_instruction(
         }
         return Ok(());
     }
-    if let Some(op) = fp_op(mn) {
+    if let Some(op) = FpOp::from_mnemonic(mn) {
         want(3)?;
         r.insn(Instruction::FpOperate {
             op,
@@ -272,7 +229,7 @@ fn parse_instruction(
         });
         return Ok(());
     }
-    if let Some(cond) = branch_cond(mn) {
+    if let Some(cond) = BranchCond::from_mnemonic(mn) {
         want(2)?;
         r.cond(cond, parse_reg(ops[0], lineno)?, ops[1]);
         return Ok(());

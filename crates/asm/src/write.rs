@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use spike_isa::{Instruction, MemWidth};
+use spike_isa::Instruction;
 use spike_program::{IndirectTargets, Program, Routine};
 
 /// Renders `program` in the crate's assembly format.
@@ -89,6 +89,10 @@ fn write_routine(out: &mut String, program: &Program, r: &Routine) {
     writeln!(out).unwrap();
 }
 
+/// Writes one instruction. Only the forms whose text names program
+/// context (branch labels, call targets, jump tables and hints, indirect
+/// call targets, relocated address materializations) are spelled here;
+/// every other form is the instruction's own [`Display`](std::fmt::Display).
 fn write_insn(out: &mut String, program: &Program, r: &Routine, addr: u32, insn: &Instruction) {
     let local =
         |disp: i32| -> String { format!("L{}", (addr + 1).wrapping_add(disp as u32) - r.addr()) };
@@ -101,8 +105,8 @@ fn write_insn(out: &mut String, program: &Program, r: &Routine, addr: u32, insn:
             let target = addr.wrapping_add(1).wrapping_add(disp as u32);
             write!(out, "bsr {}", entry_name(program, target)).unwrap()
         }
-        Instruction::Jmp { base } => {
-            write!(out, "jmp ({base})").unwrap();
+        Instruction::Jmp { .. } => {
+            write!(out, "{insn}").unwrap();
             if let Some(table) = program.jump_table(addr) {
                 let cases: Vec<String> =
                     table.iter().map(|&t| format!("L{}", t - r.addr())).collect();
@@ -111,8 +115,8 @@ fn write_insn(out: &mut String, program: &Program, r: &Routine, addr: u32, insn:
                 write!(out, ", live={hint}").unwrap();
             }
         }
-        Instruction::Jsr { base } => {
-            write!(out, "jsr ({base})").unwrap();
+        Instruction::Jsr { .. } => {
+            write!(out, "{insn}").unwrap();
             match program.indirect_call_targets(addr) {
                 IndirectTargets::Unknown => {}
                 IndirectTargets::Known(list) => {
@@ -124,51 +128,14 @@ fn write_insn(out: &mut String, program: &Program, r: &Routine, addr: u32, insn:
                 }
             }
         }
-        Instruction::Lda { rd, base, disp } => {
-            if let Some(&target) = program.relocations().get(&addr) {
-                if r.contains_addr(target) && !r.entry_addrs().any(|a| a == target) {
-                    write!(out, "lda {rd}, &L{}", target - r.addr()).unwrap();
-                } else {
-                    write!(out, "lda {rd}, &&{}", entry_name(program, target)).unwrap();
-                }
+        Instruction::Lda { rd, .. } if program.relocations().contains_key(&addr) => {
+            let target = program.relocations()[&addr];
+            if r.contains_addr(target) && !r.entry_addrs().any(|a| a == target) {
+                write!(out, "lda {rd}, &L{}", target - r.addr()).unwrap();
             } else {
-                write!(out, "lda {rd}, {disp}({base})").unwrap();
+                write!(out, "lda {rd}, &&{}", entry_name(program, target)).unwrap();
             }
         }
-        Instruction::Ldah { rd, base, disp } => write!(out, "ldah {rd}, {disp}({base})").unwrap(),
-        Instruction::Load { width, rd, base, disp } => {
-            write!(out, "{} {rd}, {disp}({base})", load_mnemonic(width)).unwrap()
-        }
-        Instruction::Store { width, rs, base, disp } => {
-            write!(out, "{} {rs}, {disp}({base})", store_mnemonic(width)).unwrap()
-        }
-        Instruction::Operate { op, ra, rb, rc } => {
-            write!(out, "{} {ra}, {rb}, {rc}", op.mnemonic()).unwrap()
-        }
-        Instruction::OperateImm { op, ra, imm, rc } => {
-            write!(out, "{} {ra}, #{imm}, {rc}", op.mnemonic()).unwrap()
-        }
-        Instruction::FpOperate { op, fa, fb, fc } => {
-            write!(out, "{} {fa}, {fb}, {fc}", op.mnemonic()).unwrap()
-        }
-        Instruction::Ret { base } => write!(out, "ret ({base})").unwrap(),
-        Instruction::Halt => write!(out, "halt").unwrap(),
-        Instruction::PutInt => write!(out, "putint").unwrap(),
-    }
-}
-
-pub(crate) fn load_mnemonic(width: MemWidth) -> &'static str {
-    match width {
-        MemWidth::L => "ldl",
-        MemWidth::Q => "ldq",
-        MemWidth::T => "ldt",
-    }
-}
-
-pub(crate) fn store_mnemonic(width: MemWidth) -> &'static str {
-    match width {
-        MemWidth::L => "stl",
-        MemWidth::Q => "stq",
-        MemWidth::T => "stt",
+        _ => write!(out, "{insn}").unwrap(),
     }
 }

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -148,17 +148,11 @@ struct Opts<'a> {
     profile: Option<&'a str>,
     format: &'a str,
     listen: Option<&'a str>,
-    unix: Option<&'a str>,
     connect: Option<&'a str>,
     workers: usize,
-    cache_bytes: Option<usize>,
-    queue: Option<usize>,
     max_frame_bytes: Option<usize>,
     deadline_ms: Option<u64>,
-    snapshot: Option<&'a str>,
-    snapshot_interval_ms: Option<u64>,
     cluster: Vec<String>,
-    shard_index: Option<usize>,
     connections: usize,
     inflight: usize,
     images: usize,
@@ -180,17 +174,11 @@ fn parse(args: &[String]) -> Result<Opts<'_>> {
         profile: None,
         format: "human",
         listen: None,
-        unix: None,
         connect: None,
         workers: 0,
-        cache_bytes: None,
-        queue: None,
         max_frame_bytes: None,
         deadline_ms: None,
-        snapshot: None,
-        snapshot_interval_ms: None,
         cluster: Vec::new(),
-        shard_index: None,
         connections: 10_000,
         inflight: 32,
         images: 4,
@@ -215,21 +203,13 @@ fn parse(args: &[String]) -> Result<Opts<'_>> {
             "--profile" => o.profile = Some(want("--profile")?),
             "--format" => o.format = want("--format")?,
             "--listen" => o.listen = Some(want("--listen")?),
-            "--unix" => o.unix = Some(want("--unix")?),
             "--connect" => o.connect = Some(want("--connect")?),
             "--workers" => o.workers = want("--workers")?.parse()?,
-            "--cache-bytes" => o.cache_bytes = Some(want("--cache-bytes")?.parse()?),
-            "--queue" => o.queue = Some(want("--queue")?.parse()?),
             "--max-frame-bytes" => o.max_frame_bytes = Some(want("--max-frame-bytes")?.parse()?),
             "--deadline-ms" => o.deadline_ms = Some(want("--deadline-ms")?.parse()?),
-            "--snapshot" => o.snapshot = Some(want("--snapshot")?),
-            "--snapshot-interval-ms" => {
-                o.snapshot_interval_ms = Some(want("--snapshot-interval-ms")?.parse()?)
-            }
             "--cluster" => {
                 o.cluster = want("--cluster")?.split(',').map(|s| s.trim().to_string()).collect();
             }
-            "--shard-index" => o.shard_index = Some(want("--shard-index")?.parse()?),
             "--connections" => o.connections = want("--connections")?.parse()?,
             "--inflight" => o.inflight = want("--inflight")?.parse()?,
             "--images" => o.images = want("--images")?.parse()?,
@@ -432,29 +412,7 @@ fn dot(args: &[String]) -> Result<()> {
 }
 
 fn serve(args: &[String]) -> Result<()> {
-    let o = parse(args)?;
-    let mut options = ServeOptions {
-        tcp: o.listen.map(str::to_string),
-        unix: o.unix.map(PathBuf::from),
-        workers: o.workers,
-        ..ServeOptions::default()
-    };
-    if let Some(n) = o.cache_bytes {
-        options.cache_bytes = n;
-    }
-    if let Some(n) = o.queue {
-        options.queue_capacity = n;
-    }
-    if let Some(n) = o.max_frame_bytes {
-        options.max_frame_bytes = n;
-    }
-    if let Some(n) = o.deadline_ms {
-        options.default_deadline_ms = n;
-    }
-    options.snapshot = o.snapshot.map(PathBuf::from);
-    options.snapshot_interval_ms = o.snapshot_interval_ms;
-    options.cluster = o.cluster.clone();
-    options.shard_index = o.shard_index;
+    let options = ServeOptions::parse(args)?;
     #[cfg(unix)]
     spike_serve::server::install_sigterm_handler();
     let server = Server::start(&options)?;

@@ -443,6 +443,49 @@ fn usage_and_io_problems_exit_two() {
     }
 }
 
+/// The `spike-served` binary of the `spike-serve` package, beside this
+/// package's `spike-cli` in the same target directory. `cargo build`
+/// brings it up to date first, since a `-p spike-cli` run builds only
+/// this package's binary.
+fn spike_served() -> std::path::PathBuf {
+    let cli = std::path::Path::new(env!("CARGO_BIN_EXE_spike-cli"));
+    let profile_dir = cli.parent().expect("binary directory");
+    let mut build = Command::new(env!("CARGO"));
+    build.args(["build", "-q", "-p", "spike-serve", "--bin", "spike-served", "--target-dir"]);
+    build.arg(profile_dir.parent().expect("target directory"));
+    if profile_dir.ends_with("release") {
+        build.arg("--release");
+    }
+    assert!(build.status().expect("cargo runs").success(), "cannot build spike-served");
+    cli.with_file_name(format!("spike-served{}", std::env::consts::EXE_SUFFIX))
+}
+
+#[test]
+fn serve_and_spike_served_share_one_flag_parser() {
+    let served = spike_served();
+    // Every case fails while the flags are parsed, before anything binds.
+    let cases: [(&[&str], &str); 4] = [
+        (&["--unix", "/tmp/unused.sock", "--seed", "3"], "error: unknown option `--seed`"),
+        (&["--unix", "/tmp/unused.sock", "--snapshot"], "error: --snapshot needs a value"),
+        (
+            &["--unix", "/tmp/unused.sock", "--workers", "x"],
+            "error: --workers needs a number, got `x`",
+        ),
+        (
+            &["--cache-bytes", "-1", "--unix", "/tmp/unused.sock"],
+            "error: --cache-bytes needs a number, got `-1`",
+        ),
+    ];
+    for (args, message) in cases {
+        let cli = spike(&[&["serve"][..], args].concat());
+        let daemon = Command::new(&served).args(args).output().expect("binary runs");
+        for (who, o) in [("spike serve", &cli), ("spike-served", &daemon)] {
+            assert_eq!(code(o), 2, "{who} {args:?}: {}", stderr(o));
+            assert_eq!(stderr(o).lines().next(), Some(message), "{who} {args:?}");
+        }
+    }
+}
+
 #[test]
 fn gen_exec_reports_a_program_too_large_to_encode() {
     // From about 2000 routines a branch displacement outgrows its 21-bit

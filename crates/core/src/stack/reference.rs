@@ -1,9 +1,16 @@
-//! The stack layer's phase A as a plain iteration: every round
-//! re-scans every member's instructions and re-composes its summary
-//! from them and the callees' current summaries, until no member's
-//! summary changes. Kept as the oracle the tests compare the one-pass
-//! production solver against — it shares no code with
+//! The stack layer's phases A and B as plain iterations, kept as the
+//! oracle the tests compare the production solver against.
+//!
+//! Phase A: every round re-scans every member's instructions and
+//! re-composes its summary from them and the callees' current
+//! summaries, until no member's summary changes. It shares no code with
 //! [`super::Digest`] or `Solver::phase_a`.
+//!
+//! Phase B: both slot dataflows as round-robin sweeps over the blocks in
+//! index order, from the same block masks the production solver builds,
+//! until a sweep changes nothing. They walk the CFG's successors and
+//! call → return arcs themselves and keep no worklist, so they share no
+//! code with the production fixpoints.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -228,11 +235,105 @@ fn phase_a(
     }
 }
 
+/// The greatest fixpoint of the forward MUST-defined slot dataflow and
+/// the least fixpoint of the backward MAY-live one over `cfg`, by
+/// round-robin sweeps: per block, the slots defined at entry and the
+/// slots live at exit.
+fn sweep_phase_b(
+    cfg: &RoutineCfg,
+    masks: &[BlockMasks],
+    slots: &[Slot],
+) -> (Vec<SlotSet>, Vec<SlotSet>) {
+    let nb = cfg.blocks().len();
+    let n = slots.len();
+    let (empty, full) = (SlotSet::empty(n), SlotSet::full(n));
+    let succs: Vec<Vec<BlockId>> = (0..nb)
+        .map(|bi| {
+            let b = BlockId::from_index(bi);
+            let mut s = cfg.succs(b).to_vec();
+            if let TermKind::Call { return_to: Some(rt), .. } = cfg.block(b).term() {
+                s.push(*rt);
+            }
+            s
+        })
+        .collect();
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
+    for (bi, ss) in succs.iter().enumerate() {
+        for s in ss {
+            preds[s.index()].push(bi);
+        }
+    }
+
+    // Forward, from ⊤: nothing is defined at an entrance.
+    let mut must_in = vec![full.clone(); nb];
+    loop {
+        let mut changed = false;
+        for bi in 0..nb {
+            let mut acc = if cfg.entries().contains(&BlockId::from_index(bi)) {
+                empty.clone()
+            } else {
+                full.clone()
+            };
+            for &p in &preds[bi] {
+                let mut out = must_in[p].clone();
+                out.subtract(&masks[p].clear);
+                out.union_with(&masks[p].gen);
+                acc.intersect_with(&out);
+            }
+            if acc != must_in[bi] {
+                must_in[bi] = acc;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+
+    // Backward, from ∅: a return leaves the slots at or above the entry
+    // SP live for the caller, an unknown jump every slot.
+    let mut above = empty.clone();
+    for (i, slot) in slots.iter().enumerate() {
+        if slot.entry_off >= 0 {
+            above.insert(i);
+        }
+    }
+    let mut live_in = vec![empty.clone(); nb];
+    let mut live_out = vec![empty.clone(); nb];
+    loop {
+        let mut changed = false;
+        for bi in 0..nb {
+            let mut out = match cfg.blocks()[bi].term() {
+                _ if !succs[bi].is_empty() => empty.clone(),
+                TermKind::Ret => above.clone(),
+                TermKind::UnknownJump => full.clone(),
+                _ => empty.clone(),
+            };
+            for s in &succs[bi] {
+                out.union_with(&live_in[s.index()]);
+            }
+            let mut entry = out.clone();
+            entry.subtract(&masks[bi].def);
+            entry.union_with(&masks[bi].used);
+            live_out[bi] = out;
+            if entry != live_in[bi] {
+                live_in[bi] = entry;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    (must_in, live_out)
+}
+
 /// [`analyze_stack`] with the reference phase A in place of the
 /// production one. Also checks, member by member, that the frame the
 /// digest yields under the converged summaries is the one the
-/// instruction re-scan finds, and that the digest's own verdict is what
-/// the re-scan says of a member no callee untracks.
+/// instruction re-scan finds, that the digest's own verdict is what
+/// the re-scan says of a member no callee untracks, and that the
+/// production phase B reaches the fixpoints the round-robin sweeps do.
 pub(super) fn analyze_stack_reference(
     program: &Program,
     cfg: &ProgramCfg,
@@ -260,8 +361,33 @@ pub(super) fn analyze_stack_reference(
                 assert_eq!(digest.own, own);
             }
         }
-        for (digest, &rid) in digests.iter().zip(component) {
-            solver.routines[rid.index()] = Some(solver.phase_b(rid, digest));
+        for ((local, digest), &rid) in locals.iter().zip(&digests).zip(component) {
+            let solved = solver.phase_b(rid, digest);
+            let rcfg = cfg.routine_cfg(rid);
+            let nb = rcfg.blocks().len();
+            let (must, live) = if local.escaped {
+                let empty = SlotSet::empty(local.slots.len());
+                (vec![empty.clone(); nb], vec![empty; nb])
+            } else {
+                let masks: Vec<BlockMasks> = rcfg
+                    .blocks()
+                    .iter()
+                    .enumerate()
+                    .map(|(bi, block)| {
+                        build_masks(
+                            digest.events(bi),
+                            block.term(),
+                            local.sp_disp_in[bi],
+                            &local.slots,
+                            |c| solver.summaries[c.index()].opaque,
+                        )
+                    })
+                    .collect();
+                sweep_phase_b(rcfg, &masks, &local.slots)
+            };
+            assert_eq!(solved.must_defined_in, must, "must-defined slots of {rid:?}");
+            assert_eq!(solved.live_out, live, "live slots of {rid:?}");
+            solver.routines[rid.index()] = Some(solved);
         }
     }
     solver.finish()

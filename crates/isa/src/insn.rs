@@ -98,6 +98,12 @@ impl AluOp {
             AluOp::CmovNe => "cmovne",
         }
     }
+
+    /// The operation an assembler mnemonic names, the inverse of
+    /// [`mnemonic`](Self::mnemonic).
+    pub fn from_mnemonic(mn: &str) -> Option<AluOp> {
+        AluOp::ALL.into_iter().find(|x| x.mnemonic() == mn)
+    }
 }
 
 /// Conditions for [`Instruction::CondBranch`]; all test register `ra`
@@ -154,6 +160,12 @@ impl BranchCond {
             BranchCond::Lbc => "blbc",
             BranchCond::Lbs => "blbs",
         }
+    }
+
+    /// The condition an assembler mnemonic names, the inverse of
+    /// [`mnemonic`](Self::mnemonic).
+    pub fn from_mnemonic(mn: &str) -> Option<BranchCond> {
+        BranchCond::ALL.into_iter().find(|x| x.mnemonic() == mn)
     }
 
     /// Evaluates the condition against a register value.
@@ -232,6 +244,12 @@ impl FpOp {
             FpOp::CmpEq => "cmpteq",
             FpOp::CmpLt => "cmptlt",
         }
+    }
+
+    /// The operation an assembler mnemonic names, the inverse of
+    /// [`mnemonic`](Self::mnemonic).
+    pub fn from_mnemonic(mn: &str) -> Option<FpOp> {
+        FpOp::ALL.into_iter().find(|x| x.mnemonic() == mn)
     }
 }
 
@@ -741,6 +759,22 @@ mod tests {
                 .unwrap_or_else(|e| panic!("decode failed for {insn}: {e}"));
             assert_eq!(back, insn, "round trip for {insn} (word {word:#010x})");
         }
+    }
+
+    #[test]
+    fn from_mnemonic_inverts_mnemonic() {
+        for op in AluOp::ALL {
+            assert_eq!(AluOp::from_mnemonic(op.mnemonic()), Some(op));
+        }
+        for op in FpOp::ALL {
+            assert_eq!(FpOp::from_mnemonic(op.mnemonic()), Some(op));
+        }
+        for cond in BranchCond::ALL {
+            assert_eq!(BranchCond::from_mnemonic(cond.mnemonic()), Some(cond));
+        }
+        assert_eq!(AluOp::from_mnemonic("addt"), None);
+        assert_eq!(FpOp::from_mnemonic("addq"), None);
+        assert_eq!(BranchCond::from_mnemonic("br"), None);
     }
 
     #[test]

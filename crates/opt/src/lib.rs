@@ -59,8 +59,8 @@ use spike_isa::Instruction;
 use spike_program::{Program, RewriteError, Rewriter, RoutineId};
 
 pub use liveness::{
-    block_liveness, block_must_defined, must_defined_gen, routine_liveness, step_back,
-    LivenessScratch, RoutineLiveness,
+    block_liveness, block_must_defined, must_defined_gen, step_back, LivenessScratch,
+    RoutineLiveness,
 };
 
 /// Bound on [`OptOptions::iterate`] rounds: each round re-runs every

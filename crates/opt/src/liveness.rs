@@ -130,8 +130,7 @@ pub struct LivenessScratch {
     wl: PriorityWorklist,
 }
 
-/// Per-block liveness of `rid`, equal to [`routine_liveness`] with
-/// nothing ignored.
+/// Per-block liveness of `rid`, the one public liveness entry point.
 ///
 /// It reads each block's transfer off the `DEF`/`UBD` sets the CFG
 /// carries instead of scanning instructions: `gen = UBD` and `pass =
@@ -185,9 +184,13 @@ pub(crate) fn call_at(
     }
 }
 
-/// Computes per-block liveness for routine `rid`, optionally treating the
-/// addresses in `ignore` as deleted (their uses and defs are skipped).
-pub fn routine_liveness(
+/// Per-block liveness of routine `rid` composed instruction by
+/// instruction, optionally treating the addresses in `ignore` as
+/// deleted (their uses and defs are skipped). The reference
+/// [`block_liveness`] is checked against, and the liveness behind the
+/// dead-code cascade's reference.
+#[cfg(test)]
+pub(crate) fn routine_liveness(
     program: &Program,
     facts: RegisterFacts<'_>,
     rid: RoutineId,

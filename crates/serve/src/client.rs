@@ -9,7 +9,9 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use crate::proto::{read_frame, write_frame, FrameError, FrameRead, Request, Response};
+use spike_core::json::Json;
+
+use crate::proto::{read_frame, write_frame, FrameRead, Request, Response};
 
 /// Where the daemon listens. Parsed from the CLI's `--connect` value:
 /// `unix:<path>` selects a Unix socket, anything else is a TCP
@@ -103,20 +105,34 @@ pub fn request(
     request: &Request,
     image: &[u8],
 ) -> Result<(Response, Vec<u8>), ClientError> {
+    let (json, blob) = exchange(endpoint, &request.to_json(), image)?;
+    Response::from_frame(&json, blob).map_err(ClientError::Protocol)
+}
+
+/// The one raw frame exchange every outbound connection makes (the
+/// client's requests and a shard's or router's forwards): connect, arm
+/// the timeouts, write one frame, read one reply frame capped at
+/// [`MAX_RESPONSE_BYTES`]. The reply is returned undecoded, so a forward
+/// relays the owner's bytes verbatim.
+pub(crate) fn exchange(
+    endpoint: &Endpoint,
+    json: &Json,
+    blob: &[u8],
+) -> Result<(Json, Vec<u8>), ClientError> {
     let connect_err = |e: io::Error| ClientError::Connect(format!("{endpoint}: {e}"));
     match endpoint {
         Endpoint::Tcp(addr) => {
             let stream = TcpStream::connect(addr).map_err(connect_err)?;
             io_timeouts(&stream, TcpStream::set_read_timeout, TcpStream::set_write_timeout)
                 .map_err(connect_err)?;
-            round_trip(stream, request, image)
+            exchange_on(stream, json, blob)
         }
         #[cfg(unix)]
         Endpoint::Unix(path) => {
             let stream = UnixStream::connect(path).map_err(connect_err)?;
             io_timeouts(&stream, UnixStream::set_read_timeout, UnixStream::set_write_timeout)
                 .map_err(connect_err)?;
-            round_trip(stream, request, image)
+            exchange_on(stream, json, blob)
         }
         #[cfg(not(unix))]
         Endpoint::Unix(_) => {
@@ -125,23 +141,19 @@ pub fn request(
     }
 }
 
-fn round_trip(
+fn exchange_on(
     mut stream: impl io::Read + io::Write,
-    req: &Request,
-    image: &[u8],
-) -> Result<(Response, Vec<u8>), ClientError> {
-    write_frame(&mut stream, &req.to_json(), image)
+    json: &Json,
+    blob: &[u8],
+) -> Result<(Json, Vec<u8>), ClientError> {
+    write_frame(&mut stream, json, blob)
         .map_err(|e| ClientError::Protocol(format!("sending request: {e}")))?;
     match read_frame(&mut stream, MAX_RESPONSE_BYTES) {
-        Ok(FrameRead::Frame(json, blob)) => {
-            Response::from_frame(&json, blob).map_err(ClientError::Protocol)
-        }
+        Ok(FrameRead::Frame(json, blob)) => Ok((json, blob)),
         Ok(FrameRead::Eof) => {
             Err(ClientError::Protocol("daemon closed the connection without replying".into()))
         }
-        Err(e @ (FrameError::Io(_) | FrameError::TooLarge { .. } | FrameError::BadJson(_))) => {
-            Err(ClientError::Protocol(format!("reading response: {e}")))
-        }
+        Err(e) => Err(ClientError::Protocol(format!("reading response: {e}"))),
     }
 }
 
@@ -193,8 +205,9 @@ mod tests {
         let mut reply = Vec::new();
         let json = spike_core::json::Json::parse(r#"{"exit":0,"stdout_bytes":9}"#).unwrap();
         write_frame(&mut reply, &json, b"short").unwrap();
-        match round_trip(Canned(io::Cursor::new(reply)), &req, &[]) {
-            Err(ClientError::Protocol(m)) => assert!(m.contains("stdout_bytes 9"), "{m}"),
+        let reply = exchange_on(Canned(io::Cursor::new(reply)), &req.to_json(), &[]).unwrap();
+        match Response::from_frame(&reply.0, reply.1) {
+            Err(m) => assert!(m.contains("stdout_bytes 9"), "{m}"),
             other => panic!("expected a protocol error, got {other:?}"),
         }
     }

@@ -42,7 +42,7 @@ use std::time::Duration;
 use spike_core::json::Json;
 
 use crate::cache::CacheKey;
-use crate::client::{request, ClientError, Endpoint};
+use crate::client::{exchange, request, ClientError, Endpoint};
 use crate::proto::{read_frame, write_frame, ErrorKind, FrameRead, Request, Response};
 
 /// Virtual nodes per shard: enough that each shard's slice of the
@@ -108,13 +108,23 @@ impl Ring {
     pub fn owner_addr(&self, key: CacheKey) -> &str {
         &self.shards[self.owner_of(key)]
     }
+
+    /// The address of the shard a request frame's `blob` goes to: the
+    /// owner of its image, or shard 0 when it carries none. Ownership is
+    /// keyed on the image alone, so the profile the request may append
+    /// after it (`profile_len` trailing bytes) never moves the choice.
+    pub fn route(&self, blob: &[u8], profile_len: usize) -> &str {
+        let image = &blob[..blob.len().saturating_sub(profile_len)];
+        if image.is_empty() {
+            &self.shards[0]
+        } else {
+            self.owner_addr(CacheKey::of(image))
+        }
+    }
 }
 
-/// Sends one request to the shard owning its image (computed
+/// Sends one request to the shard [`Ring::route`] picks (computed
 /// client-side over `shards`), avoiding the router hop entirely.
-/// Blob-less requests go to shard 0. Ownership is keyed on the image
-/// alone — `blob` may carry a profile after it (`req.profile_len`
-/// trailing bytes), which must not perturb the shard choice.
 ///
 /// # Errors
 ///
@@ -125,13 +135,7 @@ pub fn cluster_request(
     blob: &[u8],
 ) -> Result<(Response, Vec<u8>), ClientError> {
     let ring = Ring::new(shards.to_vec());
-    let image = &blob[..blob.len().saturating_sub(req.profile_len)];
-    let addr = if image.is_empty() {
-        ring.shards()[0].clone()
-    } else {
-        ring.owner_addr(CacheKey::of(image)).to_string()
-    };
-    request(&Endpoint::Tcp(addr), req, blob)
+    request(&Endpoint::Tcp(ring.route(blob, req.profile_len).to_string()), req, blob)
 }
 
 /// What this shard needs to know about its cluster: the ring plus its
@@ -299,19 +303,8 @@ pub(crate) fn forward_frame(
     json: &Json,
     blob: &[u8],
 ) -> Result<(Json, Vec<u8>), String> {
-    let mut upstream =
-        TcpStream::connect(addr).map_err(|e| format!("shard {addr} unreachable: {e}"))?;
-    // Shard-side work can legitimately take a while; this guards
-    // against a dead shard, not a slow one.
-    let t = Some(Duration::from_secs(600));
-    upstream.set_read_timeout(t).map_err(|e| e.to_string())?;
-    upstream.set_write_timeout(t).map_err(|e| e.to_string())?;
-    write_frame(&mut upstream, json, blob).map_err(|e| format!("sending to shard {addr}: {e}"))?;
-    match read_frame(&mut upstream, 256 << 20) {
-        Ok(FrameRead::Frame(json, blob)) => Ok((json, blob)),
-        Ok(FrameRead::Eof) => Err(format!("shard {addr} closed without replying")),
-        Err(e) => Err(format!("reading from shard {addr}: {e}")),
-    }
+    exchange(&Endpoint::Tcp(addr.to_string()), json, blob)
+        .map_err(|e| format!("forwarding to shard {addr}: {e}"))
 }
 
 /// Handles one client connection: read the frame, pick the owner, relay.
@@ -339,14 +332,8 @@ fn relay(mut stream: TcpStream, ring: &Ring, max_frame_bytes: usize) {
         finish(&mut stream, last);
         return;
     }
-    // Ownership is keyed on the image alone; a request may append a
-    // profile blob after it (`profile_len` trailing bytes), which must
-    // not perturb the shard choice.
     let profile_len = json.get("profile_len").and_then(Json::as_u64).unwrap_or(0) as usize;
-    let image = &blob[..blob.len().saturating_sub(profile_len)];
-    let addr =
-        if image.is_empty() { &ring.shards()[0] } else { ring.owner_addr(CacheKey::of(image)) };
-    finish(&mut stream, forward_frame(addr, &json, &blob));
+    finish(&mut stream, forward_frame(ring.route(&blob, profile_len), &json, &blob));
 }
 
 fn finish(stream: &mut TcpStream, result: Result<(Json, Vec<u8>), String>) {
@@ -453,5 +440,24 @@ mod tests {
         assert_eq!(me.misrouted(&[]), None);
         let other = ShardIdentity { ring, index: 1 - owner };
         assert_eq!(other.misrouted(image), Some(owner));
+    }
+
+    #[test]
+    fn route_keys_on_the_image_alone() {
+        let ring = Ring::new(addrs(3));
+        let mut hashed_whole = 0;
+        for key in 0..200u32 {
+            let image = format!("image-{key}").into_bytes();
+            let owner = ring.owner_addr(CacheKey::of(&image)).to_string();
+            assert_eq!(ring.route(&image, 0), owner);
+            let mut with_profile = image.clone();
+            with_profile.extend_from_slice(&key.to_le_bytes().repeat(5));
+            assert_eq!(ring.route(&with_profile, 20), owner, "a profile trailer moved the shard");
+            hashed_whole += usize::from(ring.owner_addr(CacheKey::of(&with_profile)) != owner);
+        }
+        assert!(hashed_whole > 0, "hashing the whole blob would have moved some images");
+        assert_eq!(ring.route(&[], 0), ring.shards()[0], "no image goes to shard 0");
+        assert_eq!(ring.route(b"only a profile", 14), ring.shards()[0]);
+        assert_eq!(ring.route(b"short", 99), ring.shards()[0]);
     }
 }

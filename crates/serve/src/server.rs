@@ -3,19 +3,25 @@
 //!
 //! Life of a request:
 //!
-//! 1. An acceptor thread (one per listener, blocking `accept`) accepts
-//!    the connection. If the bounded queue is full, the acceptor itself
-//!    writes a `busy` error frame and closes — explicit backpressure,
-//!    never an unbounded backlog.
-//! 2. A worker pops the connection, reads the request frame (size-capped,
-//!    socket read/write timeouts armed), dispatches through
-//!    [`Handler`] under `catch_unwind`, and
-//!    writes the response frame. A panicking handler costs that request
-//!    a `panic` error reply, not the daemon.
+//! 1. The connection path follows the platform. On Linux one reactor
+//!    thread (`reactor`, epoll) accepts every connection, reads its
+//!    request frame off the nonblocking socket (size-capped) and queues
+//!    the complete frame as `Work::Frame`; a slow or idle client costs
+//!    no thread. Elsewhere one acceptor thread per listener (blocking
+//!    `accept`) queues the raw connection as `Work::Conn`, and the
+//!    worker reads the frame itself (size-capped, socket read/write
+//!    timeouts armed). Either way, if the bounded queue is full the
+//!    reactor or acceptor writes a `busy` error frame and closes —
+//!    explicit backpressure, never an unbounded backlog.
+//! 2. A worker pops the work, dispatches the request through
+//!    [`Handler`] under `catch_unwind`, and writes the response frame. A
+//!    panicking handler costs that request a `panic` error reply, not the
+//!    daemon.
 //! 3. `shutdown` (the command, [`Server::shutdown`], or SIGTERM in the
-//!    daemon binary) flips one flag: acceptors stop accepting and exit,
-//!    workers drain the queue, then everything joins and the Unix socket
-//!    is unlinked. Requests already accepted are always answered.
+//!    daemon binary) flips one flag: the reactor or acceptors stop
+//!    accepting and exit, workers drain the queue, then everything joins
+//!    and the Unix socket is unlinked. Requests already accepted are
+//!    always answered.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -96,6 +102,46 @@ impl Default for ServeOptions {
             cluster: Vec::new(),
             shard_index: None,
         }
+    }
+}
+
+impl ServeOptions {
+    /// Parses the daemon's command-line flags, the one parser both `spike
+    /// serve` and `spike-served` use. Every flag not given keeps its
+    /// [`Default`].
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a flag without its value, or a value that is not
+    /// a number where one is needed; the message names the flag.
+    pub fn parse(args: &[String]) -> Result<ServeOptions, String> {
+        let mut o = ServeOptions::default();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            let flag = a.as_str();
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+            let mut num = || -> Result<u64, String> {
+                let v = value()?;
+                v.parse().map_err(|_| format!("{flag} needs a number, got `{v}`"))
+            };
+            match flag {
+                "--listen" => o.tcp = Some(value()?.clone()),
+                "--unix" => o.unix = Some(PathBuf::from(value()?)),
+                "--workers" => o.workers = num()? as usize,
+                "--cache-bytes" => o.cache_bytes = num()? as usize,
+                "--queue" => o.queue_capacity = num()? as usize,
+                "--max-frame-bytes" => o.max_frame_bytes = num()? as usize,
+                "--deadline-ms" => o.default_deadline_ms = num()?,
+                "--snapshot" => o.snapshot = Some(PathBuf::from(value()?)),
+                "--snapshot-interval-ms" => o.snapshot_interval_ms = Some(num()?),
+                "--cluster" => {
+                    o.cluster = value()?.split(',').map(|s| s.trim().to_string()).collect()
+                }
+                "--shard-index" => o.shard_index = Some(num()? as usize),
+                other => return Err(format!("unknown option `{other}`")),
+            }
+        }
+        Ok(o)
     }
 }
 
