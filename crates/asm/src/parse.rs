@@ -229,6 +229,20 @@ fn parse_instruction(
         });
         return Ok(());
     }
+    if let Some(width) = MemWidth::from_load_mnemonic(mn) {
+        want(2)?;
+        let rd = parse_reg(ops[0], lineno)?;
+        let (disp, base) = parse_mem(ops[1], lineno)?;
+        r.insn(Instruction::Load { width, rd, base, disp });
+        return Ok(());
+    }
+    if let Some(width) = MemWidth::from_store_mnemonic(mn) {
+        want(2)?;
+        let rs = parse_reg(ops[0], lineno)?;
+        let (disp, base) = parse_mem(ops[1], lineno)?;
+        r.insn(Instruction::Store { width, rs, base, disp });
+        return Ok(());
+    }
     if let Some(cond) = BranchCond::from_mnemonic(mn) {
         want(2)?;
         r.cond(cond, parse_reg(ops[0], lineno)?, ops[1]);
@@ -253,28 +267,6 @@ fn parse_instruction(
             let rd = parse_reg(ops[0], lineno)?;
             let (disp, base) = parse_mem(ops[1], lineno)?;
             r.insn(Instruction::Ldah { rd, base, disp });
-        }
-        "ldl" | "ldq" | "ldt" => {
-            want(2)?;
-            let width = match mn {
-                "ldl" => MemWidth::L,
-                "ldq" => MemWidth::Q,
-                _ => MemWidth::T,
-            };
-            let rd = parse_reg(ops[0], lineno)?;
-            let (disp, base) = parse_mem(ops[1], lineno)?;
-            r.insn(Instruction::Load { width, rd, base, disp });
-        }
-        "stl" | "stq" | "stt" => {
-            want(2)?;
-            let width = match mn {
-                "stl" => MemWidth::L,
-                "stq" => MemWidth::Q,
-                _ => MemWidth::T,
-            };
-            let rs = parse_reg(ops[0], lineno)?;
-            let (disp, base) = parse_mem(ops[1], lineno)?;
-            r.insn(Instruction::Store { width, rs, base, disp });
         }
         "br" => {
             want(1)?;

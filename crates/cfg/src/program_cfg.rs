@@ -1,5 +1,7 @@
 //! The whole-program control-flow graph (supergraph).
 
+use std::sync::Arc;
+
 use spike_program::{Program, RoutineId};
 
 use crate::block::{CallTarget, TermKind};
@@ -37,27 +39,35 @@ spike_isa::analysis_struct! {
     /// The full-CFG baseline analysis (`spike-baseline`) runs over this
     /// structure; Spike itself only uses it transiently while building the
     /// much smaller program summary graph.
+    ///
+    /// Each routine's CFG sits behind an `Arc`, so a clone of the whole
+    /// shares every routine's graph; an incremental re-analysis replaces
+    /// the edited routines' and copies a shared one only to move it
+    /// ([`Arc::make_mut`] around [`RoutineCfg::rebase`]). The memory walk
+    /// charges each as if owned.
     #[derive(Clone, PartialEq, Eq, Debug)]
     pub struct ProgramCfg {
-        cfgs: Vec<RoutineCfg>,
+        cfgs: Vec<Arc<RoutineCfg>>,
     }
 }
 
 impl ProgramCfg {
     /// Builds the CFG of every routine.
     pub fn build(program: &Program) -> ProgramCfg {
-        let cfgs = program.iter().map(|(id, _)| RoutineCfg::build(program, id)).collect();
+        let cfgs = program.iter().map(|(id, _)| Arc::new(RoutineCfg::build(program, id))).collect();
         ProgramCfg { cfgs }
     }
 
     /// Wraps already-built routine CFGs. Used by pipelines that time CFG
-    /// construction and `DEF`/`UBD` initialization as separate stages.
+    /// construction and `DEF`/`UBD` initialization as separate stages,
+    /// and by incremental re-analysis to splice rebuilt CFGs for dirty
+    /// routines in between reused clean ones.
     ///
     /// # Panics
     ///
     /// Panics if `cfgs` are not in routine-id order (`cfgs[i]` must
     /// describe routine `i`).
-    pub fn from_cfgs(cfgs: Vec<RoutineCfg>) -> ProgramCfg {
+    pub fn from_cfgs(cfgs: Vec<Arc<RoutineCfg>>) -> ProgramCfg {
         for (i, c) in cfgs.iter().enumerate() {
             assert_eq!(c.routine().index(), i, "cfgs must be in routine-id order");
         }
@@ -65,9 +75,8 @@ impl ProgramCfg {
     }
 
     /// Consumes the program CFG, returning the per-routine CFGs in
-    /// routine-id order. Incremental re-analysis uses this to splice
-    /// rebuilt CFGs for dirty routines in between reused clean ones.
-    pub fn into_cfgs(self) -> Vec<RoutineCfg> {
+    /// routine-id order, still shared with every clone.
+    pub fn into_cfgs(self) -> Vec<Arc<RoutineCfg>> {
         self.cfgs
     }
 
@@ -83,7 +92,7 @@ impl ProgramCfg {
 
     /// All routine CFGs, indexed by routine id.
     #[inline]
-    pub fn cfgs(&self) -> &[RoutineCfg] {
+    pub fn cfgs(&self) -> &[Arc<RoutineCfg>] {
         &self.cfgs
     }
 

@@ -1,6 +1,7 @@
 //! The analysis pipeline: CFG build → initialization → PSG build →
 //! phase 1 → phase 2, with per-stage timing and memory accounting.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spike_callgraph::{CallGraph, CallGraphStats, Sccs};
@@ -319,14 +320,14 @@ impl FrontEnd {
         let n_routines = program.routines().len();
 
         let t = Instant::now();
-        let mut cfgs: Vec<RoutineCfg> = (0..n_routines)
-            .map(|i| RoutineCfg::build_structure(program, RoutineId::from_index(i)))
+        let mut cfgs: Vec<Arc<RoutineCfg>> = (0..n_routines)
+            .map(|i| Arc::new(RoutineCfg::build_structure(program, RoutineId::from_index(i))))
             .collect();
         let cfg_build = t.elapsed();
 
         let t = Instant::now();
         for c in &mut cfgs {
-            c.init_def_ubd(program);
+            Arc::get_mut(c).expect("a CFG just built is not shared").init_def_ubd(program);
         }
         let init = t.elapsed();
         FrontEnd { cfg: ProgramCfg::from_cfgs(cfgs), cfg_build, init, rebuilt: n_routines }

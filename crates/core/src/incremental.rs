@@ -47,6 +47,7 @@
 //!    [`reanalyze_stack`](crate::reanalyze_stack) over that accumulated
 //!    set.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spike_cfg::{ProgramCfg, RoutineCfg};
@@ -429,14 +430,17 @@ fn advance_register_layers(
     let mut cfgs = cfg.into_cfgs();
     for c in rebuilt {
         let i = c.routine().index();
-        cfgs[i] = c;
+        cfgs[i] = Arc::new(c);
     }
     // Clean routines kept their content (modulo relinked displacements
     // and relocated immediates, which no cached structure holds) but may
-    // have shifted when an earlier routine shrank; follow the move.
+    // have shifted when an earlier routine shrank; follow the move. A CFG
+    // shared with another analysis (the daemon's donor) is copied only
+    // when it actually moves.
     for (i, c) in cfgs.iter_mut().enumerate() {
-        if !dirty_mask[i] {
-            c.rebase(program.routines()[i].addr());
+        let base = program.routines()[i].addr();
+        if !dirty_mask[i] && c.base() != base {
+            Arc::make_mut(c).rebase(base);
         }
     }
     let init = t.elapsed();

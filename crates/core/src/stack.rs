@@ -74,6 +74,8 @@
 //! oracle is `spike_sim::run_shadow_slots`, which tracks the identical
 //! `[sp, entry_sp)` frame rule and per-address definedness at run time.
 
+use std::sync::Arc;
+
 use spike_callgraph::CallGraph;
 use spike_cfg::{BlockId, CallTarget, ProgramCfg, RoutineCfg, TermKind};
 use spike_isa::{HeapSize, Instruction, MemWidth, Reg};
@@ -317,10 +319,13 @@ spike_isa::analysis_struct! {
 
 spike_isa::analysis_struct! {
     /// The whole-program stack-slot analysis, one [`RoutineStack`] per
-    /// routine.
+    /// routine. Each record sits behind an `Arc`: a clone shares them, and
+    /// an incremental solve hands every reused record over untouched (its
+    /// facts are offset based, so a moved routine shares it too). The
+    /// memory walk charges each as if owned.
     #[derive(Clone, PartialEq, Eq, Debug)]
     pub struct StackAnalysis {
-        routines: Vec<RoutineStack>,
+        routines: Vec<Arc<RoutineStack>>,
     }
 }
 
@@ -848,7 +853,7 @@ struct Solver<'a> {
     pcfg: &'a ProgramCfg,
     cg: &'a CallGraph,
     summaries: Vec<StackSummary>,
-    routines: Vec<Option<RoutineStack>>,
+    routines: Vec<Option<Arc<RoutineStack>>>,
     stats: StackStats,
 }
 
@@ -881,11 +886,11 @@ impl<'a> Solver<'a> {
     fn solve_component(
         &mut self,
         component: &[RoutineId],
-        prev: &mut [Option<RoutineStack>],
+        prev: &mut [Option<Arc<RoutineStack>>],
         prev_summaries: &[StackSummary],
     ) {
-        fn kept(prev: &[Option<RoutineStack>], r: RoutineId) -> Option<&RoutineStack> {
-            prev.get(r.index()).and_then(Option::as_ref)
+        fn kept(prev: &[Option<Arc<RoutineStack>>], r: RoutineId) -> Option<&RoutineStack> {
+            prev.get(r.index()).and_then(Option::as_deref)
         }
         let digests: Vec<Option<Digest>> = component
             .iter()
@@ -919,7 +924,7 @@ impl<'a> Solver<'a> {
                     );
                     digest
                 });
-                self.phase_b(rid, &digest)
+                Arc::new(self.phase_b(rid, &digest))
             };
             self.routines[rid.index()] = Some(solved);
         }
@@ -1043,7 +1048,7 @@ pub(crate) fn reanalyze_stack_over(
         prev.clear();
     }
     let prev_summaries: Vec<StackSummary> = prev.iter().map(|r| r.summary).collect();
-    let mut kept: Vec<Option<RoutineStack>> =
+    let mut kept: Vec<Option<Arc<RoutineStack>>> =
         prev.into_iter().zip(dirty).map(|(rs, &d)| (!d).then_some(rs)).collect();
     let mut solver = Solver::new(program, cfg, &calls.graph);
     for component in calls.sccs.bottom_up() {
@@ -1067,11 +1072,6 @@ impl StackAnalysis {
     /// The per-routine facts.
     pub fn routine(&self, rid: RoutineId) -> &RoutineStack {
         &self.routines[rid.index()]
-    }
-
-    /// All per-routine facts, indexed by routine.
-    pub fn all(&self) -> &[RoutineStack] {
-        &self.routines
     }
 
     /// Total slots modelled across all frames.

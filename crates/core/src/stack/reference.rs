@@ -387,7 +387,7 @@ pub(super) fn analyze_stack_reference(
             };
             assert_eq!(solved.must_defined_in, must, "must-defined slots of {rid:?}");
             assert_eq!(solved.live_out, live, "live slots of {rid:?}");
-            solver.routines[rid.index()] = Some(solved);
+            solver.routines[rid.index()] = Some(Arc::new(solved));
         }
     }
     solver.finish()

@@ -207,6 +207,39 @@ impl MemWidth {
             MemWidth::Q | MemWidth::T => 8,
         }
     }
+
+    /// Every width, in declaration order.
+    pub const ALL: [MemWidth; 3] = [MemWidth::L, MemWidth::Q, MemWidth::T];
+
+    /// The assembler mnemonic of a load of this width.
+    pub fn load_mnemonic(self) -> &'static str {
+        match self {
+            MemWidth::L => "ldl",
+            MemWidth::Q => "ldq",
+            MemWidth::T => "ldt",
+        }
+    }
+
+    /// The assembler mnemonic of a store of this width.
+    pub fn store_mnemonic(self) -> &'static str {
+        match self {
+            MemWidth::L => "stl",
+            MemWidth::Q => "stq",
+            MemWidth::T => "stt",
+        }
+    }
+
+    /// The width a load mnemonic names, the inverse of
+    /// [`load_mnemonic`](Self::load_mnemonic).
+    pub fn from_load_mnemonic(mn: &str) -> Option<MemWidth> {
+        MemWidth::ALL.into_iter().find(|w| w.load_mnemonic() == mn)
+    }
+
+    /// The width a store mnemonic names, the inverse of
+    /// [`store_mnemonic`](Self::store_mnemonic).
+    pub fn from_store_mnemonic(mn: &str) -> Option<MemWidth> {
+        MemWidth::ALL.into_iter().find(|w| w.store_mnemonic() == mn)
+    }
 }
 
 /// Floating-point compute operations for [`Instruction::FpOperate`].
@@ -684,20 +717,10 @@ impl fmt::Display for Instruction {
             Instruction::Lda { rd, base, disp } => write!(f, "lda {rd}, {disp}({base})"),
             Instruction::Ldah { rd, base, disp } => write!(f, "ldah {rd}, {disp}({base})"),
             Instruction::Load { width, rd, base, disp } => {
-                let m = match width {
-                    MemWidth::L => "ldl",
-                    MemWidth::Q => "ldq",
-                    MemWidth::T => "ldt",
-                };
-                write!(f, "{m} {rd}, {disp}({base})")
+                write!(f, "{} {rd}, {disp}({base})", width.load_mnemonic())
             }
             Instruction::Store { width, rs, base, disp } => {
-                let m = match width {
-                    MemWidth::L => "stl",
-                    MemWidth::Q => "stq",
-                    MemWidth::T => "stt",
-                };
-                write!(f, "{m} {rs}, {disp}({base})")
+                write!(f, "{} {rs}, {disp}({base})", width.store_mnemonic())
             }
             Instruction::FpOperate { op, fa, fb, fc } => {
                 write!(f, "{} {fa}, {fb}, {fc}", op.mnemonic())
@@ -772,6 +795,12 @@ mod tests {
         for cond in BranchCond::ALL {
             assert_eq!(BranchCond::from_mnemonic(cond.mnemonic()), Some(cond));
         }
+        for width in MemWidth::ALL {
+            assert_eq!(MemWidth::from_load_mnemonic(width.load_mnemonic()), Some(width));
+            assert_eq!(MemWidth::from_store_mnemonic(width.store_mnemonic()), Some(width));
+        }
+        assert_eq!(MemWidth::from_load_mnemonic("stq"), None);
+        assert_eq!(MemWidth::from_store_mnemonic("lda"), None);
         assert_eq!(AluOp::from_mnemonic("addt"), None);
         assert_eq!(FpOp::from_mnemonic("addq"), None);
         assert_eq!(BranchCond::from_mnemonic("br"), None);

@@ -136,6 +136,24 @@ impl<T: HeapSize> HeapSize for Box<T> {
     }
 }
 
+/// A shared value is charged as if owned: `total_bytes` of an `Arc<T>`
+/// is the `T`'s, so a `Vec<Arc<T>>` charges what a `Vec<T>` of the same
+/// length charges, however many holders share each value. The reference
+/// counts and the pointer are left out so that sharing moves no number.
+impl<T: HeapSize> HeapSize for std::sync::Arc<T> {
+    fn heap_bytes(&self) -> usize {
+        (std::mem::size_of::<T>() + self.as_ref().heap_bytes())
+            .saturating_sub(std::mem::size_of::<Self>())
+    }
+}
+
+/// A shared slice is charged as an owned `Vec` of its exact length.
+impl<T: HeapSize> HeapSize for std::sync::Arc<[T]> {
+    fn heap_bytes(&self) -> usize {
+        self.len() * std::mem::size_of::<T>() + self.iter().map(HeapSize::heap_bytes).sum::<usize>()
+    }
+}
+
 impl<T: HeapSize> HeapSize for Option<T> {
     fn heap_bytes(&self) -> usize {
         self.as_ref().map_or(0, HeapSize::heap_bytes)
@@ -221,6 +239,18 @@ mod tests {
         let o: Option<Vec<u8>> = Some(Vec::with_capacity(4));
         assert_eq!(o.heap_bytes(), 4);
         assert_eq!(None::<Vec<u8>>.heap_bytes(), 0);
+    }
+
+    #[test]
+    fn a_shared_value_is_charged_as_if_owned() {
+        use std::sync::Arc;
+        let owned: Vec<Vec<u64>> = vec![vec![1, 2, 3], vec![4; 5]];
+        let shared: Vec<Arc<Vec<u64>>> = owned.iter().cloned().map(Arc::new).collect();
+        assert_eq!(shared.heap_bytes(), owned.heap_bytes());
+        let arc = Arc::clone(&shared[0]);
+        assert_eq!(arc.total_bytes(), owned[0].total_bytes());
+        let slice: Arc<[u32]> = vec![1, 2, 3].into();
+        assert_eq!(slice.heap_bytes(), vec![1u32, 2, 3].heap_bytes());
     }
 
     #[test]

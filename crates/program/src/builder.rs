@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use spike_isa::{AluOp, BranchCond, FpOp, Instruction, MemWidth, Reg};
 
@@ -421,9 +422,8 @@ impl ProgramBuilder {
                     Ok(d as i32)
                 };
 
-            let mut insns = Vec::with_capacity(rb.items.len());
-            for (off, item) in rb.items.iter().enumerate() {
-                let insn = match item {
+            let mut resolve = |off: usize, item: &Item| -> Result<Instruction, BuildError> {
+                Ok(match item {
                     Item::Insn(i) => *i,
                     Item::BrTo(l) => Instruction::Br { disp: disp_to(off, local_label(l)?, 26)? },
                     Item::CondTo(c, r, l) => Instruction::CondBranch {
@@ -493,8 +493,24 @@ impl ProgramBuilder {
                             })?,
                         }
                     }
-                };
-                insns.push(insn);
+                })
+            };
+            // Collected straight into the routine's shared array: one
+            // allocation, no copy. The first error is the one returned.
+            let mut failed = None;
+            let insns: Arc<[Instruction]> = rb
+                .items
+                .iter()
+                .enumerate()
+                .map(|(off, item)| {
+                    resolve(off, item).unwrap_or_else(|e| {
+                        failed.get_or_insert(e);
+                        Instruction::Halt
+                    })
+                })
+                .collect();
+            if let Some(e) = failed {
+                return Err(e);
             }
 
             match insns.last() {
@@ -514,7 +530,13 @@ impl ProgramBuilder {
             entry_offsets.sort_unstable();
             entry_offsets.dedup();
 
-            routines.push(Routine::new(rb.name.clone(), base, insns, entry_offsets, rb.exported));
+            routines.push(Routine::with_shared_insns(
+                rb.name.clone(),
+                base,
+                insns,
+                entry_offsets,
+                rb.exported,
+            ));
         }
 
         let entry = match &self.entry {

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use spike_isa::{DecodeError, Instruction};
 
@@ -125,7 +126,91 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Bytes before the first routine record: magic, version, entry and
+/// routine count.
+const HEADER_BYTES: usize = 16;
+
+/// Skips one routine record of an image, returning its instruction words.
+fn record_words<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], ImageError> {
+    let name_len = r.u16()? as usize;
+    r.take(name_len)?;
+    r.u32()?; // addr
+    let n_insns = r.count(4)?;
+    r.u32()?; // flags
+    let n_entries = r.count(4)?;
+    r.take(4 * n_entries)?;
+    r.take(4 * n_insns)
+}
+
+/// Decodes a routine's instruction words, based at `addr`, straight into
+/// its array (one allocation, no copy). `like` holds the words and the
+/// instructions of a donor routine of the same length: where a word
+/// equals the donor's at the same index, the donor's instruction is
+/// copied instead of decoded. Equal words decode to equal instructions,
+/// and an undecodable word is never one of those, so the result, error
+/// included, is the plain decode's.
+fn decode_words(
+    words: &[u8],
+    addr: u32,
+    like: Option<(&[u8], &[Instruction])>,
+) -> Result<Arc<[Instruction]>, ImageError> {
+    let word = |w: &[u8]| u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let (like_words, like_insns) = like.unwrap_or_default();
+    let mut failed = None;
+    let insns = words
+        .chunks_exact(4)
+        .enumerate()
+        .map(|(i, w)| {
+            let w = word(w);
+            match like_words.get(4 * i..4 * i + 4) {
+                Some(d) if word(d) == w => like_insns[i],
+                _ => Instruction::decode(w).unwrap_or_else(|source| {
+                    // `addr` is still unvalidated image data here; wrap
+                    // rather than overflow when computing the diagnostic
+                    // address.
+                    failed.get_or_insert(ImageError::Decode {
+                        addr: addr.wrapping_add(i as u32),
+                        source,
+                    });
+                    Instruction::Halt
+                }),
+            }
+        })
+        .collect();
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(insns),
+    }
+}
+
 impl Program {
+    /// The entry routine index and routine count an image's header
+    /// declares, read without looking further; `None` when the image is
+    /// too short or not of this format. The image may still fail to
+    /// load.
+    pub fn image_shape(bytes: &[u8]) -> Option<(usize, usize)> {
+        let mut r = Reader { bytes, pos: 0 };
+        if r.u32().ok()? != MAGIC || r.u32().ok()? != VERSION {
+            return None;
+        }
+        Some((r.u32().ok()? as usize, r.u32().ok()? as usize))
+    }
+
+    /// How many routine records of two images hold byte-identical
+    /// instruction words at the same index: the routines a load of
+    /// `image` against a donor loaded from `other` would share
+    /// ([`Program::from_image_sharing`]), found without decoding either.
+    /// Counting stops where either image stops parsing.
+    pub fn routines_in_common(image: &[u8], other: &[u8]) -> usize {
+        let mut a = Reader { bytes: image, pos: HEADER_BYTES };
+        let mut b = Reader { bytes: other, pos: HEADER_BYTES };
+        let mut common = 0;
+        while let (Ok(x), Ok(y)) = (record_words(&mut a), record_words(&mut b)) {
+            common += usize::from(x == y);
+        }
+        common
+    }
+
     /// Serializes the program into a flat executable image.
     pub fn to_image(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.total_instructions() * 4);
@@ -189,13 +274,42 @@ impl Program {
     }
 
     /// Loads a program from an executable image, decoding every
-    /// instruction word and re-validating all invariants.
+    /// instruction word and re-validating all invariants: the no-donor
+    /// case of [`Program::from_image_sharing`].
     ///
     /// # Errors
     ///
     /// Returns an [`ImageError`] for structural corruption, undecodable
     /// instruction words, or validation failures of the decoded program.
     pub fn from_image(bytes: &[u8]) -> Result<Program, ImageError> {
+        Program::from_image_sharing(bytes, None)
+    }
+
+    /// Loads a program from an executable image, sharing what it can
+    /// with a `donor`: a program loaded earlier together with the image
+    /// it was loaded from. A routine whose instruction words are
+    /// byte-identical to the words of the donor's routine at the same
+    /// index is not decoded; it shares that routine's instruction array
+    /// ([`Routine::shares_insns_with`]). One of the same length whose
+    /// words differ in places (a moved routine's relinked calls) decodes
+    /// only those and copies the donor's instructions for the rest.
+    /// Equal words decode to equal instructions, so the result —
+    /// `Program` or error — is exactly [`Program::from_image`]'s, and
+    /// [`Program::new`] validates it in full either way. Names,
+    /// addresses, entrances and side tables are always read from
+    /// `bytes`.
+    ///
+    /// The donor's image must be the bytes its program was loaded from
+    /// (debug builds check every shared routine); a donor image that does
+    /// not parse simply shares nothing from the point where it stops.
+    ///
+    /// # Errors
+    ///
+    /// As [`Program::from_image`].
+    pub fn from_image_sharing(
+        bytes: &[u8],
+        donor: Option<(&Program, &[u8])>,
+    ) -> Result<Program, ImageError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.u32()?;
         if magic != MAGIC {
@@ -208,8 +322,13 @@ impl Program {
         let entry = RoutineId::from_index(r.u32()? as usize);
         let n_routines = r.count(15)?; // name_len + addr + len + flags + n_entries minimum
 
+        // The donor's routines and a reader positioned at its first
+        // routine record; dropped at the first record it cannot read.
+        let mut donor = donor.map(|(program, image)| {
+            (program.routines(), Reader { bytes: image, pos: HEADER_BYTES })
+        });
         let mut routines = Vec::with_capacity(n_routines);
-        for _ in 0..n_routines {
+        for i in 0..n_routines {
             let name_len = r.u16()? as usize;
             let name = std::str::from_utf8(r.take(name_len)?)
                 .map_err(|_| ImageError::BadName)?
@@ -222,17 +341,25 @@ impl Program {
             for _ in 0..n_entries {
                 entry_offsets.push(r.u32()?);
             }
-            let mut insns = Vec::with_capacity(n_insns);
-            for i in 0..n_insns {
-                let word = r.u32()?;
-                // `addr` is still unvalidated image data here; wrap rather
-                // than overflow when computing the diagnostic address.
-                let insn = Instruction::decode(word).map_err(|source| ImageError::Decode {
-                    addr: addr.wrapping_add(i as u32),
-                    source,
-                })?;
-                insns.push(insn);
+            // `count` bounded `n_insns` by the bytes that remain.
+            let words = r.take(4 * n_insns)?;
+            // The donor's routine at this index, when it has as many
+            // words: its words and its instructions.
+            let mut like = None;
+            if let Some((donors, d)) = &mut donor {
+                match record_words(d) {
+                    Ok(w) => like = donors.get(i).filter(|own| own.len() == n_insns).zip(Some(w)),
+                    Err(_) => donor = None,
+                }
             }
+            let insns = match like {
+                Some((own, w)) if w == words => Arc::clone(own.shared_insns()),
+                _ => decode_words(words, addr, like.map(|(own, w)| (w, own.insns())))?,
+            };
+            debug_assert!(
+                like.is_none() || decode_words(words, addr, None).ok().as_deref() == Some(&*insns),
+                "a donor's image must be the bytes its program was loaded from"
+            );
             if insns.is_empty() || entry_offsets.first() != Some(&0) {
                 return Err(ImageError::Invalid(ProgramError::BadLayout { routine: name }));
             }
@@ -241,7 +368,13 @@ impl Program {
             {
                 return Err(ImageError::Invalid(ProgramError::BadLayout { routine: name }));
             }
-            routines.push(Routine::new(name, addr, insns, entry_offsets, flags & 1 != 0));
+            routines.push(Routine::with_shared_insns(
+                name,
+                addr,
+                insns,
+                entry_offsets,
+                flags & 1 != 0,
+            ));
         }
 
         let n_tables = r.count(8)?;

@@ -33,6 +33,7 @@
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use spike_isa::{Instruction, Reg};
 
@@ -346,6 +347,8 @@ impl<'a> Rewriter<'a> {
             };
             let mut insns = Vec::with_capacity(r.len());
             let mut edits = 0u8;
+            // Whether relinking rewrote a displacement or an immediate.
+            let mut relinked_any = false;
             for (off, original) in r.insns().iter().enumerate() {
                 let i = lo + off;
                 let old = r.addr() + off as u32;
@@ -367,27 +370,30 @@ impl<'a> Rewriter<'a> {
                     *original
                 };
                 let target_of = |disp: i32| old.wrapping_add(1).wrapping_add(disp as u32);
+                let mut relink_disp = |disp: i32, new_target: u32| {
+                    let new = relink(new_target, new_addr);
+                    relinked_any |= new != disp;
+                    new
+                };
                 let relinked = match insn {
                     Instruction::Br { disp } => {
-                        Instruction::Br { disp: relink(map_branch(i, target_of(disp)), new_addr) }
+                        Instruction::Br { disp: relink_disp(disp, map_branch(i, target_of(disp))) }
                     }
                     Instruction::Bsr { disp } => {
-                        Instruction::Bsr { disp: relink(map(target_of(disp)), new_addr) }
+                        Instruction::Bsr { disp: relink_disp(disp, map(target_of(disp))) }
                     }
                     Instruction::CondBranch { cond, ra, disp } => Instruction::CondBranch {
                         cond,
                         ra,
-                        disp: relink(map_branch(i, target_of(disp)), new_addr),
+                        disp: relink_disp(disp, map_branch(i, target_of(disp))),
                     },
-                    Instruction::Lda { rd, base, .. } if flags[i] & RELOCATED != 0 => {
+                    Instruction::Lda { rd, base, disp } if flags[i] & RELOCATED != 0 => {
                         let target = map(*relocated.next().expect("one record per relocated slot"));
                         relocations.insert(new_addr, target);
-                        Instruction::Lda {
-                            rd,
-                            base,
-                            disp: i16::try_from(target)
-                                .map_err(|_| RewriteError::RelocationOverflow { addr: old })?,
-                        }
+                        let new = i16::try_from(target)
+                            .map_err(|_| RewriteError::RelocationOverflow { addr: old })?;
+                        relinked_any |= new != disp;
+                        Instruction::Lda { rd, base, disp: new }
                     }
                     other => other,
                 };
@@ -396,10 +402,22 @@ impl<'a> Rewriter<'a> {
             if edits & EDITED != 0 {
                 changed.push(RoutineId::from_index(ri));
             }
+            // A routine whose words came out unchanged keeps its array.
+            let insns = if edits & EDITED == 0 && !relinked_any {
+                Arc::clone(r.shared_insns())
+            } else {
+                insns.into()
+            };
             let new_base = fwd[lo];
             let entry_offsets: Vec<u32> =
                 r.entry_offsets().iter().map(|&o| fwd[lo + o as usize] - new_base).collect();
-            routines.push(Routine::new(r.name(), new_base, insns, entry_offsets, r.exported()));
+            routines.push(Routine::with_shared_insns(
+                r.name(),
+                new_base,
+                insns,
+                entry_offsets,
+                r.exported(),
+            ));
         }
 
         // Pass 3: remap auxiliary info.

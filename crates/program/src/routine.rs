@@ -1,6 +1,7 @@
 //! Routines: contiguous instruction sequences with one or more entrances.
 
 use std::fmt;
+use std::sync::Arc;
 
 use spike_isa::{HeapSize, Instruction};
 
@@ -46,17 +47,23 @@ impl fmt::Display for RoutineId {
 /// [`exported`](Routine::exported) may be called from outside the program,
 /// so conservative calling-standard assumptions apply to its unseen callers
 /// (§3.5 of the paper).
+///
+/// The instructions are an `Arc<[Instruction]>`: a routine an edit did
+/// not touch shares its array with the program it came from (the donor
+/// of [`Program::from_image_sharing`](crate::Program::from_image_sharing),
+/// the input of [`Rewriter::finish`](crate::Rewriter::finish)), whatever
+/// its address.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Routine {
     name: String,
     addr: u32,
-    insns: Vec<Instruction>,
+    insns: Arc<[Instruction]>,
     entry_offsets: Vec<u32>,
     exported: bool,
 }
 
 impl Routine {
-    /// Creates a routine.
+    /// Creates a routine; `insns` is copied into a new shared array.
     ///
     /// # Panics
     ///
@@ -67,6 +74,22 @@ impl Routine {
         name: impl Into<String>,
         addr: u32,
         insns: Vec<Instruction>,
+        entry_offsets: Vec<u32>,
+        exported: bool,
+    ) -> Routine {
+        Routine::with_shared_insns(name, addr, insns.into(), entry_offsets, exported)
+    }
+
+    /// [`Routine::new`] over an instruction array that may be shared with
+    /// other routines (of this program or another); nothing is copied.
+    ///
+    /// # Panics
+    ///
+    /// As [`Routine::new`].
+    pub(crate) fn with_shared_insns(
+        name: impl Into<String>,
+        addr: u32,
+        insns: Arc<[Instruction]>,
         entry_offsets: Vec<u32>,
         exported: bool,
     ) -> Routine {
@@ -99,6 +122,20 @@ impl Routine {
     #[inline]
     pub fn insns(&self) -> &[Instruction] {
         &self.insns
+    }
+
+    /// The shared instruction array, for building another routine over
+    /// the same instructions without copying them.
+    #[inline]
+    pub(crate) fn shared_insns(&self) -> &Arc<[Instruction]> {
+        &self.insns
+    }
+
+    /// Whether this routine and `other` hold the very same instruction
+    /// array (not merely equal instructions).
+    #[inline]
+    pub fn shares_insns_with(&self, other: &Routine) -> bool {
+        Arc::ptr_eq(&self.insns, &other.insns)
     }
 
     /// Number of instructions.

@@ -56,6 +56,8 @@ proptest! {
         // and every direct call in it resolves to the same
         // `(routine, entry)`.
         for (id, r) in program.iter() {
+            // A routine whose words came out unchanged keeps its array.
+            prop_assert_eq!(q.routine(id).shares_insns_with(r), r.insns() == q.routine(id).insns());
             if changed.contains(&id) {
                 continue;
             }

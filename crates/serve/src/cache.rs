@@ -17,6 +17,24 @@
 //! * **Cold miss** — nothing comparable is cached; full from-scratch
 //!   analysis.
 //!
+//! A miss picks one *donor*: among the entries whose program has the
+//! routine count and entry routine the new image's header declares, the
+//! one with the most routines word-identical to the image's
+//! ([`Program::routines_in_common`], a memcmp per routine), the freshest
+//! of those. The image is loaded against it
+//! ([`Program::from_image_sharing`]), so a routine whose words did not
+//! change is neither decoded nor copied but shares the donor's
+//! instruction array; the diff skips such routines,
+//! and the fork of the donor's analysis shares every routine's CFG and
+//! stack record, copying only the PSG and the summaries. An entry keeps
+//! what it shares alive after its donor is evicted, and is charged as if
+//! it owned all of it.
+//!
+//! A hit is served only when the request's bytes equal the entry's
+//! retained image: content hashes can collide, and images are untrusted.
+//! A request whose key names another image is analyzed from scratch and
+//! not cached (`key_collisions`).
+//!
 //! Entries are charged their image size plus the analysis' own
 //! [`heap-byte estimate`](spike_core::AnalysisCache::heap_bytes); when
 //! the total exceeds the configured budget, least-recently-used entries
@@ -124,6 +142,14 @@ pub struct CacheCounters {
     pub evictions: u64,
     /// Entries installed warm from a snapshot file at startup.
     pub restored: u64,
+    /// Routines of missed images that shared the donor's instruction
+    /// array instead of being decoded.
+    pub routines_shared: u64,
+    /// Routines of missed images that were decoded from their words.
+    pub routines_decoded: u64,
+    /// Requests whose key named a cached entry of other bytes; each was
+    /// analyzed from scratch and not cached.
+    pub key_collisions: u64,
 }
 
 /// Point-in-time cache occupancy, for the `stats` command.
@@ -246,11 +272,16 @@ impl ProgramStore {
         let key = CacheKey::of(image);
 
         // Fast path / single-flight gate.
-        let donors: Vec<Arc<AnalyzedProgram>> = {
+        let donor: Option<Arc<AnalyzedProgram>> = {
             let mut inner = self.lock();
             let mut waited = false;
             loop {
-                if inner.entries.contains_key(&key) {
+                if let Some(e) = inner.entries.get(&key) {
+                    if e.shared.image != image {
+                        inner.counters.key_collisions += 1;
+                        drop(inner);
+                        return self.analyze_uncached(key, image);
+                    }
                     inner.tick += 1;
                     let tick = inner.tick;
                     let e = inner.entries.get_mut(&key).expect("entry just seen");
@@ -272,25 +303,44 @@ impl ProgramStore {
                 inner.in_flight.insert(key);
                 break;
             }
-            // Donor candidates for the incremental path, most recently
-            // used first. Snapshot the Arcs so the expensive work below
-            // runs outside the lock.
-            let mut donors: Vec<(u64, Arc<AnalyzedProgram>)> =
-                inner.entries.values().map(|e| (e.last_used, Arc::clone(&e.shared))).collect();
-            donors.sort_by_key(|d| std::cmp::Reverse(d.0));
-            donors.into_iter().map(|(_, shared)| shared).collect()
+            // Donor candidates: the entries of the shape the header
+            // declares. The work below runs outside the lock.
+            let shape = Program::image_shape(image);
+            let candidates: Vec<(u64, Arc<AnalyzedProgram>)> = inner
+                .entries
+                .values()
+                .filter(|e| {
+                    let p = &e.shared.program;
+                    shape == Some((p.entry().index(), p.routines().len()))
+                })
+                .map(|e| (e.last_used, Arc::clone(&e.shared)))
+                .collect();
+            drop(inner);
+            // The donor: the candidate with the most routines in common
+            // (an image of the same generator but another seed has the
+            // shape and next to nothing else), the freshest of those.
+            let score = |c: &(u64, Arc<AnalyzedProgram>)| match candidates.len() {
+                1 => (0, c.0),
+                _ => (Program::routines_in_common(image, &c.1.image), c.0),
+            };
+            candidates.iter().max_by_key(|c| score(c)).map(|(_, shared)| Arc::clone(shared))
         };
         let _flight = FlightGuard { store: self, key };
 
-        let program = Program::from_image(image).map_err(|e| e.to_string())?;
+        let program = Program::from_image_sharing(
+            image,
+            donor.as_ref().map(|d| (&d.program, d.image.as_slice())),
+        )
+        .map_err(|e| e.to_string())?;
+        let shared_routines = donor.as_ref().map_or(0, |d| {
+            let pairs = d.program.routines().iter().zip(program.routines());
+            pairs.filter(|(a, b)| a.shares_insns_with(b)).count()
+        });
 
-        // Diff against cached programs: the first comparable donor wins
-        // (donors are freshest-first, and a recent re-submission is the
-        // most likely near-duplicate). Reanalysis pays per dirty routine,
-        // so give up when the diff would dirty more than half the
-        // program.
+        // Reanalysis pays per dirty routine, so give up when the diff
+        // would dirty more than half the program.
         let n = program.routines().len();
-        let seeded = donors.iter().find_map(|donor| {
+        let seeded = donor.as_ref().and_then(|donor| {
             let dirty = diff_for_reanalysis(&donor.program, &program)?;
             (dirty.len() * 2 <= n).then_some((donor, dirty))
         });
@@ -316,6 +366,8 @@ impl ProgramStore {
 
         let mut inner = self.lock();
         let c = &mut inner.counters;
+        c.routines_shared += shared_routines as u64;
+        c.routines_decoded += (n - shared_routines) as u64;
         match outcome {
             CacheOutcome::MissIncremental => {
                 c.misses_incremental += 1;
@@ -337,6 +389,20 @@ impl ProgramStore {
         // the coalesced waiters, who now find the entry (or, on the error
         // path above, find nothing and become leaders themselves).
         Ok((shared, outcome))
+    }
+
+    /// Serves a request whose key names a cached entry of other bytes:
+    /// analyzed from scratch, never cached, so neither image displaces
+    /// the other.
+    fn analyze_uncached(
+        &self,
+        key: CacheKey,
+        image: &[u8],
+    ) -> Result<(Arc<AnalyzedProgram>, CacheOutcome), String> {
+        let program = Program::from_image(image).map_err(|e| e.to_string())?;
+        let analysis = analyze_with(&program, &self.options);
+        let entry = AnalyzedProgram { key, program, analysis, image: image.to_vec() };
+        Ok((Arc::new(entry), CacheOutcome::MissCold))
     }
 
     /// The entries in LRU order (least recently used first), for
@@ -375,7 +441,7 @@ impl ProgramStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spike_isa::Reg;
+    use spike_isa::{HeapSize, Reg};
     use spike_program::ProgramBuilder;
 
     fn image(tag: u32) -> Vec<u8> {
@@ -438,6 +504,77 @@ mod tests {
         // lane is plain FNV-1a 64 (the ring positions keys by it).
         assert_eq!(CacheKey::of(&image(1)).lanes(), spike_profile::fingerprint(&image(1)));
         assert_eq!(CacheKey::of(b"a").lanes()[0], 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// `main` calling ten leaves; a leaf edit leaves ten routines alone.
+    fn fanout(leaf_def: i16) -> spike_program::Program {
+        let mut b = ProgramBuilder::new();
+        let main = b.routine("main");
+        for i in 0..10 {
+            main.call(&format!("leaf{i}"));
+        }
+        main.halt();
+        for i in 0..10 {
+            let disp = if i == 5 { leaf_def } else { 1 };
+            b.routine(&format!("leaf{i}")).lda(Reg::T0, Reg::ZERO, disp).def(Reg::V0).ret();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn an_edit_shares_its_unedited_routines_with_the_donor() {
+        let s = store(usize::MAX);
+        let (base, edited) = (fanout(1).to_image(), fanout(2).to_image());
+        let (donor, _) = s.get_or_analyze(&base).unwrap();
+        let (entry, outcome) = s.get_or_analyze(&edited).unwrap();
+        assert_eq!(outcome, CacheOutcome::MissIncremental);
+        let (a, b) = (&donor.analysis, &entry.analysis);
+        for (rid, r) in entry.program.iter() {
+            let shared = [
+                r.shares_insns_with(donor.program.routine(rid)),
+                std::ptr::eq(a.cfg.routine_cfg(rid), b.cfg.routine_cfg(rid)),
+                std::ptr::eq(a.stack.routine(rid), b.stack.routine(rid)),
+            ];
+            let edited = r.name() == "leaf5";
+            assert_eq!(shared, [!edited; 3], "{}", r.name());
+        }
+        let c = s.snapshot().counters;
+        assert_eq!((c.routines_decoded, c.routines_shared), (11 + 1, 10));
+
+        // Evicting the donor leaves the entry's answers as they were.
+        let report = |e: &AnalyzedProgram| {
+            crate::render::analyze_report("x", &e.program, &e.analysis, true, None).unwrap()
+        };
+        let before = report(&entry);
+        let scratch = analyze_with(&entry.program, s.options());
+        assert_eq!(entry.analysis.heap_bytes(), scratch.heap_bytes(), "charged as if owned");
+        s.lock().entries.remove(&donor.key);
+        drop(donor);
+        assert_eq!(report(&entry), before);
+        assert_eq!(entry.analysis.psg, scratch.psg);
+        assert_eq!(entry.analysis.stack, scratch.stack);
+    }
+
+    #[test]
+    fn a_hit_on_another_images_key_is_analyzed_uncached() {
+        let s = store(usize::MAX);
+        let (a, b) = (image(0), image(1));
+        // Plant `a`'s analysis under `b`'s key, as a crafted collision
+        // would.
+        let (planted, _) = s.get_or_analyze(&a).unwrap();
+        let mut inner = s.lock();
+        let entry = inner.entries.remove(&planted.key).unwrap();
+        inner.entries.insert(CacheKey::of(&b), entry);
+        drop(inner);
+
+        let (got, outcome) = s.get_or_analyze(&b).unwrap();
+        assert_eq!(outcome, CacheOutcome::MissCold);
+        assert_eq!(got.image, b);
+        assert_eq!(got.program, Program::from_image(&b).unwrap());
+        let snap = s.snapshot();
+        assert_eq!(snap.counters.key_collisions, 1);
+        assert_eq!(snap.counters.hits, 0);
+        assert_eq!(snap.entries, 1, "the colliding image is not cached");
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //! it did, so equal words and equal side-table entries are equal content
 //! and nothing is resolved. Otherwise each program's side tables are
 //! grouped by routine once, and each `bsr` is resolved with one lookup.
+//! Routines that share one instruction array (a load against a donor, or
+//! a routine `Rewriter::finish` left alone) are never compared word by
+//! word: in place they are clean, moved only their `bsr` words count.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use spike_isa::Instruction;
 use spike_program::{IndirectTargets, Program, Routine, RoutineId};
@@ -109,15 +112,35 @@ fn aux_by_routine(p: &Program) -> Vec<RoutineAux> {
     out
 }
 
-/// The `(routine, entry)` the `bsr` at index `i` of `r` (in `p`) with
-/// displacement `disp` calls, or the outer `None` when `r.addr() + i`
-/// overflows. A routine based near the top of the address space can make
-/// it wrap, which would compare the wrong address's call target (unsound:
-/// a changed callee could look clean), so overflow must read as dirty.
-fn callee(p: &Program, r: &Routine, i: usize, disp: i32) -> Option<Option<(usize, usize)>> {
+/// A program's entrances by address, `(routine index, entry index)`:
+/// built once per shifted diff, since every `bsr` of both programs is
+/// resolved through it.
+struct Entrances(HashMap<u32, (usize, usize)>);
+
+impl Entrances {
+    fn of(p: &Program) -> Entrances {
+        let entries = p.iter().flat_map(|(rid, r)| {
+            r.entry_addrs().enumerate().map(move |(ei, addr)| (addr, (rid.index(), ei)))
+        });
+        Entrances(entries.collect())
+    }
+}
+
+/// The `(routine, entry)` the `bsr` at index `i` of `r` with
+/// displacement `disp` calls (among `entrances`, those of `r`'s
+/// program), or the outer `None` when `r.addr() + i` overflows. A
+/// routine based near the top of the address space can make it wrap,
+/// which would compare the wrong address's call target (unsound: a
+/// changed callee could look clean), so overflow must read as dirty.
+fn callee(
+    entrances: &Entrances,
+    r: &Routine,
+    i: usize,
+    disp: i32,
+) -> Option<Option<(usize, usize)>> {
     let addr = u32::try_from(i).ok().and_then(|i| r.addr().checked_add(i))?;
     let target = addr.wrapping_add(1).wrapping_add(disp as u32);
-    Some(p.entry_at(target).map(|(rid, ei)| (rid.index(), ei)))
+    Some(entrances.0.get(&target).copied())
 }
 
 /// Whether two routine bodies hold the same instructions modulo layout:
@@ -129,14 +152,16 @@ fn callee(p: &Program, r: &Routine, i: usize, disp: i32) -> Option<Option<(usize
 /// another routine (or another entrance of the same one) and a relinked
 /// one on the same. So every `bsr` is compared by what it resolves to.
 /// What a relocation denotes is compared through the [`RoutineAux`]
-/// equality.
+/// equality. Routines that share one instruction array hold the same
+/// words, so only their `bsr` words are looked at.
 fn same_modulo_layout(
-    old: &Program,
-    new: &Program,
+    old: &Entrances,
+    new: &Entrances,
     or: &Routine,
     nr: &Routine,
     aux: &RoutineAux,
 ) -> bool {
+    let shared = or.shares_insns_with(nr);
     or.len() == nr.len()
         && or.insns().iter().zip(nr.insns()).enumerate().all(|(i, (a, b))| match (a, b) {
             (Instruction::Bsr { disp: ad }, Instruction::Bsr { disp: bd }) => {
@@ -145,7 +170,7 @@ fn same_modulo_layout(
                     (Some(x), Some(y)) if x == y
                 )
             }
-            _ if a == b => true,
+            _ if shared || a == b => true,
             (
                 Instruction::Lda { rd: ard, base: abase, .. },
                 Instruction::Lda { rd: brd, base: bbase, .. },
@@ -203,6 +228,12 @@ fn mark_changed_entries<V: PartialEq>(
 /// When every routine kept its base, length and entrances, every address
 /// denotes what it did, and that rule reduces to: equal words and equal
 /// side-table entries. Nothing is normalized or resolved then.
+///
+/// Two routines that share one instruction array
+/// ([`Routine::shares_insns_with`]: loaded against a donor, or left
+/// unchanged by `Rewriter::finish`) hold equal words by construction:
+/// with the same layout they are not compared at all, and after a move
+/// only their `bsr` words are resolved.
 pub fn diff_for_reanalysis(old: &Program, new: &Program) -> Option<Vec<RoutineId>> {
     if old.routines().len() != new.routines().len() || old.entry().index() != new.entry().index() {
         return None;
@@ -216,7 +247,8 @@ pub fn diff_for_reanalysis(old: &Program, new: &Program) -> Option<Vec<RoutineId
         or.addr() == nr.addr() && or.len() == nr.len() && or.entry_offsets() == nr.entry_offsets()
     });
     let dirty: Vec<bool> = if same_layout {
-        let mut dirty: Vec<bool> = pairs().map(|(or, nr)| or.insns() != nr.insns()).collect();
+        let mut dirty: Vec<bool> =
+            pairs().map(|(or, nr)| !or.shares_insns_with(nr) && or.insns() != nr.insns()).collect();
         mark_changed_entries(new, old.jump_tables(), new.jump_tables(), &mut dirty);
         mark_changed_entries(new, old.indirect_calls(), new.indirect_calls(), &mut dirty);
         mark_changed_entries(new, old.jump_hints(), new.jump_hints(), &mut dirty);
@@ -224,12 +256,13 @@ pub fn diff_for_reanalysis(old: &Program, new: &Program) -> Option<Vec<RoutineId
         dirty
     } else {
         let (old_aux, new_aux) = (aux_by_routine(old), aux_by_routine(new));
+        let (old_entrances, new_entrances) = (Entrances::of(old), Entrances::of(new));
         pairs()
             .zip(old_aux.iter().zip(&new_aux))
             .map(|((or, nr), (oa, na))| {
                 or.entry_offsets() != nr.entry_offsets()
                     || oa != na
-                    || !same_modulo_layout(old, new, or, nr, oa)
+                    || !same_modulo_layout(&old_entrances, &new_entrances, or, nr, oa)
             })
             .collect()
     };
@@ -308,7 +341,8 @@ mod tests {
             vec![0],
             false,
         );
-        assert!(!same_modulo_layout(&p, &p, &r, &r, &RoutineAux::default()));
+        let entrances = Entrances::of(&p);
+        assert!(!same_modulo_layout(&entrances, &entrances, &r, &r, &RoutineAux::default()));
     }
 
     #[test]
@@ -450,7 +484,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The diff, same layout or shifted, answers what the diff it
-        /// replaced answers, both ways round.
+        /// replaced answers, both ways round: on the rewriter's output
+        /// and on its image loaded against the original, where every
+        /// unchanged routine shares the original's instruction array.
         #[test]
         fn diff_matches_the_reference_on_rewriter_edits(
             program in arb_program(),
@@ -461,7 +497,12 @@ mod tests {
                 edit(&mut rw, &program, pick as usize, kind);
             }
             let Ok((edited, _)) = rw.finish() else { return Ok(()) };
-            for (old, new) in [(&program, &edited), (&edited, &program)] {
+            let donor = (&program, &program.to_image()[..]);
+            let loaded = Program::from_image_sharing(&edited.to_image(), Some(donor))
+                .expect("a rewritten program's image loads");
+            for (old, new) in
+                [(&program, &edited), (&edited, &program), (&program, &loaded), (&loaded, &program)]
+            {
                 let dirty = diff_for_reanalysis(old, new);
                 prop_assert!(dirty.is_some(), "an edit keeps the program comparable");
                 prop_assert_eq!(dirty, reference::diff_for_reanalysis(old, new));

@@ -151,7 +151,8 @@ impl Metrics {
     /// optimize, query, compare, stats, shutdown}, cache: {entries,
     /// bytes, budget_bytes, hits, misses, incremental_warm,
     /// incremental_resolved_none, incremental_resolved_some,
-    /// incremental_resolved_all, coalesced, evictions, restored}, queue: {capacity, depth_highwater,
+    /// incremental_resolved_all, coalesced, evictions, restored,
+    /// routines_shared, routines_decoded, key_collisions}, queue: {capacity, depth_highwater,
     /// rejected_busy}, rejected: {oversized, deadline, bad_request},
     /// panics, forwarded, latency_us: {p50, p95, p99, buckets,
     /// overflow}}`.
@@ -192,6 +193,9 @@ impl Metrics {
                     ("coalesced", n(cache.counters.coalesced)),
                     ("evictions", n(cache.counters.evictions)),
                     ("restored", n(cache.counters.restored)),
+                    ("routines_shared", n(cache.counters.routines_shared)),
+                    ("routines_decoded", n(cache.counters.routines_decoded)),
+                    ("key_collisions", n(cache.counters.key_collisions)),
                 ]),
             ),
             (

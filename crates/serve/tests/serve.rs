@@ -183,6 +183,32 @@ fn small_edits_take_the_incremental_path() {
 }
 
 #[test]
+fn an_in_place_edit_decodes_one_routine() {
+    let base = fanout_program(10);
+    let leaf = base.routine(base.routine_by_name("leaf5").unwrap());
+    let constant = spike_isa::Instruction::Lda { rd: Reg::T0, base: Reg::ZERO, disp: 7 };
+    let (edited, _) = Rewriter::new(&base).replace(leaf.addr(), constant).finish().unwrap();
+
+    let (server, endpoint) = start(|_| {});
+    let analyze = Command::Analyze { summaries: false, routine: None };
+    send(&endpoint, &req(analyze.clone(), "base"), &base.to_image());
+    let s = stats(&endpoint);
+    assert_eq!(counter(&s, "cache", "routines_decoded"), 11, "{s}");
+    assert_eq!(counter(&s, "cache", "routines_shared"), 0, "{s}");
+
+    let r = send(&endpoint, &req(analyze, "edited"), &edited.to_image());
+    assert!(r.diag.contains("cache: incremental-miss"), "{}", r.diag);
+    let analysis = spike_core::analyze_with(&edited, &AnalysisOptions::default());
+    let expected = render::analyze_report("edited", &edited, &analysis, false, None).unwrap();
+    assert_eq!(r.stdout, expected, "a shared entry must render as a scratch analysis");
+    let s = stats(&endpoint);
+    assert_eq!(counter(&s, "cache", "routines_decoded"), 12, "only the edited leaf: {s}");
+    assert_eq!(counter(&s, "cache", "routines_shared"), 10, "{s}");
+    assert_eq!(counter(&s, "cache", "key_collisions"), 0, "{s}");
+    stop(server, &endpoint);
+}
+
+#[test]
 fn expired_deadlines_are_refused() {
     let (server, endpoint) = start(|_| {});
     let image = fanout_program(3).to_image();
