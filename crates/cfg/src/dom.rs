@@ -1,12 +1,10 @@
-//! Dominance over a routine's flow table: dominator trees and dominance
-//! frontiers — the foundation of the loop-aware optimizations
-//! (natural-loop detection in [`crate::loops`], LICM and spill placement
-//! in `spike-opt`).
+//! Dominance over a routine's flow table: dominator trees — the
+//! foundation of the loop-aware optimizations (natural-loop detection in
+//! [`crate::loops`], LICM and spill placement in `spike-opt`).
 //!
 //! The construction is the Cooper–Harvey–Kennedy iterative algorithm
 //! ("A Simple, Fast Dominance Algorithm"): immediate dominators by
-//! intersection walks over postorder numbers, dominance frontiers from
-//! the join points' predecessor runs. Routines may have multiple
+//! intersection walks over postorder numbers. Routines may have multiple
 //! entrances (alternate entry points, §2 of the paper), so the build runs
 //! from a *virtual root* fanning out to the root set; a root's immediate
 //! dominator is `None`.
@@ -19,8 +17,7 @@
 use crate::block::BlockId;
 use crate::build::RoutineCfg;
 
-/// A dominator tree plus dominance frontiers for one routine, built by
-/// [`DomTree::dominators`].
+/// A dominator tree for one routine, built by [`DomTree::dominators`].
 #[derive(Clone, Debug)]
 pub struct DomTree {
     /// Immediate dominator per block; `None` for roots (their parent is
@@ -28,12 +25,10 @@ pub struct DomTree {
     idom: Vec<Option<BlockId>>,
     /// Reachability from the root set along the direction of the build.
     reachable: Vec<bool>,
-    /// Dominance frontier per block, ascending and deduplicated.
-    frontiers: Vec<Vec<BlockId>>,
 }
 
 impl DomTree {
-    /// Builds the dominator tree and frontiers of `cfg` over its
+    /// Builds the dominator tree of `cfg` over its
     /// *execution* graph ([`RoutineCfg::flow`]), rooted at its entrance
     /// blocks. Every call block flows to its return point there, modeling
     /// the callee as an opaque straight-line step: the PSG convention
@@ -79,14 +74,6 @@ impl DomTree {
             x = d;
         }
         false
-    }
-
-    /// The dominance frontier of `b`: the blocks where `b`'s dominance
-    /// ends — `b` dominates a predecessor of each but does not strictly
-    /// dominate the block itself. Join placement for sparse analyses
-    /// reads exactly this set.
-    pub fn frontier(&self, b: BlockId) -> &[BlockId] {
-        &self.frontiers[b.index()]
     }
 }
 
@@ -168,40 +155,13 @@ fn build(roots: &[BlockId], succs: &[&[BlockId]], preds: &[&[BlockId]]) -> DomTr
         }
     }
 
-    // Dominance frontiers: for each join point, run each predecessor's
-    // idom chain up to (exclusive) the join's idom. A root with real
-    // predecessors is a join too — the virtual root is its other
-    // predecessor — which is what places frontiers at entry blocks
-    // targeted by back edges.
-    let mut frontiers: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    for &x in &order {
-        let xi = x as usize;
-        let real: Vec<usize> =
-            preds[xi].iter().map(|p| p.index()).filter(|&p| idom[p] != u32::MAX).collect();
-        let npreds = real.len() + usize::from(is_root[xi]);
-        if npreds < 2 {
-            continue;
-        }
-        for &p in &real {
-            let mut runner = p as u32;
-            while runner != idom[xi] && runner != vroot {
-                frontiers[runner as usize].push(BlockId::from_index(xi));
-                runner = idom[runner as usize];
-            }
-        }
-    }
-    for f in &mut frontiers {
-        f.sort_unstable();
-        f.dedup();
-    }
-
     let idom = (0..n)
         .map(|x| match idom[x] {
             d if d == u32::MAX || d == vroot => None,
             d => Some(BlockId::from_index(d as usize)),
         })
         .collect();
-    DomTree { idom, reachable, frontiers }
+    DomTree { idom, reachable }
 }
 
 #[cfg(test)]
@@ -289,28 +249,6 @@ mod tests {
         fn dominates(&self, a: BlockId, b: BlockId) -> bool {
             a == b || (self.reachable[b.index()] && self.dom[b.index()][a.index()])
         }
-
-        /// DF(a) = { b : a dominates some predecessor of b, and a does
-        /// not strictly dominate b } — computed straight from the sets.
-        fn frontier(&self, a: BlockId, preds: &[&[BlockId]]) -> Vec<BlockId> {
-            let mut out = Vec::new();
-            for (b, bp) in preds.iter().enumerate() {
-                if !self.reachable[b] {
-                    continue;
-                }
-                let bid = BlockId::from_index(b);
-                // The virtual root edge into a real root is a predecessor
-                // `a` never dominates, so it can only create joins; a
-                // real predecessor must carry `a`'s dominance.
-                let dominates_a_pred =
-                    bp.iter().any(|&p| self.reachable[p.index()] && self.dominates(a, p));
-                let strictly = a != bid && self.dominates(a, bid);
-                if dominates_a_pred && !strictly {
-                    out.push(bid);
-                }
-            }
-            out
-        }
     }
 
     /// Compares CHK against the naive reference on every block pair of
@@ -333,9 +271,6 @@ mod tests {
                     "dominates({aid:?}, {bid:?})"
                 );
             }
-            if tree.is_reachable(aid) {
-                assert_eq!(tree.frontier(aid), naive.frontier(aid, &preds), "frontier({aid:?})");
-            }
         }
     }
 
@@ -355,9 +290,9 @@ mod tests {
     }
 
     #[test]
-    fn diamond_frontier_at_join() {
-        // entry → (then | else) → join: the frontier of both arms is the
-        // join block; the join's idom is the entry.
+    fn diamond_join_is_dominated_by_the_entry() {
+        // entry → (then | else) → join: the join's idom is the entry, as
+        // is each arm's, and neither arm dominates the join.
         let mut b = ProgramBuilder::new();
         b.routine("main")
             .def(Reg::A0)
@@ -384,15 +319,14 @@ mod tests {
         assert_eq!(dom.idom(join), Some(entry));
         for &arm in cfg.flow().succs(entry) {
             assert_eq!(dom.idom(arm), Some(entry));
-            assert_eq!(dom.frontier(arm), [join]);
+            assert!(!dom.dominates(arm, join), "{arm:?} must not dominate the join");
         }
-        assert!(dom.frontier(entry).is_empty());
     }
 
     #[test]
-    fn single_block_loop_is_its_own_frontier() {
-        // A block branching back to itself dominates itself only; the
-        // self edge puts it in its own dominance frontier.
+    fn single_block_loop_is_dominated_by_its_entry() {
+        // A block branching back to itself: the self edge changes nothing
+        // about who dominates it.
         let mut b = ProgramBuilder::new();
         b.routine("main")
             .def(Reg::A0)
@@ -410,14 +344,14 @@ mod tests {
             .map(BlockId::from_index)
             .find(|&x| cfg.flow().succs(x).contains(&x))
             .expect("self-loop block");
-        assert!(dom.frontier(spin).contains(&spin), "self-loop joins at itself");
+        assert!(dom.dominates(cfg.entries()[0], spin), "the entry dominates the loop");
     }
 
     #[test]
     fn irreducible_loop() {
         // Two loop headers entered from outside each other: the classic
         // irreducible shape. Neither header dominates the other, and the
-        // naive reference pins the frontier answers.
+        // naive reference pins every dominance answer.
         let mut b = ProgramBuilder::new();
         b.routine("main")
             .def(Reg::A0)

@@ -53,7 +53,9 @@ commands:
                                                     images in PATH and re-analyzes
                                                     them at the next start
   route --listen HOST:PORT --cluster A,B,C [--workers N] [--max-frame-bytes N]
-                                                    run the cluster routing front
+                                                    run a cluster's routing front: a
+                                                    daemon that owns no image and
+                                                    forwards each to its shard
   client <cmd> [args] --connect <HOST:PORT|unix:PATH> [--deadline-ms N]
                                                     run analyze/lint/optimize/query/
                                                     compare/stats/shutdown against a
@@ -428,33 +430,33 @@ fn serve(args: &[String]) -> Result<()> {
     Ok(())
 }
 
+/// `spike route`: a daemon that owns no key of the cluster, so every
+/// image-bearing request is forwarded to its owning shard.
 fn route(args: &[String]) -> Result<()> {
     let o = parse(args)?;
-    let options = spike_serve::RouterOptions {
-        listen: o.listen.ok_or("route needs --listen HOST:PORT")?.to_string(),
-        shards: o.cluster.clone(),
-        max_frame_bytes: o
-            .max_frame_bytes
-            .unwrap_or_else(|| spike_serve::RouterOptions::default().max_frame_bytes),
-        workers: if o.workers == 0 {
-            spike_serve::RouterOptions::default().workers
-        } else {
-            o.workers
-        },
+    let defaults = ServeOptions::default();
+    let options = ServeOptions {
+        tcp: Some(o.listen.ok_or("route needs --listen HOST:PORT")?.to_string()),
+        workers: o.workers,
+        max_frame_bytes: o.max_frame_bytes.unwrap_or(defaults.max_frame_bytes),
+        cluster: o.cluster.clone(),
+        ..defaults
     };
-    if options.shards.is_empty() {
+    if options.cluster.is_empty() {
         return Err("route needs --cluster A,B,C (the shard addresses)".into());
     }
     #[cfg(unix)]
     spike_serve::server::install_sigterm_handler();
-    let router = spike_serve::Router::start(&options)?;
-    to_stderr(&format!(
-        "spike: routing on tcp {} over {} shard(s)\n",
-        router.addr(),
-        options.shards.len()
-    ));
-    // Returns on SIGTERM; in-flight relays finish first.
-    router.run_to_completion();
+    let server = Server::start(&options)?;
+    if let Some(addr) = server.tcp_addr() {
+        to_stderr(&format!(
+            "spike: routing on tcp {addr} over {} shard(s)\n",
+            options.cluster.len()
+        ));
+    }
+    // Returns once a `shutdown` (which it forwards to every shard first)
+    // or SIGTERM drains the front.
+    server.run_to_completion();
     Ok(())
 }
 

@@ -464,7 +464,7 @@ fn spike_served() -> std::path::PathBuf {
 fn serve_and_spike_served_share_one_flag_parser() {
     let served = spike_served();
     // Every case fails while the flags are parsed, before anything binds.
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["--unix", "/tmp/unused.sock", "--seed", "3"], "error: unknown option `--seed`"),
         (&["--unix", "/tmp/unused.sock", "--snapshot"], "error: --snapshot needs a value"),
         (
@@ -474,6 +474,12 @@ fn serve_and_spike_served_share_one_flag_parser() {
         (
             &["--cache-bytes", "-1", "--unix", "/tmp/unused.sock"],
             "error: --cache-bytes needs a number, got `-1`",
+        ),
+        // Only `spike route` starts a front, a cluster member without a
+        // shard index.
+        (
+            &["--unix", "/tmp/unused.sock", "--cluster", "127.0.0.1:1"],
+            "error: cluster mode needs --shard-index to say which shard this is",
         ),
     ];
     for (args, message) in cases {

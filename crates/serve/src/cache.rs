@@ -104,8 +104,7 @@ pub struct AnalyzedProgram {
     pub analysis: Analysis,
     /// The raw image bytes. Retained because they are all a warm-cache
     /// snapshot stores of an entry: a restore re-parses the program and
-    /// re-derives the analysis from them (both are deterministic), and
-    /// the cluster router hashes them for ownership checks.
+    /// re-derives the analysis from them (both are deterministic).
     pub image: Vec<u8>,
 }
 

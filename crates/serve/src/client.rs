@@ -109,16 +109,11 @@ pub fn request(
     Response::from_frame(&json, blob).map_err(ClientError::Protocol)
 }
 
-/// The one raw frame exchange every outbound connection makes (the
-/// client's requests and a shard's or router's forwards): connect, arm
-/// the timeouts, write one frame, read one reply frame capped at
-/// [`MAX_RESPONSE_BYTES`]. The reply is returned undecoded, so a forward
-/// relays the owner's bytes verbatim.
-pub(crate) fn exchange(
-    endpoint: &Endpoint,
-    json: &Json,
-    blob: &[u8],
-) -> Result<(Json, Vec<u8>), ClientError> {
+/// The raw frame exchange under [`request`] (the client's requests and
+/// a daemon's forwards to the owning shard alike): connect, arm the
+/// timeouts, write one frame, read one reply frame capped at
+/// [`MAX_RESPONSE_BYTES`].
+fn exchange(endpoint: &Endpoint, json: &Json, blob: &[u8]) -> Result<(Json, Vec<u8>), ClientError> {
     let connect_err = |e: io::Error| ClientError::Connect(format!("{endpoint}: {e}"));
     match endpoint {
         Endpoint::Tcp(addr) => {

@@ -17,33 +17,24 @@
 //! * adding a shard only moves keys *to* the new shard;
 //! * every other key keeps its owner.
 //!
-//! Three parties consult the ring, all computing identical ownership
+//! Two parties consult the ring, both computing identical ownership
 //! because they hash identical bytes:
 //!
-//! * the [`Router`] — a thin stateless front that reads each request
-//!   frame, hashes the image blob, and relays the frame to the owner;
-//! * each shard — a request landing on the wrong shard (stale client
-//!   config, mid-resize) is forwarded shard-to-shard to the owner and
-//!   the owner's byte-identical response relayed back;
+//! * every daemon that knows the cluster ([`ShardIdentity`]) — a request
+//!   for an image another shard owns (stale client config, mid-resize)
+//!   is forwarded to the owner and the owner's reply relayed back with
+//!   identical stdout. A routing front (`spike route`) is such a daemon
+//!   that owns no key, so it forwards every image-bearing request;
 //! * `spike client --cluster` — computes ownership client-side and
 //!   connects straight to the owner, no extra hop.
 //!
-//! Blob-less requests have no key: the router sends `stats` (and other
-//! image-free commands) to shard 0, except `shutdown`, which broadcasts
-//! to every shard so one command drains the whole cluster.
-
-use std::io;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
-
-use spike_core::json::Json;
+//! Blob-less requests have no key: a front answers `stats` itself, and
+//! a `shutdown` sent to it is forwarded to every shard before the front
+//! drains, so one command drains the whole cluster.
 
 use crate::cache::CacheKey;
-use crate::client::{exchange, request, ClientError, Endpoint};
-use crate::proto::{read_frame, write_frame, ErrorKind, FrameRead, Request, Response};
+use crate::client::{request, ClientError, Endpoint};
+use crate::proto::{Request, Response};
 
 /// Virtual nodes per shard: enough that each shard's slice of the
 /// circle is fragmented into many arcs, keeping per-shard load within a
@@ -124,7 +115,7 @@ impl Ring {
 }
 
 /// Sends one request to the shard [`Ring::route`] picks (computed
-/// client-side over `shards`), avoiding the router hop entirely.
+/// client-side over `shards`), avoiding the front's hop entirely.
 ///
 /// # Errors
 ///
@@ -138,214 +129,39 @@ pub fn cluster_request(
     request(&Endpoint::Tcp(ring.route(blob, req.profile_len).to_string()), req, blob)
 }
 
-/// What this shard needs to know about its cluster: the ring plus its
+/// What this daemon needs to know about its cluster: the ring plus its
 /// own position in it. Carried by the request handler so misrouted
 /// requests can be forwarded to their owner.
 pub struct ShardIdentity {
     /// The cluster's ring.
     pub ring: Ring,
-    /// This instance's index into [`Ring::shards`].
-    pub index: usize,
+    /// This instance's index into [`Ring::shards`]; `None` for a routing
+    /// front, which owns no key.
+    pub index: Option<usize>,
 }
 
 impl ShardIdentity {
-    /// `Some(owner index)` when `image` belongs to a *different* shard,
-    /// `None` when this shard owns it (or there is no image to hash).
+    /// `Some(owner index)` when `image` belongs to a *different* shard
+    /// (any shard, for a front), `None` when this shard owns it or there
+    /// is no image to hash.
     pub fn misrouted(&self, image: &[u8]) -> Option<usize> {
         if image.is_empty() {
             return None;
         }
         let owner = self.ring.owner_of(CacheKey::of(image));
-        (owner != self.index).then_some(owner)
+        (Some(owner) != self.index).then_some(owner)
     }
 }
 
-/// How the router front listens and where it forwards.
-#[derive(Clone, Debug)]
-pub struct RouterOptions {
-    /// TCP listen address (`host:port`; port 0 binds ephemeral).
-    pub listen: String,
-    /// Shard addresses in index order.
-    pub shards: Vec<String>,
-    /// Maximum request frame size accepted from clients.
-    pub max_frame_bytes: usize,
-    /// Relay worker threads.
-    pub workers: usize,
-}
-
-impl Default for RouterOptions {
-    fn default() -> RouterOptions {
-        RouterOptions {
-            listen: String::new(),
-            shards: Vec::new(),
-            max_frame_bytes: 64 << 20,
-            workers: 4,
-        }
-    }
-}
-
-/// A running router front. Shut down like the [`Server`](crate::Server):
-/// [`shutdown`](Router::shutdown) then [`join`](Router::join).
-pub struct Router {
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    addr: SocketAddr,
-}
-
-impl Router {
-    /// Binds the listener and starts the accept and relay threads.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no shards are configured or the bind fails.
-    pub fn start(options: &RouterOptions) -> io::Result<Router> {
-        if options.shards.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "router needs at least one shard address",
-            ));
-        }
-        let listener = crate::server::bind_listener(&options.listen)?;
-        let addr = listener.local_addr()?;
-        let ring = Arc::new(Ring::new(options.shards.clone()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(crate::server::Queue::new(options.workers.max(1) * 16));
-        let mut threads = Vec::new();
-
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let queue = Arc::clone(&queue);
-            threads.push(
-                thread::Builder::new()
-                    .name("router-acceptor".into())
-                    .spawn(move || {
-                        while !shutdown.load(Ordering::SeqCst) {
-                            match listener.accept() {
-                                Ok((stream, _)) => {
-                                    if let Err(mut refused) = queue.push(stream) {
-                                        let resp = Response::error(
-                                            ErrorKind::Busy,
-                                            "router relay queue is full",
-                                        );
-                                        let _ = prepare(&refused);
-                                        let _ = resp.send(&mut refused, &[]);
-                                    }
-                                }
-                                Err(_) => thread::sleep(Duration::from_millis(5)),
-                            }
-                        }
-                    })
-                    .expect("spawn router acceptor"),
-            );
-        }
-        for i in 0..options.workers.max(1) {
-            let shutdown = Arc::clone(&shutdown);
-            let queue = Arc::clone(&queue);
-            let ring = Arc::clone(&ring);
-            let max_frame_bytes = options.max_frame_bytes;
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("router-relay-{i}"))
-                    .spawn(move || {
-                        while let Some(stream) = queue.pop(&shutdown) {
-                            relay(stream, &ring, max_frame_bytes);
-                        }
-                    })
-                    .expect("spawn router relay"),
-            );
-        }
-        Ok(Router { shutdown, threads, addr })
-    }
-
-    /// The bound listen address (the way to learn an ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests shutdown; acceptor and relays exit after draining.
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor parked in `accept`.
-        crate::server::wake_listener(self.addr);
-    }
-
-    /// Waits for the acceptor and every relay in flight to finish.
-    pub fn join(mut self) {
-        self.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-
-    /// Serves until SIGTERM (see
-    /// [`install_sigterm_handler`](crate::server::install_sigterm_handler))
-    /// or [`shutdown`](Router::shutdown) from another thread, then joins.
-    /// This is the `spike route` foreground path.
-    pub fn run_to_completion(self) {
-        while !self.shutdown.load(Ordering::SeqCst) && !crate::server::sigterm_requested() {
-            thread::sleep(Duration::from_millis(250));
-        }
-        self.join();
-    }
-}
-
-fn prepare(stream: &TcpStream) -> io::Result<()> {
-    let t = Some(Duration::from_secs(10));
-    stream.set_read_timeout(t)?;
-    stream.set_write_timeout(t)
-}
-
-/// Forwards one raw frame to `addr` and returns the shard's raw reply.
-/// The frame travels verbatim — the router never re-encodes the JSON —
-/// so the owner's response bytes are exactly what the client receives.
-pub(crate) fn forward_frame(
+/// Sends `req` and its blob to the shard at `addr` and returns the
+/// shard's reply, whose stdout and image are what the client receives.
+pub(crate) fn forward(
     addr: &str,
-    json: &Json,
+    req: &Request,
     blob: &[u8],
-) -> Result<(Json, Vec<u8>), String> {
-    exchange(&Endpoint::Tcp(addr.to_string()), json, blob)
+) -> Result<(Response, Vec<u8>), String> {
+    request(&Endpoint::Tcp(addr.to_string()), req, blob)
         .map_err(|e| format!("forwarding to shard {addr}: {e}"))
-}
-
-/// Handles one client connection: read the frame, pick the owner, relay.
-fn relay(mut stream: TcpStream, ring: &Ring, max_frame_bytes: usize) {
-    if prepare(&stream).is_err() {
-        return;
-    }
-    let (json, blob) = match read_frame(&mut stream, max_frame_bytes) {
-        Ok(FrameRead::Frame(json, blob)) => (json, blob),
-        Ok(FrameRead::Eof) => return,
-        Err(e) => {
-            let resp = Response::error(ErrorKind::BadRequest, e.to_string());
-            let _ = resp.send(&mut stream, &[]);
-            return;
-        }
-    };
-    let cmd = json.get("cmd").and_then(Json::as_str).unwrap_or("");
-    if cmd == "shutdown" && blob.is_empty() {
-        // One shutdown drains the whole cluster; the client sees the
-        // last shard's acknowledgement (they are identical anyway).
-        let mut last = Err("no shards".to_string());
-        for addr in ring.shards() {
-            last = forward_frame(addr, &json, &blob);
-        }
-        finish(&mut stream, last);
-        return;
-    }
-    let profile_len = json.get("profile_len").and_then(Json::as_u64).unwrap_or(0) as usize;
-    finish(&mut stream, forward_frame(ring.route(&blob, profile_len), &json, &blob));
-}
-
-fn finish(stream: &mut TcpStream, result: Result<(Json, Vec<u8>), String>) {
-    match result {
-        Ok((json, blob)) => {
-            let _ = write_frame(stream, &json, &blob);
-        }
-        Err(msg) => {
-            let resp = Response::error(ErrorKind::Busy, msg);
-            let _ = resp.send(stream, &[]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -435,11 +251,14 @@ mod tests {
         let ring = Ring::new(addrs(2));
         let image = b"some image bytes";
         let owner = ring.owner_of(CacheKey::of(image));
-        let me = ShardIdentity { ring: ring.clone(), index: owner };
+        let me = ShardIdentity { ring: ring.clone(), index: Some(owner) };
         assert_eq!(me.misrouted(image), None);
         assert_eq!(me.misrouted(&[]), None);
-        let other = ShardIdentity { ring, index: 1 - owner };
+        let other = ShardIdentity { ring: ring.clone(), index: Some(1 - owner) };
         assert_eq!(other.misrouted(image), Some(owner));
+        let front = ShardIdentity { ring, index: None };
+        assert_eq!(front.misrouted(image), Some(owner), "a front owns no key");
+        assert_eq!(front.misrouted(&[]), None);
     }
 
     #[test]

@@ -45,8 +45,9 @@ pub struct Handler {
     /// Set by the `shutdown` command; the accept loops watch it.
     pub shutdown: Arc<AtomicBool>,
     /// Cluster membership, when this instance is one shard of a
-    /// cluster. Image-bearing requests owned by a different shard are
-    /// forwarded there and the owner's reply relayed verbatim.
+    /// cluster or its routing front. Image-bearing requests owned by a
+    /// different shard are forwarded there and the owner's reply
+    /// relayed with identical stdout.
     pub cluster: Option<Arc<crate::cluster::ShardIdentity>>,
 }
 
@@ -82,20 +83,17 @@ impl Handler {
         // bytes this shard would — the client cannot tell which shard
         // answered, except through the diagnostics. Ownership is keyed
         // on the image alone; the forwarded frame carries the full blob
-        // so the owner sees the profile too.
+        // so the owner sees the profile too. A routing front owns no
+        // key, so every image-bearing request takes this path.
         if let Some(cluster) = &self.cluster {
             if let Some(owner) = cluster.misrouted(image) {
                 self.metrics.forwarded.fetch_add(1, Ordering::Relaxed);
                 let addr = &cluster.ring.shards()[owner];
-                return match crate::cluster::forward_frame(addr, &req.to_json(), blob) {
-                    Ok((json, blob)) => match Response::from_frame(&json, blob) {
-                        Ok((mut resp, blob)) => {
-                            let _ =
-                                writeln!(resp.diag, "cluster: forwarded to shard {owner} ({addr})");
-                            (resp, blob)
-                        }
-                        Err(msg) => (Response::error(ErrorKind::Panic, msg), Vec::new()),
-                    },
+                return match crate::cluster::forward(addr, req, blob) {
+                    Ok((mut resp, blob)) => {
+                        let _ = writeln!(resp.diag, "cluster: forwarded to shard {owner} ({addr})");
+                        (resp, blob)
+                    }
                     Err(msg) => (Response::error(ErrorKind::Busy, msg), Vec::new()),
                 };
             }
@@ -140,11 +138,23 @@ impl Handler {
             Command::Compare => (self.compare(req, image), Vec::new()),
             Command::Stats => (self.stats(), Vec::new()),
             Command::Shutdown => {
+                let mut diag = String::new();
+                // One shutdown sent to a routing front drains the cluster
+                // behind it: every shard is told before the front drains.
+                if let Some(front) = self.cluster.as_deref().filter(|c| c.index.is_none()) {
+                    for addr in front.ring.shards() {
+                        let refused = match crate::cluster::forward(addr, req, &[]) {
+                            Ok((resp, _)) => resp.error.map(|(_, msg)| msg),
+                            Err(msg) => Some(msg),
+                        };
+                        if let Some(msg) = refused {
+                            let _ = writeln!(diag, "cluster: shard {addr} did not drain: {msg}");
+                        }
+                    }
+                }
                 self.shutdown.store(true, Ordering::SeqCst);
-                (
-                    Response::ok(String::new(), "draining; daemon exits when idle\n".into()),
-                    Vec::new(),
-                )
+                diag.push_str("draining; daemon exits when idle\n");
+                (Response::ok(String::new(), diag), Vec::new())
             }
         };
         // Work that outlived its budget is thrown away rather than

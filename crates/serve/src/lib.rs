@@ -27,9 +27,9 @@
 //!   latency histogram, exported by the `stats` command as stable JSON.
 //! * [`cluster`] — fleet mode: a consistent-hash [`cluster::Ring`] over
 //!   image content hashes gives every image one owner shard (disjoint
-//!   warm sets), a stateless [`cluster::Router`] relays frames to the
-//!   owner byte-for-byte, and non-owner shards forward misroutes
-//!   themselves, so stdout is byte-identical whichever address serves.
+//!   warm sets), and a daemon forwards each request for an image it does
+//!   not own to the owner, so stdout is byte-identical whichever address
+//!   serves. A routing front is a daemon that owns no key.
 //! * [`snapshot`] — versioned, checksummed warm-cache persistence of the
 //!   cached images (periodic and at drain); a restore re-analyzes them,
 //!   all or nothing, with cold fallback, so a plain restart starts warm.
@@ -54,6 +54,6 @@ pub mod snapshot;
 
 pub use cache::{CacheOutcome, ProgramStore};
 pub use client::{ClientError, Endpoint};
-pub use cluster::{Ring, Router, RouterOptions, ShardIdentity};
+pub use cluster::{Ring, ShardIdentity};
 pub use proto::{Command, ErrorKind, LintFormat, QueryKind, Request, Response};
 pub use server::{ServeOptions, Server};

@@ -24,7 +24,7 @@ use std::io::{self, Read, Write};
 use spike_core::json::Json;
 
 /// Frame header size: two big-endian `u32` lengths.
-const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// What [`read_frame`] produced.
 #[derive(Debug)]
@@ -103,22 +103,38 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> Result<FrameRead, Fram
     if !read_exact_or_eof(r, &mut header)? {
         return Ok(FrameRead::Eof);
     }
-    let json_len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-    let blob_len = u32::from_be_bytes(header[4..].try_into().expect("4 bytes")) as usize;
-    let total = json_len.saturating_add(blob_len);
-    if total > max_bytes {
-        return Err(FrameError::TooLarge { announced: total, limit: max_bytes });
-    }
+    let (json_len, blob_len) = frame_lengths(&header, max_bytes)?;
     // The header has been read, so an EOF anywhere in the payloads is a
     // mid-frame close — report it as such, not as a generic short read.
     let mut json_bytes = vec![0u8; json_len];
     read_exact_mid_frame(r, &mut json_bytes)?;
     let mut blob = vec![0u8; blob_len];
     read_exact_mid_frame(r, &mut blob)?;
-    let text = String::from_utf8(json_bytes)
+    Ok(FrameRead::Frame(parse_payload(&json_bytes)?, blob))
+}
+
+/// The JSON and blob lengths a frame header announces, refused as
+/// [`FrameError::TooLarge`] when together they exceed `max_bytes`. Both
+/// frame readers (blocking [`read_frame`] and the reactor's incremental
+/// one) check a header here before reading any payload byte.
+pub(crate) fn frame_lengths(
+    header: &[u8; HEADER_LEN],
+    max_bytes: usize,
+) -> Result<(usize, usize), FrameError> {
+    let json_len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let blob_len = u32::from_be_bytes(header[4..].try_into().expect("4 bytes")) as usize;
+    let announced = json_len.saturating_add(blob_len);
+    if announced > max_bytes {
+        return Err(FrameError::TooLarge { announced, limit: max_bytes });
+    }
+    Ok((json_len, blob_len))
+}
+
+/// Decodes a frame's JSON payload: UTF-8 text holding one JSON document.
+pub(crate) fn parse_payload(bytes: &[u8]) -> Result<Json, FrameError> {
+    let text = std::str::from_utf8(bytes)
         .map_err(|e| FrameError::BadJson(format!("payload is not UTF-8: {e}")))?;
-    let json = Json::parse(&text).map_err(|e| FrameError::BadJson(e.to_string()))?;
-    Ok(FrameRead::Frame(json, blob))
+    Json::parse(text).map_err(|e| FrameError::BadJson(e.to_string()))
 }
 
 /// Fills `buf` completely; an EOF at any point (the frame header is

@@ -34,7 +34,7 @@ use std::thread::{self, JoinHandle};
 use spike_core::json::Json;
 
 use crate::metrics::Metrics;
-use crate::proto::{ErrorKind, FrameError, Response};
+use crate::proto::{frame_lengths, parse_payload, ErrorKind, FrameError, Response, HEADER_LEN};
 use crate::server::{Conn, Queue, Work};
 
 /// A bound, not-yet-nonblocking listener handed over by the server.
@@ -164,8 +164,8 @@ struct Pending {
     conn: Conn,
     /// Raw bytes received so far: 8-byte header, then JSON, then blob.
     buf: Vec<u8>,
-    /// Total frame size (header + JSON + blob) once the header is in.
-    total: Option<usize>,
+    /// The JSON and blob lengths, once the header is in.
+    lengths: Option<(usize, usize)>,
 }
 
 /// What one readiness wakeup did to a pending connection.
@@ -186,21 +186,20 @@ impl Pending {
     fn pump(&mut self, max_frame_bytes: usize) -> Pump {
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if self.total.is_none() && self.buf.len() >= 8 {
-                let json_len = u32::from_be_bytes(self.buf[..4].try_into().expect("4 bytes"));
-                let blob_len = u32::from_be_bytes(self.buf[4..8].try_into().expect("4 bytes"));
-                let announced = (json_len as usize).saturating_add(blob_len as usize);
-                if announced > max_frame_bytes {
-                    return Pump::Reject(FrameError::TooLarge {
-                        announced,
-                        limit: max_frame_bytes,
-                    });
+            if self.lengths.is_none() && self.buf.len() >= HEADER_LEN {
+                let header = self.buf[..HEADER_LEN].try_into().expect("header bytes");
+                match frame_lengths(header, max_frame_bytes) {
+                    Ok(lengths) => self.lengths = Some(lengths),
+                    Err(e) => return Pump::Reject(e),
                 }
-                self.total = Some(8 + announced);
             }
-            if let Some(total) = self.total {
-                if self.buf.len() >= total {
-                    return self.decode();
+            if let Some((json_len, blob_len)) = self.lengths {
+                if self.buf.len() >= HEADER_LEN + json_len + blob_len {
+                    let (json, rest) = self.buf[HEADER_LEN..].split_at(json_len);
+                    return match parse_payload(json) {
+                        Ok(json) => Pump::Done(json, rest[..blob_len].to_vec()),
+                        Err(e) => Pump::Reject(e),
+                    };
                 }
             }
             match self.conn.read(&mut chunk) {
@@ -211,22 +210,6 @@ impl Pending {
                 Err(_) => return Pump::Gone,
             }
         }
-    }
-
-    fn decode(&mut self) -> Pump {
-        let json_len = u32::from_be_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-        let body = &self.buf[8..];
-        let text = match std::str::from_utf8(&body[..json_len]) {
-            Ok(t) => t,
-            Err(e) => {
-                return Pump::Reject(FrameError::BadJson(format!("payload is not UTF-8: {e}")))
-            }
-        };
-        let json = match Json::parse(text) {
-            Ok(j) => j,
-            Err(e) => return Pump::Reject(FrameError::BadJson(e.to_string())),
-        };
-        Pump::Done(json, body[json_len..].to_vec())
     }
 }
 
@@ -291,7 +274,7 @@ fn run(
                             let t = next_token;
                             next_token += 1;
                             if epoll.add(conn.fd(), t).is_ok() {
-                                pending.insert(t, Pending { conn, buf: Vec::new(), total: None });
+                                pending.insert(t, Pending { conn, buf: Vec::new(), lengths: None });
                             }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,

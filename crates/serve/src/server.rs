@@ -81,8 +81,9 @@ pub struct ServeOptions {
     /// shard-index order. Empty means standalone (no ownership checks,
     /// no forwarding).
     pub cluster: Vec<String>,
-    /// This instance's index into [`cluster`](Self::cluster). Required
-    /// when `cluster` is non-empty.
+    /// This instance's index into [`cluster`](Self::cluster). With
+    /// `cluster` non-empty, `None` makes the instance a routing front:
+    /// it owns no key and forwards every image-bearing request.
     pub shard_index: Option<usize>,
 }
 
@@ -112,8 +113,10 @@ impl ServeOptions {
     ///
     /// # Errors
     ///
-    /// An unknown flag, a flag without its value, or a value that is not
-    /// a number where one is needed; the message names the flag.
+    /// An unknown flag, a flag without its value, a value that is not a
+    /// number where one is needed (the message names the flag), or
+    /// `--cluster` without `--shard-index`: a front is started by `spike
+    /// route`, not by these flags.
     pub fn parse(args: &[String]) -> Result<ServeOptions, String> {
         let mut o = ServeOptions::default();
         let mut it = args.iter();
@@ -140,6 +143,9 @@ impl ServeOptions {
                 "--shard-index" => o.shard_index = Some(num()? as usize),
                 other => return Err(format!("unknown option `{other}`")),
             }
+        }
+        if !o.cluster.is_empty() && o.shard_index.is_none() {
+            return Err("cluster mode needs --shard-index to say which shard this is".into());
         }
         Ok(o)
     }
@@ -210,8 +216,7 @@ pub(crate) enum Work {
     Frame(Conn, Json, Vec<u8>),
 }
 
-/// The bounded handoff between acceptors (or the reactor) and workers,
-/// and between the cluster router's acceptor and its relays.
+/// The bounded handoff between acceptors (or the reactor) and workers.
 pub(crate) struct Queue<T> {
     inner: Mutex<VecDeque<T>>,
     ready: Condvar,
@@ -263,7 +268,7 @@ impl<T> Queue<T> {
 /// Connects to our own TCP listener at `addr` (an unspecified address
 /// means localhost) and drops the connection, so an acceptor parked in
 /// `accept` wakes and re-checks its shutdown flag.
-pub(crate) fn wake_listener(mut addr: SocketAddr) {
+fn wake_listener(mut addr: SocketAddr) {
     if addr.ip().is_unspecified() {
         addr.set_ip(match addr {
             SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
@@ -276,100 +281,26 @@ pub(crate) fn wake_listener(mut addr: SocketAddr) {
 /// Binds a TCP listener with a listen backlog of 1024. std's
 /// `TcpListener::bind` listens with a backlog of 128, and a burst of
 /// connections beyond it — the loadgen's open-everything phase, a
-/// cluster router's fan-in — waits out SYN retransmits: opening 5 000
+/// routing front's fan-in — waits out SYN retransmits: opening 5 000
 /// connections took about 30 times as long through it (EXPERIMENTS.md
-/// "Cluster serving and connection scale").
-/// `SO_REUSEADDR` is set as std sets it, so a restarted daemon or
-/// cluster shard rebinds its fixed port despite lingering TIME_WAIT
-/// sockets.
-#[cfg(target_os = "linux")]
-pub(crate) fn bind_listener(addr: &str) -> io::Result<TcpListener> {
-    use std::net::ToSocketAddrs;
-    use std::os::fd::FromRawFd;
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const u8, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    const AF_INET: i32 = 2;
-    const AF_INET6: i32 = 10;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0x80000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-
-    #[repr(C)]
-    struct SockaddrIn {
-        sin_family: u16,
-        sin_port: u16,
-        sin_addr: u32,
-        sin_zero: [u8; 8],
-    }
-    #[repr(C)]
-    struct SockaddrIn6 {
-        sin6_family: u16,
-        sin6_port: u16,
-        sin6_flowinfo: u32,
-        sin6_addr: [u8; 16],
-        sin6_scope_id: u32,
-    }
-
-    let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, format!("cannot resolve {addr}"))
-    })?;
-    let domain = if resolved.is_ipv4() { AF_INET } else { AF_INET6 };
-    // SAFETY: plain syscalls on an owned fd; on any failure the fd is
-    // closed before returning, on success it becomes a TcpListener.
-    unsafe {
-        let fd = socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if fd < 0 {
+/// "Cluster serving and connection scale"). Linux takes a second
+/// `listen` on a listening socket as a new backlog. std sets
+/// `SO_REUSEADDR`, so a restarted daemon or cluster shard rebinds its
+/// fixed port despite lingering TIME_WAIT sockets.
+fn bind_listener(addr: &str) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn listen(fd: i32, backlog: i32) -> i32;
+        }
+        // SAFETY: `listen` on a socket this function owns.
+        if unsafe { listen(listener.as_raw_fd(), 1024) } < 0 {
             return Err(io::Error::last_os_error());
         }
-        let fail = |fd: i32| -> io::Error {
-            let e = io::Error::last_os_error();
-            close(fd);
-            e
-        };
-        let one: i32 = 1;
-        if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, size_of::<i32>() as u32) < 0 {
-            return Err(fail(fd));
-        }
-        let rc = match resolved {
-            SocketAddr::V4(a) => {
-                let sa = SockaddrIn {
-                    sin_family: AF_INET as u16,
-                    sin_port: a.port().to_be(),
-                    sin_addr: u32::from_ne_bytes(a.ip().octets()),
-                    sin_zero: [0; 8],
-                };
-                bind(fd, (&sa as *const SockaddrIn).cast(), size_of::<SockaddrIn>() as u32)
-            }
-            SocketAddr::V6(a) => {
-                let sa = SockaddrIn6 {
-                    sin6_family: AF_INET6 as u16,
-                    sin6_port: a.port().to_be(),
-                    sin6_flowinfo: a.flowinfo(),
-                    sin6_addr: a.ip().octets(),
-                    sin6_scope_id: a.scope_id(),
-                };
-                bind(fd, (&sa as *const SockaddrIn6).cast(), size_of::<SockaddrIn6>() as u32)
-            }
-        };
-        if rc < 0 || listen(fd, 1024) < 0 {
-            return Err(fail(fd));
-        }
-        Ok(TcpListener::from_raw_fd(fd))
     }
-}
-
-/// Off Linux, plain `bind` (the reactor is Linux-only anyway and tests
-/// there use ephemeral ports).
-#[cfg(not(target_os = "linux"))]
-pub(crate) fn bind_listener(addr: &str) -> io::Result<TcpListener> {
-    TcpListener::bind(addr)
+    Ok(listener)
 }
 
 /// SIGTERM flag, set by the handler installed with
@@ -417,11 +348,13 @@ pub struct Server {
 
 impl Server {
     /// Binds the configured listeners and starts the acceptor and worker
-    /// threads.
+    /// threads. With `cluster` set and no `shard_index` the server is a
+    /// routing front.
     ///
     /// # Errors
     ///
-    /// Fails when no listener is configured or a bind fails.
+    /// Fails when no listener is configured, the shard index is out of
+    /// range, or a bind fails.
     pub fn start(options: &ServeOptions) -> io::Result<Server> {
         if options.tcp.is_none() && options.unix.is_none() {
             return Err(io::Error::new(
@@ -433,13 +366,7 @@ impl Server {
         let cluster = if options.cluster.is_empty() {
             None
         } else {
-            let index = options.shard_index.ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "cluster mode needs --shard-index to say which shard this is",
-                )
-            })?;
-            if index >= options.cluster.len() {
+            if let Some(index) = options.shard_index.filter(|&i| i >= options.cluster.len()) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     format!(
@@ -450,7 +377,7 @@ impl Server {
             }
             Some(Arc::new(crate::cluster::ShardIdentity {
                 ring: crate::cluster::Ring::new(options.cluster.clone()),
-                index,
+                index: options.shard_index,
             }))
         };
         let store = Arc::new(ProgramStore::new(analysis, options.cache_bytes));

@@ -15,8 +15,7 @@ use spike_program::{Program, ProgramBuilder, Rewriter};
 use spike_serve::proto::{read_frame, FrameError, FrameRead};
 use spike_serve::render;
 use spike_serve::{
-    client, Command, Endpoint, ErrorKind, LintFormat, Request, Response, Ring, RouterOptions,
-    ServeOptions, Server,
+    client, Command, Endpoint, ErrorKind, LintFormat, Request, Response, Ring, ServeOptions, Server,
 };
 
 /// Starts a daemon on an ephemeral TCP port and returns it with its
@@ -230,7 +229,31 @@ fn expired_deadlines_are_refused() {
 #[test]
 fn oversized_and_garbage_frames_get_structured_refusals() {
     let (server, endpoint) = start(|o| o.max_frame_bytes = 4096);
-    let addr = match &endpoint {
+    assert_refusals(&endpoint);
+    stop(server, &endpoint);
+
+    // A routing front refuses them the same way and counts them itself.
+    let shards = reserve_addrs(1);
+    let shard = start_shard(&shards, 0);
+    let (front, endpoint) = start(|o| {
+        o.max_frame_bytes = 4096;
+        o.cluster = shards.clone();
+    });
+    assert_refusals(&endpoint);
+    stop(front, &endpoint);
+    shard.join();
+
+    // Sanity: the raw TooLarge error our client would see on a response
+    // that large names both numbers.
+    let e = FrameError::TooLarge { announced: 9, limit: 8 };
+    assert!(format!("{e}").contains('9'));
+}
+
+/// Sends `endpoint` (capped at 4096-byte frames) one oversized header and
+/// one frame of garbage JSON, and checks each gets its structured
+/// refusal and is counted.
+fn assert_refusals(endpoint: &Endpoint) {
+    let addr = match endpoint {
         Endpoint::Tcp(a) => a.clone(),
         Endpoint::Unix(_) => unreachable!(),
     };
@@ -273,15 +296,9 @@ fn oversized_and_garbage_frames_get_structured_refusals() {
         FrameRead::Eof => panic!("connection closed without a refusal"),
     }
 
-    let s = stats(&endpoint);
+    let s = stats(endpoint);
     assert_eq!(counter(&s, "rejected", "oversized"), 1, "{s}");
     assert_eq!(counter(&s, "rejected", "bad_request"), 1, "{s}");
-    stop(server, &endpoint);
-
-    // Sanity: the raw TooLarge error our client would see on a response
-    // that large names both numbers.
-    let e = FrameError::TooLarge { announced: 9, limit: 8 };
-    assert!(format!("{e}").contains('9'));
 }
 
 #[test]
@@ -375,6 +392,17 @@ fn drain_snapshot_makes_a_plain_restart_start_warm() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Starts shard `i` of the cluster `shards` on its own address.
+fn start_shard(shards: &[String], i: usize) -> Server {
+    Server::start(&ServeOptions {
+        tcp: Some(shards[i].clone()),
+        cluster: shards.to_vec(),
+        shard_index: Some(i),
+        ..ServeOptions::default()
+    })
+    .expect("shard starts")
+}
+
 /// Grabs `n` distinct ephemeral ports and frees them, so a cluster can
 /// be configured with every member's address known up front.
 fn reserve_addrs(n: usize) -> Vec<String> {
@@ -386,24 +414,9 @@ fn reserve_addrs(n: usize) -> Vec<String> {
 #[test]
 fn cluster_routes_by_content_hash_and_forwards_misroutes() {
     let shards = reserve_addrs(3);
-    let servers: Vec<Server> = (0..shards.len())
-        .map(|i| {
-            Server::start(&ServeOptions {
-                tcp: Some(shards[i].clone()),
-                cluster: shards.clone(),
-                shard_index: Some(i),
-                ..ServeOptions::default()
-            })
-            .expect("shard starts")
-        })
-        .collect();
-    let router = spike_serve::Router::start(&RouterOptions {
-        listen: "127.0.0.1:0".into(),
-        shards: shards.clone(),
-        ..RouterOptions::default()
-    })
-    .expect("router starts");
-    let via_router = Endpoint::Tcp(router.addr().to_string());
+    let servers: Vec<Server> = (0..shards.len()).map(|i| start_shard(&shards, i)).collect();
+    // The routing front is a daemon that owns no key.
+    let (front, via_front) = start(|o| o.cluster = shards.clone());
 
     let images: Vec<(String, Vec<u8>)> = (0..6)
         .map(|i| {
@@ -420,14 +433,15 @@ fn cluster_routes_by_content_hash_and_forwards_misroutes() {
 
     let analyze = || Command::Analyze { summaries: false, routine: None };
     for (name, image) in &images {
-        // Through the router: the answer matches the local library path
+        // Through the front: the answer matches the local library path
         // byte for byte, whichever shard served it.
         let program = Program::from_image(image).unwrap();
         let analysis = spike_core::analyze_with(&program, &AnalysisOptions::default());
         let expected = render::analyze_report(name, &program, &analysis, false, None).unwrap();
-        let r = send(&via_router, &req(analyze(), name), image);
+        let r = send(&via_front, &req(analyze(), name), image);
         assert_eq!(r.exit, 0, "{:?}", r.error);
         assert_eq!(r.stdout, expected, "routed response must match the local path");
+        assert!(r.diag.contains("cluster: forwarded to shard"), "{}", r.diag);
 
         // Straight at the wrong shard: forwarded to the owner, same
         // bytes, and the diagnostics say so.
@@ -454,10 +468,17 @@ fn cluster_routes_by_content_hash_and_forwards_misroutes() {
     assert_eq!(total_misses, images.len() as u64, "each image analyzed exactly once");
     assert_eq!(total_forwarded, images.len() as u64, "every wrong-shard send was forwarded");
 
-    // One shutdown through the router drains the whole cluster.
-    let r = send(&via_router, &req(Command::Shutdown, ""), &[]);
+    // The front answers `stats` itself: it holds nothing and forwarded
+    // every image.
+    let s = stats(&via_front);
+    assert_eq!(counter(&s, "cache", "entries"), 0, "{s}");
+    assert_eq!(s.get("forwarded").and_then(Json::as_u64), Some(images.len() as u64), "{s}");
+
+    // One shutdown through the front drains the whole cluster, the front
+    // included: every `join` returns.
+    let r = send(&via_front, &req(Command::Shutdown, ""), &[]);
     assert_eq!(r.exit, 0, "{:?}", r.error);
-    router.join();
+    front.join();
     for server in servers {
         server.join();
     }
@@ -466,17 +487,7 @@ fn cluster_routes_by_content_hash_and_forwards_misroutes() {
 #[test]
 fn a_misrouted_lint_returns_the_local_report_bytes() {
     let shards = reserve_addrs(2);
-    let servers: Vec<Server> = (0..shards.len())
-        .map(|i| {
-            Server::start(&ServeOptions {
-                tcp: Some(shards[i].clone()),
-                cluster: shards.clone(),
-                shard_index: Some(i),
-                ..ServeOptions::default()
-            })
-            .expect("shard starts")
-        })
-        .collect();
+    let servers: Vec<Server> = (0..shards.len()).map(|i| start_shard(&shards, i)).collect();
     let ring = Ring::new(shards.clone());
     // A profile image: its JSON report runs to many findings, with
     // quotes and backslashes the old wire format had to escape.
